@@ -9,8 +9,6 @@ isomorphism of two gluings with verified witnesses.
 from .linalg import (
     Matrix,
     MonomialMatrix,
-    NotMonomial,
-    monomial_decompose,
     nullspace,
     rank,
     rref,
@@ -32,7 +30,6 @@ from .liecore import (
 )
 from .builder import (
     BadN,
-    BadPivot,
     BadSpec,
     BlockStructure,
     NonBlockForm,
@@ -42,7 +39,6 @@ from .builder import (
     build_qn,
     build_quasi,
     make_spec,
-    normalize_annihilator,
     related_matrix_of,
 )
 from .derivations import (
@@ -59,7 +55,6 @@ from .derivations import (
     weight_torus,
 )
 from .automorphisms import (
-    AutCandidate,
     automorphism_conditions,
     exp_ad,
     extend_endomorphism,

@@ -8,13 +8,12 @@ automorphism, a brute-force check, and a few automorphism factories.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import List, Optional, Sequence
 
 from .builder import QuasiQnSpec, build_quasi
-from .derivations import ConditionVerdict
+from .derivations import ConditionVerdict, GeneratorImages, extend_images
 from .liecore import LieAlgebra, bracket_preserving
 from .linalg import Matrix, ONE, ZERO, rank, scalar
 
@@ -23,58 +22,22 @@ class ZeroScale(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AutCandidate:
-    """Proposed generator images: e0[s-1], e1[s-1] are the coordinate vectors
-    of rho(e_{s0}) and rho(e_{s1})."""
-
-    e0: tuple
-    e1: tuple
-
-    @staticmethod
-    def from_vectors(e0: Sequence[Sequence], e1: Sequence[Sequence]) -> "AutCandidate":
-        return AutCandidate(
-            tuple(tuple(scalar(x) for x in v) for v in e0),
-            tuple(tuple(scalar(x) for x in v) for v in e1),
-        )
-
-    def validate(self, shape: QuasiQnSpec, target_dim: int) -> None:
-        if len(self.e0) != shape.m or len(self.e1) != shape.m:
-            raise ValueError(f"need one image pair per copy ({shape.m})")
-        for v in self.e0 + self.e1:
-            if len(v) != target_dim:
-                raise ValueError(f"image vectors must have length {target_dim}")
-
-
 def extend_endomorphism(
-    shape: QuasiQnSpec, target: LieAlgebra, candidate: AutCandidate
+    shape: QuasiQnSpec, target: LieAlgebra, candidate: GeneratorImages
 ) -> Matrix:
     """Extend generator images to a map defined on the whole source basis.
 
     ``shape`` fixes the source basis layout; the images live in ``target``
     (the same algebra for automorphism checking, a second one with equal
     (n, m, r) when testing maps between two gluings).  Columns follow
-    rho(e_{st}) = [rho(e_{s0}), rho(e_{s,t-1})] for 2 <= t <= n-1 and
-    rho(e_{tn}) = -[rho(e_{t1}), rho(e_{t,n-1})] for tops.
+    rho([x, y]) = [rho(x), rho(y)] along ``extend_images``.
     """
     candidate.validate(shape, target.dim)
-    n = shape.n
-    cols: List[list] = [None] * shape.dim
-    for s in range(1, shape.m + 1):
-        cols[shape.gen_index(s, 0)] = list(candidate.e0[s - 1])
-        cols[shape.gen_index(s, 1)] = list(candidate.e1[s - 1])
-        for t in range(2, n):
-            cols[shape.gen_index(s, t)] = target.bracket(
-                cols[shape.gen_index(s, 0)], cols[shape.gen_index(s, t - 1)]
-            )
-    for t in range(1, shape.r + 1):
-        w = target.bracket(cols[shape.gen_index(t, 1)], cols[shape.gen_index(t, n - 1)])
-        cols[shape.top_index(t)] = [-x for x in w]
-    return Matrix.from_columns(cols)
+    return extend_images(shape, candidate, lambda i, j, x, y: target.bracket(x, y))
 
 
 def closed_form_endomorphism(
-    shape: QuasiQnSpec, target_spec: QuasiQnSpec, candidate: AutCandidate
+    shape: QuasiQnSpec, target_spec: QuasiQnSpec, candidate: GeneratorImages
 ) -> Matrix:
     """Same map as ``extend_endomorphism`` via the explicit column formulas.
 
@@ -140,7 +103,7 @@ def closed_form_endomorphism(
     return Matrix.from_columns(cols)
 
 
-def _target_copies(spec: QuasiQnSpec, candidate: AutCandidate) -> tuple:
+def _target_copies(spec: QuasiQnSpec, candidate: GeneratorImages) -> tuple:
     """Per copy s: the unique copy its generator images land in, or a failure
     reason string."""
     n, m = spec.n, spec.m
@@ -166,7 +129,7 @@ def _target_copies(spec: QuasiQnSpec, candidate: AutCandidate) -> tuple:
     return tuple(targets), None
 
 
-def automorphism_conditions(spec: QuasiQnSpec, candidate: AutCandidate) -> ConditionVerdict:
+def automorphism_conditions(spec: QuasiQnSpec, candidate: GeneratorImages) -> ConditionVerdict:
     """Closed-form test: does the candidate extend to an automorphism?
 
     Checks, in order:
@@ -180,7 +143,7 @@ def automorphism_conditions(spec: QuasiQnSpec, candidate: AutCandidate) -> Condi
       gluing-compatibility    permutation and scales preserve the gluing
     Equivalent to the extended map being an automorphism.
     """
-    candidate.validate(spec, spec.dim)
+    candidate.validate(spec)
     n, m, r = spec.n, spec.m, spec.r
     beta = spec.beta()
 
@@ -277,7 +240,7 @@ def make_scaling_automorphism(
     alphas: Sequence,
     betas: Sequence,
     perm: Optional[Sequence[int]] = None,
-) -> AutCandidate:
+) -> GeneratorImages:
     """Candidate with e_{s0} -> alpha_s e_{perm(s),0}, e_{s1} -> beta_s e_{perm(s),1}.
 
     ``perm`` maps copies to copies (1-based, identity by default).  The result
@@ -304,7 +267,7 @@ def make_scaling_automorphism(
         v1[spec.gen_index(perm[s - 1], 1)] = betas[s - 1]
         e0.append(v0)
         e1.append(v1)
-    return AutCandidate.from_vectors(e0, e1)
+    return GeneratorImages.from_vectors(e0, e1)
 
 
 def exp_ad(L: LieAlgebra, x: Sequence) -> Matrix:

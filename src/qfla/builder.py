@@ -7,13 +7,12 @@ for s > r.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-from .linalg import Matrix, ONE, ZERO, rref_right_pivot, scalar
+from .linalg import Matrix, ONE, ZERO
 from .liecore import GenLabel, LieAlgebra, TopLabel, PlainLabel
 
 
@@ -22,10 +21,6 @@ class BadSpec(ValueError):
 
 
 class BadN(BadSpec):
-    pass
-
-
-class BadPivot(ValueError):
     pass
 
 
@@ -203,22 +198,6 @@ def related_matrix_of(spec: QuasiQnSpec) -> RelatedMatrix:
         row[s - 1] = ONE
         rows.append(row)
     return RelatedMatrix(Matrix(rows, cols=spec.m), spec.m, spec.r)
-
-
-def normalize_annihilator(B0: Matrix) -> RelatedMatrix:
-    """Row-reduce a full-rank annihilator into (A | I) form via rightmost pivots.
-
-    Raises BadPivot when the trailing (m-r)-column block is singular; the
-    caller must reorder copies first.
-    """
-    m = B0.cols
-    k = B0.rows  # = m - r
-    res = rref_right_pivot(B0)
-    if res.rank != k or res.pivot_cols != tuple(range(m - k, m)):
-        raise BadPivot(
-            f"trailing {k}-column block is singular (pivots at {res.pivot_cols})"
-        )
-    return RelatedMatrix(res.matrix, m, m - k)
 
 
 @dataclass(frozen=True)

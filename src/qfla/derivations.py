@@ -8,13 +8,13 @@ explicit torus / nilpotent bases of the derivation algebra.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-from .builder import BlockStructure, NonBlockForm, QuasiQnSpec, block_structure, build_quasi
+from .builder import NonBlockForm, QuasiQnSpec, block_structure, build_quasi
 from .liecore import LieAlgebra
-from .linalg import Matrix, ONE, ZERO, scalar, sparse_nullspace
+from .linalg import Matrix, ONE, ZERO, column_span, scalar, sparse_nullspace
 
 
 class NotSimultaneouslyDiagonal(ValueError):
@@ -24,7 +24,8 @@ class NotSimultaneouslyDiagonal(ValueError):
 @dataclass(frozen=True)
 class GeneratorImages:
     """Proposed images of the generators: e0[s-1] and e1[s-1] are the image
-    coordinate vectors of e_{s0} and e_{s1} (copies 1-based)."""
+    coordinate vectors of e_{s0} and e_{s1} (copies 1-based), under a
+    derivation or an endomorphism alike."""
 
     e0: tuple
     e1: tuple
@@ -36,39 +37,60 @@ class GeneratorImages:
             tuple(tuple(scalar(x) for x in v) for v in e1),
         )
 
-    def validate(self, spec: QuasiQnSpec) -> None:
-        if len(self.e0) != spec.m or len(self.e1) != spec.m:
-            raise ValueError(f"need one image pair per copy ({spec.m})")
+    def validate(self, shape: QuasiQnSpec, target_dim: Optional[int] = None) -> None:
+        """One image pair per copy of ``shape``, each of length ``target_dim``
+        (``shape.dim`` unless the images live in another algebra)."""
+        if target_dim is None:
+            target_dim = shape.dim
+        if len(self.e0) != shape.m or len(self.e1) != shape.m:
+            raise ValueError(f"need one image pair per copy ({shape.m})")
         for v in self.e0 + self.e1:
-            if len(v) != spec.dim:
-                raise ValueError(f"image vectors must have length {spec.dim}")
+            if len(v) != target_dim:
+                raise ValueError(f"image vectors must have length {target_dim}")
+
+
+def extend_images(
+    shape: QuasiQnSpec,
+    images: GeneratorImages,
+    bracket_image: Callable[[int, int, list, list], list],
+) -> Matrix:
+    """Extend generator images to every column of the ``shape`` basis.
+
+    Walks e_{st} = [e_{s0}, e_{s,t-1}] for 2 <= t <= n-1, then
+    e_{tn} = -[e_{t1}, e_{t,n-1}] for the tops.  ``bracket_image(i, j, x, y)``
+    gives the image of [e_i, e_j] from the images x, y of e_i, e_j: the
+    Leibniz rule for a derivation, the target bracket of x and y for a
+    homomorphism.
+    """
+    n = shape.n
+    cols: List[list] = [None] * shape.dim
+    for s in range(1, shape.m + 1):
+        head = shape.gen_index(s, 0)
+        cols[head] = list(images.e0[s - 1])
+        cols[head + 1] = list(images.e1[s - 1])
+        for t in range(2, n):
+            cols[head + t] = bracket_image(head, head + t - 1, cols[head], cols[head + t - 1])
+    for t in range(1, shape.r + 1):
+        one, last = shape.gen_index(t, 1), shape.gen_index(t, n - 1)
+        w = bracket_image(one, last, cols[one], cols[last])
+        cols[shape.top_index(t)] = [-x for x in w]
+    return Matrix.from_columns(cols)
 
 
 def extend_derivation_candidate(spec: QuasiQnSpec, images: GeneratorImages) -> Matrix:
-    """Extend generator images to a linear map on all of N(Q_n, m, r).
-
-    Columns for e_{st} (t >= 2) follow the Leibniz recurrence
-    d(e_{st}) = [d(e_{s0}), e_{s,t-1}] + [e_{s0}, d(e_{s,t-1})], and the top
-    columns from d(e_{tn}) = -[d(e_{t1}), e_{t,n-1}] - [e_{t1}, d(e_{t,n-1})].
-    The result is a derivation iff ``derivation_conditions`` passes.
+    """Extend generator images to a linear map on all of N(Q_n, m, r) by the
+    Leibniz rule d[x, y] = [dx, y] + [x, dy] (see ``extend_images``).  The
+    result is a derivation iff ``derivation_conditions`` passes.
     """
     images.validate(spec)
     L = build_quasi(spec)
-    n, dim = spec.n, spec.dim
-    cols: List[list] = [None] * dim
-    for s in range(1, spec.m + 1):
-        cols[spec.gen_index(s, 0)] = list(images.e0[s - 1])
-        cols[spec.gen_index(s, 1)] = list(images.e1[s - 1])
-        for t in range(2, n):
-            prev = cols[spec.gen_index(s, t - 1)]
-            first = L.bracket(cols[spec.gen_index(s, 0)], L.basis_vector(spec.gen_index(s, t - 1)))
-            second = L.bracket_basis_left(spec.gen_index(s, 0), prev)
-            cols[spec.gen_index(s, t)] = [a + b for a, b in zip(first, second)]
-    for t in range(1, spec.r + 1):
-        first = L.bracket(cols[spec.gen_index(t, 1)], L.basis_vector(spec.gen_index(t, n - 1)))
-        second = L.bracket_basis_left(spec.gen_index(t, 1), cols[spec.gen_index(t, n - 1)])
-        cols[spec.top_index(t)] = [-(a + b) for a, b in zip(first, second)]
-    return Matrix.from_columns(cols)
+
+    def leibniz(i: int, j: int, di: list, dj: list) -> list:
+        first = L.bracket(di, L.basis_vector(j))
+        second = L.bracket(L.basis_vector(i), dj)
+        return [a + b for a, b in zip(first, second)]
+
+    return extend_images(spec, images, leibniz)
 
 
 def closed_form_extension(spec: QuasiQnSpec, images: GeneratorImages) -> Matrix:
@@ -126,12 +148,6 @@ class ConditionVerdict:
     detail: Optional[str] = None
 
 
-def _lambda_top(spec: QuasiQnSpec, images: GeneratorImages, s: int) -> Fraction:
-    a = images.e0[s - 1][spec.gen_index(s, 0)]
-    b = images.e1[s - 1][spec.gen_index(s, 1)]
-    return (spec.n - 2) * a + 2 * b
-
-
 def derivation_conditions(spec: QuasiQnSpec, images: GeneratorImages) -> ConditionVerdict:
     """Closed-form test: do the generator images extend to a derivation?
 
@@ -173,7 +189,11 @@ def derivation_conditions(spec: QuasiQnSpec, images: GeneratorImages) -> Conditi
                     "odd-level-vanishing",
                     f"d(e_{{{s},1}}) has a component on e_{{{s},{i}}}",
                 )
-    lam = [_lambda_top(spec, images, s) for s in range(1, m + 1)]
+    lam = [  # top eigenvalues (n-2) a_s + 2 b_s
+        (n - 2) * images.e0[s - 1][spec.gen_index(s, 0)]
+        + 2 * images.e1[s - 1][spec.gen_index(s, 1)]
+        for s in range(1, m + 1)
+    ]
     for s in range(r + 1, m + 1):
         for j in range(1, r + 1):
             if beta.entry(j - 1, s - 1) != 0 and lam[s - 1] != lam[j - 1]:
@@ -213,7 +233,7 @@ def is_derivation(L: LieAlgebra, D: Matrix) -> bool:
                     if v:
                         lhs[t] += c * v
             rhs1 = L.bracket(cols[i], L.basis_vector(j))
-            rhs2 = L.bracket_basis_left(i, cols[j])
+            rhs2 = L.bracket(L.basis_vector(i), cols[j])
             if any(a != b + c for a, b, c in zip(lhs, rhs1, rhs2)):
                 return False
     return True
@@ -263,13 +283,13 @@ class DerBasisElement:
     matrix: Matrix
 
 
-def _zero_images(spec: QuasiQnSpec) -> Tuple[list, list]:
+def _element(spec: QuasiQnSpec, kind: str, indices: tuple, entries) -> DerBasisElement:
+    """The derivation whose generator images vanish except at ``entries``:
+    (0 or 1 for d(e_{s0}) or d(e_{s1}), copy s, basis index, value)."""
     e0 = [[ZERO] * spec.dim for _ in range(spec.m)]
     e1 = [[ZERO] * spec.dim for _ in range(spec.m)]
-    return e0, e1
-
-
-def _element(spec: QuasiQnSpec, kind: str, indices: tuple, e0, e1) -> DerBasisElement:
+    for which, s, k, value in entries:
+        (e1 if which else e0)[s - 1][k] = value
     images = GeneratorImages.from_vectors(e0, e1)
     verdict = derivation_conditions(spec, images)
     if not verdict.ok:
@@ -284,16 +304,11 @@ def weight_torus(spec: QuasiQnSpec) -> List[DerBasisElement]:
     e_{s0} -> -2 e_{s0}, e_{s1} -> (n-2) e_{s1}, killing the top vector.
     ``qfla weights`` decomposes under this torus.
     """
-    out = []
-    e0, e1 = _zero_images(spec)
-    for s in range(1, spec.m + 1):
-        e1[s - 1][spec.gen_index(s, 1)] = ONE
-    out.append(_element(spec, "Grading", (), e0, e1))
-    for s in range(1, spec.m + 1):
-        e0, e1 = _zero_images(spec)
-        e0[s - 1][spec.gen_index(s, 0)] = scalar(-2)
-        e1[s - 1][spec.gen_index(s, 1)] = scalar(spec.n - 2)
-        out.append(_element(spec, "CopyWeight", (s,), e0, e1))
+    copies = range(1, spec.m + 1)
+    out = [_element(spec, "Grading", (), [(1, s, spec.gen_index(s, 1), 1) for s in copies])]
+    for s in copies:
+        entries = [(0, s, spec.gen_index(s, 0), -2), (1, s, spec.gen_index(s, 1), spec.n - 2)]
+        out.append(_element(spec, "CopyWeight", (s,), entries))
     return out
 
 
@@ -313,21 +328,21 @@ def torus_basis(spec: QuasiQnSpec) -> List[DerBasisElement]:
     if blocks is None:
         return out
     for t, members in enumerate(blocks.members[1:], start=2):
-        e0, e1 = _zero_images(spec)
-        for s in members:
-            e1[s - 1][spec.gen_index(s, 1)] = ONE
-        out.append(_element(spec, "BlockGrading", (t,), e0, e1))
+        entries = [(1, s, spec.gen_index(s, 1), 1) for s in members]
+        out.append(_element(spec, "BlockGrading", (t,), entries))
     return out
 
 
 def h1_derivation(spec: QuasiQnSpec) -> Matrix:
-    """The diagonal derivation e_{s0} -> -2s e_{s0}, e_{s1} -> s(n-2) e_{s1};
-    its eigenvalues separate the copies, which ``weight_decomposition`` uses."""
-    e0, e1 = _zero_images(spec)
+    """The diagonal derivation e_{s0} -> -2s e_{s0}, e_{s1} -> s(n-2) e_{s1}.
+
+    Its level eigenvalues separate the copies while every top eigenvalue is 0.
+    No verb uses it: ``qfla weights`` decomposes under ``weight_torus``."""
+    entries = []
     for s in range(1, spec.m + 1):
-        e0[s - 1][spec.gen_index(s, 0)] = scalar(-2 * s)
-        e1[s - 1][spec.gen_index(s, 1)] = scalar(s * (spec.n - 2))
-    return _element(spec, "H1", (), e0, e1).matrix
+        entries.append((0, s, spec.gen_index(s, 0), -2 * s))
+        entries.append((1, s, spec.gen_index(s, 1), s * (spec.n - 2)))
+    return _element(spec, "H1", (), entries).matrix
 
 
 def nilpotent_basis(spec: QuasiQnSpec) -> List[DerBasisElement]:
@@ -349,32 +364,21 @@ def nilpotent_basis(spec: QuasiQnSpec) -> List[DerBasisElement]:
     out = []
     for s in range(1, spec.m + 1):
         for i in range(2, spec.n):
-            e0, e1 = _zero_images(spec)
-            e0[s - 1][spec.gen_index(s, i)] = ONE
-            out.append(_element(spec, "AdGen", (s, i), e0, e1))
+            out.append(_element(spec, "AdGen", (s, i), [(0, s, spec.gen_index(s, i), 1)]))
         for t in range(1, spec.r + 1):
-            e0, e1 = _zero_images(spec)
-            e0[s - 1][spec.top_index(t)] = ONE
-            out.append(_element(spec, "TopFromE0", (s, t), e0, e1))
+            out.append(_element(spec, "TopFromE0", (s, t), [(0, s, spec.top_index(t), 1)]))
         for i in range(1, spec.d):
-            e0, e1 = _zero_images(spec)
-            e1[s - 1][spec.gen_index(s, 2 * i)] = ONE
-            out.append(_element(spec, "Even", (s, i), e0, e1))
+            out.append(_element(spec, "Even", (s, i), [(1, s, spec.gen_index(s, 2 * i), 1)]))
         for t in range(1, spec.r + 1):
-            e0, e1 = _zero_images(spec)
-            e1[s - 1][spec.top_index(t)] = ONE
-            out.append(_element(spec, "TopFromE1", (s, t), e0, e1))
-        e0, e1 = _zero_images(spec)
-        e1[s - 1][spec.gen_index(s, spec.n - 1)] = ONE
-        out.append(_element(spec, "DiagTop", (s,), e0, e1))
+            out.append(_element(spec, "TopFromE1", (s, t), [(1, s, spec.top_index(t), 1)]))
+        out.append(_element(spec, "DiagTop", (s,), [(1, s, spec.gen_index(s, spec.n - 1), 1)]))
     for t, members in enumerate(blocks.members, start=1):
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                i, j = members[a], members[b]
-                e0, e1 = _zero_images(spec)
-                e1[i - 1][spec.gen_index(j, spec.n - 1)] = beta.entry(t - 1, i - 1)
-                e1[j - 1][spec.gen_index(i, spec.n - 1)] = beta.entry(t - 1, j - 1)
-                out.append(_element(spec, "OffDiag", (i, j), e0, e1))
+        for i, j in itertools.combinations(members, 2):
+            entries = [
+                (1, i, spec.gen_index(j, spec.n - 1), beta.entry(t - 1, i - 1)),
+                (1, j, spec.gen_index(i, spec.n - 1), beta.entry(t - 1, j - 1)),
+            ]
+            out.append(_element(spec, "OffDiag", (i, j), entries))
     return out
 
 
@@ -433,8 +437,6 @@ def weight_decomposition(L: LieAlgebra, torus: Sequence[Matrix]) -> Dict[tuple, 
     for k in range(L.dim):
         weight = tuple(D.entry(k, k) for D in torus)
         groups.setdefault(weight, []).append(k)
-    from .linalg import column_span
-
     return {
         w: column_span([L.basis_vector(k) for k in idxs], L.dim)
         for w, idxs in groups.items()

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .automorphisms import AutCandidate, extend_endomorphism
+from .automorphisms import extend_endomorphism
 from .builder import QuasiQnSpec, RelatedMatrix, build_quasi, related_matrix_of
+from .derivations import GeneratorImages
 from .liecore import bracket_preserving
 from .linalg import (
     Matrix,
@@ -36,12 +37,8 @@ class SearchTooLarge(RuntimeError):
     the QFLA_MAX_M environment variable to force it."""
 
 
-class NeedsIrrationalScalars(RuntimeError):
-    """Defensive: no rational (alpha, beta) solves alpha^{n-2} beta^2 = k.
-
-    Unreachable for odd n (gcd(n-2, 2) = 1 makes the exponent lattice full),
-    kept so a future even-exponent variant fails loudly instead of silently.
-    """
+class BadSearchCap(ValueError):
+    """The QFLA_MAX_M environment variable is not an integer."""
 
 
 @dataclass(frozen=True)
@@ -64,7 +61,12 @@ def kernel_subspace(R: RelatedMatrix) -> List[Matrix]:
 
 def _max_copies() -> int:
     raw = os.environ.get("QFLA_MAX_M")
-    return int(raw) if raw else DEFAULT_MAX_COPIES
+    if not raw:
+        return DEFAULT_MAX_COPIES
+    try:
+        return int(raw)
+    except ValueError:
+        raise BadSearchCap(f"QFLA_MAX_M: expected an integer, got {raw!r}") from None
 
 
 def _generic_nonzero_point(basis: List[Matrix], m: int) -> Optional[tuple]:
@@ -103,10 +105,9 @@ def monomial_equivalence(
     if (R1.m, R1.r) != (R2.m, R2.r):
         raise ValueError("annihilators must share (m, r)")
     m, r = R1.m, R1.r
-    if m > _max_copies():
-        raise SearchTooLarge(
-            f"m = {m} exceeds the permutation sweep cap {_max_copies()}"
-        )
+    cap = _max_copies()
+    if m > cap:
+        raise SearchTooLarge(f"m = {m} exceeds the permutation sweep cap {cap}")
     if m == r:
         return EquivalenceWitness(
             Matrix([[] for _ in range(0)], cols=0), MonomialMatrix.identity(m)
@@ -160,8 +161,6 @@ def split_scale(k: Fraction, n: int) -> Tuple[Fraction, Fraction]:
     """
     if k == 0:
         raise ValueError("scale must be nonzero")
-    if (n - 2) % 2 == 0:
-        raise NeedsIrrationalScalars(f"exponents ({n - 2}, 2) are not coprime")
     vals: dict = {}
     for p, v in _prime_valuations(abs(k.numerator)).items():
         vals[p] = vals.get(p, 0) + v
@@ -204,7 +203,7 @@ def build_algebra_witness(
         v1[spec2.gen_index(sigma[s], 1)] = beta
         e0.append(v0)
         e1.append(v1)
-    return extend_endomorphism(spec1, target, AutCandidate.from_vectors(e0, e1))
+    return extend_endomorphism(spec1, target, GeneratorImages.from_vectors(e0, e1))
 
 
 @dataclass(frozen=True)

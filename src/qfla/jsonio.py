@@ -9,15 +9,19 @@ from __future__ import annotations
 import json
 from typing import Optional, Tuple
 
-from .builder import QuasiQnSpec, RelatedMatrix, make_spec
+from .builder import QuasiQnSpec, RelatedMatrix, build_quasi, make_spec
 from .derivations import GeneratorImages
-from .automorphisms import AutCandidate
 from .liecore import GenLabel, JacobiViolation, LieAlgebra, PlainLabel, TopLabel
 from .linalg import Matrix, MonomialMatrix, scalar, scalar_to_str
 
 
 class BadInput(ValueError):
     """Malformed or inconsistent JSON input; the message names the field."""
+
+
+def _is_int(x) -> bool:
+    """A JSON integer: Python's bool is an int subclass, JSON's true is not."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def dumps(obj) -> str:
@@ -67,7 +71,7 @@ def spec_from_json(data) -> QuasiQnSpec:
     if not isinstance(data, dict):
         raise BadInput("spec: expected an object")
     for key in ("n", "m", "r"):
-        if not isinstance(data.get(key), int):
+        if not _is_int(data.get(key)):
             raise BadInput(f"{key}: expected an integer")
     n, m, r = data["n"], data["m"], data["r"]
     B = data.get("B")
@@ -118,41 +122,51 @@ def algebra_from_json(data) -> Tuple[LieAlgebra, Optional[QuasiQnSpec]]:
     if not isinstance(data, dict):
         raise BadInput("algebra: expected an object")
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise BadInput("dim: expected a nonnegative integer")
     sc = {}
     for entry in data.get("brackets", []):
         if not isinstance(entry, dict) or not {"i", "j", "value"} <= set(entry):
             raise BadInput("brackets: each entry needs i, j, value")
         i, j = entry["i"], entry["j"]
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < dim):
+        if not (_is_int(i) and _is_int(j) and 0 <= i < j < dim):
             raise BadInput(f"brackets: indices ({i},{j}) must satisfy 0 <= i < j < dim")
         value = {}
         for pair in entry["value"]:
-            if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], int):
+            if not isinstance(pair, list) or len(pair) != 2 or not _is_int(pair[0]):
                 raise BadInput("value: expected [index, scalar] pairs")
             k, c = pair
             if not 0 <= k < dim:
                 raise BadInput(f"value: target index {k} out of range")
-            value[k] = scalar(c)
+            try:
+                value[k] = scalar(c)
+            except (ValueError, TypeError, ZeroDivisionError) as exc:
+                raise BadInput(f"value: {exc}") from exc
         sc[(i, j)] = value
     spec = spec_from_json(data["spec"]) if "spec" in data else None
+    if spec is not None and spec.dim != dim:
+        raise BadInput(f"spec: implies dim {spec.dim}, but dim is {dim}")
     labels = spec.labels() if spec is not None else None
     try:
-        L = LieAlgebra(dim, sc, labels=labels)
+        # A spec-tagged table is checked against the built algebra below,
+        # which is Jacobi-verified, so it needs no Jacobi pass of its own.
+        L = LieAlgebra(dim, sc, labels=labels, validate=spec is None)
     except JacobiViolation:
         raise
     except ValueError as exc:
         raise BadInput(f"algebra: {exc}") from exc
-    if spec is not None and spec.dim != dim:
-        raise BadInput(f"spec: implies dim {spec.dim}, but dim is {dim}")
+    if spec is not None:
+        built = build_quasi(spec)
+        if L != built:
+            raise BadInput("brackets: the structure constants contradict the embedded spec")
+        L = built
     return L, spec
 
 
 # -- generator-image candidates ------------------------------------------------------
 
 
-def _images_from_json(data, spec: QuasiQnSpec) -> tuple:
+def candidate_from_json(data, spec: QuasiQnSpec) -> GeneratorImages:
     if not isinstance(data, dict) or not isinstance(data.get("images"), dict):
         raise BadInput("images: expected an object keyed by generator")
     images = data["images"]
@@ -163,17 +177,7 @@ def _images_from_json(data, spec: QuasiQnSpec) -> tuple:
             if key not in images:
                 raise BadInput(f"images: missing key {key}")
             dest.append(vector_from_json(images[key], spec.dim, f"images.{key}"))
-    return tuple(e0), tuple(e1)
-
-
-def candidate_from_json(data, spec: QuasiQnSpec) -> AutCandidate:
-    e0, e1 = _images_from_json(data, spec)
-    return AutCandidate(e0, e1)
-
-
-def generator_images_from_json(data, spec: QuasiQnSpec) -> GeneratorImages:
-    e0, e1 = _images_from_json(data, spec)
-    return GeneratorImages(e0, e1)
+    return GeneratorImages(tuple(e0), tuple(e1))
 
 
 def candidate_to_json(spec: QuasiQnSpec, e0, e1) -> dict:

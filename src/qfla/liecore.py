@@ -138,23 +138,10 @@ class LieAlgebra:
             out[k] = v
         return out
 
-    def bracket_basis_left(self, i: int, y: Sequence) -> list:
-        """[e_i, y] for a coordinate vector y."""
-        out = [ZERO] * self.dim
-        for j, b in enumerate(y):
-            if not b:
-                continue
-            for k, c in self.structure(i, j).items():
-                out[k] += b * c
-        return out
-
     def basis_vector(self, i: int) -> list:
         v = [ZERO] * self.dim
         v[i] = Fraction(1)
         return v
-
-    def label_index(self, label: Label) -> int:
-        return self.labels.index(label)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LieAlgebra):
@@ -165,10 +152,6 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim}, brackets={len(self.sc)})"
 
 
-def bracket(L: LieAlgebra, x: Sequence, y: Sequence) -> list:
-    return L.bracket(x, y)
-
-
 def check_jacobi(L: LieAlgebra):
     """Exhaustive Jacobi check over basis triples.
 
@@ -176,7 +159,6 @@ def check_jacobi(L: LieAlgebra):
     """
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            cij = L.sc.get((i, j), {})
             for k in range(j + 1, L.dim):
                 total: Dict[int, Fraction] = {}
                 for pair, extra in (((j, k), i), ((k, i), j), ((i, j), k)):
@@ -190,7 +172,6 @@ def check_jacobi(L: LieAlgebra):
                                 del total[u]
                 if total:
                     return False, (i, j, k)
-    _ = cij
     return True, None
 
 
@@ -231,29 +212,28 @@ def lower_central_series(L: LieAlgebra) -> SubspaceChain:
     return SubspaceChain(tuple(spaces))
 
 
-def is_filiform(L: LieAlgebra) -> bool:
-    """Maximal nilpotency class: dim c^i = dim L - i - 1 for 1 <= i <= dim L - 1."""
-    dims = lower_central_series(L).dims
-    for i in range(1, L.dim):
+def is_filiform(chain: SubspaceChain) -> bool:
+    """Maximal nilpotency class, read off the lower central series of L:
+    dim c^i = dim L - i - 1 for 1 <= i <= dim L - 1."""
+    dims = chain.dims
+    for i in range(1, dims[0]):
         actual = dims[i] if i < len(dims) else 0
-        if actual != L.dim - i - 1:
+        if actual != dims[0] - i - 1:
             return False
     return True
 
 
-def minimal_generator_count(L: LieAlgebra) -> int:
-    """dim L - dim c^1 L: the size of any minimal system of generators."""
-    dims = lower_central_series(L).dims
-    return L.dim - dims[1]
+def minimal_generator_count(chain: SubspaceChain) -> int:
+    """dim L - dim c^1 L from the lower central series of L (c^1 of the zero
+    algebra is 0): the size of any minimal system of generators."""
+    return chain.dims[0] - (chain.dims + (0,))[1]
 
 
 def is_minimal_generating_set(L: LieAlgebra, vectors: Sequence[Sequence]) -> bool:
     """True iff the residues of the vectors mod c^1 L form a basis of L / c^1 L."""
-    dims = lower_central_series(L).dims
-    needed = L.dim - dims[1]
-    if len(vectors) != needed:
-        return False
     c1 = lower_central_series(L).spaces[1]
+    if len(vectors) != L.dim - c1.cols:
+        return False
     stacked = [list(v) for v in vectors] + [list(c1.col(j)) for j in range(c1.cols)]
     return rank(Matrix(stacked, cols=L.dim)) == L.dim
 
@@ -272,10 +252,8 @@ def quasi_cyclic_split(L: LieAlgebra, U: Matrix) -> tuple:
             break
         chain.append(nxt)
         current = nxt
-    all_cols = []
-    for space in chain:
-        all_cols.extend(space.col(j) for j in range(space.cols))
-    total = sum(space.cols for space in chain)
+    all_cols = [col for space in chain for col in space.columns()]
+    total = len(all_cols)
     r = rank(Matrix(all_cols, cols=L.dim)) if all_cols else 0
     if r < total:
         raise NotDirect(f"sum of chain spaces has rank {r} < {total}")

@@ -7,7 +7,7 @@ pivoting heuristics.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -19,18 +19,15 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class NotMonomial(ValueError):
-    """Matrix is not a permutation matrix times an invertible diagonal."""
-
-
 def scalar(value: ScalarLike) -> Fraction:
     """Coerce an int, a string like ``"3/4"``, or a Fraction to a Scalar.
 
-    Floats are rejected on purpose: nothing in this package may round.
+    Floats are rejected on purpose: nothing in this package may round.  So
+    are bools, which Python counts as ints but JSON does not.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
@@ -87,9 +84,6 @@ class Matrix:
 
     def entry(self, i: int, j: int) -> Fraction:
         return self._e[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self._e[i]
 
     def col(self, j: int) -> tuple:
         return tuple(row[j] for row in self._e)
@@ -163,11 +157,6 @@ class Matrix:
             cols=self.cols + other.cols,
         )
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch")
-        return Matrix(self._e + other._e, cols=self.cols)
-
     def apply(self, v: Sequence[ScalarLike]) -> tuple:
         """Matrix-vector product, returning a plain tuple."""
         if len(v) != self.cols:
@@ -232,20 +221,6 @@ def rref(M: Matrix) -> RrefResult:
     return RrefResult(Matrix(grid, cols=cols), pr, tuple(pivots))
 
 
-def rref_right_pivot(M: Matrix) -> RrefResult:
-    """RREF preferring the rightmost available pivot column.
-
-    Used to normalize annihilator matrices into (A | I) form: with pivots in
-    the trailing columns the trailing block of the result is the identity.
-    """
-    flipped = Matrix([row[::-1] for row in M.to_rows()], cols=M.cols)
-    res = rref(flipped)
-    back = [row[::-1] for row in res.matrix.to_rows()]
-    back = back[res.rank - 1 :: -1] + back[res.rank :]  # identity block in row order
-    pivots = tuple(sorted(M.cols - 1 - p for p in res.pivot_cols))
-    return RrefResult(Matrix(back, cols=M.cols), res.rank, pivots)
-
-
 def rank(M: Matrix) -> int:
     return rref(M).rank
 
@@ -276,39 +251,13 @@ def inverse(M: Matrix) -> Matrix:
     return res.matrix.submatrix(range(M.rows), range(M.rows, 2 * M.rows))
 
 
-def solve_affine(A: Matrix, b: Sequence[ScalarLike]):
-    """Solve Ax = b exactly.
-
-    Returns ``(particular, kernel_basis)`` where ``particular`` is a tuple
-    solving the system (or None if inconsistent) and ``kernel_basis`` is the
-    canonical nullspace basis of A.
-    """
-    if A.rows != len(b):
-        raise ValueError("right-hand side length mismatch")
-    aug = A.hstack(Matrix.column_vector(b))
-    res = rref(aug)
-    kernel = nullspace(A)
-    if A.cols in res.pivot_cols:
-        return None, kernel
-    x = [ZERO] * A.cols
-    for k, pc in enumerate(res.pivot_cols):
-        x[pc] = res.matrix.entry(k, A.cols)
-    return tuple(x), kernel
-
-
-def row_space_basis(M: Matrix) -> Matrix:
-    """Canonical basis of the row space: the nonzero rows of rref(M)."""
-    res = rref(M)
-    return res.matrix.submatrix(range(res.rank), range(M.cols))
-
-
 def column_span(vectors: Sequence[Sequence[ScalarLike]], dim: int) -> Matrix:
     """Canonical subspace representation: columns of the returned matrix are the
     RREF basis of the span, so subspace equality is literal matrix equality."""
     if not vectors:
         return Matrix([[] for _ in range(dim)], cols=0)
-    basis = row_space_basis(Matrix(vectors, cols=dim))
-    return basis.transpose()
+    res = rref(Matrix(vectors, cols=dim))
+    return res.matrix.submatrix(range(res.rank), range(dim)).transpose()
 
 
 # -- monomial matrices ----------------------------------------------------------
@@ -343,25 +292,6 @@ class MonomialMatrix:
         return MonomialMatrix(n, tuple(range(n)), (ONE,) * n)
 
 
-def monomial_decompose(M: Matrix) -> MonomialMatrix:
-    """Decompose a square matrix as permutation-times-diagonal, or raise NotMonomial."""
-    if not M.is_square:
-        raise NotMonomial("matrix is not square")
-    n = M.rows
-    perm = [-1] * n
-    scale = [ZERO] * n
-    for j in range(n):
-        nz = [i for i in range(n) if M.entry(i, j) != 0]
-        if len(nz) != 1:
-            raise NotMonomial(f"column {j} has {len(nz)} nonzero entries")
-        perm[j] = nz[0]
-        scale[j] = M.entry(nz[0], j)
-    for i in range(n):
-        if sum(1 for j in range(n) if M.entry(i, j) != 0) != 1:
-            raise NotMonomial(f"row {i} does not have exactly one nonzero entry")
-    return MonomialMatrix(n, tuple(perm), tuple(scale))
-
-
 # -- sparse integer-normalized elimination --------------------------------------
 #
 # The derivation oracle produces linear systems with thousands of very sparse
@@ -372,8 +302,6 @@ def monomial_decompose(M: Matrix) -> MonomialMatrix:
 
 def _primitive_int_row(row: dict) -> dict:
     """Clear denominators and divide by the gcd; leading (min col) entry > 0."""
-    import math
-
     items = {c: Fraction(v) for c, v in row.items() if v != 0}
     if not items:
         return {}
@@ -391,8 +319,6 @@ def _primitive_int_row(row: dict) -> dict:
 
 def _eliminate(row: dict, pivot: dict, col: int) -> dict:
     """Return pivot[col]*row - row[col]*pivot, as a primitive integer row."""
-    import math
-
     a = pivot[col]
     b = row[col]
     out = dict()

@@ -9,7 +9,6 @@ import pytest
 
 from qfla import block_structure, make_spec
 from qfla.derivations import GeneratorImages
-from qfla.automorphisms import AutCandidate
 
 # The standard battery: every (n, m, r, B) the suites run against.
 TEST_MATRIX = [
@@ -93,7 +92,7 @@ def random_passing_images(spec, rng: random.Random) -> GeneratorImages:
     return GeneratorImages.from_vectors(e0, e1)
 
 
-def random_aut_candidate(spec, rng: random.Random, same_copy: bool = False) -> AutCandidate:
+def random_aut_candidate(spec, rng: random.Random, same_copy: bool = False) -> GeneratorImages:
     """Random support-respecting automorphism candidate.
 
     Leading coefficients are usually (not always) nonzero, so both verdicts
@@ -117,10 +116,10 @@ def random_aut_candidate(spec, rng: random.Random, same_copy: bool = False) -> A
         for t in range(1, r + 1):
             e0[s - 1][spec.top_index(t)] = Fraction(rng.choice(SMALL_VALUES))
             e1[s - 1][spec.top_index(t)] = Fraction(rng.choice(SMALL_VALUES))
-    return AutCandidate.from_vectors(e0, e1)
+    return GeneratorImages.from_vectors(e0, e1)
 
 
-def passing_aut_candidate(spec, rng: random.Random) -> AutCandidate:
+def passing_aut_candidate(spec, rng: random.Random) -> GeneratorImages:
     """Random candidate passing the whole automorphism battery.
 
     Strategy: identity copy permutation, shared leading scales so the top
@@ -153,7 +152,7 @@ def passing_aut_candidate(spec, rng: random.Random) -> AutCandidate:
         for t in range(1, r + 1):
             e0[s - 1][spec.top_index(t)] = Fraction(rng.choice(SMALL_VALUES))
             e1[s - 1][spec.top_index(t)] = Fraction(rng.choice(SMALL_VALUES))
-    return AutCandidate.from_vectors(e0, e1)
+    return GeneratorImages.from_vectors(e0, e1)
 
 
 @pytest.fixture

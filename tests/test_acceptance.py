@@ -9,6 +9,7 @@ each summand's generators into the other's centre (Der(A (+) B) =
 Der A (+) Der B (+) Hom(A/[A,A], Z(B)) (+) Hom(B/[B,B], Z(A))).  The
 closed-form count must reach it with one torus direction per block.
 """
+import hashlib
 import json
 import random
 import time
@@ -29,7 +30,6 @@ from conftest import (
 )
 from qfla import build_quasi, make_spec
 from qfla.automorphisms import (
-    AutCandidate,
     automorphism_conditions,
     extend_endomorphism,
     is_automorphism,
@@ -48,7 +48,7 @@ from qfla.derivations import (
     torus_basis,
 )
 from qfla.iso import iso_decide
-from qfla.jsonio import dumps, spec_to_json
+from qfla.jsonio import candidate_to_json, dumps, spec_to_json
 from qfla.liecore import (
     bracket_preserving,
     is_minimal_generating_set,
@@ -82,7 +82,7 @@ def test_construction_suite():
         chain = lower_central_series(L)
         assert chain.dims[spec.n - 1] == spec.r
         assert chain.dims[spec.n] == 0
-        assert minimal_generator_count(L) == 2 * spec.m
+        assert minimal_generator_count(chain) == 2 * spec.m
         gens = []
         for s in range(1, spec.m + 1):
             gens.append(L.basis_vector(spec.gen_index(s, 0)))
@@ -244,7 +244,7 @@ def _aut_mutants(spec):
             e0[s - 1][k] = Fraction(v)
         for s, k, v in e1_edits:
             e1[s - 1][k] = Fraction(v)
-        return AutCandidate.from_vectors(e0, e1)
+        return GeneratorImages.from_vectors(e0, e1)
 
     out["single-target-copy"] = [
         tweak(e0_edits=[(1, spec.gen_index(2, 0), v)]) for v in MUTANT_VALUES
@@ -332,34 +332,70 @@ def test_isomorphism_decisions():
 # ----------------------------------------------------- gate CLI determinism
 
 
+# sha256 of each battery command's stdout.  The digests pin the CLI bytes
+# across changes to the code, not only between two runs of the same code.
+GOLDEN_BATTERY = [
+    (["build", "--n", "5", "--m", "1", "--r", "1"], 0,
+        "f722017bf606ebfe87c30850107dd8a5f952fc9f52d6a50220f0bc6aab56e5b9"),
+    (["build", "--n", "5", "--m", "2", "--r", "1", "--B", '[["1"]]'], 0,
+        "182974e538d27898a9a544604797e15e325368c783f26f7a2931099551d7c1fb"),
+    (["build", "--n", "7", "--m", "1", "--r", "1"], 0,
+        "8a1975594870b093eccddc5a6bbd196230afd4de2213f31bbd3a981d9addd6b6"),
+    (["build", "--n", "5", "--m", "3", "--r", "2", "--B", '[["1"],["0"]]'], 0,
+        "bf863c784f699e39d67d192fd25b86c6970131830c97fac9af9f1f5af7102620"),
+    (["check", "{algebra}"], 0,
+        "334e687dcee6f2199ecb74cba445fe5636566f1ddf8270250e24db54a35d746d"),
+    (["der", "{algebra}", "--compare"], 0,
+        "c5401bbb933130e9cf56f8fcbbfb310587c8d224f0907fddc89ba7507b699fc1"),
+    (["iso", "{spec_a}", "{spec_b}"], 0,
+        "27fe1f89497e16997cdf9f26ed41b4409d56d91c14c0e0df79ccb43075a8c348"),
+    (["iso", "{spec_a}", "{spec_a}"], 0,
+        "2a720774395039f0546d13d13bffd1dbef70d92c4504f5219972863c05c03863"),
+    (["iso", "{spec_c}", "{spec_a}"], 0,
+        "a866db6438a71759922c7cbb05d641d3ac8a43836d7bdc7738f30cfe9c117ec1"),
+    (["related", "{spec_a}"], 0,
+        "fb26f8f00932e5bc2b62f1fe1dd3dd04674f2f4a49fe2e57c0bd79b0d23b09fa"),
+    (["related", "{spec_b}"], 0,
+        "701c78a3a436628a345cc1cba837adc7975d501ef607f801f830209c39e9c24b"),
+    (["weights", "{algebra}"], 0,
+        "15be246e04ab5ca005b024e270ef6763cd90056ef38afdbb23e0af7eaf5c4dda"),
+    (["aut-check", "{algebra}", "{aut_pass}", "--strict"], 0,
+        "f6f83883160d2637bc44dd43f1745649096159667ac9449d8a91fd9f40836da4"),
+    (["aut-check", "{algebra}", "{aut_fail}", "--strict"], 1,
+        "96c8eacd61175fc76c7a0494f484c0310d27b8fe6d8c4de1506fe4db6512a6d3"),
+]
+
+
 def test_cli_golden_battery(tmp_path, capsys):
-    algebra = tmp_path / "a.json"
-    assert main(["build", "--n", "5", "--m", "2", "--r", "1", "--B", '[["1"]]', "--out", str(algebra)]) == 0
-    spec_a = tmp_path / "sa.json"
-    spec_a.write_text(dumps(spec_to_json(make_spec(5, 3, 2, [["1"], ["1"]]))))
-    spec_b = tmp_path / "sb.json"
-    spec_b.write_text(dumps(spec_to_json(make_spec(5, 3, 2, [["2"], ["1"]]))))
+    files = {k: str(tmp_path / f"{k}.json") for k in ("algebra", "aut_pass", "aut_fail")}
+    build = ["build", "--n", "5", "--m", "2", "--r", "1", "--B", '[["1"]]']
+    assert main(build + ["--out", files["algebra"]]) == 0
+    specs = {"spec_a": [["1"], ["1"]], "spec_b": [["2"], ["1"]], "spec_c": [["1"], ["0"]]}
+    for name, B in specs.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(dumps(spec_to_json(make_spec(5, 3, 2, B))))
+    spec = make_spec(5, 2, 1, [["1"]])
+    for name, betas in (("aut_pass", [2, 2]), ("aut_fail", [2, 3])):
+        cand = make_scaling_automorphism(spec, [1, 1], betas)
+        (tmp_path / f"{name}.json").write_text(dumps(candidate_to_json(spec, cand.e0, cand.e1)))
     capsys.readouterr()
-    battery = [
-        ["build", "--n", "5", "--m", "1", "--r", "1"],
-        ["build", "--n", "5", "--m", "2", "--r", "1", "--B", '[["1"]]'],
-        ["build", "--n", "7", "--m", "1", "--r", "1"],
-        ["build", "--n", "5", "--m", "3", "--r", "2", "--B", '[["1"],["0"]]'],
-        ["check", str(algebra)],
-        ["der", str(algebra), "--compare"],
-        ["iso", str(spec_a), str(spec_b)],
-        ["iso", str(spec_a), str(spec_a)],
-        ["related", str(spec_a)],
-        ["related", str(spec_b)],
-        ["weights", str(algebra)],
-    ]
     golden = []
     for run_no in range(2):
         outputs = []
-        for argv in battery:
-            assert main(argv) == 0
+        for template, code, _ in GOLDEN_BATTERY:
+            assert main([arg.format(**files) for arg in template]) == code
             outputs.append(capsys.readouterr().out)
             json.loads(outputs[-1])  # every emission is valid JSON
         golden.append(outputs)
+    digests = [hashlib.sha256(out.encode("utf-8")).hexdigest() for out in golden[0]]
+    mismatched = [
+        " ".join(template)
+        for (template, _, expected), got in zip(GOLDEN_BATTERY, digests)
+        if got != expected
+    ]
     with capsys.disabled():
-        verdict("CLI battery byte-identical across runs (11 commands)", golden[0] == golden[1])
+        verdict(
+            f"CLI battery byte-identical to pinned digests, twice ({len(digests)} commands)",
+            golden[0] == golden[1] and not mismatched,
+            f"digest mismatch: {mismatched}",
+        )

@@ -7,7 +7,6 @@ import pytest
 from conftest import TEST_MATRIX, passing_aut_candidate, random_aut_candidate, spec_id
 from qfla import build_quasi, make_spec
 from qfla.automorphisms import (
-    AutCandidate,
     ZeroScale,
     automorphism_conditions,
     closed_form_endomorphism,
@@ -16,6 +15,7 @@ from qfla.automorphisms import (
     is_automorphism,
     make_scaling_automorphism,
 )
+from qfla.derivations import GeneratorImages
 from qfla.linalg import Matrix
 
 SPEC521 = make_spec(5, 2, 1, [["1"]])
@@ -24,7 +24,7 @@ SPEC521 = make_spec(5, 2, 1, [["1"]])
 def identity_candidate(spec):
     e0 = [build_quasi(spec).basis_vector(spec.gen_index(s, 0)) for s in range(1, spec.m + 1)]
     e1 = [build_quasi(spec).basis_vector(spec.gen_index(s, 1)) for s in range(1, spec.m + 1)]
-    return AutCandidate.from_vectors(e0, e1)
+    return GeneratorImages.from_vectors(e0, e1)
 
 
 class TestExtension:
@@ -71,7 +71,7 @@ class TestConditions:
         cand = identity_candidate(s)
         e0 = [list(v) for v in cand.e0]
         e0[0][s.gen_index(2, 0)] = Fraction(1)  # copy 1 image leaks into copy 2
-        v = automorphism_conditions(s, AutCandidate.from_vectors(e0, cand.e1))
+        v = automorphism_conditions(s, GeneratorImages.from_vectors(e0, cand.e1))
         assert (v.ok, v.failed) == (False, "single-target-copy")
 
     def test_non_bijective_copy_map(self):
@@ -81,7 +81,7 @@ class TestConditions:
         for c in range(2):  # both copies land in copy 1
             e0[c][s.gen_index(1, 0)] = Fraction(1)
             e1[c][s.gen_index(1, 1)] = Fraction(1)
-        v = automorphism_conditions(s, AutCandidate.from_vectors(e0, e1))
+        v = automorphism_conditions(s, GeneratorImages.from_vectors(e0, e1))
         assert (v.ok, v.failed) == (False, "copy-permutation")
 
     def test_zero_leading_product(self):
@@ -90,7 +90,7 @@ class TestConditions:
         e1 = [list(v) for v in cand.e1]
         e1[0][s.gen_index(1, 1)] = Fraction(0)
         e1[0][s.gen_index(1, 2)] = Fraction(1)  # keeps the copy detectable
-        v = automorphism_conditions(s, AutCandidate.from_vectors(cand.e0, e1))
+        v = automorphism_conditions(s, GeneratorImages.from_vectors(cand.e0, e1))
         assert (v.ok, v.failed) == (False, "leading-coefficients")
 
     def test_odd_convolution_example(self):
@@ -100,9 +100,9 @@ class TestConditions:
         e1 = [list(cand.e1[0])]
         e1[0][s.gen_index(1, 2)] = Fraction(1)
         e1[0][s.gen_index(1, 3)] = Fraction(1, 2)
-        assert automorphism_conditions(s, AutCandidate.from_vectors(cand.e0, e1)).ok
+        assert automorphism_conditions(s, GeneratorImages.from_vectors(cand.e0, e1)).ok
         e1[0][s.gen_index(1, 3)] = Fraction(0)
-        v = automorphism_conditions(s, AutCandidate.from_vectors(cand.e0, e1))
+        v = automorphism_conditions(s, GeneratorImages.from_vectors(cand.e0, e1))
         assert (v.ok, v.failed) == (False, "odd-convolution")
 
     def test_gluing_scale_mismatch(self):

@@ -1,12 +1,10 @@
 """Construction of Q_n, the glued sums, and their annihilator matrices."""
-import random
 from fractions import Fraction
 
 import pytest
 
 from qfla.builder import (
     BadN,
-    BadPivot,
     BadSpec,
     QuasiQnSpec,
     block_structure,
@@ -14,13 +12,12 @@ from qfla.builder import (
     build_quasi,
     change_of_basis,
     make_spec,
-    normalize_annihilator,
     qn_x_basis,
     rebase_x_to_e,
     related_matrix_of,
 )
 from qfla.liecore import GenLabel, TopLabel
-from qfla.linalg import Matrix, inverse, rank
+from qfla.linalg import Matrix, inverse
 
 
 class TestSpecValidation:
@@ -154,28 +151,6 @@ class TestRelatedMatrix:
     def test_m_equals_r(self):
         R = related_matrix_of(make_spec(5, 2, 2))
         assert R.matrix.rows == 0 and R.matrix.cols == 2
-
-
-class TestNormalizeAnnihilator:
-    def test_round_trip_under_row_mixing(self):
-        rng = random.Random(7)
-        s = make_spec(5, 3, 1, [["1", "2"]])
-        R = related_matrix_of(s)
-        for _ in range(20):
-            # random invertible row mix destroys the (A | I) shape
-            E = Matrix(
-                [
-                    [Fraction(rng.randint(-3, 3)) for _ in range(2)]
-                    for _ in range(2)
-                ]
-            )
-            if rank(E) < 2:
-                continue
-            assert normalize_annihilator(E * R.matrix).matrix == R.matrix
-
-    def test_bad_pivot(self):
-        with pytest.raises(BadPivot):
-            normalize_annihilator(Matrix([[1, 1, 0], [2, 2, 0]]))
 
 
 class TestBlockStructure:

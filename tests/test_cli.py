@@ -186,6 +186,67 @@ class TestIso:
         assert code == 2
 
 
+class TestInputContract:
+    @pytest.mark.parametrize(
+        "field,data",
+        [
+            ("m", {"n": 5, "m": True, "r": True}),
+            ("n", {"n": True, "m": 1, "r": 1}),
+            ("B", {"n": 5, "m": 2, "r": 1, "B": [[True]]}),
+        ],
+    )
+    def test_boolean_spec_fields_exit_2(self, run, tmp_path, field, data):
+        # JSON true is not an integer, though Python's bool is an int subclass
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run("related", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field}:")
+
+    @pytest.mark.parametrize(
+        "field,edit",
+        [
+            ("dim", lambda data: data.update(dim=True)),
+            ("brackets", lambda data: data["brackets"][0].update(i=False)),
+            ("value", lambda data: data["brackets"][0]["value"][0].__setitem__(0, True)),
+            ("value", lambda data: data["brackets"][0]["value"][0].__setitem__(1, True)),
+        ],
+        ids=["dim", "i", "k", "scalar"],
+    )
+    def test_boolean_algebra_fields_exit_2(self, run, tmp_path, algebra521_file, field, edit):
+        data = json.loads(open(algebra521_file).read())
+        edit(data)
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run("check", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field}:")
+
+    def test_non_integer_search_cap_exit_2(self, run, monkeypatch, spec521_file):
+        monkeypatch.setenv("QFLA_MAX_M", "abc")
+        code, out, err = run("iso", spec521_file, spec521_file)
+        assert (code, out) == (2, "")
+        assert "QFLA_MAX_M" in err
+
+    def test_brackets_contradicting_spec_exit_2(self, run, tmp_path, algebra521_file):
+        data = json.loads(open(algebra521_file).read())
+        data["brackets"] = []  # an abelian table tagged as N(Q_5, 2, 1)
+        path = tmp_path / "abelian.json"
+        path.write_text(dumps(data))
+        for argv in (["der", str(path), "--compare", "--strict"], ["check", str(path)]):
+            code, out, err = run(*argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: brackets:")
+
+    def test_zero_algebra_check(self, run, tmp_path):
+        path = tmp_path / "zero.json"
+        path.write_text('{"dim": 0}')
+        code, out, _ = run("check", str(path))
+        assert code == 0
+        data = json.loads(out)
+        assert (data["lcs_dims"], data["min_generators"]) == ([0], 0)
+
+
 class TestRelatedAndWeights:
     def test_related(self, run, spec521_file):
         code, out, _ = run("related", spec521_file)

@@ -1,0 +1,61 @@
+"""Guard against dead code: every public top-level function or class in
+``src/qfla`` is referenced from elsewhere in ``src/``, or is listed below.
+
+A reference is a name or attribute use outside the definition's own body, in
+any module but ``__init__.py`` (a re-export is not a caller).
+"""
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qfla"
+
+# Public names allowed to go without a caller in src/, each with its reason.
+ALLOWED = {
+    "build_qn": "public factory: Q_n itself",
+    "qn_x_basis": "paper formula: Q_n in its defining x-basis",
+    "rebase_x_to_e": "paper formula: e_0 = x_0 + x_1, e_i = x_i",
+    "change_of_basis": "paper formula: carries the x-basis table to the e-basis",
+    "closed_form_extension": "paper formula: the explicit derivation columns",
+    "closed_form_endomorphism": "paper formula: the explicit endomorphism columns",
+    "is_derivation": "reference check: the Leibniz rule on all basis pairs",
+    "is_minimal_generating_set": "reference check: residues mod c^1 L form a basis",
+    "h1_derivation": "public factory: a diagonal derivation separating the copies",
+    "exp_ad": "public factory: inner automorphisms exp(ad x)",
+    "make_scaling_automorphism": "public factory: scaling automorphism candidates",
+    "candidate_to_json": "public factory: candidate files for aut-check",
+}
+
+
+def _uses(node) -> Counter:
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced_public_names() -> set:
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    total = sum((_uses(tree) for tree in trees), Counter())
+    out = set()
+    for tree in trees:
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+                if total[top.name] - _uses(top)[top.name] == 0:
+                    out.add(top.name)
+    return out
+
+
+def test_every_public_definition_has_a_caller_or_a_reason():
+    unreferenced = unreferenced_public_names()
+    dead = sorted(unreferenced - set(ALLOWED))
+    assert not dead, f"no caller in src/ and not allowlisted: {dead}"
+    # an entry that gained a caller, or whose definition is gone, leaves the list
+    stale = sorted(set(ALLOWED) - unreferenced)
+    assert not stale, f"stale allowlist entries: {stale}"
+
+
+def test_allowlist_reasons_are_one_of_three_kinds():
+    kinds = ("paper formula: ", "reference check: ", "public factory: ")
+    assert all(reason.startswith(kinds) for reason in ALLOWED.values())

@@ -1,4 +1,4 @@
-"""Exact linear algebra: reduction, kernels, monomial decomposition."""
+"""Exact linear algebra: reduction, kernels, column spans, sparse elimination."""
 from fractions import Fraction
 
 import pytest
@@ -7,18 +7,13 @@ from hypothesis import strategies as st
 
 from qfla.linalg import (
     Matrix,
-    MonomialMatrix,
-    NotMonomial,
     column_span,
     inverse,
-    monomial_decompose,
     nullspace,
     rank,
     rref,
-    rref_right_pivot,
     scalar,
     scalar_to_str,
-    solve_affine,
     sparse_nullspace,
 )
 
@@ -44,6 +39,10 @@ class TestScalar:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             scalar(0.5)
+
+    def test_rejects_bools(self):
+        with pytest.raises(TypeError):
+            scalar(True)
 
     def test_round_trip(self):
         for x in [Fraction(3, 4), Fraction(-7), Fraction(0)]:
@@ -76,11 +75,6 @@ class TestRref:
         assert res.pivot_cols == (0, 2)
         assert res.matrix == Matrix([[1, 2, 0], [0, 0, 1]])
 
-    def test_right_pivot_produces_trailing_identity(self):
-        res = rref_right_pivot(Matrix([[2, 1, 1, 0], [4, 1, 0, 1]]))
-        assert res.pivot_cols == (2, 3)
-        assert res.matrix.submatrix([0, 1], [2, 3]) == Matrix.identity(2)
-
     @given(random_matrix(5, 5))
     @settings(max_examples=60, deadline=None)
     def test_idempotent(self, M):
@@ -99,20 +93,6 @@ class TestRref:
             assert (M * v).is_zero()
 
 
-class TestSolveAffine:
-    def test_consistent(self):
-        A = Matrix([[1, 1], [0, 1]])
-        x, kernel = solve_affine(A, [3, 1])
-        assert x == (Fraction(2), Fraction(1))
-        assert kernel == []
-
-    def test_inconsistent(self):
-        A = Matrix([[1, 1], [2, 2]])
-        x, kernel = solve_affine(A, [1, 3])
-        assert x is None
-        assert len(kernel) == 1
-
-
 class TestColumnSpan:
     def test_canonical_equality(self):
         a = column_span([[1, 1, 0], [0, 1, 1]], 3)
@@ -122,30 +102,6 @@ class TestColumnSpan:
 
     def test_empty(self):
         assert column_span([], 4).cols == 0
-
-
-class TestMonomial:
-    def test_decompose_example(self):
-        M = Matrix([[0, 3], [5, 0]])
-        K = monomial_decompose(M)
-        assert K.perm == (1, 0)
-        assert K.scale == (Fraction(5), Fraction(3))
-        assert K.densify() == M
-
-    def test_rejects_nonmonomial(self):
-        with pytest.raises(NotMonomial):
-            monomial_decompose(Matrix([[1, 1], [0, 1]]))
-        with pytest.raises(NotMonomial):
-            monomial_decompose(Matrix([[1, 0], [0, 0]]))
-
-    @given(
-        st.permutations(range(4)),
-        st.lists(scalars.filter(lambda x: x != 0), min_size=4, max_size=4),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip(self, perm, scale):
-        K = MonomialMatrix(4, tuple(perm), tuple(scale))
-        assert monomial_decompose(K.densify()) == K
 
 
 class TestSparseNullspace:
