@@ -2,14 +2,20 @@
 
 Two gluings with the same (n, m, r) are isomorphic exactly when their
 annihilator matrices M_i = (-B_i^t | I) are monomially equivalent:
-E M_1 K = M_2 for an invertible E and a monomial K.  The search reduces to a
-permutation sweep plus an exact linear solve for the diagonal scales, and
-every positive answer is certified by an explicit algebra isomorphism.
+E M_1 K = M_2 for an invertible E and a monomial K.  With g1_p and g2_j the
+columns of the two canonical kernel bases, a copy permutation pi admits such
+a K exactly when A g1_{pi(j)} = d_j g2_j for some A in GL_r and nonzero d_j.
+The permutation is found by a depth-first search over copies in
+lexicographic order, pruned by necessary conditions on A (Leon-style
+backtracking in the code-equivalence sense), after a screen by the sizes of
+the classes of proportional columns.  An exact linear solve then fixes the
+diagonal scales, and every positive answer is certified by an explicit
+algebra isomorphism.
 """
 from __future__ import annotations
 
-import itertools
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
@@ -33,8 +39,9 @@ DEFAULT_MAX_COPIES = 8
 
 
 class SearchTooLarge(RuntimeError):
-    """The permutation sweep over m! candidates was refused; raise the cap via
-    the QFLA_MAX_M environment variable to force it."""
+    """The copy-permutation search was refused because m exceeds the cap; a
+    search that never pins A can still visit on the order of m! nodes.  Raise
+    the cap via the QFLA_MAX_M environment variable to force it."""
 
 
 class BadSearchCap(ValueError):
@@ -92,6 +99,125 @@ def _generic_nonzero_point(basis: List[Matrix], m: int) -> Optional[tuple]:
         t += 1
 
 
+def _proportional_class(v: tuple) -> tuple:
+    """v scaled to leading entry 1; () for the zero vector."""
+    lead = next((x for x in v if x != 0), None)
+    return () if lead is None else tuple(x / lead for x in v)
+
+
+def _class_sizes(columns: List[tuple]) -> List[int]:
+    return sorted(Counter(_proportional_class(v) for v in columns).values())
+
+
+def _reduce(pivots: dict, row: dict) -> dict:
+    """The remainder of a {column: coefficient} row after elimination by
+    pivots, {lead: row with distinct leading column lead and entry 1 there};
+    it is empty iff the row is in their span."""
+    row = dict(row)
+    while row:
+        lead = min(row)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            return row
+        f = row[lead]
+        for c, x in pivot.items():
+            y = row.get(c, ZERO) - f * x
+            if y:
+                row[c] = y
+            else:
+                del row[c]
+    return row
+
+
+def _extended(pivots: dict, rows) -> dict:
+    """pivots with rows added.  Stored rows are never changed, so a search
+    node shares its parent's rows."""
+    out = dict(pivots)
+    for row in rows:
+        row = _reduce(out, row)
+        if row:
+            lead = min(row)
+            out[lead] = {c: x / row[lead] for c, x in row.items()}
+    return out
+
+
+def _first_admissible_perm(g1: List[tuple], g2: List[tuple], r: int) -> Optional[tuple]:
+    """The lexicographically first pi with A g1_{pi(j)} = d_j g2_j for some A
+    in GL_r and nonzero d_j, or None.
+
+    Target positions j are filled in order with source copies p in increasing
+    order.  A node keeps the constraints "A g1_p is a multiple of g2_j" of its
+    assignments and is pruned once some d_j vanishes on all their solutions.
+    When the solutions are one line, A is pinned up to scale and each
+    remaining j takes the smallest unused p with A g1_p proportional to g2_j.
+    Every pruning is a necessary condition, so no admissible permutation that
+    precedes the answer is skipped.
+    """
+    m = len(g1)
+    size = r * r  # entry (i, k) of A is unknown i * r + k
+    leads = [next((i for i, x in enumerate(v) if x != 0), None) for v in g2]
+    classes2 = [_proportional_class(v) for v in g2]
+
+    def multiple_rows(p: int, j: int) -> list:
+        # u . (A g1_p) = 0 for every u orthogonal to g2_j
+        l, g = leads[j], g2[j]
+        if l is None:
+            annihilator = [{i: ONE} for i in range(r)]
+        else:
+            annihilator = [{i: g[l], l: -g[i]} for i in range(r) if i != l]
+        return [
+            {i * r + k: a * b for i, a in u.items() if a for k, b in enumerate(g1[p]) if b}
+            for u in annihilator
+        ]
+
+    def scale_vanishes(pivots: dict, p: int, j: int) -> bool:
+        # d_j is coordinate leads[j] of A g1_p, up to the factor g2_j[lead]
+        l = leads[j]
+        if l is None:
+            return False
+        return not _reduce(pivots, {l * r + k: g1[p][k] for k in range(r) if g1[p][k]})
+
+    perm: List[int] = []
+
+    def complete(pivots: dict) -> Optional[tuple]:
+        # the one solution with free entry 1, by back-substitution
+        x = [ZERO] * size
+        x[next(c for c in range(size) if c not in pivots)] = ONE
+        for lead in sorted(pivots, reverse=True):
+            x[lead] = -sum(a * x[c] for c, a in pivots[lead].items() if c != lead)
+        image = [
+            _proportional_class(tuple(sum(x[i * r + k] * v[k] for k in range(r)) for i in range(r)))
+            for v in g1
+        ]
+        free = [p for p in range(m) if p not in perm]
+        out = list(perm)
+        for j in range(len(perm), m):
+            p = next((p for p in free if image[p] == classes2[j]), None)
+            if p is None:
+                return None
+            free.remove(p)
+            out.append(p)
+        return tuple(out)
+
+    def search(pivots: dict) -> Optional[tuple]:
+        j = len(perm)
+        if j == m:
+            return tuple(perm)
+        for p in range(m):
+            if p in perm:
+                continue
+            child = _extended(pivots, multiple_rows(p, j))
+            perm.append(p)
+            if not any(scale_vanishes(child, q, k) for k, q in enumerate(perm)):
+                found = complete(child) if len(child) == size - 1 else search(child)
+                if found is not None:
+                    return found
+            perm.pop()
+        return None
+
+    return search({})
+
+
 def monomial_equivalence(
     R1: RelatedMatrix, R2: RelatedMatrix
 ) -> Union[EquivalenceWitness, NotEquivalent]:
@@ -99,41 +225,49 @@ def monomial_equivalence(
 
     K is monomial, so E exists for a given K exactly when K maps ker(R2) onto
     ker(R1); that is linear in the diagonal of K once its permutation is
-    fixed.  Permutations are swept in lexicographic order and the first
-    admissible one is returned, which makes the witness deterministic.
+    fixed.  The two kernels must first have equal sizes of classes of
+    proportional columns.  The lexicographically first admissible
+    permutation is then found by a pruned depth-first search, and the exact
+    solve for the diagonal runs on that permutation alone, so the witness is
+    the one a sweep over all m! permutations in lexicographic order returns.
     """
     if (R1.m, R1.r) != (R2.m, R2.r):
         raise ValueError("annihilators must share (m, r)")
     m, r = R1.m, R1.r
     cap = _max_copies()
     if m > cap:
-        raise SearchTooLarge(f"m = {m} exceeds the permutation sweep cap {cap}")
+        raise SearchTooLarge(f"m = {m} exceeds the permutation search cap {cap}")
     if m == r:
         return EquivalenceWitness(
             Matrix([[] for _ in range(0)], cols=0), MonomialMatrix.identity(m)
         )
     M1, M2 = R1.matrix, R2.matrix
-    ker2 = kernel_subspace(R2)
-    for perm in itertools.permutations(range(m)):
-        eq_rows = []
-        for v in ker2:
-            for row in range(m - r):
-                eq_rows.append([M1.entry(row, perm[j]) * v.entry(j, 0) for j in range(m)])
-        solutions = nullspace(Matrix(eq_rows, cols=m))
-        point = _generic_nonzero_point(solutions, m)
-        if point is None:
-            continue
-        K = MonomialMatrix(m, tuple(perm), point)
-        prod = M1 * K.densify()
-        res = rref(prod)
-        piv = list(res.pivot_cols)
-        E = M2.submatrix(range(m - r), piv) * inverse(prod.submatrix(range(m - r), piv))
-        if E * prod != M2:
-            raise AssertionError("kernel match did not yield a row-space match")
-        return EquivalenceWitness(E, K)
-    return NotEquivalent(
-        "no copy permutation makes the annihilator kernels match under a monomial map"
-    )
+    ker1, ker2 = kernel_subspace(R1), kernel_subspace(R2)
+    g1 = [tuple(v.entry(p, 0) for v in ker1) for p in range(m)]
+    g2 = [tuple(v.entry(j, 0) for v in ker2) for j in range(m)]
+    perm = None
+    if _class_sizes(g1) == _class_sizes(g2):
+        perm = _first_admissible_perm(g1, g2, r)
+    if perm is None:
+        return NotEquivalent(
+            "no copy permutation makes the annihilator kernels match under a monomial map"
+        )
+    eq_rows = []
+    for v in ker2:
+        for row in range(m - r):
+            eq_rows.append([M1.entry(row, perm[j]) * v.entry(j, 0) for j in range(m)])
+    solutions = nullspace(Matrix(eq_rows, cols=m))
+    point = _generic_nonzero_point(solutions, m)
+    if point is None:
+        raise AssertionError("the pruned search returned a permutation the exact solve rejects")
+    K = MonomialMatrix(m, perm, point)
+    prod = M1 * K.densify()
+    res = rref(prod)
+    piv = list(res.pivot_cols)
+    E = M2.submatrix(range(m - r), piv) * inverse(prod.submatrix(range(m - r), piv))
+    if E * prod != M2:
+        raise AssertionError("kernel match did not yield a row-space match")
+    return EquivalenceWitness(E, K)
 
 
 # -- algebra-level certificates ----------------------------------------------------

@@ -124,13 +124,18 @@ def algebra_from_json(data) -> Tuple[LieAlgebra, Optional[QuasiQnSpec]]:
     dim = data.get("dim")
     if not _is_int(dim) or dim < 0:
         raise BadInput("dim: expected a nonnegative integer")
+    brackets = data.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise BadInput("brackets: expected an array of {i, j, value} entries")
     sc = {}
-    for entry in data.get("brackets", []):
+    for entry in brackets:
         if not isinstance(entry, dict) or not {"i", "j", "value"} <= set(entry):
             raise BadInput("brackets: each entry needs i, j, value")
         i, j = entry["i"], entry["j"]
         if not (_is_int(i) and _is_int(j) and 0 <= i < j < dim):
             raise BadInput(f"brackets: indices ({i},{j}) must satisfy 0 <= i < j < dim")
+        if not isinstance(entry["value"], list):
+            raise BadInput("value: expected an array of [index, scalar] pairs")
         value = {}
         for pair in entry["value"]:
             if not isinstance(pair, list) or len(pair) != 2 or not _is_int(pair[0]):

@@ -222,6 +222,21 @@ class TestInputContract:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {field}:")
 
+    @pytest.mark.parametrize(
+        "field,data",
+        [
+            ("brackets", {"dim": 3, "brackets": 7}),
+            ("value", {"dim": 3, "brackets": [{"i": 0, "j": 1, "value": 5}]}),
+        ],
+        ids=["brackets", "value"],
+    )
+    def test_non_array_brackets_exit_2(self, run, tmp_path, field, data):
+        path = tmp_path / "scalar.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run("check", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field}:")
+
     def test_non_integer_search_cap_exit_2(self, run, monkeypatch, spec521_file):
         monkeypatch.setenv("QFLA_MAX_M", "abc")
         code, out, err = run("iso", spec521_file, spec521_file)

@@ -30,7 +30,7 @@ from qfla.derivations import (
     weight_torus,
     NotSimultaneouslyDiagonal,
 )
-from qfla.linalg import Matrix, column_span
+from qfla.linalg import Matrix, column_span, nullspace
 
 SPEC521 = make_spec(5, 2, 1, [["1"]])
 
@@ -187,6 +187,26 @@ class TestExplicitBases:
         spec = make_spec(5, 3, 2, [["1"], ["1"]])
         assert [el.kind for el in torus_basis(spec)] == [el.kind for el in weight_torus(spec)]
         assert len(torus_basis(spec)) == spec.m + 1
+
+    def test_mixing_torus_is_not_always_maximal(self):
+        # Copy 4 glues onto the tops of copies 1 and 2 while copy 3 stays
+        # apart: the diagonal derivations form a 6-dimensional space, and the
+        # m + 1 members of torus_basis span a 5-dimensional subspace of it.
+        spec = make_spec(5, 4, 3, [["1"], ["1"], ["0"]])
+        L = build_quasi(spec)
+        oracle = derivation_oracle(L)
+        off = [(i, j) for i in range(L.dim) for j in range(L.dim) if i != j]
+        combos = nullspace(Matrix([[D.entry(i, j) for D in oracle] for i, j in off], cols=len(oracle)))
+        assert len(combos) == 6
+        diagonal = [
+            [sum(c.entry(k, 0) * D.entry(i, i) for k, D in enumerate(oracle)) for i in range(L.dim)]
+            for c in combos
+        ]
+        torus = torus_basis(spec)
+        assert all(el.matrix.entry(i, j) == 0 for el in torus for i, j in off)
+        torus_diagonals = [[el.matrix.entry(i, i) for i in range(L.dim)] for el in torus]
+        assert column_span(torus_diagonals, L.dim).cols == spec.m + 1 == 5
+        assert column_span(torus_diagonals + diagonal, L.dim) == column_span(diagonal, L.dim)
 
     @pytest.mark.parametrize("spec", BLOCK_SPECS, ids=spec_id)
     def test_every_element_is_a_derivation(self, spec):
