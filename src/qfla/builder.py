@@ -205,22 +205,12 @@ class BlockStructure:
     """Grouping of copies by which independent top vector their e_{sn} hits.
 
     Block l (1-based, one per top index) lists its member copies in ascending
-    order; ``sizes`` are the block cardinalities and ``starts`` the 1-based
-    offsets 1 + sum of the preceding sizes.
+    order; ``sizes`` are the block cardinalities.
     """
 
     q: int
     sizes: tuple
     members: tuple
-
-    @property
-    def starts(self) -> tuple:
-        out = []
-        acc = 1
-        for size in self.sizes:
-            out.append(acc)
-            acc += size
-        return tuple(out)
 
 
 def block_structure(spec: QuasiQnSpec) -> Optional[BlockStructure]:

@@ -70,6 +70,10 @@ def _read_json(path: str):
         raise BadInput(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise BadInput(f"{path}: malformed JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise BadInput(f"{path}: not UTF-8 ({exc})") from exc
+    except RecursionError:
+        raise BadInput(f"{path}: JSON nested too deeply") from None
 
 
 def _load_spec(path: str) -> QuasiQnSpec:
@@ -92,10 +96,13 @@ def _load_algebra(path: str):
 
 def _emit(args, payload: dict) -> None:
     text = dumps(payload)
-    sys.stdout.write(text)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise BadInput(f"--out: {exc}") from exc
+    sys.stdout.write(text)
 
 
 def _cmd_build(args) -> int:

@@ -29,6 +29,10 @@ from .linalg import (
     MonomialMatrix,
     ONE,
     ZERO,
+    _back_substitute,
+    _insert,
+    _kernel,
+    _reduce,
     inverse,
     nullspace,
     rank,
@@ -109,38 +113,6 @@ def _class_sizes(columns: List[tuple]) -> List[int]:
     return sorted(Counter(_proportional_class(v) for v in columns).values())
 
 
-def _reduce(pivots: dict, row: dict) -> dict:
-    """The remainder of a {column: coefficient} row after elimination by
-    pivots, {lead: row with distinct leading column lead and entry 1 there};
-    it is empty iff the row is in their span."""
-    row = dict(row)
-    while row:
-        lead = min(row)
-        pivot = pivots.get(lead)
-        if pivot is None:
-            return row
-        f = row[lead]
-        for c, x in pivot.items():
-            y = row.get(c, ZERO) - f * x
-            if y:
-                row[c] = y
-            else:
-                del row[c]
-    return row
-
-
-def _extended(pivots: dict, rows) -> dict:
-    """pivots with rows added.  Stored rows are never changed, so a search
-    node shares its parent's rows."""
-    out = dict(pivots)
-    for row in rows:
-        row = _reduce(out, row)
-        if row:
-            lead = min(row)
-            out[lead] = {c: x / row[lead] for c, x in row.items()}
-    return out
-
-
 def _first_admissible_perm(g1: List[tuple], g2: List[tuple], r: int) -> Optional[tuple]:
     """The lexicographically first pi with A g1_{pi(j)} = d_j g2_j for some A
     in GL_r and nonzero d_j, or None.
@@ -180,11 +152,7 @@ def _first_admissible_perm(g1: List[tuple], g2: List[tuple], r: int) -> Optional
     perm: List[int] = []
 
     def complete(pivots: dict) -> Optional[tuple]:
-        # the one solution with free entry 1, by back-substitution
-        x = [ZERO] * size
-        x[next(c for c in range(size) if c not in pivots)] = ONE
-        for lead in sorted(pivots, reverse=True):
-            x[lead] = -sum(a * x[c] for c, a in pivots[lead].items() if c != lead)
+        (x,) = _kernel(_back_substitute(pivots), size)  # A, up to scale
         image = [
             _proportional_class(tuple(sum(x[i * r + k] * v[k] for k in range(r)) for i in range(r)))
             for v in g1
@@ -206,7 +174,7 @@ def _first_admissible_perm(g1: List[tuple], g2: List[tuple], r: int) -> Optional
         for p in range(m):
             if p in perm:
                 continue
-            child = _extended(pivots, multiple_rows(p, j))
+            child = _insert(pivots, multiple_rows(p, j))
             perm.append(p)
             if not any(scale_vanishes(child, q, k) for k, q in enumerate(perm)):
                 found = complete(child) if len(child) == size - 1 else search(child)

@@ -1,13 +1,14 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Scalars are `fractions.Fraction` (always in lowest terms, denominator > 0),
 matrices are immutable row-major grids of them.  Everything is exact, so
-results can be compared by literal equality and reduction routines need no
-pivoting heuristics.
+results can be compared by literal equality and elimination needs no
+pivoting heuristics.  One sparse elimination engine serves every solve:
+`rref`, `rank`, `nullspace`, `inverse`, `column_span` and `sparse_nullspace`
+all read their results off it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -59,10 +60,6 @@ class Matrix:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix([[ZERO] * cols for _ in range(rows)], cols=cols)
-
-    @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)], cols=n)
 
@@ -97,9 +94,6 @@ class Matrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self._e for x in row)
 
     # -- basic algebra ----------------------------------------------------------
 
@@ -146,9 +140,6 @@ class Matrix:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def transpose(self) -> "Matrix":
-        return Matrix([self.col(j) for j in range(self.cols)], cols=self.rows)
-
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
@@ -183,7 +174,89 @@ def _dot(row: Sequence[Fraction], col: Sequence[Fraction]) -> Fraction:
     return total
 
 
-# -- reduced row echelon form -------------------------------------------------
+# -- the elimination engine -----------------------------------------------------
+#
+# Every exact solve in the package runs through one sparse Gauss-Jordan
+# elimination.  A row is a {column: Fraction} dict without zero entries.  An
+# echelon form is a dict {lead: row} whose rows have distinct smallest columns
+# `lead`, with entry 1 there.  Rows are inserted one at a time without changing
+# the rows already stored, so an extended echelon form can share its rows with
+# the one it grew from; one back-substitution then gives the reduced row
+# echelon form, from which ranks, spans, inverses and kernels are read off.
+
+
+def _subtract(row: dict, f: Fraction, pivot: dict) -> None:
+    """row -= f * pivot, in place, keeping no zero entries."""
+    for c, x in pivot.items():
+        y = row.get(c, ZERO) - f * x
+        if y:
+            row[c] = y
+        else:
+            del row[c]
+
+
+def _reduce(echelon: dict, row: dict) -> dict:
+    """The remainder of a row without zero entries after eliminating its
+    leading entries by echelon; it is empty iff the row lies in their span."""
+    row = dict(row)
+    while row:
+        lead = min(row)
+        pivot = echelon.get(lead)
+        if pivot is None:
+            return row
+        _subtract(row, row[lead], pivot)
+    return row
+
+
+def _insert(echelon: dict, rows: Iterable[dict]) -> dict:
+    """echelon with rows (without zero entries) added; the argument is not
+    changed."""
+    out = dict(echelon)
+    for row in rows:
+        row = _reduce(out, row)
+        if row:
+            lead = min(row)
+            inv = ONE / row[lead]
+            out[lead] = {c: x * inv for c, x in row.items()}
+    return out
+
+
+def _back_substitute(echelon: dict) -> dict:
+    """The reduced row echelon form: each row cleared at every other lead."""
+    reduced: dict = {}
+    for lead, row in sorted(echelon.items(), reverse=True):
+        out = dict(row)
+        for c, f in row.items():
+            if c != lead and c in reduced:
+                # reduced rows carry no lead but their own, so out[c] is still f
+                _subtract(out, f, reduced[c])
+        reduced[lead] = out
+    return reduced
+
+
+def _rref_rows(rows: Iterable[dict]) -> dict:
+    return _back_substitute(_insert({}, rows))
+
+
+def _kernel(reduced: dict, ncols: int) -> list:
+    """Canonical kernel basis of a reduced echelon form, ordered by free column:
+    the vector of free column c has 1 at c and -row[c] at each row's lead."""
+    basis = {c: [ZERO] * ncols for c in range(ncols) if c not in reduced}
+    for c, v in basis.items():
+        v[c] = ONE
+    for lead, row in reduced.items():
+        for c, x in row.items():
+            if c != lead:
+                basis[c][lead] = -x
+    return list(basis.values())
+
+
+def _sparse_rows(grid: Iterable[Sequence[Fraction]]) -> list:
+    return [{j: x for j, x in enumerate(row) if x} for row in grid]
+
+
+def _reduced_rows(reduced: dict, ncols: int) -> list:
+    return [[row.get(j, ZERO) for j in range(ncols)] for _, row in sorted(reduced.items())]
 
 
 @dataclass(frozen=True)
@@ -194,70 +267,52 @@ class RrefResult:
 
 
 def rref(M: Matrix) -> RrefResult:
-    """Reduced row echelon form with leftmost-pivot selection (0-based pivots)."""
-    grid = M.to_rows()
-    rows, cols = M.rows, M.cols
-    pivots = []
-    pr = 0
-    for pc in range(cols):
-        pivot_row = None
-        for i in range(pr, rows):
-            if grid[i][pc] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        grid[pr], grid[pivot_row] = grid[pivot_row], grid[pr]
-        inv = 1 / grid[pr][pc]
-        grid[pr] = [x * inv for x in grid[pr]]
-        for i in range(rows):
-            if i != pr and grid[i][pc] != 0:
-                f = grid[i][pc]
-                grid[i] = [a - f * b for a, b in zip(grid[i], grid[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == rows:
-            break
-    return RrefResult(Matrix(grid, cols=cols), pr, tuple(pivots))
+    """Reduced row echelon form with leftmost pivots (0-based pivot columns)."""
+    reduced = _rref_rows(_sparse_rows(M._e))
+    grid = _reduced_rows(reduced, M.cols) + [[ZERO] * M.cols] * (M.rows - len(reduced))
+    return RrefResult(Matrix(grid, cols=M.cols), len(reduced), tuple(sorted(reduced)))
 
 
 def rank(M: Matrix) -> int:
-    return rref(M).rank
+    return len(_insert({}, _sparse_rows(M._e)))
 
 
 def nullspace(M: Matrix) -> list:
     """Canonical basis of ker(M) as a list of column vectors (n x 1 matrices)."""
-    res = rref(M)
-    pivot_set = set(res.pivot_cols)
-    R = res.matrix
-    basis = []
-    for free in range(M.cols):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * M.cols
-        v[free] = ONE
-        for k, pc in enumerate(res.pivot_cols):
-            v[pc] = -R.entry(k, free)
-        basis.append(Matrix.column_vector(v))
-    return basis
+    reduced = _rref_rows(_sparse_rows(M._e))
+    return [Matrix.column_vector(v) for v in _kernel(reduced, M.cols)]
 
 
 def inverse(M: Matrix) -> Matrix:
+    """The inverse, read off the reduced form of (M | I)."""
     if not M.is_square:
         raise ValueError("not square")
-    res = rref(M.hstack(Matrix.identity(M.rows)))
-    if res.pivot_cols[: M.rows] != tuple(range(M.rows)):
+    n = M.rows
+    rows = _sparse_rows(M._e)
+    for i, row in enumerate(rows):
+        row[n + i] = ONE
+    reduced = _rref_rows(rows)
+    if any(i not in reduced for i in range(n)):
         raise ValueError("singular matrix")
-    return res.matrix.submatrix(range(M.rows), range(M.rows, 2 * M.rows))
+    return Matrix([row[n:] for row in _reduced_rows(reduced, 2 * n)], cols=n)
 
 
 def column_span(vectors: Sequence[Sequence[ScalarLike]], dim: int) -> Matrix:
     """Canonical subspace representation: columns of the returned matrix are the
     RREF basis of the span, so subspace equality is literal matrix equality."""
-    if not vectors:
-        return Matrix([[] for _ in range(dim)], cols=0)
-    res = rref(Matrix(vectors, cols=dim))
-    return res.matrix.submatrix(range(res.rank), range(dim)).transpose()
+    rows = _sparse_rows([scalar(x) for x in v] for v in vectors)
+    return Matrix.from_columns(_reduced_rows(_rref_rows(rows), dim), dim)
+
+
+def sparse_nullspace(rows: Iterable[dict], ncols: int) -> list:
+    """Canonical kernel basis of a sparse linear system.
+
+    ``rows`` are {column: coefficient} dicts (Fraction or int values).  Returns
+    kernel vectors as lists of Fractions, ordered by ascending free column, and
+    identical to what ``nullspace`` gives on the dense matrix.
+    """
+    nonzero = ({c: x for c, x in row.items() if x} for row in rows)
+    return _kernel(_rref_rows(nonzero), ncols)
 
 
 # -- monomial matrices ----------------------------------------------------------
@@ -290,105 +345,3 @@ class MonomialMatrix:
     @staticmethod
     def identity(n: int) -> "MonomialMatrix":
         return MonomialMatrix(n, tuple(range(n)), (ONE,) * n)
-
-
-# -- sparse integer-normalized elimination --------------------------------------
-#
-# The derivation oracle produces linear systems with thousands of very sparse
-# rows; dense RREF over Fractions is needlessly slow there.  Rows are kept as
-# {column: int} dicts normalized to primitive integer vectors, eliminated
-# fraction-free, and only the final kernel extraction uses Fractions.
-
-
-def _primitive_int_row(row: dict) -> dict:
-    """Clear denominators and divide by the gcd; leading (min col) entry > 0."""
-    items = {c: Fraction(v) for c, v in row.items() if v != 0}
-    if not items:
-        return {}
-    lcm = 1
-    for v in items.values():
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    ints = {c: int(v * lcm) for c, v in items.items()}
-    g = 0
-    for v in ints.values():
-        g = math.gcd(g, v)
-    if ints[min(ints)] < 0:
-        g = -g
-    return {c: v // g for c, v in ints.items()}
-
-
-def _eliminate(row: dict, pivot: dict, col: int) -> dict:
-    """Return pivot[col]*row - row[col]*pivot, as a primitive integer row."""
-    a = pivot[col]
-    b = row[col]
-    out = dict()
-    for c, v in row.items():
-        out[c] = a * v
-    for c, v in pivot.items():
-        out[c] = out.get(c, 0) - b * v
-    out = {c: v for c, v in out.items() if v != 0}
-    if not out:
-        return out
-    g = 0
-    for v in out.values():
-        g = math.gcd(g, v)
-    if out[min(out)] < 0:
-        g = -g
-    return {c: v // g for c, v in out.items()}
-
-
-def sparse_nullspace(rows: Iterable[dict], ncols: int) -> list:
-    """Canonical kernel basis of a sparse linear system.
-
-    ``rows`` are {column: coefficient} dicts (Fraction or int values).  Returns
-    kernel vectors as lists of Fractions, ordered by ascending free column, and
-    identical to what dense ``nullspace`` would produce.
-    """
-    pivots: dict = {}
-    seen = set()
-    work = []
-    for raw in rows:
-        row = _primitive_int_row(raw)
-        if not row:
-            continue
-        key = tuple(sorted(row.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        work.append(row)
-    work.sort(key=lambda r: (len(r), min(r)))
-    for row in work:
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                pivots[lead] = row
-                break
-            row = _eliminate(row, piv, lead)
-    # Back-substitute to full RREF over Fractions.
-    reduced: dict = {}
-    for lead in sorted(pivots, reverse=True):
-        row = {c: Fraction(v, pivots[lead][lead]) for c, v in pivots[lead].items()}
-        out = dict(row)
-        for c in list(row):
-            if c != lead and c in reduced:
-                f = out.pop(c, ZERO)
-                if f:
-                    for cc, vv in reduced[c].items():
-                        if cc != c:
-                            out[cc] = out.get(cc, ZERO) - f * vv
-                            if out[cc] == 0:
-                                del out[cc]
-        reduced[lead] = out
-    basis = []
-    for free in range(ncols):
-        if free in reduced:
-            continue
-        v = [ZERO] * ncols
-        v[free] = ONE
-        for lead, row in reduced.items():
-            coeff = row.get(free, ZERO)
-            if coeff:
-                v[lead] = -coeff
-        basis.append(v)
-    return basis

@@ -156,7 +156,7 @@ class TestBruteForce:
 
     def test_singular_map_is_not(self):
         L = build_quasi(SPEC521)
-        assert not is_automorphism(L, Matrix.zeros(L.dim, L.dim))
+        assert not is_automorphism(L, Matrix([[0] * L.dim] * L.dim))
 
 
 class TestFactories:

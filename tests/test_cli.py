@@ -253,6 +253,27 @@ class TestInputContract:
             assert (code, out) == (2, "")
             assert err.startswith("error: brackets:")
 
+    def test_unwritable_out_exit_2(self, run, tmp_path):
+        out_path = tmp_path / "missing" / "x.json"
+        code, out, err = run(
+            "build", "--n", "5", "--m", "2", "--r", "1", "--B", '[["1"]]', "--out", str(out_path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --out:")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'\xff\xfe{"n":5}', b"[" * 100_000],
+        ids=["not_utf8", "too_deep"],
+    )
+    def test_unreadable_json_exit_2(self, run, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run("related", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}:")
+
     def test_zero_algebra_check(self, run, tmp_path):
         path = tmp_path / "zero.json"
         path.write_text('{"dim": 0}')

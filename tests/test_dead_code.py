@@ -1,8 +1,11 @@
 """Guard against dead code: every public top-level function or class in
-``src/qfla`` is referenced from elsewhere in ``src/``, or is listed below.
+``src/qfla``, and every public method or property of those classes, is
+referenced from elsewhere in ``src/``, or is listed below.
 
 A reference is a name or attribute use outside the definition's own body, in
-any module but ``__init__.py`` (a re-export is not a caller).
+any module but ``__init__.py`` (a re-export is not a caller).  Methods are
+matched by name alone, so a use of ``identity`` counts for every class with
+an ``identity`` method.
 """
 import ast
 from collections import Counter
@@ -44,6 +47,12 @@ def unreferenced_public_names() -> set:
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
                 if total[top.name] - _uses(top)[top.name] == 0:
                     out.add(top.name)
+                if isinstance(top, ast.ClassDef):
+                    for member in top.body:
+                        if not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
+                            continue
+                        if total[member.name] - _uses(member)[member.name] == 0:
+                            out.add(f"{top.name}.{member.name}")
     return out
 
 

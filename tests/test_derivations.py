@@ -215,12 +215,10 @@ class TestExplicitBases:
             assert is_derivation(L, el.matrix), el.kind
 
     def test_torus_is_abelian_and_diagonal(self):
-        L = build_quasi(SPEC521)
         torus = [el.matrix for el in torus_basis(SPEC521)]
         for A in torus:
             for B in torus:
-                commutator = A * B - B * A
-                assert commutator.is_zero()
+                assert A * B == B * A
 
     def test_nilpotent_ideal_is_closed_under_bracket_with_everything(self):
         spec = SPEC521
@@ -275,8 +273,7 @@ class TestEigenvalueBookkeeping:
 
     def test_rejects_non_diagonal(self):
         L = build_quasi(SPEC521)
-        M = Matrix.zeros(L.dim, L.dim)
-        rows = M.to_rows()
+        rows = [[0] * L.dim for _ in range(L.dim)]
         rows[0][1] = Fraction(1)
         with pytest.raises(NotSimultaneouslyDiagonal):
             weight_decomposition(L, [Matrix(rows)])

@@ -1,4 +1,8 @@
-"""Exact linear algebra: reduction, kernels, column spans, sparse elimination."""
+"""Exact linear algebra: reduction, kernels, column spans, sparse elimination.
+
+The package has one elimination engine, so it is checked against the
+textbook dense Gauss-Jordan elimination kept here as an independent reference.
+"""
 from fractions import Fraction
 
 import pytest
@@ -18,6 +22,7 @@ from qfla.linalg import (
 )
 
 scalars = st.fractions(min_value=-30, max_value=30, max_denominator=7)
+nonzero_scalars = scalars.filter(lambda x: x != 0)
 
 
 def random_matrix(draw_rows, draw_cols):
@@ -28,6 +33,99 @@ def random_matrix(draw_rows, draw_cols):
             ).map(Matrix)
         )
     )
+
+
+@st.composite
+def sparse_matrix(draw):
+    """A wide, mostly zero matrix shaped like the dim^2-wide spans, with
+    repeated, rescaled and all-zero rows mixed in."""
+    cols = draw(st.sampled_from([k * k for k in range(2, 9)]))
+    entries = st.dictionaries(st.integers(0, cols - 1), nonzero_scalars, max_size=4)
+    grid = [
+        [row.get(j, 0) for j in range(cols)]
+        for row in draw(st.lists(entries, min_size=1, max_size=8))
+    ]
+    factors = st.one_of(st.just(Fraction(0)), st.just(Fraction(1)), scalars)
+    copies = draw(st.lists(st.tuples(st.integers(0, len(grid) - 1), factors), max_size=3))
+    grid += [[f * x for x in grid[i]] for i, f in copies]
+    return Matrix(draw(st.permutations(grid)), cols=cols)
+
+
+matrices = st.one_of(random_matrix(5, 5), sparse_matrix())
+
+
+def reference_rref(grid, ncols):
+    """Textbook dense Gauss-Jordan elimination: (reduced rows, pivot columns)."""
+    rows = [[Fraction(x) for x in row] for row in grid]
+    pivots = []
+    for c in range(ncols):
+        top = len(pivots)
+        p = next((i for i in range(top, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[top], rows[p] = rows[p], rows[top]
+        rows[top] = [x / rows[top][c] for x in rows[top]]
+        for i in range(len(rows)):
+            if i != top and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[top])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def reference_kernel(M):
+    rows, pivots = reference_rref(M.to_rows(), M.cols)
+    basis = []
+    for free in (c for c in range(M.cols) if c not in pivots):
+        v = [Fraction(0)] * M.cols
+        v[free] = Fraction(1)
+        for k, c in enumerate(pivots):
+            v[c] = -rows[k][free]
+        basis.append(v)
+    return basis
+
+
+class TestAgainstReference:
+    @given(matrices)
+    @settings(max_examples=80, deadline=None)
+    def test_rref_and_rank(self, M):
+        rows, pivots = reference_rref(M.to_rows(), M.cols)
+        res = rref(M)
+        assert res.matrix == Matrix(rows, cols=M.cols)
+        assert res.pivot_cols == tuple(pivots)
+        assert res.rank == rank(M) == len(pivots)
+
+    @given(matrices)
+    @settings(max_examples=80, deadline=None)
+    def test_nullspace(self, M):
+        assert [list(v.col(0)) for v in nullspace(M)] == reference_kernel(M)
+
+    @given(matrices)
+    @settings(max_examples=80, deadline=None)
+    def test_column_span(self, M):
+        rows, pivots = reference_rref(M.to_rows(), M.cols)
+        expected = Matrix.from_columns(rows[: len(pivots)], M.cols)
+        assert column_span(M.to_rows(), M.cols) == expected
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n)
+        ),
+        st.one_of(st.none(), scalars),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_inverse(self, grid, last_row_factor):
+        n = len(grid)
+        if last_row_factor is not None:  # a rescaled first row: singular when n > 1
+            grid[-1] = [last_row_factor * x for x in grid[0]]
+        M = Matrix(grid)
+        augmented = [row + [int(i == k) for k in range(n)] for i, row in enumerate(grid)]
+        rows, pivots = reference_rref(augmented, 2 * n)
+        if pivots[:n] != list(range(n)):
+            with pytest.raises(ValueError):
+                inverse(M)
+        else:
+            assert inverse(M) == Matrix([row[n:] for row in rows])
 
 
 class TestScalar:
@@ -90,7 +188,7 @@ class TestRref:
     @settings(max_examples=60, deadline=None)
     def test_kernel_vectors_annihilate(self, M):
         for v in nullspace(M):
-            assert (M * v).is_zero()
+            assert M * v == Matrix.column_vector([0] * M.rows)
 
 
 class TestColumnSpan:
@@ -105,16 +203,19 @@ class TestColumnSpan:
 
 
 class TestSparseNullspace:
-    @given(random_matrix(6, 6))
+    @given(st.one_of(random_matrix(6, 6), sparse_matrix()), st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_matches_dense(self, M):
+    def test_matches_dense(self, M, with_zeros):
+        # the dense reference; rows may also carry explicit zeros and int values
         rows = [
-            {j: M.entry(i, j) for j in range(M.cols) if M.entry(i, j) != 0}
+            {
+                j: int(x) if x.denominator == 1 else x
+                for j, x in enumerate(M.to_rows()[i])
+                if x != 0 or with_zeros
+            }
             for i in range(M.rows)
         ]
-        sparse = sparse_nullspace(rows, M.cols)
-        dense = [tuple(v.col(0)) for v in nullspace(M)]
-        assert [tuple(v) for v in sparse] == dense
+        assert sparse_nullspace(rows, M.cols) == reference_kernel(M)
 
     def test_empty_system(self):
         basis = sparse_nullspace([], 3)
