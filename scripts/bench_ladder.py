@@ -1,0 +1,136 @@
+"""Per-verb timings of the ``qfla`` CLI at growing sizes, written as one JSON file.
+
+    python scripts/bench_ladder.py --out BENCH_<n>.json --runs 5 \
+        --tree parent=/path/to/a/checkout --tree change=.
+
+Each ``--tree LABEL=PATH`` names a git checkout whose ``src/qfla`` is timed;
+PATH defaults to this checkout when no ``--tree`` is given.  Every rung (a
+verb on one gluing) runs ``--runs`` times per tree in a fresh interpreter;
+the trees take turns going first.  A run times ``qfla.cli.main`` alone, after
+the import, and reads the child's peak RSS.  Algebra files are built once per
+tree by that tree's own ``qfla build``.  The output holds, per tree, the git
+hash ("-dirty" when tracked files differ from it), a sha256 of the timed
+``src/qfla/*.py`` files, and per rung the median and all run times, the median
+peak RSS and the exit code, next to the Python version and the machine.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+
+# (name, build arguments): a one-block gluing and a two-block one of dim 92.
+GLUINGS = [
+    ("n9m4r1", ["--n", "9", "--m", "4", "--r", "1", "--B", '[["1","2","-1"]]']),
+    ("n15m6r2", ["--n", "15", "--m", "6", "--r", "2",
+                 "--B", '[["1","1","0","0"],["0","0","1","1"]]']),
+]
+VERBS = [["check"], ["der"], ["der", "--compare"], ["weights"]]
+
+# Runs in the child: time cli.main on argv (stdout discarded), report seconds,
+# exit code and peak RSS as one JSON line.
+CHILD = """
+import contextlib, io, json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+import qfla.cli
+argv = sys.argv[2:]
+with contextlib.redirect_stdout(io.StringIO()):
+    t0 = time.perf_counter()
+    rc = qfla.cli.main(argv)
+    elapsed = time.perf_counter() - t0
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"s": elapsed, "rc": rc, "rss_mb": rss_mb}))
+"""
+
+
+def _child(src: Path, argv: list) -> dict:
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", CHILD, str(src)] + argv,
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _git_hash(path: Path) -> str:
+    def git(*args):
+        return subprocess.run(
+            ["git", "-C", str(path), *args], capture_output=True, text=True
+        ).stdout.strip()
+
+    head = git("rev-parse", "HEAD") or "unknown"
+    return head + ("-dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
+
+
+def _src_sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    for f in sorted((path / "src" / "qfla").glob("*.py")):
+        digest.update(f.name.encode() + b"\0" + f.read_bytes())
+    return digest.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--runs", type=int, default=5, help="runs per rung and tree (k)")
+    parser.add_argument("--tree", action="append", default=[], help="LABEL=PATH of a checkout")
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    trees = {}
+    for item in args.tree or [f"this={HERE}"]:
+        label, sep, path = item.partition("=")
+        if not sep or not (Path(path) / "src" / "qfla").is_dir():
+            parser.error(f"--tree {item!r}: expected LABEL=PATH of a checkout with src/qfla")
+        trees[label] = Path(path).resolve()
+
+    report = {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "runs": args.runs,
+        "trees": {
+            label: {"git": _git_hash(p), "src_sha256": _src_sha256(p), "rungs": {}}
+            for label, p in trees.items()
+        },
+    }
+    labels = list(trees)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, build in GLUINGS:
+            files = {}
+            for label in labels:
+                files[label] = str(Path(tmp) / f"{label}-{name}.json")
+                _child(trees[label] / "src", ["build", *build, "--out", files[label]])
+            for verb in VERBS:
+                rung = " ".join([name, *verb])
+                times = {label: [] for label in labels}
+                for k in range(args.runs):
+                    order = labels[k % len(labels):] + labels[: k % len(labels)]
+                    for label in order:
+                        times[label].append(
+                            _child(trees[label] / "src", [*verb, files[label]])
+                        )
+                for label in labels:
+                    runs = times[label]
+                    median = statistics.median(r["s"] for r in runs)
+                    report["trees"][label]["rungs"][rung] = {
+                        "median_s": round(median, 4),
+                        "runs_s": [round(r["s"], 4) for r in runs],
+                        "peak_rss_mb": round(statistics.median(r["rss_mb"] for r in runs), 1),
+                        "exit": runs[0]["rc"],
+                    }
+                    print(f"{label:>8}  {rung:<24} {median:.3f} s")
+    Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,6 +8,7 @@ automorphism, a brute-force check, and a few automorphism factories.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import factorial
 from typing import List, Optional, Sequence
@@ -15,7 +16,7 @@ from typing import List, Optional, Sequence
 from .builder import QuasiQnSpec, build_quasi
 from .derivations import ConditionVerdict, GeneratorImages, extend_images
 from .liecore import LieAlgebra, bracket_preserving
-from .linalg import Matrix, ONE, ZERO, rank, scalar
+from .linalg import Matrix, ONE, ZERO, _subtract, rank, scalar
 
 
 class ZeroScale(ValueError):
@@ -59,12 +60,12 @@ def closed_form_endomorphism(
             for tt, c in target_spec.top_coefficients(i).items():
                 v[target_spec.top_index(tt)] += coeff * c
 
-    cols: List[list] = [None] * shape.dim
+    cols: List[dict] = [None] * shape.dim
     for s in range(1, shape.m + 1):
-        cols[shape.gen_index(s, 0)] = list(candidate.e0[s - 1])
-        cols[shape.gen_index(s, 1)] = list(candidate.e1[s - 1])
+        cols[shape.gen_index(s, 0)] = dict(enumerate(candidate.e0[s - 1]))
+        cols[shape.gen_index(s, 1)] = dict(enumerate(candidate.e1[s - 1]))
         for t in range(2, n):
-            v = [ZERO] * dim
+            v = defaultdict(Fraction)
             for i in range(1, shape.m + 1):
                 b00 = b(candidate.e0, s, i, 0)
                 b10 = b(candidate.e1, s, i, 0)
@@ -92,7 +93,7 @@ def closed_form_endomorphism(
                         add_top(v, i, (-ONE) ** j * b(candidate.e0, s, i, j) * head * c)
             cols[shape.gen_index(s, t)] = v
     for t in range(1, shape.r + 1):
-        v = [ZERO] * dim
+        v = defaultdict(Fraction)
         for i in range(1, shape.m + 1):
             b00 = b(candidate.e0, t, i, 0)
             c = b00 * b(candidate.e1, t, i, 1) - b(candidate.e0, t, i, 1) * b(
@@ -100,7 +101,7 @@ def closed_form_endomorphism(
             )
             add_top(v, i, b(candidate.e1, t, i, 1) * b00 ** (n - 3) * c)
         cols[shape.top_index(t)] = v
-    return Matrix.from_columns(cols)
+    return Matrix.from_columns(cols, dim)
 
 
 def _target_copies(spec: QuasiQnSpec, candidate: GeneratorImages) -> tuple:
@@ -270,22 +271,17 @@ def make_scaling_automorphism(
     return GeneratorImages.from_vectors(e0, e1)
 
 
-def exp_ad(L: LieAlgebra, x: Sequence) -> Matrix:
-    """exp(ad x) for x in a nilpotent algebra: an inner automorphism."""
-    dim = L.dim
-    xs = [scalar(v) for v in x]
+def exp_ad(L: LieAlgebra, x: dict) -> Matrix:
+    """exp(ad x) for a sparse vector x in a nilpotent algebra: an inner
+    automorphism."""
     cols = []
-    for j in range(dim):
-        total = list(L.basis_vector(j))
-        term = total[:]
-        k = 0
-        while any(term):
+    for j in range(L.dim):
+        total, term, k = {j: ONE}, {j: ONE}, 0
+        while term:
             k += 1
-            term = L.bracket(xs, term)
-            inv = Fraction(1, factorial(k))
-            for t in range(dim):
-                total[t] += inv * term[t]
-            if k > dim:
+            term = L.bracket(x, term)
+            _subtract(total, -Fraction(1, factorial(k)), term)
+            if k > L.dim:
                 raise ValueError("ad x is not nilpotent")
         cols.append(total)
-    return Matrix.from_columns(cols)
+    return Matrix.from_columns(cols, L.dim)

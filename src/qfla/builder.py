@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-from .linalg import Matrix, ONE, ZERO
+from .linalg import Matrix, ONE, ZERO, _combine, inverse
 from .liecore import GenLabel, LieAlgebra, TopLabel, PlainLabel
 
 
@@ -146,16 +146,13 @@ def qn_x_basis(n: int) -> LieAlgebra:
 
 def change_of_basis(L: LieAlgebra, P: Matrix, labels=None) -> LieAlgebra:
     """Transport the structure tensor to the basis whose vectors are the columns of P."""
-    from .linalg import inverse
-
-    Pinv = inverse(P)
+    inverse_cols = inverse(P).columns()
     dim = L.dim
     sc: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-    cols = [P.col(j) for j in range(dim)]
+    cols = P.columns()
     for a in range(dim):
         for b in range(a + 1, dim):
-            w = Pinv.apply(L.bracket(cols[a], cols[b]))
-            entry = {k: c for k, c in enumerate(w) if c != 0}
+            entry = _combine(L.bracket(cols[a], cols[b]), inverse_cols)
             if entry:
                 sc[(a, b)] = entry
     return LieAlgebra(dim, sc, labels=labels)

@@ -59,7 +59,7 @@ from .liecore import (
     minimal_generator_count,
     quasi_cyclic_split,
 )
-from .linalg import column_span, scalar_to_str
+from .linalg import ONE, column_span, scalar_to_str
 
 
 def _read_json(path: str):
@@ -106,7 +106,14 @@ def _emit(args, payload: dict) -> None:
 
 
 def _cmd_build(args) -> int:
-    B = matrix_from_json(json.loads(args.B), "B") if args.B else None
+    B = None
+    if args.B:
+        try:
+            B = matrix_from_json(json.loads(args.B), "B")
+        except json.JSONDecodeError as exc:
+            raise BadInput(f"B: malformed JSON ({exc})") from exc
+        except RecursionError:
+            raise BadInput("B: JSON nested too deeply") from None
     try:
         spec = make_spec(args.n, args.m, args.r, B)
     except BadSpec as exc:
@@ -141,10 +148,7 @@ def _cmd_check(args) -> int:
         report.update(lcs_dims=None, filiform=None, min_generators=None, detail=str(exc))
     report["quasi_cyclic"] = None
     if spec is not None and report.get("lcs_dims") is not None:
-        gens = []
-        for s in range(1, spec.m + 1):
-            gens.append(L.basis_vector(spec.gen_index(s, 0)))
-            gens.append(L.basis_vector(spec.gen_index(s, 1)))
+        gens = [{spec.gen_index(s, t): ONE} for s in range(1, spec.m + 1) for t in (0, 1)]
         try:
             chain = quasi_cyclic_split(L, column_span(gens, L.dim))
             report["quasi_cyclic"] = {"dims": [space.cols for space in chain]}
@@ -152,6 +156,11 @@ def _cmd_check(args) -> int:
             report["quasi_cyclic"] = {"dims": None, "detail": str(exc)}
     _emit(args, report)
     return 0
+
+
+def _entries(M) -> dict:
+    """The nonzero entries of M as one sparse vector, indexed row-major."""
+    return {i * M.cols + j: x for j, col in enumerate(M.columns()) for i, x in col.items()}
 
 
 def _cmd_der(args) -> int:
@@ -176,16 +185,14 @@ def _cmd_der(args) -> int:
         report["dim_formula"] = der_dimension(spec)
         report["nilpotent"] = [matrix_to_json(el.matrix) for el in nilpotent]
         if args.compare:
-            explicit = column_span(
-                [sum(el.matrix.to_rows(), []) for el in torus + nilpotent], L.dim * L.dim
-            )
+            explicit = column_span([_entries(el.matrix) for el in torus + nilpotent], L.dim**2)
         del nilpotent  # its dim^2-wide matrices need not outlive the oracle's span or the dump
     agree = None
     if args.compare:
         if blocks is None:
             agree = False
         else:
-            oracle_span = column_span([sum(D.to_rows(), []) for D in oracle], L.dim * L.dim)
+            oracle_span = column_span([_entries(D) for D in oracle], L.dim**2)
             agree = report["dim_formula"] == report["dim_oracle"] and explicit == oracle_span
         report["agree"] = agree
     _emit(args, report)
@@ -307,9 +314,6 @@ def main(argv: Optional[list] = None) -> int:
         return args.func(args)
     except (BadInput, BadSearchCap, BadSpec, NonBlockForm, SearchTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON ({exc})", file=sys.stderr)
         return 2
 
 

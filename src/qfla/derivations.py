@@ -8,13 +8,14 @@ explicit torus / nilpotent bases of the derivation algebra.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .builder import NonBlockForm, QuasiQnSpec, block_structure, build_quasi
 from .liecore import LieAlgebra
-from .linalg import Matrix, ONE, ZERO, column_span, scalar, sparse_nullspace
+from .linalg import Matrix, ONE, ZERO, _combine, _subtract, column_span, scalar, sparse_nullspace
 
 
 class NotSimultaneouslyDiagonal(ValueError):
@@ -52,29 +53,36 @@ class GeneratorImages:
 def extend_images(
     shape: QuasiQnSpec,
     images: GeneratorImages,
-    bracket_image: Callable[[int, int, list, list], list],
+    bracket_image: Callable[[int, int, dict, dict], dict],
 ) -> Matrix:
     """Extend generator images to every column of the ``shape`` basis.
 
     Walks e_{st} = [e_{s0}, e_{s,t-1}] for 2 <= t <= n-1, then
     e_{tn} = -[e_{t1}, e_{t,n-1}] for the tops.  ``bracket_image(i, j, x, y)``
-    gives the image of [e_i, e_j] from the images x, y of e_i, e_j: the
-    Leibniz rule for a derivation, the target bracket of x and y for a
-    homomorphism.
+    gives the image of [e_i, e_j] from the images x, y of e_i, e_j, all as
+    sparse vectors: the Leibniz rule for a derivation, the target bracket of x
+    and y for a homomorphism.
     """
     n = shape.n
-    cols: List[list] = [None] * shape.dim
+    cols: List[dict] = [None] * shape.dim
     for s in range(1, shape.m + 1):
         head = shape.gen_index(s, 0)
-        cols[head] = list(images.e0[s - 1])
-        cols[head + 1] = list(images.e1[s - 1])
+        for t, image in ((0, images.e0[s - 1]), (1, images.e1[s - 1])):
+            cols[head + t] = {k: x for k, x in enumerate(image) if x}
         for t in range(2, n):
             cols[head + t] = bracket_image(head, head + t - 1, cols[head], cols[head + t - 1])
     for t in range(1, shape.r + 1):
         one, last = shape.gen_index(t, 1), shape.gen_index(t, n - 1)
         w = bracket_image(one, last, cols[one], cols[last])
-        cols[shape.top_index(t)] = [-x for x in w]
-    return Matrix.from_columns(cols)
+        cols[shape.top_index(t)] = {k: -x for k, x in w.items()}
+    return Matrix.from_columns(cols, len(images.e0[0]))
+
+
+def _leibniz(L: LieAlgebra, i: int, j: int, di: dict, dj: dict) -> dict:
+    """[d e_i, e_j] + [e_i, d e_j] from the sparse images di, dj."""
+    out = L.bracket(di, {j: ONE})
+    _subtract(out, -ONE, L.bracket({i: ONE}, dj))
+    return out
 
 
 def extend_derivation_candidate(spec: QuasiQnSpec, images: GeneratorImages) -> Matrix:
@@ -83,14 +91,7 @@ def extend_derivation_candidate(spec: QuasiQnSpec, images: GeneratorImages) -> M
     result is a derivation iff ``derivation_conditions`` passes.
     """
     images.validate(spec)
-    L = build_quasi(spec)
-
-    def leibniz(i: int, j: int, di: list, dj: list) -> list:
-        first = L.bracket(di, L.basis_vector(j))
-        second = L.bracket(L.basis_vector(i), dj)
-        return [a + b for a, b in zip(first, second)]
-
-    return extend_images(spec, images, leibniz)
+    return extend_images(spec, images, functools.partial(_leibniz, build_quasi(spec)))
 
 
 def closed_form_extension(spec: QuasiQnSpec, images: GeneratorImages) -> Matrix:
@@ -109,33 +110,29 @@ def closed_form_extension(spec: QuasiQnSpec, images: GeneratorImages) -> Matrix:
     contribute nothing to the recurrence).
     """
     images.validate(spec)
-    n, dim = spec.n, spec.dim
-    cols: List[list] = [None] * dim
+    n = spec.n
+    cols: List[dict] = [None] * spec.dim
     for s in range(1, spec.m + 1):
         de0 = images.e0[s - 1]
         de1 = images.e1[s - 1]
-        cols[spec.gen_index(s, 0)] = list(de0)
-        cols[spec.gen_index(s, 1)] = list(de1)
+        cols[spec.gen_index(s, 0)] = dict(enumerate(de0))
+        cols[spec.gen_index(s, 1)] = dict(enumerate(de1))
         a = de0[spec.gen_index(s, 0)]
         b = de1[spec.gen_index(s, 1)]
         for t in range(2, n):
-            v = [ZERO] * dim
-            v[spec.gen_index(s, t)] = (t - 1) * a + b
+            v = {spec.gen_index(s, t): (t - 1) * a + b}
             for j in range(2, n - t + 1):
-                v[spec.gen_index(s, j + t - 1)] += de1[spec.gen_index(s, j)]
+                v[spec.gen_index(s, j + t - 1)] = de1[spec.gen_index(s, j)]
             sign = ONE if t % 2 == 0 else -ONE
             g = de0[spec.gen_index(s, n - t + 1)]
-            if g:
-                for tt, c in spec.top_coefficients(s).items():
-                    v[spec.top_index(tt)] += sign * g * c
+            for tt, c in spec.top_coefficients(s).items():
+                v[spec.top_index(tt)] = sign * g * c
             cols[spec.gen_index(s, t)] = v
     for t in range(1, spec.r + 1):
         a = images.e0[t - 1][spec.gen_index(t, 0)]
         b = images.e1[t - 1][spec.gen_index(t, 1)]
-        v = [ZERO] * dim
-        v[spec.top_index(t)] = (n - 2) * a + 2 * b
-        cols[spec.top_index(t)] = v
-    return Matrix.from_columns(cols)
+        cols[spec.top_index(t)] = {spec.top_index(t): (n - 2) * a + 2 * b}
+    return Matrix.from_columns(cols, spec.dim)
 
 
 @dataclass(frozen=True)
@@ -168,7 +165,7 @@ def derivation_conditions(spec: QuasiQnSpec, images: GeneratorImages) -> Conditi
         allowed.update(spec.gen_index(s, i) for i in range(2, n))
         allowed.update(spec.top_index(t) for t in range(1, r + 1))
         for k, v in enumerate(images.e0[s - 1]):
-            if v != 0 and k not in allowed:
+            if k not in allowed and v != 0:
                 return ConditionVerdict(
                     False, "e0-support", f"d(e_{{{s},0}}) has a component on basis index {k}"
                 )
@@ -177,7 +174,7 @@ def derivation_conditions(spec: QuasiQnSpec, images: GeneratorImages) -> Conditi
         allowed.update(spec.gen_index(p, n - 1) for p in range(1, m + 1))
         allowed.update(spec.top_index(t) for t in range(1, r + 1))
         for k, v in enumerate(images.e1[s - 1]):
-            if v != 0 and k not in allowed:
+            if k not in allowed and v != 0:
                 return ConditionVerdict(
                     False, "e1-support", f"d(e_{{{s},1}}) has a component on basis index {k}"
                 )
@@ -224,17 +221,10 @@ def is_derivation(L: LieAlgebra, D: Matrix) -> bool:
     """Leibniz rule D[x,y] = [Dx,y] + [x,Dy] checked on all basis pairs."""
     if D.rows != L.dim or D.cols != L.dim:
         return False
-    cols = [list(D.col(j)) for j in range(L.dim)]
+    cols = D.columns()
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            lhs = [ZERO] * L.dim
-            for k, c in L.structure(i, j).items():
-                for t, v in enumerate(cols[k]):
-                    if v:
-                        lhs[t] += c * v
-            rhs1 = L.bracket(cols[i], L.basis_vector(j))
-            rhs2 = L.bracket(L.basis_vector(i), cols[j])
-            if any(a != b + c for a, b, c in zip(lhs, rhs1, rhs2)):
+            if _combine(L.structure(i, j), cols) != _leibniz(L, i, j, cols[i], cols[j]):
                 return False
     return True
 
@@ -243,25 +233,24 @@ def derivation_oracle(L: LieAlgebra) -> List[Matrix]:
     """Canonical basis of the full derivation algebra, found by solving the
     Leibniz rule as a sparse linear system in the dim^2 matrix entries."""
     dim = L.dim
-
-    def u(row: int, col: int) -> int:
-        return row * dim + col
-
+    # per j, the k whose bracket [e_k, e_j] is nonzero, with that bracket
+    hits = [[(k, b) for k in range(dim) if (b := L.structure(k, j))] for j in range(dim)]
     rows: List[dict] = []
     for i in range(dim):
         for j in range(i + 1, dim):
             eq: List[dict] = [dict() for _ in range(dim)]
-            for k, c in L.structure(i, j).items():
+            for k, c in L.structure(i, j).items():  # D[e_i, e_j]
                 for out in range(dim):
-                    key = u(out, k)
+                    key = out * dim + k
                     eq[out][key] = eq[out].get(key, ZERO) + c
-            for k in range(dim):
-                for out, c in L.structure(k, j).items():
-                    key = u(k, i)
+            for k, b in hits[j]:  # -[D e_i, e_j]
+                for out, c in b.items():
+                    key = k * dim + i
                     eq[out][key] = eq[out].get(key, ZERO) - c
-                for out, c in L.structure(i, k).items():
-                    key = u(k, j)
-                    eq[out][key] = eq[out].get(key, ZERO) - c
+            for k, b in hits[i]:  # -[e_i, D e_j] = [D e_j, e_i]
+                for out, c in b.items():
+                    key = k * dim + j
+                    eq[out][key] = eq[out].get(key, ZERO) + c
             rows.extend(e for e in eq if e)
     kernel = sparse_nullspace(rows, dim * dim)
     return [
@@ -438,6 +427,6 @@ def weight_decomposition(L: LieAlgebra, torus: Sequence[Matrix]) -> Dict[tuple, 
         weight = tuple(D.entry(k, k) for D in torus)
         groups.setdefault(weight, []).append(k)
     return {
-        w: column_span([L.basis_vector(k) for k in idxs], L.dim)
+        w: column_span([{k: ONE} for k in idxs], L.dim)
         for w, idxs in groups.items()
     }

@@ -134,6 +134,8 @@ def algebra_from_json(data) -> Tuple[LieAlgebra, Optional[QuasiQnSpec]]:
         i, j = entry["i"], entry["j"]
         if not (_is_int(i) and _is_int(j) and 0 <= i < j < dim):
             raise BadInput(f"brackets: indices ({i},{j}) must satisfy 0 <= i < j < dim")
+        if (i, j) in sc:
+            raise BadInput(f"brackets: pair ({i},{j}) appears twice")
         if not isinstance(entry["value"], list):
             raise BadInput("value: expected an array of [index, scalar] pairs")
         value = {}
@@ -143,6 +145,8 @@ def algebra_from_json(data) -> Tuple[LieAlgebra, Optional[QuasiQnSpec]]:
             k, c = pair
             if not 0 <= k < dim:
                 raise BadInput(f"value: target index {k} out of range")
+            if k in value:
+                raise BadInput(f"value: target index {k} appears twice in bracket ({i},{j})")
             try:
                 value[k] = scalar(c)
             except (ValueError, TypeError, ZeroDivisionError) as exc:

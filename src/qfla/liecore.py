@@ -2,7 +2,10 @@
 
 Algebras are stored as an antisymmetric structure-constant tensor: brackets
 [e_i, e_j] are recorded only for i < j, so antisymmetry holds by construction.
-All coefficients are exact rationals.
+All coefficients are exact rationals.  Vectors are sparse {index: Fraction}
+dicts: ``LieAlgebra.bracket`` takes and returns them, and the series and
+splittings below feed brackets of sparse basis vectors straight to the
+``linalg`` elimination engine.
 """
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .linalg import Matrix, ZERO, column_span, rank, scalar
+from .linalg import Matrix, ONE, _combine, _subtract, column_span, scalar
 
 
 class DimensionMismatch(ValueError):
@@ -111,37 +114,22 @@ class LieAlgebra:
             return {}
         return {k: -c for k, c in back.items()}
 
-    def bracket_sparse(self, x: Dict[int, Fraction], y: Dict[int, Fraction]) -> Dict[int, Fraction]:
+    def bracket(self, x: dict, y: dict) -> Dict[int, Fraction]:
+        """Bilinear extension of the structure constants to sparse vectors
+        {index: scalar}; the result has no zero entries."""
         out: Dict[int, Fraction] = {}
         for i, a in x.items():
-            if not a:
-                continue
             for j, b in y.items():
-                if not b or i == j:
-                    continue
-                for k, c in self.structure(i, j).items():
-                    v = out.get(k, ZERO) + a * b * c
-                    if v:
-                        out[k] = v
-                    elif k in out:
-                        del out[k]
+                # [e_i, e_j] is sc[(i, j)] for i < j and -sc[(j, i)] otherwise
+                if i < j:
+                    c = self.sc.get((i, j))
+                    if c:
+                        _subtract(out, -a * b, c)
+                else:
+                    c = self.sc.get((j, i))
+                    if c:
+                        _subtract(out, a * b, c)
         return out
-
-    def bracket(self, x: Sequence, y: Sequence) -> list:
-        """Bilinear extension of the structure constants to coordinate vectors."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatch("vectors must have length dim")
-        xs = {i: scalar(v) for i, v in enumerate(x) if v != 0}
-        ys = {j: scalar(v) for j, v in enumerate(y) if v != 0}
-        out = [ZERO] * self.dim
-        for k, v in self.bracket_sparse(xs, ys).items():
-            out[k] = v
-        return out
-
-    def basis_vector(self, i: int) -> list:
-        v = [ZERO] * self.dim
-        v[i] = Fraction(1)
-        return v
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LieAlgebra):
@@ -157,19 +145,17 @@ def check_jacobi(L: LieAlgebra):
 
     Returns (True, None), or (False, (i, j, k)) for the first failing triple.
     """
+    sc = L.sc
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
+            ij = (i, j) in sc
             for k in range(j + 1, L.dim):
+                if not (ij or (j, k) in sc or (i, k) in sc):
+                    continue  # all three brackets vanish
                 total: Dict[int, Fraction] = {}
                 for pair, extra in (((j, k), i), ((k, i), j), ((i, j), k)):
-                    inner = L.structure(*pair)
-                    for t, c in inner.items():
-                        for u, d in L.structure(extra, t).items():
-                            v = total.get(u, ZERO) + c * d
-                            if v:
-                                total[u] = v
-                            elif u in total:
-                                del total[u]
+                    for t, c in L.structure(*pair).items():
+                        _subtract(total, c, L.structure(t, extra))  # += c [e_extra, e_t]
                 if total:
                     return False, (i, j, k)
     return True, None
@@ -186,29 +172,22 @@ class SubspaceChain:
         return tuple(s.cols for s in self.spaces)
 
 
-def _bracket_span(L: LieAlgebra, left: Matrix, right: Matrix) -> Matrix:
-    """span{ [u, v] : u column of left, v column of right }."""
-    vectors = []
-    for a in range(left.cols):
-        u = left.col(a)
-        for b in range(right.cols):
-            w = L.bracket(u, right.col(b))
-            if any(w):
-                vectors.append(w)
-    return column_span(vectors, L.dim)
+def _bracket_span(L: LieAlgebra, left: list, right: list) -> Matrix:
+    """span{ [u, v] : u in left, v in right } of sparse vectors."""
+    return column_span([L.bracket(u, v) for u in left for v in right], L.dim)
 
 
 def lower_central_series(L: LieAlgebra) -> SubspaceChain:
     """c^0 = L, c^{i+1} = [L, c^i]; raises NotNilpotent if it stabilizes nonzero."""
-    full = Matrix.identity(L.dim)
-    spaces = [full]
-    current = full
-    while current.cols > 0:
-        nxt = _bracket_span(L, full, current)
-        if nxt.cols == current.cols:
+    basis = [{k: ONE} for k in range(L.dim)]
+    spaces = [Matrix.identity(L.dim)]
+    current = basis
+    while current:
+        nxt = _bracket_span(L, basis, current)
+        if nxt.cols == len(current):
             raise NotNilpotent(f"series stabilizes at dimension {nxt.cols}")
         spaces.append(nxt)
-        current = nxt
+        current = nxt.columns()
     return SubspaceChain(tuple(spaces))
 
 
@@ -229,13 +208,13 @@ def minimal_generator_count(chain: SubspaceChain) -> int:
     return chain.dims[0] - (chain.dims + (0,))[1]
 
 
-def is_minimal_generating_set(L: LieAlgebra, vectors: Sequence[Sequence]) -> bool:
-    """True iff the residues of the vectors mod c^1 L form a basis of L / c^1 L."""
+def is_minimal_generating_set(L: LieAlgebra, vectors: Sequence[dict]) -> bool:
+    """True iff the residues of the sparse vectors mod c^1 L form a basis of
+    L / c^1 L."""
     c1 = lower_central_series(L).spaces[1]
     if len(vectors) != L.dim - c1.cols:
         return False
-    stacked = [list(v) for v in vectors] + [list(c1.col(j)) for j in range(c1.cols)]
-    return rank(Matrix(stacked, cols=L.dim)) == L.dim
+    return column_span(list(vectors) + c1.columns(), L.dim).cols == L.dim
 
 
 def quasi_cyclic_split(L: LieAlgebra, U: Matrix) -> tuple:
@@ -244,17 +223,18 @@ def quasi_cyclic_split(L: LieAlgebra, U: Matrix) -> tuple:
     Raises NotDirect if the partial sums overlap and NotSpanning if the total
     falls short of L.
     """
-    current = column_span([U.col(j) for j in range(U.cols)], L.dim)
-    chain = [current]
+    chain = [column_span(U.columns(), L.dim)]
+    first = cols = chain[0].columns()
+    all_cols = list(first)
     while True:
-        nxt = _bracket_span(L, chain[0], current)
+        nxt = _bracket_span(L, first, cols)
         if nxt.cols == 0:
             break
         chain.append(nxt)
-        current = nxt
-    all_cols = [col for space in chain for col in space.columns()]
+        cols = nxt.columns()
+        all_cols += cols
     total = len(all_cols)
-    r = rank(Matrix(all_cols, cols=L.dim)) if all_cols else 0
+    r = column_span(all_cols, L.dim).cols
     if r < total:
         raise NotDirect(f"sum of chain spaces has rank {r} < {total}")
     if r < L.dim:
@@ -266,13 +246,9 @@ def bracket_preserving(L1: LieAlgebra, L2: LieAlgebra, M: Matrix) -> bool:
     """True iff M[x,y]_1 = [Mx, My]_2 on all basis pairs of L1."""
     if M.rows != L2.dim or M.cols != L1.dim:
         raise DimensionMismatch("map shape does not match the two algebras")
-    cols = [M.col(j) for j in range(M.cols)]
+    cols = M.columns()
     for i in range(L1.dim):
         for j in range(i + 1, L1.dim):
-            lhs = [ZERO] * L2.dim
-            for k, c in L1.structure(i, j).items():
-                for t in range(L2.dim):
-                    lhs[t] += c * cols[k][t]
-            if lhs != L2.bracket(cols[i], cols[j]):
+            if _combine(L1.structure(i, j), cols) != L2.bracket(cols[i], cols[j]):
                 return False
     return True

@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals.
 
 Scalars are `fractions.Fraction` (always in lowest terms, denominator > 0),
-matrices are immutable row-major grids of them.  Everything is exact, so
+matrices are immutable row-major grids of them, and vectors outside a matrix
+are sparse {index: Fraction} dicts without zero entries.  Everything is exact, so
 results can be compared by literal equality and elimination needs no
 pivoting heuristics.  One sparse elimination engine serves every solve:
 `rref`, `rank`, `nullspace`, `inverse`, `column_span` and `sparse_nullspace`
@@ -37,7 +38,7 @@ def scalar(value: ScalarLike) -> Fraction:
 
 def scalar_to_str(x: Fraction) -> str:
     """Serialize a scalar as "p/q", or "p" when the denominator is 1."""
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(x)  # Fraction's own str is exactly that
 
 
 class Matrix:
@@ -46,7 +47,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "_e")
 
     def __init__(self, entries: Iterable[Iterable[ScalarLike]], cols: int | None = None):
-        grid = tuple(tuple(scalar(x) for x in row) for row in entries)
+        grid = tuple(map(_scalar_row, entries))
         if grid:
             width = len(grid[0])
             if any(len(row) != width for row in grid):
@@ -68,14 +69,14 @@ class Matrix:
         return Matrix([[x] for x in entries], cols=1)
 
     @staticmethod
-    def from_columns(columns: Sequence[Sequence[ScalarLike]], dim: int | None = None) -> "Matrix":
-        """Build a matrix whose columns are the given vectors."""
-        if not columns:
-            if dim is None:
-                raise ValueError("need dim for an empty column list")
-            return Matrix([[] for _ in range(dim)], cols=0)
-        n = len(columns[0])
-        return Matrix([[columns[j][i] for j in range(len(columns))] for i in range(n)])
+    def from_columns(columns: Sequence[dict], dim: int) -> "Matrix":
+        """The dim-row matrix whose columns are the given sparse vectors
+        {row: scalar}."""
+        grid = [[ZERO] * len(columns) for _ in range(dim)]
+        for j, col in enumerate(columns):
+            for i, x in col.items():
+                grid[i][j] = x
+        return Matrix(grid, cols=len(columns))
 
     # -- accessors ------------------------------------------------------------
 
@@ -86,10 +87,8 @@ class Matrix:
         return tuple(row[j] for row in self._e)
 
     def columns(self) -> list:
-        return [self.col(j) for j in range(self.cols)]
-
-    def to_rows(self) -> list:
-        return [list(row) for row in self._e]
+        """The columns as sparse vectors {row: entry}, without zero entries."""
+        return [{i: row[j] for i, row in enumerate(self._e) if row[j]} for j in range(self.cols)]
 
     @property
     def is_square(self) -> bool:
@@ -130,7 +129,7 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError(f"shape mismatch: {self.cols} != {other.rows}")
-            cols = other.columns()
+            cols = [other.col(j) for j in range(other.cols)]
             return Matrix(
                 [[_dot(row, col) for col in cols] for row in self._e],
                 cols=other.cols,
@@ -148,13 +147,6 @@ class Matrix:
             cols=self.cols + other.cols,
         )
 
-    def apply(self, v: Sequence[ScalarLike]) -> tuple:
-        """Matrix-vector product, returning a plain tuple."""
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        vec = [scalar(x) for x in v]
-        return tuple(_dot(row, vec) for row in self._e)
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         return Matrix(
             [[self._e[i][j] for j in col_idx] for i in row_idx],
@@ -164,6 +156,12 @@ class Matrix:
     def _shape_match(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
+
+
+def _scalar_row(row: Iterable[ScalarLike]) -> tuple:
+    row = tuple(row)
+    # the type scan runs at C speed; rows of Fractions need no coercion
+    return row if set(map(type, row)) <= {Fraction} else tuple(map(scalar, row))
 
 
 def _dot(row: Sequence[Fraction], col: Sequence[Fraction]) -> Fraction:
@@ -186,13 +184,22 @@ def _dot(row: Sequence[Fraction], col: Sequence[Fraction]) -> Fraction:
 
 
 def _subtract(row: dict, f: Fraction, pivot: dict) -> None:
-    """row -= f * pivot, in place, keeping no zero entries."""
+    """row -= f * pivot, in place, keeping no zero entries.  Brackets and
+    linear combinations of sparse vectors accumulate through it too."""
     for c, x in pivot.items():
         y = row.get(c, ZERO) - f * x
         if y:
             row[c] = y
-        else:
+        elif c in row:
             del row[c]
+
+
+def _combine(coeffs: dict, vectors: Sequence[dict]) -> dict:
+    """sum_k coeffs[k] * vectors[k] for sparse coefficients and vectors."""
+    out: dict = {}
+    for k, c in coeffs.items():
+        _subtract(out, -c, vectors[k])
+    return out
 
 
 def _reduce(echelon: dict, row: dict) -> dict:
@@ -297,11 +304,13 @@ def inverse(M: Matrix) -> Matrix:
     return Matrix([row[n:] for row in _reduced_rows(reduced, 2 * n)], cols=n)
 
 
-def column_span(vectors: Sequence[Sequence[ScalarLike]], dim: int) -> Matrix:
-    """Canonical subspace representation: columns of the returned matrix are the
-    RREF basis of the span, so subspace equality is literal matrix equality."""
-    rows = _sparse_rows([scalar(x) for x in v] for v in vectors)
-    return Matrix.from_columns(_reduced_rows(_rref_rows(rows), dim), dim)
+def column_span(vectors: Iterable[dict], dim: int) -> Matrix:
+    """Canonical subspace representation of the span of sparse vectors
+    {index: coefficient} (Fraction or int values) in a dim-dimensional space:
+    columns of the returned matrix are the RREF basis of the span, so subspace
+    equality is literal matrix equality."""
+    reduced = _rref_rows({c: x for c, x in v.items() if x} for v in vectors)
+    return Matrix.from_columns([row for _, row in sorted(reduced.items())], dim)
 
 
 def sparse_nullspace(rows: Iterable[dict], ncols: int) -> list:

@@ -28,6 +28,17 @@ BLOCK_SPECS = [s for s in TEST_MATRIX if block_structure(s) is not None]
 SINGLE_TOP_SPECS = [s for s in TEST_MATRIX if s.r == 1]
 
 
+def sparse(v) -> dict:
+    """A dense coordinate vector as a sparse vector {index: coefficient}."""
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def flatten(M) -> dict:
+    """The dim^2 entries of a matrix as one sparse vector, indexed row-major."""
+    entries = ((i, j, M.entry(i, j)) for i in range(M.rows) for j in range(M.cols))
+    return {i * M.cols + j: x for i, j, x in entries if x}
+
+
 def spec_id(spec) -> str:
     cols = "x".join(
         ",".join(str(spec.B.entry(i, j)) for i in range(spec.B.rows))

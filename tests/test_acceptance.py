@@ -21,6 +21,7 @@ from conftest import (
     BLOCK_SPECS,
     SINGLE_TOP_SPECS,
     TEST_MATRIX,
+    flatten,
     passing_aut_candidate,
     random_aut_candidate,
     random_images,
@@ -56,7 +57,7 @@ from qfla.liecore import (
     minimal_generator_count,
     quasi_cyclic_split,
 )
-from qfla.linalg import Matrix, column_span, rank
+from qfla.linalg import column_span, rank
 
 
 def verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -65,10 +66,6 @@ def verdict(name: str, ok: bool, detail: str = "") -> None:
         line += f"  ({detail})"
     print(line)
     assert ok, line
-
-
-def flatten(M: Matrix) -> list:
-    return sum(M.to_rows(), [])
 
 
 # -------------------------------------------------------- gate construction
@@ -83,10 +80,7 @@ def test_construction_suite():
         assert chain.dims[spec.n - 1] == spec.r
         assert chain.dims[spec.n] == 0
         assert minimal_generator_count(chain) == 2 * spec.m
-        gens = []
-        for s in range(1, spec.m + 1):
-            gens.append(L.basis_vector(spec.gen_index(s, 0)))
-            gens.append(L.basis_vector(spec.gen_index(s, 1)))
+        gens = [{spec.gen_index(s, t): 1} for s in range(1, spec.m + 1) for t in (0, 1)]
         assert is_minimal_generating_set(L, gens)
         chain = quasi_cyclic_split(L, column_span(gens, L.dim))
         assert chain[0].cols == 2 * spec.m

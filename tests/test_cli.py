@@ -237,6 +237,37 @@ class TestInputContract:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {field}:")
 
+    @pytest.mark.parametrize(
+        "field,data",
+        [
+            ("value", {"dim": 3, "brackets": [{"i": 0, "j": 1, "value": [[2, "1"], [2, "1"]]}]}),
+            (
+                "brackets",
+                {
+                    "dim": 3,
+                    "brackets": [
+                        {"i": 0, "j": 1, "value": [[2, "1"]]},
+                        {"i": 0, "j": 1, "value": [[2, "5"]]},
+                    ],
+                },
+            ),
+        ],
+        ids=["value", "brackets"],
+    )
+    def test_duplicate_entries_exit_2(self, run, tmp_path, field, data):
+        # a repeated entry is refused, not silently overwritten by the last one
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run("check", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field}:")
+
+    @pytest.mark.parametrize("B", ["[" * 100_000, '[["1"'], ids=["too_deep", "malformed"])
+    def test_unparsable_B_exit_2(self, run, B):
+        code, out, err = run("build", "--n", "5", "--m", "2", "--r", "1", "--B", B)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: B:")
+
     def test_non_integer_search_cap_exit_2(self, run, monkeypatch, spec521_file):
         monkeypatch.setenv("QFLA_MAX_M", "abc")
         code, out, err = run("iso", spec521_file, spec521_file)

@@ -3,10 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     BLOCK_SPECS,
     TEST_MATRIX,
+    flatten,
     random_images,
     random_passing_images,
     random_supported_images,
@@ -30,7 +33,9 @@ from qfla.derivations import (
     weight_torus,
     NotSimultaneouslyDiagonal,
 )
+from qfla.liecore import lower_central_series
 from qfla.linalg import Matrix, column_span, nullspace
+from test_iso import NONZERO, WITH_ZEROS, relabelled
 
 SPEC521 = make_spec(5, 2, 1, [["1"]])
 
@@ -42,10 +47,6 @@ def images_with(spec, assignments):
     for which, s, k, v in assignments:
         (e0 if which == 0 else e1)[s - 1][k] = Fraction(v)
     return GeneratorImages.from_vectors(e0, e1)
-
-
-def flatten(M):
-    return sum(M.to_rows(), [])
 
 
 class TestExtension:
@@ -199,12 +200,12 @@ class TestExplicitBases:
         combos = nullspace(Matrix([[D.entry(i, j) for D in oracle] for i, j in off], cols=len(oracle)))
         assert len(combos) == 6
         diagonal = [
-            [sum(c.entry(k, 0) * D.entry(i, i) for k, D in enumerate(oracle)) for i in range(L.dim)]
+            {i: sum(c.entry(k, 0) * D.entry(i, i) for k, D in enumerate(oracle)) for i in range(L.dim)}
             for c in combos
         ]
         torus = torus_basis(spec)
         assert all(el.matrix.entry(i, j) == 0 for el in torus for i, j in off)
-        torus_diagonals = [[el.matrix.entry(i, i) for i in range(L.dim)] for el in torus]
+        torus_diagonals = [{i: el.matrix.entry(i, i) for i in range(L.dim)} for el in torus]
         assert column_span(torus_diagonals, L.dim).cols == spec.m + 1 == 5
         assert column_span(torus_diagonals + diagonal, L.dim) == column_span(diagonal, L.dim)
 
@@ -277,3 +278,54 @@ class TestEigenvalueBookkeeping:
         rows[0][1] = Fraction(1)
         with pytest.raises(NotSimultaneouslyDiagonal):
             weight_decomposition(L, [Matrix(rows)])
+
+
+# -- the Der property suite: random gluings with n <= 9 and m <= 5 ------------------
+
+
+@st.composite
+def block_gluings(draw):
+    """A block-form gluing: each extra copy glues onto one independent top."""
+    n = draw(st.sampled_from([5, 7, 9]))
+    m = draw(st.integers(1, 5))
+    r = draw(st.integers(1, m))
+    B = [[Fraction(0)] * (m - r) for _ in range(r)]
+    for k in range(m - r):
+        B[draw(st.integers(0, r - 1))][k] = draw(st.sampled_from(NONZERO))
+    return make_spec(n, m, r, B)
+
+
+@st.composite
+def relabelled_pairs(draw):
+    """A gluing, block form or mixing, and a copy of it under a random copy
+    permutation and nonzero top rescalings, renormalized to (I | B)."""
+    n = draw(st.sampled_from([5, 7, 9]))
+    m = draw(st.integers(2, 5))
+    r = draw(st.integers(1, m - 1))
+    B = [[draw(st.sampled_from(WITH_ZEROS)) for _ in range(m - r)] for _ in range(r)]
+    assume(all(any(B[i][k] for i in range(r)) for k in range(m - r)))
+    perm = draw(st.permutations(range(m)))
+    scales = draw(st.lists(st.sampled_from(NONZERO), min_size=m, max_size=m))
+    B2 = relabelled(r, B, perm, scales)
+    assume(B2 is not None)
+    return make_spec(n, m, r, B), make_spec(n, m, r, B2)
+
+
+class TestDerProperties:
+    @given(block_gluings())
+    @settings(max_examples=8, deadline=None)
+    def test_oracle_matches_closed_form_and_explicit_span(self, spec):
+        L = build_quasi(spec)
+        oracle = derivation_oracle(L)
+        assert len(oracle) == der_dimension(spec)
+        explicit = [el.matrix for el in torus_basis(spec) + nilpotent_basis(spec)]
+        assert column_span([flatten(D) for D in explicit], L.dim**2) == column_span(
+            [flatten(D) for D in oracle], L.dim**2
+        )
+
+    @given(relabelled_pairs())
+    @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    def test_isomorphic_gluings_share_der_and_lcs_dimensions(self, pair):
+        L1, L2 = (build_quasi(spec) for spec in pair)
+        assert len(derivation_oracle(L1)) == len(derivation_oracle(L2))
+        assert lower_central_series(L1).dims == lower_central_series(L2).dims

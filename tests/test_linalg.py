@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sparse
 from qfla.linalg import (
     Matrix,
     column_span,
@@ -73,8 +74,12 @@ def reference_rref(grid, ncols):
     return rows, pivots
 
 
+def dense_rows(M):
+    return [[M.entry(i, j) for j in range(M.cols)] for i in range(M.rows)]
+
+
 def reference_kernel(M):
-    rows, pivots = reference_rref(M.to_rows(), M.cols)
+    rows, pivots = reference_rref(dense_rows(M), M.cols)
     basis = []
     for free in (c for c in range(M.cols) if c not in pivots):
         v = [Fraction(0)] * M.cols
@@ -89,7 +94,7 @@ class TestAgainstReference:
     @given(matrices)
     @settings(max_examples=80, deadline=None)
     def test_rref_and_rank(self, M):
-        rows, pivots = reference_rref(M.to_rows(), M.cols)
+        rows, pivots = reference_rref(dense_rows(M), M.cols)
         res = rref(M)
         assert res.matrix == Matrix(rows, cols=M.cols)
         assert res.pivot_cols == tuple(pivots)
@@ -100,12 +105,14 @@ class TestAgainstReference:
     def test_nullspace(self, M):
         assert [list(v.col(0)) for v in nullspace(M)] == reference_kernel(M)
 
-    @given(matrices)
+    @given(matrices, st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_column_span(self, M):
-        rows, pivots = reference_rref(M.to_rows(), M.cols)
-        expected = Matrix.from_columns(rows[: len(pivots)], M.cols)
-        assert column_span(M.to_rows(), M.cols) == expected
+    def test_column_span(self, M, with_zeros):
+        # vectors may also carry explicit zeros
+        rows, pivots = reference_rref(dense_rows(M), M.cols)
+        expected = Matrix.from_columns([sparse(row) for row in rows[: len(pivots)]], M.cols)
+        vectors = [dict(enumerate(row)) if with_zeros else sparse(row) for row in dense_rows(M)]
+        assert column_span(vectors, M.cols) == expected
 
     @given(
         st.integers(1, 5).flatmap(
@@ -163,7 +170,8 @@ class TestMatrix:
 
     def test_from_columns_round_trip(self):
         A = Matrix([[1, 2, 3], [4, 5, 6]])
-        assert Matrix.from_columns(A.columns()) == A
+        assert A.columns() == [{0: 1, 1: 4}, {0: 2, 1: 5}, {0: 3, 1: 6}]
+        assert Matrix.from_columns(A.columns(), A.rows) == A
 
 
 class TestRref:
@@ -193,8 +201,8 @@ class TestRref:
 
 class TestColumnSpan:
     def test_canonical_equality(self):
-        a = column_span([[1, 1, 0], [0, 1, 1]], 3)
-        b = column_span([[1, 2, 1], [1, 0, -1]], 3)
+        a = column_span([{0: 1, 1: 1}, {1: 1, 2: 1}], 3)
+        b = column_span([{0: 1, 1: 2, 2: 1}, {0: 1, 2: -1}], 3)
         assert a == b
         assert a.cols == 2
 
@@ -210,7 +218,7 @@ class TestSparseNullspace:
         rows = [
             {
                 j: int(x) if x.denominator == 1 else x
-                for j, x in enumerate(M.to_rows()[i])
+                for j, x in enumerate(dense_rows(M)[i])
                 if x != 0 or with_zeros
             }
             for i in range(M.rows)
