@@ -5,10 +5,11 @@
 
 Each ``--tree LABEL=PATH`` names a git checkout whose ``src/qfla`` is timed;
 PATH defaults to this checkout when no ``--tree`` is given.  Every rung (a
-verb on one gluing) runs ``--runs`` times per tree in a fresh interpreter;
-the trees take turns going first.  A run times ``qfla.cli.main`` alone, after
-the import, and reads the child's peak RSS.  Algebra files are built once per
-tree by that tree's own ``qfla build``.  The output holds, per tree, the git
+verb on one gluing's algebra file, or ``build`` of that gluing) runs
+``--runs`` times per tree in a fresh interpreter; the trees take turns going
+first.  A run times ``qfla.cli.main`` alone, after the import, and reads the
+child's peak RSS.  Algebra files are built once per tree by that tree's own
+``qfla build``.  The output holds, per tree, the git
 hash ("-dirty" when tracked files differ from it), a sha256 of the timed
 ``src/qfla/*.py`` files, and per rung the median and all run times, the median
 peak RSS and the exit code, next to the Python version and the machine.
@@ -27,13 +28,16 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 
-# (name, build arguments): a one-block gluing and a two-block one of dim 92.
+# (name, build arguments): a one-block gluing and two-block ones of dim 92 and 106.
 GLUINGS = [
     ("n9m4r1", ["--n", "9", "--m", "4", "--r", "1", "--B", '[["1","2","-1"]]']),
     ("n15m6r2", ["--n", "15", "--m", "6", "--r", "2",
                  "--B", '[["1","1","0","0"],["0","0","1","1"]]']),
+    ("n13m8r2", ["--n", "13", "--m", "8", "--r", "2",
+                 "--B", '[["1","2","-1","0","0","0"],["0","0","0","1","3","1"]]']),
 ]
-VERBS = [["check"], ["der"], ["der", "--compare"], ["weights"]]
+# Verbs run on the built algebra file; the "build" rung times the build itself.
+VERBS = [["build"], ["check"], ["der"], ["der", "--compare"], ["weights"]]
 
 # Runs in the child: time cli.main on argv (stdout discarded), report seconds,
 # exit code and peak RSS as one JSON line.
@@ -115,9 +119,8 @@ def main(argv=None) -> int:
                 for k in range(args.runs):
                     order = labels[k % len(labels):] + labels[: k % len(labels)]
                     for label in order:
-                        times[label].append(
-                            _child(trees[label] / "src", [*verb, files[label]])
-                        )
+                        argv = ["build", *build] if verb == ["build"] else [*verb, files[label]]
+                        times[label].append(_child(trees[label] / "src", argv))
                 for label in labels:
                     runs = times[label]
                     median = statistics.median(r["s"] for r in runs)

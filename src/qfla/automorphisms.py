@@ -53,7 +53,7 @@ def closed_form_endomorphism(
     n, dim = shape.n, target.dim
 
     def b(vecs, s, i, j):
-        return vecs[s - 1][target_spec.gen_index(i, j)]
+        return vecs[s - 1].get(target_spec.gen_index(i, j), ZERO)
 
     def add_top(v, i, coeff):
         if coeff:
@@ -62,8 +62,8 @@ def closed_form_endomorphism(
 
     cols: List[dict] = [None] * shape.dim
     for s in range(1, shape.m + 1):
-        cols[shape.gen_index(s, 0)] = dict(enumerate(candidate.e0[s - 1]))
-        cols[shape.gen_index(s, 1)] = dict(enumerate(candidate.e1[s - 1]))
+        cols[shape.gen_index(s, 0)] = candidate.e0[s - 1]
+        cols[shape.gen_index(s, 1)] = candidate.e1[s - 1]
         for t in range(2, n):
             v = defaultdict(Fraction)
             for i in range(1, shape.m + 1):
@@ -112,19 +112,16 @@ def _target_copies(spec: QuasiQnSpec, candidate: GeneratorImages) -> tuple:
     for s in range(1, m + 1):
         v0 = candidate.e0[s - 1]
         v1 = candidate.e1[s - 1]
-        hit = set()
-        for p in range(1, m + 1):
-            if any(v0[spec.gen_index(p, i)] != 0 for i in range(n)):
-                hit.add(p)
-            if any(v1[spec.gen_index(p, i)] != 0 for i in range(1, n - 1)):
-                hit.add(p)
+        # copy k // n + 1 holds level k % n; indices from m * n on are tops
+        hit = {k // n + 1 for k in v0 if k < m * n}
+        hit.update(k // n + 1 for k in v1 if k < m * n and 0 < k % n < n - 1)
         if len(hit) != 1:
             return None, f"images of copy {s} touch copies {sorted(hit)}"
         q = hit.pop()
-        if v0[spec.gen_index(q, 1)] != 0:
+        if spec.gen_index(q, 1) in v0:
             return None, f"image of e_{{{s},0}} has a component on e_{{{q},1}}"
         for p in range(1, m + 1):
-            if v1[spec.gen_index(p, 0)] != 0:
+            if spec.gen_index(p, 0) in v1:
                 return None, f"image of e_{{{s},1}} has a component on e_{{{p},0}}"
         targets.append(q)
     return tuple(targets), None
@@ -156,6 +153,12 @@ def automorphism_conditions(spec: QuasiQnSpec, candidate: GeneratorImages) -> Co
             False, "copy-permutation", f"copy map {targets} is not a bijection"
         )
 
+    def c0(s: int, q: int, j: int) -> Fraction:  # e_{qj} coefficient of the e_{s0} image
+        return candidate.e0[s - 1].get(spec.gen_index(q, j), ZERO)
+
+    def c1(s: int, q: int, j: int) -> Fraction:  # e_{qj} coefficient of the e_{s1} image
+        return candidate.e1[s - 1].get(spec.gen_index(q, j), ZERO)
+
     def top_vec(i: int, coeff: Fraction) -> tuple:
         v = [ZERO] * r
         for tt, c in spec.top_coefficients(i).items():
@@ -164,26 +167,15 @@ def automorphism_conditions(spec: QuasiQnSpec, candidate: GeneratorImages) -> Co
 
     for s in range(1, m + 1):
         q = targets[s - 1]
-        lead = candidate.e0[s - 1][spec.gen_index(q, 0)] * candidate.e1[s - 1][
-            spec.gen_index(q, 1)
-        ]
-        if lead == 0:
+        if c0(s, q, 0) * c1(s, q, 1) == 0:
             return ConditionVerdict(
                 False, "leading-coefficients", f"copy {s} has a zero leading product"
             )
     for s in range(1, m + 1):
         for p in range(s + 1, m + 1):
             qs, qp = targets[s - 1], targets[p - 1]
-            lhs = top_vec(
-                qs,
-                candidate.e1[s - 1][spec.gen_index(qs, 1)]
-                * candidate.e1[p - 1][spec.gen_index(qs, n - 1)],
-            )
-            rhs = top_vec(
-                qp,
-                candidate.e1[s - 1][spec.gen_index(qp, n - 1)]
-                * candidate.e1[p - 1][spec.gen_index(qp, 1)],
-            )
+            lhs = top_vec(qs, c1(s, qs, 1) * c1(p, qs, n - 1))
+            rhs = top_vec(qp, c1(s, qp, n - 1) * c1(p, qp, 1))
             if lhs != rhs:
                 return ConditionVerdict(
                     False,
@@ -195,33 +187,19 @@ def automorphism_conditions(spec: QuasiQnSpec, candidate: GeneratorImages) -> Co
         for p in range(3, n - 1, 2):
             total = ZERO
             for j in range(1, p + 1):
-                total += (
-                    (-ONE) ** j
-                    * candidate.e1[s - 1][spec.gen_index(q, j)]
-                    * candidate.e1[s - 1][spec.gen_index(q, p - j + 1)]
-                )
+                total += (-ONE) ** j * c1(s, q, j) * c1(s, q, p - j + 1)
             if total != 0:
                 return ConditionVerdict(
                     False,
                     "odd-convolution",
                     f"copy {s} convolution at order {p} is {total}",
                 )
-    T = Matrix(
-        [[ONE if targets[j] == i + 1 else ZERO for j in range(m)] for i in range(m)],
-        cols=m,
-    )
-    k = [
-        candidate.e0[i - 1][spec.gen_index(targets[i - 1], 0)] ** (n - 2)
-        * candidate.e1[i - 1][spec.gen_index(targets[i - 1], 1)] ** 2
-        for i in range(1, m + 1)
-    ]
+    T = Matrix.from_columns([{q - 1: ONE} for q in targets], m)
+    k = [c0(s, q, 0) ** (n - 2) * c1(s, q, 1) ** 2 for s, q in enumerate(targets, start=1)]
     T1 = T.submatrix(range(m), range(r))
     T2 = T.submatrix(range(m), range(r, m))
-    K1 = Matrix([[k[i] if i == j else ZERO for j in range(r)] for i in range(r)], cols=r)
-    K2 = Matrix(
-        [[k[r + i] if i == j else ZERO for j in range(m - r)] for i in range(m - r)],
-        cols=m - r,
-    )
+    K1 = Matrix.from_columns([{i: k[i]} for i in range(r)], r)
+    K2 = Matrix.from_columns([{i: k[r + i]} for i in range(m - r)], m - r)
     if beta * T2 * K2 != beta * T1 * K1 * spec.B:
         return ConditionVerdict(
             False, "gluing-compatibility", "permutation and scales do not preserve the gluing"
@@ -259,16 +237,9 @@ def make_scaling_automorphism(
         perm = list(range(1, spec.m + 1))
     if sorted(perm) != list(range(1, spec.m + 1)):
         raise ValueError(f"perm must be a permutation of 1..{spec.m}")
-    e0 = []
-    e1 = []
-    for s in range(1, spec.m + 1):
-        v0 = [ZERO] * spec.dim
-        v0[spec.gen_index(perm[s - 1], 0)] = alphas[s - 1]
-        v1 = [ZERO] * spec.dim
-        v1[spec.gen_index(perm[s - 1], 1)] = betas[s - 1]
-        e0.append(v0)
-        e1.append(v1)
-    return GeneratorImages.from_vectors(e0, e1)
+    e0 = tuple({spec.gen_index(q, 0): a} for q, a in zip(perm, alphas))
+    e1 = tuple({spec.gen_index(q, 1): b} for q, b in zip(perm, betas))
+    return GeneratorImages(e0, e1, spec.dim)
 
 
 def exp_ad(L: LieAlgebra, x: dict) -> Matrix:

@@ -99,9 +99,9 @@ class QuasiQnSpec:
 def make_spec(n: int, m: int, r: int, B=None) -> QuasiQnSpec:
     """Spec from plain data; B may be a Matrix, nested lists of scalars, or None."""
     if B is None:
-        B = Matrix([[] for _ in range(r)], cols=m - r)
+        B = Matrix([[]] * r)
     elif not isinstance(B, Matrix):
-        B = Matrix(B, cols=m - r)
+        B = Matrix(B)
     return QuasiQnSpec(n, m, r, B)
 
 

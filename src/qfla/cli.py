@@ -315,6 +315,9 @@ def main(argv: Optional[list] = None) -> int:
     except (BadInput, BadSearchCap, BadSpec, NonBlockForm, SearchTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except JacobiViolation as exc:  # from a file without a spec; `check` reports it instead
+        print(f"error: brackets: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

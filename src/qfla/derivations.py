@@ -24,30 +24,37 @@ class NotSimultaneouslyDiagonal(ValueError):
 
 @dataclass(frozen=True)
 class GeneratorImages:
-    """Proposed images of the generators: e0[s-1] and e1[s-1] are the image
-    coordinate vectors of e_{s0} and e_{s1} (copies 1-based), under a
-    derivation or an endomorphism alike."""
+    """Proposed images of the generators: e0[s-1] and e1[s-1] are the sparse
+    image vectors {index: Fraction} of e_{s0} and e_{s1} (copies 1-based) in a
+    ``dim``-dimensional target, under a derivation or an endomorphism alike."""
 
     e0: tuple
     e1: tuple
+    dim: int
 
     @staticmethod
     def from_vectors(e0: Sequence[Sequence], e1: Sequence[Sequence]) -> "GeneratorImages":
+        """From dense coordinate sequences, which must share one length."""
+        dims = {len(v) for v in [*e0, *e1]}
+        if len(dims) > 1:
+            raise ValueError(f"image vectors have differing lengths {sorted(dims)}")
+
+        def sparse(v):
+            return {k: x for k, x in enumerate(map(scalar, v)) if x}
+
         return GeneratorImages(
-            tuple(tuple(scalar(x) for x in v) for v in e0),
-            tuple(tuple(scalar(x) for x in v) for v in e1),
+            tuple(map(sparse, e0)), tuple(map(sparse, e1)), dims.pop() if dims else 0
         )
 
     def validate(self, shape: QuasiQnSpec, target_dim: Optional[int] = None) -> None:
-        """One image pair per copy of ``shape``, each of length ``target_dim``
+        """One image pair per copy of ``shape``, in a target of ``target_dim``
         (``shape.dim`` unless the images live in another algebra)."""
         if target_dim is None:
             target_dim = shape.dim
         if len(self.e0) != shape.m or len(self.e1) != shape.m:
             raise ValueError(f"need one image pair per copy ({shape.m})")
-        for v in self.e0 + self.e1:
-            if len(v) != target_dim:
-                raise ValueError(f"image vectors must have length {target_dim}")
+        if self.dim != target_dim:
+            raise ValueError(f"image vectors must have length {target_dim}")
 
 
 def extend_images(
@@ -68,14 +75,14 @@ def extend_images(
     for s in range(1, shape.m + 1):
         head = shape.gen_index(s, 0)
         for t, image in ((0, images.e0[s - 1]), (1, images.e1[s - 1])):
-            cols[head + t] = {k: x for k, x in enumerate(image) if x}
+            cols[head + t] = image
         for t in range(2, n):
             cols[head + t] = bracket_image(head, head + t - 1, cols[head], cols[head + t - 1])
     for t in range(1, shape.r + 1):
         one, last = shape.gen_index(t, 1), shape.gen_index(t, n - 1)
         w = bracket_image(one, last, cols[one], cols[last])
         cols[shape.top_index(t)] = {k: -x for k, x in w.items()}
-    return Matrix.from_columns(cols, len(images.e0[0]))
+    return Matrix.from_columns(cols, images.dim)
 
 
 def _leibniz(L: LieAlgebra, i: int, j: int, di: dict, dj: dict) -> dict:
@@ -115,22 +122,22 @@ def closed_form_extension(spec: QuasiQnSpec, images: GeneratorImages) -> Matrix:
     for s in range(1, spec.m + 1):
         de0 = images.e0[s - 1]
         de1 = images.e1[s - 1]
-        cols[spec.gen_index(s, 0)] = dict(enumerate(de0))
-        cols[spec.gen_index(s, 1)] = dict(enumerate(de1))
-        a = de0[spec.gen_index(s, 0)]
-        b = de1[spec.gen_index(s, 1)]
+        cols[spec.gen_index(s, 0)] = de0
+        cols[spec.gen_index(s, 1)] = de1
+        a = de0.get(spec.gen_index(s, 0), ZERO)
+        b = de1.get(spec.gen_index(s, 1), ZERO)
         for t in range(2, n):
             v = {spec.gen_index(s, t): (t - 1) * a + b}
             for j in range(2, n - t + 1):
-                v[spec.gen_index(s, j + t - 1)] = de1[spec.gen_index(s, j)]
+                v[spec.gen_index(s, j + t - 1)] = de1.get(spec.gen_index(s, j), ZERO)
             sign = ONE if t % 2 == 0 else -ONE
-            g = de0[spec.gen_index(s, n - t + 1)]
+            g = de0.get(spec.gen_index(s, n - t + 1), ZERO)
             for tt, c in spec.top_coefficients(s).items():
                 v[spec.top_index(tt)] = sign * g * c
             cols[spec.gen_index(s, t)] = v
     for t in range(1, spec.r + 1):
-        a = images.e0[t - 1][spec.gen_index(t, 0)]
-        b = images.e1[t - 1][spec.gen_index(t, 1)]
+        a = images.e0[t - 1].get(spec.gen_index(t, 0), ZERO)
+        b = images.e1[t - 1].get(spec.gen_index(t, 1), ZERO)
         cols[spec.top_index(t)] = {spec.top_index(t): (n - 2) * a + 2 * b}
     return Matrix.from_columns(cols, spec.dim)
 
@@ -164,31 +171,31 @@ def derivation_conditions(spec: QuasiQnSpec, images: GeneratorImages) -> Conditi
         allowed = {spec.gen_index(s, 0)}
         allowed.update(spec.gen_index(s, i) for i in range(2, n))
         allowed.update(spec.top_index(t) for t in range(1, r + 1))
-        for k, v in enumerate(images.e0[s - 1]):
-            if k not in allowed and v != 0:
-                return ConditionVerdict(
-                    False, "e0-support", f"d(e_{{{s},0}}) has a component on basis index {k}"
-                )
+        k = min((k for k in images.e0[s - 1] if k not in allowed), default=None)
+        if k is not None:
+            return ConditionVerdict(
+                False, "e0-support", f"d(e_{{{s},0}}) has a component on basis index {k}"
+            )
     for s in range(1, m + 1):
         allowed = {spec.gen_index(s, i) for i in range(1, n - 1)}
         allowed.update(spec.gen_index(p, n - 1) for p in range(1, m + 1))
         allowed.update(spec.top_index(t) for t in range(1, r + 1))
-        for k, v in enumerate(images.e1[s - 1]):
-            if k not in allowed and v != 0:
-                return ConditionVerdict(
-                    False, "e1-support", f"d(e_{{{s},1}}) has a component on basis index {k}"
-                )
+        k = min((k for k in images.e1[s - 1] if k not in allowed), default=None)
+        if k is not None:
+            return ConditionVerdict(
+                False, "e1-support", f"d(e_{{{s},1}}) has a component on basis index {k}"
+            )
     for s in range(1, m + 1):
         for i in range(3, n - 1, 2):
-            if images.e1[s - 1][spec.gen_index(s, i)] != 0:
+            if spec.gen_index(s, i) in images.e1[s - 1]:
                 return ConditionVerdict(
                     False,
                     "odd-level-vanishing",
                     f"d(e_{{{s},1}}) has a component on e_{{{s},{i}}}",
                 )
     lam = [  # top eigenvalues (n-2) a_s + 2 b_s
-        (n - 2) * images.e0[s - 1][spec.gen_index(s, 0)]
-        + 2 * images.e1[s - 1][spec.gen_index(s, 1)]
+        (n - 2) * images.e0[s - 1].get(spec.gen_index(s, 0), ZERO)
+        + 2 * images.e1[s - 1].get(spec.gen_index(s, 1), ZERO)
         for s in range(1, m + 1)
     ]
     for s in range(r + 1, m + 1):
@@ -201,8 +208,10 @@ def derivation_conditions(spec: QuasiQnSpec, images: GeneratorImages) -> Conditi
                 )
     for s in range(1, m + 1):
         for p in range(s + 1, m + 1):
-            csp = images.e1[s - 1][spec.gen_index(p, n - 1)]
-            cps = images.e1[p - 1][spec.gen_index(s, n - 1)]
+            csp = images.e1[s - 1].get(spec.gen_index(p, n - 1), ZERO)
+            cps = images.e1[p - 1].get(spec.gen_index(s, n - 1), ZERO)
+            if not (csp or cps):
+                continue  # no cross terms, no residue
             for j in range(1, r + 1):
                 residue = -csp * beta.entry(j - 1, p - 1) + cps * beta.entry(j - 1, s - 1)
                 if residue != 0:
@@ -252,10 +261,13 @@ def derivation_oracle(L: LieAlgebra) -> List[Matrix]:
                     key = k * dim + j
                     eq[out][key] = eq[out].get(key, ZERO) + c
             rows.extend(e for e in eq if e)
-    kernel = sparse_nullspace(rows, dim * dim)
-    return [
-        Matrix([vec[a * dim : (a + 1) * dim] for a in range(dim)], cols=dim) for vec in kernel
-    ]
+    out = []
+    for vec in sparse_nullspace(rows, dim * dim):
+        cols: List[dict] = [{} for _ in range(dim)]
+        for key, x in vec.items():  # key a * dim + b is entry (a, b)
+            cols[key % dim][key // dim] = x
+        out.append(Matrix.from_columns(cols, dim))
+    return out
 
 
 # -- explicit bases ---------------------------------------------------------------
@@ -275,11 +287,11 @@ class DerBasisElement:
 def _element(spec: QuasiQnSpec, kind: str, indices: tuple, entries) -> DerBasisElement:
     """The derivation whose generator images vanish except at ``entries``:
     (0 or 1 for d(e_{s0}) or d(e_{s1}), copy s, basis index, value)."""
-    e0 = [[ZERO] * spec.dim for _ in range(spec.m)]
-    e1 = [[ZERO] * spec.dim for _ in range(spec.m)]
+    e0: List[dict] = [{} for _ in range(spec.m)]
+    e1: List[dict] = [{} for _ in range(spec.m)]
     for which, s, k, value in entries:
-        (e1 if which else e0)[s - 1][k] = value
-    images = GeneratorImages.from_vectors(e0, e1)
+        (e1 if which else e0)[s - 1][k] = scalar(value)
+    images = GeneratorImages(tuple(e0), tuple(e1), spec.dim)
     verdict = derivation_conditions(spec, images)
     if not verdict.ok:
         raise AssertionError(f"basis element {kind}{indices} is not a derivation: {verdict}")
@@ -416,12 +428,10 @@ def weight_decomposition(L: LieAlgebra, torus: Sequence[Matrix]) -> Dict[tuple, 
     NotSimultaneouslyDiagonal when some map is not diagonal on this basis.
     """
     for D in torus:
-        for i in range(D.rows):
-            for j in range(D.cols):
-                if i != j and D.entry(i, j) != 0:
-                    raise NotSimultaneouslyDiagonal(
-                        f"map has off-diagonal entry at ({i},{j})"
-                    )
+        off = [(i, j) for j, col in enumerate(D.columns()) for i in col if i != j]
+        if off:
+            i, j = min(off)
+            raise NotSimultaneouslyDiagonal(f"map has off-diagonal entry at ({i},{j})")
     groups: Dict[tuple, list] = {}
     for k in range(L.dim):
         weight = tuple(D.entry(k, k) for D in torus)

@@ -154,7 +154,9 @@ def _first_admissible_perm(g1: List[tuple], g2: List[tuple], r: int) -> Optional
     def complete(pivots: dict) -> Optional[tuple]:
         (x,) = _kernel(_back_substitute(pivots), size)  # A, up to scale
         image = [
-            _proportional_class(tuple(sum(x[i * r + k] * v[k] for k in range(r)) for i in range(r)))
+            _proportional_class(
+                tuple(sum(x.get(i * r + k, ZERO) * v[k] for k in range(r)) for i in range(r))
+            )
             for v in g1
         ]
         free = [p for p in range(m) if p not in perm]
@@ -206,9 +208,7 @@ def monomial_equivalence(
     if m > cap:
         raise SearchTooLarge(f"m = {m} exceeds the permutation search cap {cap}")
     if m == r:
-        return EquivalenceWitness(
-            Matrix([[] for _ in range(0)], cols=0), MonomialMatrix.identity(m)
-        )
+        return EquivalenceWitness(Matrix([], cols=0), MonomialMatrix.identity(m))
     M1, M2 = R1.matrix, R2.matrix
     ker1, ker2 = kernel_subspace(R1), kernel_subspace(R2)
     g1 = [tuple(v.entry(p, 0) for v in ker1) for p in range(m)]
@@ -293,19 +293,13 @@ def build_algebra_witness(
     sigma = [0] * (m + 1)  # sigma[s] = target copy of source copy s
     for j in range(m):
         sigma[K.perm[j] + 1] = j + 1
-    target = build_quasi(spec2)
-    e0 = []
-    e1 = []
+    e0, e1 = [], []
     for s in range(1, m + 1):
-        k_s = K.scale[sigma[s] - 1]
-        alpha, beta = split_scale(k_s, n)
-        v0 = [ZERO] * spec2.dim
-        v0[spec2.gen_index(sigma[s], 0)] = alpha
-        v1 = [ZERO] * spec2.dim
-        v1[spec2.gen_index(sigma[s], 1)] = beta
-        e0.append(v0)
-        e1.append(v1)
-    return extend_endomorphism(spec1, target, GeneratorImages.from_vectors(e0, e1))
+        alpha, beta = split_scale(K.scale[sigma[s] - 1], n)
+        e0.append({spec2.gen_index(sigma[s], 0): alpha})
+        e1.append({spec2.gen_index(sigma[s], 1): beta})
+    images = GeneratorImages(tuple(e0), tuple(e1), spec2.dim)
+    return extend_endomorphism(spec1, build_quasi(spec2), images)
 
 
 @dataclass(frozen=True)

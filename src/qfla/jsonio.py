@@ -6,13 +6,14 @@ suitable for golden-file comparison.
 """
 from __future__ import annotations
 
-import json
+import re
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Tuple
 
 from .builder import QuasiQnSpec, RelatedMatrix, build_quasi, make_spec
 from .derivations import GeneratorImages
 from .liecore import GenLabel, JacobiViolation, LieAlgebra, PlainLabel, TopLabel
-from .linalg import Matrix, MonomialMatrix, scalar, scalar_to_str
+from .linalg import ZERO, Matrix, MonomialMatrix, scalar, scalar_to_str
 
 
 class BadInput(ValueError):
@@ -24,22 +25,62 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# strings in which the ASCII-only JSON encoder escapes nothing
+_PLAIN = re.compile(r'[ !#-\[\]-~]*')
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, byte for
+    byte, from dicts, lists, tuples, strings, ints, bools and None."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(obj, newline: str) -> str:
+    """obj as indented JSON; ``newline`` is a line break plus the indent of
+    obj's own level.  A list of strings that need no escaping is joined in one
+    call: the matrices' "p/q" strings are most of the output."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (
+            encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())
+        )
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {str} and _PLAIN.fullmatch("".join(obj)):
+            return "[" + inner + '"' + ('",' + inner + '"').join(obj) + '"' + newline + "]"
+        return "[" + inner + ("," + inner).join(_encode(x, inner) for x in obj) + newline + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # -- scalars and matrices -----------------------------------------------------------
 
 
 def matrix_to_json(M: Matrix) -> list:
-    return [[scalar_to_str(M.entry(i, j)) for j in range(M.cols)] for i in range(M.rows)]
+    """Rows of "p/q" strings: a grid of "0" with the nonzero entries written in."""
+    grid = [["0"] * M.cols for _ in range(M.rows)]
+    for j, col in enumerate(M.columns()):
+        for i, x in col.items():
+            grid[i][j] = scalar_to_str(x)
+    return grid
 
 
 def matrix_from_json(data, field: str = "matrix") -> Matrix:
     if not isinstance(data, list) or any(not isinstance(row, list) for row in data):
         raise BadInput(f"{field}: expected an array of arrays")
     try:
-        return Matrix([[scalar(x) for x in row] for row in data])
+        return Matrix(data)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise BadInput(f"{field}: {exc}") from exc
 
@@ -186,14 +227,15 @@ def candidate_from_json(data, spec: QuasiQnSpec) -> GeneratorImages:
             if key not in images:
                 raise BadInput(f"images: missing key {key}")
             dest.append(vector_from_json(images[key], spec.dim, f"images.{key}"))
-    return GeneratorImages(tuple(e0), tuple(e1))
+    return GeneratorImages.from_vectors(e0, e1)
 
 
 def candidate_to_json(spec: QuasiQnSpec, e0, e1) -> dict:
+    """Dense image arrays from the sparse image vectors e0, e1 of the copies."""
     images = {}
     for s in range(1, spec.m + 1):
-        images[f"e_{s}0"] = [scalar_to_str(scalar(x)) for x in e0[s - 1]]
-        images[f"e_{s}1"] = [scalar_to_str(scalar(x)) for x in e1[s - 1]]
+        for t, v in ((0, e0[s - 1]), (1, e1[s - 1])):
+            images[f"e_{s}{t}"] = [scalar_to_str(v.get(k, ZERO)) for k in range(spec.dim)]
     return {"images": images}
 
 

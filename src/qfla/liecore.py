@@ -141,23 +141,32 @@ class LieAlgebra:
 
 
 def check_jacobi(L: LieAlgebra):
-    """Exhaustive Jacobi check over basis triples.
+    """Jacobi check over the basis triples where it can fail.
 
+    [e_x, [e_a, e_b]] is nonzero only when (a, b) is a stored pair and e_x
+    brackets nonzero with some e_t in the support of [e_a, e_b]; every other
+    triple has three zero terms.  Those candidates are checked in sorted order.
     Returns (True, None), or (False, (i, j, k)) for the first failing triple.
     """
     sc = L.sc
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            ij = (i, j) in sc
-            for k in range(j + 1, L.dim):
-                if not (ij or (j, k) in sc or (i, k) in sc):
-                    continue  # all three brackets vanish
-                total: Dict[int, Fraction] = {}
-                for pair, extra in (((j, k), i), ((k, i), j), ((i, j), k)):
-                    for t, c in L.structure(*pair).items():
-                        _subtract(total, c, L.structure(t, extra))  # += c [e_extra, e_t]
-                if total:
-                    return False, (i, j, k)
+    partners = [set() for _ in range(L.dim)]  # partners[t]: x with [e_x, e_t] != 0
+    for i, j in sc:
+        partners[i].add(j)
+        partners[j].add(i)
+    candidates = {
+        tuple(sorted((a, b, x)))
+        for (a, b), value in sc.items()
+        for t in value
+        for x in partners[t]
+        if x != a and x != b
+    }
+    for i, j, k in sorted(candidates):
+        total: Dict[int, Fraction] = {}
+        for pair, extra in (((j, k), i), ((k, i), j), ((i, j), k)):
+            for t, c in L.structure(*pair).items():
+                _subtract(total, c, L.structure(t, extra))  # += c [e_extra, e_t]
+        if total:
+            return False, (i, j, k)
     return True, None
 
 

@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Scalars are `fractions.Fraction` (always in lowest terms, denominator > 0),
-matrices are immutable row-major grids of them, and vectors outside a matrix
-are sparse {index: Fraction} dicts without zero entries.  Everything is exact, so
-results can be compared by literal equality and elimination needs no
-pivoting heuristics.  One sparse elimination engine serves every solve:
-`rref`, `rank`, `nullspace`, `inverse`, `column_span` and `sparse_nullspace`
-all read their results off it.
+vectors are sparse {index: Fraction} dicts without zero entries, and matrices
+are immutable tuples of such sparse columns, so every operation costs per
+nonzero, not per cell.  Everything is exact, so results can be compared by
+literal equality and elimination needs no pivoting heuristics.  One sparse
+elimination engine serves every solve: `rref`, `rank`, `nullspace`,
+`inverse`, `column_span` and `sparse_nullspace` all read their results off
+it.
 """
 from __future__ import annotations
 
@@ -42,53 +43,50 @@ def scalar_to_str(x: Fraction) -> str:
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions."""
+    """Immutable matrix of Fractions, stored as a tuple of sparse columns
+    {row: entry} without zero entries, so it costs space and time per nonzero."""
 
-    __slots__ = ("rows", "cols", "_e")
+    __slots__ = ("rows", "cols", "_c")
 
     def __init__(self, entries: Iterable[Iterable[ScalarLike]], cols: int | None = None):
-        grid = tuple(map(_scalar_row, entries))
-        if grid:
-            width = len(grid[0])
-            if any(len(row) != width for row in grid):
-                raise ValueError("ragged rows")
-        else:
-            width = 0 if cols is None else cols
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_e", grid)
+        grid = [tuple(row) for row in entries]
+        width = len(grid[0]) if grid else cols or 0
+        if any(len(row) != width for row in grid):
+            raise ValueError("ragged rows")
+        if cols is not None and cols != width:
+            raise ValueError(f"cols={cols} disagrees with rows of width {width}")
+        columns = [{} for _ in range(width)]
+        for i, row in enumerate(grid):
+            for j, x in enumerate(row):
+                x = scalar(x)
+                if x:
+                    columns[j][i] = x
+        self.rows, self.cols, self._c = len(grid), width, tuple(columns)
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)], cols=n)
-
-    @staticmethod
-    def column_vector(entries: Sequence[ScalarLike]) -> "Matrix":
-        return Matrix([[x] for x in entries], cols=1)
+        return Matrix.from_columns([{i: ONE} for i in range(n)], n)
 
     @staticmethod
     def from_columns(columns: Sequence[dict], dim: int) -> "Matrix":
         """The dim-row matrix whose columns are the given sparse vectors
-        {row: scalar}."""
-        grid = [[ZERO] * len(columns) for _ in range(dim)]
-        for j, col in enumerate(columns):
-            for i, x in col.items():
-                grid[i][j] = x
-        return Matrix(grid, cols=len(columns))
+        {row: scalar}; zero entries are dropped."""
+        M = Matrix.__new__(Matrix)
+        M.rows, M.cols = dim, len(columns)
+        M._c = tuple({i: x for i, x in col.items() if x} for col in columns)
+        return M
 
     # -- accessors ------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._e[i][j]
-
-    def col(self, j: int) -> tuple:
-        return tuple(row[j] for row in self._e)
+        return self._c[j].get(i, ZERO)
 
     def columns(self) -> list:
-        """The columns as sparse vectors {row: entry}, without zero entries."""
-        return [{i: row[j] for i, row in enumerate(self._e) if row[j]} for j in range(self.cols)]
+        """The columns as sparse vectors {row: entry}, without zero entries;
+        they are the matrix's own and must not be changed."""
+        return list(self._c)
 
     @property
     def is_square(self) -> bool:
@@ -99,42 +97,37 @@ class Matrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self._e == other._e
+        return self.rows == other.rows and self.cols == other.cols and self._c == other._c
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._e))
+        return hash((self.rows, self.cols, tuple(frozenset(c.items()) for c in self._c)))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(scalar_to_str(x) for x in row) for row in self._e)
+        body = "; ".join(
+            " ".join(scalar_to_str(self.entry(i, j)) for j in range(self.cols))
+            for i in range(self.rows)
+        )
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._shape_match(other)
-        return Matrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._e, other._e)],
-            cols=self.cols,
-        )
+        pairs = zip(self._c, other._c)
+        return Matrix.from_columns([_combine({0: ONE, 1: ONE}, p) for p in pairs], self.rows)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._shape_match(other)
-        return Matrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._e, other._e)],
-            cols=self.cols,
-        )
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self._e], cols=self.cols)
+        return self * -ONE
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError(f"shape mismatch: {self.cols} != {other.rows}")
-            cols = [other.col(j) for j in range(other.cols)]
-            return Matrix(
-                [[_dot(row, col) for col in cols] for row in self._e],
-                cols=other.cols,
-            )
-        return Matrix([[a * scalar(other) for a in row] for row in self._e], cols=self.cols)
+            return Matrix.from_columns([_combine(col, self._c) for col in other._c], self.rows)
+        f = scalar(other)
+        columns = [{i: x * f for i, x in col.items()} for col in self._c]
+        return Matrix.from_columns(columns, self.rows)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -142,34 +135,26 @@ class Matrix:
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        return Matrix(
-            [r1 + r2 for r1, r2 in zip(self._e, other._e)],
-            cols=self.cols + other.cols,
-        )
+        return Matrix.from_columns(self._c + other._c, self.rows)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix(
-            [[self._e[i][j] for j in col_idx] for i in row_idx],
-            cols=len(col_idx),
-        )
+        rows = {i: k for k, i in enumerate(row_idx)}
+        columns = [{rows[i]: x for i, x in self._c[j].items() if i in rows} for j in col_idx]
+        return Matrix.from_columns(columns, len(row_idx))
 
     def _shape_match(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
 
-def _scalar_row(row: Iterable[ScalarLike]) -> tuple:
-    row = tuple(row)
-    # the type scan runs at C speed; rows of Fractions need no coercion
-    return row if set(map(type, row)) <= {Fraction} else tuple(map(scalar, row))
-
-
-def _dot(row: Sequence[Fraction], col: Sequence[Fraction]) -> Fraction:
-    total = ZERO
-    for a, b in zip(row, col):
-        if a and b:
-            total += a * b
-    return total
+def _transpose(vectors: Sequence[dict], n: int) -> list:
+    """The n sparse vectors out[j][i] = vectors[i][j]: a matrix's rows from
+    its columns, and back."""
+    out: list = [{} for _ in range(n)]
+    for i, v in enumerate(vectors):
+        for j, x in v.items():
+            out[j][i] = x
+    return out
 
 
 # -- the elimination engine -----------------------------------------------------
@@ -246,24 +231,15 @@ def _rref_rows(rows: Iterable[dict]) -> dict:
 
 
 def _kernel(reduced: dict, ncols: int) -> list:
-    """Canonical kernel basis of a reduced echelon form, ordered by free column:
-    the vector of free column c has 1 at c and -row[c] at each row's lead."""
-    basis = {c: [ZERO] * ncols for c in range(ncols) if c not in reduced}
-    for c, v in basis.items():
-        v[c] = ONE
+    """Canonical kernel basis of a reduced echelon form as sparse vectors,
+    ordered by free column: the vector of free column c has 1 at c and
+    -row[c] at each row's lead."""
+    basis = {c: {c: ONE} for c in range(ncols) if c not in reduced}
     for lead, row in reduced.items():
         for c, x in row.items():
             if c != lead:
                 basis[c][lead] = -x
     return list(basis.values())
-
-
-def _sparse_rows(grid: Iterable[Sequence[Fraction]]) -> list:
-    return [{j: x for j, x in enumerate(row) if x} for row in grid]
-
-
-def _reduced_rows(reduced: dict, ncols: int) -> list:
-    return [[row.get(j, ZERO) for j in range(ncols)] for _, row in sorted(reduced.items())]
 
 
 @dataclass(frozen=True)
@@ -275,19 +251,20 @@ class RrefResult:
 
 def rref(M: Matrix) -> RrefResult:
     """Reduced row echelon form with leftmost pivots (0-based pivot columns)."""
-    reduced = _rref_rows(_sparse_rows(M._e))
-    grid = _reduced_rows(reduced, M.cols) + [[ZERO] * M.cols] * (M.rows - len(reduced))
-    return RrefResult(Matrix(grid, cols=M.cols), len(reduced), tuple(sorted(reduced)))
+    reduced = _rref_rows(_transpose(M._c, M.rows))
+    rows = [row for _, row in sorted(reduced.items())]
+    matrix = Matrix.from_columns(_transpose(rows, M.cols), M.rows)
+    return RrefResult(matrix, len(reduced), tuple(sorted(reduced)))
 
 
 def rank(M: Matrix) -> int:
-    return len(_insert({}, _sparse_rows(M._e)))
+    return len(_insert({}, M._c))  # the columns are the rows of M^T, of equal rank
 
 
 def nullspace(M: Matrix) -> list:
     """Canonical basis of ker(M) as a list of column vectors (n x 1 matrices)."""
-    reduced = _rref_rows(_sparse_rows(M._e))
-    return [Matrix.column_vector(v) for v in _kernel(reduced, M.cols)]
+    reduced = _rref_rows(_transpose(M._c, M.rows))
+    return [Matrix.from_columns([v], M.cols) for v in _kernel(reduced, M.cols)]
 
 
 def inverse(M: Matrix) -> Matrix:
@@ -295,13 +272,14 @@ def inverse(M: Matrix) -> Matrix:
     if not M.is_square:
         raise ValueError("not square")
     n = M.rows
-    rows = _sparse_rows(M._e)
+    rows = _transpose(M._c, n)
     for i, row in enumerate(rows):
         row[n + i] = ONE
     reduced = _rref_rows(rows)
     if any(i not in reduced for i in range(n)):
         raise ValueError("singular matrix")
-    return Matrix([row[n:] for row in _reduced_rows(reduced, 2 * n)], cols=n)
+    right = [{c - n: x for c, x in reduced[i].items() if c >= n} for i in range(n)]
+    return Matrix.from_columns(_transpose(right, n), n)
 
 
 def column_span(vectors: Iterable[dict], dim: int) -> Matrix:
@@ -317,8 +295,8 @@ def sparse_nullspace(rows: Iterable[dict], ncols: int) -> list:
     """Canonical kernel basis of a sparse linear system.
 
     ``rows`` are {column: coefficient} dicts (Fraction or int values).  Returns
-    kernel vectors as lists of Fractions, ordered by ascending free column, and
-    identical to what ``nullspace`` gives on the dense matrix.
+    kernel vectors as sparse {column: Fraction} dicts, ordered by ascending
+    free column, with the entries ``nullspace`` gives on the dense matrix.
     """
     nonzero = ({c: x for c, x in row.items() if x} for row in rows)
     return _kernel(_rref_rows(nonzero), ncols)
@@ -346,10 +324,8 @@ class MonomialMatrix:
             raise ValueError("scale entries must be nonzero")
 
     def densify(self) -> Matrix:
-        grid = [[ZERO] * self.size for _ in range(self.size)]
-        for j in range(self.size):
-            grid[self.perm[j]][j] = self.scale[j]
-        return Matrix(grid, cols=self.size)
+        columns = [{p: x} for p, x in zip(self.perm, self.scale)]
+        return Matrix.from_columns(columns, self.size)
 
     @staticmethod
     def identity(n: int) -> "MonomialMatrix":

@@ -33,6 +33,16 @@ def sparse(v) -> dict:
     return {i: x for i, x in enumerate(v) if x}
 
 
+def dense(images) -> tuple:
+    """Generator images as dense coordinate lists (e0, e1), to be edited and
+    passed back through ``GeneratorImages.from_vectors``."""
+
+    def listed(vectors):
+        return [[v.get(k, Fraction(0)) for k in range(images.dim)] for v in vectors]
+
+    return listed(images.e0), listed(images.e1)
+
+
 def flatten(M) -> dict:
     """The dim^2 entries of a matrix as one sparse vector, indexed row-major."""
     entries = ((i, j, M.entry(i, j)) for i in range(M.rows) for j in range(M.cols))

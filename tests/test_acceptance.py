@@ -21,6 +21,7 @@ from conftest import (
     BLOCK_SPECS,
     SINGLE_TOP_SPECS,
     TEST_MATRIX,
+    dense,
     flatten,
     passing_aut_candidate,
     random_aut_candidate,
@@ -232,8 +233,7 @@ def _aut_mutants(spec):
     base = _identity_candidate(spec)
 
     def tweak(e0_edits=(), e1_edits=()):
-        e0 = [list(v) for v in base.e0]
-        e1 = [list(v) for v in base.e1]
+        e0, e1 = dense(base)
         for s, k, v in e0_edits:
             e0[s - 1][k] = Fraction(v)
         for s, k, v in e1_edits:

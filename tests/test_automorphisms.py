@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import TEST_MATRIX, passing_aut_candidate, random_aut_candidate, spec_id
+from conftest import TEST_MATRIX, dense, passing_aut_candidate, random_aut_candidate, spec_id
 from qfla import build_quasi, make_spec
 from qfla.automorphisms import (
     ZeroScale,
@@ -67,9 +67,9 @@ class TestConditions:
     def test_two_copy_image_fails_first(self):
         s = SPEC521
         cand = identity_candidate(s)
-        e0 = [list(v) for v in cand.e0]
+        e0, e1 = dense(cand)
         e0[0][s.gen_index(2, 0)] = Fraction(1)  # copy 1 image leaks into copy 2
-        v = automorphism_conditions(s, GeneratorImages.from_vectors(e0, cand.e1))
+        v = automorphism_conditions(s, GeneratorImages.from_vectors(e0, e1))
         assert (v.ok, v.failed) == (False, "single-target-copy")
 
     def test_non_bijective_copy_map(self):
@@ -85,22 +85,22 @@ class TestConditions:
     def test_zero_leading_product(self):
         s = SPEC521
         cand = identity_candidate(s)
-        e1 = [list(v) for v in cand.e1]
+        e0, e1 = dense(cand)
         e1[0][s.gen_index(1, 1)] = Fraction(0)
         e1[0][s.gen_index(1, 2)] = Fraction(1)  # keeps the copy detectable
-        v = automorphism_conditions(s, GeneratorImages.from_vectors(cand.e0, e1))
+        v = automorphism_conditions(s, GeneratorImages.from_vectors(e0, e1))
         assert (v.ok, v.failed) == (False, "leading-coefficients")
 
     def test_odd_convolution_example(self):
         # b_1 = 1, b_2 = 1, b_3 = 1/2 satisfies -b_1 b_3 + b_2^2 - b_3 b_1 = 0
         s = make_spec(5, 1, 1)
         cand = identity_candidate(s)
-        e1 = [list(cand.e1[0])]
+        e0, e1 = dense(cand)
         e1[0][s.gen_index(1, 2)] = Fraction(1)
         e1[0][s.gen_index(1, 3)] = Fraction(1, 2)
-        assert automorphism_conditions(s, GeneratorImages.from_vectors(cand.e0, e1)).ok
+        assert automorphism_conditions(s, GeneratorImages.from_vectors(e0, e1)).ok
         e1[0][s.gen_index(1, 3)] = Fraction(0)
-        v = automorphism_conditions(s, GeneratorImages.from_vectors(cand.e0, e1))
+        v = automorphism_conditions(s, GeneratorImages.from_vectors(e0, e1))
         assert (v.ok, v.failed) == (False, "odd-convolution")
 
     def test_gluing_scale_mismatch(self):

@@ -237,6 +237,18 @@ class TestInputContract:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {field}:")
 
+    @pytest.mark.parametrize("verb", ["der", "weights", "aut-check"])
+    def test_jacobi_failing_table_without_spec_exit_2(self, run, tmp_path, verb):
+        # [e_2, [e_0, e_1]] = e_0 and the other two terms vanish; only `check`
+        # reports a failing table, every other verb refuses it as input
+        path = tmp_path / "nonlie.json"
+        brackets = [{"i": 0, "j": 1, "value": [[3, "1"]]}, {"i": 2, "j": 3, "value": [[0, "1"]]}]
+        path.write_text(json.dumps({"dim": 4, "brackets": brackets}))
+        candidate = [str(path)] if verb == "aut-check" else []
+        code, out, err = run(verb, str(path), *candidate)
+        assert (code, out) == (2, "")
+        assert err == "error: brackets: Jacobi identity fails on basis triple (0, 1, 2)\n"
+
     @pytest.mark.parametrize(
         "field,data",
         [

@@ -27,7 +27,7 @@ from qfla.liecore import (
     minimal_generator_count,
     quasi_cyclic_split,
 )
-from qfla.linalg import Matrix, column_span
+from qfla.linalg import Matrix, _subtract, column_span
 from test_linalg import reference_rref
 
 
@@ -73,6 +73,12 @@ class TestJacobi:
         L = LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {0: 1}}, validate=False)
         ok, triple = check_jacobi(L)
         assert not ok and triple == (0, 1, 2)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_all_triples_reference(self, data):
+        L = data.draw(jacobi_tables())
+        assert check_jacobi(L) == reference_jacobi(L)
 
 
 class TestLowerCentralSeries:
@@ -155,6 +161,26 @@ def reference_bracket(L, x, y):
     return out
 
 
+def reference_jacobi(L):
+    """The Jacobi check over all basis triples in order, skipping only the
+    triples whose three brackets all vanish: (True, None), or (False, the
+    first failing triple)."""
+    sc = L.sc
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            ij = (i, j) in sc
+            for k in range(j + 1, L.dim):
+                if not (ij or (j, k) in sc or (i, k) in sc):
+                    continue  # all three brackets vanish
+                total = {}
+                for pair, extra in (((j, k), i), ((k, i), j), ((i, j), k)):
+                    for t, c in L.structure(*pair).items():
+                        _subtract(total, c, L.structure(t, extra))  # += c [e_extra, e_t]
+                if total:
+                    return False, (i, j, k)
+    return True, None
+
+
 def reference_span(vectors, dim):
     """The dense RREF basis of the span, one list per basis vector.  Zero
     vectors and repeated directions are dropped first to keep it quick."""
@@ -212,10 +238,10 @@ def gluings(draw):
 
 
 @st.composite
-def dense_tables(draw):
+def dense_tables(draw, ns=(5, 7)):
     """Q_n carried to the basis of the columns of P = lower * upper, both
     unitriangular with random entries: invertible, and dense in general."""
-    n = draw(st.sampled_from([5, 7]))
+    n = draw(st.sampled_from(ns))
     dim = n + 1
     low = [[draw(small) if j < i else int(i == j) for j in range(dim)] for i in range(dim)]
     up = [[draw(small) if j > i else int(i == j) for j in range(dim)] for i in range(dim)]
@@ -223,6 +249,29 @@ def dense_tables(draw):
 
 
 algebras = st.one_of(gluings(), dense_tables())
+
+
+@st.composite
+def jacobi_tables(draw):
+    """Tables of dim <= 8: random sparse ones (most violate Jacobi), and Q_5
+    in a random basis (valid) or with one constant changed (dense tables of
+    dim 8 cost 0.1 s each to check)."""
+    kind = draw(st.sampled_from(["random", "random", "valid", "perturbed"]))
+    if kind == "random":
+        dim = draw(st.integers(3, 8))
+        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        values = st.dictionaries(st.integers(0, dim - 1), nonzero, min_size=1, max_size=2)
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=8))
+        return LieAlgebra(dim, {p: draw(values) for p in chosen}, validate=False)
+    L = draw(dense_tables(ns=(5,)))
+    if kind == "valid":
+        return L
+    sc = {p: dict(v) for p, v in L.sc.items()}
+    i, j = sorted(draw(st.lists(st.integers(0, L.dim - 1), min_size=2, max_size=2, unique=True)))
+    k = draw(st.integers(0, L.dim - 1))
+    value = sc.setdefault((i, j), {})
+    value[k] = value.get(k, 0) + draw(nonzero)
+    return LieAlgebra(L.dim, sc, validate=False)
 
 
 def vectors(dim, count):

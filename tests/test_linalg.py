@@ -103,7 +103,7 @@ class TestAgainstReference:
     @given(matrices)
     @settings(max_examples=80, deadline=None)
     def test_nullspace(self, M):
-        assert [list(v.col(0)) for v in nullspace(M)] == reference_kernel(M)
+        assert [[v.entry(i, 0) for i in range(M.cols)] for v in nullspace(M)] == reference_kernel(M)
 
     @given(matrices, st.booleans())
     @settings(max_examples=80, deadline=None)
@@ -133,6 +133,63 @@ class TestAgainstReference:
                 inverse(M)
         else:
             assert inverse(M) == Matrix([row[n:] for row in rows])
+
+
+def grids(rows, cols):
+    """rows x cols grids of scalars, about half of the entries zero."""
+    entry = st.one_of(st.just(Fraction(0)), scalars)
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def reference_product(a, b, inner):
+    """a times b for row grids a (m x inner) and b (inner x n, n >= 1)."""
+    return [
+        [sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(len(b[0]))]
+        for row in a
+    ]
+
+
+class TestSparseMatrixAgainstDense:
+    """The sparse-column Matrix against plain arithmetic on its row grids."""
+
+    @given(st.data(), st.integers(1, 5), st.integers(1, 5), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_arithmetic(self, data, rows, inner, cols):
+        a = data.draw(grids(rows, inner))
+        b = data.draw(grids(inner, cols))
+        c = data.draw(grids(rows, inner))
+        f = data.draw(scalars)
+        A, B, C = Matrix(a, cols=inner), Matrix(b, cols=cols), Matrix(c, cols=inner)
+        assert dense_rows(A) == a
+        assert dense_rows(A * B) == reference_product(a, b, inner)
+        assert dense_rows(A + C) == [[x + y for x, y in zip(r, s)] for r, s in zip(a, c)]
+        assert dense_rows(A - C) == [[x - y for x, y in zip(r, s)] for r, s in zip(a, c)]
+        assert dense_rows(-A) == [[-x for x in r] for r in a]
+        assert dense_rows(A * f) == dense_rows(f * A) == [[x * f for x in r] for r in a]
+        assert dense_rows(A.hstack(C)) == [r + s for r, s in zip(a, c)]
+        row_idx = data.draw(st.lists(st.integers(0, rows - 1), unique=True))
+        col_idx = data.draw(st.lists(st.integers(0, inner - 1), unique=True))
+        sub = A.submatrix(row_idx, col_idx)
+        assert (sub.rows, sub.cols) == (len(row_idx), len(col_idx))
+        assert dense_rows(sub) == [[a[i][j] for j in col_idx] for i in row_idx]
+        assert Matrix.from_columns(A.columns(), rows) == A
+        assert A.columns() == [sparse(col) for col in zip(*a)]
+        assert (A == Matrix(a)) and hash(A) == hash(Matrix(a))
+
+    def test_shape_mismatches_raise(self):
+        A = Matrix([[1, 2]])
+        column = Matrix([[1], [2]])
+        for op in (lambda: A * A, lambda: A + column, lambda: A.hstack(column)):
+            with pytest.raises(ValueError):
+                op()
+
+    def test_cols_must_match_the_row_width(self):
+        with pytest.raises(ValueError):
+            Matrix([[1, 2]], cols=3)
+        with pytest.raises(ValueError):
+            Matrix([[1, 2], [3]])
+        assert Matrix([[1, 2]], cols=2) == Matrix([[1, 2]])
+        assert (Matrix([], cols=3).rows, Matrix([], cols=3).cols) == (0, 3)
 
 
 class TestScalar:
@@ -196,7 +253,7 @@ class TestRref:
     @settings(max_examples=60, deadline=None)
     def test_kernel_vectors_annihilate(self, M):
         for v in nullspace(M):
-            assert M * v == Matrix.column_vector([0] * M.rows)
+            assert M * v == Matrix([[0]] * M.rows)
 
 
 class TestColumnSpan:
@@ -223,7 +280,8 @@ class TestSparseNullspace:
             }
             for i in range(M.rows)
         ]
-        assert sparse_nullspace(rows, M.cols) == reference_kernel(M)
+        kernel = sparse_nullspace(rows, M.cols)
+        assert [[v.get(j, 0) for j in range(M.cols)] for v in kernel] == reference_kernel(M)
 
     def test_empty_system(self):
         basis = sparse_nullspace([], 3)
