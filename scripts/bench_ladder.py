@@ -5,14 +5,17 @@
 
 Each ``--tree LABEL=PATH`` names a git checkout whose ``src/qfla`` is timed;
 PATH defaults to this checkout when no ``--tree`` is given.  Every rung (a
-verb on one gluing's algebra file, or ``build`` of that gluing) runs
-``--runs`` times per tree in a fresh interpreter; the trees take turns going
-first.  A run times ``qfla.cli.main`` alone, after the import, and reads the
-child's peak RSS.  Algebra files are built once per tree by that tree's own
-``qfla build``.  The output holds, per tree, the git
-hash ("-dirty" when tracked files differ from it), a sha256 of the timed
-``src/qfla/*.py`` files, and per rung the median and all run times, the median
-peak RSS and the exit code, next to the Python version and the machine.
+verb on one gluing's algebra file, ``build`` of that gluing, or ``iso
+--strict`` on a pair of parameter files) runs ``--runs`` times per tree in a
+fresh interpreter; the trees take turns going first.  A run times
+``qfla.cli.main`` alone, after the import, and reads the child's peak RSS; a
+run still going after ``TIME_LIMIT_S`` seconds is stopped and recorded as a
+time-out.  Algebra files are built once per tree by that tree's own ``qfla
+build``.  The output holds, per tree, the git hash ("-dirty" when tracked
+files differ from it), a sha256 of the timed ``src/qfla/*.py`` files, and per
+rung the median and all run times (null for a time-out), the median peak RSS
+and the exit code ("timeout" when some run timed out), next to the Python
+version and the machine.
 """
 from __future__ import annotations
 
@@ -39,6 +42,25 @@ GLUINGS = [
 # Verbs run on the built algebra file; the "build" rung times the build itself.
 VERBS = [["build"], ["check"], ["der"], ["der", "--compare"], ["weights"]]
 
+# (name, (n, m, r), B1, B2) for `iso --strict`, all within the default cap on m.
+# "classes": beta's columns are e_1, e_2, (1,1), (1,c) twice each, c = 2 against
+# c = 3, so the class sizes agree and the search must refute every ordering of
+# equal copies.  "generic": beta's columns pairwise non-proportional; the
+# positive's B2 is B1 with its copies permuted and its tops rescaled.
+GENERIC_B1 = [["1", "2", "-1"], ["1", "-1", "3"], ["2", "1", "1"], ["1", "3", "-2"]]
+ISO_PAIRS = [
+    ("n5m8r2-classes-no", (5, 8, 2),
+     [["1", "0", "1", "1", "1", "1"], ["0", "1", "1", "1", "2", "2"]],
+     [["1", "0", "1", "1", "1", "1"], ["0", "1", "1", "1", "3", "3"]]),
+    ("n5m7r4-generic-no", (5, 7, 4), GENERIC_B1,
+     [["1", "2", "-1"], ["1", "-1", "3"], ["2", "1", "1"], ["1", "3", "5"]]),
+    ("n5m7r4-generic-yes", (5, 7, 4), GENERIC_B1,
+     [["-1/7", "15/14", "2/7"], ["-8/7", "25/7", "-5/7"],
+      ["10/21", "-5/21", "1/21"], ["-12/7", "20/7", "10/7"]]),
+]
+
+TIME_LIMIT_S = 120
+
 # Runs in the child: time cli.main on argv (stdout discarded), report seconds,
 # exit code and peak RSS as one JSON line.
 CHILD = """
@@ -56,12 +78,16 @@ print(json.dumps({"s": elapsed, "rc": rc, "rss_mb": rss_mb}))
 
 
 def _child(src: Path, argv: list) -> dict:
-    out = subprocess.run(
-        [sys.executable, "-B", "-c", CHILD, str(src)] + argv,
-        check=True,
-        capture_output=True,
-        text=True,
-    )
+    try:
+        out = subprocess.run(
+            [sys.executable, "-B", "-c", CHILD, str(src)] + argv,
+            check=True,
+            capture_output=True,
+            text=True,
+            timeout=TIME_LIMIT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return {"s": None, "rc": "timeout", "rss_mb": None}
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
@@ -107,6 +133,28 @@ def main(argv=None) -> int:
         },
     }
     labels = list(trees)
+
+    def rung(name: str, argv_of) -> None:
+        """Time argv_of(label) for every tree, the trees taking turns first."""
+        times = {label: [] for label in labels}
+        for k in range(args.runs):
+            for label in labels[k % len(labels):] + labels[: k % len(labels)]:
+                times[label].append(_child(trees[label] / "src", argv_of(label)))
+        for label in labels:
+            runs = times[label]
+            done = [r for r in runs if r["rc"] != "timeout"]
+            median = statistics.median(r["s"] for r in done) if done else None
+            report["trees"][label]["rungs"][name] = {
+                "median_s": None if median is None else round(median, 4),
+                "runs_s": [None if r["s"] is None else round(r["s"], 4) for r in runs],
+                "peak_rss_mb": (
+                    round(statistics.median(r["rss_mb"] for r in done), 1) if done else None
+                ),
+                "exit": "timeout" if len(done) < len(runs) else runs[0]["rc"],
+            }
+            shown = "timeout" if median is None else f"{median:.3f} s"
+            print(f"{label:>8}  {name:<24} {shown}")
+
     with tempfile.TemporaryDirectory() as tmp:
         for name, build in GLUINGS:
             files = {}
@@ -114,23 +162,16 @@ def main(argv=None) -> int:
                 files[label] = str(Path(tmp) / f"{label}-{name}.json")
                 _child(trees[label] / "src", ["build", *build, "--out", files[label]])
             for verb in VERBS:
-                rung = " ".join([name, *verb])
-                times = {label: [] for label in labels}
-                for k in range(args.runs):
-                    order = labels[k % len(labels):] + labels[: k % len(labels)]
-                    for label in order:
-                        argv = ["build", *build] if verb == ["build"] else [*verb, files[label]]
-                        times[label].append(_child(trees[label] / "src", argv))
-                for label in labels:
-                    runs = times[label]
-                    median = statistics.median(r["s"] for r in runs)
-                    report["trees"][label]["rungs"][rung] = {
-                        "median_s": round(median, 4),
-                        "runs_s": [round(r["s"], 4) for r in runs],
-                        "peak_rss_mb": round(statistics.median(r["rss_mb"] for r in runs), 1),
-                        "exit": runs[0]["rc"],
-                    }
-                    print(f"{label:>8}  {rung:<24} {median:.3f} s")
+                if verb == ["build"]:
+                    argv_of = lambda label: ["build", *build]  # noqa: E731
+                else:
+                    argv_of = lambda label: [*verb, files[label]]  # noqa: E731
+                rung(" ".join([name, *verb]), argv_of)
+        for name, (n, m, r), *Bs in ISO_PAIRS:
+            paths = [str(Path(tmp) / f"{name}-{k}.json") for k in (1, 2)]
+            for path, B in zip(paths, Bs):
+                Path(path).write_text(json.dumps({"n": n, "m": m, "r": r, "B": B}))
+            rung(f"{name} iso", lambda label: ["iso", *paths, "--strict"])
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 

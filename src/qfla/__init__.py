@@ -9,9 +9,7 @@ isomorphism of two gluings with verified witnesses.
 from .linalg import (
     Matrix,
     MonomialMatrix,
-    nullspace,
     rank,
-    rref,
     scalar,
     scalar_to_str,
 )
@@ -31,7 +29,6 @@ from .liecore import (
 from .builder import (
     BadN,
     BadSpec,
-    BlockStructure,
     NonBlockForm,
     QuasiQnSpec,
     RelatedMatrix,
@@ -67,7 +64,6 @@ from .iso import (
     NotEquivalent,
     build_algebra_witness,
     iso_decide,
-    kernel_subspace,
     monomial_equivalence,
 )
 

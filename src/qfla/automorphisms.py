@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 from .builder import QuasiQnSpec, build_quasi
 from .derivations import ConditionVerdict, GeneratorImages, extend_images
 from .liecore import LieAlgebra, bracket_preserving
-from .linalg import Matrix, ONE, ZERO, _subtract, rank, scalar
+from .linalg import Matrix, ONE, ZERO, _combine, _subtract, rank, scalar
 
 
 class ZeroScale(ValueError):
@@ -143,7 +143,6 @@ def automorphism_conditions(spec: QuasiQnSpec, candidate: GeneratorImages) -> Co
     """
     candidate.validate(spec)
     n, m, r = spec.n, spec.m, spec.r
-    beta = spec.beta()
 
     targets, why = _target_copies(spec, candidate)
     if targets is None:
@@ -194,13 +193,14 @@ def automorphism_conditions(spec: QuasiQnSpec, candidate: GeneratorImages) -> Co
                     "odd-convolution",
                     f"copy {s} convolution at order {p} is {total}",
                 )
-    T = Matrix.from_columns([{q - 1: ONE} for q in targets], m)
-    k = [c0(s, q, 0) ** (n - 2) * c1(s, q, 1) ** 2 for s, q in enumerate(targets, start=1)]
-    T1 = T.submatrix(range(m), range(r))
-    T2 = T.submatrix(range(m), range(r, m))
-    K1 = Matrix.from_columns([{i: k[i]} for i in range(r)], r)
-    K2 = Matrix.from_columns([{i: k[r + i]} for i in range(m - r)], m - r)
-    if beta * T2 * K2 != beta * T1 * K1 * spec.B:
+    # copy s sends e_{sn} to k_s e_{q_s n}, so beta's column s must map to
+    # k_s beta_{q_s} = sum_t beta_{t,s} k_t beta_{q_t}
+    cols = spec.beta().columns()
+    image = [
+        {i: c0(s, q, 0) ** (n - 2) * c1(s, q, 1) ** 2 * x for i, x in cols[q - 1].items()}
+        for s, q in enumerate(targets, start=1)
+    ]
+    if any(image[s] != _combine(cols[s], image) for s in range(r, m)):
         return ConditionVerdict(
             False, "gluing-compatibility", "permutation and scales do not preserve the gluing"
         )

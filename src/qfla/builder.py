@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .linalg import Matrix, ONE, ZERO, _combine, inverse
 from .liecore import GenLabel, LieAlgebra, TopLabel, PlainLabel
@@ -197,28 +197,34 @@ def related_matrix_of(spec: QuasiQnSpec) -> RelatedMatrix:
     return RelatedMatrix(Matrix(rows, cols=spec.m), spec.m, spec.r)
 
 
-@dataclass(frozen=True)
-class BlockStructure:
-    """Grouping of copies by which independent top vector their e_{sn} hits.
+def _normalised(v: tuple) -> tuple:
+    """v scaled to leading entry 1; () for the zero vector."""
+    lead = next((x for x in v if x != 0), None)
+    return () if lead is None else tuple(x / lead for x in v)
 
-    Block l (1-based, one per top index) lists its member copies in ascending
-    order; ``sizes`` are the block cardinalities.
+
+def proportional_classes(columns: Sequence[tuple]) -> tuple:
+    """The classes of proportional columns, as tuples of 0-based column
+    indices in ascending order, listed by their first member."""
+    classes: Dict[tuple, list] = {}
+    for p, v in enumerate(columns):
+        classes.setdefault(_normalised(v), []).append(p)
+    return tuple(tuple(members) for members in classes.values())
+
+
+def block_structure(spec: QuasiQnSpec) -> Optional[tuple]:
+    """The blocks of a block-form gluing: per independent top t, the copies
+    (1-based, ascending) whose e_{sn} is a multiple of e_{tn}.
+
+    The r unit columns of beta = (I | B) fall in r distinct proportional
+    classes, so the gluing is in block form exactly when beta has no other
+    class, and its classes are then the blocks.  Returns None when some
+    column of B mixes two tops.
     """
-
-    q: int
-    sizes: tuple
-    members: tuple
-
-
-def block_structure(spec: QuasiQnSpec) -> Optional[BlockStructure]:
-    """Detect block form: every glued top is a scalar multiple of a single
-    independent top.  Returns None when some column of B mixes two tops."""
-    groups = {t: [t] for t in range(1, spec.r + 1)}
-    for s in range(spec.r + 1, spec.m + 1):
-        coeffs = spec.top_coefficients(s)
-        if len(coeffs) != 1:
-            return None
-        (t,) = coeffs
-        groups[t].append(s)
-    members = tuple(tuple(groups[t]) for t in range(1, spec.r + 1))
-    return BlockStructure(spec.r, tuple(len(g) for g in members), members)
+    beta = spec.beta()
+    classes = proportional_classes(
+        [tuple(beta.entry(t, s) for t in range(spec.r)) for s in range(spec.m)]
+    )
+    if len(classes) != spec.r:
+        return None
+    return tuple(tuple(s + 1 for s in members) for members in classes)

@@ -24,8 +24,8 @@ from .derivations import (
     NonBlockForm,
     der_dimension,
     derivation_oracle,
-    lambda_of,
     nilpotent_basis,
+    top_weights,
     torus_basis,
     weight_decomposition,
     weight_torus,
@@ -77,11 +77,16 @@ def _read_json(path: str):
 
 
 def _load_spec(path: str) -> QuasiQnSpec:
-    """Accept either a bare parameter file or an algebra file embedding one."""
+    """Accept either a bare parameter file or an algebra file embedding one,
+    whose brackets must then match the spec."""
     data = _read_json(path)
-    if isinstance(data, dict) and "spec" in data:
+    if isinstance(data, dict) and "dim" in data:
+        spec = algebra_from_json(data)[1]
+        if spec is not None:
+            return spec
+    elif isinstance(data, dict) and "spec" in data:
         return spec_from_json(data["spec"])
-    if isinstance(data, dict) and "n" in data and "dim" not in data:
+    elif isinstance(data, dict) and "n" in data:
         return spec_from_json(data)
     raise BadInput(f"{path}: no gluing parameters found (need 'spec' or 'n'/'m'/'r')")
 
@@ -173,7 +178,7 @@ def _cmd_der(args) -> int:
         "dim_oracle": len(oracle),
         "torus": [matrix_to_json(el.matrix) for el in torus],
         "lambda_table": [
-            [scalar_to_str(w) for w in lambda_of(spec, D).top_weights] for D in oracle
+            [scalar_to_str(w) for w in top_weights(spec, D)] for D in oracle
         ],
     }
     blocks = block_structure(spec)

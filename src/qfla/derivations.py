@@ -328,7 +328,7 @@ def torus_basis(spec: QuasiQnSpec) -> List[DerBasisElement]:
     blocks = block_structure(spec)
     if blocks is None:
         return out
-    for t, members in enumerate(blocks.members[1:], start=2):
+    for t, members in enumerate(blocks[1:], start=2):
         entries = [(1, s, spec.gen_index(s, 1), 1) for s in members]
         out.append(_element(spec, "BlockGrading", (t,), entries))
     return out
@@ -373,7 +373,7 @@ def nilpotent_basis(spec: QuasiQnSpec) -> List[DerBasisElement]:
         for t in range(1, spec.r + 1):
             out.append(_element(spec, "TopFromE1", (s, t), [(1, s, spec.top_index(t), 1)]))
         out.append(_element(spec, "DiagTop", (s,), [(1, s, spec.gen_index(s, spec.n - 1), 1)]))
-    for t, members in enumerate(blocks.members, start=1):
+    for t, members in enumerate(blocks, start=1):
         for i, j in itertools.combinations(members, 2):
             entries = [
                 (1, i, spec.gen_index(j, spec.n - 1), beta.entry(t - 1, i - 1)),
@@ -391,7 +391,7 @@ def der_dimension(spec: QuasiQnSpec) -> int:
     if blocks is None:
         raise NonBlockForm("no closed-form dimension outside block form")
     total = spec.m + spec.r
-    for m_l in blocks.sizes:
+    for m_l in map(len, blocks):
         total += (2 * spec.r + spec.n + spec.d - 2) * m_l + m_l * (m_l - 1) // 2
     return total
 
@@ -399,26 +399,14 @@ def der_dimension(spec: QuasiQnSpec) -> int:
 # -- eigenvalue bookkeeping -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DerivationAnalysis:
-    """Per-copy eigenvalue data of a derivation in generator-image form.
-
-    ``level_weights[s-1][i-1]`` is the e_{s,i} eigenvalue (i-1) a_s + b_s and
-    ``top_weights[s-1]`` the e_{sn} eigenvalue (n-2) a_s + 2 b_s."""
-
-    level_weights: tuple
-    top_weights: tuple
-
-
-def lambda_of(spec: QuasiQnSpec, D: Matrix) -> DerivationAnalysis:
-    levels = []
-    tops = []
-    for s in range(1, spec.m + 1):
-        a = D.entry(spec.gen_index(s, 0), spec.gen_index(s, 0))
-        b = D.entry(spec.gen_index(s, 1), spec.gen_index(s, 1))
-        levels.append(tuple((i - 1) * a + b for i in range(1, spec.n)))
-        tops.append((spec.n - 2) * a + 2 * b)
-    return DerivationAnalysis(tuple(levels), tuple(tops))
+def top_weights(spec: QuasiQnSpec, D: Matrix) -> tuple:
+    """Per copy s, the e_{sn} eigenvalue (n-2) a_s + 2 b_s of a derivation
+    whose diagonal has a_s at e_{s0} and b_s at e_{s1}."""
+    return tuple(
+        (spec.n - 2) * D.entry(spec.gen_index(s, 0), spec.gen_index(s, 0))
+        + 2 * D.entry(spec.gen_index(s, 1), spec.gen_index(s, 1))
+        for s in range(1, spec.m + 1)
+    )
 
 
 def weight_decomposition(L: LieAlgebra, torus: Sequence[Matrix]) -> Dict[tuple, Matrix]:

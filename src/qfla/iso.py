@@ -2,9 +2,11 @@
 
 Two gluings with the same (n, m, r) are isomorphic exactly when their
 annihilator matrices M_i = (-B_i^t | I) are monomially equivalent:
-E M_1 K = M_2 for an invertible E and a monomial K.  With g1_p and g2_j the
-columns of the two canonical kernel bases, a copy permutation pi admits such
-a K exactly when A g1_{pi(j)} = d_j g2_j for some A in GL_r and nonzero d_j.
+E M_1 K = M_2 for an invertible E and a monomial K.  The rows of the kernel
+basis (I ; B_i^t) of M_i are the columns of beta_i = (I | B_i), so no solve
+is needed to find them.  With g1_p and g2_j those columns, a copy permutation pi
+admits such a K exactly when A g1_{pi(j)} = d_j g2_j for some A in GL_r and
+nonzero d_j.
 The permutation is found by a depth-first search over copies in
 lexicographic order, pruned by necessary conditions on A (Leon-style
 backtracking in the code-equivalence sense), after a screen by the sizes of
@@ -15,13 +17,18 @@ algebra isomorphism.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from .automorphisms import extend_endomorphism
-from .builder import QuasiQnSpec, RelatedMatrix, build_quasi, related_matrix_of
+from .builder import (
+    QuasiQnSpec,
+    RelatedMatrix,
+    build_quasi,
+    proportional_classes,
+    related_matrix_of,
+)
 from .derivations import GeneratorImages
 from .liecore import bracket_preserving
 from .linalg import (
@@ -34,9 +41,8 @@ from .linalg import (
     _kernel,
     _reduce,
     inverse,
-    nullspace,
     rank,
-    rref,
+    sparse_nullspace,
 )
 
 DEFAULT_MAX_COPIES = 8
@@ -65,11 +71,6 @@ class NotEquivalent:
     reason: str
 
 
-def kernel_subspace(R: RelatedMatrix) -> List[Matrix]:
-    """Canonical kernel basis of the annihilator (full space when m = r)."""
-    return nullspace(R.matrix)
-
-
 def _max_copies() -> int:
     raw = os.environ.get("QFLA_MAX_M")
     if not raw:
@@ -80,8 +81,9 @@ def _max_copies() -> int:
         raise BadSearchCap(f"QFLA_MAX_M: expected an integer, got {raw!r}") from None
 
 
-def _generic_nonzero_point(basis: List[Matrix], m: int) -> Optional[tuple]:
-    """A point of span(basis) with every coordinate nonzero, or None.
+def _generic_nonzero_point(basis: List[dict], m: int) -> Optional[tuple]:
+    """A point of the span of sparse vectors with every coordinate nonzero,
+    or None.
 
     Coordinate j vanishes on the whole span iff it vanishes on every basis
     vector; otherwise sum_k t^k v_k has coordinate j given by a nonzero
@@ -90,12 +92,12 @@ def _generic_nonzero_point(basis: List[Matrix], m: int) -> Optional[tuple]:
     if not basis:
         return None
     for j in range(m):
-        if all(v.entry(j, 0) == 0 for v in basis):
+        if all(j not in v for v in basis):
             return None
     t = 1
     while True:
         point = tuple(
-            sum((Fraction(t) ** k) * v.entry(j, 0) for k, v in enumerate(basis))
+            sum((Fraction(t) ** k) * v.get(j, ZERO) for k, v in enumerate(basis))
             for j in range(m)
         )
         if all(x != 0 for x in point):
@@ -103,14 +105,12 @@ def _generic_nonzero_point(basis: List[Matrix], m: int) -> Optional[tuple]:
         t += 1
 
 
-def _proportional_class(v: tuple) -> tuple:
-    """v scaled to leading entry 1; () for the zero vector."""
-    lead = next((x for x in v if x != 0), None)
-    return () if lead is None else tuple(x / lead for x in v)
-
-
-def _class_sizes(columns: List[tuple]) -> List[int]:
-    return sorted(Counter(_proportional_class(v) for v in columns).values())
+def _kernel_columns(R: RelatedMatrix) -> List[tuple]:
+    """The rows of the kernel basis (I ; -A) of R = (A | I), which are the
+    columns of beta = (I | B)."""
+    r = R.r
+    units = [tuple(ONE if i == p else ZERO for i in range(r)) for p in range(r)]
+    return units + [tuple(-R.matrix.entry(k, i) for i in range(r)) for k in range(R.m - r)]
 
 
 def _first_admissible_perm(g1: List[tuple], g2: List[tuple], r: int) -> Optional[tuple]:
@@ -128,7 +128,6 @@ def _first_admissible_perm(g1: List[tuple], g2: List[tuple], r: int) -> Optional
     m = len(g1)
     size = r * r  # entry (i, k) of A is unknown i * r + k
     leads = [next((i for i, x in enumerate(v) if x != 0), None) for v in g2]
-    classes2 = [_proportional_class(v) for v in g2]
 
     def multiple_rows(p: int, j: int) -> list:
         # u . (A g1_p) = 0 for every u orthogonal to g2_j
@@ -154,18 +153,16 @@ def _first_admissible_perm(g1: List[tuple], g2: List[tuple], r: int) -> Optional
     def complete(pivots: dict) -> Optional[tuple]:
         (x,) = _kernel(_back_substitute(pivots), size)  # A, up to scale
         image = [
-            _proportional_class(
-                tuple(sum(x.get(i * r + k, ZERO) * v[k] for k in range(r)) for i in range(r))
-            )
+            tuple(sum(x.get(i * r + k, ZERO) * v[k] for k in range(r)) for i in range(r))
             for v in g1
         ]
-        free = [p for p in range(m) if p not in perm]
+        classes = proportional_classes(image + g2)  # g2_j is entry m + j
         out = list(perm)
         for j in range(len(perm), m):
-            p = next((p for p in free if image[p] == classes2[j]), None)
+            members = next(c for c in classes if m + j in c)
+            p = next((p for p in members if p < m and p not in out), None)
             if p is None:
                 return None
-            free.remove(p)
             out.append(p)
         return tuple(out)
 
@@ -210,29 +207,27 @@ def monomial_equivalence(
     if m == r:
         return EquivalenceWitness(Matrix([], cols=0), MonomialMatrix.identity(m))
     M1, M2 = R1.matrix, R2.matrix
-    ker1, ker2 = kernel_subspace(R1), kernel_subspace(R2)
-    g1 = [tuple(v.entry(p, 0) for v in ker1) for p in range(m)]
-    g2 = [tuple(v.entry(j, 0) for v in ker2) for j in range(m)]
+    g1, g2 = _kernel_columns(R1), _kernel_columns(R2)
     perm = None
-    if _class_sizes(g1) == _class_sizes(g2):
+    if sorted(map(len, proportional_classes(g1))) == sorted(map(len, proportional_classes(g2))):
         perm = _first_admissible_perm(g1, g2, r)
     if perm is None:
         return NotEquivalent(
             "no copy permutation makes the annihilator kernels match under a monomial map"
         )
-    eq_rows = []
-    for v in ker2:
-        for row in range(m - r):
-            eq_rows.append([M1.entry(row, perm[j]) * v.entry(j, 0) for j in range(m)])
-    solutions = nullspace(Matrix(eq_rows, cols=m))
-    point = _generic_nonzero_point(solutions, m)
+    # K's diagonal d must make M1 K annihilate each kernel vector of M2
+    eq_rows = [
+        {j: M1.entry(k, perm[j]) * g2[j][c] for j in range(m)}
+        for c in range(r)
+        for k in range(m - r)
+    ]
+    point = _generic_nonzero_point(sparse_nullspace(eq_rows, m), m)
     if point is None:
         raise AssertionError("the pruned search returned a permutation the exact solve rejects")
     K = MonomialMatrix(m, perm, point)
     prod = M1 * K.densify()
-    res = rref(prod)
-    piv = list(res.pivot_cols)
-    E = M2.submatrix(range(m - r), piv) * inverse(prod.submatrix(range(m - r), piv))
+    # E M1 K = M2 = (A2 | I), so E inverts the last m - r columns of M1 K
+    E = inverse(prod.submatrix(range(m - r), range(r, m)))
     if E * prod != M2:
         raise AssertionError("kernel match did not yield a row-space match")
     return EquivalenceWitness(E, K)

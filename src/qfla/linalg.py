@@ -5,9 +5,8 @@ vectors are sparse {index: Fraction} dicts without zero entries, and matrices
 are immutable tuples of such sparse columns, so every operation costs per
 nonzero, not per cell.  Everything is exact, so results can be compared by
 literal equality and elimination needs no pivoting heuristics.  One sparse
-elimination engine serves every solve: `rref`, `rank`, `nullspace`,
-`inverse`, `column_span` and `sparse_nullspace` all read their results off
-it.
+elimination engine serves every solve: `rank`, `inverse`, `column_span` and
+`sparse_nullspace` all read their results off it.
 """
 from __future__ import annotations
 
@@ -242,29 +241,8 @@ def _kernel(reduced: dict, ncols: int) -> list:
     return list(basis.values())
 
 
-@dataclass(frozen=True)
-class RrefResult:
-    matrix: Matrix
-    rank: int
-    pivot_cols: tuple
-
-
-def rref(M: Matrix) -> RrefResult:
-    """Reduced row echelon form with leftmost pivots (0-based pivot columns)."""
-    reduced = _rref_rows(_transpose(M._c, M.rows))
-    rows = [row for _, row in sorted(reduced.items())]
-    matrix = Matrix.from_columns(_transpose(rows, M.cols), M.rows)
-    return RrefResult(matrix, len(reduced), tuple(sorted(reduced)))
-
-
 def rank(M: Matrix) -> int:
     return len(_insert({}, M._c))  # the columns are the rows of M^T, of equal rank
-
-
-def nullspace(M: Matrix) -> list:
-    """Canonical basis of ker(M) as a list of column vectors (n x 1 matrices)."""
-    reduced = _rref_rows(_transpose(M._c, M.rows))
-    return [Matrix.from_columns([v], M.cols) for v in _kernel(reduced, M.cols)]
 
 
 def inverse(M: Matrix) -> Matrix:
@@ -296,7 +274,7 @@ def sparse_nullspace(rows: Iterable[dict], ncols: int) -> list:
 
     ``rows`` are {column: coefficient} dicts (Fraction or int values).  Returns
     kernel vectors as sparse {column: Fraction} dicts, ordered by ascending
-    free column, with the entries ``nullspace`` gives on the dense matrix.
+    free column (see ``_kernel``).
     """
     nonzero = ({c: x for c, x in row.items() if x} for row in rows)
     return _kernel(_rref_rows(nonzero), ncols)

@@ -45,8 +45,8 @@ from qfla.derivations import (
     derivation_oracle,
     extend_derivation_candidate,
     is_derivation,
-    lambda_of,
     nilpotent_basis,
+    top_weights,
     torus_basis,
 )
 from qfla.iso import iso_decide
@@ -215,7 +215,7 @@ def test_top_eigenvalue_uniform_on_single_top(oracle_runs):
     ok = True
     for spec in SINGLE_TOP_SPECS:
         for D in runs[spec_id(spec)]:
-            tops = lambda_of(spec, D).top_weights
+            tops = top_weights(spec, D)
             ok = ok and len(set(tops)) == 1
     verdict("top eigenvalue uniform across copies (r=1 gluings)", ok)
 
@@ -357,21 +357,47 @@ GOLDEN_BATTERY = [
         "f6f83883160d2637bc44dd43f1745649096159667ac9449d8a91fd9f40836da4"),
     (["aut-check", "{algebra}", "{aut_fail}", "--strict"], 1,
         "96c8eacd61175fc76c7a0494f484c0310d27b8fe6d8c4de1506fe4db6512a6d3"),
+    # relabelled pairs whose witness permutes the copies and rescales the tops
+    (["iso", "{spec_d}", "{spec_e}"], 0,
+        "500aac36dd104f34543b16004ea0d14b142c47c396ba7ceb183864fb71bd2f32"),
+    (["iso", "{spec_f}", "{spec_g}"], 0,
+        "69c564698707bce70ce58bcdc5b1d859a96b8cc816e4b64556fdb6a575cf3ec0"),
+    # a mixing gluing whose copy swap and scales break the gluing
+    (["aut-check", "{algebra_mix}", "{aut_mix}", "--strict"], 1,
+        "96c8eacd61175fc76c7a0494f484c0310d27b8fe6d8c4de1506fe4db6512a6d3"),
 ]
 
 
 def test_cli_golden_battery(tmp_path, capsys):
-    files = {k: str(tmp_path / f"{k}.json") for k in ("algebra", "aut_pass", "aut_fail")}
+    files = {
+        k: str(tmp_path / f"{k}.json")
+        for k in ("algebra", "algebra_mix", "aut_pass", "aut_fail", "aut_mix")
+    }
     build = ["build", "--n", "5", "--m", "2", "--r", "1", "--B", '[["1"]]']
     assert main(build + ["--out", files["algebra"]]) == 0
-    specs = {"spec_a": [["1"], ["1"]], "spec_b": [["2"], ["1"]], "spec_c": [["1"], ["0"]]}
-    for name, B in specs.items():
+    build_mix = ["build", "--n", "5", "--m", "3", "--r", "2", "--B", '[["1"],["1"]]']
+    assert main(build_mix + ["--out", files["algebra_mix"]]) == 0
+    specs = {
+        "spec_a": (5, 3, 2, [["1"], ["1"]]),
+        "spec_b": (5, 3, 2, [["2"], ["1"]]),
+        "spec_c": (5, 3, 2, [["1"], ["0"]]),
+        "spec_d": (5, 5, 2, [["1", "2", "-1"], ["1", "-1", "3"]]),
+        "spec_e": (5, 5, 2, [["-9/2", "-1/4", "1"], ["-15", "-1", "6"]]),
+        "spec_f": (7, 5, 3, [["1", "2"], ["1", "-1"], ["2", "3"]]),
+        "spec_g": (7, 5, 3, [["-5/3", "1/6"], ["25/2", "-3/4"], ["-15", "1"]]),
+    }
+    for name, args in specs.items():
         files[name] = str(tmp_path / f"{name}.json")
-        (tmp_path / f"{name}.json").write_text(dumps(spec_to_json(make_spec(5, 3, 2, B))))
+        (tmp_path / f"{name}.json").write_text(dumps(spec_to_json(make_spec(*args))))
     spec = make_spec(5, 2, 1, [["1"]])
-    for name, betas in (("aut_pass", [2, 2]), ("aut_fail", [2, 3])):
-        cand = make_scaling_automorphism(spec, [1, 1], betas)
-        (tmp_path / f"{name}.json").write_text(dumps(candidate_to_json(spec, cand.e0, cand.e1)))
+    mix = make_spec(5, 3, 2, [["1"], ["1"]])
+    candidates = (
+        ("aut_pass", spec, make_scaling_automorphism(spec, [1, 1], [2, 2])),
+        ("aut_fail", spec, make_scaling_automorphism(spec, [1, 1], [2, 3])),
+        ("aut_mix", mix, make_scaling_automorphism(mix, [1, 1, 1], [1, 1, 2], perm=[2, 1, 3])),
+    )
+    for name, shape, cand in candidates:
+        (tmp_path / f"{name}.json").write_text(dumps(candidate_to_json(shape, cand.e0, cand.e1)))
     capsys.readouterr()
     golden = []
     for run_no in range(2):

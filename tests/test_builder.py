@@ -2,6 +2,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfla.builder import (
     BadN,
@@ -149,21 +150,49 @@ class TestRelatedMatrix:
         assert R.matrix.rows == 0 and R.matrix.cols == 2
 
 
+def one_nonzero_grouping(spec):
+    """Reference: block form means one nonzero per glued column of beta, and
+    block t holds copy t and the copies glued onto top t; None otherwise."""
+    groups = {t: [t] for t in range(1, spec.r + 1)}
+    for s in range(spec.r + 1, spec.m + 1):
+        coeffs = spec.top_coefficients(s)
+        if len(coeffs) != 1:
+            return None
+        (t,) = coeffs
+        groups[t].append(s)
+    return tuple(tuple(groups[t]) for t in range(1, spec.r + 1))
+
+
+VALUES = [Fraction(x) for x in ("1", "-1", "2", "1/2", "-3")]
+
+
+@st.composite
+def gluings(draw):
+    """A block-form gluing (one nonzero per column of B) or a mixing one."""
+    m = draw(st.integers(1, 7))
+    r = draw(st.integers(1, m))
+    B = [[Fraction(0)] * (m - r) for _ in range(r)]
+    for k in range(m - r):
+        rows = draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=r, unique=True))
+        for i in rows:
+            B[i][k] = draw(st.sampled_from(VALUES))
+    return make_spec(5, m, r, B)
+
+
 class TestBlockStructure:
     def test_single_top(self):
         s = make_spec(5, 3, 1, [["1", "1"]])
-        blocks = block_structure(s)
-        assert blocks.q == 1
-        assert blocks.members == ((1, 2, 3),)
-        assert blocks.sizes == (3,)
+        assert block_structure(s) == ((1, 2, 3),)
 
     def test_interleaved_members(self):
         # copy 3 glues to top 1, so block membership is not contiguous
         s = make_spec(5, 3, 2, [["1"], ["0"]])
-        blocks = block_structure(s)
-        assert blocks.q == 2
-        assert blocks.members == ((1, 3), (2,))
-        assert blocks.sizes == (2, 1)
+        assert block_structure(s) == ((1, 3), (2,))
 
     def test_mixed_column_is_not_block_form(self):
         assert block_structure(make_spec(5, 3, 2, [["1"], ["1"]])) is None
+
+    @given(gluings())
+    @settings(max_examples=100, deadline=None)
+    def test_classes_match_the_one_nonzero_grouping(self, spec):
+        assert block_structure(spec) == one_nonzero_grouping(spec)

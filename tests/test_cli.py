@@ -296,6 +296,21 @@ class TestInputContract:
             assert (code, out) == (2, "")
             assert err.startswith("error: brackets:")
 
+    @pytest.mark.parametrize("verb", ["iso", "related"])
+    def test_spec_readers_check_the_brackets(self, run, tmp_path, algebra521_file, verb):
+        # iso and related read only the spec of an algebra file, but a table
+        # that contradicts it is refused as by every other verb
+        data = json.loads(open(algebra521_file).read())
+        data["brackets"] = []
+        path = tmp_path / "abelian.json"
+        path.write_text(dumps(data))
+        second = [algebra521_file] if verb == "iso" else []
+        code, out, err = run(verb, str(path), *second)
+        assert (code, out) == (2, "")
+        assert err == "error: brackets: the structure constants contradict the embedded spec\n"
+        code, out, _ = run(verb, algebra521_file, *second)
+        assert code == 0 and json.loads(out)
+
     def test_unwritable_out_exit_2(self, run, tmp_path):
         out_path = tmp_path / "missing" / "x.json"
         code, out, err = run(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from conftest import TEST_MATRIX, sparse, spec_id
+from test_linalg import dense_rows, reference_kernel, reference_rref
 from qfla import build_quasi, make_spec
 from qfla.builder import QuasiQnSpec, RelatedMatrix, related_matrix_of
 from qfla.iso import (
@@ -15,39 +16,39 @@ from qfla.iso import (
     NotEquivalent,
     SearchTooLarge,
     _generic_nonzero_point,
+    _kernel_columns,
     build_algebra_witness,
     iso_decide,
-    kernel_subspace,
     monomial_equivalence,
     split_scale,
 )
 from qfla.liecore import bracket_preserving
-from qfla.linalg import (
-    Matrix,
-    MonomialMatrix,
-    column_span,
-    inverse,
-    nullspace,
-    rank,
-    rref,
-)
+from qfla.linalg import Matrix, MonomialMatrix, column_span, inverse, rank
 
 
 class TestKernel:
+    """The columns of beta read off R = (A | I) span ker(R)."""
+
+    @staticmethod
+    def kernel_basis(R: RelatedMatrix) -> Matrix:
+        """The m x r matrix whose rows are the columns read off R."""
+        basis = Matrix([list(g) for g in _kernel_columns(R)], cols=R.r)
+        assert R.matrix * basis == Matrix([[0] * R.r] * R.matrix.rows, cols=R.r)
+        assert rank(basis) == R.r
+        return basis
+
     def test_two_glued_columns(self):
-        R = related_matrix_of(make_spec(5, 3, 2, [["1"], ["1"]]))
-        basis = [v.columns()[0] for v in kernel_subspace(R)]
-        assert column_span(basis, 3) == column_span([{0: 1, 2: 1}, {1: 1, 2: 1}], 3)
-        assert all(R.matrix * v == Matrix([[0]] * R.matrix.rows) for v in kernel_subspace(R))
+        spec = make_spec(5, 3, 2, [["1"], ["1"]])
+        basis = self.kernel_basis(related_matrix_of(spec))
+        assert basis.columns() == [{0: 1, 2: 1}, {1: 1, 2: 1}]  # the rows of beta
 
     def test_scaled(self):
-        R = related_matrix_of(make_spec(5, 2, 1, [["5"]]))
-        basis = [v.columns()[0] for v in kernel_subspace(R)]
-        assert column_span(basis, 2) == column_span([{0: 1, 1: 5}], 2)
+        basis = self.kernel_basis(related_matrix_of(make_spec(5, 2, 1, [["5"]])))
+        assert column_span(basis.columns(), 2) == column_span([{0: 1, 1: 5}], 2)
 
     def test_full_space_when_no_gluing(self):
-        R = related_matrix_of(make_spec(5, 2, 2))
-        assert len(kernel_subspace(R)) == 2
+        basis = self.kernel_basis(related_matrix_of(make_spec(5, 2, 2)))
+        assert basis == Matrix.identity(2)
 
 
 class TestMonomialEquivalence:
@@ -192,23 +193,26 @@ class TestAlgebraWitness:
 
 def sweep_equivalence(R1: RelatedMatrix, R2: RelatedMatrix):
     """Reference: try all m! copy permutations in lexicographic order, each
-    with its own exact solve for the diagonal, and return the first hit."""
+    with its own exact solve for the diagonal, and return the first hit.  The
+    kernel, the diagonal solve and the pivots come from the textbook dense
+    elimination, so the reference shares no solve with the search."""
     m, r = R1.m, R1.r
     if m == r:
         return EquivalenceWitness(Matrix([], cols=0), MonomialMatrix.identity(m))
     M1, M2 = R1.matrix, R2.matrix
-    ker2 = kernel_subspace(R2)
+    ker2 = reference_kernel(M2)
     for perm in itertools.permutations(range(m)):
         eq_rows = []
         for v in ker2:
             for row in range(m - r):
-                eq_rows.append([M1.entry(row, perm[j]) * v.entry(j, 0) for j in range(m)])
-        point = _generic_nonzero_point(nullspace(Matrix(eq_rows, cols=m)), m)
+                eq_rows.append([M1.entry(row, perm[j]) * v[j] for j in range(m)])
+        solutions = reference_kernel(Matrix(eq_rows, cols=m))
+        point = _generic_nonzero_point([sparse(v) for v in solutions], m)
         if point is None:
             continue
         K = MonomialMatrix(m, tuple(perm), point)
         prod = M1 * K.densify()
-        piv = list(rref(prod).pivot_cols)
+        _, piv = reference_rref(dense_rows(prod), m)
         E = M2.submatrix(range(m - r), piv) * inverse(prod.submatrix(range(m - r), piv))
         assert E * prod == M2
         return EquivalenceWitness(E, K)
@@ -354,8 +358,9 @@ def test_relabelled_gluing_is_isomorphic(pair):
     spec1, spec2 = pair
     v = iso_decide(spec1, spec2)
     assert v.isomorphic
-    M1, M2 = related_matrix_of(spec1).matrix, related_matrix_of(spec2).matrix
-    assert v.equivalence.E * M1 * v.equivalence.K.densify() == M2
+    R1, R2 = related_matrix_of(spec1), related_matrix_of(spec2)
+    assert v.equivalence == sweep_equivalence(R1, R2)
+    assert v.equivalence.E * R1.matrix * v.equivalence.K.densify() == R2.matrix
     L1, L2 = build_quasi(spec1), build_quasi(spec2)
     assert rank(v.map) == L1.dim
     assert bracket_preserving(L1, L2, v.map)

@@ -14,9 +14,7 @@ from qfla.linalg import (
     Matrix,
     column_span,
     inverse,
-    nullspace,
     rank,
-    rref,
     scalar,
     scalar_to_str,
     sparse_nullspace,
@@ -78,6 +76,11 @@ def dense_rows(M):
     return [[M.entry(i, j) for j in range(M.cols)] for i in range(M.rows)]
 
 
+def row_vectors(M):
+    """The rows of M as sparse vectors."""
+    return [sparse(row) for row in dense_rows(M)]
+
+
 def reference_kernel(M):
     rows, pivots = reference_rref(dense_rows(M), M.cols)
     basis = []
@@ -94,16 +97,18 @@ class TestAgainstReference:
     @given(matrices)
     @settings(max_examples=80, deadline=None)
     def test_rref_and_rank(self, M):
+        # the span of M's rows is held as M's reduced row echelon form
         rows, pivots = reference_rref(dense_rows(M), M.cols)
-        res = rref(M)
-        assert res.matrix == Matrix(rows, cols=M.cols)
-        assert res.pivot_cols == tuple(pivots)
-        assert res.rank == rank(M) == len(pivots)
+        span = column_span(row_vectors(M), M.cols)
+        assert span == Matrix.from_columns([sparse(row) for row in rows[: len(pivots)]], M.cols)
+        assert [min(col) for col in span.columns()] == pivots
+        assert span.cols == rank(M) == len(pivots)
 
     @given(matrices)
     @settings(max_examples=80, deadline=None)
     def test_nullspace(self, M):
-        assert [[v.entry(i, 0) for i in range(M.cols)] for v in nullspace(M)] == reference_kernel(M)
+        kernel = sparse_nullspace(row_vectors(M), M.cols)
+        assert [[v.get(i, 0) for i in range(M.cols)] for v in kernel] == reference_kernel(M)
 
     @given(matrices, st.booleans())
     @settings(max_examples=80, deadline=None)
@@ -232,28 +237,30 @@ class TestMatrix:
 
 
 class TestRref:
+    """The reduced row echelon form, as column_span of the rows holds it."""
+
     def test_known_reduction(self):
-        res = rref(Matrix([[1, 2, 3], [2, 4, 7]]))
-        assert res.rank == 2
-        assert res.pivot_cols == (0, 2)
-        assert res.matrix == Matrix([[1, 2, 0], [0, 0, 1]])
+        M = Matrix([[1, 2, 3], [2, 4, 7]])
+        span = column_span(row_vectors(M), M.cols)
+        assert rank(M) == span.cols == 2
+        assert span.columns() == [{0: 1, 1: 2}, {2: 1}]
 
     @given(random_matrix(5, 5))
     @settings(max_examples=60, deadline=None)
     def test_idempotent(self, M):
-        once = rref(M)
-        assert rref(once.matrix).matrix == once.matrix
+        once = column_span(row_vectors(M), M.cols)
+        assert column_span(once.columns(), M.cols) == once
 
     @given(random_matrix(5, 5))
     @settings(max_examples=60, deadline=None)
     def test_rank_nullity(self, M):
-        assert rank(M) + len(nullspace(M)) == M.cols
+        assert rank(M) + len(sparse_nullspace(row_vectors(M), M.cols)) == M.cols
 
     @given(random_matrix(5, 5))
     @settings(max_examples=60, deadline=None)
     def test_kernel_vectors_annihilate(self, M):
-        for v in nullspace(M):
-            assert M * v == Matrix([[0]] * M.rows)
+        for v in sparse_nullspace(row_vectors(M), M.cols):
+            assert M * Matrix.from_columns([v], M.cols) == Matrix([[0]] * M.rows)
 
 
 class TestColumnSpan:
