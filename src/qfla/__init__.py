@@ -14,12 +14,9 @@ from .linalg import (
     scalar_to_str,
 )
 from .liecore import (
-    GenLabel,
     JacobiViolation,
     LieAlgebra,
     NotNilpotent,
-    PlainLabel,
-    TopLabel,
     check_jacobi,
     is_filiform,
     lower_central_series,
@@ -39,7 +36,6 @@ from .builder import (
     related_matrix_of,
 )
 from .derivations import (
-    DerBasisElement,
     GeneratorImages,
     der_dimension,
     derivation_conditions,

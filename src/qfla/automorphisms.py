@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 from .builder import QuasiQnSpec, build_quasi
 from .derivations import ConditionVerdict, GeneratorImages, extend_images
 from .liecore import LieAlgebra, bracket_preserving
-from .linalg import Matrix, ONE, ZERO, _combine, _subtract, rank, scalar
+from .linalg import Matrix, ONE, ZERO, _subtract, rank, scalar
 
 
 class ZeroScale(ValueError):
@@ -57,7 +57,7 @@ def closed_form_endomorphism(
 
     def add_top(v, i, coeff):
         if coeff:
-            for tt, c in target_spec.top_coefficients(i).items():
+            for tt, c in enumerate(target_spec.beta[i - 1], start=1):
                 v[target_spec.top_index(tt)] += coeff * c
 
     cols: List[dict] = [None] * shape.dim
@@ -159,10 +159,7 @@ def automorphism_conditions(spec: QuasiQnSpec, candidate: GeneratorImages) -> Co
         return candidate.e1[s - 1].get(spec.gen_index(q, j), ZERO)
 
     def top_vec(i: int, coeff: Fraction) -> tuple:
-        v = [ZERO] * r
-        for tt, c in spec.top_coefficients(i).items():
-            v[tt - 1] += coeff * c
-        return tuple(v)
+        return tuple(coeff * c for c in spec.beta[i - 1])
 
     for s in range(1, m + 1):
         q = targets[s - 1]
@@ -195,12 +192,15 @@ def automorphism_conditions(spec: QuasiQnSpec, candidate: GeneratorImages) -> Co
                 )
     # copy s sends e_{sn} to k_s e_{q_s n}, so beta's column s must map to
     # k_s beta_{q_s} = sum_t beta_{t,s} k_t beta_{q_t}
-    cols = spec.beta().columns()
+    beta = spec.beta
     image = [
-        {i: c0(s, q, 0) ** (n - 2) * c1(s, q, 1) ** 2 * x for i, x in cols[q - 1].items()}
+        tuple(c0(s, q, 0) ** (n - 2) * c1(s, q, 1) ** 2 * x for x in beta[q - 1])
         for s, q in enumerate(targets, start=1)
     ]
-    if any(image[s] != _combine(cols[s], image) for s in range(r, m)):
+    if any(
+        image[s] != tuple(sum(c * image[t][i] for t, c in enumerate(beta[s])) for i in range(r))
+        for s in range(r, m)
+    ):
         return ConditionVerdict(
             False, "gluing-compatibility", "permutation and scales do not preserve the gluing"
         )

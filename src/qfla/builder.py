@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 from .linalg import Matrix, ONE, ZERO, _combine, inverse
-from .liecore import GenLabel, LieAlgebra, TopLabel, PlainLabel
+from .liecore import LieAlgebra
 
 
 class BadSpec(ValueError):
@@ -52,9 +52,18 @@ class QuasiQnSpec:
             raise BadSpec(
                 f"B must be {self.r}x{self.m - self.r}, got {self.B.rows}x{self.B.cols}"
             )
-        for j in range(self.B.cols):
-            if all(self.B.entry(i, j) == 0 for i in range(self.B.rows)):
+        for j, column in enumerate(self.beta[self.r :]):
+            if not any(column):
                 raise BadSpec(f"column {j} of B is zero: top vector {self.r + j + 1} would vanish")
+
+    @cached_property
+    def beta(self) -> tuple:
+        """The m columns of beta = (I | B) as r-tuples: column s-1 expands
+        e_{sn} over e_{1n}..e_{rn}."""
+        units = tuple(tuple(ONE if t == s else ZERO for t in range(self.r)) for s in range(self.r))
+        return units + tuple(
+            tuple(self.B.entry(t, k) for t in range(self.r)) for k in range(self.B.cols)
+        )
 
     @property
     def d(self) -> int:
@@ -77,23 +86,8 @@ class QuasiQnSpec:
         return self.m * self.n + (t - 1)
 
     def labels(self) -> tuple:
-        gens = [GenLabel(s, j) for s in range(1, self.m + 1) for j in range(self.n)]
-        tops = [TopLabel(t) for t in range(1, self.r + 1)]
-        return tuple(gens + tops)
-
-    def top_coefficients(self, s: int) -> dict:
-        """e_{sn} expanded over the independent tops: {t: coefficient}."""
-        if s <= self.r:
-            return {s: ONE}
-        return {
-            j + 1: self.B.entry(j, s - self.r - 1)
-            for j in range(self.r)
-            if self.B.entry(j, s - self.r - 1) != 0
-        }
-
-    def beta(self) -> Matrix:
-        """The r x m matrix (I | B): column s expands e_{sn} over e_{1n}..e_{rn}."""
-        return Matrix.identity(self.r).hstack(self.B)
+        gens = [f"e_{s}_{j}" for s in range(1, self.m + 1) for j in range(self.n)]
+        return tuple(gens + [f"e_{t}_n" for t in range(1, self.r + 1)])
 
 
 def make_spec(n: int, m: int, r: int, B=None) -> QuasiQnSpec:
@@ -111,7 +105,7 @@ def build_quasi(spec: QuasiQnSpec) -> LieAlgebra:
     n, m, r = spec.n, spec.m, spec.r
     sc: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
     for s in range(1, m + 1):
-        top = {spec.top_index(t): c for t, c in spec.top_coefficients(s).items()}
+        top = {spec.top_index(t): c for t, c in enumerate(spec.beta[s - 1], start=1) if c}
         for i in range(1, n - 1):
             sc[(spec.gen_index(s, 0), spec.gen_index(s, i))] = {spec.gen_index(s, i + 1): ONE}
         for i in range(1, spec.d + 1):  # [e_i, e_{n-i}] = (-1)^i e_n, stored once
@@ -141,7 +135,7 @@ def qn_x_basis(n: int) -> LieAlgebra:
         sign = ONE if i % 2 == 0 else -ONE
         tgt = sc.setdefault((i, n - i), {})
         tgt[n] = tgt.get(n, ZERO) + sign
-    return LieAlgebra(n + 1, sc, labels=tuple(PlainLabel(i) for i in range(n + 1)))
+    return LieAlgebra(n + 1, sc)
 
 
 def change_of_basis(L: LieAlgebra, P: Matrix, labels=None) -> LieAlgebra:
@@ -190,8 +184,7 @@ def related_matrix_of(spec: QuasiQnSpec) -> RelatedMatrix:
     rows = []
     for s in range(spec.r + 1, spec.m + 1):
         row = [ZERO] * spec.m
-        for j in range(spec.r):
-            row[j] = -spec.B.entry(j, s - spec.r - 1)
+        row[: spec.r] = [-c for c in spec.beta[s - 1]]
         row[s - 1] = ONE
         rows.append(row)
     return RelatedMatrix(Matrix(rows, cols=spec.m), spec.m, spec.r)
@@ -221,10 +214,28 @@ def block_structure(spec: QuasiQnSpec) -> Optional[tuple]:
     class, and its classes are then the blocks.  Returns None when some
     column of B mixes two tops.
     """
-    beta = spec.beta()
-    classes = proportional_classes(
-        [tuple(beta.entry(t, s) for t in range(spec.r)) for s in range(spec.m)]
-    )
+    classes = proportional_classes(spec.beta)
     if len(classes) != spec.r:
         return None
     return tuple(tuple(s + 1 for s in members) for members in classes)
+
+
+def support_components(spec: QuasiQnSpec) -> tuple:
+    """The connected components of the graph joining copy s to copy t <= r
+    when beta_{t,s} != 0: tuples of 1-based copies in ascending order,
+    listed by first member.  On block form they are the blocks."""
+    parent = list(range(spec.m + 1))
+
+    def root(s: int) -> int:
+        while parent[s] != s:
+            s = parent[s]
+        return s
+
+    for s, column in enumerate(spec.beta, start=1):
+        for t, c in enumerate(column, start=1):
+            if c:
+                parent[root(s)] = root(t)
+    components: Dict[int, list] = {}
+    for s in range(1, spec.m + 1):
+        components.setdefault(root(s), []).append(s)
+    return tuple(tuple(members) for members in components.values())

@@ -76,10 +76,10 @@ def _read_json(path: str):
         raise BadInput(f"{path}: JSON nested too deeply") from None
 
 
-def _load_spec(path: str) -> QuasiQnSpec:
-    """Accept either a bare parameter file or an algebra file embedding one,
-    whose brackets must then match the spec."""
-    data = _read_json(path)
+def _load_spec(data, path: str) -> QuasiQnSpec:
+    """The gluing parameters of the parsed file ``path``: a bare parameter
+    file or an algebra file embedding one, whose brackets must then match
+    the spec."""
     if isinstance(data, dict) and "dim" in data:
         spec = algebra_from_json(data)[1]
         if spec is not None:
@@ -95,7 +95,7 @@ def _load_algebra(path: str):
     data = _read_json(path)
     if isinstance(data, dict) and "dim" in data:
         return algebra_from_json(data)
-    spec = _load_spec(path)
+    spec = _load_spec(data, path)
     return build_quasi(spec), spec
 
 
@@ -146,7 +146,7 @@ def _cmd_check(args) -> int:
     report = {"jacobi": True}  # loading ran the Jacobi check and raised on failure
     try:
         chain = lower_central_series(L)
-        report["lcs_dims"] = list(chain.dims)
+        report["lcs_dims"] = [space.cols for space in chain]
         report["filiform"] = is_filiform(chain)
         report["min_generators"] = minimal_generator_count(chain)
     except NotNilpotent as exc:
@@ -176,7 +176,7 @@ def _cmd_der(args) -> int:
     torus = torus_basis(spec)
     report = {
         "dim_oracle": len(oracle),
-        "torus": [matrix_to_json(el.matrix) for el in torus],
+        "torus": [matrix_to_json(D) for D in torus],
         "lambda_table": [
             [scalar_to_str(w) for w in top_weights(spec, D)] for D in oracle
         ],
@@ -188,9 +188,9 @@ def _cmd_der(args) -> int:
     else:
         nilpotent = nilpotent_basis(spec)
         report["dim_formula"] = der_dimension(spec)
-        report["nilpotent"] = [matrix_to_json(el.matrix) for el in nilpotent]
+        report["nilpotent"] = [matrix_to_json(D) for D in nilpotent]
         if args.compare:
-            explicit = column_span([_entries(el.matrix) for el in torus + nilpotent], L.dim**2)
+            explicit = column_span([_entries(D) for D in torus + nilpotent], L.dim**2)
         del nilpotent  # its dim^2-wide matrices need not outlive the oracle's span or the dump
     agree = None
     if args.compare:
@@ -225,15 +225,15 @@ def _cmd_aut_check(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    spec1 = _load_spec(args.first)
-    spec2 = _load_spec(args.second)
+    spec1 = _load_spec(_read_json(args.first), args.first)
+    spec2 = _load_spec(_read_json(args.second), args.second)
     verdict = iso_decide(spec1, spec2)
     _emit(args, iso_verdict_to_json(verdict))
     return 1 if args.strict and not verdict.isomorphic else 0
 
 
 def _cmd_related(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load_spec(_read_json(args.spec), args.spec)
     _emit(args, related_to_json(related_matrix_of(spec)))
     return 0
 
@@ -242,7 +242,7 @@ def _cmd_weights(args) -> int:
     L, spec = _load_algebra(args.algebra)
     if spec is None:
         raise BadInput(f"{args.algebra}: 'spec' field required for the weight table")
-    torus = [el.matrix for el in weight_torus(spec)]
+    torus = weight_torus(spec)
     decomposition = weight_decomposition(L, torus)
     table = [
         {"weight": [scalar_to_str(x) for x in w], "dim": space.cols}

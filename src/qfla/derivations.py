@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .builder import NonBlockForm, QuasiQnSpec, block_structure, build_quasi
+from .builder import NonBlockForm, QuasiQnSpec, block_structure, build_quasi, support_components
 from .liecore import LieAlgebra
 from .linalg import Matrix, ONE, ZERO, _combine, _subtract, column_span, scalar, sparse_nullspace
 
@@ -132,7 +132,7 @@ def closed_form_extension(spec: QuasiQnSpec, images: GeneratorImages) -> Matrix:
                 v[spec.gen_index(s, j + t - 1)] = de1.get(spec.gen_index(s, j), ZERO)
             sign = ONE if t % 2 == 0 else -ONE
             g = de0.get(spec.gen_index(s, n - t + 1), ZERO)
-            for tt, c in spec.top_coefficients(s).items():
+            for tt, c in enumerate(spec.beta[s - 1], start=1):
                 v[spec.top_index(tt)] = sign * g * c
             cols[spec.gen_index(s, t)] = v
     for t in range(1, spec.r + 1):
@@ -165,7 +165,7 @@ def derivation_conditions(spec: QuasiQnSpec, images: GeneratorImages) -> Conditi
     """
     images.validate(spec)
     n, m, r = spec.n, spec.m, spec.r
-    beta = spec.beta()
+    beta = spec.beta
 
     for s in range(1, m + 1):
         allowed = {spec.gen_index(s, 0)}
@@ -200,7 +200,7 @@ def derivation_conditions(spec: QuasiQnSpec, images: GeneratorImages) -> Conditi
     ]
     for s in range(r + 1, m + 1):
         for j in range(1, r + 1):
-            if beta.entry(j - 1, s - 1) != 0 and lam[s - 1] != lam[j - 1]:
+            if beta[s - 1][j - 1] != 0 and lam[s - 1] != lam[j - 1]:
                 return ConditionVerdict(
                     False,
                     "glued-weight-match",
@@ -213,7 +213,7 @@ def derivation_conditions(spec: QuasiQnSpec, images: GeneratorImages) -> Conditi
             if not (csp or cps):
                 continue  # no cross terms, no residue
             for j in range(1, r + 1):
-                residue = -csp * beta.entry(j - 1, p - 1) + cps * beta.entry(j - 1, s - 1)
+                residue = -csp * beta[p - 1][j - 1] + cps * beta[s - 1][j - 1]
                 if residue != 0:
                     return ConditionVerdict(
                         False,
@@ -273,20 +273,10 @@ def derivation_oracle(L: LieAlgebra) -> List[Matrix]:
 # -- explicit bases ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DerBasisElement:
-    """One member of an explicit derivation basis.
-
-    ``kind`` names the family; ``indices`` identifies the member within it."""
-
-    kind: str
-    indices: tuple
-    matrix: Matrix
-
-
-def _element(spec: QuasiQnSpec, kind: str, indices: tuple, entries) -> DerBasisElement:
+def _element(spec: QuasiQnSpec, kind: str, indices: tuple, entries) -> Matrix:
     """The derivation whose generator images vanish except at ``entries``:
-    (0 or 1 for d(e_{s0}) or d(e_{s1}), copy s, basis index, value)."""
+    (0 or 1 for d(e_{s0}) or d(e_{s1}), copy s, basis index, value).
+    ``kind`` and ``indices`` name the basis member in the error message."""
     e0: List[dict] = [{} for _ in range(spec.m)]
     e1: List[dict] = [{} for _ in range(spec.m)]
     for which, s, k, value in entries:
@@ -295,10 +285,10 @@ def _element(spec: QuasiQnSpec, kind: str, indices: tuple, entries) -> DerBasisE
     verdict = derivation_conditions(spec, images)
     if not verdict.ok:
         raise AssertionError(f"basis element {kind}{indices} is not a derivation: {verdict}")
-    return DerBasisElement(kind, indices, extend_derivation_candidate(spec, images))
+    return extend_derivation_candidate(spec, images)
 
 
-def weight_torus(spec: QuasiQnSpec) -> List[DerBasisElement]:
+def weight_torus(spec: QuasiQnSpec) -> List[Matrix]:
     """m+1 commuting diagonalizable derivations, on any gluing.
 
     ``Grading`` scales e_{st} by t; ``CopyWeight s`` acts only on copy s with
@@ -313,24 +303,21 @@ def weight_torus(spec: QuasiQnSpec) -> List[DerBasisElement]:
     return out
 
 
-def torus_basis(spec: QuasiQnSpec) -> List[DerBasisElement]:
-    """A maximal torus of diagonal derivations: m+r members on block form.
+def torus_basis(spec: QuasiQnSpec) -> List[Matrix]:
+    """A maximal torus of diagonal derivations: m+c members, c the number of
+    ``support_components`` of the gluing (c = r on block form).
 
     A diagonal derivation is fixed by the weights a_s, b_s of e_{s0}, e_{s1};
     the Leibniz rule only ties the top weights (n-2) a_s + 2 b_s together
-    within a block, so block form leaves m+r free directions.  They are the
-    ``weight_torus`` members plus, for each block t >= 2, ``BlockGrading t``
-    sending e_{s1} -> e_{s1} for every member copy s of block t.  A mixing
-    gluing gets the m+1 members of ``weight_torus`` only, which need not be
-    maximal there.
+    along the nonzero entries of beta, so each component has one free top
+    weight and m+c directions remain.  They are the ``weight_torus`` members
+    plus, for each component k >= 2, ``ComponentGrading k`` sending
+    e_{s1} -> e_{s1} for every member copy s of component k.
     """
     out = weight_torus(spec)
-    blocks = block_structure(spec)
-    if blocks is None:
-        return out
-    for t, members in enumerate(blocks[1:], start=2):
+    for k, members in enumerate(support_components(spec)[1:], start=2):
         entries = [(1, s, spec.gen_index(s, 1), 1) for s in members]
-        out.append(_element(spec, "BlockGrading", (t,), entries))
+        out.append(_element(spec, "ComponentGrading", (k,), entries))
     return out
 
 
@@ -343,10 +330,10 @@ def h1_derivation(spec: QuasiQnSpec) -> Matrix:
     for s in range(1, spec.m + 1):
         entries.append((0, s, spec.gen_index(s, 0), -2 * s))
         entries.append((1, s, spec.gen_index(s, 1), s * (spec.n - 2)))
-    return _element(spec, "H1", (), entries).matrix
+    return _element(spec, "H1", (), entries)
 
 
-def nilpotent_basis(spec: QuasiQnSpec) -> List[DerBasisElement]:
+def nilpotent_basis(spec: QuasiQnSpec) -> List[Matrix]:
     """Explicit basis of the nilpotent complement, for block-form gluings.
 
     Per copy s: ``AdGen`` sends e_{s0} to e_{si} (2 <= i <= n-1); ``TopFromE0``
@@ -361,7 +348,6 @@ def nilpotent_basis(spec: QuasiQnSpec) -> List[DerBasisElement]:
     blocks = block_structure(spec)
     if blocks is None:
         raise NonBlockForm("gluing matrix mixes independent top vectors")
-    beta = spec.beta()
     out = []
     for s in range(1, spec.m + 1):
         for i in range(2, spec.n):
@@ -376,8 +362,8 @@ def nilpotent_basis(spec: QuasiQnSpec) -> List[DerBasisElement]:
     for t, members in enumerate(blocks, start=1):
         for i, j in itertools.combinations(members, 2):
             entries = [
-                (1, i, spec.gen_index(j, spec.n - 1), beta.entry(t - 1, i - 1)),
-                (1, j, spec.gen_index(i, spec.n - 1), beta.entry(t - 1, j - 1)),
+                (1, i, spec.gen_index(j, spec.n - 1), spec.beta[i - 1][t - 1]),
+                (1, j, spec.gen_index(i, spec.n - 1), spec.beta[j - 1][t - 1]),
             ]
             out.append(_element(spec, "OffDiag", (i, j), entries))
     return out

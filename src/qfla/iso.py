@@ -123,9 +123,13 @@ def _first_admissible_perm(g1: List[tuple], g2: List[tuple], r: int) -> Optional
     When the solutions are one line, A is pinned up to scale and each
     remaining j takes the smallest unused p with A g1_p proportional to g2_j.
     Every pruning is a necessary condition, so no admissible permutation that
-    precedes the answer is skipped.
+    precedes the answer is skipped.  At each position only the smallest
+    unused copy of each proportional class of g1 is tried: swapping two
+    copies of one class keeps a permutation admissible, so a larger copy of
+    a class that failed there fails too.
     """
     m = len(g1)
+    class_of = {p: k for k, members in enumerate(proportional_classes(g1)) for p in members}
     size = r * r  # entry (i, k) of A is unknown i * r + k
     leads = [next((i for i, x in enumerate(v) if x != 0), None) for v in g2]
 
@@ -170,9 +174,11 @@ def _first_admissible_perm(g1: List[tuple], g2: List[tuple], r: int) -> Optional
         j = len(perm)
         if j == m:
             return tuple(perm)
+        tried = set()
         for p in range(m):
-            if p in perm:
+            if p in perm or class_of[p] in tried:
                 continue
+            tried.add(class_of[p])
             child = _insert(pivots, multiple_rows(p, j))
             perm.append(p)
             if not any(scale_vanishes(child, q, k) for k, q in enumerate(perm)):

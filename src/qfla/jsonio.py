@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 
 from .builder import QuasiQnSpec, RelatedMatrix, build_quasi, make_spec
 from .derivations import GeneratorImages
-from .liecore import GenLabel, JacobiViolation, LieAlgebra, PlainLabel, TopLabel
+from .liecore import JacobiViolation, LieAlgebra
 from .linalg import ZERO, Matrix, MonomialMatrix, scalar, scalar_to_str
 
 
@@ -131,20 +131,10 @@ def spec_from_json(data) -> QuasiQnSpec:
 # -- algebras -----------------------------------------------------------------------
 
 
-def _label_to_str(label) -> str:
-    if isinstance(label, GenLabel):
-        return f"e_{label.copy}_{label.level}"
-    if isinstance(label, TopLabel):
-        return f"e_{label.index}_n"
-    if isinstance(label, PlainLabel):
-        return f"x_{label.index}"
-    raise TypeError(f"unknown label {label!r}")
-
-
 def algebra_to_json(L: LieAlgebra, spec: Optional[QuasiQnSpec] = None) -> dict:
     out = {
         "dim": L.dim,
-        "labels": [_label_to_str(l) for l in L.labels],
+        "labels": list(L.labels),
         "brackets": [
             {
                 "i": i,

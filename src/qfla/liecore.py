@@ -9,9 +9,8 @@ splittings below feed brackets of sparse basis vectors straight to the
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 from .linalg import Matrix, ONE, _combine, _subtract, column_span, scalar
 
@@ -36,34 +35,13 @@ class NotSpanning(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class GenLabel:
-    """Generator-copy basis label e_{copy,level} (copy 1-based, 0 <= level <= n-1)."""
-
-    copy: int
-    level: int
-
-
-@dataclass(frozen=True)
-class TopLabel:
-    """Top-of-tower basis label e_{index,n} (index 1-based, 1 <= index <= r)."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class PlainLabel:
-    index: int
-
-
-Label = Union[GenLabel, TopLabel, PlainLabel]
-
-
 class LieAlgebra:
     """Finite dimensional Lie algebra given by structure constants.
 
     ``sc`` maps basis pairs (i, j) with i < j to {k: c} meaning
     [e_i, e_j] = sum_k c * e_k.  Pairs absent from ``sc`` bracket to zero.
+    ``labels`` name the basis vectors as the JSON prints them; by default
+    e_i is "x_i".
     """
 
     __slots__ = ("dim", "labels", "sc")
@@ -72,14 +50,11 @@ class LieAlgebra:
         self,
         dim: int,
         sc: Dict[Tuple[int, int], Dict[int, Fraction]],
-        labels: Optional[Sequence[Label]] = None,
+        labels: Optional[Sequence[str]] = None,
         validate: bool = True,
     ):
         self.dim = dim
-        if labels is None:
-            labels = tuple(PlainLabel(i) for i in range(dim))
-        else:
-            labels = tuple(labels)
+        labels = tuple(f"x_{i}" for i in range(dim)) if labels is None else tuple(labels)
         if len(labels) != dim:
             raise DimensionMismatch("label count != dim")
         if len(set(labels)) != dim:
@@ -170,24 +145,14 @@ def check_jacobi(L: LieAlgebra):
     return True, None
 
 
-@dataclass(frozen=True)
-class SubspaceChain:
-    """Descending chain of subspaces, each a canonical column-span matrix."""
-
-    spaces: tuple
-
-    @property
-    def dims(self) -> tuple:
-        return tuple(s.cols for s in self.spaces)
-
-
 def _bracket_span(L: LieAlgebra, left: list, right: list) -> Matrix:
     """span{ [u, v] : u in left, v in right } of sparse vectors."""
     return column_span([L.bracket(u, v) for u in left for v in right], L.dim)
 
 
-def lower_central_series(L: LieAlgebra) -> SubspaceChain:
-    """c^0 = L, c^{i+1} = [L, c^i]; raises NotNilpotent if it stabilizes nonzero."""
+def lower_central_series(L: LieAlgebra) -> tuple:
+    """c^0 = L, c^{i+1} = [L, c^i] as canonical column-span matrices, ending
+    with the zero space; raises NotNilpotent if it stabilizes nonzero."""
     basis = [{k: ONE} for k in range(L.dim)]
     spaces = [Matrix.identity(L.dim)]
     current = basis
@@ -197,13 +162,13 @@ def lower_central_series(L: LieAlgebra) -> SubspaceChain:
             raise NotNilpotent(f"series stabilizes at dimension {nxt.cols}")
         spaces.append(nxt)
         current = nxt.columns()
-    return SubspaceChain(tuple(spaces))
+    return tuple(spaces)
 
 
-def is_filiform(chain: SubspaceChain) -> bool:
+def is_filiform(chain: tuple) -> bool:
     """Maximal nilpotency class, read off the lower central series of L:
     dim c^i = dim L - i - 1 for 1 <= i <= dim L - 1."""
-    dims = chain.dims
+    dims = [space.cols for space in chain]
     for i in range(1, dims[0]):
         actual = dims[i] if i < len(dims) else 0
         if actual != dims[0] - i - 1:
@@ -211,16 +176,16 @@ def is_filiform(chain: SubspaceChain) -> bool:
     return True
 
 
-def minimal_generator_count(chain: SubspaceChain) -> int:
+def minimal_generator_count(chain: tuple) -> int:
     """dim L - dim c^1 L from the lower central series of L (c^1 of the zero
     algebra is 0): the size of any minimal system of generators."""
-    return chain.dims[0] - (chain.dims + (0,))[1]
+    return chain[0].cols - (chain[1].cols if len(chain) > 1 else 0)
 
 
 def is_minimal_generating_set(L: LieAlgebra, vectors: Sequence[dict]) -> bool:
     """True iff the residues of the sparse vectors mod c^1 L form a basis of
     L / c^1 L."""
-    c1 = lower_central_series(L).spaces[1]
+    c1 = lower_central_series(L)[1]
     if len(vectors) != L.dim - c1.cols:
         return False
     return column_span(list(vectors) + c1.columns(), L.dim).cols == L.dim

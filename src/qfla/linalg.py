@@ -131,11 +131,6 @@ class Matrix:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch")
-        return Matrix.from_columns(self._c + other._c, self.rows)
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         rows = {i: k for k, i in enumerate(row_idx)}
         columns = [{rows[i]: x for i, x in self._c[j].items() if i in rows} for j in col_idx]

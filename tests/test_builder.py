@@ -16,8 +16,8 @@ from qfla.builder import (
     qn_x_basis,
     rebase_x_to_e,
     related_matrix_of,
+    support_components,
 )
-from qfla.liecore import GenLabel, TopLabel
 from qfla.linalg import Matrix, inverse
 
 
@@ -52,11 +52,10 @@ class TestSpecValidation:
         with pytest.raises(IndexError):
             s.top_index(3)
 
-    def test_beta_and_top_coefficients(self):
+    def test_beta_columns(self):
         s = make_spec(5, 3, 2, [["1"], ["0"]])
-        assert s.beta() == Matrix([[1, 0, 1], [0, 1, 0]])
-        assert s.top_coefficients(3) == {1: Fraction(1)}
-        assert s.top_coefficients(2) == {2: Fraction(1)}
+        assert s.beta == ((1, 0), (0, 1), (1, 0))
+        assert s.beta is s.beta  # computed once per spec
 
 
 class TestBuildQn:
@@ -116,9 +115,9 @@ class TestBuildQuasi:
     def test_labels(self):
         s = make_spec(5, 2, 1, [["1"]])
         L = build_quasi(s)
-        assert L.labels[0] == GenLabel(1, 0)
-        assert L.labels[s.gen_index(2, 4)] == GenLabel(2, 4)
-        assert L.labels[s.top_index(1)] == TopLabel(1)
+        assert L.labels[0] == "e_1_0"
+        assert L.labels[s.gen_index(2, 4)] == "e_2_4"
+        assert L.labels[s.top_index(1)] == "e_1_n"
 
     def test_dims(self):
         for args, dim in [
@@ -140,8 +139,7 @@ class TestRelatedMatrix:
         # rows encode e_{sn} - sum_j b_{js} e_{jn} = 0
         s = make_spec(5, 3, 2, [["1"], ["2"]])
         R = related_matrix_of(s)
-        beta = s.beta()
-        beta_t = Matrix([[beta.entry(i, j) for i in range(beta.rows)] for j in range(beta.cols)])
+        beta_t = Matrix(s.beta)  # the columns of beta are the rows of its transpose
         product = R.matrix * beta_t
         assert product == Matrix([[0] * product.cols] * product.rows)
 
@@ -155,11 +153,10 @@ def one_nonzero_grouping(spec):
     block t holds copy t and the copies glued onto top t; None otherwise."""
     groups = {t: [t] for t in range(1, spec.r + 1)}
     for s in range(spec.r + 1, spec.m + 1):
-        coeffs = spec.top_coefficients(s)
-        if len(coeffs) != 1:
+        tops = [t for t, c in enumerate(spec.beta[s - 1], start=1) if c]
+        if len(tops) != 1:
             return None
-        (t,) = coeffs
-        groups[t].append(s)
+        groups[tops[0]].append(s)
     return tuple(tuple(groups[t]) for t in range(1, spec.r + 1))
 
 
@@ -196,3 +193,42 @@ class TestBlockStructure:
     @settings(max_examples=100, deadline=None)
     def test_classes_match_the_one_nonzero_grouping(self, spec):
         assert block_structure(spec) == one_nonzero_grouping(spec)
+
+
+def linked_grouping(spec):
+    """Reference: flood-fill the copies from each unvisited copy, stepping
+    from copy s to copy t <= r and back when beta_{t,s} != 0."""
+    edges = {s: set() for s in range(1, spec.m + 1)}
+    for s in range(1, spec.m + 1):
+        for t, c in enumerate(spec.beta[s - 1], start=1):
+            if c:
+                edges[s].add(t)
+                edges[t].add(s)
+    seen, out = set(), []
+    for s in range(1, spec.m + 1):
+        if s in seen:
+            continue
+        group, todo = set(), [s]
+        while todo:
+            x = todo.pop()
+            if x not in group:
+                group.add(x)
+                todo.extend(edges[x])
+        seen |= group
+        out.append(tuple(sorted(group)))
+    return tuple(out)
+
+
+class TestSupportComponents:
+    def test_mixing_column_links_two_tops(self):
+        # copy 4 glues onto the tops of copies 1 and 2; copy 3 stays apart
+        s = make_spec(5, 4, 3, [["1"], ["1"], ["0"]])
+        assert support_components(s) == ((1, 2, 4), (3,))
+
+    @given(gluings())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_flood_fill(self, spec):
+        assert support_components(spec) == linked_grouping(spec)
+        blocks = block_structure(spec)
+        if blocks is not None:
+            assert support_components(spec) == blocks

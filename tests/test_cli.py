@@ -355,6 +355,18 @@ class TestRelatedAndWeights:
         assert sum(entry["dim"] for entry in data["weights"]) == 11
 
 
+class TestInputFiles:
+    def test_a_bare_spec_file_is_read_once(self, run, spec521_file, monkeypatch):
+        import qfla.cli
+
+        reads = []
+        read_json = qfla.cli._read_json
+        monkeypatch.setattr(qfla.cli, "_read_json", lambda path: reads.append(path) or read_json(path))
+        code, _, _ = run("weights", spec521_file)
+        assert code == 0
+        assert reads == [spec521_file]
+
+
 class TestDeterminism:
     def test_battery_is_byte_stable(self, run, tmp_path, algebra521_file, spec521_file):
         spec332a = tmp_path / "s332a.json"

@@ -414,3 +414,22 @@ class TestScaleGuard:
         elapsed = time.perf_counter() - start
         assert not v.isomorphic
         assert elapsed < 5.0, f"{elapsed:.2f}s"
+
+
+def _class_gluing(k: int, c: int):
+    """r = 2 with beta's columns e_1, e_2, (1,1) and (1,c), k copies each."""
+    columns = [(1, 0)] * (k - 1) + [(0, 1)] * (k - 1) + [(1, 1)] * k + [(1, c)] * k
+    return make_spec(5, 4 * k, 2, [[x for x, _ in columns], [y for _, y in columns]])
+
+
+@pytest.mark.parametrize("c2,isomorphic", [(3, False), (2, True)], ids=["negative", "positive"])
+def test_equal_copies_are_tried_once_per_class(monkeypatch, c2, isomorphic):
+    # Every ordering of the four copies in each class used to be refuted
+    # separately: about 50 s for the negative at m = 16.
+    monkeypatch.setenv("QFLA_MAX_M", "16")
+    spec1, spec2 = _class_gluing(4, 2), _class_gluing(4, c2)
+    start = time.perf_counter()
+    v = iso_decide(spec1, spec2)
+    elapsed = time.perf_counter() - start
+    assert v.isomorphic is isomorphic
+    assert elapsed < 2.0, f"{elapsed:.2f}s"

@@ -83,11 +83,11 @@ class TestJacobi:
 
 class TestLowerCentralSeries:
     def test_q5_dims(self):
-        assert lower_central_series(build_qn(5)).dims == (6, 4, 3, 2, 1, 0)
+        assert [c.cols for c in lower_central_series(build_qn(5))] == [6, 4, 3, 2, 1, 0]
 
     def test_glued_pair_dims(self):
         L = build_quasi(make_spec(5, 2, 1, [["1"]]))
-        assert lower_central_series(L).dims == (11, 7, 5, 3, 1, 0)
+        assert [c.cols for c in lower_central_series(L)] == [11, 7, 5, 3, 1, 0]
 
     def test_not_nilpotent(self):
         with pytest.raises(NotNilpotent):
@@ -293,8 +293,7 @@ class TestAgainstDenseReference:
     def test_lower_central_series(self, L):
         reference = reference_lcs(L)
         chain = lower_central_series(L)
-        assert chain.dims == tuple(len(space) for space in reference)
-        assert chain.spaces == tuple(as_matrix(space, L.dim) for space in reference)
+        assert chain == tuple(as_matrix(space, L.dim) for space in reference)
 
     @given(algebras, st.data())
     @settings(max_examples=12, deadline=None)

@@ -171,7 +171,6 @@ class TestSparseMatrixAgainstDense:
         assert dense_rows(A - C) == [[x - y for x, y in zip(r, s)] for r, s in zip(a, c)]
         assert dense_rows(-A) == [[-x for x in r] for r in a]
         assert dense_rows(A * f) == dense_rows(f * A) == [[x * f for x in r] for r in a]
-        assert dense_rows(A.hstack(C)) == [r + s for r, s in zip(a, c)]
         row_idx = data.draw(st.lists(st.integers(0, rows - 1), unique=True))
         col_idx = data.draw(st.lists(st.integers(0, inner - 1), unique=True))
         sub = A.submatrix(row_idx, col_idx)
@@ -184,7 +183,7 @@ class TestSparseMatrixAgainstDense:
     def test_shape_mismatches_raise(self):
         A = Matrix([[1, 2]])
         column = Matrix([[1], [2]])
-        for op in (lambda: A * A, lambda: A + column, lambda: A.hstack(column)):
+        for op in (lambda: A * A, lambda: A + column):
             with pytest.raises(ValueError):
                 op()
 
