@@ -7,7 +7,6 @@ where the two disagree."""
 import time
 
 from qfla import build_quasi, make_spec
-from qfla.builder import block_structure
 from qfla.derivations import der_dimension, derivation_oracle, nilpotent_basis, torus_basis
 
 BATTERY = [
@@ -37,10 +36,10 @@ def main():
         oracle = len(derivation_oracle(L))
         dt = time.perf_counter() - t0
         torus = len(torus_basis(spec))
-        if block_structure(spec) is None:
+        formula = der_dimension(spec)
+        if formula is None:
             print(f"{describe(spec):34} {L.dim:>4} {oracle:>7} {'-':>8} {torus:>6} {'-':>5}  no block form ({dt:.2f}s)")
             continue
-        formula = der_dimension(spec)
         nilp = len(nilpotent_basis(spec))
         note = f"({dt:.2f}s)" if oracle == formula else f"MISMATCH ({dt:.2f}s)"
         print(f"{describe(spec):34} {L.dim:>4} {oracle:>7} {formula:>8} {torus:>6} {nilp:>5}  {note}")

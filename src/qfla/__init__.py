@@ -26,7 +26,6 @@ from .liecore import (
 from .builder import (
     BadN,
     BadSpec,
-    NonBlockForm,
     QuasiQnSpec,
     RelatedMatrix,
     block_structure,

@@ -24,8 +24,9 @@ class BadN(BadSpec):
     pass
 
 
-class NonBlockForm(ValueError):
-    pass
+def _check_n(n: int) -> None:
+    if n < 5 or n % 2 == 0:
+        raise BadN(f"n: must be odd and >= 5, got {n}")
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,8 @@ class QuasiQnSpec:
 
     ``B`` is the r x (m-r) gluing matrix: column s-r-1 holds the coefficients
     expressing e_{sn} (s > r) over the independent tops e_{1n}..e_{rn}.
+    Every refusal is a ``BadSpec`` whose message leads with the field at
+    fault: ``n``, ``m``, ``r`` or ``B``.
     """
 
     n: int
@@ -42,19 +45,18 @@ class QuasiQnSpec:
     B: Matrix
 
     def __post_init__(self):
-        if self.n < 5 or self.n % 2 == 0:
-            raise BadN(f"n must be odd and >= 5, got {self.n}")
+        _check_n(self.n)
         if self.m < 1:
-            raise BadSpec(f"m must be >= 1, got {self.m}")
+            raise BadSpec(f"m: must be >= 1, got {self.m}")
         if not 1 <= self.r <= self.m:
-            raise BadSpec(f"r must satisfy 1 <= r <= m, got r={self.r}, m={self.m}")
+            raise BadSpec(f"r: must satisfy 1 <= r <= m, got r={self.r}, m={self.m}")
         if self.B.rows != self.r or self.B.cols != self.m - self.r:
             raise BadSpec(
-                f"B must be {self.r}x{self.m - self.r}, got {self.B.rows}x{self.B.cols}"
+                f"B: must be {self.r}x{self.m - self.r}, got {self.B.rows}x{self.B.cols}"
             )
-        for j, column in enumerate(self.beta[self.r :]):
-            if not any(column):
-                raise BadSpec(f"column {j} of B is zero: top vector {self.r + j + 1} would vanish")
+        for j, column in enumerate(self.B.columns()):
+            if not column:
+                raise BadSpec(f"B: column {j} is zero: top vector {self.r + j + 1} would vanish")
 
     @cached_property
     def beta(self) -> tuple:
@@ -91,9 +93,10 @@ class QuasiQnSpec:
 
 
 def make_spec(n: int, m: int, r: int, B=None) -> QuasiQnSpec:
-    """Spec from plain data; B may be a Matrix, nested lists of scalars, or None."""
+    """Spec from plain data; B may be a Matrix, nested lists of scalars, or
+    None for no glued copies (an r x 0 matrix)."""
     if B is None:
-        B = Matrix([[]] * r)
+        B = Matrix.from_columns([], r)
     elif not isinstance(B, Matrix):
         B = Matrix(B)
     return QuasiQnSpec(n, m, r, B)
@@ -118,16 +121,13 @@ def build_quasi(spec: QuasiQnSpec) -> LieAlgebra:
 
 def build_qn(n: int) -> LieAlgebra:
     """The filiform algebra Q_n itself, as the degenerate gluing N(Q_n, 1, 1)."""
-    if not isinstance(n, int) or n < 5 or n % 2 == 0:
-        raise BadN(f"n must be odd and >= 5, got {n}")
     return build_quasi(make_spec(n, 1, 1))
 
 
 def qn_x_basis(n: int) -> LieAlgebra:
     """Q_n in its defining x-basis: [x_0, x_i] = x_{i+1} (i <= n-1),
     [x_i, x_{n-i}] = (-1)^i x_n."""
-    if n < 5 or n % 2 == 0:
-        raise BadN(f"n must be odd and >= 5, got {n}")
+    _check_n(n)
     sc: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
     for i in range(1, n):
         sc[(0, i)] = {i + 1: ONE}
@@ -154,8 +154,7 @@ def change_of_basis(L: LieAlgebra, P: Matrix, labels=None) -> LieAlgebra:
 
 def rebase_x_to_e(n: int) -> Matrix:
     """Matrix taking x-coordinates to e-coordinates (e_0 = x_0 + x_1, e_i = x_i)."""
-    if n < 5 or n % 2 == 0:
-        raise BadN(f"n must be odd and >= 5, got {n}")
+    _check_n(n)
     grid = [[ONE if i == j else ZERO for j in range(n + 1)] for i in range(n + 1)]
     grid[1][0] = -ONE  # x_1 = e_1 picks up -e_0's x_1 component
     return Matrix(grid, cols=n + 1)

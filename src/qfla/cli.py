@@ -3,7 +3,7 @@
 Verbs: build | check | der | aut-check | iso | related | weights.  Every verb
 writes deterministic JSON (sorted keys, exact "p/q" scalars) to stdout.  Exit
 status: 0 on success, 1 for mathematical "no" verdicts under --strict, 2 for
-input errors.
+input errors, reported on stderr as "error: <field>: ...".
 """
 from __future__ import annotations
 
@@ -12,16 +12,8 @@ import json
 import sys
 from typing import Optional
 
-from .builder import (
-    BadSpec,
-    QuasiQnSpec,
-    block_structure,
-    build_quasi,
-    make_spec,
-    related_matrix_of,
-)
+from .builder import BadSpec, QuasiQnSpec, build_quasi, make_spec, related_matrix_of
 from .derivations import (
-    NonBlockForm,
     der_dimension,
     derivation_oracle,
     nilpotent_basis,
@@ -119,10 +111,7 @@ def _cmd_build(args) -> int:
             raise BadInput(f"B: malformed JSON ({exc})") from exc
         except RecursionError:
             raise BadInput("B: JSON nested too deeply") from None
-    try:
-        spec = make_spec(args.n, args.m, args.r, B)
-    except BadSpec as exc:
-        raise BadInput(str(exc)) from exc
+    spec = make_spec(args.n, args.m, args.r, B)
     _emit(args, algebra_to_json(build_quasi(spec), spec))
     return 0
 
@@ -181,29 +170,21 @@ def _cmd_der(args) -> int:
             [scalar_to_str(w) for w in top_weights(spec, D)] for D in oracle
         ],
     }
-    blocks = block_structure(spec)
-    if blocks is None:
-        report["dim_formula"] = None
-        report["nilpotent"] = None
-    else:
-        nilpotent = nilpotent_basis(spec)
-        report["dim_formula"] = der_dimension(spec)
-        report["nilpotent"] = [matrix_to_json(D) for D in nilpotent]
-        if args.compare:
-            explicit = column_span([_entries(D) for D in torus + nilpotent], L.dim**2)
-        del nilpotent  # its dim^2-wide matrices need not outlive the oracle's span or the dump
-    agree = None
+    nilpotent = nilpotent_basis(spec)  # None off block form, as is der_dimension
+    report["dim_formula"] = der_dimension(spec)
+    block_form = nilpotent is not None
+    report["nilpotent"] = [matrix_to_json(D) for D in nilpotent] if block_form else None
+    if args.compare and block_form:
+        explicit = column_span([_entries(D) for D in torus + nilpotent], L.dim**2)
+    del nilpotent  # its dim^2-wide matrices need not outlive the oracle's span or the dump
     if args.compare:
-        if blocks is None:
-            agree = False
-        else:
-            oracle_span = column_span([_entries(D) for D in oracle], L.dim**2)
-            agree = report["dim_formula"] == report["dim_oracle"] and explicit == oracle_span
-        report["agree"] = agree
+        report["agree"] = (
+            block_form
+            and report["dim_formula"] == report["dim_oracle"]
+            and explicit == column_span([_entries(D) for D in oracle], L.dim**2)
+        )
     _emit(args, report)
-    if args.compare and args.strict and not agree:
-        return 1
-    return 0
+    return 1 if args.compare and args.strict and not report["agree"] else 0
 
 
 def _cmd_aut_check(args) -> int:
@@ -317,7 +298,7 @@ def main(argv: Optional[list] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (BadInput, BadSearchCap, BadSpec, NonBlockForm, SearchTooLarge) as exc:
+    except (BadInput, BadSearchCap, BadSpec, SearchTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except JacobiViolation as exc:  # from a file without a spec; `check` reports it instead

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .builder import NonBlockForm, QuasiQnSpec, block_structure, build_quasi, support_components
+from .builder import QuasiQnSpec, block_structure, build_quasi, support_components
 from .liecore import LieAlgebra
 from .linalg import Matrix, ONE, ZERO, _combine, _subtract, column_span, scalar, sparse_nullspace
 
@@ -333,7 +333,7 @@ def h1_derivation(spec: QuasiQnSpec) -> Matrix:
     return _element(spec, "H1", (), entries)
 
 
-def nilpotent_basis(spec: QuasiQnSpec) -> List[Matrix]:
+def nilpotent_basis(spec: QuasiQnSpec) -> Optional[List[Matrix]]:
     """Explicit basis of the nilpotent complement, for block-form gluings.
 
     Per copy s: ``AdGen`` sends e_{s0} to e_{si} (2 <= i <= n-1); ``TopFromE0``
@@ -343,11 +343,11 @@ def nilpotent_basis(spec: QuasiQnSpec) -> List[Matrix]:
     copies i < j via e_{i1} -> k_i e_{j,n-1}, e_{j1} -> k_j e_{i,n-1}, scaled by
     the gluing coefficients k so the cross terms cancel.
 
-    Raises NonBlockForm when some glued top mixes two independent tops.
+    None when some glued top mixes two independent tops.
     """
     blocks = block_structure(spec)
     if blocks is None:
-        raise NonBlockForm("gluing matrix mixes independent top vectors")
+        return None
     out = []
     for s in range(1, spec.m + 1):
         for i in range(2, spec.n):
@@ -369,13 +369,13 @@ def nilpotent_basis(spec: QuasiQnSpec) -> List[Matrix]:
     return out
 
 
-def der_dimension(spec: QuasiQnSpec) -> int:
+def der_dimension(spec: QuasiQnSpec) -> Optional[int]:
     """Predicted dimension of the derivation algebra for block-form gluings:
     m+r torus directions (see ``torus_basis``) plus the nilpotent count
-    sum_l ((2r + n + d - 2) m_l + m_l (m_l - 1) / 2)."""
+    sum_l ((2r + n + d - 2) m_l + m_l (m_l - 1) / 2).  None off block form."""
     blocks = block_structure(spec)
     if blocks is None:
-        raise NonBlockForm("no closed-form dimension outside block form")
+        return None
     total = spec.m + spec.r
     for m_l in map(len, blocks):
         total += (2 * spec.r + spec.n + spec.d - 2) * m_l + m_l * (m_l - 1) // 2

@@ -209,9 +209,7 @@ def monomial_equivalence(
     m, r = R1.m, R1.r
     cap = _max_copies()
     if m > cap:
-        raise SearchTooLarge(f"m = {m} exceeds the permutation search cap {cap}")
-    if m == r:
-        return EquivalenceWitness(Matrix([], cols=0), MonomialMatrix.identity(m))
+        raise SearchTooLarge(f"m: {m} exceeds the permutation search cap {cap}")
     M1, M2 = R1.matrix, R2.matrix
     g1, g2 = _kernel_columns(R1), _kernel_columns(R2)
     perm = None

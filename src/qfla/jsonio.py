@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 
 from .builder import QuasiQnSpec, RelatedMatrix, build_quasi, make_spec
 from .derivations import GeneratorImages
-from .liecore import JacobiViolation, LieAlgebra
+from .liecore import LieAlgebra
 from .linalg import ZERO, Matrix, MonomialMatrix, scalar, scalar_to_str
 
 
@@ -109,23 +109,17 @@ def spec_to_json(spec: QuasiQnSpec) -> dict:
 
 
 def spec_from_json(data) -> QuasiQnSpec:
+    """The spec of a parsed parameter object.  Only the JSON types are checked
+    here; ``QuasiQnSpec`` refuses bad values, naming the field."""
     if not isinstance(data, dict):
         raise BadInput("spec: expected an object")
     for key in ("n", "m", "r"):
         if not _is_int(data.get(key)):
             raise BadInput(f"{key}: expected an integer")
-    n, m, r = data["n"], data["m"], data["r"]
     B = data.get("B")
-    if B is None:
-        if m != r:
-            raise BadInput("B: required when r < m")
-        return make_spec(n, m, r)
-    rows = matrix_from_json(B, "B")
-    if rows.rows != r:
-        raise BadInput(f"B: expected {r} rows, got {rows.rows}")
-    if rows.cols != m - r:
-        raise BadInput(f"B: expected {m - r} columns, got {rows.cols}")
-    return QuasiQnSpec(n, m, r, rows)
+    if B is not None:
+        B = matrix_from_json(B, "B")
+    return make_spec(data["n"], data["m"], data["r"], B)
 
 
 # -- algebras -----------------------------------------------------------------------
@@ -183,24 +177,17 @@ def algebra_from_json(data) -> Tuple[LieAlgebra, Optional[QuasiQnSpec]]:
             except (ValueError, TypeError, ZeroDivisionError) as exc:
                 raise BadInput(f"value: {exc}") from exc
         sc[(i, j)] = value
-    spec = spec_from_json(data["spec"]) if "spec" in data else None
-    if spec is not None and spec.dim != dim:
+    if "spec" not in data:
+        return LieAlgebra(dim, sc), None
+    spec = spec_from_json(data["spec"])
+    if spec.dim != dim:
         raise BadInput(f"spec: implies dim {spec.dim}, but dim is {dim}")
-    labels = spec.labels() if spec is not None else None
-    try:
-        # A spec-tagged table is checked against the built algebra below,
-        # which is Jacobi-verified, so it needs no Jacobi pass of its own.
-        L = LieAlgebra(dim, sc, labels=labels, validate=spec is None)
-    except JacobiViolation:
-        raise
-    except ValueError as exc:
-        raise BadInput(f"algebra: {exc}") from exc
-    if spec is not None:
-        built = build_quasi(spec)
-        if L != built:
-            raise BadInput("brackets: the structure constants contradict the embedded spec")
-        L = built
-    return L, spec
+    # the built algebra is Jacobi-verified, so the table is only compared with it
+    built = build_quasi(spec)
+    nonzero = {ij: {k: c for k, c in v.items() if c} for ij, v in sc.items()}
+    if {ij: v for ij, v in nonzero.items() if v} != built.sc:
+        raise BadInput("brackets: the structure constants contradict the embedded spec")
+    return built, spec
 
 
 # -- generator-image candidates ------------------------------------------------------

@@ -299,7 +299,3 @@ class MonomialMatrix:
     def densify(self) -> Matrix:
         columns = [{p: x} for p, x in zip(self.perm, self.scale)]
         return Matrix.from_columns(columns, self.size)
-
-    @staticmethod
-    def identity(n: int) -> "MonomialMatrix":
-        return MonomialMatrix(n, tuple(range(n)), (ONE,) * n)

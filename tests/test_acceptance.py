@@ -368,6 +368,9 @@ GOLDEN_BATTERY = [
     # the same mixing gluing: one support component, so an m + 1 torus
     (["der", "{algebra_mix}", "--compare"], 0,
         "81e70e476a383655979f707090c7b6673f30689919c056c8c1a914756c9f68c2"),
+    # m = r: no glued copies, so the witness is the identity on the copies
+    (["iso", "{spec_h}", "{spec_h}"], 0,
+        "61c1cdfaac92f6275cdd4afec1e405e3c7dea34b200900b299f5c1f01bf7f025"),
 ]
 
 
@@ -388,6 +391,7 @@ def test_cli_golden_battery(tmp_path, capsys):
         "spec_e": (5, 5, 2, [["-9/2", "-1/4", "1"], ["-15", "-1", "6"]]),
         "spec_f": (7, 5, 3, [["1", "2"], ["1", "-1"], ["2", "3"]]),
         "spec_g": (7, 5, 3, [["-5/3", "1/6"], ["25/2", "-3/4"], ["-15", "1"]]),
+        "spec_h": (5, 2, 2),
     }
     for name, args in specs.items():
         files[name] = str(tmp_path / f"{name}.json")

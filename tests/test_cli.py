@@ -203,6 +203,38 @@ class TestInputContract:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {field}:")
 
+    # (field at fault, (n, m, r, B)); B None is left out of the file and the flags
+    SPEC_REFUSALS = [
+        ("r", (5, 2, 3, None)),
+        ("m", (5, -1, 1, None)),
+        ("r", (5, 2, 0, [])),
+        ("n", (4, 1, 1, None)),
+        ("B", (5, 2, 1, [["1"], ["1"]])),
+        ("B", (5, 2, 1, None)),
+        ("B", (5, 3, 2, [["0"], ["0"]])),
+    ]
+    REFUSAL_IDS = [
+        "r_above_m", "m_negative", "r_zero", "n_even", "B_two_rows", "B_missing", "B_zero_column"
+    ]
+
+    @pytest.mark.parametrize("field,params", SPEC_REFUSALS, ids=REFUSAL_IDS)
+    def test_spec_file_refusal_names_the_field(self, run, tmp_path, field, params):
+        n, m, r, B = params
+        data = {"n": n, "m": m, "r": r} if B is None else {"n": n, "m": m, "r": r, "B": B}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run("related", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field}:")
+
+    @pytest.mark.parametrize("field,params", SPEC_REFUSALS, ids=REFUSAL_IDS)
+    def test_build_refusal_names_the_field(self, run, field, params):
+        n, m, r, B = params
+        flags = ["--n", str(n), "--m", str(m), "--r", str(r)]
+        code, out, err = run("build", *flags, *([] if B is None else ["--B", json.dumps(B)]))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field}:")
+
     @pytest.mark.parametrize(
         "field,edit",
         [
@@ -310,6 +342,25 @@ class TestInputContract:
         assert err == "error: brackets: the structure constants contradict the embedded spec\n"
         code, out, _ = run(verb, algebra521_file, *second)
         assert code == 0 and json.loads(out)
+
+    def test_spec_tagged_table_compares_nonzero_entries(self, run, tmp_path, algebra521_file):
+        # zero coefficients and empty brackets in the file are not contradictions
+        data = json.loads(open(algebra521_file).read())
+        data["brackets"][0]["value"].append([3, "0"])
+        data["brackets"].append({"i": 0, "j": 5, "value": []})
+        path = tmp_path / "zeros.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run("check", str(path))
+        assert code == 0
+        assert out == run("check", algebra521_file)[1]
+
+    def test_search_cap_refusal_names_m(self, run, tmp_path, monkeypatch):
+        monkeypatch.delenv("QFLA_MAX_M", raising=False)
+        path = tmp_path / "n591.json"
+        path.write_text(dumps(spec_to_json(make_spec(5, 9, 1, [["1"] * 8]))))
+        code, out, err = run("iso", str(path), str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: m:")
 
     def test_unwritable_out_exit_2(self, run, tmp_path):
         out_path = tmp_path / "missing" / "x.json"

@@ -23,7 +23,7 @@ from qfla.iso import (
     split_scale,
 )
 from qfla.liecore import bracket_preserving
-from qfla.linalg import Matrix, MonomialMatrix, column_span, inverse, rank
+from qfla.linalg import ONE, Matrix, MonomialMatrix, column_span, inverse, rank
 
 
 class TestKernel:
@@ -198,7 +198,8 @@ def sweep_equivalence(R1: RelatedMatrix, R2: RelatedMatrix):
     elimination, so the reference shares no solve with the search."""
     m, r = R1.m, R1.r
     if m == r:
-        return EquivalenceWitness(Matrix([], cols=0), MonomialMatrix.identity(m))
+        identity = MonomialMatrix(m, tuple(range(m)), (ONE,) * m)
+        return EquivalenceWitness(Matrix([], cols=0), identity)
     M1, M2 = R1.matrix, R2.matrix
     ker2 = reference_kernel(M2)
     for perm in itertools.permutations(range(m)):
