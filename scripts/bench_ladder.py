@@ -46,8 +46,28 @@ VERBS = [["build"], ["check"], ["der"], ["der", "--compare"], ["weights"]]
 # "classes": beta's columns are e_1, e_2, (1,1), (1,c) twice each, c = 2 against
 # c = 3, so the class sizes agree and the search must refute every ordering of
 # equal copies.  "generic": beta's columns pairwise non-proportional; the
-# positive's B2 is B1 with its copies permuted and its tops rescaled.
+# positive's B2 is B1 with its copies permuted and its tops rescaled.  The
+# m = 8 generic pairs have r > m / 2, where the search runs on the columns of
+# (A | I) in Q^(m-r); they are the pairs of the test suite's scale guard.
 GENERIC_B1 = [["1", "2", "-1"], ["1", "-1", "3"], ["2", "1", "1"], ["1", "3", "-2"]]
+GENERIC_M8 = {
+    4: ([["3/2", "3/2", "-1", "1/2"], ["1", "-1", "-2", "2"],
+         ["1/2", "1", "1/2", "1/2"], ["1", "-2", "-1/3", "2"]],
+        [["-1", "3/2", "1", "2"], ["1", "1/2", "-1/3", "1/2"],
+         ["1", "-1", "1/2", "1/2"], ["1", "-2", "1/2", "-1/3"]],
+        [["3/4", "-1", "7/4", "13/4"], ["9/16", "3/4", "-27/16", "-33/16"],
+         ["5/8", "1/6", "1/8", "-23/24"], ["-7/16", "1/12", "5/16", "61/48"]]),
+    5: ([["3/2", "-2", "-1"], ["3", "1", "3/2"], ["3/2", "1/2", "3/2"],
+         ["3/2", "3", "-1"], ["3/2", "3/2", "3/2"]],
+        [["1/2", "3/2", "-1/3"], ["-2", "-2", "-2"], ["1/2", "2", "-2"],
+         ["1", "-2", "3"], ["-2", "-1/3", "1/2"]],
+        [["1/45", "-1/6", "4/15"], ["-1/3", "-5/2", "2"], ["-1/15", "-1/4", "1/5"],
+         ["0", "-1/4", "2/3"], ["1/15", "1/4", "-7/10"]]),
+    6: ([["3/2", "1"], ["3", "1/2"], ["3", "-2"], ["3/2", "-1"], ["3/2", "3/2"], ["1/2", "-1/3"]],
+        [["3", "-2"], ["-1", "1"], ["-2", "-2"], ["-1", "-1"], ["1", "-2"], ["-1/3", "-1"]],
+        [["-3/8", "15/4"], ["1/8", "-15/4"], ["-1/8", "3/2"], ["3/4", "-9/2"],
+         ["1/12", "0"], ["-1/4", "0"]]),
+}
 ISO_PAIRS = [
     ("n5m8r2-classes-no", (5, 8, 2),
      [["1", "0", "1", "1", "1", "1"], ["0", "1", "1", "1", "2", "2"]],
@@ -57,6 +77,10 @@ ISO_PAIRS = [
     ("n5m7r4-generic-yes", (5, 7, 4), GENERIC_B1,
      [["-1/7", "15/14", "2/7"], ["-8/7", "25/7", "-5/7"],
       ["10/21", "-5/21", "1/21"], ["-12/7", "20/7", "10/7"]]),
+] + [
+    (f"n5m8r{r}-generic-{verdict}", (5, 8, r), B1, B2)
+    for r, (B1, no, yes) in GENERIC_M8.items()
+    for verdict, B2 in (("no", no), ("yes", yes))
 ]
 
 TIME_LIMIT_S = 120

@@ -10,9 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations
+from math import gcd, lcm
 from typing import Dict, Optional, Sequence, Tuple
 
-from .linalg import Matrix, ONE, ZERO, _combine, inverse
+from .linalg import Matrix, ONE, ZERO, _back_substitute, _combine, _insert, _subtract, inverse
 from .liecore import LieAlgebra
 
 
@@ -202,6 +204,50 @@ def proportional_classes(columns: Sequence[tuple]) -> tuple:
     for p, v in enumerate(columns):
         classes.setdefault(_normalised(v), []).append(p)
     return tuple(tuple(members) for members in classes.values())
+
+
+def copy_cells(columns: Sequence[tuple]) -> tuple:
+    """One label per column of vectors in Q^k that GL_k and monomial maps
+    carry along: cells(A v_{pi(j)} s_j)[j] == cells(v)[pi(j)].
+
+    For every set C of k - 2 columns with independent vectors, the other
+    columns are projected from span(C) onto Q^2, and every four of them,
+    p, a, b, c, give j = (x^2 - xy + y^2)^3 / (xyz)^2 with x = [pb][ac],
+    y = [pc][ab] and z = x - y = [pa][bc] (Pluecker), [uv] a 2x2 determinant.
+    Such a map multiplies each bracket by one determinant and by its two
+    points' scales, so x, y and z share one factor, and j, of degree 0 in
+    every point and symmetric in the four, stays.  A record is j as a reduced
+    pair, or (-vanishing brackets, 0); a cell sorts a column's (in C, record).
+    """
+    m, k = len(columns), len(columns[0]) if columns else 0
+    sparse = [{i: x for i, x in enumerate(v) if x} for v in columns]
+    cells: list = [[] for _ in columns]
+    for centre in combinations(range(m), k - 2) if k >= 2 else ():
+        reduced = _back_substitute(_insert({}, (sparse[c] for c in centre)))
+        if len(reduced) < k - 2:
+            continue
+        f, g = (i for i in range(k) if i not in reduced)
+        rest, points = [p for p in range(m) if p not in centre], {}
+        for p in rest:
+            w = dict(sparse[p])
+            for lead, row in reduced.items():
+                if lead in w:
+                    _subtract(w, w[lead], row)  # reduced rows are zero at the other leads
+            u, v = w.get(f, ZERO), w.get(g, ZERO)
+            h = Fraction(gcd(u.numerator, v.numerator), lcm(u.denominator, v.denominator)) or 1
+            points[p] = (int(u / h), int(v / h))  # primitive integers
+        for four in combinations(rest, 4):
+            pairs = combinations([points[q] for q in four], 2)
+            brackets = [s[0] * t[1] - s[1] * t[0] for s, t in pairs]
+            _, pb, pc, ab, ac, _ = brackets  # [pa] and [bc] only count as zeros
+            x, y, zeros = pb * ac, pc * ab, brackets.count(0)
+            value = (-zeros, 0)  # j > 0 below, so the two kinds of record never meet
+            if not zeros:
+                j = Fraction((x * x - x * y + y * y) ** 3, (x * y * (x - y)) ** 2)
+                value = j.as_integer_ratio()  # a reduced pair: tuples sort fast
+            for q in centre + four:
+                cells[q].append((q in centre, value))
+    return tuple(tuple(sorted(cell)) for cell in cells)
 
 
 def block_structure(spec: QuasiQnSpec) -> Optional[tuple]:

@@ -6,13 +6,16 @@ E M_1 K = M_2 for an invertible E and a monomial K.  The rows of the kernel
 basis (I ; B_i^t) of M_i are the columns of beta_i = (I | B_i), so no solve
 is needed to find them.  With g1_p and g2_j those columns, a copy permutation pi
 admits such a K exactly when A g1_{pi(j)} = d_j g2_j for some A in GL_r and
-nonzero d_j.
-The permutation is found by a depth-first search over copies in
-lexicographic order, pruned by necessary conditions on A (Leon-style
-backtracking in the code-equivalence sense), after a screen by the sizes of
-the classes of proportional columns.  An exact linear solve then fixes the
-diagonal scales, and every positive answer is certified by an explicit
-algebra isomorphism.
+nonzero d_j.  The columns of M_i, the dual codes, admit the same pi with
+inverted d_j, so the search runs in dimension k = min(r, m - r).
+It is a depth-first search over copies in lexicographic order, pruned by
+necessary conditions on A (Leon-style backtracking in the code-equivalence
+sense), after a screen by the sizes of the classes of proportional columns
+and by copy cells, j-invariants of fours of copies projected from k - 2
+others (builder.copy_cells), which every admissible pi keeps: Leon's
+partition refinement and Sendrier's support splitting.  An exact linear
+solve then fixes the diagonal scales, and every positive answer is
+certified by an explicit algebra isomorphism.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from .builder import (
     QuasiQnSpec,
     RelatedMatrix,
     build_quasi,
+    copy_cells,
     proportional_classes,
     related_matrix_of,
 )
@@ -113,23 +117,29 @@ def _kernel_columns(R: RelatedMatrix) -> List[tuple]:
     return units + [tuple(-R.matrix.entry(k, i) for i in range(r)) for k in range(R.m - r)]
 
 
-def _first_admissible_perm(g1: List[tuple], g2: List[tuple], r: int) -> Optional[tuple]:
+def _first_admissible_perm(g1: List[tuple], g2: List[tuple]) -> Optional[tuple]:
     """The lexicographically first pi with A g1_{pi(j)} = d_j g2_j for some A
     in GL_r and nonzero d_j, or None.
 
-    Target positions j are filled in order with source copies p in increasing
-    order.  A node keeps the constraints "A g1_p is a multiple of g2_j" of its
-    assignments and is pruned once some d_j vanishes on all their solutions.
-    When the solutions are one line, A is pinned up to scale and each
-    remaining j takes the smallest unused p with A g1_p proportional to g2_j.
-    Every pruning is a necessary condition, so no admissible permutation that
-    precedes the answer is skipped.  At each position only the smallest
-    unused copy of each proportional class of g1 is tried: swapping two
-    copies of one class keeps a permutation admissible, so a larger copy of
-    a class that failed there fails too.
+    Every admissible pi keeps the sizes of the classes of proportional
+    columns and sends cells (builder.copy_cells) to cells: cells1[pi(j)] ==
+    cells2[j].  So these must agree, and position j, filled in order, tries
+    only copies p of cell cells2[j], in increasing order.  A node keeps the
+    constraints "A g1_p is a multiple of g2_j" of its assignments and is
+    pruned once some d_j vanishes on all their solutions.  When the
+    solutions are one line, A is pinned up to scale and each remaining j
+    takes the smallest unused p with A g1_p proportional to g2_j.  Every
+    pruning is a necessary condition, so no admissible permutation that
+    precedes the answer is skipped.  Only the smallest unused copy of each
+    proportional class of g1 is tried: swapping two copies of one class
+    keeps a permutation admissible.
     """
-    m = len(g1)
-    class_of = {p: k for k, members in enumerate(proportional_classes(g1)) for p in members}
+    m, r = len(g1), len(g1[0])
+    classes1, cells1, cells2 = proportional_classes(g1), copy_cells(g1), copy_cells(g2)
+    sizes = [sorted(map(len, classes)) for classes in (classes1, proportional_classes(g2))]
+    if sizes[0] != sizes[1] or sorted(cells1) != sorted(cells2):
+        return None
+    class_of = {p: k for k, members in enumerate(classes1) for p in members}
     size = r * r  # entry (i, k) of A is unknown i * r + k
     leads = [next((i for i, x in enumerate(v) if x != 0), None) for v in g2]
 
@@ -176,7 +186,7 @@ def _first_admissible_perm(g1: List[tuple], g2: List[tuple], r: int) -> Optional
             return tuple(perm)
         tried = set()
         for p in range(m):
-            if p in perm or class_of[p] in tried:
+            if p in perm or class_of[p] in tried or cells1[p] != cells2[j]:
                 continue
             tried.add(class_of[p])
             child = _insert(pivots, multiple_rows(p, j))
@@ -198,9 +208,9 @@ def monomial_equivalence(
 
     K is monomial, so E exists for a given K exactly when K maps ker(R2) onto
     ker(R1); that is linear in the diagonal of K once its permutation is
-    fixed.  The two kernels must first have equal sizes of classes of
-    proportional columns.  The lexicographically first admissible
-    permutation is then found by a pruned depth-first search, and the exact
+    fixed.  The first admissible permutation is found by a pruned search on
+    the kernels' columns (beta's, in Q^r) or, when m - r < r, on R's columns
+    in Q^(m-r): a code and its dual admit the same permutations.  The exact
     solve for the diagonal runs on that permutation alone, so the witness is
     the one a sweep over all m! permutations in lexicographic order returns.
     """
@@ -212,9 +222,12 @@ def monomial_equivalence(
         raise SearchTooLarge(f"m: {m} exceeds the permutation search cap {cap}")
     M1, M2 = R1.matrix, R2.matrix
     g1, g2 = _kernel_columns(R1), _kernel_columns(R2)
-    perm = None
-    if sorted(map(len, proportional_classes(g1))) == sorted(map(len, proportional_classes(g2))):
-        perm = _first_admissible_perm(g1, g2, r)
+    h1, h2 = g1, g2
+    if m - r < r:  # R's columns admit the same permutations, with inverted scales
+        h1, h2 = (
+            [tuple(R.matrix.entry(i, p) for i in range(m - r)) for p in range(m)] for R in (R1, R2)
+        )
+    perm = _first_admissible_perm(h1, h2)
     if perm is None:
         return NotEquivalent(
             "no copy permutation makes the annihilator kernels match under a monomial map"

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from conftest import TEST_MATRIX, sparse, spec_id
 from test_linalg import dense_rows, reference_kernel, reference_rref
 from qfla import build_quasi, make_spec
-from qfla.builder import QuasiQnSpec, RelatedMatrix, related_matrix_of
+from qfla.builder import QuasiQnSpec, RelatedMatrix, copy_cells, related_matrix_of
 from qfla.iso import (
     EquivalenceWitness,
     NotEquivalent,
@@ -274,7 +274,10 @@ def block_C(rng: random.Random, r: int, m: int) -> list:
 
 
 def generic_C(rng: random.Random, r: int, m: int) -> list:
-    """Dense C whose kernel columns are pairwise non-proportional."""
+    """Dense C whose kernel columns are pairwise non-proportional; r >= 2,
+    since any two nonzero columns in Q^1 are proportional."""
+    if r < 2:
+        raise ValueError(f"r: pairwise non-proportional columns need r >= 2, got {r}")
     while True:
         C = random_C(rng, r, m, NONZERO)
         beta = [[Fraction(int(i == j)) for i in range(r)] for j in range(r)]
@@ -316,6 +319,11 @@ def equivalence_battery() -> list:
         battery += _pairs(rng, "generic", 3, m, generic_C, 6, 3)
     for m in (5, 5, 6):
         battery += _pairs(rng, "cross", 2, m, generic_C, 4, 0)
+    # r > m / 2: the search runs on the m - r dimensional columns of R, and
+    # zero rows of C give zero columns of R
+    for r, m in ((4, 5), (4, 6), (5, 6)):
+        battery += _pairs(rng, "dual-generic", r, m, generic_C, 4, 2)
+        battery += _pairs(rng, "dual-zeros", r, m, zeros, 4, 2)
     return battery
 
 
@@ -387,6 +395,80 @@ def _dependent_triples(r: int, B) -> int:
     return sum(rank(Matrix.from_columns(list(t), r)) < 3 for t in triples)
 
 
+def test_generic_C_needs_two_tops():
+    with pytest.raises(ValueError):
+        generic_C(random.Random(0), 1, 3)
+
+
+@st.composite
+def moved_columns(draw):
+    """Columns in Q^k, some of them zero or proportional, and their images
+    A v_{pi(j)} s_j under a random invertible A, permutation pi and nonzero
+    scales s."""
+    k = draw(st.integers(2, 4))
+    m = draw(st.integers(4, 7))
+    values = st.sampled_from(WITH_ZEROS)
+    columns = [tuple(draw(values) for _ in range(k)) for _ in range(m)]
+    for p in draw(st.lists(st.integers(1, m - 1), max_size=2)):
+        q = draw(st.integers(0, p - 1))
+        columns[p] = tuple(x * draw(st.sampled_from(NONZERO)) for x in columns[q])
+    for p in draw(st.sets(st.integers(0, m - 1), max_size=1)):
+        columns[p] = (Fraction(0),) * k
+    A = [[draw(values) for _ in range(k)] for _ in range(k)]
+    assume(rank(Matrix(A, cols=k)) == k)
+    perm = draw(st.permutations(range(m)))
+    scales = draw(st.lists(st.sampled_from(NONZERO), min_size=m, max_size=m))
+    image = [
+        tuple(s * sum(A[i][l] * columns[p][l] for l in range(k)) for i in range(k))
+        for p, s in zip(perm, scales)
+    ]
+    return columns, image, perm
+
+
+class TestCopyCells:
+    @settings(max_examples=60, deadline=None)
+    @given(moved_columns())
+    def test_cells_move_with_the_copies(self, moved):
+        # a cell that some GL or monomial map changes would refute a
+        # positive with no certificate
+        columns, image, perm = moved
+        before, after = copy_cells(columns), copy_cells(image)
+        assert all(after[j] == before[p] for j, p in enumerate(perm))
+
+    def test_plane_records_are_j_invariants_of_cross_ratios(self):
+        points = [(1, 0), (0, 1), (1, 1), (1, -2), (3, 1)]
+        columns = [tuple(map(Fraction, v)) for v in points]
+        det = lambda u, v: u[0] * v[1] - u[1] * v[0]  # noqa: E731
+        expected = []
+        for p, a, b, c in itertools.combinations(columns, 4):
+            lam = det(p, b) * det(a, c) / (det(p, c) * det(a, b))
+            j = (lam * lam - lam + 1) ** 3 / (lam * (lam - 1)) ** 2
+            expected.append((False, j.as_integer_ratio()))
+        cells = copy_cells(columns)
+        assert sorted(record for cell in cells for record in cell) == sorted(expected * 4)
+        assert all(len(cell) == 4 for cell in cells)  # each point is in four 4-sets
+
+    def test_vanishing_brackets_are_counted(self):
+        # copies 0 and 1 are proportional and copy 4 is zero
+        columns = [(1, 2), (-2, -4), (0, 1), (1, 1), (0, 0)]
+        cells = copy_cells([tuple(map(Fraction, v)) for v in columns])
+        assert cells[4] == ((False, (-4, 0)),) * 2 + ((False, (-3, 0)),) * 2
+        assert cells[0] == ((False, (-4, 0)),) * 2 + ((False, (-3, 0)), (False, (-1, 0)))
+
+    def test_cells_split_the_scale_guard_pairs(self):
+        def cells(r, B):
+            beta = [tuple(Fraction(int(i == j)) for i in range(r)) for j in range(r)]
+            beta += [tuple(Fraction(B[i][k]) for i in range(r)) for k in range(len(B[0]))]
+            return sorted(copy_cells(beta))
+
+        assert cells(2, TestScaleGuard.CROSS_B1) != cells(2, TestScaleGuard.CROSS_B2)
+        assert cells(3, TestScaleGuard.R3_B1) != cells(3, TestScaleGuard.R3_B2)
+
+    def test_no_cells_below_the_plane(self):
+        assert copy_cells([(ONE,), (-ONE,), (Fraction(0),)]) == ((), (), ())
+        assert copy_cells([(), ()]) == ((), ())
+
+
 class TestScaleGuard:
     # A negative that the class screen cannot refute cost the m! sweep about
     # a minute at m = 8; the pruned search pins A after three (r = 2) or four
@@ -415,6 +497,22 @@ class TestScaleGuard:
         elapsed = time.perf_counter() - start
         assert not v.isomorphic
         assert elapsed < 5.0, f"{elapsed:.2f}s"
+
+    # Generic gluings with r > m / 2: the search over beta's columns pinned A
+    # only after r + 1 positions, and the negatives took about 13 s, 47 s and
+    # over two minutes; on the (m - r)-dimensional side cells refute them.
+    @pytest.mark.parametrize("r", [4, 5, 6])
+    @pytest.mark.parametrize("isomorphic", [False, True], ids=["no", "yes"])
+    def test_generic_large_r_within_two_seconds(self, r, isomorphic):
+        rng = random.Random(800 + r)
+        B1 = generic_C(rng, r, 8)
+        B2 = relabel(rng, r, B1) if isomorphic else generic_C(rng, r, 8)
+        spec1, spec2 = make_spec(5, 8, r, B1), make_spec(5, 8, r, B2)
+        start = time.perf_counter()
+        v = iso_decide(spec1, spec2)
+        elapsed = time.perf_counter() - start
+        assert v.isomorphic is isomorphic
+        assert elapsed < 2.0, f"{elapsed:.2f}s"
 
 
 def _class_gluing(k: int, c: int):
