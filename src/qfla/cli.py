@@ -1,16 +1,23 @@
-"""Command-line front end.
+"""qfla: exact tools for the glued filiform algebras N(Q_n, m, r).
 
-Verbs: build | check | der | aut-check | iso | related | weights.  Every verb
-writes deterministic JSON (sorted keys, exact "p/q" scalars) to stdout.  Exit
-status: 0 on success, 1 for mathematical "no" verdicts under --strict, 2 for
-input errors, reported on stderr as "error: <field>: ...".
+  build      an algebra from gluing parameters; --B is the gluing matrix as JSON
+  check      Jacobi, LCS dims, generators and splitting of an algebra file
+  der        the derivation algebra; --compare checks the oracle against the closed form
+  aut-check  a candidate automorphism, by its conditions and by brute force
+  iso        isomorphism of two gluings: a witness or a reason
+  related    the (m-r) x m top-relation matrix of a gluing
+  weights    the weight spaces of Grading and the CopyWeights
+
+Positionals and options come in any order: "--name value" or "--name=value",
+a flag as "--name", never abbreviated.  Each verb writes deterministic JSON to
+stdout and to --out.  Exit status: 0 on success, 1 for a mathematical "no"
+under --strict, 2 for input errors, reported on stderr as "error: <field>: ...".
 """
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from typing import Optional
+from types import SimpleNamespace
 
 from .builder import BadSpec, QuasiQnSpec, build_quasi, make_spec, related_matrix_of
 from .derivations import (
@@ -54,18 +61,23 @@ from .liecore import (
 from .linalg import ONE, column_span, scalar_to_str
 
 
+def _loads(text: str, field: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BadInput(f"{field}: malformed JSON ({exc})") from exc
+    except RecursionError:
+        raise BadInput(f"{field}: JSON nested too deeply") from None
+
+
 def _read_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return _loads(fh.read(), path)
     except OSError as exc:
         raise BadInput(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BadInput(f"{path}: malformed JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise BadInput(f"{path}: not UTF-8 ({exc})") from exc
-    except RecursionError:
-        raise BadInput(f"{path}: JSON nested too deeply") from None
 
 
 def _load_spec(data, path: str) -> QuasiQnSpec:
@@ -93,7 +105,7 @@ def _load_algebra(path: str):
 
 def _emit(args, payload: dict) -> None:
     text = dumps(payload)
-    if getattr(args, "out", None):
+    if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -103,45 +115,28 @@ def _emit(args, payload: dict) -> None:
 
 
 def _cmd_build(args) -> int:
-    B = None
-    if args.B:
-        try:
-            B = matrix_from_json(json.loads(args.B), "B")
-        except json.JSONDecodeError as exc:
-            raise BadInput(f"B: malformed JSON ({exc})") from exc
-        except RecursionError:
-            raise BadInput("B: JSON nested too deeply") from None
+    B = matrix_from_json(_loads(args.B, "B"), "B") if args.B else None
     spec = make_spec(args.n, args.m, args.r, B)
     _emit(args, algebra_to_json(build_quasi(spec), spec))
     return 0
 
 
 def _cmd_check(args) -> int:
+    report = dict.fromkeys(("lcs_dims", "filiform", "min_generators", "quasi_cyclic"))
     try:
         L, spec = _load_algebra(args.algebra)
     except JacobiViolation as exc:
-        _emit(
-            args,
-            {
-                "jacobi": False,
-                "detail": str(exc),
-                "lcs_dims": None,
-                "filiform": None,
-                "min_generators": None,
-                "quasi_cyclic": None,
-            },
-        )
+        _emit(args, {**report, "jacobi": False, "detail": str(exc)})
         return 1 if args.strict else 0
-    report = {"jacobi": True}  # loading ran the Jacobi check and raised on failure
+    report["jacobi"] = True  # loading ran the Jacobi check and raised on failure
     try:
         chain = lower_central_series(L)
         report["lcs_dims"] = [space.cols for space in chain]
         report["filiform"] = is_filiform(chain)
         report["min_generators"] = minimal_generator_count(chain)
     except NotNilpotent as exc:
-        report.update(lcs_dims=None, filiform=None, min_generators=None, detail=str(exc))
-    report["quasi_cyclic"] = None
-    if spec is not None and report.get("lcs_dims") is not None:
+        report["detail"] = str(exc)
+    if spec is not None and report["lcs_dims"] is not None:
         gens = [{spec.gen_index(s, t): ONE} for s in range(1, spec.m + 1) for t in (0, 1)]
         try:
             chain = quasi_cyclic_split(L, column_span(gens, L.dim))
@@ -233,71 +228,76 @@ def _cmd_weights(args) -> int:
     return 0
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qfla",
-        description="Exact tools for the glued filiform algebras N(Q_n, m, r)",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("build", help="construct an algebra from gluing parameters")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--B", help='gluing matrix as JSON, e.g. \'[["1"]]\'')
-    p.add_argument("--out", help="also write the JSON to this file")
-    p.set_defaults(func=_cmd_build)
-
-    p = sub.add_parser("check", help="structural diagnostics of an algebra file")
-    p.add_argument("algebra")
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("der", help="derivation algebra report")
-    p.add_argument("algebra")
-    p.add_argument("--compare", action="store_true", help="cross-check oracle vs closed form")
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_der)
-
-    p = sub.add_parser("aut-check", help="test a candidate automorphism")
-    p.add_argument("algebra")
-    p.add_argument("candidate")
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_aut_check)
-
-    p = sub.add_parser("iso", help="decide isomorphism of two gluings")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_iso)
-
-    p = sub.add_parser("related", help="annihilator matrix of the gluing")
-    p.add_argument("spec")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_related)
-
-    p = sub.add_parser(
-        "weights",
-        help="joint eigenspace table of the (m+1)-member torus: Grading and the CopyWeights",
-    )
-    p.add_argument("algebra")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_weights)
-    return parser
+# verb -> (handler, positional names, {option: kind}).  An int option is
+# required; a str option or a bool flag that is left out reads None.
+VERBS = {
+    "build": (_cmd_build, (), {"n": int, "m": int, "r": int, "B": str, "out": str}),
+    "check": (_cmd_check, ("algebra",), {"strict": bool, "out": str}),
+    "der": (_cmd_der, ("algebra",), {"compare": bool, "strict": bool, "out": str}),
+    "aut-check": (_cmd_aut_check, ("algebra", "candidate"), {"strict": bool, "out": str}),
+    "iso": (_cmd_iso, ("first", "second"), {"strict": bool, "out": str}),
+    "related": (_cmd_related, ("spec",), {"out": str}),
+    "weights": (_cmd_weights, ("algebra",), {"out": str}),
+}
 
 
-def main(argv: Optional[list] = None) -> int:
-    parser = _parser()
+def _help(verbs: dict) -> int:
+    """Print each verb's synopsis, read off its row of VERBS, then the module docstring."""
+    for verb, (_, positionals, options) in verbs.items():
+        words = ["usage: qfla", verb, *positionals]
+        for name, kind in options.items():
+            word = f"--{name}" if kind is bool else f"--{name} {name.upper()}"
+            words.append(word if kind is int else f"[{word}]")
+        print(" ".join(words))
+    print(f"\n{__doc__}", end="")
+    return 0
+
+
+def _parse(argv: list):
+    """The handler for argv and its argument.  Every refusal is a ``BadInput``
+    naming the verb, option, positional or token at fault."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return _help, VERBS
+    if not argv or argv[0] not in VERBS:
+        got = f"unknown {argv[0]!r}" if argv else "missing"
+        raise BadInput(f"verb: {got}; expected one of {', '.join(VERBS)}")
+    verb, *rest = argv
+    handler, positionals, options = VERBS[verb]
+    if "-h" in rest or "--help" in rest:
+        return _help, {verb: VERBS[verb]}
+    args = dict.fromkeys(options)
+    given, tokens = [], iter(rest)
+    for token in tokens:
+        name, eq, value = token[2:].partition("=")
+        kind = options.get(name)
+        if not token.startswith("--"):
+            given.append(token)
+        elif kind is None or (kind is bool and eq):
+            raise BadInput(f"{token}: not an option of {verb} (see 'qfla {verb} -h')")
+        elif kind is bool:
+            args[name] = True
+        else:
+            value = value if eq else next(tokens, "--")  # at the end: no value
+            if value.startswith("--"):
+                raise BadInput(f"{name}: --{name} needs a value")
+            try:
+                args[name] = kind(value)
+            except ValueError:
+                raise BadInput(f"{name}: not an integer: {value!r}") from None
+    if len(given) > len(positionals):
+        raise BadInput(f"{given[len(positionals)]}: unexpected argument to {verb}")
+    if len(given) < len(positionals):
+        raise BadInput(f"{positionals[len(given)]}: missing")
+    for name, kind in options.items():
+        if kind is int and args[name] is None:
+            raise BadInput(f"{name}: required option --{name} missing")
+    return handler, SimpleNamespace(**args, **dict(zip(positionals, given)))
+
+
+def main(argv: list | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        return handler(args)
     except (BadInput, BadSearchCap, BadSpec, SearchTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,16 @@
 """Command-line front end: verbs, JSON round trips, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qfla
 from qfla import build_quasi, make_spec
 from qfla.automorphisms import make_scaling_automorphism
-from qfla.cli import main
+from qfla.cli import VERBS, main
 from qfla.jsonio import algebra_to_json, candidate_to_json, dumps, spec_to_json
 
 
@@ -383,6 +388,41 @@ class TestInputContract:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path}:")
 
+    # (field at fault, argv); no file is read, so none of the paths exist
+    ARGV_REFUSALS = [
+        ("verb", []),
+        ("verb", ["frob", "a.json"]),
+        ("verb", ["--n", "5", "build"]),
+        ("n", ["build", "--n", "x", "--m", "1", "--r", "1"]),
+        ("n", ["build", "--m", "1", "--r", "1"]),
+        ("m", ["build", "--n", "5", "--m=", "--r", "1"]),
+        ("r", ["build", "--n", "5", "--m", "1", "--r"]),
+        ("out", ["check", "a.json", "--out", "--strict"]),
+        ("algebra", ["check"]),
+        ("candidate", ["aut-check", "a.json"]),
+        ("first", ["iso"]),
+        ("second", ["iso", "a.json"]),
+        ("spec", ["related", "--out", "x.json"]),
+        ("b.json", ["related", "a.json", "b.json"]),
+        ("--bogus", ["weights", "a.json", "--bogus"]),
+        ("--comp", ["der", "a.json", "--comp"]),
+        ("--strict=yes", ["check", "--strict=yes", "a.json"]),
+    ]
+
+    @pytest.mark.parametrize("field,argv", ARGV_REFUSALS)
+    def test_argv_refusal_is_one_line_naming_the_field(self, run, field, argv):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith(f"error: {field}: ")
+
+    def test_argv_order_and_option_forms_do_not_matter(self, run, algebra521_file):
+        build = ["build", "--n", "5", "--m", "2", "--r", "1", "--B", '[["1"]]']
+        expected = run(*build)
+        assert expected[0] == 0
+        assert run("build", '--B=[["1"]]', "--r", "1", "--m=2", "--n=5") == expected
+        assert run("der", algebra521_file, "--compare") == run("der", "--compare", algebra521_file)
+
     def test_zero_algebra_check(self, run, tmp_path):
         path = tmp_path / "zero.json"
         path.write_text('{"dim": 0}')
@@ -450,3 +490,64 @@ class TestDeterminism:
                 run_outputs.append(out)
             outputs.append(run_outputs)
         assert outputs[0] == outputs[1]
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"]] + [[verb, "--help"] for verb in VERBS])
+    def test_help_prints_usage_to_stdout(self, run, argv):
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "")
+        verbs = VERBS if len(argv) == 1 else [argv[0]]
+        usage = [line for line in out.splitlines() if line.startswith("usage: qfla ")]
+        assert [line.split()[2] for line in usage] == list(verbs)
+        for line, verb in zip(usage, verbs):
+            _, positionals, options = VERBS[verb]
+            assert all(name in line.split() for name in positionals)
+            assert all(f"--{name}" in line for name in options)
+
+
+SRC = str(Path(qfla.__file__).resolve().parent.parent)
+
+# Runs every verb once through qfla.cli.main in its own interpreter, then
+# prints which argv-parsing modules it imported.
+EVERY_VERB = """
+import contextlib, io, sys
+from qfla import make_spec
+from qfla.automorphisms import make_scaling_automorphism
+from qfla.cli import VERBS, main
+from qfla.jsonio import candidate_to_json, dumps, spec_to_json
+
+spec = make_spec(5, 2, 1, [["1"]])
+cand = make_scaling_automorphism(spec, [1, 1], [2, 2])
+open("s.json", "w").write(dumps(spec_to_json(spec)))
+open("c.json", "w").write(dumps(candidate_to_json(spec, cand.e0, cand.e1)))
+battery = [
+    ["build", "--n", "5", "--m", "2", "--r", "1", "--B", '[["1"]]', "--out", "a.json"],
+    ["check", "a.json"], ["der", "a.json", "--compare"], ["aut-check", "a.json", "c.json"],
+    ["iso", "s.json", "s.json"], ["related", "s.json"], ["weights", "a.json"],
+]
+assert [argv[0] for argv in battery] == list(VERBS)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert [main(argv) for argv in battery] == [0] * len(battery)
+print(sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
+"""
+
+
+class TestEntryPoint:
+    def _python(self, cwd, *args):
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        return subprocess.run(
+            [sys.executable, *args], cwd=cwd, env=env, capture_output=True, timeout=120
+        )
+
+    def test_module_entry_reads_sys_argv(self, run, tmp_path):
+        argv = ["build", "--n", "5", "--m", "2", "--r", "1", "--B", '[["1"]]']
+        proc = self._python(tmp_path, "-m", "qfla.cli", *argv)
+        code, out, _ = run(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), b"")
+
+    def test_no_verb_imports_argparse_gettext_or_locale(self, tmp_path):
+        proc = self._python(tmp_path, "-c", EVERY_VERB)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == b"[]\n"
