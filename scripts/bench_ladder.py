@@ -8,12 +8,14 @@ PATH defaults to this checkout when no ``--tree`` is given.  Every rung (a
 verb on one gluing's algebra file, ``build`` of that gluing, or ``iso
 --strict`` on a pair of parameter files) runs ``--runs`` times per tree in a
 fresh interpreter; the trees take turns going first.  A run times
-``qfla.cli.main`` alone, after the import, and reads the child's peak RSS; a
-run still going after ``TIME_LIMIT_S`` seconds is stopped and recorded as a
-time-out.  Algebra files are built once per tree by that tree's own ``qfla
-build``.  The output holds, per tree, the git hash ("-dirty" when tracked
+``qfla.cli.main`` alone, after the import, and within it the calls to
+``qfla.cli.derivation_oracle`` (by ``der`` and ``der --compare``), and reads
+the child's peak RSS; a run still going after ``TIME_LIMIT_S`` seconds is
+stopped and recorded as a time-out.  Algebra files are built once per tree by
+that tree's own ``qfla build``.  The output holds, per tree, the git hash ("-dirty" when tracked
 files differ from it), a sha256 of the timed ``src/qfla/*.py`` files, and per
-rung the median and all run times (null for a time-out), the median peak RSS
+rung the median and all run times (null for a time-out), the median oracle
+time (``oracle_median_s``, on rungs that call the oracle), the median peak RSS
 and the exit code ("timeout" when some run timed out), next to the Python
 version and the machine.
 """
@@ -31,13 +33,18 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 
-# (name, build arguments): a one-block gluing and two-block ones of dim 92 and 106.
+# (name, build arguments): one-block gluings of dim 19 (the survey workload's
+# median shape) and 37, two-block ones of dim 92 and 106, and a three-block
+# one of dim 171.
 GLUINGS = [
+    ("n9m2r1", ["--n", "9", "--m", "2", "--r", "1", "--B", '[["2"]]']),
     ("n9m4r1", ["--n", "9", "--m", "4", "--r", "1", "--B", '[["1","2","-1"]]']),
     ("n15m6r2", ["--n", "15", "--m", "6", "--r", "2",
                  "--B", '[["1","1","0","0"],["0","0","1","1"]]']),
     ("n13m8r2", ["--n", "13", "--m", "8", "--r", "2",
                  "--B", '[["1","2","-1","0","0","0"],["0","0","0","1","3","1"]]']),
+    ("n21m8r3", ["--n", "21", "--m", "8", "--r", "3",
+                 "--B", '[["1","2","0","0","0"],["0","0","1","-1","0"],["0","0","0","0","3"]]']),
 ]
 # Verbs run on the built algebra file; the "build" rung times the build itself.
 VERBS = [["build"], ["check"], ["der"], ["der", "--compare"], ["weights"]]
@@ -85,19 +92,32 @@ ISO_PAIRS = [
 
 TIME_LIMIT_S = 120
 
-# Runs in the child: time cli.main on argv (stdout discarded), report seconds,
-# exit code and peak RSS as one JSON line.
+# Runs in the child: time cli.main on argv (stdout discarded), and within it
+# the derivation oracle (null when the verb does not call it); report both
+# times, the exit code and peak RSS as one JSON line.
 CHILD = """
 import contextlib, io, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 import qfla.cli
 argv = sys.argv[2:]
+oracle_s = []
+oracle = qfla.cli.derivation_oracle
+
+def timed_oracle(L):
+    t0 = time.perf_counter()
+    try:
+        return oracle(L)
+    finally:
+        oracle_s.append(time.perf_counter() - t0)
+
+qfla.cli.derivation_oracle = timed_oracle
 with contextlib.redirect_stdout(io.StringIO()):
     t0 = time.perf_counter()
     rc = qfla.cli.main(argv)
     elapsed = time.perf_counter() - t0
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"s": elapsed, "rc": rc, "rss_mb": rss_mb}))
+oracle_s = sum(oracle_s) if oracle_s else None
+print(json.dumps({"s": elapsed, "oracle_s": oracle_s, "rc": rc, "rss_mb": rss_mb}))
 """
 
 
@@ -111,7 +131,7 @@ def _child(src: Path, argv: list) -> dict:
             timeout=TIME_LIMIT_S,
         )
     except subprocess.TimeoutExpired:
-        return {"s": None, "rc": "timeout", "rss_mb": None}
+        return {"s": None, "oracle_s": None, "rc": "timeout", "rss_mb": None}
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
@@ -168,7 +188,7 @@ def main(argv=None) -> int:
             runs = times[label]
             done = [r for r in runs if r["rc"] != "timeout"]
             median = statistics.median(r["s"] for r in done) if done else None
-            report["trees"][label]["rungs"][name] = {
+            entry = report["trees"][label]["rungs"][name] = {
                 "median_s": None if median is None else round(median, 4),
                 "runs_s": [None if r["s"] is None else round(r["s"], 4) for r in runs],
                 "peak_rss_mb": (
@@ -176,7 +196,12 @@ def main(argv=None) -> int:
                 ),
                 "exit": "timeout" if len(done) < len(runs) else runs[0]["rc"],
             }
+            oracle = [r["oracle_s"] for r in done if r["oracle_s"] is not None]
+            if oracle:
+                entry["oracle_median_s"] = round(statistics.median(oracle), 4)
             shown = "timeout" if median is None else f"{median:.3f} s"
+            if oracle:
+                shown += f" (oracle {entry['oracle_median_s']:.3f} s)"
             print(f"{label:>8}  {name:<24} {shown}")
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -240,29 +240,46 @@ def is_derivation(L: LieAlgebra, D: Matrix) -> bool:
 
 def derivation_oracle(L: LieAlgebra) -> List[Matrix]:
     """Canonical basis of the full derivation algebra, found by solving the
-    Leibniz rule as a sparse linear system in the dim^2 matrix entries."""
+    Leibniz rule as a sparse linear system in the dim^2 matrix entries.
+
+    Basis pair (i, j) gives one equation per output index `out` that some
+    term touches: the e_out coefficient of D[e_i, e_j] - [D e_i, e_j] -
+    [e_i, D e_j], in the unknown D[a, b] at column a * dim + b.  The rows are
+    made pair by pair as the solver reads them; cancelled terms leave zero
+    entries, which ``sparse_nullspace`` drops."""
     dim = L.dim
-    # per j, the k whose bracket [e_k, e_j] is nonzero, with that bracket
-    hits = [[(k, b) for k in range(dim) if (b := L.structure(k, j))] for j in range(dim)]
-    rows: List[dict] = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            eq: List[dict] = [dict() for _ in range(dim)]
-            for k, c in L.structure(i, j).items():  # D[e_i, e_j]
-                for out in range(dim):
-                    key = out * dim + k
-                    eq[out][key] = eq[out].get(key, ZERO) + c
-            for k, b in hits[j]:  # -[D e_i, e_j]
-                for out, c in b.items():
-                    key = k * dim + i
-                    eq[out][key] = eq[out].get(key, ZERO) - c
-            for k, b in hits[i]:  # -[e_i, D e_j] = [D e_j, e_i]
-                for out, c in b.items():
-                    key = k * dim + j
-                    eq[out][key] = eq[out].get(key, ZERO) + c
-            rows.extend(e for e in eq if e)
+    # per j, the k whose bracket with e_j is nonzero, with [e_j, e_k] and [e_k, e_j]
+    hits = [
+        [(k, L.structure(j, k), b) for k in range(dim) if (b := L.structure(k, j))]
+        for j in range(dim)
+    ]
+
+    def add(eq: dict, out: int, col: int, c) -> None:
+        row = eq.get(out)
+        if row is None:
+            eq[out] = {col: c}
+        elif col in row:
+            row[col] += c
+        else:
+            row[col] = c
+
+    def leibniz_rows():
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                base = L.structure(i, j)  # D[e_i, e_j]
+                eq = {}
+                if base:
+                    eq = {out: {out * dim + k: c for k, c in base.items()} for out in range(dim)}
+                for k, jk, _ in hits[j]:  # -[D e_i, e_j] = [e_j, D e_i]
+                    for out, c in jk.items():
+                        add(eq, out, k * dim + i, c)
+                for k, _, ki in hits[i]:  # -[e_i, D e_j] = [D e_j, e_i]
+                    for out, c in ki.items():
+                        add(eq, out, k * dim + j, c)
+                yield from eq.values()
+
     out = []
-    for vec in sparse_nullspace(rows, dim * dim):
+    for vec in sparse_nullspace(leibniz_rows(), dim * dim):
         cols: List[dict] = [{} for _ in range(dim)]
         for key, x in vec.items():  # key a * dim + b is entry (a, b)
             cols[key % dim][key // dim] = x

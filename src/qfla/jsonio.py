@@ -81,7 +81,7 @@ def matrix_from_json(data, field: str = "matrix") -> Matrix:
         raise BadInput(f"{field}: expected an array of arrays")
     try:
         return Matrix(data)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError) as exc:
         raise BadInput(f"{field}: {exc}") from exc
 
 
@@ -90,7 +90,7 @@ def vector_from_json(data, length: int, field: str) -> tuple:
         raise BadInput(f"{field}: expected an array of {length} scalars")
     try:
         return tuple(scalar(x) for x in data)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError) as exc:
         raise BadInput(f"{field}: {exc}") from exc
 
 
@@ -174,7 +174,7 @@ def algebra_from_json(data) -> Tuple[LieAlgebra, Optional[QuasiQnSpec]]:
                 raise BadInput(f"value: target index {k} appears twice in bracket ({i},{j})")
             try:
                 value[k] = scalar(c)
-            except (ValueError, TypeError, ZeroDivisionError) as exc:
+            except (ValueError, TypeError) as exc:
                 raise BadInput(f"value: {exc}") from exc
         sc[(i, j)] = value
     if "spec" not in data:

@@ -25,14 +25,18 @@ def scalar(value: ScalarLike) -> Fraction:
     """Coerce an int, a string like ``"3/4"``, or a Fraction to a Scalar.
 
     Floats are rejected on purpose: nothing in this package may round.  So
-    are bools, which Python counts as ints but JSON does not.
+    are bools, which Python counts as ints but JSON does not.  A string with
+    a zero denominator is a ``ValueError`` like any other malformed string.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot make an exact scalar from {value!r}")
 
 
@@ -160,6 +164,8 @@ def _transpose(vectors: Sequence[dict], n: int) -> list:
 # the rows already stored, so an extended echelon form can share its rows with
 # the one it grew from; one back-substitution then gives the reduced row
 # echelon form, from which ranks, spans, inverses and kernels are read off.
+# `_rref_rows` peels one-entry rows off a system before any of that, so only
+# its coupled rows are pivoted on.
 
 
 def _subtract(row: dict, f: Fraction, pivot: dict) -> None:
@@ -221,7 +227,33 @@ def _back_substitute(echelon: dict) -> dict:
 
 
 def _rref_rows(rows: Iterable[dict]) -> dict:
-    return _back_substitute(_insert({}, rows))
+    """The reduced row echelon form of rows without zero entries, which it
+    may change: the rows must be the caller's own fresh dicts.
+
+    A one-entry row {c: x} puts e_c in the row space, so the reduced form
+    holds the row {c: 1} and no other row has an entry at c.  Such rows are
+    peeled first, round after round, striking their columns from every other
+    row with no arithmetic; only the coupled rows left over are eliminated.
+    The reduced form of a row space is unique, so the result is the same.
+    """
+    reduced: dict = {}
+    rows = [row for row in rows if row]
+    while True:
+        units = {c for row in rows if len(row) == 1 for c in row}
+        if not units:
+            break
+        for c in units:
+            reduced[c] = {c: ONE}
+        coupled = []
+        for row in rows:
+            if len(row) > 1:
+                for c in units.intersection(row):
+                    del row[c]
+                if row:
+                    coupled.append(row)
+        rows = coupled
+    reduced.update(_back_substitute(_insert({}, rows)))
+    return reduced
 
 
 def _kernel(reduced: dict, ncols: int) -> list:

@@ -317,6 +317,29 @@ class TestInputContract:
         assert (code, out) == (2, "")
         assert err.startswith("error: B:")
 
+    @pytest.mark.parametrize("where", ["B", "images.e_10", "value"])
+    def test_zero_denominator_names_the_field(self, run, tmp_path, algebra521_file, where):
+        # "p/0" is a malformed scalar wherever a scalar is read
+        if where == "B":
+            argv = ["build", "--n", "5", "--m", "2", "--r", "1", "--B", '[["3/0"]]']
+            text = "3/0"
+        elif where == "value":
+            data = json.loads(open(algebra521_file).read())
+            data["brackets"][0]["value"][0][1] = text = "2/0"
+            path = tmp_path / "zero.json"
+            path.write_text(json.dumps(data))
+            argv = ["check", str(path)]
+        else:
+            spec = make_spec(5, 2, 1, [["1"]])
+            images = candidate_to_json(spec, [{}] * 2, [{}] * 2)
+            images["images"]["e_10"][0] = text = "1/0"
+            path = tmp_path / "zero.json"
+            path.write_text(json.dumps(images))
+            argv = ["aut-check", algebra521_file, str(path)]
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {where}: zero denominator in '{text}'\n"
+
     def test_non_integer_search_cap_exit_2(self, run, monkeypatch, spec521_file):
         monkeypatch.setenv("QFLA_MAX_M", "abc")
         code, out, err = run("iso", spec521_file, spec521_file)

@@ -33,8 +33,9 @@ from qfla.derivations import (
     NotSimultaneouslyDiagonal,
 )
 from qfla.liecore import lower_central_series
-from qfla.linalg import Matrix, column_span, sparse_nullspace
+from qfla.linalg import ZERO, Matrix, column_span, sparse_nullspace
 from test_iso import NONZERO, WITH_ZEROS, relabelled
+from test_liecore import dense_tables
 
 SPEC521 = make_spec(5, 2, 1, [["1"]])
 
@@ -187,9 +188,9 @@ def independent_diagonals(torus) -> int:
 
 
 @st.composite
-def mixing_gluings(draw):
+def mixing_gluings(draw, max_m=5):
     """A gluing with some column of B on two or more tops, r >= 2."""
-    m = draw(st.integers(3, 5))
+    m = draw(st.integers(3, max_m))
     r = draw(st.integers(2, m - 1))
     B = [[draw(st.sampled_from(WITH_ZEROS)) for _ in range(m - r)] for _ in range(r)]
     assume(all(any(B[i][k] for i in range(r)) for k in range(m - r)))
@@ -310,10 +311,10 @@ class TestEigenvalueBookkeeping:
 
 
 @st.composite
-def block_gluings(draw):
+def block_gluings(draw, ns=(5, 7, 9), max_m=5):
     """A block-form gluing: each extra copy glues onto one independent top."""
-    n = draw(st.sampled_from([5, 7, 9]))
-    m = draw(st.integers(1, 5))
+    n = draw(st.sampled_from(ns))
+    m = draw(st.integers(1, max_m))
     r = draw(st.integers(1, m))
     B = [[Fraction(0)] * (m - r) for _ in range(r)]
     for k in range(m - r):
@@ -357,3 +358,61 @@ class TestDerProperties:
         assert [c.cols for c in lower_central_series(L1)] == [
             c.cols for c in lower_central_series(L2)
         ]
+
+
+# -- the oracle's assembly against the per-pair reference ----------------------------
+
+
+def reference_leibniz_rows(L):
+    """The Leibniz system assembled pair by pair with dim fresh rows each,
+    every coefficient added to ZERO: the oracle's assembly before it built
+    rows only for the outputs some term touches."""
+    dim = L.dim
+    hits = [[(k, b) for k in range(dim) if (b := L.structure(k, j))] for j in range(dim)]
+    rows = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            eq = [dict() for _ in range(dim)]
+            for k, c in L.structure(i, j).items():  # D[e_i, e_j]
+                for out in range(dim):
+                    key = out * dim + k
+                    eq[out][key] = eq[out].get(key, ZERO) + c
+            for k, b in hits[j]:  # -[D e_i, e_j]
+                for out, c in b.items():
+                    key = k * dim + i
+                    eq[out][key] = eq[out].get(key, ZERO) - c
+            for k, b in hits[i]:  # -[e_i, D e_j] = [D e_j, e_i]
+                for out, c in b.items():
+                    key = k * dim + j
+                    eq[out][key] = eq[out].get(key, ZERO) + c
+            rows.extend(e for e in eq if e)
+    return rows
+
+
+def reference_oracle(L):
+    out = []
+    for vec in sparse_nullspace(reference_leibniz_rows(L), L.dim**2):
+        cols = [{} for _ in range(L.dim)]
+        for key, x in vec.items():  # key a * dim + b is entry (a, b)
+            cols[key % L.dim][key // L.dim] = x
+        out.append(Matrix.from_columns(cols, L.dim))
+    return out
+
+
+class TestOracleAssembly:
+    @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
+    def test_battery(self, spec):
+        L = build_quasi(spec)
+        assert derivation_oracle(L) == reference_oracle(L)
+
+    @given(st.one_of(block_gluings(ns=(5, 7), max_m=4), mixing_gluings(max_m=4)))
+    @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    def test_random_gluings(self, spec):
+        L = build_quasi(spec)
+        assert derivation_oracle(L) == reference_oracle(L)
+
+    @given(dense_tables(ns=(5,)))
+    @settings(max_examples=5, deadline=None)
+    def test_q5_in_a_random_basis(self, L):
+        # non-integer structure constants, and brackets dense in the basis
+        assert derivation_oracle(L) == reference_oracle(L)

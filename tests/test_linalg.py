@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sparse
+from qfla import linalg
 from qfla.linalg import (
     Matrix,
     column_span,
@@ -51,6 +52,74 @@ def sparse_matrix(draw):
 
 
 matrices = st.one_of(random_matrix(5, 5), sparse_matrix())
+
+
+# Cheap to draw, and enough to cancel: the Leibniz rows carry small entries.
+LEIBNIZ_ENTRIES = [Fraction(x) for x in (1, -1, 2, -3, "1/2", "-2/3", "7/5")]
+
+
+@st.composite
+def leibniz_like(draw):
+    """(ncols, rows) shaped like the derivation oracle's Leibniz system: mostly
+    one-entry rows.  Base row k brings in column order[k], with up to two
+    columns brought in earlier; the first three form a chain {a}, {a, b},
+    {b, c}, so peeling takes at least three rounds.  Some base rows are left
+    out, so kernels are not trivial; coupled rows off the chain, repeated and
+    rescaled rows, explicit zeros, int values and empty rows are mixed in."""
+    entries = st.sampled_from(LEIBNIZ_ENTRIES)
+    ncols = draw(st.integers(5, 16))
+    order = draw(st.permutations(range(ncols)))
+    base = [{order[0]: draw(entries)}]
+    for k in range(1, ncols):
+        if k < 3:
+            earlier = [order[k - 1]]
+        else:
+            earlier = st.lists(st.sampled_from(order[:k]), min_size=1, max_size=2, unique=True)
+            earlier = draw(earlier)
+            if draw(st.integers(0, 2)):  # two thirds of the later rows stay units
+                earlier = []
+        base.append({c: draw(entries) for c in [*earlier, order[k]]})
+    keep = draw(st.lists(st.booleans(), min_size=ncols - 3, max_size=ncols - 3))
+    rows = base[:3] + [row for row, kept in zip(base[3:], keep) if kept]
+    # coupled rows mostly on the columns whose base row was left out, so that
+    # some of them survive the peeling
+    free = [c for c, kept in zip(order[3:], keep) if not kept]
+    if len(free) < 2 or draw(st.booleans()):
+        free = order[3:]
+    coupled = st.dictionaries(st.sampled_from(free), entries, min_size=2, max_size=4)
+    rows += draw(st.lists(coupled, max_size=5))
+    factors = st.one_of(st.just(Fraction(0)), st.just(Fraction(1)), entries)
+    copies = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), factors), max_size=4))
+    rows += [{c: f * x for c, x in rows[i].items()} for i, f in copies]
+    rows += [{} for _ in range(draw(st.integers(0, 2)))]
+    for row in rows:
+        if draw(st.booleans()):
+            row.setdefault(draw(st.integers(0, ncols - 1)), Fraction(0))
+    rows = [{c: int(x) if x.denominator == 1 else x for c, x in row.items()} for row in rows]
+    return ncols, draw(st.permutations(rows))
+
+
+def as_grid(rows, ncols):
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
+def square_grid(system):
+    """The first ncols rows of a system as a square grid, padded with zero rows."""
+    ncols, rows = system
+    return as_grid(rows[:ncols] + [{}] * (ncols - len(rows)), ncols)
+
+
+def reference_peel(rows):
+    """(rounds, coupled rows) of peeling one-entry rows off a system: each
+    round strikes the columns of the rows with one entry left among the
+    columns not yet struck, until no such row is left."""
+    rows = [{c: x for c, x in row.items() if x} for row in rows]
+    struck, rounds = set(), 0
+    while units := {c for row in rows if len(left := row.keys() - struck) == 1 for c in left}:
+        struck |= units
+        rounds += 1
+    coupled = [{c: x for c, x in row.items() if c not in struck} for row in rows]
+    return rounds, [row for row in coupled if row]
 
 
 def reference_rref(grid, ncols):
@@ -120,8 +189,13 @@ class TestAgainstReference:
         assert column_span(vectors, M.cols) == expected
 
     @given(
-        st.integers(1, 5).flatmap(
-            lambda n: st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n)
+        st.one_of(
+            st.integers(1, 5).flatmap(
+                lambda n: st.lists(
+                    st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n
+                )
+            ),
+            leibniz_like().map(square_grid),  # mostly one-entry rows: the peel runs
         ),
         st.one_of(st.none(), scalars),
     )
@@ -138,6 +212,47 @@ class TestAgainstReference:
                 inverse(M)
         else:
             assert inverse(M) == Matrix([row[n:] for row in rows])
+
+
+def item_lists(rows):
+    return sorted(sorted(row.items()) for row in rows)
+
+
+class TestUnitRowPeeling:
+    """Every solve strikes one-entry rows before it pivots; the result is
+    still the textbook reduced form, and only the coupled rows left over
+    reach ``_insert``."""
+
+    @staticmethod
+    def eliminated_rows(solve):
+        seen = []
+
+        def recording(echelon, rows):
+            rows = list(rows)
+            seen.extend(dict(row) for row in rows)
+            return insert(echelon, rows)
+
+        insert = linalg._insert
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_insert", recording)
+            result = solve()
+        return result, seen
+
+    @given(leibniz_like())
+    @settings(max_examples=100, deadline=None)
+    def test_nullspace_and_span_match_dense(self, system):
+        ncols, rows = system
+        rounds, coupled = reference_peel(rows)
+        assert rounds >= 3
+        M = Matrix(as_grid(rows, ncols), cols=ncols)
+        kernel, seen = self.eliminated_rows(lambda: sparse_nullspace(rows, ncols))
+        assert [[v.get(c, 0) for c in range(ncols)] for v in kernel] == reference_kernel(M)
+        assert item_lists(seen) == item_lists(coupled)
+        reduced, pivots = reference_rref(as_grid(rows, ncols), ncols)
+        expected = Matrix.from_columns([sparse(row) for row in reduced[: len(pivots)]], ncols)
+        span, seen = self.eliminated_rows(lambda: column_span(rows, ncols))
+        assert span == expected
+        assert item_lists(seen) == item_lists(coupled)
 
 
 def grids(rows, cols):
@@ -209,6 +324,10 @@ class TestScalar:
     def test_rejects_bools(self):
         with pytest.raises(TypeError):
             scalar(True)
+
+    def test_rejects_zero_denominators(self):
+        with pytest.raises(ValueError, match="zero denominator in '3/0'"):
+            scalar("3/0")
 
     def test_round_trip(self):
         for x in [Fraction(3, 4), Fraction(-7), Fraction(0)]:
