@@ -6,7 +6,7 @@ the closed-form count and the torus/nilpotent split, flagging any gluing
 where the two disagree."""
 import time
 
-from qfla import build_quasi, make_spec
+from qfla.builder import build_quasi, make_spec
 from qfla.derivations import der_dimension, derivation_oracle, nilpotent_basis, torus_basis
 
 BATTERY = [

@@ -4,7 +4,7 @@
 Decides two (5,3,2) gluings both ways: a pair differing only by a top
 rescaling (isomorphic, with a verified monomial witness and algebra map)
 and a pair whose kernel nonzero-patterns differ (not isomorphic)."""
-from qfla import build_quasi, make_spec
+from qfla.builder import build_quasi, make_spec
 from qfla.iso import iso_decide
 from qfla.jsonio import dumps, iso_verdict_to_json
 from qfla.liecore import bracket_preserving

@@ -19,10 +19,6 @@ from .liecore import LieAlgebra, bracket_preserving
 from .linalg import Matrix, ONE, ZERO, _subtract, rank, scalar
 
 
-class ZeroScale(ValueError):
-    pass
-
-
 def extend_endomorphism(
     shape: QuasiQnSpec, target: LieAlgebra, candidate: GeneratorImages
 ) -> Matrix:
@@ -222,17 +218,19 @@ def make_scaling_automorphism(
 ) -> GeneratorImages:
     """Candidate with e_{s0} -> alpha_s e_{perm(s),0}, e_{s1} -> beta_s e_{perm(s),1}.
 
-    ``perm`` maps copies to copies (1-based, identity by default).  The result
-    is an automorphism only when the induced top scales alpha^{n-2} beta^2 are
-    compatible with the gluing; run ``automorphism_conditions`` to find out.
-    Raises ZeroScale on a zero scale factor.
+    ``perm`` maps copies to copies (1-based, identity by default).  The images
+    may live in a second gluing with the same (n, m, r), given as ``spec``.
+    The result is an automorphism only when the induced top scales
+    alpha^{n-2} beta^2 are compatible with the gluing; run
+    ``automorphism_conditions`` to find out.  Raises ValueError on a zero
+    scale factor.
     """
     alphas = [scalar(a) for a in alphas]
     betas = [scalar(b) for b in betas]
     if len(alphas) != spec.m or len(betas) != spec.m:
         raise ValueError(f"need {spec.m} scale pairs")
     if any(a == 0 for a in alphas) or any(b == 0 for b in betas):
-        raise ZeroScale("scale factors must be nonzero")
+        raise ValueError("scale factors must be nonzero")
     if perm is None:
         perm = list(range(1, spec.m + 1))
     if sorted(perm) != list(range(1, spec.m + 1)):

@@ -22,13 +22,9 @@ class BadSpec(ValueError):
     pass
 
 
-class BadN(BadSpec):
-    pass
-
-
 def _check_n(n: int) -> None:
     if n < 5 or n % 2 == 0:
-        raise BadN(f"n: must be odd and >= 5, got {n}")
+        raise BadSpec(f"n: must be odd and >= 5, got {n}")
 
 
 @dataclass(frozen=True)

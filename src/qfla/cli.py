@@ -58,7 +58,7 @@ from .liecore import (
     minimal_generator_count,
     quasi_cyclic_split,
 )
-from .linalg import ONE, column_span, scalar_to_str
+from .linalg import Matrix, ONE, column_span, scalar_to_str
 
 
 def _loads(text: str, field: str):
@@ -139,7 +139,7 @@ def _cmd_check(args) -> int:
     if spec is not None and report["lcs_dims"] is not None:
         gens = [{spec.gen_index(s, t): ONE} for s in range(1, spec.m + 1) for t in (0, 1)]
         try:
-            chain = quasi_cyclic_split(L, column_span(gens, L.dim))
+            chain = quasi_cyclic_split(L, Matrix.from_columns(gens, L.dim))
             report["quasi_cyclic"] = {"dims": [space.cols for space in chain]}
         except (NotDirect, NotSpanning) as exc:
             report["quasi_cyclic"] = {"dims": None, "detail": str(exc)}

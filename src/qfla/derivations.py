@@ -15,11 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from .builder import QuasiQnSpec, block_structure, build_quasi, support_components
 from .liecore import LieAlgebra
-from .linalg import Matrix, ONE, ZERO, _combine, _subtract, column_span, scalar, sparse_nullspace
-
-
-class NotSimultaneouslyDiagonal(ValueError):
-    pass
+from .linalg import Matrix, ONE, ZERO, _combine, _subtract, scalar, sparse_nullspace
 
 
 @dataclass(frozen=True)
@@ -416,18 +412,15 @@ def weight_decomposition(L: LieAlgebra, torus: Sequence[Matrix]) -> Dict[tuple, 
     """Split the underlying space into joint eigenspaces of diagonal maps.
 
     Returns {weight tuple: canonical column-span matrix}.  Raises
-    NotSimultaneouslyDiagonal when some map is not diagonal on this basis.
+    ValueError when some map is not diagonal on this basis.
     """
     for D in torus:
         off = [(i, j) for j, col in enumerate(D.columns()) for i in col if i != j]
         if off:
             i, j = min(off)
-            raise NotSimultaneouslyDiagonal(f"map has off-diagonal entry at ({i},{j})")
+            raise ValueError(f"map has off-diagonal entry at ({i},{j})")
     groups: Dict[tuple, list] = {}
     for k in range(L.dim):
         weight = tuple(D.entry(k, k) for D in torus)
         groups.setdefault(weight, []).append(k)
-    return {
-        w: column_span([{k: ONE} for k in idxs], L.dim)
-        for w, idxs in groups.items()
-    }
+    return {w: Matrix.from_columns([{k: ONE} for k in idxs], L.dim) for w, idxs in groups.items()}

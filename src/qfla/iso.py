@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .automorphisms import extend_endomorphism
+from .automorphisms import extend_endomorphism, make_scaling_automorphism
 from .builder import (
     QuasiQnSpec,
     RelatedMatrix,
@@ -33,7 +33,6 @@ from .builder import (
     proportional_classes,
     related_matrix_of,
 )
-from .derivations import GeneratorImages
 from .liecore import bracket_preserving
 from .linalg import (
     Matrix,
@@ -305,12 +304,8 @@ def build_algebra_witness(
     sigma = [0] * (m + 1)  # sigma[s] = target copy of source copy s
     for j in range(m):
         sigma[K.perm[j] + 1] = j + 1
-    e0, e1 = [], []
-    for s in range(1, m + 1):
-        alpha, beta = split_scale(K.scale[sigma[s] - 1], n)
-        e0.append({spec2.gen_index(sigma[s], 0): alpha})
-        e1.append({spec2.gen_index(sigma[s], 1): beta})
-    images = GeneratorImages(tuple(e0), tuple(e1), spec2.dim)
+    alphas, betas = zip(*(split_scale(K.scale[sigma[s] - 1], n) for s in range(1, m + 1)))
+    images = make_scaling_automorphism(spec2, alphas, betas, sigma[1:])
     return extend_endomorphism(spec1, build_quasi(spec2), images)
 
 

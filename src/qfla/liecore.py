@@ -15,10 +15,6 @@ from typing import Dict, Optional, Sequence, Tuple
 from .linalg import Matrix, ONE, _combine, _subtract, column_span, scalar
 
 
-class DimensionMismatch(ValueError):
-    pass
-
-
 class JacobiViolation(ValueError):
     pass
 
@@ -56,7 +52,7 @@ class LieAlgebra:
         self.dim = dim
         labels = tuple(f"x_{i}" for i in range(dim)) if labels is None else tuple(labels)
         if len(labels) != dim:
-            raise DimensionMismatch("label count != dim")
+            raise ValueError("label count != dim")
         if len(set(labels)) != dim:
             raise ValueError("labels must be pairwise distinct")
         self.labels = labels
@@ -219,7 +215,7 @@ def quasi_cyclic_split(L: LieAlgebra, U: Matrix) -> tuple:
 def bracket_preserving(L1: LieAlgebra, L2: LieAlgebra, M: Matrix) -> bool:
     """True iff M[x,y]_1 = [Mx, My]_2 on all basis pairs of L1."""
     if M.rows != L2.dim or M.cols != L1.dim:
-        raise DimensionMismatch("map shape does not match the two algebras")
+        raise ValueError("map shape does not match the two algebras")
     cols = M.columns()
     for i in range(L1.dim):
         for j in range(i + 1, L1.dim):

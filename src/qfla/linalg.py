@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
@@ -22,7 +21,7 @@ ONE = Fraction(1)
 
 
 def scalar(value: ScalarLike) -> Fraction:
-    """Coerce an int, a string like ``"3/4"``, or a Fraction to a Scalar.
+    """Coerce an int, a string like ``"3/4"``, or a Fraction to a Fraction.
 
     Floats are rejected on purpose: nothing in this package may round.  So
     are bools, which Python counts as ints but JSON does not.  A string with

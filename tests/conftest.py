@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qfla import block_structure, make_spec
+from qfla.builder import block_structure, make_spec
 from qfla.derivations import GeneratorImages
 
 # The standard battery: every (n, m, r, B) the suites run against.

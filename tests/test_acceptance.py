@@ -30,13 +30,13 @@ from conftest import (
     random_supported_images,
     spec_id,
 )
-from qfla import build_quasi, make_spec
 from qfla.automorphisms import (
     automorphism_conditions,
     extend_endomorphism,
     is_automorphism,
     make_scaling_automorphism,
 )
+from qfla.builder import build_quasi, make_spec
 from qfla.cli import main
 from qfla.derivations import (
     GeneratorImages,

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfla.builder import (
-    BadN,
     BadSpec,
     QuasiQnSpec,
     block_structure,
@@ -24,7 +23,7 @@ from qfla.linalg import Matrix, inverse
 class TestSpecValidation:
     def test_rejects_even_or_small_n(self):
         for bad in (4, 6, 3, 1):
-            with pytest.raises(BadN):
+            with pytest.raises(BadSpec, match="^n:"):
                 make_spec(bad, 1, 1)
 
     def test_rejects_bad_r(self):
@@ -74,7 +73,7 @@ class TestBuildQn:
         assert all(L.bracket(e(5), e(i)) == {} for i in range(6))
 
     def test_bad_n(self):
-        with pytest.raises(BadN):
+        with pytest.raises(BadSpec, match="^n:"):
             build_qn(6)
 
     def test_x_basis_conjugates_to_standard(self):

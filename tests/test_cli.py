@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import qfla
-from qfla import build_quasi, make_spec
 from qfla.automorphisms import make_scaling_automorphism
+from qfla.builder import build_quasi, make_spec
 from qfla.cli import VERBS, main
 from qfla.jsonio import algebra_to_json, candidate_to_json, dumps, spec_to_json
 
@@ -535,8 +535,8 @@ SRC = str(Path(qfla.__file__).resolve().parent.parent)
 # prints which argv-parsing modules it imported.
 EVERY_VERB = """
 import contextlib, io, sys
-from qfla import make_spec
 from qfla.automorphisms import make_scaling_automorphism
+from qfla.builder import make_spec
 from qfla.cli import VERBS, main
 from qfla.jsonio import candidate_to_json, dumps, spec_to_json
 

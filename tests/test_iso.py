@@ -9,8 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from conftest import TEST_MATRIX, sparse, spec_id
 from test_linalg import dense_rows, reference_kernel, reference_rref
-from qfla import build_quasi, make_spec
-from qfla.builder import QuasiQnSpec, RelatedMatrix, copy_cells, related_matrix_of
+from qfla.builder import QuasiQnSpec, RelatedMatrix, build_quasi, copy_cells, make_spec, related_matrix_of
 from qfla.iso import (
     EquivalenceWitness,
     NotEquivalent,

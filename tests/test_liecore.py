@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sparse
-from qfla import build_qn, build_quasi, make_spec
-from qfla.builder import change_of_basis, qn_x_basis
+from qfla.builder import build_qn, build_quasi, change_of_basis, make_spec, qn_x_basis
 from qfla.liecore import (
     JacobiViolation,
     LieAlgebra,
