@@ -5,19 +5,21 @@
 
 Each ``--tree LABEL=PATH`` names a git checkout whose ``src/qfla`` is timed;
 PATH defaults to this checkout when no ``--tree`` is given.  Every rung (a
-verb on one gluing's algebra file, ``build`` of that gluing, or ``iso
---strict`` on a pair of parameter files) runs ``--runs`` times per tree in a
-fresh interpreter; the trees take turns going first.  A run times
-``qfla.cli.main`` alone, after the import, and within it the calls to
-``qfla.cli.derivation_oracle`` (by ``der`` and ``der --compare``), and reads
-the child's peak RSS; a run still going after ``TIME_LIMIT_S`` seconds is
-stopped and recorded as a time-out.  Algebra files are built once per tree by
-that tree's own ``qfla build``.  The output holds, per tree, the git hash ("-dirty" when tracked
-files differ from it), a sha256 of the timed ``src/qfla/*.py`` files, and per
-rung the median and all run times (null for a time-out), the median oracle
-time (``oracle_median_s``, on rungs that call the oracle), the median peak RSS
-and the exit code ("timeout" when some run timed out), next to the Python
-version and the machine.
+verb on one gluing's algebra file, ``build`` of that gluing, ``aut-check
+--strict`` of a passing candidate against it, or ``iso --strict`` on a pair of
+parameter files) runs ``--runs`` times per tree in a fresh interpreter; the
+trees take turns going first.  A run times ``qfla.cli.main`` alone, after the
+import, and within it the calls to ``qfla.cli.derivation_oracle`` (by ``der``
+and ``der --compare``), and reads the child's peak RSS; a run still going
+after ``TIME_LIMIT_S`` seconds is stopped and recorded as a time-out.  Algebra
+files are built once per tree by that tree's own ``qfla build``, and candidate
+files written once per tree by that tree's own ``exp_ad`` and
+``candidate_to_json``.  The output holds, per tree, the git hash ("-dirty"
+when tracked files differ from it), a sha256 of the timed ``src/qfla/*.py``
+files, and per rung the median and all run times (null for a time-out), the
+median oracle time (``oracle_median_s``, on rungs that call the oracle), the
+median peak RSS and the exit code ("timeout" when some run timed out), next to
+the Python version and the machine.
 """
 from __future__ import annotations
 
@@ -48,6 +50,10 @@ GLUINGS = [
 ]
 # Verbs run on the built algebra file; the "build" rung times the build itself.
 VERBS = [["build"], ["check"], ["der"], ["der", "--compare"], ["weights"]]
+# Gluings that also get an `aut-check --strict` rung.  Its candidate is dense
+# and passes: the generator images of exp(ad x), x the sum of all basis
+# vectors, so the brute-force check brackets dense columns on every pair.
+AUT_GLUINGS = ("n9m4r1", "n15m6r2", "n21m8r3")
 
 # (name, (n, m, r), B1, B2) for `iso --strict`, all within the default cap on m.
 # "classes": beta's columns are e_1, e_2, (1,1), (1,c) twice each, c = 2 against
@@ -118,6 +124,22 @@ with contextlib.redirect_stdout(io.StringIO()):
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 oracle_s = sum(oracle_s) if oracle_s else None
 print(json.dumps({"s": elapsed, "oracle_s": oracle_s, "rc": rc, "rss_mb": rss_mb}))
+"""
+
+
+# Runs in the child: write the exp(ad x) candidate for an algebra file.
+CANDIDATE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from qfla.automorphisms import exp_ad
+from qfla.jsonio import algebra_from_json, candidate_to_json
+from qfla.linalg import ONE
+with open(sys.argv[2]) as f:
+    L, spec = algebra_from_json(json.load(f))
+cols = exp_ad(L, {k: ONE for k in range(L.dim)}).columns()
+e0, e1 = ([cols[spec.gen_index(s, t)] for s in range(1, spec.m + 1)] for t in (0, 1))
+with open(sys.argv[3], "w") as f:
+    json.dump(candidate_to_json(spec, e0, e1), f)
 """
 
 
@@ -216,6 +238,19 @@ def main(argv=None) -> int:
                 else:
                     argv_of = lambda label: [*verb, files[label]]  # noqa: E731
                 rung(" ".join([name, *verb]), argv_of)
+            if name in AUT_GLUINGS:
+                cands = {}
+                for label in labels:
+                    cands[label] = str(Path(tmp) / f"{label}-{name}-cand.json")
+                    subprocess.run(
+                        [sys.executable, "-B", "-c", CANDIDATE, str(trees[label] / "src"),
+                         files[label], cands[label]],
+                        check=True,
+                    )
+                rung(
+                    f"{name} aut-check --strict",
+                    lambda label: ["aut-check", files[label], cands[label], "--strict"],
+                )
         for name, (n, m, r), *Bs in ISO_PAIRS:
             paths = [str(Path(tmp) / f"{name}-{k}.json") for k in (1, 2)]
             for path, B in zip(paths, Bs):

@@ -241,23 +241,24 @@ def derivation_oracle(L: LieAlgebra) -> List[Matrix]:
     Basis pair (i, j) gives one equation per output index `out` that some
     term touches: the e_out coefficient of D[e_i, e_j] - [D e_i, e_j] -
     [e_i, D e_j], in the unknown D[a, b] at column a * dim + b.  The rows are
-    made pair by pair as the solver reads them; cancelled terms leave zero
-    entries, which ``sparse_nullspace`` drops."""
-    dim = L.dim
+    made pair by pair as the solver reads them, and a term that cancels an
+    entry deletes it, so no row carries a zero entry."""
+    dim, partners = L.dim, L.partners
     # per j, the k whose bracket with e_j is nonzero, with [e_j, e_k] and [e_k, e_j]
-    hits = [
-        [(k, L.structure(j, k), b) for k in range(dim) if (b := L.structure(k, j))]
-        for j in range(dim)
-    ]
+    hits = [[(k, partners[k][j], kj) for k, kj in partners[j].items()] for j in range(dim)]
 
     def add(eq: dict, out: int, col: int, c) -> None:
         row = eq.get(out)
         if row is None:
             eq[out] = {col: c}
-        elif col in row:
-            row[col] += c
-        else:
+        elif col not in row:
             row[col] = c
+        else:
+            c += row[col]
+            if c:
+                row[col] = c
+            else:
+                del row[col]
 
     def leibniz_rows():
         for i in range(dim):

@@ -233,7 +233,7 @@ def monomial_equivalence(
         )
     # K's diagonal d must make M1 K annihilate each kernel vector of M2
     eq_rows = [
-        {j: M1.entry(k, perm[j]) * g2[j][c] for j in range(m)}
+        {j: x for j in range(m) if (x := M1.entry(k, perm[j]) * g2[j][c])}
         for c in range(r)
         for k in range(m - r)
     ]

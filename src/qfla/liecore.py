@@ -6,6 +6,17 @@ All coefficients are exact rationals.  Vectors are sparse {index: Fraction}
 dicts: ``LieAlgebra.bracket`` takes and returns them, and the series and
 splittings below feed brackets of sparse basis vectors straight to the
 ``linalg`` elimination engine.
+
+Who brackets with whom is read off one partner table, built once per algebra:
+``partners[i]`` maps each j with [e_i, e_j] != 0 to [e_j, e_i], for both index
+orders.  The sign is folded in for ``bracket``, which accumulates
+out -= x_i y_j [e_j, e_i] through ``_subtract`` and so negates nothing per hit.
+It walks each x_i against the smaller of ``partners[i]`` and supp(y), so it
+pays per nonzero bracket, not per index pair.  ``structure``, the Jacobi
+check, the lower central series (which brackets each basis vector of c^i only
+with the partners of its support) and the derivation oracle read the same
+table.  ``structure`` returns the table's own dicts, which callers must not
+change.
 """
 from __future__ import annotations
 
@@ -36,11 +47,13 @@ class LieAlgebra:
 
     ``sc`` maps basis pairs (i, j) with i < j to {k: c} meaning
     [e_i, e_j] = sum_k c * e_k.  Pairs absent from ``sc`` bracket to zero.
-    ``labels`` name the basis vectors as the JSON prints them; by default
-    e_i is "x_i".
+    ``partners[i]`` maps every j with [e_i, e_j] != 0 to [e_j, e_i], in
+    ascending j; for i > j that is the dict ``sc[(j, i)]`` itself.
+    ``labels`` name the basis vectors as the JSON prints them; by default e_i
+    is "x_i".
     """
 
-    __slots__ = ("dim", "labels", "sc")
+    __slots__ = ("dim", "labels", "sc", "partners")
 
     def __init__(
         self,
@@ -60,13 +73,20 @@ class LieAlgebra:
         for (i, j), val in sc.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"structure constants must be stored for i<j, got ({i},{j})")
-            entry = {k: scalar(c) for k, c in val.items() if c != 0}
+            entry = {k: x for k, c in val.items() if (x := scalar(c))}
             for k in entry:
                 if not 0 <= k < dim:
                     raise ValueError("target index out of range")
             if entry:
                 clean[(i, j)] = entry
         self.sc = clean
+        # in sorted pair order every partners[t] fills in ascending index order
+        partners: Tuple[Dict[int, Dict[int, Fraction]], ...] = tuple({} for _ in range(dim))
+        for i, j in sorted(clean):
+            value = clean[(i, j)]
+            partners[i][j] = {k: -c for k, c in value.items()}
+            partners[j][i] = value
+        self.partners = partners
         if validate:
             ok, triple = check_jacobi(self)
             if not ok:
@@ -75,29 +95,25 @@ class LieAlgebra:
     # -- bracket evaluation ---------------------------------------------------
 
     def structure(self, i: int, j: int) -> Dict[int, Fraction]:
-        """[e_i, e_j] as a sparse vector, for any index order."""
-        if i == j:
-            return {}
-        if i < j:
-            return self.sc.get((i, j), {})
-        back = self.sc.get((j, i))
-        if not back:
-            return {}
-        return {k: -c for k, c in back.items()}
+        """[e_i, e_j] as a sparse vector, for any index order; the dict is the
+        algebra's own and must not be changed."""
+        return self.partners[j].get(i, {})
 
     def bracket(self, x: dict, y: dict) -> Dict[int, Fraction]:
         """Bilinear extension of the structure constants to sparse vectors
-        {index: scalar}; the result has no zero entries."""
+        {index: scalar}; the result is a fresh dict without zero entries."""
         out: Dict[int, Fraction] = {}
+        partners, ny = self.partners, len(y)
         for i, a in x.items():
-            for j, b in y.items():
-                # [e_i, e_j] is sc[(i, j)] for i < j and -sc[(j, i)] otherwise
-                if i < j:
-                    c = self.sc.get((i, j))
-                    if c:
-                        _subtract(out, -a * b, c)
-                else:
-                    c = self.sc.get((j, i))
+            row = partners[i]  # {j: [e_j, e_i]}
+            if len(row) < ny:
+                for j, c in row.items():
+                    b = y.get(j)
+                    if b:
+                        _subtract(out, a * b, c)
+            else:
+                for j, b in y.items():
+                    c = row.get(j)
                     if c:
                         _subtract(out, a * b, c)
         return out
@@ -119,14 +135,10 @@ def check_jacobi(L: LieAlgebra):
     triple has three zero terms.  Those candidates are checked in sorted order.
     Returns (True, None), or (False, (i, j, k)) for the first failing triple.
     """
-    sc = L.sc
-    partners = [set() for _ in range(L.dim)]  # partners[t]: x with [e_x, e_t] != 0
-    for i, j in sc:
-        partners[i].add(j)
-        partners[j].add(i)
+    partners = L.partners  # partners[t]: the x with [e_x, e_t] != 0
     candidates = {
         tuple(sorted((a, b, x)))
-        for (a, b), value in sc.items()
+        for (a, b), value in L.sc.items()
         for t in value
         for x in partners[t]
         if x != a and x != b
@@ -141,19 +153,22 @@ def check_jacobi(L: LieAlgebra):
     return True, None
 
 
-def _bracket_span(L: LieAlgebra, left: list, right: list) -> Matrix:
-    """span{ [u, v] : u in left, v in right } of sparse vectors."""
-    return column_span([L.bracket(u, v) for u in left for v in right], L.dim)
-
-
 def lower_central_series(L: LieAlgebra) -> tuple:
     """c^0 = L, c^{i+1} = [L, c^i] as canonical column-span matrices, ending
-    with the zero space; raises NotNilpotent if it stabilizes nonzero."""
-    basis = [{k: ONE} for k in range(L.dim)]
+    with the zero space; raises NotNilpotent if it stabilizes nonzero.
+
+    [L, c^i] is spanned by the [e_k, v] for v in c^i's basis, and [e_k, v]
+    vanishes unless e_k brackets with some e_j, j in supp(v): only those k
+    are bracketed."""
     spaces = [Matrix.identity(L.dim)]
-    current = basis
+    current = spaces[0].columns()
     while current:
-        nxt = _bracket_span(L, basis, current)
+        brackets = [
+            L.bracket({k: ONE}, v)
+            for v in current
+            for k in set().union(*(L.partners[j] for j in v))
+        ]
+        nxt = column_span(brackets, L.dim)
         if nxt.cols == len(current):
             raise NotNilpotent(f"series stabilizes at dimension {nxt.cols}")
         spaces.append(nxt)
@@ -197,7 +212,7 @@ def quasi_cyclic_split(L: LieAlgebra, U: Matrix) -> tuple:
     first = cols = chain[0].columns()
     all_cols = list(first)
     while True:
-        nxt = _bracket_span(L, first, cols)
+        nxt = column_span([L.bracket(u, v) for u in first for v in cols], L.dim)
         if nxt.cols == 0:
             break
         chain.append(nxt)

@@ -11,6 +11,7 @@ elimination engine serves every solve: `rank`, `inverse`, `column_span` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -25,18 +26,30 @@ def scalar(value: ScalarLike) -> Fraction:
 
     Floats are rejected on purpose: nothing in this package may round.  So
     are bools, which Python counts as ints but JSON does not.  A string with
-    a zero denominator is a ``ValueError`` like any other malformed string.
+    a zero denominator or in exponent notation ("1e3") is a ``ValueError``
+    like any other malformed string.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
+        return _parse_scalar(value)
     raise TypeError(f"cannot make an exact scalar from {value!r}")
+
+
+@lru_cache(maxsize=4096)
+def _parse_scalar(text: str) -> Fraction:
+    """``scalar`` of a string, memoized: files repeat a few strings ("0"
+    above all) many times.  Exponent notation is refused before any
+    arithmetic, since "1e99999999" would make Fraction compute 10**99999999.
+    A failed parse raises, and lru_cache keeps no exception."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation in {text!r} is not accepted")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def scalar_to_str(x: Fraction) -> str:
@@ -298,12 +311,13 @@ def column_span(vectors: Iterable[dict], dim: int) -> Matrix:
 def sparse_nullspace(rows: Iterable[dict], ncols: int) -> list:
     """Canonical kernel basis of a sparse linear system.
 
-    ``rows`` are {column: coefficient} dicts (Fraction or int values).  Returns
-    kernel vectors as sparse {column: Fraction} dicts, ordered by ascending
-    free column (see ``_kernel``).
+    ``rows`` are {column: coefficient} dicts (Fraction or int values) without
+    zero entries, handed over as in ``_rref_rows``: fresh dicts that the
+    caller owns and the solve may change.  Returns kernel vectors as sparse
+    {column: Fraction} dicts, ordered by ascending free column (see
+    ``_kernel``).
     """
-    nonzero = ({c: x for c, x in row.items() if x} for row in rows)
-    return _kernel(_rref_rows(nonzero), ncols)
+    return _kernel(_rref_rows(rows), ncols)
 
 
 # -- monomial matrices ----------------------------------------------------------

@@ -340,6 +340,29 @@ class TestInputContract:
         assert (code, out) == (2, "")
         assert err == f"error: {where}: zero denominator in '{text}'\n"
 
+    @pytest.mark.parametrize("where", ["B", "images.e_10", "value"])
+    def test_exponent_notation_names_the_field(self, run, tmp_path, algebra521_file, where):
+        # refused before any arithmetic: Fraction("1e99999999") would compute 10**99999999
+        text = "1e99999999"
+        path = tmp_path / "exponent.json"
+        if where == "B":
+            path.write_text(json.dumps({"n": 5, "m": 2, "r": 1, "B": [[text]]}))
+            argv = ["related", str(path)]
+        elif where == "value":
+            data = json.loads(open(algebra521_file).read())
+            data["brackets"][0]["value"][0][1] = text
+            path.write_text(json.dumps(data))
+            argv = ["check", str(path)]
+        else:
+            spec = make_spec(5, 2, 1, [["1"]])
+            images = candidate_to_json(spec, [{}] * 2, [{}] * 2)
+            images["images"]["e_10"][0] = text
+            path.write_text(json.dumps(images))
+            argv = ["aut-check", algebra521_file, str(path)]
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {where}: exponent notation in '{text}' is not accepted\n"
+
     def test_non_integer_search_cap_exit_2(self, run, monkeypatch, spec521_file):
         monkeypatch.setenv("QFLA_MAX_M", "abc")
         code, out, err = run("iso", spec521_file, spec521_file)

@@ -168,7 +168,7 @@ def oracle_torus_dimension(spec) -> int:
     L = build_quasi(spec)
     oracle = derivation_oracle(L)
     rows = [
-        {k: D.entry(i, j) for k, D in enumerate(oracle)}
+        {k: x for k, D in enumerate(oracle) if (x := D.entry(i, j))}
         for i in range(L.dim)
         for j in range(L.dim)
         if i != j
@@ -384,7 +384,7 @@ def reference_leibniz_rows(L):
                 for out, c in b.items():
                     key = k * dim + j
                     eq[out][key] = eq[out].get(key, ZERO) + c
-            rows.extend(e for e in eq if e)
+            rows.extend(row for e in eq if (row := {k: x for k, x in e.items() if x}))
     return rows
 
 

@@ -144,6 +144,11 @@ class TestConstructionValidation:
         L = LieAlgebra(3, {(0, 1): {2: 0}})
         assert L.sc == {}
 
+    def test_drops_zero_coefficients_given_as_strings(self):
+        L = LieAlgebra(3, {(0, 1): {2: "0", 1: "0/5"}, (0, 2): {1: "-3/6", 0: "0"}})
+        assert L.sc == {(0, 2): {1: Fraction(-1, 2)}}
+        assert L.structure(0, 1) == {}
+
 
 # -- the dense reference ----------------------------------------------------------
 
@@ -310,3 +315,91 @@ class TestAgainstDenseReference:
                 quasi_cyclic_split(L, U)
         else:
             assert quasi_cyclic_split(L, U) == tuple(as_matrix(space, L.dim) for space in chain)
+
+
+# -- the partner table --------------------------------------------------------------
+
+
+def naive_bracket(L, x, y):
+    """The bilinear sum over all index pairs of supp(x) x supp(y), each
+    [e_i, e_j] read off ``sc`` alone (negated when i > j)."""
+    out = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            value, sign = (L.sc.get((i, j), {}), 1) if i < j else (L.sc.get((j, i), {}), -1)
+            for k, c in value.items():
+                out[k] = out.get(k, 0) + sign * a * b * c
+    return {k: c for k, c in out.items() if c}
+
+
+@st.composite
+def raw_tables(draw):
+    """Tables of dim <= 9 with values of one to three terms, Jacobi unchecked."""
+    dim = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    values = st.dictionaries(st.integers(0, dim - 1), nonzero, min_size=1, max_size=3)
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14)) if pairs else []
+    return LieAlgebra(dim, {p: draw(values) for p in chosen}, validate=False)
+
+
+@st.composite
+def overlapping_pairs(draw, dim):
+    """Sparse vectors x, y carrying explicit zeros, y sharing part of supp(x)."""
+    x = draw(st.dictionaries(st.integers(0, dim - 1), small, max_size=dim))
+    y = draw(st.dictionaries(st.integers(0, dim - 1), small, max_size=dim))
+    if x:
+        shared = draw(st.lists(st.sampled_from(sorted(x)), unique=True))
+        y.update({k: draw(small) for k in shared})
+    return x, y
+
+
+@st.composite
+def sheared_gluings(draw):
+    """A gluing in the basis of the columns of I + S, S strictly upper
+    triangular with a few entries: the table stays sparse, while the c^i bases
+    carry entries past their leads on indices with partners of their own."""
+    L = draw(gluings())
+    grid = [[int(i == j) for j in range(L.dim)] for i in range(L.dim)]
+    cells = st.tuples(st.integers(0, L.dim - 1), st.integers(0, L.dim - 1))
+    for i, j in draw(st.lists(cells.filter(lambda c: c[0] < c[1]), min_size=1, max_size=4)):
+        grid[i][j] = draw(nonzero)
+    return change_of_basis(L, Matrix(grid))
+
+
+class TestPartnerTable:
+    @given(raw_tables(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bracket_is_the_naive_bilinear_sum(self, L, data):
+        x, y = data.draw(overlapping_pairs(L.dim))
+        assert L.bracket(x, y) == naive_bracket(L, x, y)
+        assert L.bracket(y, x) == naive_bracket(L, y, x)
+
+    @given(raw_tables())
+    @settings(max_examples=50, deadline=None)
+    def test_structure_is_antisymmetric_and_read_off_sc(self, L):
+        for i in range(L.dim):
+            assert L.structure(i, i) == {}
+            for j in range(L.dim):
+                assert L.structure(i, j) == {k: -c for k, c in L.structure(j, i).items()}
+                if i < j:
+                    assert L.structure(i, j) == L.sc.get((i, j), {})
+
+    @given(raw_tables(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_changing_a_bracket_leaves_the_algebra_alone(self, L, data):
+        sc = {p: dict(v) for p, v in L.sc.items()}
+        table = [[L.structure(i, j).copy() for j in range(L.dim)] for i in range(L.dim)]
+        pairs = [({i: Fraction(1)}, {j: Fraction(1)}) for i in range(L.dim) for j in range(L.dim)]
+        for x, y in pairs + [data.draw(overlapping_pairs(L.dim))]:
+            result = L.bracket(x, y)
+            for k in list(result):
+                result[k] *= 5
+            result[0] = Fraction(7)
+        assert L.sc == sc
+        assert [[L.structure(i, j) for j in range(L.dim)] for i in range(L.dim)] == table
+
+    @given(sheared_gluings())
+    @settings(max_examples=30, deadline=None)
+    def test_lower_central_series_brackets_every_partner_of_the_support(self, L):
+        reference = reference_lcs(L)
+        assert lower_central_series(L) == tuple(as_matrix(space, L.dim) for space in reference)
