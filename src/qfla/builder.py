@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, lcm
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .linalg import Matrix, ONE, ZERO, _back_substitute, _combine, _insert, _subtract, inverse
 from .liecore import LieAlgebra
@@ -244,21 +244,6 @@ def copy_cells(columns: Sequence[tuple]) -> tuple:
             for q in centre + four:
                 cells[q].append((q in centre, value))
     return tuple(tuple(sorted(cell)) for cell in cells)
-
-
-def block_structure(spec: QuasiQnSpec) -> Optional[tuple]:
-    """The blocks of a block-form gluing: per independent top t, the copies
-    (1-based, ascending) whose e_{sn} is a multiple of e_{tn}.
-
-    The r unit columns of beta = (I | B) fall in r distinct proportional
-    classes, so the gluing is in block form exactly when beta has no other
-    class, and its classes are then the blocks.  Returns None when some
-    column of B mixes two tops.
-    """
-    classes = proportional_classes(spec.beta)
-    if len(classes) != spec.r:
-        return None
-    return tuple(tuple(s + 1 for s in members) for members in classes)
 
 
 def support_components(spec: QuasiQnSpec) -> tuple:

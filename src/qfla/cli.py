@@ -153,9 +153,8 @@ def _entries(M) -> dict:
 
 
 def _cmd_der(args) -> int:
-    L, spec = _load_algebra(args.algebra)
-    if spec is None:
-        raise BadInput(f"{args.algebra}: 'spec' field required for derivation analysis")
+    spec = _load_spec(_read_json(args.algebra), args.algebra)
+    L = build_quasi(spec)
     oracle = derivation_oracle(L)
     torus = torus_basis(spec)
     report = {
@@ -183,9 +182,8 @@ def _cmd_der(args) -> int:
 
 
 def _cmd_aut_check(args) -> int:
-    L, spec = _load_algebra(args.algebra)
-    if spec is None:
-        raise BadInput(f"{args.algebra}: 'spec' field required for automorphism checking")
+    spec = _load_spec(_read_json(args.algebra), args.algebra)
+    L = build_quasi(spec)
     candidate = candidate_from_json(_read_json(args.candidate), spec)
     verdict = automorphism_conditions(spec, candidate)
     brute = is_automorphism(L, extend_endomorphism(spec, L, candidate))
@@ -215,9 +213,8 @@ def _cmd_related(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    L, spec = _load_algebra(args.algebra)
-    if spec is None:
-        raise BadInput(f"{args.algebra}: 'spec' field required for the weight table")
+    spec = _load_spec(_read_json(args.algebra), args.algebra)
+    L = build_quasi(spec)
     torus = weight_torus(spec)
     decomposition = weight_decomposition(L, torus)
     table = [

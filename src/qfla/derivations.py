@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .builder import QuasiQnSpec, block_structure, build_quasi, support_components
+from .builder import QuasiQnSpec, build_quasi, proportional_classes, support_components
 from .liecore import LieAlgebra
 from .linalg import Matrix, ONE, ZERO, _combine, _subtract, scalar, sparse_nullspace
 
@@ -335,32 +335,21 @@ def torus_basis(spec: QuasiQnSpec) -> List[Matrix]:
     return out
 
 
-def h1_derivation(spec: QuasiQnSpec) -> Matrix:
-    """The diagonal derivation e_{s0} -> -2s e_{s0}, e_{s1} -> s(n-2) e_{s1}.
-
-    Its level eigenvalues separate the copies while every top eigenvalue is 0.
-    No verb uses it: ``qfla weights`` decomposes under ``weight_torus``."""
-    entries = []
-    for s in range(1, spec.m + 1):
-        entries.append((0, s, spec.gen_index(s, 0), -2 * s))
-        entries.append((1, s, spec.gen_index(s, 1), s * (spec.n - 2)))
-    return _element(spec, "H1", (), entries)
-
-
 def nilpotent_basis(spec: QuasiQnSpec) -> Optional[List[Matrix]]:
     """Explicit basis of the nilpotent complement, for block-form gluings.
 
     Per copy s: ``AdGen`` sends e_{s0} to e_{si} (2 <= i <= n-1); ``TopFromE0``
     sends e_{s0} to a top vector; ``Even`` sends e_{s1} to an even level
     e_{s,2i} (1 <= i <= d-1); ``TopFromE1`` sends e_{s1} to a top vector;
-    ``DiagTop`` sends e_{s1} to e_{s,n-1}.  Per block, ``OffDiag`` pairs member
-    copies i < j via e_{i1} -> k_i e_{j,n-1}, e_{j1} -> k_j e_{i,n-1}, scaled by
-    the gluing coefficients k so the cross terms cancel.
+    ``DiagTop`` sends e_{s1} to e_{s,n-1}.  Per block (a class of proportional
+    columns of beta), ``OffDiag`` pairs member copies i < j via e_{i1} -> k_i
+    e_{j,n-1}, e_{j1} -> k_j e_{i,n-1}, scaled by the gluing coefficients k so
+    the cross terms cancel.
 
-    None when some glued top mixes two independent tops.
+    None off block form: when beta has more proportional classes than r.
     """
-    blocks = block_structure(spec)
-    if blocks is None:
+    blocks = proportional_classes(spec.beta)
+    if len(blocks) != spec.r:
         return None
     out = []
     for s in range(1, spec.m + 1):
@@ -373,8 +362,8 @@ def nilpotent_basis(spec: QuasiQnSpec) -> Optional[List[Matrix]]:
         for t in range(1, spec.r + 1):
             out.append(_element(spec, "TopFromE1", (s, t), [(1, s, spec.top_index(t), 1)]))
         out.append(_element(spec, "DiagTop", (s,), [(1, s, spec.gen_index(s, spec.n - 1), 1)]))
-    for t, members in enumerate(blocks, start=1):
-        for i, j in itertools.combinations(members, 2):
+    for t, members in enumerate(blocks, start=1):  # class t holds copy t
+        for i, j in itertools.combinations([s + 1 for s in members], 2):
             entries = [
                 (1, i, spec.gen_index(j, spec.n - 1), spec.beta[i - 1][t - 1]),
                 (1, j, spec.gen_index(i, spec.n - 1), spec.beta[j - 1][t - 1]),
@@ -386,9 +375,10 @@ def nilpotent_basis(spec: QuasiQnSpec) -> Optional[List[Matrix]]:
 def der_dimension(spec: QuasiQnSpec) -> Optional[int]:
     """Predicted dimension of the derivation algebra for block-form gluings:
     m+r torus directions (see ``torus_basis``) plus the nilpotent count
-    sum_l ((2r + n + d - 2) m_l + m_l (m_l - 1) / 2).  None off block form."""
-    blocks = block_structure(spec)
-    if blocks is None:
+    sum_l ((2r + n + d - 2) m_l + m_l (m_l - 1) / 2) over beta's proportional
+    classes l.  None off block form, when there are more classes than r."""
+    blocks = proportional_classes(spec.beta)
+    if len(blocks) != spec.r:
         return None
     total = spec.m + spec.r
     for m_l in map(len, blocks):

@@ -39,9 +39,7 @@ from .linalg import (
     MonomialMatrix,
     ONE,
     ZERO,
-    _back_substitute,
     _insert,
-    _kernel,
     _reduce,
     inverse,
     rank,
@@ -125,9 +123,10 @@ def _first_admissible_perm(g1: List[tuple], g2: List[tuple]) -> Optional[tuple]:
     cells2[j].  So these must agree, and position j, filled in order, tries
     only copies p of cell cells2[j], in increasing order.  A node keeps the
     constraints "A g1_p is a multiple of g2_j" of its assignments and is
-    pruned once some d_j vanishes on all their solutions.  When the
-    solutions are one line, A is pinned up to scale and each remaining j
-    takes the smallest unused p with A g1_p proportional to g2_j.  Every
+    pruned once some d_j vanishes on all their solutions.  Once the
+    solutions are one line, A is pinned up to scale: a copy p with A g1_p
+    not proportional to g2_j leaves only A = 0, every d_j vanishes, and that
+    child is pruned, so the same search completes the match.  Every
     pruning is a necessary condition, so no admissible permutation that
     precedes the answer is skipped.  Only the smallest unused copy of each
     proportional class of g1 is tried: swapping two copies of one class
@@ -139,11 +138,10 @@ def _first_admissible_perm(g1: List[tuple], g2: List[tuple]) -> Optional[tuple]:
     if sizes[0] != sizes[1] or sorted(cells1) != sorted(cells2):
         return None
     class_of = {p: k for k, members in enumerate(classes1) for p in members}
-    size = r * r  # entry (i, k) of A is unknown i * r + k
     leads = [next((i for i, x in enumerate(v) if x != 0), None) for v in g2]
 
     def multiple_rows(p: int, j: int) -> list:
-        # u . (A g1_p) = 0 for every u orthogonal to g2_j
+        # u . (A g1_p) = 0 for every u orthogonal to g2_j; A_ik is unknown i * r + k
         l, g = leads[j], g2[j]
         if l is None:
             annihilator = [{i: ONE} for i in range(r)]
@@ -163,22 +161,6 @@ def _first_admissible_perm(g1: List[tuple], g2: List[tuple]) -> Optional[tuple]:
 
     perm: List[int] = []
 
-    def complete(pivots: dict) -> Optional[tuple]:
-        (x,) = _kernel(_back_substitute(pivots), size)  # A, up to scale
-        image = [
-            tuple(sum(x.get(i * r + k, ZERO) * v[k] for k in range(r)) for i in range(r))
-            for v in g1
-        ]
-        classes = proportional_classes(image + g2)  # g2_j is entry m + j
-        out = list(perm)
-        for j in range(len(perm), m):
-            members = next(c for c in classes if m + j in c)
-            p = next((p for p in members if p < m and p not in out), None)
-            if p is None:
-                return None
-            out.append(p)
-        return tuple(out)
-
     def search(pivots: dict) -> Optional[tuple]:
         j = len(perm)
         if j == m:
@@ -191,7 +173,7 @@ def _first_admissible_perm(g1: List[tuple], g2: List[tuple]) -> Optional[tuple]:
             child = _insert(pivots, multiple_rows(p, j))
             perm.append(p)
             if not any(scale_vanishes(child, q, k) for k, q in enumerate(perm)):
-                found = complete(child) if len(child) == size - 1 else search(child)
+                found = search(child)
                 if found is not None:
                     return found
             perm.pop()
@@ -253,10 +235,11 @@ def monomial_equivalence(
 
 
 def _prime_valuations(k: int) -> dict:
-    """Prime factorization {p: exponent} of a positive integer, trial division."""
+    """{base: exponent} with product k > 0: the primes below 2^16 by trial
+    division, then what is left of k, prime or not, as one base."""
     out = {}
     p = 2
-    while p * p <= k:
+    while p * p <= k and p < 1 << 16:
         while k % p == 0:
             out[p] = out.get(p, 0) + 1
             k //= p
@@ -269,8 +252,9 @@ def _prime_valuations(k: int) -> dict:
 def split_scale(k: Fraction, n: int) -> Tuple[Fraction, Fraction]:
     """Rational (alpha, beta) with alpha^{n-2} beta^2 = k, k nonzero, n odd.
 
-    Solved prime by prime: (n-2) a_p + 2 b_p = v_p(k) with a_p = v_p mod 2.
-    The sign of k goes into alpha, which is safe because n - 2 is odd.
+    Solved base by base: (n-2) a_p + 2 b_p = v_p(k) with a_p = v_p mod 2,
+    where a base p need not be prime.  The sign of k goes into alpha, which
+    is safe because n - 2 is odd.
     """
     if k == 0:
         raise ValueError("scale must be nonzero")

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qfla.builder import block_structure, make_spec
+from qfla.builder import make_spec, proportional_classes
 from qfla.derivations import GeneratorImages
 
 # The standard battery: every (n, m, r, B) the suites run against.
@@ -21,7 +21,8 @@ TEST_MATRIX = [
     make_spec(7, 2, 1, [["1"]]),
 ]
 
-BLOCK_SPECS = [s for s in TEST_MATRIX if block_structure(s) is not None]
+# Block form: beta's r unit columns are its only proportional classes.
+BLOCK_SPECS = [s for s in TEST_MATRIX if len(proportional_classes(s.beta)) == s.r]
 
 # Gluings whose copies all share one top vector, so every derivation has one
 # top eigenvalue across the copies.

@@ -7,16 +7,17 @@ from hypothesis import given, settings, strategies as st
 from qfla.builder import (
     BadSpec,
     QuasiQnSpec,
-    block_structure,
     build_qn,
     build_quasi,
     change_of_basis,
     make_spec,
+    proportional_classes,
     qn_x_basis,
     rebase_x_to_e,
     related_matrix_of,
     support_components,
 )
+from qfla.derivations import der_dimension, nilpotent_basis
 from qfla.linalg import Matrix, inverse
 
 
@@ -176,22 +177,33 @@ def gluings(draw):
 
 
 class TestBlockStructure:
+    """The blocks of a block-form gluing are beta's proportional classes."""
+
     def test_single_top(self):
         s = make_spec(5, 3, 1, [["1", "1"]])
-        assert block_structure(s) == ((1, 2, 3),)
+        assert proportional_classes(s.beta) == ((0, 1, 2),)
 
     def test_interleaved_members(self):
         # copy 3 glues to top 1, so block membership is not contiguous
         s = make_spec(5, 3, 2, [["1"], ["0"]])
-        assert block_structure(s) == ((1, 3), (2,))
+        assert proportional_classes(s.beta) == ((0, 2), (1,))
 
     def test_mixed_column_is_not_block_form(self):
-        assert block_structure(make_spec(5, 3, 2, [["1"], ["1"]])) is None
+        s = make_spec(5, 3, 2, [["1"], ["1"]])
+        assert proportional_classes(s.beta) == ((0,), (1,), (2,))
 
     @given(gluings())
     @settings(max_examples=100, deadline=None)
     def test_classes_match_the_one_nonzero_grouping(self, spec):
-        assert block_structure(spec) == one_nonzero_grouping(spec)
+        grouping = one_nonzero_grouping(spec)
+        classes = proportional_classes(spec.beta)
+        if grouping is None:
+            assert len(classes) > spec.r
+        else:
+            assert classes == tuple(tuple(s - 1 for s in block) for block in grouping)
+        # both closed forms refuse exactly off block form
+        assert (der_dimension(spec) is None) == (grouping is None)
+        assert (nilpotent_basis(spec) is None) == (grouping is None)
 
 
 def linked_grouping(spec):
@@ -228,6 +240,6 @@ class TestSupportComponents:
     @settings(max_examples=100, deadline=None)
     def test_matches_flood_fill(self, spec):
         assert support_components(spec) == linked_grouping(spec)
-        blocks = block_structure(spec)
-        if blocks is not None:
-            assert support_components(spec) == blocks
+        classes = proportional_classes(spec.beta)
+        if len(classes) == spec.r:  # block form: the components are the blocks
+            assert support_components(spec) == tuple(tuple(s + 1 for s in c) for c in classes)

@@ -11,7 +11,9 @@ import qfla
 from qfla.automorphisms import make_scaling_automorphism
 from qfla.builder import build_quasi, make_spec
 from qfla.cli import VERBS, main
-from qfla.jsonio import algebra_to_json, candidate_to_json, dumps, spec_to_json
+from qfla.jsonio import algebra_to_json, candidate_to_json, dumps, matrix_from_json, spec_to_json
+from qfla.liecore import bracket_preserving
+from qfla.linalg import rank
 
 
 @pytest.fixture
@@ -190,6 +192,17 @@ class TestIso:
         code, _, err = run("iso", spec521_file, "/nonexistent.json")
         assert code == 2
 
+    def test_large_prime_scale_answers_in_time(self, tmp_path):
+        # 10^18 + 3 is prime: dividing by every odd number up to its square
+        # root would run for minutes, so it has to be split as one base
+        glued = [["1"], ["1"]], [["1000000000000000003"], ["1"]]
+        a, b = (self._spec_file(tmp_path, f"{k}.json", 5, 3, 2, B) for k, B in zip("ab", glued))
+        proc = _python(tmp_path, "-m", "qfla.cli", "iso", a, b, timeout=10)
+        assert proc.returncode == 0, proc.stderr.decode()
+        witness = matrix_from_json(json.loads(proc.stdout)["witness"]["map"], "map")
+        L1, L2 = (build_quasi(make_spec(5, 3, 2, B)) for B in glued)
+        assert rank(witness) == L1.dim and bracket_preserving(L1, L2, witness)
+
 
 class TestInputContract:
     @pytest.mark.parametrize(
@@ -285,6 +298,17 @@ class TestInputContract:
         code, out, err = run(verb, str(path), *candidate)
         assert (code, out) == (2, "")
         assert err == "error: brackets: Jacobi identity fails on basis triple (0, 1, 2)\n"
+
+    @pytest.mark.parametrize("verb", ["der", "weights", "aut-check"])
+    def test_table_without_spec_exit_2(self, run, tmp_path, verb):
+        # a Lie table (the Heisenberg algebra) with no gluing parameters:
+        # only `check` takes a bare table
+        path = tmp_path / "heisenberg.json"
+        path.write_text(json.dumps({"dim": 3, "brackets": [{"i": 0, "j": 1, "value": [[2, "1"]]}]}))
+        candidate = [str(path)] if verb == "aut-check" else []
+        code, out, err = run(verb, str(path), *candidate)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: no gluing parameters found (need 'spec' or 'n'/'m'/'r')\n"
 
     @pytest.mark.parametrize(
         "field,data",
@@ -579,21 +603,23 @@ print(sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
 """
 
 
-class TestEntryPoint:
-    def _python(self, cwd, *args):
-        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        return subprocess.run(
-            [sys.executable, *args], cwd=cwd, env=env, capture_output=True, timeout=120
-        )
+def _python(cwd, *args, timeout=120):
+    """A fresh interpreter that imports qfla from this checkout."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, timeout=timeout
+    )
 
+
+class TestEntryPoint:
     def test_module_entry_reads_sys_argv(self, run, tmp_path):
         argv = ["build", "--n", "5", "--m", "2", "--r", "1", "--B", '[["1"]]']
-        proc = self._python(tmp_path, "-m", "qfla.cli", *argv)
+        proc = _python(tmp_path, "-m", "qfla.cli", *argv)
         code, out, _ = run(*argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), b"")
 
     def test_no_verb_imports_argparse_gettext_or_locale(self, tmp_path):
-        proc = self._python(tmp_path, "-c", EVERY_VERB)
+        proc = _python(tmp_path, "-c", EVERY_VERB)
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stdout == b"[]\n"

@@ -9,6 +9,9 @@ an ``identity`` method.
 
 Every name has one home, the module that defines it: the package itself
 binds only ``build_quasi``, which the benchmark harness reads off it.
+
+Leftovers count too: every name a module imports is used in that module, and
+every private top-level function has a use somewhere in ``src/``.
 """
 import ast
 from collections import Counter
@@ -29,7 +32,6 @@ ALLOWED = {
     "closed_form_endomorphism": "paper formula: the explicit endomorphism columns",
     "is_derivation": "reference check: the Leibniz rule on all basis pairs",
     "is_minimal_generating_set": "reference check: residues mod c^1 L form a basis",
-    "h1_derivation": "public factory: a diagonal derivation separating the copies",
     "exp_ad": "public factory: inner automorphisms exp(ad x)",
     "candidate_to_json": "public factory: candidate files for aut-check",
 }
@@ -43,8 +45,14 @@ def _uses(node) -> Counter:
     )
 
 
+def _modules() -> dict:
+    """{file name: parsed module} for every module but ``__init__.py``."""
+    paths = (p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py")
+    return {p.name: ast.parse(p.read_text()) for p in paths}
+
+
 def unreferenced_public_names() -> set:
-    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    trees = _modules().values()
     total = sum((_uses(tree) for tree in trees), Counter())
     out = set()
     for tree in trees:
@@ -68,6 +76,43 @@ def test_every_public_definition_has_a_caller_or_a_reason():
     # an entry that gained a caller, or whose definition is gone, leaves the list
     stale = sorted(set(ALLOWED) - unreferenced)
     assert not stale, f"stale allowlist entries: {stale}"
+
+
+def unused_imports() -> set:
+    """``module: name`` for each imported name its module never uses."""
+    out = set()
+    for module, tree in _modules().items():
+        uses = _uses(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name != "annotations" and not uses[name]:
+                        out.add(f"{module}: {name}")
+    return out
+
+
+def unreferenced_private_functions() -> set:
+    trees = _modules().values()
+    total = sum((_uses(tree) for tree in trees), Counter())
+    return {
+        top.name
+        for tree in trees
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        and top.name.startswith("_")
+        and total[top.name] - _uses(top)[top.name] == 0
+    }
+
+
+def test_every_imported_name_is_used_in_its_module():
+    unused = sorted(unused_imports())
+    assert not unused, f"imported but unused: {unused}"
+
+
+def test_every_private_function_has_a_use():
+    dead = sorted(unreferenced_private_functions())
+    assert not dead, f"private functions with no use in src/: {dead}"
 
 
 def test_allowlist_reasons_are_one_of_three_kinds():

@@ -23,7 +23,6 @@ from qfla.derivations import (
     derivation_conditions,
     derivation_oracle,
     extend_derivation_candidate,
-    h1_derivation,
     is_derivation,
     nilpotent_basis,
     top_weights,
@@ -273,15 +272,6 @@ class TestEigenvalueBookkeeping:
         grading = torus_basis(spec)[0]
         assert top_weights(spec, grading) == (Fraction(2), Fraction(2))
         assert [grading.entry(k, k) for k in range(1, spec.n)] == [1, 1, 1, 1]
-
-    def test_h1_separates_copies(self):
-        spec = SPEC521
-        D = h1_derivation(spec)
-        assert top_weights(spec, D) == (Fraction(0), Fraction(0))
-        # the e_{s1} .. e_{s,n-1} eigenvalues, per copy s
-        first = [spec.gen_index(s, 1) for s in range(1, spec.m + 1)]
-        levels = {tuple(D.entry(k + i, k + i) for i in range(spec.n - 1)) for k in first}
-        assert len(levels) == spec.m
 
     def test_weight_decomposition_separates_levels(self):
         spec = SPEC521

@@ -112,6 +112,13 @@ class TestSplitScale:
         with pytest.raises(ValueError):
             split_scale(Fraction(0), 5)
 
+    @pytest.mark.parametrize("k", [65537 * 65539, 65537**2, Fraction(3 * 65539**2, 65537 * 4)])
+    def test_primes_above_the_trial_bound(self, k):
+        # 65537 and 65539 are primes past 2^16, so they stay in one cofactor
+        for n in (5, 7):
+            alpha, beta = split_scale(Fraction(k), n)
+            assert alpha ** (n - 2) * beta ** 2 == k
+
 
 class TestIsoDecide:
     @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
