@@ -10,15 +10,17 @@ verb on one gluing's algebra file, ``build`` of that gluing, ``aut-check
 parameter files) runs ``--runs`` times per tree in a fresh interpreter; the
 trees take turns going first.  A run times ``qfla.cli.main`` alone, after the
 import, and within it the calls to ``qfla.cli.derivation_oracle`` (by ``der``
-and ``der --compare``), and reads the child's peak RSS; a run still going
-after ``TIME_LIMIT_S`` seconds is stopped and recorded as a time-out.  Algebra
-files are built once per tree by that tree's own ``qfla build``, and candidate
-files written once per tree by that tree's own ``exp_ad`` and
-``candidate_to_json``.  The output holds, per tree, the git hash ("-dirty"
+and ``der --compare``) and the emission (``qfla.cli.dumps``, plus
+``qfla.cli.matrix_to_json`` in a tree that still has it), and reads the
+child's peak RSS; a run still going after ``TIME_LIMIT_S`` seconds is stopped
+and recorded as a time-out.  Algebra files are built once per tree by that
+tree's own ``qfla build``, and candidate files written once per tree by that
+tree's own ``exp_ad`` and ``candidate_to_json``.  The output holds, per tree, the git hash ("-dirty"
 when tracked files differ from it), a sha256 of the timed ``src/qfla/*.py``
 files, and per rung the median and all run times (null for a time-out), the
 median oracle time (``oracle_median_s``, on rungs that call the oracle), the
-median peak RSS and the exit code ("timeout" when some run timed out), next to
+median emission time (``emit_median_s``, on rungs that print), the median
+peak RSS and the exit code ("timeout" when some run timed out), next to
 the Python version and the machine.
 """
 from __future__ import annotations
@@ -99,31 +101,37 @@ ISO_PAIRS = [
 TIME_LIMIT_S = 120
 
 # Runs in the child: time cli.main on argv (stdout discarded), and within it
-# the derivation oracle (null when the verb does not call it); report both
-# times, the exit code and peak RSS as one JSON line.
+# the derivation oracle (null when the verb does not call it) and the
+# emission: cli.dumps, plus cli.matrix_to_json in a tree that still builds
+# string grids (null when the verb emits nothing); report these times, the
+# exit code and peak RSS as one JSON line.
 CHILD = """
 import contextlib, io, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 import qfla.cli
 argv = sys.argv[2:]
-oracle_s = []
-oracle = qfla.cli.derivation_oracle
+spent = {"oracle_s": [], "emit_s": []}
 
-def timed_oracle(L):
-    t0 = time.perf_counter()
-    try:
-        return oracle(L)
-    finally:
-        oracle_s.append(time.perf_counter() - t0)
+def timed(fn, key):
+    def wrapper(*args):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            spent[key].append(time.perf_counter() - t0)
+    return wrapper
 
-qfla.cli.derivation_oracle = timed_oracle
+qfla.cli.derivation_oracle = timed(qfla.cli.derivation_oracle, "oracle_s")
+for name in ("dumps", "matrix_to_json"):
+    if hasattr(qfla.cli, name):
+        setattr(qfla.cli, name, timed(getattr(qfla.cli, name), "emit_s"))
 with contextlib.redirect_stdout(io.StringIO()):
     t0 = time.perf_counter()
     rc = qfla.cli.main(argv)
     elapsed = time.perf_counter() - t0
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-oracle_s = sum(oracle_s) if oracle_s else None
-print(json.dumps({"s": elapsed, "oracle_s": oracle_s, "rc": rc, "rss_mb": rss_mb}))
+result = {key: sum(times) if times else None for key, times in spent.items()}
+print(json.dumps({"s": elapsed, **result, "rc": rc, "rss_mb": rss_mb}))
 """
 
 
@@ -153,7 +161,7 @@ def _child(src: Path, argv: list) -> dict:
             timeout=TIME_LIMIT_S,
         )
     except subprocess.TimeoutExpired:
-        return {"s": None, "oracle_s": None, "rc": "timeout", "rss_mb": None}
+        return {"s": None, "oracle_s": None, "emit_s": None, "rc": "timeout", "rss_mb": None}
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
@@ -218,12 +226,12 @@ def main(argv=None) -> int:
                 ),
                 "exit": "timeout" if len(done) < len(runs) else runs[0]["rc"],
             }
-            oracle = [r["oracle_s"] for r in done if r["oracle_s"] is not None]
-            if oracle:
-                entry["oracle_median_s"] = round(statistics.median(oracle), 4)
             shown = "timeout" if median is None else f"{median:.3f} s"
-            if oracle:
-                shown += f" (oracle {entry['oracle_median_s']:.3f} s)"
+            for phase in ("oracle", "emit"):
+                phase_s = [r[f"{phase}_s"] for r in done if r[f"{phase}_s"] is not None]
+                if phase_s:
+                    entry[f"{phase}_median_s"] = round(statistics.median(phase_s), 4)
+                    shown += f" ({phase} {entry[f'{phase}_median_s']:.3f} s)"
             print(f"{label:>8}  {name:<24} {shown}")
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -8,7 +8,7 @@ from qfla.builder import build_quasi, make_spec
 from qfla.iso import iso_decide
 from qfla.jsonio import dumps, iso_verdict_to_json
 from qfla.liecore import bracket_preserving
-from qfla.linalg import rank, scalar_to_str
+from qfla.linalg import rank
 
 
 def show(spec1, spec2):
@@ -17,7 +17,7 @@ def show(spec1, spec2):
     if v.isomorphic:
         L1, L2 = build_quasi(spec1), build_quasi(spec2)
         assert rank(v.map) == L1.dim and bracket_preserving(L1, L2, v.map)
-        scales = ", ".join(scalar_to_str(x) for x in v.equivalence.K.scale)
+        scales = ", ".join(str(x) for x in v.equivalence.K.scale)
         print(f"# verified: bijective, bracket-preserving; K scales = ({scales})")
     print()
 

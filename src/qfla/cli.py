@@ -44,7 +44,6 @@ from .jsonio import (
     dumps,
     iso_verdict_to_json,
     matrix_from_json,
-    matrix_to_json,
     related_to_json,
     spec_from_json,
 )
@@ -58,7 +57,7 @@ from .liecore import (
     minimal_generator_count,
     quasi_cyclic_split,
 )
-from .linalg import Matrix, ONE, column_span, scalar_to_str
+from .linalg import Matrix, ONE, column_span
 
 
 def _loads(text: str, field: str):
@@ -157,20 +156,17 @@ def _cmd_der(args) -> int:
     L = build_quasi(spec)
     oracle = derivation_oracle(L)
     torus = torus_basis(spec)
+    nilpotent = nilpotent_basis(spec)  # None off block form, as is der_dimension
     report = {
         "dim_oracle": len(oracle),
-        "torus": [matrix_to_json(D) for D in torus],
-        "lambda_table": [
-            [scalar_to_str(w) for w in top_weights(spec, D)] for D in oracle
-        ],
+        "torus": torus,
+        "lambda_table": [top_weights(spec, D) for D in oracle],
+        "dim_formula": der_dimension(spec),
+        "nilpotent": nilpotent,
     }
-    nilpotent = nilpotent_basis(spec)  # None off block form, as is der_dimension
-    report["dim_formula"] = der_dimension(spec)
     block_form = nilpotent is not None
-    report["nilpotent"] = [matrix_to_json(D) for D in nilpotent] if block_form else None
     if args.compare and block_form:
         explicit = column_span([_entries(D) for D in torus + nilpotent], L.dim**2)
-    del nilpotent  # its dim^2-wide matrices need not outlive the oracle's span or the dump
     if args.compare:
         report["agree"] = (
             block_form
@@ -218,7 +214,7 @@ def _cmd_weights(args) -> int:
     torus = weight_torus(spec)
     decomposition = weight_decomposition(L, torus)
     table = [
-        {"weight": [scalar_to_str(x) for x in w], "dim": space.cols}
+        {"weight": w, "dim": space.cols}
         for w, space in sorted(decomposition.items())
     ]
     _emit(args, {"torus_size": len(torus), "weights": table})

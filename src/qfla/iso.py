@@ -172,7 +172,9 @@ def _first_admissible_perm(g1: List[tuple], g2: List[tuple]) -> Optional[tuple]:
             tried.add(class_of[p])
             child = _insert(pivots, multiple_rows(p, j))
             perm.append(p)
-            if not any(scale_vanishes(child, q, k) for k, q in enumerate(perm)):
+            # with no new pivot the solutions are the parent's: only d_j can vanish
+            checked = enumerate(perm) if len(child) > len(pivots) else [(j, p)]
+            if not any(scale_vanishes(child, q, k) for k, q in checked):
                 found = search(child)
                 if found is not None:
                     return found

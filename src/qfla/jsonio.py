@@ -1,19 +1,21 @@
 """JSON serialization for algebras, gluing data, and verdicts.
 
-All scalars serialize as exact "p/q" strings (never floats), keys are sorted,
-and every encoder is deterministic, so serialized output is byte-stable and
+Payloads carry the package's own values: ``dumps`` writes a ``Fraction`` as
+an exact "p/q" string (never a float) and a ``Matrix`` as rows of such
+strings, each row straight from the sparse columns.  Keys are sorted and
+every encoder is deterministic, so serialized output is byte-stable and
 suitable for golden-file comparison.
 """
 from __future__ import annotations
 
-import re
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Tuple
 
 from .builder import QuasiQnSpec, RelatedMatrix, build_quasi, make_spec
 from .derivations import GeneratorImages
 from .liecore import LieAlgebra
-from .linalg import ZERO, Matrix, MonomialMatrix, scalar, scalar_to_str
+from .linalg import ZERO, Matrix, _transpose, scalar
 
 
 class BadInput(ValueError):
@@ -25,20 +27,17 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-# strings in which the ASCII-only JSON encoder escapes nothing
-_PLAIN = re.compile(r'[ !#-\[\]-~]*')
-
-
 def dumps(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, byte for
-    byte, from dicts, lists, tuples, strings, ints, bools and None."""
+    byte, from dicts, lists, tuples, strings, ints, bools and None, with each
+    ``Fraction`` written as its "p/q" string and each ``Matrix`` as its list
+    of rows of such strings."""
     return _encode(obj, "\n") + "\n"
 
 
 def _encode(obj, newline: str) -> str:
     """obj as indented JSON; ``newline`` is a line break plus the indent of
-    obj's own level.  A list of strings that need no escaping is joined in one
-    call: the matrices' "p/q" strings are most of the output."""
+    obj's own level."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -47,6 +46,10 @@ def _encode(obj, newline: str) -> str:
         return "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
+    if isinstance(obj, Fraction):
+        return f'"{obj}"'  # digits, "-" and "/" need no escaping
+    if isinstance(obj, Matrix):
+        return _encode_matrix(obj, newline)
     inner = newline + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -58,22 +61,27 @@ def _encode(obj, newline: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if set(map(type, obj)) == {str} and _PLAIN.fullmatch("".join(obj)):
-            return "[" + inner + '"' + ('",' + inner + '"').join(obj) + '"' + newline + "]"
         return "[" + inner + ("," + inner).join(_encode(x, inner) for x in obj) + newline + "]"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _encode_matrix(M: Matrix, newline: str) -> str:
+    """M as its list of rows of "p/q" strings, read off the sparse columns:
+    the rows without a nonzero entry share one text."""
+    inner = newline + "  "
+    head, sep, tail = "[" + inner + '  "', '",' + inner + '  "', '"' + inner + "]"
+    zeros = ["0"] * M.cols
+    rows = [head + sep.join(zeros) + tail if M.cols else "[]"] * M.rows
+    for i, entries in enumerate(_transpose(M.columns(), M.rows)):
+        if entries:
+            cells = zeros.copy()
+            for j, x in entries.items():
+                cells[j] = str(x)
+            rows[i] = head + sep.join(cells) + tail
+    return "[" + inner + ("," + inner).join(rows) + newline + "]" if rows else "[]"
+
+
 # -- scalars and matrices -----------------------------------------------------------
-
-
-def matrix_to_json(M: Matrix) -> list:
-    """Rows of "p/q" strings: a grid of "0" with the nonzero entries written in."""
-    grid = [["0"] * M.cols for _ in range(M.rows)]
-    for j, col in enumerate(M.columns()):
-        for i, x in col.items():
-            grid[i][j] = scalar_to_str(x)
-    return grid
 
 
 def matrix_from_json(data, field: str = "matrix") -> Matrix:
@@ -94,18 +102,11 @@ def vector_from_json(data, length: int, field: str) -> tuple:
         raise BadInput(f"{field}: {exc}") from exc
 
 
-def monomial_to_json(K: MonomialMatrix) -> dict:
-    return {
-        "perm": [p + 1 for p in K.perm],
-        "scale": [scalar_to_str(s) for s in K.scale],
-    }
-
-
 # -- gluing parameters --------------------------------------------------------------
 
 
 def spec_to_json(spec: QuasiQnSpec) -> dict:
-    return {"n": spec.n, "m": spec.m, "r": spec.r, "B": matrix_to_json(spec.B)}
+    return {"n": spec.n, "m": spec.m, "r": spec.r, "B": spec.B}
 
 
 def spec_from_json(data) -> QuasiQnSpec:
@@ -133,7 +134,7 @@ def algebra_to_json(L: LieAlgebra, spec: Optional[QuasiQnSpec] = None) -> dict:
             {
                 "i": i,
                 "j": j,
-                "value": [[k, scalar_to_str(c)] for k, c in sorted(L.sc[(i, j)].items())],
+                "value": sorted(L.sc[(i, j)].items()),
             }
             for (i, j) in sorted(L.sc)
         ],
@@ -212,7 +213,7 @@ def candidate_to_json(spec: QuasiQnSpec, e0, e1) -> dict:
     images = {}
     for s in range(1, spec.m + 1):
         for t, v in ((0, e0[s - 1]), (1, e1[s - 1])):
-            images[f"e_{s}{t}"] = [scalar_to_str(v.get(k, ZERO)) for k in range(spec.dim)]
+            images[f"e_{s}{t}"] = [str(v.get(k, ZERO)) for k in range(spec.dim)]
     return {"images": images}
 
 
@@ -220,16 +221,17 @@ def candidate_to_json(spec: QuasiQnSpec, e0, e1) -> dict:
 
 
 def related_to_json(R: RelatedMatrix) -> dict:
-    return {"m": R.m, "r": R.r, "matrix": matrix_to_json(R.matrix)}
+    return {"m": R.m, "r": R.r, "matrix": R.matrix}
 
 
 def iso_verdict_to_json(verdict) -> dict:
     out = {"isomorphic": verdict.isomorphic, "witness": None, "reason": verdict.reason}
     if verdict.isomorphic:
+        K = verdict.equivalence.K
         out["witness"] = {
-            "E": matrix_to_json(verdict.equivalence.E),
-            "K": monomial_to_json(verdict.equivalence.K),
-            "map": matrix_to_json(verdict.map),
+            "E": verdict.equivalence.E,
+            "K": {"perm": [p + 1 for p in K.perm], "scale": K.scale},
+            "map": verdict.map,
         }
     return out
 

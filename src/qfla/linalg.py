@@ -52,11 +52,6 @@ def _parse_scalar(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def scalar_to_str(x: Fraction) -> str:
-    """Serialize a scalar as "p/q", or "p" when the denominator is 1."""
-    return str(x)  # Fraction's own str is exactly that
-
-
 class Matrix:
     """Immutable matrix of Fractions, stored as a tuple of sparse columns
     {row: entry} without zero entries, so it costs space and time per nonzero."""
@@ -119,7 +114,7 @@ class Matrix:
 
     def __repr__(self) -> str:
         body = "; ".join(
-            " ".join(scalar_to_str(self.entry(i, j)) for j in range(self.cols))
+            " ".join(str(self.entry(i, j)) for j in range(self.cols))
             for i in range(self.rows)
         )
         return f"Matrix({self.rows}x{self.cols}: {body})"

@@ -11,7 +11,8 @@ Every name has one home, the module that defines it: the package itself
 binds only ``build_quasi``, which the benchmark harness reads off it.
 
 Leftovers count too: every name a module imports is used in that module, and
-every private top-level function has a use somewhere in ``src/``.
+every private top-level function or module constant has a use somewhere in
+``src/``.
 """
 import ast
 from collections import Counter
@@ -105,6 +106,32 @@ def unreferenced_private_functions() -> set:
     }
 
 
+def unreferenced_private_constants() -> set:
+    """Private module-level names bound by assignment, like a compiled
+    pattern, that nothing in ``src/`` reads."""
+    trees = _modules().values()
+    total = sum((_uses(tree) for tree in trees), Counter())
+    out = set()
+    for tree in trees:
+        for top in tree.body:
+            if isinstance(top, ast.Assign):
+                targets = top.targets
+            elif isinstance(top, ast.AnnAssign):
+                targets = [top.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if (
+                        isinstance(name, ast.Name)
+                        and name.id.startswith("_")
+                        and not name.id.startswith("__")
+                        and total[name.id] - _uses(target)[name.id] == 0
+                    ):
+                        out.add(name.id)
+    return out
+
+
 def test_every_imported_name_is_used_in_its_module():
     unused = sorted(unused_imports())
     assert not unused, f"imported but unused: {unused}"
@@ -113,6 +140,11 @@ def test_every_imported_name_is_used_in_its_module():
 def test_every_private_function_has_a_use():
     dead = sorted(unreferenced_private_functions())
     assert not dead, f"private functions with no use in src/: {dead}"
+
+
+def test_every_private_constant_has_a_use():
+    dead = sorted(unreferenced_private_constants())
+    assert not dead, f"private module constants with no use in src/: {dead}"
 
 
 def test_allowlist_reasons_are_one_of_three_kinds():

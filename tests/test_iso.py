@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from conftest import TEST_MATRIX, sparse, spec_id
 from test_linalg import dense_rows, reference_kernel, reference_rref
+from qfla import iso
 from qfla.builder import QuasiQnSpec, RelatedMatrix, build_quasi, copy_cells, make_spec, related_matrix_of
 from qfla.iso import (
     EquivalenceWitness,
@@ -538,3 +539,22 @@ def test_equal_copies_are_tried_once_per_class(monkeypatch, c2, isomorphic):
     elapsed = time.perf_counter() - start
     assert v.isomorphic is isomorphic
     assert elapsed < 2.0, f"{elapsed:.2f}s"
+
+
+def test_scales_rechecked_only_where_the_solutions_change(monkeypatch):
+    # A child whose rows add no pivot keeps its parent's solutions, so only
+    # the new position's scale can newly vanish; re-checking every position
+    # cost m(m+1)/2 = 36 reductions on this positive at m = 8.
+    calls = []
+    reduce = iso._reduce
+
+    def counted(echelon, row):
+        calls.append(1)
+        return reduce(echelon, row)
+
+    monkeypatch.setattr(iso, "_reduce", counted)
+    rng = random.Random(804)
+    B1 = generic_C(rng, 4, 8)
+    spec1, spec2 = make_spec(5, 8, 4, B1), make_spec(5, 8, 4, relabel(rng, 4, B1))
+    assert iso_decide(spec1, spec2).isomorphic
+    assert len(calls) <= 18

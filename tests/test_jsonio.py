@@ -1,22 +1,70 @@
 """The JSON emitter: byte-identical to the standard library's sorted,
-two-space indented output, which the golden digests of the CLI pin."""
+two-space indented output, which the golden digests of the CLI pin, with
+each Fraction and Matrix read as the "p/q" strings and string grids that the
+verbs used to build for it."""
 import json
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfla.jsonio import dumps
+from qfla.linalg import ZERO, Matrix
+
+
+def matrix_to_json(M: Matrix) -> list:
+    """Rows of "p/q" strings: a grid of "0" with the nonzero entries written in."""
+    grid = [["0"] * M.cols for _ in range(M.rows)]
+    for j, col in enumerate(M.columns()):
+        for i, x in col.items():
+            grid[i][j] = str(x)
+    return grid
+
+
+def plain(obj):
+    """obj with every Matrix as its string grid and every Fraction as its string."""
+    if isinstance(obj, Matrix):
+        return matrix_to_json(obj)
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(x) for x in obj]
+    return obj
+
+
+def reference(obj) -> str:
+    return json.dumps(plain(obj), sort_keys=True, indent=2) + "\n"
+
 
 # "p/q" scalars, the bulk of every matrix the verbs print
 scalar_strings = st.from_regex(r"-?[0-9]{1,4}(/[1-9][0-9]{0,3})?", fullmatch=True)
 # printable ASCII, with the quote and backslash that need escaping now and then
 ascii_strings = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6)
+fractions = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**4))
+# three entries in four are zero, so whole rows are often zero too
+mostly_zero = st.integers(0, 3).flatmap(lambda k: fractions if k == 0 else st.just(ZERO))
+# the empty shapes (an r x 0 B at m = r) and 1 x 1 come up as often as the rest
+shapes = st.one_of(
+    st.sampled_from([(0, 0), (3, 0), (0, 2), (1, 1)]),
+    st.tuples(st.integers(1, 5), st.integers(1, 5)),
+)
+matrices = shapes.flatmap(
+    lambda shape: st.lists(
+        st.lists(mostly_zero, min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    ).map(lambda grid: Matrix(grid, cols=shape[1]))
+)
 leaves = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-(10**20), 10**20),
     st.text(max_size=6),  # control characters and non-ASCII included
     scalar_strings,
+    fractions,
+    matrices,
 )
 
 
@@ -34,11 +82,33 @@ payloads = st.recursive(leaves, containers, max_leaves=40)
 
 
 @given(payloads)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_matches_the_standard_library(obj):
-    assert dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert dumps(obj) == reference(obj)
+
+
+@given(st.lists(matrices, max_size=3), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_matrices_at_every_depth(ms, depth):
+    obj = ms
+    for level in range(depth):
+        obj = {"k": obj, "f": Fraction(-level, 3)} if level % 2 else [obj, Fraction(level)]
+    assert dumps(obj) == reference(obj)
+
+
+def test_empty_and_one_by_one_matrices():
+    obj = {
+        "none": Matrix([], cols=0),
+        "rows_only": Matrix([[], [], []]),
+        "cols_only": Matrix([], cols=2),
+        "one": Matrix([["-3/4"]]),
+        "zero": Matrix([["0"]]),
+        "nested": [[Matrix([["0", "2"], ["0", "0"]])]],
+    }
+    assert dumps(obj) == reference(obj)
+    assert '"rows_only": [\n    [],\n    [],\n    []\n  ]' in dumps(obj)
 
 
 def test_matrix_rows_and_empty_containers():
     obj = {"m": [["1", "-3/4"], ["0", "0"]], "e": [], "d": {}, "t": (), "q": ['a"b', "\\", "é"]}
-    assert dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert dumps(obj) == reference(obj)

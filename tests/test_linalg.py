@@ -17,7 +17,6 @@ from qfla.linalg import (
     inverse,
     rank,
     scalar,
-    scalar_to_str,
     sparse_nullspace,
 )
 
@@ -333,7 +332,7 @@ class TestScalar:
 
     def test_round_trip(self):
         for x in [Fraction(3, 4), Fraction(-7), Fraction(0)]:
-            assert scalar(scalar_to_str(x)) == x
+            assert scalar(str(x)) == x
 
     @pytest.mark.parametrize("text", ["1e99999999", "2E3", "-1.5e-2", "3/1e2"])
     def test_rejects_exponent_notation(self, text):
