@@ -10,18 +10,21 @@ verb on one gluing's algebra file, ``build`` of that gluing, ``aut-check
 parameter files) runs ``--runs`` times per tree in a fresh interpreter; the
 trees take turns going first.  A run times ``qfla.cli.main`` alone, after the
 import, and within it the calls to ``qfla.cli.derivation_oracle`` (by ``der``
-and ``der --compare``) and the emission (``qfla.cli.dumps``, plus
-``qfla.cli.matrix_to_json`` in a tree that still has it), and reads the
-child's peak RSS; a run still going after ``TIME_LIMIT_S`` seconds is stopped
-and recorded as a time-out.  Algebra files are built once per tree by that
-tree's own ``qfla build``, and candidate files written once per tree by that
-tree's own ``exp_ad`` and ``candidate_to_json``.  The output holds, per tree, the git hash ("-dirty"
-when tracked files differ from it), a sha256 of the timed ``src/qfla/*.py``
-files, and per rung the median and all run times (null for a time-out), the
-median oracle time (``oracle_median_s``, on rungs that call the oracle), the
-median emission time (``emit_median_s``, on rungs that print), the median
-peak RSS and the exit code ("timeout" when some run timed out), next to
-the Python version and the machine.
+and ``der --compare``), the emission (``qfla.cli.dumps``) and the phases of
+``iso``: the copy cells (``qfla.iso.copy_cells``), the copy search
+(``qfla.iso._first_admissible_perm``, cells included) and the witness
+(``qfla.iso.build_algebra_witness``), and reads the child's peak RSS; a run
+still going after ``TIME_LIMIT_S`` seconds is stopped and recorded as a
+time-out.  Algebra files are built once per tree by that tree's own ``qfla
+build``, and candidate files written once per tree by that tree's own
+``exp_ad`` and ``candidate_to_json``.  The output holds, per tree, the git
+hash ("-dirty" when tracked files differ from it), a sha256 of the timed
+``src/qfla/*.py`` files, and per rung the median and all run times (null for
+a time-out), the median time of each phase the rung reaches
+(``oracle_median_s``, ``emit_median_s``, ``cells_median_s``,
+``search_median_s``, ``witness_median_s``), the median peak RSS and the exit
+code ("timeout" when some run timed out), next to the Python version and the
+machine.
 """
 from __future__ import annotations
 
@@ -99,18 +102,26 @@ ISO_PAIRS = [
 ]
 
 TIME_LIMIT_S = 120
+# The timed phases of a run; the child reports each as "<phase>_s".
+PHASES = ("oracle", "emit", "cells", "search", "witness")
 
 # Runs in the child: time cli.main on argv (stdout discarded), and within it
-# the derivation oracle (null when the verb does not call it) and the
-# emission: cli.dumps, plus cli.matrix_to_json in a tree that still builds
-# string grids (null when the verb emits nothing); report these times, the
+# each phase (null when the verb does not reach it): the derivation oracle,
+# the emission, and iso's cells, search and witness; report these times, the
 # exit code and peak RSS as one JSON line.
 CHILD = """
 import contextlib, io, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
-import qfla.cli
+import qfla.cli, qfla.iso
 argv = sys.argv[2:]
-spent = {"oracle_s": [], "emit_s": []}
+TIMED = [
+    (qfla.cli, "derivation_oracle", "oracle_s"),
+    (qfla.cli, "dumps", "emit_s"),
+    (qfla.iso, "copy_cells", "cells_s"),
+    (qfla.iso, "_first_admissible_perm", "search_s"),
+    (qfla.iso, "build_algebra_witness", "witness_s"),
+]
+spent = {key: [] for _, _, key in TIMED}
 
 def timed(fn, key):
     def wrapper(*args):
@@ -121,10 +132,8 @@ def timed(fn, key):
             spent[key].append(time.perf_counter() - t0)
     return wrapper
 
-qfla.cli.derivation_oracle = timed(qfla.cli.derivation_oracle, "oracle_s")
-for name in ("dumps", "matrix_to_json"):
-    if hasattr(qfla.cli, name):
-        setattr(qfla.cli, name, timed(getattr(qfla.cli, name), "emit_s"))
+for module, name, key in TIMED:
+    setattr(module, name, timed(getattr(module, name), key))
 with contextlib.redirect_stdout(io.StringIO()):
     t0 = time.perf_counter()
     rc = qfla.cli.main(argv)
@@ -161,7 +170,7 @@ def _child(src: Path, argv: list) -> dict:
             timeout=TIME_LIMIT_S,
         )
     except subprocess.TimeoutExpired:
-        return {"s": None, "oracle_s": None, "emit_s": None, "rc": "timeout", "rss_mb": None}
+        return {"s": None, "rc": "timeout", "rss_mb": None}
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
@@ -227,7 +236,7 @@ def main(argv=None) -> int:
                 "exit": "timeout" if len(done) < len(runs) else runs[0]["rc"],
             }
             shown = "timeout" if median is None else f"{median:.3f} s"
-            for phase in ("oracle", "emit"):
+            for phase in PHASES:
                 phase_s = [r[f"{phase}_s"] for r in done if r[f"{phase}_s"] is not None]
                 if phase_s:
                     entry[f"{phase}_median_s"] = round(statistics.median(phase_s), 4)

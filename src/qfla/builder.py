@@ -158,33 +158,12 @@ def rebase_x_to_e(n: int) -> Matrix:
     return Matrix(grid, cols=n + 1)
 
 
-@dataclass(frozen=True)
-class RelatedMatrix:
-    """(A | I_{m-r}) annihilating the row of top vectors (e_{1n} ... e_{mn})."""
-
-    matrix: Matrix
-    m: int
-    r: int
-
-    def __post_init__(self):
-        if self.matrix.rows != self.m - self.r or self.matrix.cols != self.m:
-            raise ValueError("related matrix must be (m-r) x m")
-        for i in range(self.m - self.r):
-            for j in range(self.m - self.r):
-                expected = ONE if i == j else ZERO
-                if self.matrix.entry(i, self.r + j) != expected:
-                    raise ValueError("trailing block is not the identity")
-
-
-def related_matrix_of(spec: QuasiQnSpec) -> RelatedMatrix:
-    """(-B^t | I): each row encodes e_{sn} - sum_j b_{js} e_{jn} = 0 for s > r."""
-    rows = []
-    for s in range(spec.r + 1, spec.m + 1):
-        row = [ZERO] * spec.m
-        row[: spec.r] = [-c for c in spec.beta[s - 1]]
-        row[s - 1] = ONE
-        rows.append(row)
-    return RelatedMatrix(Matrix(rows, cols=spec.m), spec.m, spec.r)
+def related_matrix(beta: Sequence[tuple]) -> Matrix:
+    """(-B^t | I) from the m columns of beta = (I | B) in Q^r: row s - r - 1
+    encodes e_{sn} - sum_t beta_{t,s} e_{tn} = 0 for each s > r."""
+    m, r = len(beta), len(beta[0])
+    units = [[ONE if t == s else ZERO for t in range(r, m)] for s in range(r, m)]
+    return Matrix([[-c for c in beta[s]] + units[s - r] for s in range(r, m)], cols=m)
 
 
 def _normalised(v: tuple) -> tuple:

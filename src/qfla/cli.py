@@ -19,7 +19,7 @@ import json
 import sys
 from types import SimpleNamespace
 
-from .builder import BadSpec, QuasiQnSpec, build_quasi, make_spec, related_matrix_of
+from .builder import BadSpec, QuasiQnSpec, build_quasi, make_spec, related_matrix
 from .derivations import (
     der_dimension,
     derivation_oracle,
@@ -44,7 +44,6 @@ from .jsonio import (
     dumps,
     iso_verdict_to_json,
     matrix_from_json,
-    related_to_json,
     spec_from_json,
 )
 from .liecore import (
@@ -204,7 +203,7 @@ def _cmd_iso(args) -> int:
 
 def _cmd_related(args) -> int:
     spec = _load_spec(_read_json(args.spec), args.spec)
-    _emit(args, related_to_json(related_matrix_of(spec)))
+    _emit(args, {"m": spec.m, "r": spec.r, "matrix": related_matrix(spec.beta)})
     return 0
 
 

@@ -1,13 +1,14 @@
 """Isomorphism testing for N(Q_n, m, r).
 
 Two gluings with the same (n, m, r) are isomorphic exactly when their
-annihilator matrices M_i = (-B_i^t | I) are monomially equivalent:
-E M_1 K = M_2 for an invertible E and a monomial K.  The rows of the kernel
-basis (I ; B_i^t) of M_i are the columns of beta_i = (I | B_i), so no solve
-is needed to find them.  With g1_p and g2_j those columns, a copy permutation pi
-admits such a K exactly when A g1_{pi(j)} = d_j g2_j for some A in GL_r and
-nonzero d_j.  The columns of M_i, the dual codes, admit the same pi with
-inverted d_j, so the search runs in dimension k = min(r, m - r).
+annihilator matrices M_i = builder.related_matrix(g_i) = (-B_i^t | I) are
+monomially equivalent: E M_1 K = M_2 for an invertible E and a monomial K.
+The search reads the gluings' own data, the columns g1_p and g2_j of
+beta_i = (I | B_i), which are the rows of the kernel basis (I ; B_i^t) of
+M_i: a copy permutation pi admits such a K exactly when
+A g1_{pi(j)} = d_j g2_j for some A in GL_r and nonzero d_j.  The columns of
+M_i, the dual codes, admit the same pi with inverted d_j, so the search runs
+in dimension k = min(r, m - r).
 It is a depth-first search over copies in lexicographic order, pruned by
 necessary conditions on A (Leon-style backtracking in the code-equivalence
 sense), after a screen by the sizes of the classes of proportional columns
@@ -22,17 +23,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .automorphisms import extend_endomorphism, make_scaling_automorphism
-from .builder import (
-    QuasiQnSpec,
-    RelatedMatrix,
-    build_quasi,
-    copy_cells,
-    proportional_classes,
-    related_matrix_of,
-)
+from .builder import QuasiQnSpec, build_quasi, copy_cells, proportional_classes, related_matrix
 from .liecore import bracket_preserving
 from .linalg import (
     Matrix,
@@ -106,14 +100,6 @@ def _generic_nonzero_point(basis: List[dict], m: int) -> Optional[tuple]:
         t += 1
 
 
-def _kernel_columns(R: RelatedMatrix) -> List[tuple]:
-    """The rows of the kernel basis (I ; -A) of R = (A | I), which are the
-    columns of beta = (I | B)."""
-    r = R.r
-    units = [tuple(ONE if i == p else ZERO for i in range(r)) for p in range(r)]
-    return units + [tuple(-R.matrix.entry(k, i) for i in range(r)) for k in range(R.m - r)]
-
-
 def _first_admissible_perm(g1: List[tuple], g2: List[tuple]) -> Optional[tuple]:
     """The lexicographically first pi with A g1_{pi(j)} = d_j g2_j for some A
     in GL_r and nonzero d_j, or None.
@@ -185,31 +171,30 @@ def _first_admissible_perm(g1: List[tuple], g2: List[tuple]) -> Optional[tuple]:
 
 
 def monomial_equivalence(
-    R1: RelatedMatrix, R2: RelatedMatrix
+    g1: Sequence[tuple], g2: Sequence[tuple]
 ) -> Union[EquivalenceWitness, NotEquivalent]:
-    """Find (E, K) with E R1 K = R2, or explain why none exists.
+    """Find (E, K) with E M1 K = M2, M_i = related_matrix(g_i), from the m
+    columns g_i of two betas in Q^r, or explain why none exists.
 
-    K is monomial, so E exists for a given K exactly when K maps ker(R2) onto
-    ker(R1); that is linear in the diagonal of K once its permutation is
-    fixed.  The first admissible permutation is found by a pruned search on
-    the kernels' columns (beta's, in Q^r) or, when m - r < r, on R's columns
-    in Q^(m-r): a code and its dual admit the same permutations.  The exact
-    solve for the diagonal runs on that permutation alone, so the witness is
-    the one a sweep over all m! permutations in lexicographic order returns.
+    K is monomial, so E exists for a given K exactly when K maps ker(M2)
+    onto ker(M1), whose bases have the columns of beta as rows; that is
+    linear in the diagonal of K once its permutation is fixed.  The first
+    admissible permutation is found by a pruned search on beta's columns or,
+    when m - r < r, on M's columns in Q^(m-r): a code and its dual admit the
+    same permutations.  The exact solve for the diagonal runs on that
+    permutation alone, so the witness is the one a sweep over all m!
+    permutations in lexicographic order returns.
     """
-    if (R1.m, R1.r) != (R2.m, R2.r):
-        raise ValueError("annihilators must share (m, r)")
-    m, r = R1.m, R1.r
+    m, r = len(g1), len(g1[0])
+    if (len(g2), len(g2[0])) != (m, r):
+        raise ValueError("the betas must share (m, r)")
     cap = _max_copies()
     if m > cap:
         raise SearchTooLarge(f"m: {m} exceeds the permutation search cap {cap}")
-    M1, M2 = R1.matrix, R2.matrix
-    g1, g2 = _kernel_columns(R1), _kernel_columns(R2)
+    M1, M2 = related_matrix(g1), related_matrix(g2)
     h1, h2 = g1, g2
-    if m - r < r:  # R's columns admit the same permutations, with inverted scales
-        h1, h2 = (
-            [tuple(R.matrix.entry(i, p) for i in range(m - r)) for p in range(m)] for R in (R1, R2)
-        )
+    if m - r < r:  # M's columns admit the same permutations, with inverted scales
+        h1, h2 = ([tuple(M.entry(i, p) for i in range(m - r)) for p in range(m)] for M in (M1, M2))
     perm = _first_admissible_perm(h1, h2)
     if perm is None:
         return NotEquivalent(
@@ -320,7 +305,7 @@ def iso_decide(spec1: QuasiQnSpec, spec2: QuasiQnSpec) -> IsoVerdict:
                 f"({spec2.n},{spec2.m},{spec2.r})"
             ),
         )
-    outcome = monomial_equivalence(related_matrix_of(spec1), related_matrix_of(spec2))
+    outcome = monomial_equivalence(spec1.beta, spec2.beta)
     if isinstance(outcome, NotEquivalent):
         return IsoVerdict(False, reason=outcome.reason)
     witness = build_algebra_witness(spec1, spec2, outcome.K)

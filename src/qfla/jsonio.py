@@ -12,7 +12,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Tuple
 
-from .builder import QuasiQnSpec, RelatedMatrix, build_quasi, make_spec
+from .builder import QuasiQnSpec, build_quasi, make_spec
 from .derivations import GeneratorImages
 from .liecore import LieAlgebra
 from .linalg import ZERO, Matrix, _transpose, scalar
@@ -50,18 +50,20 @@ def _encode(obj, newline: str) -> str:
         return f'"{obj}"'  # digits, "-" and "/" need no escaping
     if isinstance(obj, Matrix):
         return _encode_matrix(obj, newline)
+    # each text is made by one join or f-string: a chain of "+" would copy
+    # the whole subtree once per operator, at every nesting level
     inner = newline + "  "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = (
-            encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())
+            f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in sorted(obj.items())
         )
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        return "[" + inner + ("," + inner).join(_encode(x, inner) for x in obj) + newline + "]"
+        return f"[{inner}{(',' + inner).join(_encode(x, inner) for x in obj)}{newline}]"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -71,14 +73,14 @@ def _encode_matrix(M: Matrix, newline: str) -> str:
     inner = newline + "  "
     head, sep, tail = "[" + inner + '  "', '",' + inner + '  "', '"' + inner + "]"
     zeros = ["0"] * M.cols
-    rows = [head + sep.join(zeros) + tail if M.cols else "[]"] * M.rows
+    rows = [f"{head}{sep.join(zeros)}{tail}" if M.cols else "[]"] * M.rows
     for i, entries in enumerate(_transpose(M.columns(), M.rows)):
         if entries:
             cells = zeros.copy()
             for j, x in entries.items():
                 cells[j] = str(x)
-            rows[i] = head + sep.join(cells) + tail
-    return "[" + inner + ("," + inner).join(rows) + newline + "]" if rows else "[]"
+            rows[i] = f"{head}{sep.join(cells)}{tail}"
+    return f"[{inner}{(',' + inner).join(rows)}{newline}]" if rows else "[]"
 
 
 # -- scalars and matrices -----------------------------------------------------------
@@ -217,11 +219,7 @@ def candidate_to_json(spec: QuasiQnSpec, e0, e1) -> dict:
     return {"images": images}
 
 
-# -- related matrices and verdicts --------------------------------------------------
-
-
-def related_to_json(R: RelatedMatrix) -> dict:
-    return {"m": R.m, "r": R.r, "matrix": R.matrix}
+# -- verdicts -----------------------------------------------------------------------
 
 
 def iso_verdict_to_json(verdict) -> dict:

@@ -14,7 +14,7 @@ from qfla.builder import (
     proportional_classes,
     qn_x_basis,
     rebase_x_to_e,
-    related_matrix_of,
+    related_matrix,
     support_components,
 )
 from qfla.derivations import der_dimension, nilpotent_basis
@@ -132,20 +132,18 @@ class TestBuildQuasi:
 class TestRelatedMatrix:
     def test_shape_and_content(self):
         s = make_spec(5, 3, 1, [["1", "1"]])
-        R = related_matrix_of(s)
-        assert R.matrix == Matrix([[-1, 1, 0], [-1, 0, 1]])
+        assert related_matrix(s.beta) == Matrix([[-1, 1, 0], [-1, 0, 1]])
 
     def test_annihilates_tops(self):
         # rows encode e_{sn} - sum_j b_{js} e_{jn} = 0
         s = make_spec(5, 3, 2, [["1"], ["2"]])
-        R = related_matrix_of(s)
         beta_t = Matrix(s.beta)  # the columns of beta are the rows of its transpose
-        product = R.matrix * beta_t
+        product = related_matrix(s.beta) * beta_t
         assert product == Matrix([[0] * product.cols] * product.rows)
 
     def test_m_equals_r(self):
-        R = related_matrix_of(make_spec(5, 2, 2))
-        assert R.matrix.rows == 0 and R.matrix.cols == 2
+        M = related_matrix(make_spec(5, 2, 2).beta)
+        assert M.rows == 0 and M.cols == 2
 
 
 def one_nonzero_grouping(spec):

@@ -1,4 +1,4 @@
-"""Isomorphism decision: kernels, monomial equivalence, verified witnesses."""
+"""Isomorphism decision: annihilators, monomial equivalence, verified witnesses."""
 import itertools
 import random
 import time
@@ -10,13 +10,12 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from conftest import TEST_MATRIX, sparse, spec_id
 from test_linalg import dense_rows, reference_kernel, reference_rref
 from qfla import iso
-from qfla.builder import QuasiQnSpec, RelatedMatrix, build_quasi, copy_cells, make_spec, related_matrix_of
+from qfla.builder import build_quasi, copy_cells, make_spec, related_matrix
 from qfla.iso import (
     EquivalenceWitness,
     NotEquivalent,
     SearchTooLarge,
     _generic_nonzero_point,
-    _kernel_columns,
     build_algebra_witness,
     iso_decide,
     monomial_equivalence,
@@ -27,72 +26,86 @@ from qfla.linalg import ONE, Matrix, MonomialMatrix, column_span, inverse, rank
 
 
 class TestKernel:
-    """The columns of beta read off R = (A | I) span ker(R)."""
+    """The columns of beta span the kernel of related_matrix(beta) = (A | I)."""
 
     @staticmethod
-    def kernel_basis(R: RelatedMatrix) -> Matrix:
-        """The m x r matrix whose rows are the columns read off R."""
-        basis = Matrix([list(g) for g in _kernel_columns(R)], cols=R.r)
-        assert R.matrix * basis == Matrix([[0] * R.r] * R.matrix.rows, cols=R.r)
-        assert rank(basis) == R.r
+    def kernel_basis(spec) -> Matrix:
+        """The m x r matrix whose rows are the columns of beta."""
+        g = spec.beta
+        m, r = len(g), len(g[0])
+        M = related_matrix(g)
+        basis = Matrix([list(v) for v in g], cols=r)
+        assert M * basis == Matrix([[0] * r] * M.rows, cols=r)
+        assert rank(basis) == r
+        assert rank(M) == m - r
         return basis
 
     def test_two_glued_columns(self):
-        spec = make_spec(5, 3, 2, [["1"], ["1"]])
-        basis = self.kernel_basis(related_matrix_of(spec))
+        basis = self.kernel_basis(make_spec(5, 3, 2, [["1"], ["1"]]))
         assert basis.columns() == [{0: 1, 2: 1}, {1: 1, 2: 1}]  # the rows of beta
 
     def test_scaled(self):
-        basis = self.kernel_basis(related_matrix_of(make_spec(5, 2, 1, [["5"]])))
+        basis = self.kernel_basis(make_spec(5, 2, 1, [["5"]]))
         assert column_span(basis.columns(), 2) == column_span([{0: 1, 1: 5}], 2)
 
     def test_full_space_when_no_gluing(self):
-        basis = self.kernel_basis(related_matrix_of(make_spec(5, 2, 2)))
+        basis = self.kernel_basis(make_spec(5, 2, 2))
         assert basis == Matrix.identity(2)
 
 
 class TestMonomialEquivalence:
     def test_same_matrix_identity_witness(self):
-        R = related_matrix_of(make_spec(5, 3, 2, [["1"], ["1"]]))
-        w = monomial_equivalence(R, R)
+        g = make_spec(5, 3, 2, [["1"], ["1"]]).beta
+        w = monomial_equivalence(g, g)
         assert isinstance(w, EquivalenceWitness)
         assert w.K.densify() == Matrix.identity(3)
-        assert w.E * R.matrix * w.K.densify() == R.matrix
+        M = related_matrix(g)
+        assert w.E * M * w.K.densify() == M
 
     def test_rescaled_gluings_are_equivalent(self):
-        R1 = related_matrix_of(make_spec(5, 3, 2, [["1"], ["1"]]))
-        R2 = related_matrix_of(make_spec(5, 3, 2, [["2"], ["1"]]))
-        w = monomial_equivalence(R1, R2)
+        g1 = make_spec(5, 3, 2, [["1"], ["1"]]).beta
+        g2 = make_spec(5, 3, 2, [["2"], ["1"]]).beta
+        w = monomial_equivalence(g1, g2)
         assert isinstance(w, EquivalenceWitness)
         assert w.K.perm == (0, 1, 2)
         assert w.K.scale == (Fraction(2), Fraction(1), Fraction(1))
-        assert w.E * R1.matrix * w.K.densify() == R2.matrix
+        assert w.E * related_matrix(g1) * w.K.densify() == related_matrix(g2)
 
     def test_nonzero_pattern_obstruction(self):
-        R1 = related_matrix_of(make_spec(5, 3, 2, [["1"], ["0"]]))
-        R2 = related_matrix_of(make_spec(5, 3, 2, [["1"], ["1"]]))
-        assert isinstance(monomial_equivalence(R1, R2), NotEquivalent)
+        g1 = make_spec(5, 3, 2, [["1"], ["0"]]).beta
+        g2 = make_spec(5, 3, 2, [["1"], ["1"]]).beta
+        assert isinstance(monomial_equivalence(g1, g2), NotEquivalent)
 
     def test_permutation_needed(self):
         # swapping which top the extra copy glues to is a copy relabeling
-        R1 = related_matrix_of(make_spec(5, 3, 2, [["1"], ["0"]]))
-        R2 = related_matrix_of(make_spec(5, 3, 2, [["0"], ["1"]]))
-        w = monomial_equivalence(R1, R2)
+        g1 = make_spec(5, 3, 2, [["1"], ["0"]]).beta
+        g2 = make_spec(5, 3, 2, [["0"], ["1"]]).beta
+        w = monomial_equivalence(g1, g2)
         assert isinstance(w, EquivalenceWitness)
-        assert w.E * R1.matrix * w.K.densify() == R2.matrix
+        assert w.E * related_matrix(g1) * w.K.densify() == related_matrix(g2)
 
     def test_trivial_when_m_equals_r(self):
-        R = related_matrix_of(make_spec(5, 2, 2))
-        w = monomial_equivalence(R, R)
+        g = make_spec(5, 2, 2).beta
+        w = monomial_equivalence(g, g)
         assert isinstance(w, EquivalenceWitness)
+
+    @pytest.mark.parametrize(
+        "other", [make_spec(5, 3, 1, [["1", "1"]]), make_spec(5, 4, 2, [["1", "1"], ["1", "2"]])],
+        ids=["r", "m"],
+    )
+    def test_refuses_betas_of_different_shape(self, other):
+        g = make_spec(5, 3, 2, [["1"], ["1"]]).beta
+        for pair in ((g, other.beta), (other.beta, g)):
+            with pytest.raises(ValueError, match=r"\(m, r\)"):
+                monomial_equivalence(*pair)
 
     def test_search_cap(self, monkeypatch):
         monkeypatch.setenv("QFLA_MAX_M", "2")
-        R = related_matrix_of(make_spec(5, 3, 2, [["1"], ["1"]]))
+        g = make_spec(5, 3, 2, [["1"], ["1"]]).beta
         with pytest.raises(SearchTooLarge):
-            monomial_equivalence(R, R)
+            monomial_equivalence(g, g)
         monkeypatch.setenv("QFLA_MAX_M", "3")
-        assert isinstance(monomial_equivalence(R, R), EquivalenceWitness)
+        assert isinstance(monomial_equivalence(g, g), EquivalenceWitness)
 
 
 class TestSplitScale:
@@ -198,16 +211,26 @@ class TestAlgebraWitness:
 # -- the pruned search against the plain sweep ----------------------------------------
 
 
-def sweep_equivalence(R1: RelatedMatrix, R2: RelatedMatrix):
+def reference_annihilator(g) -> Matrix:
+    """(A | I) with A = -C^t, from the columns g of beta = (I | C), written
+    out here so that the sweep shares no code with ``related_matrix``."""
+    m, r = len(g), len(g[0])
+    rows = [
+        [-g[r + k][i] for i in range(r)] + [int(k == l) for l in range(m - r)] for k in range(m - r)
+    ]
+    return Matrix(rows, cols=m)
+
+
+def sweep_equivalence(g1, g2):
     """Reference: try all m! copy permutations in lexicographic order, each
     with its own exact solve for the diagonal, and return the first hit.  The
     kernel, the diagonal solve and the pivots come from the textbook dense
     elimination, so the reference shares no solve with the search."""
-    m, r = R1.m, R1.r
+    m, r = len(g1), len(g1[0])
     if m == r:
         identity = MonomialMatrix(m, tuple(range(m)), (ONE,) * m)
         return EquivalenceWitness(Matrix([], cols=0), identity)
-    M1, M2 = R1.matrix, R2.matrix
+    M1, M2 = reference_annihilator(g1), reference_annihilator(g2)
     ker2 = reference_kernel(M2)
     for perm in itertools.permutations(range(m)):
         eq_rows = []
@@ -233,14 +256,12 @@ NONZERO = [Fraction(x) for x in ("1", "-1", "2", "-2", "3", "1/2", "-1/3", "3/2"
 WITH_ZEROS = [Fraction(0)] * 4 + NONZERO
 
 
-def annihilator(r: int, C) -> RelatedMatrix:
-    """(A | I) whose kernel has the rows of (I | C); C is r x (m - r).  A zero
-    column of C gives a zero kernel column, which no QuasiQnSpec allows."""
-    m = r + (len(C[0]) if C else 0)
-    rows = [
-        [-C[i][k] for i in range(r)] + [int(k == l) for l in range(m - r)] for k in range(m - r)
-    ]
-    return RelatedMatrix(Matrix(rows, cols=m), m, r)
+def beta_columns(r: int, C) -> tuple:
+    """The m columns of beta = (I | C) in Q^r, C r x (m - r): the r unit
+    columns, then C's.  A zero column of C is kept, though no QuasiQnSpec
+    allows one."""
+    units = tuple(tuple(Fraction(int(i == p)) for i in range(r)) for p in range(r))
+    return units + tuple(tuple(C[i][k] for i in range(r)) for k in range(len(C[0]) if C else 0))
 
 
 def relabelled(r: int, C, perm, scales):
@@ -299,12 +320,12 @@ def _pairs(rng, label, r, m, make, count, positives):
     for k in range(count):
         C1 = make(rng, r, m)
         C2 = relabel(rng, r, C1) if k < positives else make(rng, r, m)
-        out.append((f"{label}-r{r}m{m}-{k}", annihilator(r, C1), annihilator(r, C2)))
+        out.append((f"{label}-r{r}m{m}-{k}", beta_columns(r, C1), beta_columns(r, C2)))
     return out
 
 
 def equivalence_battery() -> list:
-    """Seeded (label, R1, R2) pairs, degenerate and generic."""
+    """Seeded (label, g1, g2) pairs of beta columns, degenerate and generic."""
     rng = random.Random(20061)
     mixing = lambda rng, r, m: random_C(rng, r, m, NONZERO)  # noqa: E731
     zeros = lambda rng, r, m: random_C(rng, r, m, WITH_ZEROS)  # noqa: E731
@@ -315,7 +336,7 @@ def equivalence_battery() -> list:
     for m in (2, 3, 4, 5):
         battery += _pairs(rng, "r1", 1, m, mixing, 3, 1)
     for r in (1, 2, 3):
-        battery.append((f"m=r-{r}", annihilator(r, []), annihilator(r, [])))
+        battery.append((f"m=r-{r}", beta_columns(r, []), beta_columns(r, [])))
     for r, m in ((2, 4), (2, 5), (3, 4), (3, 5)):
         battery += _pairs(rng, "zeros", r, m, zeros, 6, 2)
     for r, m in ((2, 4), (3, 5)):
@@ -326,8 +347,8 @@ def equivalence_battery() -> list:
         battery += _pairs(rng, "generic", 3, m, generic_C, 6, 3)
     for m in (5, 5, 6):
         battery += _pairs(rng, "cross", 2, m, generic_C, 4, 0)
-    # r > m / 2: the search runs on the m - r dimensional columns of R, and
-    # zero rows of C give zero columns of R
+    # r > m / 2: the search runs on the m - r dimensional columns of (A | I),
+    # and zero rows of C give zero columns there
     for r, m in ((4, 5), (4, 6), (5, 6)):
         battery += _pairs(rng, "dual-generic", r, m, generic_C, 4, 2)
         battery += _pairs(rng, "dual-zeros", r, m, zeros, 4, 2)
@@ -337,18 +358,30 @@ def equivalence_battery() -> list:
 EQUIVALENCE_BATTERY = equivalence_battery()
 
 
+def test_related_matrix_annihilates_beta():
+    betas = [g for _, g1, g2 in EQUIVALENCE_BATTERY for g in (g1, g2)]
+    assert any(not any(v) for g in betas for v in g)  # zero columns are covered
+    for g in betas:
+        m, r = len(g), len(g[0])
+        M = related_matrix(g)
+        assert (M.rows, M.cols) == (m - r, m)
+        assert M.submatrix(range(m - r), range(r, m)) == Matrix.identity(m - r)
+        assert M * Matrix([list(v) for v in g], cols=r) == Matrix([[0] * r] * (m - r), cols=r)
+        assert rank(M) == m - r
+
+
 class TestPrunedSearchMatchesSweep:
     def test_battery_is_wide(self):
-        outcomes = [monomial_equivalence(R1, R2) for _, R1, R2 in EQUIVALENCE_BATTERY]
+        outcomes = [monomial_equivalence(g1, g2) for _, g1, g2 in EQUIVALENCE_BATTERY]
         assert len(EQUIVALENCE_BATTERY) >= 100
         assert sum(isinstance(o, EquivalenceWitness) for o in outcomes) >= 40
         assert sum(isinstance(o, NotEquivalent) for o in outcomes) >= 30
 
     @pytest.mark.parametrize(
-        "R1,R2", [pair[1:] for pair in EQUIVALENCE_BATTERY], ids=[pair[0] for pair in EQUIVALENCE_BATTERY]
+        "g1,g2", [pair[1:] for pair in EQUIVALENCE_BATTERY], ids=[pair[0] for pair in EQUIVALENCE_BATTERY]
     )
-    def test_same_outcome_as_sweep(self, R1, R2):
-        assert monomial_equivalence(R1, R2) == sweep_equivalence(R1, R2)
+    def test_same_outcome_as_sweep(self, g1, g2):
+        assert monomial_equivalence(g1, g2) == sweep_equivalence(g1, g2)
 
 
 @st.composite
@@ -374,9 +407,9 @@ def test_relabelled_gluing_is_isomorphic(pair):
     spec1, spec2 = pair
     v = iso_decide(spec1, spec2)
     assert v.isomorphic
-    R1, R2 = related_matrix_of(spec1), related_matrix_of(spec2)
-    assert v.equivalence == sweep_equivalence(R1, R2)
-    assert v.equivalence.E * R1.matrix * v.equivalence.K.densify() == R2.matrix
+    assert v.equivalence == sweep_equivalence(spec1.beta, spec2.beta)
+    M1, M2 = (reference_annihilator(spec.beta) for spec in (spec1, spec2))
+    assert v.equivalence.E * M1 * v.equivalence.K.densify() == M2
     L1, L2 = build_quasi(spec1), build_quasi(spec2)
     assert rank(v.map) == L1.dim
     assert bracket_preserving(L1, L2, v.map)
