@@ -86,6 +86,44 @@ GENERIC_M8 = {
         [["-3/8", "15/4"], ["1/8", "-15/4"], ["-1/8", "3/2"], ["3/4", "-9/2"],
          ["1/12", "0"], ["-1/4", "0"]]),
 }
+# (5,12,r) pairs at the default cap, drawn like the test suite's m = 12 scale
+# guard: generic_C and relabel with seed 1200 + r.
+GENERIC_M12 = {
+    4: ([["-1/3", "-1/3", "3", "-2", "-1/3", "-1", "-1/3", "3"],
+         ["-1", "-1/3", "3", "2", "2", "-1", "1", "2"],
+         ["1/2", "1", "-2", "-1", "-1", "-1", "1/2", "-1"],
+         ["-1/3", "-2", "-1", "3/2", "-1/3", "3", "1/2", "3/2"]],
+        [["-2", "-2", "-2", "1", "2", "-1/3", "-2", "2"],
+         ["1", "-1", "-2", "-1/3", "2", "1", "-1", "3/2"],
+         ["1/2", "3/2", "-1/3", "3/2", "-1/3", "3", "2", "3"],
+         ["2", "3", "-1/3", "3/2", "-1/3", "-1", "1/2", "1/2"]],
+        [["4/9", "29/27", "7/9", "-7/54", "-20/9", "20/27", "11/9", "-61/243"],
+         ["-3/4", "-7/2", "-13/8", "3/8", "41/8", "-5/4", "-9/4", "1/6"],
+         ["2", "10/3", "7/2", "-4/3", "-10", "10/3", "1", "-8/27"],
+         ["1/18", "-20/27", "-5/18", "5/108", "17/36", "-2/27", "-2/9", "16/243"]]),
+    6: ([["1/2", "3/2", "3", "3", "1", "1"], ["2", "1/2", "-2", "1", "-2", "1"],
+         ["1/2", "3", "-1/3", "1", "1", "1/2"], ["-1/3", "3", "1/2", "1/2", "2", "3"],
+         ["3", "3", "2", "3", "-1/3", "-2"], ["2", "-2", "2", "2", "-1", "1/2"]],
+        [["1", "-2", "3", "1/2", "1", "1/2"], ["1", "1", "3", "1/2", "3/2", "3"],
+         ["-1/3", "1", "1/2", "-1", "2", "-1"], ["-2", "-2", "-2", "-2", "2", "3"],
+         ["1/2", "1", "1/2", "3", "-2", "3"], ["1", "-1/3", "-2", "2", "1/2", "1/2"]],
+        [["1/14", "-2/7", "22/63", "-13/21", "-13/63", "20/63"],
+         ["-8/7", "-10/7", "-80/21", "-58/21", "158/21", "-4/21"],
+         ["-4/21", "44/21", "-40/63", "160/63", "-152/63", "-128/63"],
+         ["3/28", "-65/21", "61/63", "-79/21", "437/126", "170/63"],
+         ["69/14", "-229/7", "94/7", "-229/7", "269/7", "200/7"],
+         ["1/7", "-4/7", "-4/21", "2/21", "10/21", "4/21"]]),
+    8: ([["1", "-1", "-1/3", "3/2"], ["-1/3", "3", "3/2", "3/2"], ["2", "-1/3", "1/2", "1"],
+         ["1/2", "-1/3", "-2", "-2"], ["3/2", "-2", "1/2", "1/2"], ["3", "1", "1", "1"],
+         ["1", "-1", "1", "3"], ["3/2", "2", "2", "1"]],
+        [["1/2", "3/2", "1/2", "-1"], ["-2", "3", "1", "-1/3"], ["-2", "-1", "-2", "3/2"],
+         ["3", "-1", "2", "2"], ["2", "1", "2", "1"], ["1/2", "-1/3", "2", "-2"],
+         ["2", "2", "3", "-1/3"], ["-2", "-1/3", "1/2", "-1"]],
+        [["6/19", "240/19", "-102/19", "-30/19"], ["86/57", "184/19", "-183/38", "-88/57"],
+         ["-332/171", "-880/57", "150/19", "463/171"], ["16/171", "188/57", "-26/19", "-80/171"],
+         ["61/19", "958/19", "-1363/57", "-153/19"], ["11/19", "174/19", "-165/38", "-53/38"],
+         ["6/19", "12/19", "-7/19", "-3/38"], ["79/114", "343/19", "-321/38", "-619/228"]]),
+}
 ISO_PAIRS = [
     ("n5m8r2-classes-no", (5, 8, 2),
      [["1", "0", "1", "1", "1", "1"], ["0", "1", "1", "1", "2", "2"]],
@@ -96,8 +134,9 @@ ISO_PAIRS = [
      [["-1/7", "15/14", "2/7"], ["-8/7", "25/7", "-5/7"],
       ["10/21", "-5/21", "1/21"], ["-12/7", "20/7", "10/7"]]),
 ] + [
-    (f"n5m8r{r}-generic-{verdict}", (5, 8, r), B1, B2)
-    for r, (B1, no, yes) in GENERIC_M8.items()
+    (f"n5m{m}r{r}-generic-{verdict}", (5, m, r), B1, B2)
+    for m, pairs in ((8, GENERIC_M8), (12, GENERIC_M12))
+    for r, (B1, no, yes) in pairs.items()
     for verdict, B2 in (("no", no), ("yes", yes))
 ]
 

@@ -17,7 +17,7 @@ def show(spec1, spec2):
     if v.isomorphic:
         L1, L2 = build_quasi(spec1), build_quasi(spec2)
         assert rank(v.map) == L1.dim and bracket_preserving(L1, L2, v.map)
-        scales = ", ".join(str(x) for x in v.equivalence.K.scale)
+        scales = ", ".join(str(x) for x in v.equivalence.scale)
         print(f"# verified: bijective, bracket-preserving; K scales = ({scales})")
     print()
 

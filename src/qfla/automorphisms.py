@@ -24,12 +24,13 @@ def extend_endomorphism(
 ) -> Matrix:
     """Extend generator images to a map defined on the whole source basis.
 
-    ``shape`` fixes the source basis layout; the images live in ``target``
-    (the same algebra for automorphism checking, a second one with equal
-    (n, m, r) when testing maps between two gluings).  Columns follow
+    ``shape`` fixes the source basis layout; the images live in ``target``,
+    the same algebra for automorphism checking or a second one with equal
+    (n, m, r) when testing maps between two gluings, so in either case of
+    dimension ``shape.dim``.  Columns follow
     rho([x, y]) = [rho(x), rho(y)] along ``extend_images``.
     """
-    candidate.validate(shape, target.dim)
+    candidate.validate(shape)
     return extend_images(shape, candidate, lambda i, j, x, y: target.bracket(x, y))
 
 
@@ -42,10 +43,11 @@ def closed_form_endomorphism(
     images, the level part of the column for e_{st} is
     (b0_{i0})^{t-2} (b0_{i0} b1_{ij} - b0_{ij} b1_{i0}) on e_{i,j+t-1} and the
     central part collects (-1)^j b0_{ij} (...) on the top of copy i; valid for
-    arbitrary candidates.
+    arbitrary candidates.  ``target_spec`` shares the (n, m, r) of
+    ``shape``, and so its dimension.
     """
     target = build_quasi(target_spec)
-    candidate.validate(shape, target.dim)
+    candidate.validate(shape)
     n, dim = shape.n, target.dim
 
     def b(vecs, s, i, j):

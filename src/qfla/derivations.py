@@ -42,15 +42,13 @@ class GeneratorImages:
             tuple(map(sparse, e0)), tuple(map(sparse, e1)), dims.pop() if dims else 0
         )
 
-    def validate(self, shape: QuasiQnSpec, target_dim: Optional[int] = None) -> None:
-        """One image pair per copy of ``shape``, in a target of ``target_dim``
-        (``shape.dim`` unless the images live in another algebra)."""
-        if target_dim is None:
-            target_dim = shape.dim
+    def validate(self, shape: QuasiQnSpec) -> None:
+        """One image pair per copy of ``shape``, in a target of ``shape.dim``:
+        a target algebra always shares the shape's (n, m, r)."""
         if len(self.e0) != shape.m or len(self.e1) != shape.m:
             raise ValueError(f"need one image pair per copy ({shape.m})")
-        if self.dim != target_dim:
-            raise ValueError(f"image vectors must have length {target_dim}")
+        if self.dim != shape.dim:
+            raise ValueError(f"image vectors must have length {shape.dim}")
 
 
 def extend_images(

@@ -28,19 +28,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .automorphisms import extend_endomorphism, make_scaling_automorphism
 from .builder import QuasiQnSpec, build_quasi, copy_cells, proportional_classes, related_matrix
 from .liecore import bracket_preserving
-from .linalg import (
-    Matrix,
-    MonomialMatrix,
-    ONE,
-    ZERO,
-    _insert,
-    _reduce,
-    inverse,
-    rank,
-    sparse_nullspace,
-)
+from .linalg import Matrix, ONE, ZERO, _insert, _reduce, inverse, rank, sparse_nullspace
 
-DEFAULT_MAX_COPIES = 8
+DEFAULT_MAX_COPIES = 12
 
 
 class SearchTooLarge(RuntimeError):
@@ -55,10 +45,13 @@ class BadSearchCap(ValueError):
 
 @dataclass(frozen=True)
 class EquivalenceWitness:
-    """Certificate for E M1 K = M2: the invertible factor and the monomial."""
+    """Certificate for E M1 K = M2: the invertible factor E and the monomial
+    K, whose column j holds scale[j] in row perm[j] (0-based) and is zero
+    elsewhere."""
 
     E: Matrix
-    K: MonomialMatrix
+    perm: tuple
+    scale: tuple
 
 
 @dataclass(frozen=True)
@@ -173,8 +166,9 @@ def _first_admissible_perm(g1: List[tuple], g2: List[tuple]) -> Optional[tuple]:
 def monomial_equivalence(
     g1: Sequence[tuple], g2: Sequence[tuple]
 ) -> Union[EquivalenceWitness, NotEquivalent]:
-    """Find (E, K) with E M1 K = M2, M_i = related_matrix(g_i), from the m
-    columns g_i of two betas in Q^r, or explain why none exists.
+    """Find E and the monomial K, as its (perm, scale), with E M1 K = M2,
+    M_i = related_matrix(g_i), from the m columns g_i of two betas in Q^r,
+    or explain why none exists.
 
     K is monomial, so E exists for a given K exactly when K maps ker(M2)
     onto ker(M1), whose bases have the columns of beta as rows; that is
@@ -209,13 +203,14 @@ def monomial_equivalence(
     point = _generic_nonzero_point(sparse_nullspace(eq_rows, m), m)
     if point is None:
         raise AssertionError("the pruned search returned a permutation the exact solve rejects")
-    K = MonomialMatrix(m, perm, point)
-    prod = M1 * K.densify()
+    # column j of M1 K is scale[j] times column perm[j] of M1
+    M1_columns = M1.columns()
+    columns = [{i: x * d for i, x in M1_columns[p].items()} for p, d in zip(perm, point)]
     # E M1 K = M2 = (A2 | I), so E inverts the last m - r columns of M1 K
-    E = inverse(prod.submatrix(range(m - r), range(r, m)))
-    if E * prod != M2:
+    E = inverse(Matrix.from_columns(columns[r:], m - r))
+    if E * Matrix.from_columns(columns, m - r) != M2:
         raise AssertionError("kernel match did not yield a row-space match")
-    return EquivalenceWitness(E, K)
+    return EquivalenceWitness(E, perm, point)
 
 
 # -- algebra-level certificates ----------------------------------------------------
@@ -261,12 +256,12 @@ def split_scale(k: Fraction, n: int) -> Tuple[Fraction, Fraction]:
 
 
 def build_algebra_witness(
-    spec1: QuasiQnSpec, spec2: QuasiQnSpec, K: MonomialMatrix
+    spec1: QuasiQnSpec, spec2: QuasiQnSpec, w: EquivalenceWitness
 ) -> Matrix:
     """Turn an annihilator certificate into an explicit isomorphism matrix.
 
-    Column j of K pairs copy pi(j)+1 of the source with copy j+1 of the
-    target and prescribes the scale its top vector must pick up; generators
+    Column j of K pairs copy perm[j]+1 of the source with copy j+1 of the
+    target and prescribes the scale[j] its top vector must pick up; generators
     are mapped by e_{s0} -> alpha_s e_{sigma(s),0}, e_{s1} -> beta_s
     e_{sigma(s),1} with alpha^{n-2} beta^2 equal to that scale, and the rest
     of the map follows from the bracket recurrences.
@@ -274,8 +269,8 @@ def build_algebra_witness(
     m, n = spec1.m, spec1.n
     sigma = [0] * (m + 1)  # sigma[s] = target copy of source copy s
     for j in range(m):
-        sigma[K.perm[j] + 1] = j + 1
-    alphas, betas = zip(*(split_scale(K.scale[sigma[s] - 1], n) for s in range(1, m + 1)))
+        sigma[w.perm[j] + 1] = j + 1
+    alphas, betas = zip(*(split_scale(w.scale[sigma[s] - 1], n) for s in range(1, m + 1)))
     images = make_scaling_automorphism(spec2, alphas, betas, sigma[1:])
     return extend_endomorphism(spec1, build_quasi(spec2), images)
 
@@ -308,7 +303,7 @@ def iso_decide(spec1: QuasiQnSpec, spec2: QuasiQnSpec) -> IsoVerdict:
     outcome = monomial_equivalence(spec1.beta, spec2.beta)
     if isinstance(outcome, NotEquivalent):
         return IsoVerdict(False, reason=outcome.reason)
-    witness = build_algebra_witness(spec1, spec2, outcome.K)
+    witness = build_algebra_witness(spec1, spec2, outcome)
     L1, L2 = build_quasi(spec1), build_quasi(spec2)
     if rank(witness) != L1.dim or not bracket_preserving(L1, L2, witness):
         raise AssertionError("certificate construction produced a non-isomorphism")

@@ -225,10 +225,10 @@ def candidate_to_json(spec: QuasiQnSpec, e0, e1) -> dict:
 def iso_verdict_to_json(verdict) -> dict:
     out = {"isomorphic": verdict.isomorphic, "witness": None, "reason": verdict.reason}
     if verdict.isomorphic:
-        K = verdict.equivalence.K
+        w = verdict.equivalence
         out["witness"] = {
-            "E": verdict.equivalence.E,
-            "K": {"perm": [p + 1 for p in K.perm], "scale": K.scale},
+            "E": w.E,
+            "K": {"perm": [p + 1 for p in w.perm], "scale": w.scale},
             "map": verdict.map,
         }
     return out

@@ -10,7 +10,6 @@ elimination engine serves every solve: `rank`, `inverse`, `column_span` and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -98,10 +97,6 @@ class Matrix:
         they are the matrix's own and must not be changed."""
         return list(self._c)
 
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     # -- basic algebra ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -119,37 +114,10 @@ class Matrix:
         )
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._shape_match(other)
-        pairs = zip(self._c, other._c)
-        return Matrix.from_columns([_combine({0: ONE, 1: ONE}, p) for p in pairs], self.rows)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + -other
-
-    def __neg__(self) -> "Matrix":
-        return self * -ONE
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise ValueError(f"shape mismatch: {self.cols} != {other.rows}")
-            return Matrix.from_columns([_combine(col, self._c) for col in other._c], self.rows)
-        f = scalar(other)
-        columns = [{i: x * f for i, x in col.items()} for col in self._c]
-        return Matrix.from_columns(columns, self.rows)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        rows = {i: k for k, i in enumerate(row_idx)}
-        columns = [{rows[i]: x for i, x in self._c[j].items() if i in rows} for j in col_idx]
-        return Matrix.from_columns(columns, len(row_idx))
-
-    def _shape_match(self, other: "Matrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
+    def __mul__(self, other: "Matrix") -> "Matrix":
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch: {self.cols} != {other.rows}")
+        return Matrix.from_columns([_combine(col, self._c) for col in other._c], self.rows)
 
 
 def _transpose(vectors: Sequence[dict], n: int) -> list:
@@ -281,7 +249,7 @@ def rank(M: Matrix) -> int:
 
 def inverse(M: Matrix) -> Matrix:
     """The inverse, read off the reduced form of (M | I)."""
-    if not M.is_square:
+    if M.rows != M.cols:
         raise ValueError("not square")
     n = M.rows
     rows = _transpose(M._c, n)
@@ -313,29 +281,3 @@ def sparse_nullspace(rows: Iterable[dict], ncols: int) -> list:
     ``_kernel``).
     """
     return _kernel(_rref_rows(rows), ncols)
-
-
-# -- monomial matrices ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MonomialMatrix:
-    """Permutation-times-diagonal matrix.
-
-    ``perm[j]`` is the (0-based) row holding the unique nonzero entry of
-    column ``j``; ``scale[j]`` is that entry.
-    """
-
-    size: int
-    perm: tuple
-    scale: tuple
-
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(self.size)):
-            raise ValueError("perm is not a bijection")
-        if len(self.scale) != self.size or any(s == 0 for s in self.scale):
-            raise ValueError("scale entries must be nonzero")
-
-    def densify(self) -> Matrix:
-        columns = [{p: x} for p, x in zip(self.perm, self.scale)]
-        return Matrix.from_columns(columns, self.size)

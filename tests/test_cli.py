@@ -431,8 +431,8 @@ class TestInputContract:
 
     def test_search_cap_refusal_names_m(self, run, tmp_path, monkeypatch):
         monkeypatch.delenv("QFLA_MAX_M", raising=False)
-        path = tmp_path / "n591.json"
-        path.write_text(dumps(spec_to_json(make_spec(5, 9, 1, [["1"] * 8]))))
+        path = tmp_path / "n5131.json"
+        path.write_text(dumps(spec_to_json(make_spec(5, 13, 1, [["1"] * 12]))))
         code, out, err = run("iso", str(path), str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: m:")

@@ -12,7 +12,8 @@ binds only ``build_quasi``, which the benchmark harness reads off it.
 
 Leftovers count too: every name a module imports is used in that module, and
 every private top-level function or module constant has a use somewhere in
-``src/``.
+``src/``.  Python calls dunder methods itself, so no name refers to them: each
+one a class defines must be listed in ``DUNDERS`` with its reason.
 """
 import ast
 from collections import Counter
@@ -35,6 +36,16 @@ ALLOWED = {
     "is_minimal_generating_set": "reference check: residues mod c^1 L form a basis",
     "exp_ad": "public factory: inner automorphisms exp(ad x)",
     "candidate_to_json": "public factory: candidate files for aut-check",
+}
+
+# Dunder methods allowed on classes in src/, each with its reason.
+DUNDERS = {
+    "__init__": "protocol: construction",
+    "__post_init__": "protocol: dataclass validation",
+    "__eq__": "protocol: equality",
+    "__repr__": "protocol: printing",
+    "__hash__": "build_quasi's cache hashes the spec, and so its B",
+    "__mul__": "E * prod in iso",
 }
 
 
@@ -77,6 +88,26 @@ def test_every_public_definition_has_a_caller_or_a_reason():
     # an entry that gained a caller, or whose definition is gone, leaves the list
     stale = sorted(set(ALLOWED) - unreferenced)
     assert not stale, f"stale allowlist entries: {stale}"
+
+
+def defined_dunders() -> dict:
+    """{dunder name: [Class.name, ...]} for each dunder method a class defines."""
+    out: dict = {}
+    for tree in _modules().values():
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                for member in top.body:
+                    if isinstance(member, ast.FunctionDef) and member.name[:2] == member.name[-2:] == "__":
+                        out.setdefault(member.name, []).append(f"{top.name}.{member.name}")
+    return out
+
+
+def test_every_dunder_has_a_reason():
+    defined = defined_dunders()
+    unlisted = sorted(q for name, names in defined.items() if name not in DUNDERS for q in names)
+    assert not unlisted, f"dunder methods not in DUNDERS: {unlisted}"
+    stale = sorted(set(DUNDERS) - set(defined))
+    assert not stale, f"stale DUNDERS entries: {stale}"
 
 
 def unused_imports() -> set:

@@ -254,10 +254,9 @@ class TestExplicitBases:
         ideal = column_span([flatten(N) for N in nilp], L.dim**2)
         for A in everything:
             for N in nilp:
-                commutator = A * N - N * A
-                stacked = column_span(
-                    [flatten(commutator)] + [flatten(X) for X in nilp], L.dim**2
-                )
+                AN, NA = flatten(A * N), flatten(N * A)
+                commutator = {k: AN.get(k, 0) - NA.get(k, 0) for k in AN.keys() | NA.keys()}
+                stacked = column_span([commutator] + [flatten(X) for X in nilp], L.dim**2)
                 assert stacked == ideal
 
     def test_non_block_form_refused(self):

@@ -22,7 +22,7 @@ from qfla.iso import (
     split_scale,
 )
 from qfla.liecore import bracket_preserving
-from qfla.linalg import ONE, Matrix, MonomialMatrix, column_span, inverse, rank
+from qfla.linalg import ONE, Matrix, column_span, inverse, rank
 
 
 class TestKernel:
@@ -53,23 +53,35 @@ class TestKernel:
         assert basis == Matrix.identity(2)
 
 
+def monomial(perm, scale) -> Matrix:
+    """The monomial matrix whose column j holds scale[j] in row perm[j],
+    written out here so that the tests share no code with the search."""
+    m = len(perm)
+    return Matrix([[scale[j] if perm[j] == i else 0 for j in range(m)] for i in range(m)], cols=m)
+
+
+def pick_columns(M: Matrix, cols) -> Matrix:
+    """The columns of M at the given indices, in that order."""
+    return Matrix([[M.entry(i, j) for j in cols] for i in range(M.rows)], cols=len(cols))
+
+
 class TestMonomialEquivalence:
     def test_same_matrix_identity_witness(self):
         g = make_spec(5, 3, 2, [["1"], ["1"]]).beta
         w = monomial_equivalence(g, g)
         assert isinstance(w, EquivalenceWitness)
-        assert w.K.densify() == Matrix.identity(3)
+        assert (w.perm, w.scale) == ((0, 1, 2), (ONE, ONE, ONE))
         M = related_matrix(g)
-        assert w.E * M * w.K.densify() == M
+        assert w.E * M * monomial(w.perm, w.scale) == M
 
     def test_rescaled_gluings_are_equivalent(self):
         g1 = make_spec(5, 3, 2, [["1"], ["1"]]).beta
         g2 = make_spec(5, 3, 2, [["2"], ["1"]]).beta
         w = monomial_equivalence(g1, g2)
         assert isinstance(w, EquivalenceWitness)
-        assert w.K.perm == (0, 1, 2)
-        assert w.K.scale == (Fraction(2), Fraction(1), Fraction(1))
-        assert w.E * related_matrix(g1) * w.K.densify() == related_matrix(g2)
+        assert w.perm == (0, 1, 2)
+        assert w.scale == (Fraction(2), Fraction(1), Fraction(1))
+        assert w.E * related_matrix(g1) * monomial(w.perm, w.scale) == related_matrix(g2)
 
     def test_nonzero_pattern_obstruction(self):
         g1 = make_spec(5, 3, 2, [["1"], ["0"]]).beta
@@ -82,7 +94,7 @@ class TestMonomialEquivalence:
         g2 = make_spec(5, 3, 2, [["0"], ["1"]]).beta
         w = monomial_equivalence(g1, g2)
         assert isinstance(w, EquivalenceWitness)
-        assert w.E * related_matrix(g1) * w.K.densify() == related_matrix(g2)
+        assert w.E * related_matrix(g1) * monomial(w.perm, w.scale) == related_matrix(g2)
 
     def test_trivial_when_m_equals_r(self):
         g = make_spec(5, 2, 2).beta
@@ -203,8 +215,7 @@ class TestAlgebraWitness:
         s1 = make_spec(5, 2, 1, [["1"]])
         s2 = make_spec(5, 2, 1, [["8"]])
         v = iso_decide(s1, s2)
-        K = v.equivalence.K
-        M = build_algebra_witness(s1, s2, K)
+        M = build_algebra_witness(s1, s2, v.equivalence)
         assert M == v.map
 
 
@@ -228,8 +239,7 @@ def sweep_equivalence(g1, g2):
     elimination, so the reference shares no solve with the search."""
     m, r = len(g1), len(g1[0])
     if m == r:
-        identity = MonomialMatrix(m, tuple(range(m)), (ONE,) * m)
-        return EquivalenceWitness(Matrix([], cols=0), identity)
+        return EquivalenceWitness(Matrix([], cols=0), tuple(range(m)), (ONE,) * m)
     M1, M2 = reference_annihilator(g1), reference_annihilator(g2)
     ker2 = reference_kernel(M2)
     for perm in itertools.permutations(range(m)):
@@ -241,12 +251,11 @@ def sweep_equivalence(g1, g2):
         point = _generic_nonzero_point([sparse(v) for v in solutions], m)
         if point is None:
             continue
-        K = MonomialMatrix(m, tuple(perm), point)
-        prod = M1 * K.densify()
+        prod = M1 * monomial(perm, point)
         _, piv = reference_rref(dense_rows(prod), m)
-        E = M2.submatrix(range(m - r), piv) * inverse(prod.submatrix(range(m - r), piv))
+        E = pick_columns(M2, piv) * inverse(pick_columns(prod, piv))
         assert E * prod == M2
-        return EquivalenceWitness(E, K)
+        return EquivalenceWitness(E, tuple(perm), point)
     return NotEquivalent(
         "no copy permutation makes the annihilator kernels match under a monomial map"
     )
@@ -365,7 +374,7 @@ def test_related_matrix_annihilates_beta():
         m, r = len(g), len(g[0])
         M = related_matrix(g)
         assert (M.rows, M.cols) == (m - r, m)
-        assert M.submatrix(range(m - r), range(r, m)) == Matrix.identity(m - r)
+        assert pick_columns(M, range(r, m)) == Matrix.identity(m - r)
         assert M * Matrix([list(v) for v in g], cols=r) == Matrix([[0] * r] * (m - r), cols=r)
         assert rank(M) == m - r
 
@@ -409,7 +418,8 @@ def test_relabelled_gluing_is_isomorphic(pair):
     assert v.isomorphic
     assert v.equivalence == sweep_equivalence(spec1.beta, spec2.beta)
     M1, M2 = (reference_annihilator(spec.beta) for spec in (spec1, spec2))
-    assert v.equivalence.E * M1 * v.equivalence.K.densify() == M2
+    w = v.equivalence
+    assert w.E * M1 * monomial(w.perm, w.scale) == M2
     L1, L2 = build_quasi(spec1), build_quasi(spec2)
     assert rank(v.map) == L1.dim
     assert bracket_preserving(L1, L2, v.map)
@@ -553,6 +563,22 @@ class TestScaleGuard:
         elapsed = time.perf_counter() - start
         assert v.isomorphic is isomorphic
         assert elapsed < 2.0, f"{elapsed:.2f}s"
+
+    # The default cap admits m = 12; generic pairs there took about 0.7 s on
+    # both sides (r = 6, about 3 s, is a ladder rung only).
+    @pytest.mark.parametrize("r", [4, 8])
+    @pytest.mark.parametrize("isomorphic", [False, True], ids=["no", "yes"])
+    def test_generic_m12_within_five_seconds(self, monkeypatch, r, isomorphic):
+        monkeypatch.delenv("QFLA_MAX_M", raising=False)
+        rng = random.Random(1200 + r)
+        B1 = generic_C(rng, r, 12)
+        B2 = relabel(rng, r, B1) if isomorphic else generic_C(rng, r, 12)
+        spec1, spec2 = make_spec(5, 12, r, B1), make_spec(5, 12, r, B2)
+        start = time.perf_counter()
+        v = iso_decide(spec1, spec2)
+        elapsed = time.perf_counter() - start
+        assert v.isomorphic is isomorphic
+        assert elapsed < 5.0, f"{elapsed:.2f}s"
 
 
 def _class_gluing(k: int, c: int):

@@ -278,30 +278,17 @@ class TestSparseMatrixAgainstDense:
     def test_arithmetic(self, data, rows, inner, cols):
         a = data.draw(grids(rows, inner))
         b = data.draw(grids(inner, cols))
-        c = data.draw(grids(rows, inner))
-        f = data.draw(scalars)
-        A, B, C = Matrix(a, cols=inner), Matrix(b, cols=cols), Matrix(c, cols=inner)
+        A, B = Matrix(a, cols=inner), Matrix(b, cols=cols)
         assert dense_rows(A) == a
         assert dense_rows(A * B) == reference_product(a, b, inner)
-        assert dense_rows(A + C) == [[x + y for x, y in zip(r, s)] for r, s in zip(a, c)]
-        assert dense_rows(A - C) == [[x - y for x, y in zip(r, s)] for r, s in zip(a, c)]
-        assert dense_rows(-A) == [[-x for x in r] for r in a]
-        assert dense_rows(A * f) == dense_rows(f * A) == [[x * f for x in r] for r in a]
-        row_idx = data.draw(st.lists(st.integers(0, rows - 1), unique=True))
-        col_idx = data.draw(st.lists(st.integers(0, inner - 1), unique=True))
-        sub = A.submatrix(row_idx, col_idx)
-        assert (sub.rows, sub.cols) == (len(row_idx), len(col_idx))
-        assert dense_rows(sub) == [[a[i][j] for j in col_idx] for i in row_idx]
         assert Matrix.from_columns(A.columns(), rows) == A
         assert A.columns() == [sparse(col) for col in zip(*a)]
         assert (A == Matrix(a)) and hash(A) == hash(Matrix(a))
 
     def test_shape_mismatches_raise(self):
         A = Matrix([[1, 2]])
-        column = Matrix([[1], [2]])
-        for op in (lambda: A * A, lambda: A + column):
-            with pytest.raises(ValueError):
-                op()
+        with pytest.raises(ValueError):
+            A * A
 
     def test_cols_must_match_the_row_width(self):
         with pytest.raises(ValueError):
