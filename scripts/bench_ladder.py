@@ -9,9 +9,10 @@ verb on one gluing's algebra file, ``build`` of that gluing, ``aut-check
 --strict`` of a passing candidate against it, or ``iso --strict`` on a pair of
 parameter files) runs ``--runs`` times per tree in a fresh interpreter; the
 trees take turns going first.  A run times ``qfla.cli.main`` alone, after the
-import, and within it the calls to ``qfla.cli.derivation_oracle`` (by ``der``
-and ``der --compare``), the emission (``qfla.cli.dumps``) and the phases of
-``iso``: the copy cells (``qfla.iso.copy_cells``), the copy search
+import, and within it the calls to ``qfla.cli.derivation_oracle`` and to the
+closed forms ``qfla.cli.torus_basis`` and ``qfla.cli.nilpotent_basis`` (by
+``der`` and ``der --compare``), the emission (``qfla.cli.dumps``) and the
+phases of ``iso``: the copy cells (``qfla.iso.copy_cells``), the copy search
 (``qfla.iso._first_admissible_perm``, cells included) and the witness
 (``qfla.iso.build_algebra_witness``), and reads the child's peak RSS; a run
 still going after ``TIME_LIMIT_S`` seconds is stopped and recorded as a
@@ -21,10 +22,10 @@ build``, and candidate files written once per tree by that tree's own
 hash ("-dirty" when tracked files differ from it), a sha256 of the timed
 ``src/qfla/*.py`` files, and per rung the median and all run times (null for
 a time-out), the median time of each phase the rung reaches
-(``oracle_median_s``, ``emit_median_s``, ``cells_median_s``,
-``search_median_s``, ``witness_median_s``), the median peak RSS and the exit
-code ("timeout" when some run timed out), next to the Python version and the
-machine.
+(``oracle_median_s``, ``closed_median_s`` for the two closed forms together,
+``emit_median_s``, ``cells_median_s``, ``search_median_s``,
+``witness_median_s``), the median peak RSS and the exit code ("timeout" when
+some run timed out), next to the Python version and the machine.
 """
 from __future__ import annotations
 
@@ -142,12 +143,13 @@ ISO_PAIRS = [
 
 TIME_LIMIT_S = 120
 # The timed phases of a run; the child reports each as "<phase>_s".
-PHASES = ("oracle", "emit", "cells", "search", "witness")
+PHASES = ("oracle", "closed", "emit", "cells", "search", "witness")
 
 # Runs in the child: time cli.main on argv (stdout discarded), and within it
 # each phase (null when the verb does not reach it): the derivation oracle,
-# the emission, and iso's cells, search and witness; report these times, the
-# exit code and peak RSS as one JSON line.
+# the closed-form torus and nilpotent bases (summed), the emission, and iso's
+# cells, search and witness; report these times, the exit code and peak RSS
+# as one JSON line.
 CHILD = """
 import contextlib, io, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
@@ -155,6 +157,8 @@ import qfla.cli, qfla.iso
 argv = sys.argv[2:]
 TIMED = [
     (qfla.cli, "derivation_oracle", "oracle_s"),
+    (qfla.cli, "torus_basis", "closed_s"),
+    (qfla.cli, "nilpotent_basis", "closed_s"),
     (qfla.cli, "dumps", "emit_s"),
     (qfla.iso, "copy_cells", "cells_s"),
     (qfla.iso, "_first_admissible_perm", "search_s"),

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 from .builder import QuasiQnSpec, build_quasi
 from .derivations import ConditionVerdict, GeneratorImages, extend_images
 from .liecore import LieAlgebra, bracket_preserving
-from .linalg import Matrix, ONE, ZERO, _subtract, rank, scalar
+from .linalg import Matrix, ONE, Scalar, ZERO, _subtract, rank, scalar
 
 
 def extend_endomorphism(
@@ -63,7 +63,7 @@ def closed_form_endomorphism(
         cols[shape.gen_index(s, 0)] = candidate.e0[s - 1]
         cols[shape.gen_index(s, 1)] = candidate.e1[s - 1]
         for t in range(2, n):
-            v = defaultdict(Fraction)
+            v = defaultdict(int)
             for i in range(1, shape.m + 1):
                 b00 = b(candidate.e0, s, i, 0)
                 b10 = b(candidate.e1, s, i, 0)
@@ -91,7 +91,7 @@ def closed_form_endomorphism(
                         add_top(v, i, (-ONE) ** j * b(candidate.e0, s, i, j) * head * c)
             cols[shape.gen_index(s, t)] = v
     for t in range(1, shape.r + 1):
-        v = defaultdict(Fraction)
+        v = defaultdict(int)
         for i in range(1, shape.m + 1):
             b00 = b(candidate.e0, t, i, 0)
             c = b00 * b(candidate.e1, t, i, 1) - b(candidate.e0, t, i, 1) * b(
@@ -150,13 +150,13 @@ def automorphism_conditions(spec: QuasiQnSpec, candidate: GeneratorImages) -> Co
             False, "copy-permutation", f"copy map {targets} is not a bijection"
         )
 
-    def c0(s: int, q: int, j: int) -> Fraction:  # e_{qj} coefficient of the e_{s0} image
+    def c0(s: int, q: int, j: int) -> Scalar:  # e_{qj} coefficient of the e_{s0} image
         return candidate.e0[s - 1].get(spec.gen_index(q, j), ZERO)
 
-    def c1(s: int, q: int, j: int) -> Fraction:  # e_{qj} coefficient of the e_{s1} image
+    def c1(s: int, q: int, j: int) -> Scalar:  # e_{qj} coefficient of the e_{s1} image
         return candidate.e1[s - 1].get(spec.gen_index(q, j), ZERO)
 
-    def top_vec(i: int, coeff: Fraction) -> tuple:
+    def top_vec(i: int, coeff: Scalar) -> tuple:
         return tuple(coeff * c for c in spec.beta[i - 1])
 
     for s in range(1, m + 1):

@@ -14,7 +14,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Dict, Sequence, Tuple
 
-from .linalg import Matrix, ONE, ZERO, _back_substitute, _combine, _insert, _subtract, inverse
+from .linalg import Matrix, ONE, Scalar, ZERO, _combine, inverse
 from .liecore import LieAlgebra
 
 
@@ -104,7 +104,7 @@ def make_spec(n: int, m: int, r: int, B=None) -> QuasiQnSpec:
 def build_quasi(spec: QuasiQnSpec) -> LieAlgebra:
     """Construct N(Q_n, m, r); Jacobi is verified on construction."""
     n, m, r = spec.n, spec.m, spec.r
-    sc: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+    sc: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
     for s in range(1, m + 1):
         top = {spec.top_index(t): c for t, c in enumerate(spec.beta[s - 1], start=1) if c}
         for i in range(1, n - 1):
@@ -126,7 +126,7 @@ def qn_x_basis(n: int) -> LieAlgebra:
     """Q_n in its defining x-basis: [x_0, x_i] = x_{i+1} (i <= n-1),
     [x_i, x_{n-i}] = (-1)^i x_n."""
     _check_n(n)
-    sc: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+    sc: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
     for i in range(1, n):
         sc[(0, i)] = {i + 1: ONE}
     for i in range(1, (n - 1) // 2 + 1):
@@ -140,7 +140,7 @@ def change_of_basis(L: LieAlgebra, P: Matrix, labels=None) -> LieAlgebra:
     """Transport the structure tensor to the basis whose vectors are the columns of P."""
     inverse_cols = inverse(P).columns()
     dim = L.dim
-    sc: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+    sc: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
     cols = P.columns()
     for a in range(dim):
         for b in range(a + 1, dim):
@@ -169,7 +169,7 @@ def related_matrix(beta: Sequence[tuple]) -> Matrix:
 def _normalised(v: tuple) -> tuple:
     """v scaled to leading entry 1; () for the zero vector."""
     lead = next((x for x in v if x != 0), None)
-    return () if lead is None else tuple(x / lead for x in v)
+    return () if lead is None else tuple(Fraction(x) / lead for x in v)
 
 
 def proportional_classes(columns: Sequence[tuple]) -> tuple:
@@ -179,6 +179,17 @@ def proportional_classes(columns: Sequence[tuple]) -> tuple:
     for p, v in enumerate(columns):
         classes.setdefault(_normalised(v), []).append(p)
     return tuple(tuple(members) for members in classes.values())
+
+
+def _eliminate(rows: dict, w: list) -> list:
+    """A nonzero multiple of w's projection along integer echelon rows {lead:
+    row}, fraction-free: w <- row[lead] w - w[lead] row, lead by lead."""
+    for lead in sorted(rows):
+        row, y = rows[lead], w[lead]
+        if y:
+            x0 = row[lead]
+            w = [x0 * a - y * b for a, b in zip(w, row)]
+    return w
 
 
 def copy_cells(columns: Sequence[tuple]) -> tuple:
@@ -193,24 +204,28 @@ def copy_cells(columns: Sequence[tuple]) -> tuple:
     points' scales, so x, y and z share one factor, and j, of degree 0 in
     every point and symmetric in the four, stays.  A record is j as a reduced
     pair, or (-vanishing brackets, 0); a cell sorts a column's (in C, record).
+    Nor do records see a column's scale: its denominators are cleared once.
     """
     m, k = len(columns), len(columns[0]) if columns else 0
-    sparse = [{i: x for i, x in enumerate(v) if x} for v in columns]
+    vectors = []
+    for v in columns:
+        d = lcm(*(x.denominator for x in v))
+        vectors.append([x.numerator * (d // x.denominator) for x in v])
     cells: list = [[] for _ in columns]
     for centre in combinations(range(m), k - 2) if k >= 2 else ():
-        reduced = _back_substitute(_insert({}, (sparse[c] for c in centre)))
-        if len(reduced) < k - 2:
+        rows: dict = {}
+        for c in centre:
+            w = _eliminate(rows, vectors[c])
+            if any(w):
+                rows[next(i for i, x in enumerate(w) if x)] = w
+        if len(rows) < k - 2:
             continue
-        f, g = (i for i in range(k) if i not in reduced)
+        f, g = (i for i in range(k) if i not in rows)
         rest, points = [p for p in range(m) if p not in centre], {}
         for p in rest:
-            w = dict(sparse[p])
-            for lead, row in reduced.items():
-                if lead in w:
-                    _subtract(w, w[lead], row)  # reduced rows are zero at the other leads
-            u, v = w.get(f, ZERO), w.get(g, ZERO)
-            h = Fraction(gcd(u.numerator, v.numerator), lcm(u.denominator, v.denominator)) or 1
-            points[p] = (int(u / h), int(v / h))  # primitive integers
+            w = _eliminate(rows, vectors[p])
+            h = gcd(w[f], w[g]) or 1
+            points[p] = (w[f] // h, w[g] // h)  # primitive integers
         for four in combinations(rest, 4):
             pairs = combinations([points[q] for q in four], 2)
             brackets = [s[0] * t[1] - s[1] * t[0] for s, t in pairs]
@@ -218,8 +233,9 @@ def copy_cells(columns: Sequence[tuple]) -> tuple:
             x, y, zeros = pb * ac, pc * ab, brackets.count(0)
             value = (-zeros, 0)  # j > 0 below, so the two kinds of record never meet
             if not zeros:
-                j = Fraction((x * x - x * y + y * y) ** 3, (x * y * (x - y)) ** 2)
-                value = j.as_integer_ratio()  # a reduced pair: tuples sort fast
+                num, den = (x * x - x * y + y * y) ** 3, (x * y * (x - y)) ** 2
+                h = gcd(num, den)
+                value = (num // h, den // h)  # a reduced pair: tuples sort fast
             for q in centre + four:
                 cells[q].append((q in centre, value))
     return tuple(tuple(sorted(cell)) for cell in cells)

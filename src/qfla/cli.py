@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 from .builder import BadSpec, QuasiQnSpec, build_quasi, make_spec, related_matrix
@@ -159,7 +160,7 @@ def _cmd_der(args) -> int:
     report = {
         "dim_oracle": len(oracle),
         "torus": torus,
-        "lambda_table": [top_weights(spec, D) for D in oracle],
+        "lambda_table": [tuple(map(Fraction, top_weights(spec, D))) for D in oracle],
         "dim_formula": der_dimension(spec),
         "nilpotent": nilpotent,
     }
@@ -213,7 +214,7 @@ def _cmd_weights(args) -> int:
     torus = weight_torus(spec)
     decomposition = weight_decomposition(L, torus)
     table = [
-        {"weight": w, "dim": space.cols}
+        {"weight": tuple(map(Fraction, w)), "dim": space.cols}
         for w, space in sorted(decomposition.items())
     ]
     _emit(args, {"torus_size": len(torus), "weights": table})

@@ -21,7 +21,7 @@ from .linalg import Matrix, ONE, ZERO, _combine, _subtract, scalar, sparse_nulls
 @dataclass(frozen=True)
 class GeneratorImages:
     """Proposed images of the generators: e0[s-1] and e1[s-1] are the sparse
-    image vectors {index: Fraction} of e_{s0} and e_{s1} (copies 1-based) in a
+    image vectors {index: scalar} of e_{s0} and e_{s1} (copies 1-based) in a
     ``dim``-dimensional target, under a derivation or an endomorphism alike."""
 
     e0: tuple

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .automorphisms import extend_endomorphism, make_scaling_automorphism
 from .builder import QuasiQnSpec, build_quasi, copy_cells, proportional_classes, related_matrix
 from .liecore import bracket_preserving
-from .linalg import Matrix, ONE, ZERO, _insert, _reduce, inverse, rank, sparse_nullspace
+from .linalg import Matrix, ONE, Scalar, ZERO, _insert, _reduce, inverse, rank, sparse_nullspace
 
 DEFAULT_MAX_COPIES = 12
 
@@ -85,7 +85,7 @@ def _generic_nonzero_point(basis: List[dict], m: int) -> Optional[tuple]:
     t = 1
     while True:
         point = tuple(
-            sum((Fraction(t) ** k) * v.get(j, ZERO) for k, v in enumerate(basis))
+            sum(t**k * v.get(j, ZERO) for k, v in enumerate(basis))
             for j in range(m)
         )
         if all(x != 0 for x in point):
@@ -231,7 +231,7 @@ def _prime_valuations(k: int) -> dict:
     return out
 
 
-def split_scale(k: Fraction, n: int) -> Tuple[Fraction, Fraction]:
+def split_scale(k: Scalar, n: int) -> Tuple[Fraction, Fraction]:
     """Rational (alpha, beta) with alpha^{n-2} beta^2 = k, k nonzero, n odd.
 
     Solved base by base: (n-2) a_p + 2 b_p = v_p(k) with a_p = v_p mod 2,

@@ -1,10 +1,12 @@
 """JSON serialization for algebras, gluing data, and verdicts.
 
 Payloads carry the package's own values: ``dumps`` writes a ``Fraction`` as
-an exact "p/q" string (never a float) and a ``Matrix`` as rows of such
-strings, each row straight from the sparse columns.  Keys are sorted and
-every encoder is deterministic, so serialized output is byte-stable and
-suitable for golden-file comparison.
+an exact "p/q" string ("p" when integral; never a float) and a ``Matrix`` as
+rows of such strings, each row straight from the sparse columns.  Scalars are
+``int`` when integral and ``Fraction`` otherwise, but ``dumps`` writes an
+``int`` bare, as a count: a payload hands each scalar over as a ``Fraction``.
+Keys are sorted and every encoder is deterministic, so serialized output is
+byte-stable and suitable for golden-file comparison.
 """
 from __future__ import annotations
 
@@ -136,7 +138,7 @@ def algebra_to_json(L: LieAlgebra, spec: Optional[QuasiQnSpec] = None) -> dict:
             {
                 "i": i,
                 "j": j,
-                "value": sorted(L.sc[(i, j)].items()),
+                "value": [(k, Fraction(c)) for k, c in sorted(L.sc[(i, j)].items())],
             }
             for (i, j) in sorted(L.sc)
         ],
@@ -228,7 +230,7 @@ def iso_verdict_to_json(verdict) -> dict:
         w = verdict.equivalence
         out["witness"] = {
             "E": w.E,
-            "K": {"perm": [p + 1 for p in w.perm], "scale": w.scale},
+            "K": {"perm": [p + 1 for p in w.perm], "scale": [Fraction(x) for x in w.scale]},
             "map": verdict.map,
         }
     return out

@@ -2,10 +2,10 @@
 
 Algebras are stored as an antisymmetric structure-constant tensor: brackets
 [e_i, e_j] are recorded only for i < j, so antisymmetry holds by construction.
-All coefficients are exact rationals.  Vectors are sparse {index: Fraction}
-dicts: ``LieAlgebra.bracket`` takes and returns them, and the series and
-splittings below feed brackets of sparse basis vectors straight to the
-``linalg`` elimination engine.
+All coefficients are exact scalars (see ``linalg``).  Vectors are sparse
+{index: scalar} dicts: ``LieAlgebra.bracket`` takes and returns them, and the
+series and splittings below feed brackets of sparse basis vectors straight to
+the ``linalg`` elimination engine.
 
 Who brackets with whom is read off one partner table, built once per algebra:
 ``partners[i]`` maps each j with [e_i, e_j] != 0 to [e_j, e_i], for both index
@@ -20,10 +20,9 @@ change.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .linalg import Matrix, ONE, _combine, _subtract, column_span, scalar
+from .linalg import Matrix, ONE, Scalar, _combine, _subtract, column_span, scalar
 
 
 class JacobiViolation(ValueError):
@@ -58,7 +57,7 @@ class LieAlgebra:
     def __init__(
         self,
         dim: int,
-        sc: Dict[Tuple[int, int], Dict[int, Fraction]],
+        sc: Dict[Tuple[int, int], Dict[int, Scalar]],
         labels: Optional[Sequence[str]] = None,
         validate: bool = True,
     ):
@@ -69,7 +68,7 @@ class LieAlgebra:
         if len(set(labels)) != dim:
             raise ValueError("labels must be pairwise distinct")
         self.labels = labels
-        clean: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+        clean: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
         for (i, j), val in sc.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"structure constants must be stored for i<j, got ({i},{j})")
@@ -81,7 +80,7 @@ class LieAlgebra:
                 clean[(i, j)] = entry
         self.sc = clean
         # in sorted pair order every partners[t] fills in ascending index order
-        partners: Tuple[Dict[int, Dict[int, Fraction]], ...] = tuple({} for _ in range(dim))
+        partners: Tuple[Dict[int, Dict[int, Scalar]], ...] = tuple({} for _ in range(dim))
         for i, j in sorted(clean):
             value = clean[(i, j)]
             partners[i][j] = {k: -c for k, c in value.items()}
@@ -94,15 +93,15 @@ class LieAlgebra:
 
     # -- bracket evaluation ---------------------------------------------------
 
-    def structure(self, i: int, j: int) -> Dict[int, Fraction]:
+    def structure(self, i: int, j: int) -> Dict[int, Scalar]:
         """[e_i, e_j] as a sparse vector, for any index order; the dict is the
         algebra's own and must not be changed."""
         return self.partners[j].get(i, {})
 
-    def bracket(self, x: dict, y: dict) -> Dict[int, Fraction]:
+    def bracket(self, x: dict, y: dict) -> Dict[int, Scalar]:
         """Bilinear extension of the structure constants to sparse vectors
         {index: scalar}; the result is a fresh dict without zero entries."""
-        out: Dict[int, Fraction] = {}
+        out: Dict[int, Scalar] = {}
         partners, ny = self.partners, len(y)
         for i, a in x.items():
             row = partners[i]  # {j: [e_j, e_i]}
@@ -144,7 +143,7 @@ def check_jacobi(L: LieAlgebra):
         if x != a and x != b
     }
     for i, j, k in sorted(candidates):
-        total: Dict[int, Fraction] = {}
+        total: Dict[int, Scalar] = {}
         for pair, extra in (((j, k), i), ((k, i), j), ((i, j), k)):
             for t, c in L.structure(*pair).items():
                 _subtract(total, c, L.structure(t, extra))  # += c [e_extra, e_t]

@@ -1,12 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Scalars are `fractions.Fraction` (always in lowest terms, denominator > 0),
-vectors are sparse {index: Fraction} dicts without zero entries, and matrices
-are immutable tuples of such sparse columns, so every operation costs per
-nonzero, not per cell.  Everything is exact, so results can be compared by
-literal equality and elimination needs no pivoting heuristics.  One sparse
-elimination engine serves every solve: `rank`, `inverse`, `column_span` and
-`sparse_nullspace` all read their results off it.
+A scalar is an ``int`` when integral and a ``fractions.Fraction`` otherwise:
+both exact, never a float, and ``2 == Fraction(2)`` with equal hashes.
+Integral values so run at C speed; a true division takes a ``Fraction`` on its
+left, as ``int / int`` is a float.  Vectors are sparse {index: scalar} dicts
+without zero entries, and matrices are immutable tuples of such sparse
+columns, so every operation costs per nonzero, not per cell.  Everything is
+exact, so results can be compared by literal equality and elimination needs no
+pivoting heuristics.  One sparse elimination engine serves every solve:
+`rank`, `inverse`, `column_span` and `sparse_nullspace` all read their results
+off it.
 """
 from __future__ import annotations
 
@@ -15,13 +18,15 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 ScalarLike = Union[Fraction, int, str]
+Scalar = Union[int, Fraction]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
-def scalar(value: ScalarLike) -> Fraction:
-    """Coerce an int, a string like ``"3/4"``, or a Fraction to a Fraction.
+def scalar(value: ScalarLike) -> Scalar:
+    """Coerce an int, a string like ``"3/4"``, or a Fraction to the exact
+    scalar of its value: an ``int`` when it is integral, else a Fraction.
 
     Floats are rejected on purpose: nothing in this package may round.  So
     are bools, which Python counts as ints but JSON does not.  A string with
@@ -29,16 +34,16 @@ def scalar(value: ScalarLike) -> Fraction:
     like any other malformed string.
     """
     if isinstance(value, Fraction):
-        return value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         return _parse_scalar(value)
     raise TypeError(f"cannot make an exact scalar from {value!r}")
 
 
 @lru_cache(maxsize=4096)
-def _parse_scalar(text: str) -> Fraction:
+def _parse_scalar(text: str) -> Scalar:
     """``scalar`` of a string, memoized: files repeat a few strings ("0"
     above all) many times.  Exponent notation is refused before any
     arithmetic, since "1e99999999" would make Fraction compute 10**99999999.
@@ -46,13 +51,13 @@ def _parse_scalar(text: str) -> Fraction:
     if "e" in text or "E" in text:
         raise ValueError(f"exponent notation in {text!r} is not accepted")
     try:
-        return Fraction(text)
+        return scalar(Fraction(text))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
 class Matrix:
-    """Immutable matrix of Fractions, stored as a tuple of sparse columns
+    """Immutable matrix of exact scalars, stored as a tuple of sparse columns
     {row: entry} without zero entries, so it costs space and time per nonzero."""
 
     __slots__ = ("rows", "cols", "_c")
@@ -89,7 +94,7 @@ class Matrix:
 
     # -- accessors ------------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> Scalar:
         return self._c[j].get(i, ZERO)
 
     def columns(self) -> list:
@@ -133,7 +138,7 @@ def _transpose(vectors: Sequence[dict], n: int) -> list:
 # -- the elimination engine -----------------------------------------------------
 #
 # Every exact solve in the package runs through one sparse Gauss-Jordan
-# elimination.  A row is a {column: Fraction} dict without zero entries.  An
+# elimination.  A row is a {column: scalar} dict without zero entries.  An
 # echelon form is a dict {lead: row} whose rows have distinct smallest columns
 # `lead`, with entry 1 there.  Rows are inserted one at a time without changing
 # the rows already stored, so an extended echelon form can share its rows with
@@ -143,13 +148,14 @@ def _transpose(vectors: Sequence[dict], n: int) -> list:
 # its coupled rows are pivoted on.
 
 
-def _subtract(row: dict, f: Fraction, pivot: dict) -> None:
-    """row -= f * pivot, in place, keeping no zero entries.  Brackets and
-    linear combinations of sparse vectors accumulate through it too."""
+def _subtract(row: dict, f: Scalar, pivot: dict) -> None:
+    """row -= f * pivot, in place, keeping no zero entries and writing an
+    integral result as an int.  Brackets and linear combinations of sparse
+    vectors accumulate through it too."""
     for c, x in pivot.items():
-        y = row.get(c, ZERO) - f * x
+        y = row.get(c, 0) - f * x
         if y:
-            row[c] = y
+            row[c] = y if type(y) is int or y.denominator != 1 else y.numerator
         elif c in row:
             del row[c]
 
@@ -183,8 +189,13 @@ def _insert(echelon: dict, rows: Iterable[dict]) -> dict:
         row = _reduce(out, row)
         if row:
             lead = min(row)
-            inv = ONE / row[lead]
-            out[lead] = {c: x * inv for c, x in row.items()}
+            x0 = row[lead]
+            if x0 == -1:
+                row = {c: -x for c, x in row.items()}
+            elif x0 != 1:
+                inv = Fraction(1) / x0
+                row = {c: scalar(x * inv) for c, x in row.items()}
+            out[lead] = row
     return out
 
 
@@ -264,7 +275,7 @@ def inverse(M: Matrix) -> Matrix:
 
 def column_span(vectors: Iterable[dict], dim: int) -> Matrix:
     """Canonical subspace representation of the span of sparse vectors
-    {index: coefficient} (Fraction or int values) in a dim-dimensional space:
+    {index: scalar} in a dim-dimensional space:
     columns of the returned matrix are the RREF basis of the span, so subspace
     equality is literal matrix equality."""
     reduced = _rref_rows({c: x for c, x in v.items() if x} for v in vectors)
@@ -274,10 +285,9 @@ def column_span(vectors: Iterable[dict], dim: int) -> Matrix:
 def sparse_nullspace(rows: Iterable[dict], ncols: int) -> list:
     """Canonical kernel basis of a sparse linear system.
 
-    ``rows`` are {column: coefficient} dicts (Fraction or int values) without
-    zero entries, handed over as in ``_rref_rows``: fresh dicts that the
-    caller owns and the solve may change.  Returns kernel vectors as sparse
-    {column: Fraction} dicts, ordered by ascending free column (see
-    ``_kernel``).
+    ``rows`` are {column: scalar} dicts without zero entries, handed over as
+    in ``_rref_rows``: fresh dicts that the caller owns and the solve may
+    change.  Returns kernel vectors as sparse {column: scalar} dicts, ordered
+    by ascending free column (see ``_kernel``).
     """
     return _kernel(_rref_rows(rows), ncols)

@@ -374,7 +374,8 @@ GOLDEN_BATTERY = [
 ]
 
 
-def test_cli_golden_battery(tmp_path, capsys):
+def golden_files(tmp_path) -> dict:
+    """The input files that GOLDEN_BATTERY's templates name, written to tmp_path."""
     files = {
         k: str(tmp_path / f"{k}.json")
         for k in ("algebra", "algebra_mix", "aut_pass", "aut_fail", "aut_mix")
@@ -405,6 +406,11 @@ def test_cli_golden_battery(tmp_path, capsys):
     )
     for name, shape, cand in candidates:
         (tmp_path / f"{name}.json").write_text(dumps(candidate_to_json(shape, cand.e0, cand.e1)))
+    return files
+
+
+def test_cli_golden_battery(tmp_path, capsys):
+    files = golden_files(tmp_path)
     capsys.readouterr()
     golden = []
     for run_no in range(2):

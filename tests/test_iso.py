@@ -1,5 +1,6 @@
 """Isomorphism decision: annihilators, monomial equivalence, verified witnesses."""
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -22,7 +23,7 @@ from qfla.iso import (
     split_scale,
 )
 from qfla.liecore import bracket_preserving
-from qfla.linalg import ONE, Matrix, column_span, inverse, rank
+from qfla.linalg import ONE, Matrix, column_span, inverse, rank, scalar
 
 
 class TestKernel:
@@ -475,7 +476,58 @@ def moved_columns(draw):
     return columns, image, perm
 
 
+def reference_copy_cells(columns) -> tuple:
+    """copy_cells with Fraction arithmetic throughout: the reduced rows of
+    each centre by textbook Gauss-Jordan, each other column projected along
+    them in Q^k, its two free coordinates scaled to primitive integers, and
+    j reduced by Fraction."""
+    m, k = len(columns), len(columns[0]) if columns else 0
+    cells = [[] for _ in columns]
+    for centre in itertools.combinations(range(m), k - 2) if k >= 2 else ():
+        rows, pivots = reference_rref([columns[c] for c in centre], k)
+        if len(pivots) < k - 2:
+            continue
+        f, g = (i for i in range(k) if i not in pivots)
+        rest, points = [p for p in range(m) if p not in centre], {}
+        for p in rest:
+            w = [Fraction(x) for x in columns[p]]
+            for row, lead in zip(rows, pivots):
+                if y := w[lead]:
+                    w = [a - y * b for a, b in zip(w, row)]
+            u, v = w[f], w[g]
+            h = Fraction(
+                math.gcd(u.numerator, v.numerator), math.lcm(u.denominator, v.denominator)
+            )
+            points[p] = (u, v) if h == 0 else (int(u / h), int(v / h))
+        for four in itertools.combinations(rest, 4):
+            pairs = itertools.combinations([points[q] for q in four], 2)
+            brackets = [s[0] * t[1] - s[1] * t[0] for s, t in pairs]
+            _, pb, pc, ab, ac, _ = brackets
+            x, y, zeros = pb * ac, pc * ab, brackets.count(0)
+            value = (-zeros, 0)
+            if not zeros:
+                j = Fraction((x * x - x * y + y * y) ** 3, (x * y * (x - y)) ** 2)
+                value = j.as_integer_ratio()
+            for q in centre + four:
+                cells[q].append((q in centre, value))
+    return tuple(tuple(sorted(cell)) for cell in cells)
+
+
 class TestCopyCells:
+    def test_integer_cells_match_the_fraction_reference(self):
+        # copy_cells clears each column's denominators and projects
+        # fraction-free; the records must be those of exact rational projection
+        rng = random.Random(2020)
+        values = WITH_ZEROS + [Fraction(5, 4), Fraction(-7, 6)]
+        for _ in range(300):
+            k = rng.randint(1, 5)
+            m = rng.randint(k, 10)
+            columns = [tuple(rng.choice(values) for _ in range(k)) for _ in range(m)]
+            if m > 1 and rng.random() < 0.3:
+                columns[1] = tuple(rng.choice(NONZERO) * x for x in columns[0])
+            columns = [tuple(map(scalar, v)) for v in columns]
+            assert copy_cells(columns) == reference_copy_cells(columns), columns
+
     @settings(max_examples=60, deadline=None)
     @given(moved_columns())
     def test_cells_move_with_the_copies(self, moved):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import sparse
 from qfla import linalg
+from qfla.builder import build_quasi, make_spec
 from qfla.linalg import (
     Matrix,
     column_span,
@@ -333,6 +334,75 @@ class TestScalar:
             assert scalar("0.25") == Fraction(1, 4)
             with pytest.raises(ValueError, match="zero denominator"):
                 scalar("5/0")
+
+
+def in_normal_form(values) -> bool:
+    """Every value an int, or a Fraction that is not integral."""
+    return all(type(x) is int or (type(x) is Fraction and x.denominator > 1) for x in values)
+
+
+SCALAR_INPUTS = st.one_of(
+    st.integers(-(10**12), 10**12),
+    st.fractions(max_denominator=12),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-99, 99), st.integers(1, 12)),
+    st.sampled_from(["4/2", "-0", "0/5", "-6/3", "7", "-12/8", "0.5", " 3 "]),
+)
+
+
+class TestNormalForm:
+    """Integral scalars are ints: the engine and the algebras keep them so,
+    and so never fall back to Fraction arithmetic on integral values."""
+
+    @given(SCALAR_INPUTS)
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_is_an_int_exactly_when_integral(self, value):
+        x = scalar(value)
+        assert x == Fraction(value)
+        assert (type(x) is int) == (Fraction(value).denominator == 1)
+        assert in_normal_form([x])
+
+    @given(matrices)
+    @settings(max_examples=80, deadline=None)
+    def test_engine_results_hold_no_integral_fraction(self, M):
+        assert in_normal_form(x for row in row_vectors(M) for x in row.values())
+        span = column_span(row_vectors(M), M.cols)
+        assert in_normal_form(x for col in span.columns() for x in col.values())
+        kernel = sparse_nullspace(row_vectors(M), M.cols)
+        assert in_normal_form(x for v in kernel for x in v.values())
+        if M.rows == M.cols and rank(M) == M.rows:
+            assert in_normal_form(x for col in inverse(M).columns() for x in col.values())
+
+    def test_fractions_that_cancel_to_integers_become_ints(self):
+        # 1/2 - (-1/2) = 1 on the way to each result
+        half = Fraction(1, 2)
+        rows = [{0: 1, 1: half}, {0: 1, 1: -half, 2: 1}, {0: 2, 1: 3 * half, 3: half}]
+        span = column_span([dict(row) for row in rows], 4)
+        kernel = sparse_nullspace([dict(row) for row in rows], 4)
+        assert in_normal_form(x for v in span.columns() + kernel for x in v.values())
+        M = Matrix([[half, half], [-half, half]])
+        assert in_normal_form(x for col in inverse(M).columns() for x in col.values())
+
+    @given(leibniz_like())
+    @settings(max_examples=60, deadline=None)
+    def test_peeled_kernels_hold_no_integral_fraction(self, system):
+        ncols, rows = system
+        rows = [{c: x for c, x in row.items() if x} for row in rows]
+        assert in_normal_form(x for v in sparse_nullspace(rows, ncols) for x in v.values())
+
+    def test_partners_hold_no_integral_fraction(self):
+        L = build_quasi(make_spec(5, 5, 2, [["1/2", "4/2", "-3"], ["-2/3", "0", "6/4"]]))
+        values = [x for row in L.partners for value in row.values() for x in value.values()]
+        assert any(type(x) is Fraction for x in values) and in_normal_form(values)
+
+    def test_two_and_fraction_two_share_one_build(self):
+        a = make_spec(5, 3, 1, [[2, 1]])
+        b = make_spec(5, 3, 1, Matrix.from_columns([{0: Fraction(2)}, {0: Fraction(1)}], 1))
+        assert type(b.B.entry(0, 0)) is Fraction
+        assert a == b and hash(a) == hash(b)
+        before = build_quasi.cache_info()
+        assert build_quasi(b) is build_quasi(a)
+        after = build_quasi.cache_info()
+        assert after.misses - before.misses <= 1 and after.hits - before.hits >= 1
 
 
 class TestMatrix:
