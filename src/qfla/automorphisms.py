@@ -30,7 +30,6 @@ def extend_endomorphism(
     dimension ``shape.dim``.  Columns follow
     rho([x, y]) = [rho(x), rho(y)] along ``extend_images``.
     """
-    candidate.validate(shape)
     return extend_images(shape, candidate, lambda i, j, x, y: target.bracket(x, y))
 
 
@@ -47,7 +46,6 @@ def closed_form_endomorphism(
     ``shape``, and so its dimension.
     """
     target = build_quasi(target_spec)
-    candidate.validate(shape)
     n, dim = shape.n, target.dim
 
     def b(vecs, s, i, j):
@@ -139,7 +137,6 @@ def automorphism_conditions(spec: QuasiQnSpec, candidate: GeneratorImages) -> Co
       gluing-compatibility    permutation and scales preserve the gluing
     Equivalent to the extended map being an automorphism.
     """
-    candidate.validate(spec)
     n, m, r = spec.n, spec.m, spec.r
 
     targets, why = _target_copies(spec, candidate)
@@ -239,7 +236,7 @@ def make_scaling_automorphism(
         raise ValueError(f"perm must be a permutation of 1..{spec.m}")
     e0 = tuple({spec.gen_index(q, 0): a} for q, a in zip(perm, alphas))
     e1 = tuple({spec.gen_index(q, 1): b} for q, b in zip(perm, betas))
-    return GeneratorImages(e0, e1, spec.dim)
+    return GeneratorImages(e0, e1)
 
 
 def exp_ad(L: LieAlgebra, x: dict) -> Matrix:

@@ -15,7 +15,7 @@ from math import gcd, lcm
 from typing import Dict, Sequence, Tuple
 
 from .linalg import Matrix, ONE, Scalar, ZERO, _combine, inverse
-from .liecore import LieAlgebra
+from .liecore import LieAlgebra, check_jacobi
 
 
 class BadSpec(ValueError):
@@ -114,7 +114,7 @@ def build_quasi(spec: QuasiQnSpec) -> LieAlgebra:
             sc[(spec.gen_index(s, i), spec.gen_index(s, n - i))] = {
                 k: sign * c for k, c in top.items()
             }
-    return LieAlgebra(spec.dim, sc, labels=spec.labels())
+    return check_jacobi(LieAlgebra(spec.dim, sc))
 
 
 def build_qn(n: int) -> LieAlgebra:
@@ -130,13 +130,11 @@ def qn_x_basis(n: int) -> LieAlgebra:
     for i in range(1, n):
         sc[(0, i)] = {i + 1: ONE}
     for i in range(1, (n - 1) // 2 + 1):
-        sign = ONE if i % 2 == 0 else -ONE
-        tgt = sc.setdefault((i, n - i), {})
-        tgt[n] = tgt.get(n, ZERO) + sign
-    return LieAlgebra(n + 1, sc)
+        sc[(i, n - i)] = {n: ONE if i % 2 == 0 else -ONE}
+    return check_jacobi(LieAlgebra(n + 1, sc))
 
 
-def change_of_basis(L: LieAlgebra, P: Matrix, labels=None) -> LieAlgebra:
+def change_of_basis(L: LieAlgebra, P: Matrix) -> LieAlgebra:
     """Transport the structure tensor to the basis whose vectors are the columns of P."""
     inverse_cols = inverse(P).columns()
     dim = L.dim
@@ -147,7 +145,7 @@ def change_of_basis(L: LieAlgebra, P: Matrix, labels=None) -> LieAlgebra:
             entry = _combine(L.bracket(cols[a], cols[b]), inverse_cols)
             if entry:
                 sc[(a, b)] = entry
-    return LieAlgebra(dim, sc, labels=labels)
+    return check_jacobi(LieAlgebra(dim, sc))
 
 
 def rebase_x_to_e(n: int) -> Matrix:

@@ -82,11 +82,10 @@ def _read_json(path: str):
 def _load_spec(data, path: str) -> QuasiQnSpec:
     """The gluing parameters of the parsed file ``path``: a bare parameter
     file or an algebra file embedding one, whose brackets must then match
-    the spec."""
+    the spec.  An algebra file without one is refused before it is read."""
     if isinstance(data, dict) and "dim" in data:
-        spec = algebra_from_json(data)[1]
-        if spec is not None:
-            return spec
+        if "spec" in data:
+            return algebra_from_json(data)[1]
     elif isinstance(data, dict) and "spec" in data:
         return spec_from_json(data["spec"])
     elif isinstance(data, dict) and "n" in data:
@@ -293,9 +292,6 @@ def main(argv: list | None = None) -> int:
         return handler(args)
     except (BadInput, BadSearchCap, BadSpec, SearchTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except JacobiViolation as exc:  # from a file without a spec; `check` reports it instead
-        print(f"error: brackets: {exc}", file=sys.stderr)
         return 2
 
 

@@ -4,7 +4,9 @@ A derivation is determined by where it sends the generators e_{s0}, e_{s1} of
 each copy; the remaining columns follow from the Leibniz rule.  This module
 provides that extension, a closed-form test for when generator images extend
 to a derivation, a brute-force kernel oracle for cross-validation, and
-explicit torus / nilpotent bases of the derivation algebra.
+explicit torus / nilpotent bases of the derivation algebra.  Generator
+images are taken as given: the functions here assume one image pair per copy,
+in the shape's dimension, and check neither (see ``GeneratorImages``).
 """
 from __future__ import annotations
 
@@ -21,34 +23,22 @@ from .linalg import Matrix, ONE, ZERO, _combine, _subtract, scalar, sparse_nulls
 @dataclass(frozen=True)
 class GeneratorImages:
     """Proposed images of the generators: e0[s-1] and e1[s-1] are the sparse
-    image vectors {index: scalar} of e_{s0} and e_{s1} (copies 1-based) in a
-    ``dim``-dimensional target, under a derivation or an endomorphism alike."""
+    image vectors {index: scalar} of e_{s0} and e_{s1} (copies 1-based),
+    under a derivation or an endomorphism alike.  They must come one pair per
+    copy of the shape they are used with, in a target of the shape's
+    dimension; ``jsonio.candidate_from_json`` checks both on a file."""
 
     e0: tuple
     e1: tuple
-    dim: int
 
     @staticmethod
     def from_vectors(e0: Sequence[Sequence], e1: Sequence[Sequence]) -> "GeneratorImages":
-        """From dense coordinate sequences, which must share one length."""
-        dims = {len(v) for v in [*e0, *e1]}
-        if len(dims) > 1:
-            raise ValueError(f"image vectors have differing lengths {sorted(dims)}")
+        """From dense coordinate sequences."""
 
         def sparse(v):
             return {k: x for k, x in enumerate(map(scalar, v)) if x}
 
-        return GeneratorImages(
-            tuple(map(sparse, e0)), tuple(map(sparse, e1)), dims.pop() if dims else 0
-        )
-
-    def validate(self, shape: QuasiQnSpec) -> None:
-        """One image pair per copy of ``shape``, in a target of ``shape.dim``:
-        a target algebra always shares the shape's (n, m, r)."""
-        if len(self.e0) != shape.m or len(self.e1) != shape.m:
-            raise ValueError(f"need one image pair per copy ({shape.m})")
-        if self.dim != shape.dim:
-            raise ValueError(f"image vectors must have length {shape.dim}")
+        return GeneratorImages(tuple(map(sparse, e0)), tuple(map(sparse, e1)))
 
 
 def extend_images(
@@ -76,7 +66,7 @@ def extend_images(
         one, last = shape.gen_index(t, 1), shape.gen_index(t, n - 1)
         w = bracket_image(one, last, cols[one], cols[last])
         cols[shape.top_index(t)] = {k: -x for k, x in w.items()}
-    return Matrix.from_columns(cols, images.dim)
+    return Matrix.from_columns(cols, shape.dim)
 
 
 def _leibniz(L: LieAlgebra, i: int, j: int, di: dict, dj: dict) -> dict:
@@ -91,7 +81,6 @@ def extend_derivation_candidate(spec: QuasiQnSpec, images: GeneratorImages) -> M
     Leibniz rule d[x, y] = [dx, y] + [x, dy] (see ``extend_images``).  The
     result is a derivation iff ``derivation_conditions`` passes.
     """
-    images.validate(spec)
     return extend_images(spec, images, functools.partial(_leibniz, build_quasi(spec)))
 
 
@@ -110,7 +99,6 @@ def closed_form_extension(spec: QuasiQnSpec, images: GeneratorImages) -> Matrix:
     valid for arbitrary generator images (cross-copy and central components
     contribute nothing to the recurrence).
     """
-    images.validate(spec)
     n = spec.n
     cols: List[dict] = [None] * spec.dim
     for s in range(1, spec.m + 1):
@@ -157,7 +145,6 @@ def derivation_conditions(spec: QuasiQnSpec, images: GeneratorImages) -> Conditi
       cross-pair-balance    e_{*,n-1} cross terms cancel against the gluing
     Equivalent to the Leibniz rule holding for the extended map.
     """
-    images.validate(spec)
     n, m, r = spec.n, spec.m, spec.r
     beta = spec.beta
 
@@ -293,7 +280,7 @@ def _element(spec: QuasiQnSpec, kind: str, indices: tuple, entries) -> Matrix:
     e1: List[dict] = [{} for _ in range(spec.m)]
     for which, s, k, value in entries:
         (e1 if which else e0)[s - 1][k] = scalar(value)
-    images = GeneratorImages(tuple(e0), tuple(e1), spec.dim)
+    images = GeneratorImages(tuple(e0), tuple(e1))
     verdict = derivation_conditions(spec, images)
     if not verdict.ok:
         raise AssertionError(f"basis element {kind}{indices} is not a derivation: {verdict}")

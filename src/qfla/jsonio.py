@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 from .builder import QuasiQnSpec, build_quasi, make_spec
 from .derivations import GeneratorImages
-from .liecore import LieAlgebra
+from .liecore import LieAlgebra, check_jacobi
 from .linalg import ZERO, Matrix, _transpose, scalar
 
 
@@ -130,10 +130,10 @@ def spec_from_json(data) -> QuasiQnSpec:
 # -- algebras -----------------------------------------------------------------------
 
 
-def algebra_to_json(L: LieAlgebra, spec: Optional[QuasiQnSpec] = None) -> dict:
-    out = {
+def algebra_to_json(L: LieAlgebra, spec: QuasiQnSpec) -> dict:
+    return {
         "dim": L.dim,
-        "labels": list(L.labels),
+        "labels": list(spec.labels()),
         "brackets": [
             {
                 "i": i,
@@ -142,18 +142,28 @@ def algebra_to_json(L: LieAlgebra, spec: Optional[QuasiQnSpec] = None) -> dict:
             }
             for (i, j) in sorted(L.sc)
         ],
+        "spec": spec_to_json(spec),
     }
-    if spec is not None:
-        out["spec"] = spec_to_json(spec)
-    return out
 
 
 def algebra_from_json(data) -> Tuple[LieAlgebra, Optional[QuasiQnSpec]]:
+    """The algebra of a parsed algebra file, and its spec or None.  Every
+    check of the table runs here, the ``labels`` count before anything of
+    size ``dim`` is made; zero coefficients and empty brackets are dropped
+    once no index or pair has turned out repeated."""
     if not isinstance(data, dict):
         raise BadInput("algebra: expected an object")
     dim = data.get("dim")
     if not _is_int(dim) or dim < 0:
         raise BadInput("dim: expected a nonnegative integer")
+    labels = data.get("labels")
+    if "labels" in data and not (
+        isinstance(labels, list)
+        and len(labels) == dim
+        and all(isinstance(x, str) for x in labels)
+        and len(set(labels)) == dim
+    ):
+        raise BadInput(f"labels: expected an array of {dim} distinct strings")
     brackets = data.get("brackets", [])
     if not isinstance(brackets, list):
         raise BadInput("brackets: expected an array of {i, j, value} entries")
@@ -182,15 +192,15 @@ def algebra_from_json(data) -> Tuple[LieAlgebra, Optional[QuasiQnSpec]]:
             except (ValueError, TypeError) as exc:
                 raise BadInput(f"value: {exc}") from exc
         sc[(i, j)] = value
+    sc = {ij: nonzero for ij, v in sc.items() if (nonzero := {k: c for k, c in v.items() if c})}
     if "spec" not in data:
-        return LieAlgebra(dim, sc), None
+        return check_jacobi(LieAlgebra(dim, sc)), None
     spec = spec_from_json(data["spec"])
     if spec.dim != dim:
         raise BadInput(f"spec: implies dim {spec.dim}, but dim is {dim}")
     # the built algebra is Jacobi-verified, so the table is only compared with it
     built = build_quasi(spec)
-    nonzero = {ij: {k: c for k, c in v.items() if c} for ij, v in sc.items()}
-    if {ij: v for ij, v in nonzero.items() if v} != built.sc:
+    if sc != built.sc:
         raise BadInput("brackets: the structure constants contradict the embedded spec")
     return built, spec
 

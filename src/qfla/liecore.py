@@ -2,7 +2,10 @@
 
 Algebras are stored as an antisymmetric structure-constant tensor: brackets
 [e_i, e_j] are recorded only for i < j, so antisymmetry holds by construction.
-All coefficients are exact scalars (see ``linalg``).  Vectors are sparse
+All coefficients are nonzero exact scalars in ``linalg.scalar``'s normal
+form.  ``LieAlgebra`` trusts its table and checks none of this: a table read
+from a file has passed ``jsonio``'s checks, and every table the package uses
+has passed ``check_jacobi``.  Vectors are sparse
 {index: scalar} dicts: ``LieAlgebra.bracket`` takes and returns them, and the
 series and splittings below feed brackets of sparse basis vectors straight to
 the ``linalg`` elimination engine.
@@ -20,9 +23,9 @@ change.
 """
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from .linalg import Matrix, ONE, Scalar, _combine, _subtract, column_span, scalar
+from .linalg import Matrix, ONE, Scalar, _combine, _subtract, column_span
 
 
 class JacobiViolation(ValueError):
@@ -46,50 +49,27 @@ class LieAlgebra:
 
     ``sc`` maps basis pairs (i, j) with i < j to {k: c} meaning
     [e_i, e_j] = sum_k c * e_k.  Pairs absent from ``sc`` bracket to zero.
+    The table is taken as given, so it must satisfy 0 <= i < j < dim and
+    0 <= k < dim, hold every c as an exact scalar in ``linalg.scalar``'s
+    normal form, and carry no zero entry and no empty bracket: ``jsonio``
+    checks a file against this before it builds one, and ``check_jacobi``
+    checks the identity.
     ``partners[i]`` maps every j with [e_i, e_j] != 0 to [e_j, e_i], in
     ascending j; for i > j that is the dict ``sc[(j, i)]`` itself.
-    ``labels`` name the basis vectors as the JSON prints them; by default e_i
-    is "x_i".
     """
 
-    __slots__ = ("dim", "labels", "sc", "partners")
+    __slots__ = ("dim", "sc", "partners")
 
-    def __init__(
-        self,
-        dim: int,
-        sc: Dict[Tuple[int, int], Dict[int, Scalar]],
-        labels: Optional[Sequence[str]] = None,
-        validate: bool = True,
-    ):
+    def __init__(self, dim: int, sc: Dict[Tuple[int, int], Dict[int, Scalar]]):
         self.dim = dim
-        labels = tuple(f"x_{i}" for i in range(dim)) if labels is None else tuple(labels)
-        if len(labels) != dim:
-            raise ValueError("label count != dim")
-        if len(set(labels)) != dim:
-            raise ValueError("labels must be pairwise distinct")
-        self.labels = labels
-        clean: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-        for (i, j), val in sc.items():
-            if not (0 <= i < j < dim):
-                raise ValueError(f"structure constants must be stored for i<j, got ({i},{j})")
-            entry = {k: x for k, c in val.items() if (x := scalar(c))}
-            for k in entry:
-                if not 0 <= k < dim:
-                    raise ValueError("target index out of range")
-            if entry:
-                clean[(i, j)] = entry
-        self.sc = clean
+        self.sc = sc
         # in sorted pair order every partners[t] fills in ascending index order
         partners: Tuple[Dict[int, Dict[int, Scalar]], ...] = tuple({} for _ in range(dim))
-        for i, j in sorted(clean):
-            value = clean[(i, j)]
+        for i, j in sorted(sc):
+            value = sc[(i, j)]
             partners[i][j] = {k: -c for k, c in value.items()}
             partners[j][i] = value
         self.partners = partners
-        if validate:
-            ok, triple = check_jacobi(self)
-            if not ok:
-                raise JacobiViolation(f"Jacobi identity fails on basis triple {triple}")
 
     # -- bracket evaluation ---------------------------------------------------
 
@@ -120,19 +100,19 @@ class LieAlgebra:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LieAlgebra):
             return NotImplemented
-        return self.dim == other.dim and self.labels == other.labels and self.sc == other.sc
+        return self.dim == other.dim and self.sc == other.sc
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, brackets={len(self.sc)})"
 
 
-def check_jacobi(L: LieAlgebra):
-    """Jacobi check over the basis triples where it can fail.
+def check_jacobi(L: LieAlgebra) -> LieAlgebra:
+    """L itself, once the Jacobi identity holds on every basis triple where
+    it can fail; raises JacobiViolation naming the first failing triple.
 
     [e_x, [e_a, e_b]] is nonzero only when (a, b) is a stored pair and e_x
     brackets nonzero with some e_t in the support of [e_a, e_b]; every other
     triple has three zero terms.  Those candidates are checked in sorted order.
-    Returns (True, None), or (False, (i, j, k)) for the first failing triple.
     """
     partners = L.partners  # partners[t]: the x with [e_x, e_t] != 0
     candidates = {
@@ -148,8 +128,8 @@ def check_jacobi(L: LieAlgebra):
             for t, c in L.structure(*pair).items():
                 _subtract(total, c, L.structure(t, extra))  # += c [e_extra, e_t]
         if total:
-            return False, (i, j, k)
-    return True, None
+            raise JacobiViolation(f"Jacobi identity fails on basis triple {(i, j, k)}")
+    return L
 
 
 def lower_central_series(L: LieAlgebra) -> tuple:

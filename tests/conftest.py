@@ -34,12 +34,12 @@ def sparse(v) -> dict:
     return {i: x for i, x in enumerate(v) if x}
 
 
-def dense(images) -> tuple:
-    """Generator images as dense coordinate lists (e0, e1), to be edited and
-    passed back through ``GeneratorImages.from_vectors``."""
+def dense(images, dim: int) -> tuple:
+    """Generator images as dense coordinate lists (e0, e1) of length dim, to
+    be edited and passed back through ``GeneratorImages.from_vectors``."""
 
     def listed(vectors):
-        return [[v.get(k, Fraction(0)) for k in range(images.dim)] for v in vectors]
+        return [[v.get(k, Fraction(0)) for k in range(dim)] for v in vectors]
 
     return listed(images.e0), listed(images.e1)
 

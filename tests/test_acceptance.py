@@ -75,7 +75,7 @@ def verdict(name: str, ok: bool, detail: str = "") -> None:
 def test_construction_suite():
     start = time.perf_counter()
     for spec in TEST_MATRIX:
-        L = build_quasi(spec)  # Jacobi validated on construction
+        L = build_quasi(spec)  # check_jacobi has passed on it
         assert L.dim == spec.m * spec.n + spec.r
         chain = lower_central_series(L)
         assert chain[spec.n - 1].cols == spec.r
@@ -233,7 +233,7 @@ def _aut_mutants(spec):
     base = _identity_candidate(spec)
 
     def tweak(e0_edits=(), e1_edits=()):
-        e0, e1 = dense(base)
+        e0, e1 = dense(base, spec.dim)
         for s, k, v in e0_edits:
             e0[s - 1][k] = Fraction(v)
         for s, k, v in e1_edits:

@@ -66,7 +66,7 @@ class TestConditions:
     def test_two_copy_image_fails_first(self):
         s = SPEC521
         cand = identity_candidate(s)
-        e0, e1 = dense(cand)
+        e0, e1 = dense(cand, s.dim)
         e0[0][s.gen_index(2, 0)] = Fraction(1)  # copy 1 image leaks into copy 2
         v = automorphism_conditions(s, GeneratorImages.from_vectors(e0, e1))
         assert (v.ok, v.failed) == (False, "single-target-copy")
@@ -84,7 +84,7 @@ class TestConditions:
     def test_zero_leading_product(self):
         s = SPEC521
         cand = identity_candidate(s)
-        e0, e1 = dense(cand)
+        e0, e1 = dense(cand, s.dim)
         e1[0][s.gen_index(1, 1)] = Fraction(0)
         e1[0][s.gen_index(1, 2)] = Fraction(1)  # keeps the copy detectable
         v = automorphism_conditions(s, GeneratorImages.from_vectors(e0, e1))
@@ -94,7 +94,7 @@ class TestConditions:
         # b_1 = 1, b_2 = 1, b_3 = 1/2 satisfies -b_1 b_3 + b_2^2 - b_3 b_1 = 0
         s = make_spec(5, 1, 1)
         cand = identity_candidate(s)
-        e0, e1 = dense(cand)
+        e0, e1 = dense(cand, s.dim)
         e1[0][s.gen_index(1, 2)] = Fraction(1)
         e1[0][s.gen_index(1, 3)] = Fraction(1, 2)
         assert automorphism_conditions(s, GeneratorImages.from_vectors(e0, e1)).ok

@@ -82,7 +82,7 @@ class TestBuildQn:
         # first basis vector = x_0 + x_1, the rest are x_i
         n = 5
         P = inverse(rebase_x_to_e(n))
-        rebased = change_of_basis(qn_x_basis(n), P, labels=build_qn(n).labels)
+        rebased = change_of_basis(qn_x_basis(n), P)
         assert rebased == build_qn(n)
 
     def test_x_basis_has_full_tower(self):
@@ -114,10 +114,11 @@ class TestBuildQuasi:
 
     def test_labels(self):
         s = make_spec(5, 2, 1, [["1"]])
-        L = build_quasi(s)
-        assert L.labels[0] == "e_1_0"
-        assert L.labels[s.gen_index(2, 4)] == "e_2_4"
-        assert L.labels[s.top_index(1)] == "e_1_n"
+        labels = s.labels()
+        assert len(labels) == s.dim
+        assert labels[0] == "e_1_0"
+        assert labels[s.gen_index(2, 4)] == "e_2_4"
+        assert labels[s.top_index(1)] == "e_1_n"
 
     def test_dims(self):
         for args, dim in [

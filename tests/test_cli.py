@@ -290,14 +290,14 @@ class TestInputContract:
     @pytest.mark.parametrize("verb", ["der", "weights", "aut-check"])
     def test_jacobi_failing_table_without_spec_exit_2(self, run, tmp_path, verb):
         # [e_2, [e_0, e_1]] = e_0 and the other two terms vanish; only `check`
-        # reports a failing table, every other verb refuses it as input
+        # reads a table without a spec, every other verb refuses it unread
         path = tmp_path / "nonlie.json"
         brackets = [{"i": 0, "j": 1, "value": [[3, "1"]]}, {"i": 2, "j": 3, "value": [[0, "1"]]}]
         path.write_text(json.dumps({"dim": 4, "brackets": brackets}))
         candidate = [str(path)] if verb == "aut-check" else []
         code, out, err = run(verb, str(path), *candidate)
         assert (code, out) == (2, "")
-        assert err == "error: brackets: Jacobi identity fails on basis triple (0, 1, 2)\n"
+        assert err == f"error: {path}: no gluing parameters found (need 'spec' or 'n'/'m'/'r')\n"
 
     @pytest.mark.parametrize("verb", ["der", "weights", "aut-check"])
     def test_table_without_spec_exit_2(self, run, tmp_path, verb):
@@ -324,8 +324,30 @@ class TestInputContract:
                     ],
                 },
             ),
+            # zeros are dropped only after the repeats are looked for
+            ("value", {"dim": 3, "brackets": [{"i": 0, "j": 1, "value": [[2, "0"], [2, "1"]]}]}),
+            (
+                "brackets",
+                {
+                    "dim": 3,
+                    "brackets": [
+                        {"i": 0, "j": 1, "value": [[2, "0"]]},
+                        {"i": 0, "j": 1, "value": [[2, "1"]]},
+                    ],
+                },
+            ),
+            (
+                "brackets",
+                {
+                    "dim": 3,
+                    "brackets": [
+                        {"i": 0, "j": 1, "value": []},
+                        {"i": 0, "j": 1, "value": [[2, "1"]]},
+                    ],
+                },
+            ),
         ],
-        ids=["value", "brackets"],
+        ids=["value", "brackets", "value_first_zero", "brackets_first_zero", "brackets_first_empty"],
     )
     def test_duplicate_entries_exit_2(self, run, tmp_path, field, data):
         # a repeated entry is refused, not silently overwritten by the last one
@@ -417,6 +439,43 @@ class TestInputContract:
         assert err == "error: brackets: the structure constants contradict the embedded spec\n"
         code, out, _ = run(verb, algebra521_file, *second)
         assert code == 0 and json.loads(out)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [["a", "b", "c", "d"], ["x"] * 17, [str(k) for k in range(16)] + [7], "abc"],
+        ids=["count", "repeated", "not_a_string", "not_an_array"],
+    )
+    def test_labels_that_do_not_name_the_basis_exit_2(self, run, tmp_path, labels):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"dim": 17, "labels": labels}))
+        code, out, err = run("check", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: labels: expected an array of 17 distinct strings\n"
+
+    @pytest.mark.parametrize("verb", ["check", "related"])
+    def test_huge_dim_is_refused_before_it_is_allocated(self, run, tmp_path, verb):
+        # a table of 10**30 basis vectors would exhaust memory before any check
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": 10**30, "labels": ["a", "b", "c", "d"]}))
+        code, out, err = run(verb, str(path))
+        assert (code, out) == (2, "")
+        field = "labels" if verb == "check" else path
+        assert err.startswith(f"error: {field}: ")
+
+    def test_zero_entries_of_a_table_without_spec_change_nothing(self, run, tmp_path):
+        # Q_5 in its x-basis, once bare and once with zero coefficients and an
+        # all-zero bracket added
+        brackets = [{"i": 0, "j": i, "value": [[i + 1, "1"]]} for i in range(1, 5)]
+        brackets += [{"i": 1, "j": 4, "value": [[5, "-1"]]}, {"i": 2, "j": 3, "value": [[5, "1"]]}]
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps({"dim": 6, "brackets": brackets}))
+        brackets[0]["value"] += [[3, "0"], [4, "0/5"]]
+        brackets.append({"i": 1, "j": 2, "value": [[0, "0"], [5, "0/7"]]})
+        zeros = tmp_path / "zeros.json"
+        zeros.write_text(json.dumps({"dim": 6, "brackets": brackets}))
+        expected = run("check", str(bare))
+        assert expected[0] == 0 and json.loads(expected[1])["filiform"] is True
+        assert run("check", str(zeros)) == expected
 
     def test_spec_tagged_table_compares_nonzero_entries(self, run, tmp_path, algebra521_file):
         # zero coefficients and empty brackets in the file are not contradictions

@@ -10,6 +10,11 @@ an ``identity`` method.
 Every name has one home, the module that defines it: the package itself
 binds only ``build_quasi``, which the benchmark harness reads off it.
 
+Knobs count too: every parameter with a default, in a function or method of
+``src/``, is passed by some call in ``src/``, by keyword or by position, or
+is listed in ``UNPASSED_DEFAULTS`` with its reason.  A default that no call
+overrides is a switch that only tests turn.
+
 Leftovers count too: every name a module imports is used in that module, and
 every private top-level function or module constant has a use somewhere in
 ``src/``.  Python calls dunder methods itself, so no name refers to them: each
@@ -46,6 +51,11 @@ DUNDERS = {
     "__repr__": "protocol: printing",
     "__hash__": "build_quasi's cache hashes the spec, and so its B",
     "__mul__": "E * prod in iso",
+}
+
+# Parameters with a default that no call in src/ passes, each with its reason.
+UNPASSED_DEFAULTS = {
+    "main(argv)": "the console script calls main() bare, so argv falls back to sys.argv",
 }
 
 
@@ -88,6 +98,59 @@ def test_every_public_definition_has_a_caller_or_a_reason():
     # an entry that gained a caller, or whose definition is gone, leaves the list
     stale = sorted(set(ALLOWED) - unreferenced)
     assert not stale, f"stale allowlist entries: {stale}"
+
+
+def _defaulted(function: ast.FunctionDef, method: bool):
+    """(name, position) of each parameter of ``function`` with a default, the
+    position as a call site counts it (None for keyword-only ones)."""
+    positional = function.args.posonlyargs + function.args.args
+    static = any(getattr(d, "id", None) == "staticmethod" for d in function.decorator_list)
+    skip = 1 if method and not static else 0  # self or cls is not written at the call
+    first = len(positional) - len(function.args.defaults)
+    for index in range(first, len(positional)):
+        yield positional[index].arg, index - skip
+    for arg, default in zip(function.args.kwonlyargs, function.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def unpassed_defaults() -> set:
+    """``name(parameter)`` for each parameter with a default that no call in
+    ``src/`` passes; a method is called by its name, ``__init__`` by its
+    class's."""
+    trees = _modules().values()
+    calls: dict = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    out = set()
+    for tree in trees:
+        classes = [top for top in tree.body if isinstance(top, ast.ClassDef)]
+        owners = {id(member): top for top in classes for member in top.body}
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            owner = owners.get(id(function))
+            name = owner.name if owner and function.name == "__init__" else function.name
+            for param, position in _defaulted(function, owner is not None):
+                if not any(
+                    any(k.arg in (param, None) for k in call.keywords)
+                    or (position is not None and len(call.args) > position)
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                    for call in calls.get(name, [])
+                ):
+                    out.add(f"{name}({param})")
+    return out
+
+
+def test_every_default_is_passed_by_a_caller_or_has_a_reason():
+    unpassed = unpassed_defaults()
+    knobs = sorted(unpassed - set(UNPASSED_DEFAULTS))
+    assert not knobs, f"defaults no call in src/ overrides, and not listed: {knobs}"
+    stale = sorted(set(UNPASSED_DEFAULTS) - unpassed)
+    assert not stale, f"stale UNPASSED_DEFAULTS entries: {stale}"
 
 
 def defined_dunders() -> dict:

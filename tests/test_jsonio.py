@@ -1,14 +1,16 @@
 """The JSON emitter: byte-identical to the standard library's sorted,
 two-space indented output, which the golden digests of the CLI pin, with
 each Fraction and Matrix read as the "p/q" strings and string grids that the
-verbs used to build for it."""
+verbs used to build for it.  And the algebra reader, which checks a table
+before a ``LieAlgebra`` holds it."""
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfla.jsonio import dumps
+from qfla.jsonio import BadInput, algebra_from_json, dumps
 from qfla.linalg import ZERO, Matrix
 
 
@@ -112,3 +114,26 @@ def test_empty_and_one_by_one_matrices():
 def test_matrix_rows_and_empty_containers():
     obj = {"m": [["1", "-3/4"], ["0", "0"]], "e": [], "d": {}, "t": (), "q": ['a"b', "\\", "é"]}
     assert dumps(obj) == reference(obj)
+
+
+class TestAlgebraFromJson:
+    def test_rejects_upper_triangular_violation(self):
+        with pytest.raises(BadInput, match="^brackets: indices"):
+            algebra_from_json({"dim": 3, "brackets": [{"i": 1, "j": 0, "value": [[2, "1"]]}]})
+
+    def test_rejects_out_of_range_target(self):
+        with pytest.raises(BadInput, match="^value: target index 5"):
+            algebra_from_json({"dim": 3, "brackets": [{"i": 0, "j": 1, "value": [[5, "1"]]}]})
+
+    def test_drops_zero_coefficients(self):
+        L, spec = algebra_from_json({"dim": 3, "brackets": [{"i": 0, "j": 1, "value": [[2, 0]]}]})
+        assert (L.sc, spec) == ({}, None)
+
+    def test_drops_zero_coefficients_given_as_strings(self):
+        brackets = [
+            {"i": 0, "j": 1, "value": [[2, "0"], [1, "0/5"]]},
+            {"i": 0, "j": 2, "value": [[1, "-3/6"], [0, "0"]]},
+        ]
+        L, _ = algebra_from_json({"dim": 3, "brackets": brackets})
+        assert L.sc == {(0, 2): {1: Fraction(-1, 2)}}
+        assert L.structure(0, 1) == {}
