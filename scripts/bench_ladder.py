@@ -4,13 +4,14 @@
         --tree parent=/path/to/a/checkout --tree change=.
 
 Each ``--tree LABEL=PATH`` names a git checkout whose ``src/qfla`` is timed;
-PATH defaults to this checkout when no ``--tree`` is given.  Every rung (a
-verb on one gluing's algebra file, ``build`` of that gluing, ``aut-check
---strict`` of a passing candidate against it, or ``iso --strict`` on a pair of
-parameter files) runs ``--runs`` times per tree in a fresh interpreter; the
-trees take turns going first.  A run times ``qfla.cli.main`` alone, after the
-import, and within it the calls to ``qfla.cli.derivation_oracle`` and to the
-closed forms ``qfla.cli.torus_basis`` and ``qfla.cli.nilpotent_basis`` (by
+PATH defaults to this checkout when no ``--tree`` is given.  Every rung (a verb
+on one gluing's algebra file, ``build`` of that gluing, ``aut-check --strict``
+of a passing candidate against it, or ``iso --strict`` on a pair of parameter
+files) runs ``--runs`` times per tree in a fresh interpreter; the trees take
+turns going first.  A run times ``qfla.cli.main`` alone, after the import, and
+within it the calls to ``qfla.cli.derivation_oracle`` and to the closed forms
+``qfla.cli.torus_basis`` (by ``der``, ``der --compare`` and ``weights``, which
+decomposes under its first m + 1 members) and ``qfla.cli.nilpotent_basis`` (by
 ``der`` and ``der --compare``), the emission (``qfla.cli.dumps``) and the
 phases of ``iso``: the copy cells (``qfla.iso.copy_cells``), the copy search
 (``qfla.iso._first_admissible_perm``, cells included) and the witness
@@ -18,14 +19,14 @@ phases of ``iso``: the copy cells (``qfla.iso.copy_cells``), the copy search
 still going after ``TIME_LIMIT_S`` seconds is stopped and recorded as a
 time-out.  Algebra files are built once per tree by that tree's own ``qfla
 build``, and candidate files written once per tree by that tree's own
-``exp_ad`` and ``candidate_to_json``.  The output holds, per tree, the git
-hash ("-dirty" when tracked files differ from it), a sha256 of the timed
-``src/qfla/*.py`` files, and per rung the median and all run times (null for
-a time-out), the median time of each phase the rung reaches
-(``oracle_median_s``, ``closed_median_s`` for the two closed forms together,
-``emit_median_s``, ``cells_median_s``, ``search_median_s``,
-``witness_median_s``), the median peak RSS and the exit code ("timeout" when
-some run timed out), next to the Python version and the machine.
+``exp_ad`` and ``candidate_to_json``.  The output holds, per tree, the git hash
+("-dirty" when tracked files differ from it), a sha256 of the timed
+``src/qfla/*.py`` files, and per rung the median and all run times (null for a
+time-out), the median time of each phase the rung reaches (``oracle_median_s``,
+``closed_median_s`` for the two closed forms together, ``emit_median_s``,
+``cells_median_s``, ``search_median_s``, ``witness_median_s``), the median peak
+RSS and the exit code ("timeout" when some run timed out), next to the Python
+version and the machine.
 """
 from __future__ import annotations
 
@@ -193,10 +194,9 @@ import json, sys
 sys.path.insert(0, sys.argv[1])
 from qfla.automorphisms import exp_ad
 from qfla.jsonio import algebra_from_json, candidate_to_json
-from qfla.linalg import ONE
 with open(sys.argv[2]) as f:
     L, spec = algebra_from_json(json.load(f))
-cols = exp_ad(L, {k: ONE for k in range(L.dim)}).columns()
+cols = exp_ad(L, {k: 1 for k in range(L.dim)}).columns()
 e0, e1 = ([cols[spec.gen_index(s, t)] for s in range(1, spec.m + 1)] for t in (0, 1))
 with open(sys.argv[3], "w") as f:
     json.dump(candidate_to_json(spec, e0, e1), f)

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 from .builder import QuasiQnSpec, build_quasi
 from .derivations import ConditionVerdict, GeneratorImages, extend_images
 from .liecore import LieAlgebra, bracket_preserving
-from .linalg import Matrix, ONE, Scalar, ZERO, _subtract, rank, scalar
+from .linalg import Matrix, Scalar, _subtract, rank, scalar
 
 
 def extend_endomorphism(
@@ -49,7 +49,7 @@ def closed_form_endomorphism(
     n, dim = shape.n, target.dim
 
     def b(vecs, s, i, j):
-        return vecs[s - 1].get(target_spec.gen_index(i, j), ZERO)
+        return vecs[s - 1].get(target_spec.gen_index(i, j), 0)
 
     def add_top(v, i, coeff):
         if coeff:
@@ -73,7 +73,7 @@ def closed_form_endomorphism(
                         add_top(
                             v,
                             i,
-                            (-ONE) ** j * b(candidate.e0, s, i, j) * b(candidate.e1, s, i, n - j),
+                            (-1) ** j * b(candidate.e0, s, i, j) * b(candidate.e1, s, i, n - j),
                         )
                 else:
                     head = b00 ** (t - 2)
@@ -86,7 +86,7 @@ def closed_form_endomorphism(
                             b00 * b(candidate.e1, s, i, n - j - t + 2)
                             - b(candidate.e0, s, i, n - j - t + 2) * b10
                         )
-                        add_top(v, i, (-ONE) ** j * b(candidate.e0, s, i, j) * head * c)
+                        add_top(v, i, (-1) ** j * b(candidate.e0, s, i, j) * head * c)
             cols[shape.gen_index(s, t)] = v
     for t in range(1, shape.r + 1):
         v = defaultdict(int)
@@ -148,10 +148,10 @@ def automorphism_conditions(spec: QuasiQnSpec, candidate: GeneratorImages) -> Co
         )
 
     def c0(s: int, q: int, j: int) -> Scalar:  # e_{qj} coefficient of the e_{s0} image
-        return candidate.e0[s - 1].get(spec.gen_index(q, j), ZERO)
+        return candidate.e0[s - 1].get(spec.gen_index(q, j), 0)
 
     def c1(s: int, q: int, j: int) -> Scalar:  # e_{qj} coefficient of the e_{s1} image
-        return candidate.e1[s - 1].get(spec.gen_index(q, j), ZERO)
+        return candidate.e1[s - 1].get(spec.gen_index(q, j), 0)
 
     def top_vec(i: int, coeff: Scalar) -> tuple:
         return tuple(coeff * c for c in spec.beta[i - 1])
@@ -176,9 +176,9 @@ def automorphism_conditions(spec: QuasiQnSpec, candidate: GeneratorImages) -> Co
     for s in range(1, m + 1):
         q = targets[s - 1]
         for p in range(3, n - 1, 2):
-            total = ZERO
+            total = 0
             for j in range(1, p + 1):
-                total += (-ONE) ** j * c1(s, q, j) * c1(s, q, p - j + 1)
+                total += (-1) ** j * c1(s, q, j) * c1(s, q, p - j + 1)
             if total != 0:
                 return ConditionVerdict(
                     False,
@@ -244,7 +244,7 @@ def exp_ad(L: LieAlgebra, x: dict) -> Matrix:
     automorphism."""
     cols = []
     for j in range(L.dim):
-        total, term, k = {j: ONE}, {j: ONE}, 0
+        total, term, k = {j: 1}, {j: 1}, 0
         while term:
             k += 1
             term = L.bracket(x, term)

@@ -14,7 +14,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Dict, Sequence, Tuple
 
-from .linalg import Matrix, ONE, Scalar, ZERO, _combine, inverse
+from .linalg import Matrix, Scalar, _combine, inverse
 from .liecore import LieAlgebra, check_jacobi
 
 
@@ -60,7 +60,7 @@ class QuasiQnSpec:
     def beta(self) -> tuple:
         """The m columns of beta = (I | B) as r-tuples: column s-1 expands
         e_{sn} over e_{1n}..e_{rn}."""
-        units = tuple(tuple(ONE if t == s else ZERO for t in range(self.r)) for s in range(self.r))
+        units = tuple(tuple(1 if t == s else 0 for t in range(self.r)) for s in range(self.r))
         return units + tuple(
             tuple(self.B.entry(t, k) for t in range(self.r)) for k in range(self.B.cols)
         )
@@ -108,9 +108,9 @@ def build_quasi(spec: QuasiQnSpec) -> LieAlgebra:
     for s in range(1, m + 1):
         top = {spec.top_index(t): c for t, c in enumerate(spec.beta[s - 1], start=1) if c}
         for i in range(1, n - 1):
-            sc[(spec.gen_index(s, 0), spec.gen_index(s, i))] = {spec.gen_index(s, i + 1): ONE}
+            sc[(spec.gen_index(s, 0), spec.gen_index(s, i))] = {spec.gen_index(s, i + 1): 1}
         for i in range(1, spec.d + 1):  # [e_i, e_{n-i}] = (-1)^i e_n, stored once
-            sign = ONE if i % 2 == 0 else -ONE
+            sign = 1 if i % 2 == 0 else -1
             sc[(spec.gen_index(s, i), spec.gen_index(s, n - i))] = {
                 k: sign * c for k, c in top.items()
             }
@@ -128,9 +128,9 @@ def qn_x_basis(n: int) -> LieAlgebra:
     _check_n(n)
     sc: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
     for i in range(1, n):
-        sc[(0, i)] = {i + 1: ONE}
+        sc[(0, i)] = {i + 1: 1}
     for i in range(1, (n - 1) // 2 + 1):
-        sc[(i, n - i)] = {n: ONE if i % 2 == 0 else -ONE}
+        sc[(i, n - i)] = {n: 1 if i % 2 == 0 else -1}
     return check_jacobi(LieAlgebra(n + 1, sc))
 
 
@@ -151,8 +151,8 @@ def change_of_basis(L: LieAlgebra, P: Matrix) -> LieAlgebra:
 def rebase_x_to_e(n: int) -> Matrix:
     """Matrix taking x-coordinates to e-coordinates (e_0 = x_0 + x_1, e_i = x_i)."""
     _check_n(n)
-    grid = [[ONE if i == j else ZERO for j in range(n + 1)] for i in range(n + 1)]
-    grid[1][0] = -ONE  # x_1 = e_1 picks up -e_0's x_1 component
+    grid = [[1 if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
+    grid[1][0] = -1  # x_1 = e_1 picks up -e_0's x_1 component
     return Matrix(grid, cols=n + 1)
 
 
@@ -160,7 +160,7 @@ def related_matrix(beta: Sequence[tuple]) -> Matrix:
     """(-B^t | I) from the m columns of beta = (I | B) in Q^r: row s - r - 1
     encodes e_{sn} - sum_t beta_{t,s} e_{tn} = 0 for each s > r."""
     m, r = len(beta), len(beta[0])
-    units = [[ONE if t == s else ZERO for t in range(r, m)] for s in range(r, m)]
+    units = [[1 if t == s else 0 for t in range(r, m)] for s in range(r, m)]
     return Matrix([[-c for c in beta[s]] + units[s - r] for s in range(r, m)], cols=m)
 
 

@@ -28,14 +28,13 @@ from .derivations import (
     top_weights,
     torus_basis,
     weight_decomposition,
-    weight_torus,
 )
 from .automorphisms import (
     automorphism_conditions,
     extend_endomorphism,
     is_automorphism,
 )
-from .iso import BadSearchCap, SearchTooLarge, iso_decide
+from .iso import SearchTooLarge, iso_decide
 from .jsonio import (
     BadInput,
     algebra_from_json,
@@ -49,15 +48,14 @@ from .jsonio import (
 )
 from .liecore import (
     JacobiViolation,
-    NotDirect,
     NotNilpotent,
-    NotSpanning,
+    NotQuasiCyclic,
     is_filiform,
     lower_central_series,
     minimal_generator_count,
     quasi_cyclic_split,
 )
-from .linalg import Matrix, ONE, column_span
+from .linalg import Matrix, column_span
 
 
 def _loads(text: str, field: str):
@@ -81,14 +79,12 @@ def _read_json(path: str):
 
 def _load_spec(data, path: str) -> QuasiQnSpec:
     """The gluing parameters of the parsed file ``path``: a bare parameter
-    file or an algebra file embedding one, whose brackets must then match
+    file or an algebra file embedding one.  Any object with a ``spec`` is
+    read as an algebra file, so its table must pass every check and match
     the spec.  An algebra file without one is refused before it is read."""
-    if isinstance(data, dict) and "dim" in data:
-        if "spec" in data:
-            return algebra_from_json(data)[1]
-    elif isinstance(data, dict) and "spec" in data:
-        return spec_from_json(data["spec"])
-    elif isinstance(data, dict) and "n" in data:
+    if isinstance(data, dict) and "spec" in data:
+        return algebra_from_json(data)[1]
+    if isinstance(data, dict) and "n" in data and "dim" not in data:
         return spec_from_json(data)
     raise BadInput(f"{path}: no gluing parameters found (need 'spec' or 'n'/'m'/'r')")
 
@@ -135,11 +131,11 @@ def _cmd_check(args) -> int:
     except NotNilpotent as exc:
         report["detail"] = str(exc)
     if spec is not None and report["lcs_dims"] is not None:
-        gens = [{spec.gen_index(s, t): ONE} for s in range(1, spec.m + 1) for t in (0, 1)]
+        gens = [{spec.gen_index(s, t): 1} for s in range(1, spec.m + 1) for t in (0, 1)]
         try:
             chain = quasi_cyclic_split(L, Matrix.from_columns(gens, L.dim))
             report["quasi_cyclic"] = {"dims": [space.cols for space in chain]}
-        except (NotDirect, NotSpanning) as exc:
+        except NotQuasiCyclic as exc:
             report["quasi_cyclic"] = {"dims": None, "detail": str(exc)}
     _emit(args, report)
     return 0
@@ -210,7 +206,7 @@ def _cmd_related(args) -> int:
 def _cmd_weights(args) -> int:
     spec = _load_spec(_read_json(args.algebra), args.algebra)
     L = build_quasi(spec)
-    torus = weight_torus(spec)
+    torus = torus_basis(spec)[: spec.m + 1]  # Grading and the CopyWeights
     decomposition = weight_decomposition(L, torus)
     table = [
         {"weight": tuple(map(Fraction, w)), "dim": space.cols}
@@ -290,7 +286,7 @@ def main(argv: list | None = None) -> int:
     try:
         handler, args = _parse(sys.argv[1:] if argv is None else argv)
         return handler(args)
-    except (BadInput, BadSearchCap, BadSpec, SearchTooLarge) as exc:
+    except (BadInput, BadSpec, SearchTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

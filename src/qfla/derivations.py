@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from .builder import QuasiQnSpec, build_quasi, proportional_classes, support_components
 from .liecore import LieAlgebra
-from .linalg import Matrix, ONE, ZERO, _combine, _subtract, scalar, sparse_nullspace
+from .linalg import Matrix, _combine, _subtract, scalar, sparse_nullspace
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,8 @@ def extend_images(
 
 def _leibniz(L: LieAlgebra, i: int, j: int, di: dict, dj: dict) -> dict:
     """[d e_i, e_j] + [e_i, d e_j] from the sparse images di, dj."""
-    out = L.bracket(di, {j: ONE})
-    _subtract(out, -ONE, L.bracket({i: ONE}, dj))
+    out = L.bracket(di, {j: 1})
+    _subtract(out, -1, L.bracket({i: 1}, dj))
     return out
 
 
@@ -106,20 +106,20 @@ def closed_form_extension(spec: QuasiQnSpec, images: GeneratorImages) -> Matrix:
         de1 = images.e1[s - 1]
         cols[spec.gen_index(s, 0)] = de0
         cols[spec.gen_index(s, 1)] = de1
-        a = de0.get(spec.gen_index(s, 0), ZERO)
-        b = de1.get(spec.gen_index(s, 1), ZERO)
+        a = de0.get(spec.gen_index(s, 0), 0)
+        b = de1.get(spec.gen_index(s, 1), 0)
         for t in range(2, n):
             v = {spec.gen_index(s, t): (t - 1) * a + b}
             for j in range(2, n - t + 1):
-                v[spec.gen_index(s, j + t - 1)] = de1.get(spec.gen_index(s, j), ZERO)
-            sign = ONE if t % 2 == 0 else -ONE
-            g = de0.get(spec.gen_index(s, n - t + 1), ZERO)
+                v[spec.gen_index(s, j + t - 1)] = de1.get(spec.gen_index(s, j), 0)
+            sign = 1 if t % 2 == 0 else -1
+            g = de0.get(spec.gen_index(s, n - t + 1), 0)
             for tt, c in enumerate(spec.beta[s - 1], start=1):
                 v[spec.top_index(tt)] = sign * g * c
             cols[spec.gen_index(s, t)] = v
     for t in range(1, spec.r + 1):
-        a = images.e0[t - 1].get(spec.gen_index(t, 0), ZERO)
-        b = images.e1[t - 1].get(spec.gen_index(t, 1), ZERO)
+        a = images.e0[t - 1].get(spec.gen_index(t, 0), 0)
+        b = images.e1[t - 1].get(spec.gen_index(t, 1), 0)
         cols[spec.top_index(t)] = {spec.top_index(t): (n - 2) * a + 2 * b}
     return Matrix.from_columns(cols, spec.dim)
 
@@ -175,8 +175,8 @@ def derivation_conditions(spec: QuasiQnSpec, images: GeneratorImages) -> Conditi
                     f"d(e_{{{s},1}}) has a component on e_{{{s},{i}}}",
                 )
     lam = [  # top eigenvalues (n-2) a_s + 2 b_s
-        (n - 2) * images.e0[s - 1].get(spec.gen_index(s, 0), ZERO)
-        + 2 * images.e1[s - 1].get(spec.gen_index(s, 1), ZERO)
+        (n - 2) * images.e0[s - 1].get(spec.gen_index(s, 0), 0)
+        + 2 * images.e1[s - 1].get(spec.gen_index(s, 1), 0)
         for s in range(1, m + 1)
     ]
     for s in range(r + 1, m + 1):
@@ -189,8 +189,8 @@ def derivation_conditions(spec: QuasiQnSpec, images: GeneratorImages) -> Conditi
                 )
     for s in range(1, m + 1):
         for p in range(s + 1, m + 1):
-            csp = images.e1[s - 1].get(spec.gen_index(p, n - 1), ZERO)
-            cps = images.e1[p - 1].get(spec.gen_index(s, n - 1), ZERO)
+            csp = images.e1[s - 1].get(spec.gen_index(p, n - 1), 0)
+            cps = images.e1[p - 1].get(spec.gen_index(s, n - 1), 0)
             if not (csp or cps):
                 continue  # no cross terms, no residue
             for j in range(1, r + 1):
@@ -287,33 +287,27 @@ def _element(spec: QuasiQnSpec, kind: str, indices: tuple, entries) -> Matrix:
     return extend_derivation_candidate(spec, images)
 
 
-def weight_torus(spec: QuasiQnSpec) -> List[Matrix]:
-    """m+1 commuting diagonalizable derivations, on any gluing.
+def torus_basis(spec: QuasiQnSpec) -> List[Matrix]:
+    """A maximal torus of diagonal derivations: m+c members, c the number of
+    ``support_components`` of the gluing (c = r on block form).
 
-    ``Grading`` scales e_{st} by t; ``CopyWeight s`` acts only on copy s with
-    e_{s0} -> -2 e_{s0}, e_{s1} -> (n-2) e_{s1}, killing the top vector.
-    ``qfla weights`` decomposes under this torus.
+    A diagonal derivation is fixed by the weights a_s, b_s of e_{s0}, e_{s1}:
+    it scales e_{s0} by a_s, e_{st} by (t-1) a_s + b_s for 1 <= t <= n-1,
+    and the top e_{sn} (s <= r) by (n-2) a_s + 2 b_s.  The Leibniz rule only
+    ties the top weights together along the nonzero entries of beta, so each
+    component has one free top weight and m+c directions remain.  The
+    members, in order: ``Grading`` (every b_s = 1) kills each e_{s0}, fixes
+    each e_{st} for 1 <= t <= n-1 and doubles the tops; ``CopyWeight s``
+    (a_s = -2, b_s = n-2) scales e_{s0} by -2 and e_{st} by n-2t on copy s
+    alone and kills the tops; ``ComponentGrading k``, for each component
+    k >= 2, sets b_s = 1 on the copies of component k.
+    ``qfla weights`` decomposes under the first m+1 members.
     """
     copies = range(1, spec.m + 1)
     out = [_element(spec, "Grading", (), [(1, s, spec.gen_index(s, 1), 1) for s in copies])]
     for s in copies:
         entries = [(0, s, spec.gen_index(s, 0), -2), (1, s, spec.gen_index(s, 1), spec.n - 2)]
         out.append(_element(spec, "CopyWeight", (s,), entries))
-    return out
-
-
-def torus_basis(spec: QuasiQnSpec) -> List[Matrix]:
-    """A maximal torus of diagonal derivations: m+c members, c the number of
-    ``support_components`` of the gluing (c = r on block form).
-
-    A diagonal derivation is fixed by the weights a_s, b_s of e_{s0}, e_{s1};
-    the Leibniz rule only ties the top weights (n-2) a_s + 2 b_s together
-    along the nonzero entries of beta, so each component has one free top
-    weight and m+c directions remain.  They are the ``weight_torus`` members
-    plus, for each component k >= 2, ``ComponentGrading k`` sending
-    e_{s1} -> e_{s1} for every member copy s of component k.
-    """
-    out = weight_torus(spec)
     for k, members in enumerate(support_components(spec)[1:], start=2):
         entries = [(1, s, spec.gen_index(s, 1), 1) for s in members]
         out.append(_element(spec, "ComponentGrading", (k,), entries))
@@ -399,4 +393,4 @@ def weight_decomposition(L: LieAlgebra, torus: Sequence[Matrix]) -> Dict[tuple, 
     for k in range(L.dim):
         weight = tuple(D.entry(k, k) for D in torus)
         groups.setdefault(weight, []).append(k)
-    return {w: Matrix.from_columns([{k: ONE} for k in idxs], L.dim) for w, idxs in groups.items()}
+    return {w: Matrix.from_columns([{k: 1} for k in idxs], L.dim) for w, idxs in groups.items()}

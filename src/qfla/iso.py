@@ -28,19 +28,16 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .automorphisms import extend_endomorphism, make_scaling_automorphism
 from .builder import QuasiQnSpec, build_quasi, copy_cells, proportional_classes, related_matrix
 from .liecore import bracket_preserving
-from .linalg import Matrix, ONE, Scalar, ZERO, _insert, _reduce, inverse, rank, sparse_nullspace
+from .linalg import Matrix, Scalar, _insert, _reduce, inverse, rank, sparse_nullspace
 
 DEFAULT_MAX_COPIES = 12
 
 
 class SearchTooLarge(RuntimeError):
-    """The copy-permutation search was refused because m exceeds the cap; a
-    search that never pins A can still visit on the order of m! nodes.  Raise
-    the cap via the QFLA_MAX_M environment variable to force it."""
-
-
-class BadSearchCap(ValueError):
-    """The QFLA_MAX_M environment variable is not an integer."""
+    """The copy-permutation search was refused because m exceeds the cap, or
+    because the cap, the QFLA_MAX_M environment variable, is not an integer.
+    A search that never pins A can still visit on the order of m! nodes;
+    raise the cap to force it."""
 
 
 @dataclass(frozen=True)
@@ -66,7 +63,7 @@ def _max_copies() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise BadSearchCap(f"QFLA_MAX_M: expected an integer, got {raw!r}") from None
+        raise SearchTooLarge(f"QFLA_MAX_M: expected an integer, got {raw!r}") from None
 
 
 def _generic_nonzero_point(basis: List[dict], m: int) -> Optional[tuple]:
@@ -85,7 +82,7 @@ def _generic_nonzero_point(basis: List[dict], m: int) -> Optional[tuple]:
     t = 1
     while True:
         point = tuple(
-            sum(t**k * v.get(j, ZERO) for k, v in enumerate(basis))
+            sum(t**k * v.get(j, 0) for k, v in enumerate(basis))
             for j in range(m)
         )
         if all(x != 0 for x in point):
@@ -123,7 +120,7 @@ def _first_admissible_perm(g1: List[tuple], g2: List[tuple]) -> Optional[tuple]:
         # u . (A g1_p) = 0 for every u orthogonal to g2_j; A_ik is unknown i * r + k
         l, g = leads[j], g2[j]
         if l is None:
-            annihilator = [{i: ONE} for i in range(r)]
+            annihilator = [{i: 1} for i in range(r)]
         else:
             annihilator = [{i: g[l], l: -g[i]} for i in range(r) if i != l]
         return [
@@ -245,8 +242,8 @@ def split_scale(k: Scalar, n: int) -> Tuple[Fraction, Fraction]:
         vals[p] = vals.get(p, 0) + v
     for p, v in _prime_valuations(k.denominator).items():
         vals[p] = vals.get(p, 0) - v
-    alpha = ONE if k > 0 else -ONE
-    beta = ONE
+    alpha = 1 if k > 0 else -1
+    beta = 1
     for p, v in vals.items():
         a = v % 2
         b = (v - (n - 2) * a) // 2

@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 from .builder import QuasiQnSpec, build_quasi, make_spec
 from .derivations import GeneratorImages
 from .liecore import LieAlgebra, check_jacobi
-from .linalg import ZERO, Matrix, _transpose, scalar
+from .linalg import Matrix, _transpose, scalar
 
 
 class BadInput(ValueError):
@@ -227,7 +227,7 @@ def candidate_to_json(spec: QuasiQnSpec, e0, e1) -> dict:
     images = {}
     for s in range(1, spec.m + 1):
         for t, v in ((0, e0[s - 1]), (1, e1[s - 1])):
-            images[f"e_{s}{t}"] = [str(v.get(k, ZERO)) for k in range(spec.dim)]
+            images[f"e_{s}{t}"] = [str(v.get(k, 0)) for k in range(spec.dim)]
     return {"images": images}
 
 

@@ -20,12 +20,16 @@ check, the lower central series (which brackets each basis vector of c^i only
 with the partners of its support) and the derivation oracle read the same
 table.  ``structure`` returns the table's own dicts, which callers must not
 change.
+
+Each way a check can fail raises one class, caught by one handler:
+``JacobiViolation``, ``NotNilpotent``, and ``NotQuasiCyclic`` for a chain
+that overlaps or falls short, the message telling which.
 """
 from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-from .linalg import Matrix, ONE, Scalar, _combine, _subtract, column_span
+from .linalg import Matrix, Scalar, _combine, _subtract, column_span
 
 
 class JacobiViolation(ValueError):
@@ -36,11 +40,7 @@ class NotNilpotent(RuntimeError):
     pass
 
 
-class NotDirect(RuntimeError):
-    pass
-
-
-class NotSpanning(RuntimeError):
+class NotQuasiCyclic(RuntimeError):
     pass
 
 
@@ -143,7 +143,7 @@ def lower_central_series(L: LieAlgebra) -> tuple:
     current = spaces[0].columns()
     while current:
         brackets = [
-            L.bracket({k: ONE}, v)
+            L.bracket({k: 1}, v)
             for v in current
             for k in set().union(*(L.partners[j] for j in v))
         ]
@@ -184,8 +184,8 @@ def is_minimal_generating_set(L: LieAlgebra, vectors: Sequence[dict]) -> bool:
 def quasi_cyclic_split(L: LieAlgebra, U: Matrix) -> tuple:
     """Chain U, [U,U], [U,[U,U]], ... when the sum is direct and spans L.
 
-    Raises NotDirect if the partial sums overlap and NotSpanning if the total
-    falls short of L.
+    Raises NotQuasiCyclic if the partial sums overlap or the total falls
+    short of L.
     """
     chain = [column_span(U.columns(), L.dim)]
     first = cols = chain[0].columns()
@@ -200,9 +200,9 @@ def quasi_cyclic_split(L: LieAlgebra, U: Matrix) -> tuple:
     total = len(all_cols)
     r = column_span(all_cols, L.dim).cols
     if r < total:
-        raise NotDirect(f"sum of chain spaces has rank {r} < {total}")
+        raise NotQuasiCyclic(f"sum of chain spaces has rank {r} < {total}")
     if r < L.dim:
-        raise NotSpanning(f"chain spans only {r} of {L.dim} dimensions")
+        raise NotQuasiCyclic(f"chain spans only {r} of {L.dim} dimensions")
     return tuple(chain)
 
 

@@ -20,9 +20,6 @@ from typing import Iterable, Sequence, Union
 ScalarLike = Union[Fraction, int, str]
 Scalar = Union[int, Fraction]
 
-ZERO = 0
-ONE = 1
-
 
 def scalar(value: ScalarLike) -> Scalar:
     """Coerce an int, a string like ``"3/4"``, or a Fraction to the exact
@@ -81,7 +78,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix.from_columns([{i: ONE} for i in range(n)], n)
+        return Matrix.from_columns([{i: 1} for i in range(n)], n)
 
     @staticmethod
     def from_columns(columns: Sequence[dict], dim: int) -> "Matrix":
@@ -95,7 +92,7 @@ class Matrix:
     # -- accessors ------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Scalar:
-        return self._c[j].get(i, ZERO)
+        return self._c[j].get(i, 0)
 
     def columns(self) -> list:
         """The columns as sparse vectors {row: entry}, without zero entries;
@@ -229,7 +226,7 @@ def _rref_rows(rows: Iterable[dict]) -> dict:
         if not units:
             break
         for c in units:
-            reduced[c] = {c: ONE}
+            reduced[c] = {c: 1}
         coupled = []
         for row in rows:
             if len(row) > 1:
@@ -246,7 +243,7 @@ def _kernel(reduced: dict, ncols: int) -> list:
     """Canonical kernel basis of a reduced echelon form as sparse vectors,
     ordered by free column: the vector of free column c has 1 at c and
     -row[c] at each row's lead."""
-    basis = {c: {c: ONE} for c in range(ncols) if c not in reduced}
+    basis = {c: {c: 1} for c in range(ncols) if c not in reduced}
     for lead, row in reduced.items():
         for c, x in row.items():
             if c != lead:
@@ -265,7 +262,7 @@ def inverse(M: Matrix) -> Matrix:
     n = M.rows
     rows = _transpose(M._c, n)
     for i, row in enumerate(rows):
-        row[n + i] = ONE
+        row[n + i] = 1
     reduced = _rref_rows(rows)
     if any(i not in reduced for i in range(n)):
         raise ValueError("singular matrix")

@@ -371,6 +371,10 @@ GOLDEN_BATTERY = [
     # m = r: no glued copies, so the witness is the identity on the copies
     (["iso", "{spec_h}", "{spec_h}"], 0,
         "61c1cdfaac92f6275cdd4afec1e405e3c7dea34b200900b299f5c1f01bf7f025"),
+    # two support components (c = 2): weights decomposes under m + 1 of the
+    # m + 2 torus members, 11 weight spaces in dimension 12
+    (["weights", "{spec_h}"], 0,
+        "080716421487844af04208e59c473200ff57c3e8d48b1558e570d16793b749cb"),
 ]
 
 

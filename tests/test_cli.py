@@ -440,6 +440,18 @@ class TestInputContract:
         code, out, _ = run(verb, algebra521_file, *second)
         assert code == 0 and json.loads(out)
 
+    @pytest.mark.parametrize("verb", ["check", "der", "aut-check", "iso", "related", "weights"])
+    def test_spec_without_dim_is_read_as_an_algebra_file(self, run, tmp_path, spec521_file, verb):
+        # an object with a spec is an algebra file: a table and labels beside
+        # it are checked, never skipped because the dim is missing
+        path = tmp_path / "dimless.json"
+        brackets = [{"i": 0, "j": 1, "value": [[5, "7"]]}]
+        spec = {"n": 5, "m": 1, "r": 1}
+        path.write_text(json.dumps({"brackets": brackets, "labels": "garbage", "spec": spec}))
+        second = [spec521_file] if verb in ("aut-check", "iso") else []
+        code, out, err = run(verb, str(path), *second)
+        assert (code, out, err) == (2, "", "error: dim: expected a nonnegative integer\n")
+
     @pytest.mark.parametrize(
         "labels",
         [["a", "b", "c", "d"], ["x"] * 17, [str(k) for k in range(16)] + [7], "abc"],

@@ -28,10 +28,9 @@ from qfla.derivations import (
     top_weights,
     torus_basis,
     weight_decomposition,
-    weight_torus,
 )
 from qfla.liecore import lower_central_series
-from qfla.linalg import ZERO, Matrix, column_span, sparse_nullspace
+from qfla.linalg import Matrix, column_span, sparse_nullspace
 from test_iso import NONZERO, WITH_ZEROS, relabelled
 from test_liecore import dense_tables
 
@@ -218,9 +217,16 @@ class TestExplicitBases:
         assert der_dimension(spec) == expected
 
     def test_mixing_gluing_keeps_weight_torus(self):
-        spec = make_spec(5, 3, 2, [["1"], ["1"]])
-        assert torus_basis(spec) == weight_torus(spec)
-        assert len(torus_basis(spec)) == spec.m + 1
+        # `qfla weights` decomposes under torus_basis(spec)[: m + 1], Grading
+        # and the CopyWeights: the whole torus on one support component, and
+        # all but ComponentGrading 2 (top weight 2 on copy 2 alone) on two
+        for spec, c in ((make_spec(5, 3, 2, [["1"], ["1"]]), 1), (make_spec(5, 2, 2), 2)):
+            torus = torus_basis(spec)
+            assert len(torus) == spec.m + c
+            grading, *copy_weights = torus[: spec.m + 1]
+            assert top_weights(spec, grading) == (2,) * spec.m
+            assert [top_weights(spec, D) for D in copy_weights] == [(0,) * spec.m] * spec.m
+            assert [top_weights(spec, D) for D in torus[spec.m + 1 :]] == [(0, 2)] * (c - 1)
 
     def test_mixing_torus_is_maximal(self):
         # Copy 4 glues onto the tops of copies 1 and 2 while copy 3 stays
@@ -268,9 +274,19 @@ class TestExplicitBases:
 class TestEigenvalueBookkeeping:
     def test_top_weights_of_torus_members(self):
         spec = SPEC521
-        grading = torus_basis(spec)[0]
+        grading, *copy_weights = torus_basis(spec)
         assert top_weights(spec, grading) == (Fraction(2), Fraction(2))
-        assert [grading.entry(k, k) for k in range(1, spec.n)] == [1, 1, 1, 1]
+        # Grading kills each e_{s0}, fixes e_{s1}..e_{s,n-1} and doubles the top
+        assert [grading.entry(k, k) for k in range(spec.dim)] == [0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 2]
+        assert len(copy_weights) == spec.m
+        for s, D in enumerate(copy_weights, start=1):
+            # CopyWeight s: -2 at e_{s0}, n - 2t at e_{st}, 0 off copy s and on the top
+            expected = [0] * spec.dim
+            expected[spec.gen_index(s, 0)] = -2
+            for t in range(1, spec.n):
+                expected[spec.gen_index(s, t)] = spec.n - 2 * t
+            assert [D.entry(k, k) for k in range(spec.dim)] == expected
+            assert top_weights(spec, D) == (0, 0)
 
     def test_weight_decomposition_separates_levels(self):
         spec = SPEC521
@@ -353,7 +369,7 @@ class TestDerProperties:
 
 def reference_leibniz_rows(L):
     """The Leibniz system assembled pair by pair with dim fresh rows each,
-    every coefficient added to ZERO: the oracle's assembly before it built
+    every coefficient added to 0: the oracle's assembly before it built
     rows only for the outputs some term touches."""
     dim = L.dim
     hits = [[(k, b) for k in range(dim) if (b := L.structure(k, j))] for j in range(dim)]
@@ -364,15 +380,15 @@ def reference_leibniz_rows(L):
             for k, c in L.structure(i, j).items():  # D[e_i, e_j]
                 for out in range(dim):
                     key = out * dim + k
-                    eq[out][key] = eq[out].get(key, ZERO) + c
+                    eq[out][key] = eq[out].get(key, 0) + c
             for k, b in hits[j]:  # -[D e_i, e_j]
                 for out, c in b.items():
                     key = k * dim + i
-                    eq[out][key] = eq[out].get(key, ZERO) - c
+                    eq[out][key] = eq[out].get(key, 0) - c
             for k, b in hits[i]:  # -[e_i, D e_j] = [D e_j, e_i]
                 for out, c in b.items():
                     key = k * dim + j
-                    eq[out][key] = eq[out].get(key, ZERO) + c
+                    eq[out][key] = eq[out].get(key, 0) + c
             rows.extend(row for e in eq if (row := {k: x for k, x in e.items() if x}))
     return rows
 

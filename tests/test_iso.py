@@ -23,7 +23,7 @@ from qfla.iso import (
     split_scale,
 )
 from qfla.liecore import bracket_preserving
-from qfla.linalg import ONE, Matrix, column_span, inverse, rank, scalar
+from qfla.linalg import Matrix, column_span, inverse, rank, scalar
 
 
 class TestKernel:
@@ -71,7 +71,7 @@ class TestMonomialEquivalence:
         g = make_spec(5, 3, 2, [["1"], ["1"]]).beta
         w = monomial_equivalence(g, g)
         assert isinstance(w, EquivalenceWitness)
-        assert (w.perm, w.scale) == ((0, 1, 2), (ONE, ONE, ONE))
+        assert (w.perm, w.scale) == ((0, 1, 2), (1, 1, 1))
         M = related_matrix(g)
         assert w.E * M * monomial(w.perm, w.scale) == M
 
@@ -240,7 +240,7 @@ def sweep_equivalence(g1, g2):
     elimination, so the reference shares no solve with the search."""
     m, r = len(g1), len(g1[0])
     if m == r:
-        return EquivalenceWitness(Matrix([], cols=0), tuple(range(m)), (ONE,) * m)
+        return EquivalenceWitness(Matrix([], cols=0), tuple(range(m)), (1,) * m)
     M1, M2 = reference_annihilator(g1), reference_annihilator(g2)
     ker2 = reference_kernel(M2)
     for perm in itertools.permutations(range(m)):
@@ -567,7 +567,7 @@ class TestCopyCells:
         assert cells(3, TestScaleGuard.R3_B1) != cells(3, TestScaleGuard.R3_B2)
 
     def test_no_cells_below_the_plane(self):
-        assert copy_cells([(ONE,), (-ONE,), (Fraction(0),)]) == ((), (), ())
+        assert copy_cells([(1,), (-1,), (Fraction(0),)]) == ((), (), ())
         assert copy_cells([(), ()]) == ((), ())
 
 

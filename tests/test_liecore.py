@@ -17,9 +17,8 @@ from qfla.builder import build_qn, build_quasi, change_of_basis, make_spec, qn_x
 from qfla.liecore import (
     JacobiViolation,
     LieAlgebra,
-    NotDirect,
     NotNilpotent,
-    NotSpanning,
+    NotQuasiCyclic,
     check_jacobi,
     is_filiform,
     is_minimal_generating_set,
@@ -133,7 +132,7 @@ class TestQuasiCyclicSplit:
     def test_bad_subspace(self):
         L = build_qn(5)
         U = column_span([{0: 1}, {2: 1}], 6)
-        with pytest.raises(NotSpanning):
+        with pytest.raises(NotQuasiCyclic, match=r"^chain spans only 5 of 6 dimensions$"):
             quasi_cyclic_split(L, U)
 
 
@@ -299,10 +298,10 @@ class TestAgainstDenseReference:
         chain, total_rank = reference_quasi_cyclic(L, gens)
         U = column_span([sparse(v) for v in gens], L.dim)
         if total_rank < sum(len(space) for space in chain):
-            with pytest.raises(NotDirect):
+            with pytest.raises(NotQuasiCyclic, match=r"^sum of chain spaces has rank "):
                 quasi_cyclic_split(L, U)
         elif total_rank < L.dim:
-            with pytest.raises(NotSpanning):
+            with pytest.raises(NotQuasiCyclic, match=r"^chain spans only "):
                 quasi_cyclic_split(L, U)
         else:
             assert quasi_cyclic_split(L, U) == tuple(as_matrix(space, L.dim) for space in chain)
