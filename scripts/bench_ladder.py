@@ -12,14 +12,14 @@ turns going first.  A run times ``qfla.cli.main`` alone, after the import, and
 within it the calls to ``qfla.cli.derivation_oracle`` and to the closed forms
 ``qfla.cli.torus_basis`` (by ``der``, ``der --compare`` and ``weights``, which
 decomposes under its first m + 1 members) and ``qfla.cli.nilpotent_basis`` (by
-``der`` and ``der --compare``), the emission (``qfla.cli.dumps``) and the
+``der`` and ``der --compare``), the emission (``qfla.cli._emit``) and the
 phases of ``iso``: the copy cells (``qfla.iso.copy_cells``), the copy search
 (``qfla.iso._first_admissible_perm``, cells included) and the witness
-(``qfla.iso.build_algebra_witness``), and reads the child's peak RSS; a run
-still going after ``TIME_LIMIT_S`` seconds is stopped and recorded as a
-time-out.  Algebra files are built once per tree by that tree's own ``qfla
-build``, and candidate files written once per tree by that tree's own
-``exp_ad`` and ``candidate_to_json``.  The output holds, per tree, the git hash
+(``qfla.iso.build_algebra_witness``), and reads the child's peak RSS, with
+stdout sent to the null device; a run still going after ``TIME_LIMIT_S``
+seconds is stopped and recorded as a time-out.  Algebra files are built once
+per tree by that tree's own ``qfla build``, and candidate files written once
+per tree by that tree's own ``exp_ad`` and ``candidate_to_json``.  The output holds, per tree, the git hash
 ("-dirty" when tracked files differ from it), a sha256 of the timed
 ``src/qfla/*.py`` files, and per rung the median and all run times (null for a
 time-out), the median time of each phase the rung reaches (``oracle_median_s``,
@@ -42,21 +42,24 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 
-# (name, build arguments): one-block gluings of dim 19 (the survey workload's
-# median shape) and 37, two-block ones of dim 92 and 106, and a three-block
-# one of dim 171.
-GLUINGS = [
-    ("n9m2r1", ["--n", "9", "--m", "2", "--r", "1", "--B", '[["2"]]']),
-    ("n9m4r1", ["--n", "9", "--m", "4", "--r", "1", "--B", '[["1","2","-1"]]']),
-    ("n15m6r2", ["--n", "15", "--m", "6", "--r", "2",
-                 "--B", '[["1","1","0","0"],["0","0","1","1"]]']),
-    ("n13m8r2", ["--n", "13", "--m", "8", "--r", "2",
-                 "--B", '[["1","2","-1","0","0","0"],["0","0","0","1","3","1"]]']),
-    ("n21m8r3", ["--n", "21", "--m", "8", "--r", "3",
-                 "--B", '[["1","2","0","0","0"],["0","0","1","-1","0"],["0","0","0","0","3"]]']),
-]
 # Verbs run on the built algebra file; the "build" rung times the build itself.
 VERBS = [["build"], ["check"], ["der"], ["der", "--compare"], ["weights"]]
+# (name, verbs, build arguments): one-block gluings of dim 19 (the survey
+# workload's median shape) and 37, two-block ones of dim 92 and 106, a
+# three-block one of dim 171, and a three-block one of dim 253 for `der` alone.
+GLUINGS = [
+    ("n9m2r1", VERBS, ["--n", "9", "--m", "2", "--r", "1", "--B", '[["2"]]']),
+    ("n9m4r1", VERBS, ["--n", "9", "--m", "4", "--r", "1", "--B", '[["1","2","-1"]]']),
+    ("n15m6r2", VERBS, ["--n", "15", "--m", "6", "--r", "2",
+                        "--B", '[["1","1","0","0"],["0","0","1","1"]]']),
+    ("n13m8r2", VERBS, ["--n", "13", "--m", "8", "--r", "2",
+                        "--B", '[["1","2","-1","0","0","0"],["0","0","0","1","3","1"]]']),
+    ("n21m8r3", VERBS, ["--n", "21", "--m", "8", "--r", "3",
+                        "--B", '[["1","2","0","0","0"],["0","0","1","-1","0"],["0","0","0","0","3"]]']),
+    ("n25m10r3", [["der"]], ["--n", "25", "--m", "10", "--r", "3",
+                             "--B", '[["1","2","0","0","0","0","0"],["0","0","1","-1","0","0","0"],'
+                                    '["0","0","0","0","3","1","2"]]']),
+]
 # Gluings that also get an `aut-check --strict` rung.  Its candidate is dense
 # and passes: the generator images of exp(ad x), x the sum of all basis
 # vectors, so the brute-force check brackets dense columns on every pair.
@@ -146,13 +149,15 @@ TIME_LIMIT_S = 120
 # The timed phases of a run; the child reports each as "<phase>_s".
 PHASES = ("oracle", "closed", "emit", "cells", "search", "witness")
 
-# Runs in the child: time cli.main on argv (stdout discarded), and within it
-# each phase (null when the verb does not reach it): the derivation oracle,
-# the closed-form torus and nilpotent bases (summed), the emission, and iso's
+# Runs in the child: time cli.main on argv (stdout written to the null
+# device, so the peak RSS counts no output text that the verb did not hold),
+# and within it each phase (null when the verb does not reach it): the
+# derivation oracle, the closed-form torus and nilpotent bases (summed), the
+# emission (``_emit``, which makes the text and writes it), and iso's
 # cells, search and witness; report these times, the exit code and peak RSS
 # as one JSON line.
 CHILD = """
-import contextlib, io, json, resource, sys, time
+import contextlib, json, os, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 import qfla.cli, qfla.iso
 argv = sys.argv[2:]
@@ -160,7 +165,7 @@ TIMED = [
     (qfla.cli, "derivation_oracle", "oracle_s"),
     (qfla.cli, "torus_basis", "closed_s"),
     (qfla.cli, "nilpotent_basis", "closed_s"),
-    (qfla.cli, "dumps", "emit_s"),
+    (qfla.cli, "_emit", "emit_s"),
     (qfla.iso, "copy_cells", "cells_s"),
     (qfla.iso, "_first_admissible_perm", "search_s"),
     (qfla.iso, "build_algebra_witness", "witness_s"),
@@ -178,7 +183,7 @@ def timed(fn, key):
 
 for module, name, key in TIMED:
     setattr(module, name, timed(getattr(module, name), key))
-with contextlib.redirect_stdout(io.StringIO()):
+with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
     t0 = time.perf_counter()
     rc = qfla.cli.main(argv)
     elapsed = time.perf_counter() - t0
@@ -287,12 +292,12 @@ def main(argv=None) -> int:
             print(f"{label:>8}  {name:<24} {shown}")
 
     with tempfile.TemporaryDirectory() as tmp:
-        for name, build in GLUINGS:
+        for name, verbs, build in GLUINGS:
             files = {}
             for label in labels:
                 files[label] = str(Path(tmp) / f"{label}-{name}.json")
                 _child(trees[label] / "src", ["build", *build, "--out", files[label]])
-            for verb in VERBS:
+            for verb in verbs:
                 if verb == ["build"]:
                     argv_of = lambda label: ["build", *build]  # noqa: E731
                 else:

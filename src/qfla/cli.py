@@ -41,9 +41,9 @@ from .jsonio import (
     algebra_to_json,
     candidate_from_json,
     condition_verdict_to_json,
-    dumps,
     iso_verdict_to_json,
     matrix_from_json,
+    pieces,
     spec_from_json,
 )
 from .liecore import (
@@ -98,14 +98,22 @@ def _load_algebra(path: str):
 
 
 def _emit(args, payload: dict) -> None:
-    text = dumps(payload)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise BadInput(f"--out: {exc}") from exc
-    sys.stdout.write(text)
+    """Write payload's JSON text to --out and to stdout piece by piece (see
+    ``jsonio.pieces``), so no whole text is held.  --out is opened before
+    anything is written, so a path that cannot be opened leaves stdout
+    empty; a write that fails later, as on a full disk, exits 2 too, and
+    stdout may then hold a partial text."""
+    if not args.out:
+        for piece in pieces(payload):
+            sys.stdout.write(piece)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            for piece in pieces(payload):
+                fh.write(piece)
+                sys.stdout.write(piece)
+    except OSError as exc:
+        raise BadInput(f"--out: {exc}") from exc
 
 
 def _cmd_build(args) -> int:

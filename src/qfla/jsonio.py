@@ -1,10 +1,12 @@
 """JSON serialization for algebras, gluing data, and verdicts.
 
-Payloads carry the package's own values: ``dumps`` writes a ``Fraction`` as
+Payloads carry the package's own values: ``pieces`` writes a ``Fraction`` as
 an exact "p/q" string ("p" when integral; never a float) and a ``Matrix`` as
-rows of such strings, each row straight from the sparse columns.  Scalars are
-``int`` when integral and ``Fraction`` otherwise, but ``dumps`` writes an
-``int`` bare, as a count: a payload hands each scalar over as a ``Fraction``.
+rows of such strings, each row straight from the sparse columns.  It yields
+the text a member at a time, so the CLI writes it without holding it whole;
+``dumps`` is the joined text.  Scalars are ``int`` when integral and
+``Fraction`` otherwise, but ``pieces`` writes an ``int`` bare, as a count: a
+payload hands each scalar over as a ``Fraction``.
 Keys are sorted and every encoder is deterministic, so serialized output is
 byte-stable and suitable for golden-file comparison.
 """
@@ -34,7 +36,32 @@ def dumps(obj) -> str:
     byte, from dicts, lists, tuples, strings, ints, bools and None, with each
     ``Fraction`` written as its "p/q" string and each ``Matrix`` as its list
     of rows of such strings."""
-    return _encode(obj, "\n") + "\n"
+    return "".join(pieces(obj))
+
+
+def pieces(obj):
+    """The text of ``dumps(obj)`` in pieces, each made by ``_encode``: one per
+    member of a dict ``obj``, and one per member of a list among them (for
+    ``der``, one matrix), so a writer never holds the whole text.  Each
+    separator rides on the piece after it."""
+    if not (isinstance(obj, dict) and obj):
+        yield _encode(obj, "\n") + "\n"
+        return
+    yield "{"
+    sep = "\n  "
+    for k, v in sorted(obj.items()):
+        key = f"{sep}{encode_basestring_ascii(k)}: "
+        if isinstance(v, (list, tuple)) and v:
+            yield key + "["
+            inner = "\n    "
+            for x in v:
+                yield inner + _encode(x, "\n    ")
+                inner = ",\n    "
+            yield "\n  ]"
+        else:
+            yield key + _encode(v, "\n  ")
+        sep = ",\n  "
+    yield "\n}\n"
 
 
 def _encode(obj, newline: str) -> str:
@@ -114,10 +141,14 @@ def spec_to_json(spec: QuasiQnSpec) -> dict:
 
 
 def spec_from_json(data) -> QuasiQnSpec:
-    """The spec of a parsed parameter object.  Only the JSON types are checked
-    here; ``QuasiQnSpec`` refuses bad values, naming the field."""
+    """The spec of a parsed parameter object.  Only the keys and the JSON
+    types are checked here; ``QuasiQnSpec`` refuses bad values, naming the
+    field."""
     if not isinstance(data, dict):
         raise BadInput("spec: expected an object")
+    for key in data:
+        if key not in ("n", "m", "r", "B"):
+            raise BadInput(f"{key}: not a gluing parameter (expected n, m, r and B)")
     for key in ("n", "m", "r"):
         if not _is_int(data.get(key)):
             raise BadInput(f"{key}: expected an integer")

@@ -141,8 +141,8 @@ def _transpose(vectors: Sequence[dict], n: int) -> list:
 # the rows already stored, so an extended echelon form can share its rows with
 # the one it grew from; one back-substitution then gives the reduced row
 # echelon form, from which ranks, spans, inverses and kernels are read off.
-# `_rref_rows` peels one-entry rows off a system before any of that, so only
-# its coupled rows are pivoted on.
+# `_rref_rows` peels one-entry rows off a system as it reads it, so only its
+# coupled rows are kept and pivoted on.
 
 
 def _subtract(row: dict, f: Scalar, pivot: dict) -> None:
@@ -214,27 +214,30 @@ def _rref_rows(rows: Iterable[dict]) -> dict:
     may change: the rows must be the caller's own fresh dicts.
 
     A one-entry row {c: x} puts e_c in the row space, so the reduced form
-    holds the row {c: 1} and no other row has an entry at c.  Such rows are
-    peeled first, round after round, striking their columns from every other
-    row with no arithmetic; only the coupled rows left over are eliminated.
-    The reduced form of a row space is unique, so the result is the same.
+    holds the row {c: 1} and no other row has an entry at c.  Such units are
+    peeled with no arithmetic.  The rows are read once, as they come, and
+    each has the units found so far struck from it: a unit goes straight
+    into the reduced form, and only a row still coupled is kept.  A unit
+    found later may hold a column of a kept row, so the kept rows are struck
+    again, pass after pass, until a pass finds no new unit; only the coupled
+    rows left over are eliminated.  The reduced form of a row space is
+    unique, so the result is the same.
     """
     reduced: dict = {}
-    rows = [row for row in rows if row]
-    while True:
-        units = {c for row in rows if len(row) == 1 for c in row}
-        if not units:
-            break
-        for c in units:
-            reduced[c] = {c: 1}
-        coupled = []
+    known = -1
+    while known < len(reduced):
+        known, kept = len(reduced), []
         for row in rows:
             if len(row) > 1:
-                for c in units.intersection(row):
+                for c in [c for c in row if c in reduced]:
                     del row[c]
-                if row:
-                    coupled.append(row)
-        rows = coupled
+                if len(row) > 1:
+                    kept.append(row)
+                    continue
+            for c in row:  # a unit, or nothing once struck
+                if c not in reduced:
+                    reduced[c] = {c: 1}
+        rows = kept
     reduced.update(_back_substitute(_insert({}, rows)))
     return reduced
 

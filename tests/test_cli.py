@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -452,6 +453,29 @@ class TestInputContract:
         code, out, err = run(verb, str(path), *second)
         assert (code, out, err) == (2, "", "error: dim: expected a nonnegative integer\n")
 
+    @pytest.mark.parametrize("verb", ["check", "der", "aut-check", "iso", "related", "weights"])
+    def test_parameter_file_with_other_keys_exit_2(self, run, tmp_path, spec521_file, verb):
+        # a bare parameter file holds n, m, r and B alone: a table beside
+        # them would be skipped unread, so the first other key is refused
+        path = tmp_path / "extra.json"
+        brackets = [{"i": 0, "j": 1, "value": [[5, "7"]]}]
+        path.write_text(json.dumps({"n": 5, "m": 1, "r": 1, "labels": "garbage", "brackets": brackets}))
+        second = [spec521_file] if verb in ("aut-check", "iso") else []
+        code, out, err = run(verb, str(path), *second)
+        assert (code, out) == (2, "")
+        assert err == "error: labels: not a gluing parameter (expected n, m, r and B)\n"
+
+    @pytest.mark.parametrize("verb", ["check", "der", "aut-check", "iso", "related", "weights"])
+    def test_embedded_spec_with_other_keys_exit_2(self, run, tmp_path, algebra521_file, verb):
+        data = json.loads(open(algebra521_file).read())
+        data["spec"]["note"] = "copied by hand"
+        path = tmp_path / "noted.json"
+        path.write_text(dumps(data))
+        second = [algebra521_file] if verb in ("aut-check", "iso") else []
+        code, out, err = run(verb, str(path), *second)
+        assert (code, out) == (2, "")
+        assert err == "error: note: not a gluing parameter (expected n, m, r and B)\n"
+
     @pytest.mark.parametrize(
         "labels",
         [["a", "b", "c", "d"], ["x"] * 17, [str(k) for k in range(16)] + [7], "abc"],
@@ -571,6 +595,47 @@ class TestInputContract:
         assert code == 0
         data = json.loads(out)
         assert (data["lcs_dims"], data["min_generators"]) == ([0], 0)
+
+
+class TestEmission:
+    """Output is written piece by piece (one matrix at most) to --out and to
+    stdout, never held as one text."""
+
+    @pytest.fixture(scope="class")
+    def algebra1562_file(self, tmp_path_factory):
+        spec = make_spec(15, 6, 2, [["1", "1", "0", "0"], ["0", "0", "1", "1"]])
+        path = tmp_path_factory.mktemp("emit") / "a1562.json"
+        path.write_text(dumps(algebra_to_json(build_quasi(spec), spec)))
+        return str(path)
+
+    def test_stdout_and_out_hold_the_same_bytes(self, run, tmp_path, algebra1562_file):
+        out_path = tmp_path / "der.json"
+        code, out, _ = run("der", algebra1562_file, "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() == out.encode("utf-8")
+        data = json.loads(out)
+        assert data["dim_oracle"] == len(data["lambda_table"]) == data["dim_formula"]
+
+    def test_no_write_holds_more_than_one_matrix(self, algebra1562_file, monkeypatch):
+        writes = []
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+        assert main(["der", algebra1562_file]) == 0
+        data = json.loads("".join(writes))
+        matrices = data["torus"] + data["nilpotent"]
+        # a matrix two levels down is indented by four more spaces a line,
+        # and its piece carries the separator ",\n    " before it
+        texts = [json.dumps(M, indent=2) for M in matrices]
+        assert max(map(len, writes)) <= max(len(t) + 4 * t.count("\n") for t in texts) + 6
+        assert len(writes) > len(matrices)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+    @pytest.mark.parametrize("verb", ["related", "der"])
+    def test_a_full_disk_exits_2(self, run, algebra1562_file, verb):
+        # related's text fails when the file is closed, der's on a write;
+        # stdout may hold part of the text then
+        code, _, err = run(verb, algebra1562_file, "--out", "/dev/full")
+        assert code == 2
+        assert err.startswith("error: --out: ") and err.count("\n") == 1
 
 
 class TestRelatedAndWeights:

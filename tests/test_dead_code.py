@@ -41,6 +41,7 @@ ALLOWED = {
     "is_minimal_generating_set": "reference check: residues mod c^1 L form a basis",
     "exp_ad": "public factory: inner automorphisms exp(ad x)",
     "candidate_to_json": "public factory: candidate files for aut-check",
+    "dumps": "public factory: the whole text of jsonio.pieces, for input files",
 }
 
 # Dunder methods allowed on classes in src/, each with its reason.

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfla.jsonio import BadInput, algebra_from_json, dumps
+from qfla.jsonio import BadInput, algebra_from_json, dumps, pieces
 from qfla.linalg import Matrix
 
 
@@ -86,7 +86,18 @@ payloads = st.recursive(leaves, containers, max_leaves=40)
 @given(payloads)
 @settings(max_examples=300, deadline=None)
 def test_matches_the_standard_library(obj):
-    assert dumps(obj) == reference(obj)
+    assert dumps(obj) == "".join(pieces(obj)) == reference(obj)
+
+
+@given(st.dictionaries(st.text(max_size=4), st.lists(payloads, max_size=3), max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_one_piece_per_member_of_a_listed_member(obj):
+    # the verbs' shape: a dict whose large members are lists (of matrices)
+    parts = list(pieces(obj))
+    assert "".join(parts) == reference(obj)
+    if obj:
+        lists = [v for v in obj.values() if v]
+        assert len(parts) == 2 + len(obj) + sum(len(v) + 1 for v in lists)
 
 
 @given(st.lists(matrices, max_size=3), st.integers(0, 3))
@@ -95,7 +106,7 @@ def test_matrices_at_every_depth(ms, depth):
     obj = ms
     for level in range(depth):
         obj = {"k": obj, "f": Fraction(-level, 3)} if level % 2 else [obj, Fraction(level)]
-    assert dumps(obj) == reference(obj)
+    assert dumps(obj) == "".join(pieces(obj)) == reference(obj)
 
 
 def test_empty_and_one_by_one_matrices():

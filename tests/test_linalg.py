@@ -256,6 +256,25 @@ class TestUnitRowPeeling:
         assert span == expected
         assert item_lists(seen) == item_lists(coupled)
 
+    @given(leibniz_like(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_units_after_the_rows_they_strike(self, system, reverse):
+        # Rows are read once, as they come.  Longest rows first puts every
+        # unit after the coupled rows holding its column, and the chain
+        # {b, c}, {a, b}, {a} before its unit: {a, b} becomes a unit only
+        # once {a} is struck, and {b, c} only after that.
+        ncols, rows = system
+        rows = sorted(rows, key=len, reverse=True)
+        if reverse:
+            rows.reverse()  # units first: the strikes on arrival do the work
+        M = Matrix(as_grid(rows, ncols), cols=ncols)
+        one_shot = ({c: x for c, x in row.items() if x} for row in rows)
+        kernel = sparse_nullspace(one_shot, ncols)
+        assert [[v.get(c, 0) for c in range(ncols)] for v in kernel] == reference_kernel(M)
+        reduced, pivots = reference_rref(as_grid(rows, ncols), ncols)
+        expected = Matrix.from_columns([sparse(row) for row in reduced[: len(pivots)]], ncols)
+        assert column_span((dict(row) for row in rows), ncols) == expected
+
 
 def grids(rows, cols):
     """rows x cols grids of scalars, about half of the entries zero."""
