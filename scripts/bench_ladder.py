@@ -17,21 +17,32 @@ phases of ``iso``: the copy cells (``qfla.iso.copy_cells``), the copy search
 (``qfla.iso._first_admissible_perm``, cells included) and the witness
 (``qfla.iso.build_algebra_witness``), and reads the child's peak RSS, with
 stdout sent to the null device; a run still going after ``TIME_LIMIT_S``
-seconds is stopped and recorded as a time-out.  Algebra files are built once
+seconds is stopped and recorded as a time-out.
+
+Times are calibrated for machine speed as perfbench calibrates them: the child
+runs ``speed_probe`` from ``perfbench/run.py`` (of this checkout, so one
+yardstick for every tree) just before and just after ``cli.main``, and every
+time of the run, phases included, is scaled by PROBE_NOMINAL_S / (mean of the
+two probes), so it reads in seconds at the speed where the probe takes
+PROBE_NOMINAL_S.  The raw wall times are kept next to the calibrated ones.
+Algebra files are built once
 per tree by that tree's own ``qfla build``, and candidate files written once
 per tree by that tree's own ``exp_ad`` and ``candidate_to_json``.  The output holds, per tree, the git hash
 ("-dirty" when tracked files differ from it), a sha256 of the timed
 ``src/qfla/*.py`` files, and per rung the median and all run times (null for a
 time-out), the median time of each phase the rung reaches (``oracle_median_s``,
 ``closed_median_s`` for the two closed forms together, ``emit_median_s``,
-``cells_median_s``, ``search_median_s``, ``witness_median_s``), the median peak
-RSS and the exit code ("timeout" when some run timed out), next to the Python
-version and the machine.
+``cells_median_s``, ``search_median_s``, ``witness_median_s``), all calibrated,
+the same raw (``raw_median_s``, ``raw_runs_s``, ``raw_<phase>_median_s``), each
+run's scale factor (``scales``), the median peak RSS and the exit code
+("timeout" when some run timed out), next to the Python version, the machine
+and PROBE_NOMINAL_S.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import platform
 import statistics
@@ -41,6 +52,18 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+PERFBENCH_RUN = HERE / "perfbench" / "run.py"
+
+
+def _perfbench_run():
+    """``perfbench/run.py`` of this checkout, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH_RUN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+PROBE_NOMINAL_S = _perfbench_run().PROBE_NOMINAL_S
 
 # Verbs run on the built algebra file; the "build" rung times the build itself.
 VERBS = [["build"], ["check"], ["der"], ["der", "--compare"], ["weights"]]
@@ -154,13 +177,17 @@ PHASES = ("oracle", "closed", "emit", "cells", "search", "witness")
 # and within it each phase (null when the verb does not reach it): the
 # derivation oracle, the closed-form torus and nilpotent bases (summed), the
 # emission (``_emit``, which makes the text and writes it), and iso's
-# cells, search and witness; report these times, the exit code and peak RSS
-# as one JSON line.
+# cells, search and witness; report these raw times, the scale factor from
+# perfbench's speed probe taken just before and just after cli.main, the exit
+# code and peak RSS as one JSON line.
 CHILD = """
-import contextlib, json, os, resource, sys, time
-sys.path.insert(0, sys.argv[1])
+import contextlib, importlib.util, json, os, resource, sys, time
+probe = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])
+perfbench_run = importlib.util.module_from_spec(probe)
+probe.loader.exec_module(perfbench_run)
+sys.path.insert(0, sys.argv[2])
 import qfla.cli, qfla.iso
-argv = sys.argv[2:]
+argv = sys.argv[3:]
 TIMED = [
     (qfla.cli, "derivation_oracle", "oracle_s"),
     (qfla.cli, "torus_basis", "closed_s"),
@@ -184,12 +211,14 @@ def timed(fn, key):
 for module, name, key in TIMED:
     setattr(module, name, timed(getattr(module, name), key))
 with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+    before = perfbench_run.speed_probe()
     t0 = time.perf_counter()
     rc = qfla.cli.main(argv)
     elapsed = time.perf_counter() - t0
+    scale = perfbench_run.PROBE_NOMINAL_S * 2 / (before + perfbench_run.speed_probe())
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 result = {key: sum(times) if times else None for key, times in spent.items()}
-print(json.dumps({"s": elapsed, **result, "rc": rc, "rss_mb": rss_mb}))
+print(json.dumps({"s": elapsed, **result, "scale": scale, "rc": rc, "rss_mb": rss_mb}))
 """
 
 
@@ -211,7 +240,7 @@ with open(sys.argv[3], "w") as f:
 def _child(src: Path, argv: list) -> dict:
     try:
         out = subprocess.run(
-            [sys.executable, "-B", "-c", CHILD, str(src)] + argv,
+            [sys.executable, "-B", "-c", CHILD, str(PERFBENCH_RUN), str(src)] + argv,
             check=True,
             capture_output=True,
             text=True,
@@ -220,6 +249,15 @@ def _child(src: Path, argv: list) -> dict:
     except subprocess.TimeoutExpired:
         return {"s": None, "rc": "timeout", "rss_mb": None}
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _rounded(x):
+    return None if x is None else round(x, 5)
+
+
+def _median(values):
+    values = list(values)
+    return round(statistics.median(values), 5) if values else None
 
 
 def _git_hash(path: Path) -> str:
@@ -258,6 +296,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "runs": args.runs,
+        "probe_nominal_s": PROBE_NOMINAL_S,
         "trees": {
             label: {"git": _git_hash(p), "src_sha256": _src_sha256(p), "rungs": {}}
             for label, p in trees.items()
@@ -274,21 +313,25 @@ def main(argv=None) -> int:
         for label in labels:
             runs = times[label]
             done = [r for r in runs if r["rc"] != "timeout"]
-            median = statistics.median(r["s"] for r in done) if done else None
             entry = report["trees"][label]["rungs"][name] = {
-                "median_s": None if median is None else round(median, 4),
-                "runs_s": [None if r["s"] is None else round(r["s"], 4) for r in runs],
+                "median_s": _median(r["s"] * r["scale"] for r in done),
+                "runs_s": [_rounded(r["s"] and r["s"] * r["scale"]) for r in runs],
+                "raw_median_s": _median(r["s"] for r in done),
+                "raw_runs_s": [_rounded(r["s"]) for r in runs],
+                "scales": [_rounded(r.get("scale")) for r in runs],
                 "peak_rss_mb": (
                     round(statistics.median(r["rss_mb"] for r in done), 1) if done else None
                 ),
                 "exit": "timeout" if len(done) < len(runs) else runs[0]["rc"],
             }
-            shown = "timeout" if median is None else f"{median:.3f} s"
+            shown = "timeout" if not done else f"{entry['median_s']:.4f} s"
             for phase in PHASES:
-                phase_s = [r[f"{phase}_s"] for r in done if r[f"{phase}_s"] is not None]
-                if phase_s:
-                    entry[f"{phase}_median_s"] = round(statistics.median(phase_s), 4)
-                    shown += f" ({phase} {entry[f'{phase}_median_s']:.3f} s)"
+                key = f"{phase}_s"
+                reached = [r for r in done if r[key] is not None]
+                if reached:
+                    entry[f"{phase}_median_s"] = _median(r[key] * r["scale"] for r in reached)
+                    entry[f"raw_{phase}_median_s"] = _median(r[key] for r in reached)
+                    shown += f" ({phase} {entry[f'{phase}_median_s']:.4f} s)"
             print(f"{label:>8}  {name:<24} {shown}")
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -24,6 +24,9 @@ TEST_MATRIX = [
 # Block form: beta's r unit columns are its only proportional classes.
 BLOCK_SPECS = [s for s in TEST_MATRIX if len(proportional_classes(s.beta)) == s.r]
 
+# The battery and a gluing with fractional B, for draws with zero copies.
+ZERO_COPY_SPECS = TEST_MATRIX + [make_spec(5, 3, 1, [["1/2", "-2/3"]])]
+
 # Gluings whose copies all share one top vector, so every derivation has one
 # top eigenvalue across the copies.
 SINGLE_TOP_SPECS = [s for s in TEST_MATRIX if s.r == 1]
@@ -175,6 +178,21 @@ def passing_aut_candidate(spec, rng: random.Random) -> GeneratorImages:
             e0[s - 1][spec.top_index(t)] = Fraction(rng.choice(SMALL_VALUES))
             e1[s - 1][spec.top_index(t)] = Fraction(rng.choice(SMALL_VALUES))
     return GeneratorImages.from_vectors(e0, e1)
+
+
+def zero_copy_variants(images, rng: random.Random) -> list:
+    """The images with no copy, one copy, all but one copy and every copy
+    sent to zero (both generator images of a copy), the copies drawn by rng;
+    ``extend_images`` skips exactly such copies."""
+    copies = range(1, len(images.e0) + 1)
+    out = []
+    for zero in (set(), {rng.choice(copies)}, set(copies) - {rng.choice(copies)}, set(copies)):
+        e0, e1 = (
+            tuple({} if s in zero else v for s, v in zip(copies, vs))
+            for vs in (images.e0, images.e1)
+        )
+        out.append(GeneratorImages(e0, e1))
+    return out
 
 
 @pytest.fixture

@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import TEST_MATRIX, dense, passing_aut_candidate, random_aut_candidate, spec_id
+from conftest import (
+    TEST_MATRIX,
+    ZERO_COPY_SPECS,
+    dense,
+    passing_aut_candidate,
+    random_aut_candidate,
+    spec_id,
+    zero_copy_variants,
+)
 from qfla.automorphisms import (
     automorphism_conditions,
     closed_form_endomorphism,
@@ -56,6 +64,17 @@ class TestExtension:
             assert extend_endomorphism(spec, L, cand) == closed_form_endomorphism(
                 spec, spec, cand
             )
+
+    @pytest.mark.parametrize("spec", ZERO_COPY_SPECS, ids=spec_id)
+    def test_matches_closed_form_with_zero_copies(self, spec, rng):
+        # the extension skips a copy whose images are zero, and a top whose
+        # source columns are; the candidate draws fill every copy
+        L = build_quasi(spec)
+        for draw in (random_aut_candidate, passing_aut_candidate):
+            for _ in range(5):
+                for cand in zero_copy_variants(draw(spec, rng), rng):
+                    M = extend_endomorphism(spec, L, cand)
+                    assert M == closed_form_endomorphism(spec, spec, cand)
 
 
 class TestConditions:

@@ -9,14 +9,18 @@ from hypothesis import strategies as st
 from conftest import (
     BLOCK_SPECS,
     TEST_MATRIX,
+    ZERO_COPY_SPECS,
     flatten,
     random_images,
     random_passing_images,
     random_supported_images,
     spec_id,
+    zero_copy_variants,
 )
+from qfla import derivations
 from qfla.builder import build_quasi, make_spec
 from qfla.derivations import (
+    ConditionVerdict,
     GeneratorImages,
     closed_form_extension,
     der_dimension,
@@ -29,7 +33,7 @@ from qfla.derivations import (
     torus_basis,
     weight_decomposition,
 )
-from qfla.liecore import lower_central_series
+from qfla.liecore import LieAlgebra, lower_central_series
 from qfla.linalg import Matrix, column_span, sparse_nullspace
 from test_iso import NONZERO, WITH_ZEROS, relabelled
 from test_liecore import dense_tables
@@ -44,6 +48,75 @@ def images_with(spec, assignments):
     for which, s, k, v in assignments:
         (e0 if which == 0 else e1)[s - 1][k] = Fraction(v)
     return GeneratorImages.from_vectors(e0, e1)
+
+
+def reference_conditions(spec, images):
+    """The condition battery as a dense scan: per copy, the allowed support
+    as a set of every allowed index, and every copy pair s < p visited."""
+    n, m, r = spec.n, spec.m, spec.r
+    beta = spec.beta
+
+    for s in range(1, m + 1):
+        allowed = {spec.gen_index(s, 0)}
+        allowed.update(spec.gen_index(s, i) for i in range(2, n))
+        allowed.update(spec.top_index(t) for t in range(1, r + 1))
+        k = min((k for k in images.e0[s - 1] if k not in allowed), default=None)
+        if k is not None:
+            return ConditionVerdict(
+                False, "e0-support", f"d(e_{{{s},0}}) has a component on basis index {k}"
+            )
+    for s in range(1, m + 1):
+        allowed = {spec.gen_index(s, i) for i in range(1, n - 1)}
+        allowed.update(spec.gen_index(p, n - 1) for p in range(1, m + 1))
+        allowed.update(spec.top_index(t) for t in range(1, r + 1))
+        k = min((k for k in images.e1[s - 1] if k not in allowed), default=None)
+        if k is not None:
+            return ConditionVerdict(
+                False, "e1-support", f"d(e_{{{s},1}}) has a component on basis index {k}"
+            )
+    for s in range(1, m + 1):
+        for i in range(3, n - 1, 2):
+            if spec.gen_index(s, i) in images.e1[s - 1]:
+                return ConditionVerdict(
+                    False,
+                    "odd-level-vanishing",
+                    f"d(e_{{{s},1}}) has a component on e_{{{s},{i}}}",
+                )
+    lam = [
+        (n - 2) * images.e0[s - 1].get(spec.gen_index(s, 0), 0)
+        + 2 * images.e1[s - 1].get(spec.gen_index(s, 1), 0)
+        for s in range(1, m + 1)
+    ]
+    for s in range(r + 1, m + 1):
+        for j in range(1, r + 1):
+            if beta[s - 1][j - 1] != 0 and lam[s - 1] != lam[j - 1]:
+                return ConditionVerdict(
+                    False,
+                    "glued-weight-match",
+                    f"top eigenvalue of copy {s} is {lam[s - 1]} but copy {j} has {lam[j - 1]}",
+                )
+    for s in range(1, m + 1):
+        for p in range(s + 1, m + 1):
+            csp = images.e1[s - 1].get(spec.gen_index(p, n - 1), 0)
+            cps = images.e1[p - 1].get(spec.gen_index(s, n - 1), 0)
+            for j in range(1, r + 1):
+                residue = -csp * beta[p - 1][j - 1] + cps * beta[s - 1][j - 1]
+                if residue != 0:
+                    return ConditionVerdict(
+                        False,
+                        "cross-pair-balance",
+                        f"copies ({s},{p}) leave residue {residue} on top {j}",
+                    )
+    return ConditionVerdict(True)
+
+
+# One gluing of each kind for the battery against its dense reference: block
+# form with fractional B, a mixing gluing (copy 3 on both tops), and r = m.
+VERDICT_SPECS = [
+    make_spec(7, 3, 1, [["2", "-1/2"]]),
+    make_spec(5, 4, 2, [["1", "1/2"], ["-1", "0"]]),
+    make_spec(7, 3, 3),
+]
 
 
 class TestExtension:
@@ -61,6 +134,29 @@ class TestExtension:
         for _ in range(25):
             gi = random_images(spec, rng)
             assert extend_derivation_candidate(spec, gi) == closed_form_extension(spec, gi)
+
+    @pytest.mark.parametrize("spec", ZERO_COPY_SPECS, ids=spec_id)
+    def test_top_with_one_zero_source_column(self, spec):
+        # weights a = 1, b = 2 - n kill every e_{s,n-1} but not the tops, so
+        # each top's column comes from e_{t1}'s image alone
+        n = spec.n
+        entries = [(0, s, spec.gen_index(s, 0), 1) for s in range(1, spec.m + 1)]
+        entries += [(1, s, spec.gen_index(s, 1), 2 - n) for s in range(1, spec.m + 1)]
+        gi = images_with(spec, entries)
+        D = extend_derivation_candidate(spec, gi)
+        assert not D.columns()[spec.gen_index(1, n - 1)]
+        assert [D.entry(k, k) for k in range(spec.m * n, spec.dim)] == [2 - n] * spec.r
+        assert D == closed_form_extension(spec, gi)
+
+    @pytest.mark.parametrize("spec", ZERO_COPY_SPECS, ids=spec_id)
+    def test_matches_closed_form_with_zero_copies(self, spec, rng):
+        # the extension skips a copy whose images are zero, and a top whose
+        # source columns are; random_images fills every copy
+        for draw in (random_images, random_supported_images, random_passing_images):
+            for _ in range(5):
+                for gi in zero_copy_variants(draw(spec, rng), rng):
+                    D = extend_derivation_candidate(spec, gi)
+                    assert D == closed_form_extension(spec, gi)
 
 
 class TestConditions:
@@ -120,6 +216,34 @@ class TestConditions:
                 assert predicted == actual
                 passes += predicted
         assert passes > 0  # the sampler hits both verdicts
+
+
+    @pytest.mark.parametrize("spec", VERDICT_SPECS, ids=spec_id)
+    def test_verdicts_match_dense_reference_on_draws(self, spec, rng):
+        for draw in (random_images, random_supported_images, random_passing_images):
+            for _ in range(40):
+                for gi in zero_copy_variants(draw(spec, rng), rng):
+                    assert derivation_conditions(spec, gi) == reference_conditions(spec, gi)
+
+    @pytest.mark.parametrize("spec", VERDICT_SPECS, ids=spec_id)
+    def test_verdicts_match_dense_reference_on_single_entries(self, spec):
+        failed = set()
+        for which in (0, 1):
+            for s in range(1, spec.m + 1):
+                for k in range(spec.dim):
+                    for value in (1, Fraction(-2, 3)):
+                        gi = images_with(spec, [(which, s, k, value)])
+                        v = derivation_conditions(spec, gi)
+                        assert v == reference_conditions(spec, gi)
+                        failed.add(v.failed)
+        glued = {"glued-weight-match"} if spec.r < spec.m else set()
+        assert failed == {
+            None,
+            "e0-support",
+            "e1-support",
+            "odd-level-vanishing",
+            "cross-pair-balance",
+        } | glued
 
 
 class TestOracle:
@@ -264,6 +388,38 @@ class TestExplicitBases:
                 commutator = {k: AN.get(k, 0) - NA.get(k, 0) for k in AN.keys() | NA.keys()}
                 stacked = column_span([commutator] + [flatten(X) for X in nilp], L.dim**2)
                 assert stacked == ideal
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SPEC521,
+            make_spec(9, 6, 1, [["1", "2", "-1", "1/2", "3"]]),
+            make_spec(7, 4, 2, [["1", "0"], ["0", "-2"]]),
+        ],
+        ids=spec_id,
+    )
+    def test_members_bracket_only_their_copies(self, spec, monkeypatch):
+        # a member's images touch at most two copies, each extended in
+        # 2(n-2) + 2 bracket calls at most; a call count, not a timing
+        build_quasi(spec)
+        calls, per_member = [0], []
+        bracket, element = LieAlgebra.bracket, derivations._element
+
+        def counted_bracket(L, x, y):
+            calls[0] += 1
+            return bracket(L, x, y)
+
+        def counted_element(*args):
+            before = calls[0]
+            D = element(*args)
+            per_member.append(calls[0] - before)
+            return D
+
+        monkeypatch.setattr(LieAlgebra, "bracket", counted_bracket)
+        monkeypatch.setattr(derivations, "_element", counted_element)
+        members = nilpotent_basis(spec)
+        assert len(per_member) == len(members) > 0
+        assert max(per_member) <= 4 * (spec.n - 1)
 
     def test_non_block_form_refused(self):
         # the closed forms answer None off block form, never a wrong value
