@@ -15,7 +15,9 @@ decomposes under its first m + 1 members) and ``qfla.cli.nilpotent_basis`` (by
 ``der`` and ``der --compare``), the emission (``qfla.cli._emit``) and the
 phases of ``iso``: the copy cells (``qfla.iso.copy_cells``), the copy search
 (``qfla.iso._first_admissible_perm``, cells included) and the witness
-(``qfla.iso.build_algebra_witness``), and reads the child's peak RSS, with
+(``qfla.iso.build_algebra_witness``), and the brute-force bracket check of
+``aut-check`` and ``iso`` (``bracket_preserving`` as bound in
+``qfla.automorphisms`` and ``qfla.iso``), and reads the child's peak RSS, with
 stdout sent to the null device; a run still going after ``TIME_LIMIT_S``
 seconds is stopped and recorded as a time-out.
 
@@ -32,7 +34,8 @@ per tree by that tree's own ``exp_ad`` and ``candidate_to_json``.  The output ho
 ``src/qfla/*.py`` files, and per rung the median and all run times (null for a
 time-out), the median time of each phase the rung reaches (``oracle_median_s``,
 ``closed_median_s`` for the two closed forms together, ``emit_median_s``,
-``cells_median_s``, ``search_median_s``, ``witness_median_s``), all calibrated,
+``cells_median_s``, ``search_median_s``, ``witness_median_s``,
+``verify_median_s``), all calibrated,
 the same raw (``raw_median_s``, ``raw_runs_s``, ``raw_<phase>_median_s``), each
 run's scale factor (``scales``), the median peak RSS and the exit code
 ("timeout" when some run timed out), next to the Python version, the machine
@@ -170,23 +173,23 @@ ISO_PAIRS = [
 
 TIME_LIMIT_S = 120
 # The timed phases of a run; the child reports each as "<phase>_s".
-PHASES = ("oracle", "closed", "emit", "cells", "search", "witness")
+PHASES = ("oracle", "closed", "emit", "cells", "search", "witness", "verify")
 
 # Runs in the child: time cli.main on argv (stdout written to the null
 # device, so the peak RSS counts no output text that the verb did not hold),
 # and within it each phase (null when the verb does not reach it): the
 # derivation oracle, the closed-form torus and nilpotent bases (summed), the
-# emission (``_emit``, which makes the text and writes it), and iso's
-# cells, search and witness; report these raw times, the scale factor from
-# perfbench's speed probe taken just before and just after cli.main, the exit
-# code and peak RSS as one JSON line.
+# emission (``_emit``, which makes the text and writes it), iso's cells,
+# search and witness, and the brute-force bracket check; report these raw
+# times, the scale factor from perfbench's speed probe taken just before and
+# just after cli.main, the exit code and peak RSS as one JSON line.
 CHILD = """
 import contextlib, importlib.util, json, os, resource, sys, time
 probe = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])
 perfbench_run = importlib.util.module_from_spec(probe)
 probe.loader.exec_module(perfbench_run)
 sys.path.insert(0, sys.argv[2])
-import qfla.cli, qfla.iso
+import qfla.automorphisms, qfla.cli, qfla.iso
 argv = sys.argv[3:]
 TIMED = [
     (qfla.cli, "derivation_oracle", "oracle_s"),
@@ -196,6 +199,8 @@ TIMED = [
     (qfla.iso, "copy_cells", "cells_s"),
     (qfla.iso, "_first_admissible_perm", "search_s"),
     (qfla.iso, "build_algebra_witness", "witness_s"),
+    (qfla.automorphisms, "bracket_preserving", "verify_s"),
+    (qfla.iso, "bracket_preserving", "verify_s"),
 ]
 spent = {key: [] for _, _, key in TIMED}
 

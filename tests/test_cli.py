@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import qfla
-from qfla.automorphisms import make_scaling_automorphism
+from qfla.automorphisms import exp_ad, make_scaling_automorphism
 from qfla.builder import build_quasi, make_spec
 from qfla.cli import VERBS, main
 from qfla.jsonio import algebra_to_json, candidate_to_json, dumps, matrix_from_json, spec_to_json
@@ -158,6 +159,28 @@ class TestAutCheck:
         data = json.loads(out)
         assert data["conditions"]["failed"] == "gluing-compatibility"
         assert data["agree"] is True
+
+    def test_fractions_in_the_table_and_the_candidate(self, run, tmp_path):
+        # B holds 1/2 and -1/3 and the candidate is exp(ad x) for a fractional
+        # x, so the brute-force check clears denominators on both sides
+        spec = make_spec(5, 3, 1, [["1/2", "-1/3"]])
+        L = build_quasi(spec)
+        algebra = tmp_path / "a531.json"
+        algebra.write_text(dumps(algebra_to_json(L, spec)))
+        cols = exp_ad(L, {k: Fraction(k + 1, 2 * k + 3) for k in range(L.dim)}).columns()
+        e0, e1 = ([cols[spec.gen_index(s, t)] for s in range(1, spec.m + 1)] for t in (0, 1))
+        odd = dict(e1[1])  # breaks the order-3 convolution of copy 2
+        odd[spec.gen_index(2, 3)] = odd.get(spec.gen_index(2, 3), 0) + Fraction(1, 2)
+        for images, code, ok in ((e1, 0, True), ([e1[0], odd, e1[2]], 1, False)):
+            path = tmp_path / "cand.json"
+            path.write_text(dumps(candidate_to_json(spec, e0, images)))
+            assert "/" in path.read_text() and "/" in algebra.read_text()
+            code_got, out, _ = run("aut-check", str(algebra), str(path), "--strict")
+            data = json.loads(out)
+            assert code_got == code
+            assert data["conditions"]["failed"] == (None if ok else "odd-convolution")
+            assert data["brute_force"] is ok
+            assert data["agree"] is True
 
     def test_malformed_candidate_exit_2(self, run, tmp_path, algebra521_file):
         path = tmp_path / "broken.json"

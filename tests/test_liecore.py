@@ -12,13 +12,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sparse
+from conftest import (
+    TEST_MATRIX,
+    ZERO_COPY_SPECS,
+    passing_aut_candidate,
+    sparse,
+    spec_id,
+    zero_copy_variants,
+)
+from qfla.automorphisms import exp_ad, extend_endomorphism, make_scaling_automorphism
 from qfla.builder import build_qn, build_quasi, change_of_basis, make_spec, qn_x_basis
+from qfla.derivations import GeneratorImages
+from qfla.iso import iso_decide
 from qfla.liecore import (
     JacobiViolation,
     LieAlgebra,
     NotNilpotent,
     NotQuasiCyclic,
+    bracket_preserving,
     check_jacobi,
     is_filiform,
     is_minimal_generating_set,
@@ -26,7 +37,7 @@ from qfla.liecore import (
     minimal_generator_count,
     quasi_cyclic_split,
 )
-from qfla.linalg import Matrix, _subtract, column_span
+from qfla.linalg import Matrix, _combine, _subtract, column_span, inverse
 from test_linalg import reference_rref
 
 
@@ -393,3 +404,185 @@ class TestPartnerTable:
     def test_lower_central_series_brackets_every_partner_of_the_support(self, L):
         reference = reference_lcs(L)
         assert lower_central_series(L) == tuple(as_matrix(space, L.dim) for space in reference)
+
+
+# -- the brute-force bracket check ------------------------------------------------
+
+
+def reference_bracket_preserving(L1, L2, M):
+    """The dense pair loop: M[e_i, e_j]_1 = [M e_i, M e_j]_2 on every pair
+    i < j, in the scalars the map and the tables hold."""
+    cols = M.columns()
+    for i in range(L1.dim):
+        for j in range(i + 1, L1.dim):
+            if _combine(L1.structure(i, j), cols) != L2.bracket(cols[i], cols[j]):
+                return False
+    return True
+
+
+def assert_same_verdict(L1, L2, M):
+    """bracket_preserving agrees with the dense loop on M; returns the verdict."""
+    expected = reference_bracket_preserving(L1, L2, M)
+    assert bracket_preserving(L1, L2, M) is expected
+    return expected
+
+
+AUT_SMALL = [Fraction(x) for x in ("1", "-1", "2", "-2", "3", "1/2", "-1/3", "3/2")]
+AUT_KINDS = (
+    None,
+    "single-target-copy",
+    "copy-permutation",
+    "leading-coefficients",
+    "odd-convolution",
+    "gluing-compatibility",
+)
+
+
+def aut_stream_candidate(spec, L, kind, rng):
+    """Generator images of exp(ad x), x dense, after a diagonal scaling that
+    keeps the gluing, spoiled for one named condition when ``kind`` is set:
+    the candidates the aut-stream benchmark draws."""
+    n, m, r = spec.n, spec.m, spec.r
+    E = exp_ad(L, {k: rng.choice(AUT_SMALL) for k in range(L.dim)}).columns()
+    alpha, beta = rng.choice(AUT_SMALL), rng.choice(AUT_SMALL)
+    alphas = [alpha] * m
+    betas = [beta * rng.choice((1, -1)) for _ in range(m)]
+    if kind == "leading-coefficients":
+        alphas[rng.randrange(m)] = 0
+    if kind == "gluing-compatibility":
+        alphas[rng.randrange(r, m)] = 2 * alpha
+    e0 = [_combine({spec.gen_index(s, 0): a}, E) for s, a in enumerate(alphas, start=1)]
+    e1 = [_combine({spec.gen_index(s, 1): b}, E) for s, b in enumerate(betas, start=1)]
+    s = rng.randrange(1, m + 1)
+    p = 1 + (s % m)  # another copy, when there is one
+    if kind == "single-target-copy":
+        _subtract(e0[s - 1], -rng.choice(AUT_SMALL), {spec.gen_index(p, 2): 1})
+    elif kind == "copy-permutation":
+        e0[p - 1], e1[p - 1] = dict(e0[s - 1]), {k: 2 * c for k, c in e1[s - 1].items()}
+    elif kind == "odd-convolution":
+        _subtract(e1[s - 1], -rng.choice(AUT_SMALL), {spec.gen_index(s, 3): 1})
+    return GeneratorImages(tuple(e0), tuple(e1))
+
+
+def spoiled(M, i, j, delta):
+    """M with entry (i, j) changed by delta."""
+    cols = [dict(c) for c in M.columns()]
+    cols[j][i] = cols[j].get(i, 0) + delta
+    return Matrix.from_columns(cols, M.rows)
+
+
+def pairs_evaluated(monkeypatch, L1, L2, M):
+    """The basis pairs a passing bracket_preserving evaluates, counted as its
+    calls of ``LieAlgebra.bracket``, one per pair."""
+    calls = []
+    bracket = LieAlgebra.bracket
+    monkeypatch.setattr(
+        LieAlgebra, "bracket", lambda self, x, y: calls.append(1) or bracket(self, x, y)
+    )
+    assert bracket_preserving(L1, L2, M)
+    return len(calls)
+
+
+ISO_PAIRS = [  # isomorphic gluings whose B have different denominators
+    make_spec(5, 2, 1, [["1/2"]]),
+    make_spec(5, 2, 1, [["-1/3"]]),
+    make_spec(5, 3, 2, [["1/2"], ["-1/3"]]),
+    make_spec(5, 3, 2, [["3/4"], ["5"]]),
+    make_spec(5, 4, 2, [["1", "1/2"], ["2", "3"]]),
+    make_spec(5, 4, 2, [["1/3", "1/2"], ["2/3", "3"]]),  # the third copy rescaled
+    make_spec(5, 7, 4, [["1", "2", "-1"], ["1", "-1", "3"], ["2", "1", "1"], ["1", "3", "-2"]]),
+    make_spec(5, 7, 4, [["-1/7", "15/14", "2/7"], ["-8/7", "25/7", "-5/7"],
+                        ["10/21", "-5/21", "1/21"], ["-12/7", "20/7", "10/7"]]),
+]
+
+
+class TestBracketPreserving:
+    @pytest.mark.parametrize("spec", ZERO_COPY_SPECS, ids=spec_id)
+    def test_aut_stream_candidates_match_dense_loop(self, spec, rng):
+        L = build_quasi(spec)
+        verdicts = set()
+        for kind in AUT_KINDS:
+            if kind == "gluing-compatibility" and spec.r == spec.m:
+                continue  # no glued copy to spoil
+            for _ in range(2):
+                cand = aut_stream_candidate(spec, L, kind, rng)
+                for k, images in enumerate(zero_copy_variants(cand, rng)):
+                    verdict = assert_same_verdict(L, L, extend_endomorphism(spec, L, images))
+                    assert verdict or k > 0 or kind is not None  # unspoiled: an automorphism
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("k", range(0, len(ISO_PAIRS), 2))
+    def test_iso_witnesses_between_denominators(self, k):
+        for s1, s2 in (ISO_PAIRS[k : k + 2], ISO_PAIRS[k : k + 2][::-1]):
+            L1, L2 = build_quasi(s1), build_quasi(s2)
+            v = iso_decide(s1, s2)
+            assert v.isomorphic
+            assert assert_same_verdict(L1, L2, v.map)
+            assert assert_same_verdict(L2, L1, inverse(v.map))
+            assert not assert_same_verdict(L2, L1, v.map)  # the map the wrong way round
+            for j in (0, s1.gen_index(1, 1), s1.top_index(1)):
+                assert not assert_same_verdict(L1, L2, spoiled(v.map, j, j, Fraction(-2, 3)))
+
+    @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
+    def test_integral_maps_and_tables(self, spec, rng):
+        L = build_quasi(spec)
+        perm = list(range(1, spec.m + 1))
+        rng.shuffle(perm)
+        for alphas, betas in (([1] * spec.m, [1] * spec.m), ([2] * spec.m, [-3] * spec.m)):
+            cand = make_scaling_automorphism(spec, alphas, betas, perm)
+            M = extend_endomorphism(spec, L, cand)
+            assert all(type(x) is int for c in M.columns() for x in c.values())
+            assert_same_verdict(L, L, M)
+            for i, j in ((0, 0), (spec.gen_index(1, 2), spec.gen_index(1, 1)), (L.dim - 1, 0)):
+                assert_same_verdict(L, L, spoiled(M, i, j, 1))
+        assert assert_same_verdict(L, L, Matrix.identity(L.dim))
+
+    @pytest.mark.parametrize(
+        "spec", [make_spec(5, 2, 1, [["1"]]), make_spec(5, 3, 1, [["1/2", "-2/3"]])], ids=spec_id
+    )
+    def test_every_single_entry_spoil(self, spec, rng):
+        L = build_quasi(spec)
+        M = extend_endomorphism(spec, L, passing_aut_candidate(spec, rng))
+        assert assert_same_verdict(L, L, M)
+        verdicts = set()
+        for i in range(L.dim):
+            for j in range(L.dim):
+                for delta in (1, Fraction(-2, 3)):
+                    verdicts.add(assert_same_verdict(L, L, spoiled(M, i, j, delta)))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("spec", ZERO_COPY_SPECS, ids=spec_id)
+    def test_identity_with_a_zero_generator_column(self, spec):
+        # only the pairs [e_{1,1}, e_j] != 0, whose right side [0, e_j] is
+        # zero by support, refute it
+        L = build_quasi(spec)
+        cols = Matrix.identity(L.dim).columns()
+        cols[spec.gen_index(1, 1)] = {}
+        assert not assert_same_verdict(L, L, Matrix.from_columns(cols, L.dim))
+
+    @given(raw_tables(), raw_tables(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_maps_between_raw_tables(self, L1, L2, data):
+        entries = st.dictionaries(st.integers(0, L2.dim - 1), nonzero, max_size=2)
+        cols = data.draw(st.lists(entries, min_size=L1.dim, max_size=L1.dim))
+        assert_same_verdict(L1, L2, Matrix.from_columns(cols, L2.dim))
+
+    def test_pairs_evaluated_on_the_ladder_candidate(self, monkeypatch):
+        spec = make_spec(9, 4, 1, [["1", "2", "-1"]])
+        L = build_quasi(spec)
+        E = exp_ad(L, {k: 1 for k in range(L.dim)})
+        cols = E.columns()
+        e0, e1 = (tuple(cols[spec.gen_index(s, t)] for s in range(1, spec.m + 1)) for t in (0, 1))
+        M = extend_endomorphism(spec, L, GeneratorImages(e0, e1))
+        assert M == E
+        assert pairs_evaluated(monkeypatch, L, L, M) == 92  # of 666
+
+    def test_pairs_evaluated_on_an_iso_witness(self, monkeypatch):
+        s1, s2 = ISO_PAIRS[-2:]
+        v = iso_decide(s1, s2)
+        assert pairs_evaluated(monkeypatch, build_quasi(s1), build_quasi(s2), v.map) == 35  # of 741
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="map shape"):
+            bracket_preserving(so3(), heisenberg(), Matrix.identity(4))
