@@ -16,8 +16,10 @@ decomposes under its first m + 1 members) and ``qfla.cli.nilpotent_basis`` (by
 phases of ``iso``: the copy cells (``qfla.iso.copy_cells``), the copy search
 (``qfla.iso._first_admissible_perm``, cells included) and the witness
 (``qfla.iso.build_algebra_witness``), and the brute-force bracket check of
-``aut-check`` and ``iso`` (``bracket_preserving`` as bound in
-``qfla.automorphisms`` and ``qfla.iso``), and reads the child's peak RSS, with
+``aut-check`` and ``iso`` (``bracket_preserving``, patched in each of
+``qfla.liecore``, ``qfla.automorphisms`` and ``qfla.iso`` that binds it, so a
+tree from before ``liecore.is_isomorphism`` and one after it both report it;
+see ``TIMED``), and reads the child's peak RSS, with
 stdout sent to the null device; a run still going after ``TIME_LIMIT_S``
 seconds is stopped and recorded as a time-out.
 
@@ -172,8 +174,25 @@ ISO_PAIRS = [
 ]
 
 TIME_LIMIT_S = 120
-# The timed phases of a run; the child reports each as "<phase>_s".
-PHASES = ("oracle", "closed", "emit", "cells", "search", "witness", "verify")
+# The functions a run times, as (module, name, phase); the child reports each
+# phase as "<phase>_s", summed over its functions.  The child patches a name
+# only in the listed modules that bind it, so a call is timed through
+# whichever binding it goes: a tree may bind ``bracket_preserving`` in
+# ``automorphisms`` and ``iso``, or in ``liecore`` alone behind
+# ``liecore.is_isomorphism``.
+TIMED = [
+    ("qfla.cli", "derivation_oracle", "oracle"),
+    ("qfla.cli", "torus_basis", "closed"),
+    ("qfla.cli", "nilpotent_basis", "closed"),
+    ("qfla.cli", "_emit", "emit"),
+    ("qfla.iso", "copy_cells", "cells"),
+    ("qfla.iso", "_first_admissible_perm", "search"),
+    ("qfla.iso", "build_algebra_witness", "witness"),
+    ("qfla.liecore", "bracket_preserving", "verify"),
+    ("qfla.automorphisms", "bracket_preserving", "verify"),
+    ("qfla.iso", "bracket_preserving", "verify"),
+]
+PHASES = tuple(dict.fromkeys(phase for _, _, phase in TIMED))
 
 # Runs in the child: time cli.main on argv (stdout written to the null
 # device, so the peak RSS counts no output text that the verb did not hold),
@@ -184,25 +203,15 @@ PHASES = ("oracle", "closed", "emit", "cells", "search", "witness", "verify")
 # times, the scale factor from perfbench's speed probe taken just before and
 # just after cli.main, the exit code and peak RSS as one JSON line.
 CHILD = """
-import contextlib, importlib.util, json, os, resource, sys, time
+import contextlib, importlib, importlib.util, json, os, resource, sys, time
 probe = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])
 perfbench_run = importlib.util.module_from_spec(probe)
 probe.loader.exec_module(perfbench_run)
 sys.path.insert(0, sys.argv[2])
-import qfla.automorphisms, qfla.cli, qfla.iso
-argv = sys.argv[3:]
-TIMED = [
-    (qfla.cli, "derivation_oracle", "oracle_s"),
-    (qfla.cli, "torus_basis", "closed_s"),
-    (qfla.cli, "nilpotent_basis", "closed_s"),
-    (qfla.cli, "_emit", "emit_s"),
-    (qfla.iso, "copy_cells", "cells_s"),
-    (qfla.iso, "_first_admissible_perm", "search_s"),
-    (qfla.iso, "build_algebra_witness", "witness_s"),
-    (qfla.automorphisms, "bracket_preserving", "verify_s"),
-    (qfla.iso, "bracket_preserving", "verify_s"),
-]
-spent = {key: [] for _, _, key in TIMED}
+import qfla.cli
+TIMED = json.loads(sys.argv[3])
+argv = sys.argv[4:]
+spent = {phase + "_s": [] for _, _, phase in TIMED}
 
 def timed(fn, key):
     def wrapper(*args):
@@ -213,8 +222,10 @@ def timed(fn, key):
             spent[key].append(time.perf_counter() - t0)
     return wrapper
 
-for module, name, key in TIMED:
-    setattr(module, name, timed(getattr(module, name), key))
+for module, name, phase in TIMED:
+    module = importlib.import_module(module)
+    if hasattr(module, name):
+        setattr(module, name, timed(getattr(module, name), phase + "_s"))
 with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
     before = perfbench_run.speed_probe()
     t0 = time.perf_counter()
@@ -245,7 +256,8 @@ with open(sys.argv[3], "w") as f:
 def _child(src: Path, argv: list) -> dict:
     try:
         out = subprocess.run(
-            [sys.executable, "-B", "-c", CHILD, str(PERFBENCH_RUN), str(src)] + argv,
+            [sys.executable, "-B", "-c", CHILD, str(PERFBENCH_RUN), str(src), json.dumps(TIMED)]
+            + argv,
             check=True,
             capture_output=True,
             text=True,

@@ -7,16 +7,14 @@ and a pair whose kernel nonzero-patterns differ (not isomorphic)."""
 from qfla.builder import build_quasi, make_spec
 from qfla.iso import iso_decide
 from qfla.jsonio import dumps, iso_verdict_to_json
-from qfla.liecore import bracket_preserving
-from qfla.linalg import rank
+from qfla.liecore import is_isomorphism
 
 
 def show(spec1, spec2):
     v = iso_decide(spec1, spec2)
     print(dumps(iso_verdict_to_json(v)), end="")
     if v.isomorphic:
-        L1, L2 = build_quasi(spec1), build_quasi(spec2)
-        assert rank(v.map) == L1.dim and bracket_preserving(L1, L2, v.map)
+        assert is_isomorphism(build_quasi(spec1), build_quasi(spec2), v.map)
         scales = ", ".join(str(x) for x in v.equivalence.scale)
         print(f"# verified: bijective, bracket-preserving; K scales = ({scales})")
     print()

@@ -4,7 +4,8 @@ Like derivations, an endomorphism that is multiplicative on brackets is
 pinned down by the generator images e_{s0}, e_{s1}; the rest extends via
 rho(e_{st}) = [rho(e_{s0}), rho(e_{s,t-1})].  This module provides the
 extension, the closed-form condition battery deciding when a candidate is an
-automorphism, a brute-force check, and a few automorphism factories.
+automorphism, and a few automorphism factories; the brute-force check is
+``liecore.is_isomorphism``.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from typing import List, Optional, Sequence
 
 from .builder import QuasiQnSpec, build_quasi
 from .derivations import ConditionVerdict, GeneratorImages, extend_images
-from .liecore import LieAlgebra, bracket_preserving
-from .linalg import Matrix, Scalar, _subtract, rank, scalar
+from .liecore import LieAlgebra
+from .linalg import Matrix, Scalar, _subtract, scalar
 
 
 def extend_endomorphism(
@@ -202,13 +203,6 @@ def automorphism_conditions(spec: QuasiQnSpec, candidate: GeneratorImages) -> Co
     return ConditionVerdict(True)
 
 
-def is_automorphism(L: LieAlgebra, M: Matrix) -> bool:
-    """Brute force: invertible and multiplicative on all basis brackets."""
-    if M.rows != L.dim or M.cols != L.dim:
-        return False
-    return rank(M) == L.dim and bracket_preserving(L, L, M)
-
-
 def make_scaling_automorphism(
     spec: QuasiQnSpec,
     alphas: Sequence,
@@ -219,23 +213,16 @@ def make_scaling_automorphism(
 
     ``perm`` maps copies to copies (1-based, identity by default).  The images
     may live in a second gluing with the same (n, m, r), given as ``spec``.
+    The scales must be m nonzero ones of each kind and ``perm`` a bijection,
+    as ``iso.build_algebra_witness`` passes them: none of it is checked.
     The result is an automorphism only when the induced top scales
     alpha^{n-2} beta^2 are compatible with the gluing; run
-    ``automorphism_conditions`` to find out.  Raises ValueError on a zero
-    scale factor.
+    ``automorphism_conditions`` to find out.
     """
-    alphas = [scalar(a) for a in alphas]
-    betas = [scalar(b) for b in betas]
-    if len(alphas) != spec.m or len(betas) != spec.m:
-        raise ValueError(f"need {spec.m} scale pairs")
-    if any(a == 0 for a in alphas) or any(b == 0 for b in betas):
-        raise ValueError("scale factors must be nonzero")
     if perm is None:
-        perm = list(range(1, spec.m + 1))
-    if sorted(perm) != list(range(1, spec.m + 1)):
-        raise ValueError(f"perm must be a permutation of 1..{spec.m}")
-    e0 = tuple({spec.gen_index(q, 0): a} for q, a in zip(perm, alphas))
-    e1 = tuple({spec.gen_index(q, 1): b} for q, b in zip(perm, betas))
+        perm = range(1, spec.m + 1)
+    e0 = tuple({spec.gen_index(q, 0): scalar(a)} for q, a in zip(perm, alphas))
+    e1 = tuple({spec.gen_index(q, 1): scalar(b)} for q, b in zip(perm, betas))
     return GeneratorImages(e0, e1)
 
 

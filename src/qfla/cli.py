@@ -29,11 +29,7 @@ from .derivations import (
     torus_basis,
     weight_decomposition,
 )
-from .automorphisms import (
-    automorphism_conditions,
-    extend_endomorphism,
-    is_automorphism,
-)
+from .automorphisms import automorphism_conditions, extend_endomorphism
 from .iso import SearchTooLarge, iso_decide
 from .jsonio import (
     BadInput,
@@ -51,6 +47,7 @@ from .liecore import (
     NotNilpotent,
     NotQuasiCyclic,
     is_filiform,
+    is_isomorphism,
     lower_central_series,
     minimal_generator_count,
     quasi_cyclic_split,
@@ -185,7 +182,7 @@ def _cmd_aut_check(args) -> int:
     L = build_quasi(spec)
     candidate = candidate_from_json(_read_json(args.candidate), spec)
     verdict = automorphism_conditions(spec, candidate)
-    brute = is_automorphism(L, extend_endomorphism(spec, L, candidate))
+    brute = is_isomorphism(L, L, extend_endomorphism(spec, L, candidate))
     _emit(
         args,
         {
@@ -217,8 +214,8 @@ def _cmd_weights(args) -> int:
     torus = torus_basis(spec)[: spec.m + 1]  # Grading and the CopyWeights
     decomposition = weight_decomposition(L, torus)
     table = [
-        {"weight": tuple(map(Fraction, w)), "dim": space.cols}
-        for w, space in sorted(decomposition.items())
+        {"weight": tuple(map(Fraction, w)), "dim": dim}
+        for w, dim in sorted(decomposition.items())
     ]
     _emit(args, {"torus_size": len(torus), "weights": table})
     return 0

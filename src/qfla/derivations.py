@@ -31,15 +31,6 @@ class GeneratorImages:
     e0: tuple
     e1: tuple
 
-    @staticmethod
-    def from_vectors(e0: Sequence[Sequence], e1: Sequence[Sequence]) -> "GeneratorImages":
-        """From dense coordinate sequences."""
-
-        def sparse(v):
-            return {k: x for k, x in enumerate(map(scalar, v)) if x}
-
-        return GeneratorImages(tuple(map(sparse, e0)), tuple(map(sparse, e1)))
-
 
 def extend_images(
     shape: QuasiQnSpec,
@@ -388,19 +379,19 @@ def top_weights(spec: QuasiQnSpec, D: Matrix) -> tuple:
     )
 
 
-def weight_decomposition(L: LieAlgebra, torus: Sequence[Matrix]) -> Dict[tuple, Matrix]:
+def weight_decomposition(L: LieAlgebra, torus: Sequence[Matrix]) -> Dict[tuple, int]:
     """Split the underlying space into joint eigenspaces of diagonal maps.
 
-    Returns {weight tuple: canonical column-span matrix}.  Raises
-    ValueError when some map is not diagonal on this basis.
+    Returns {weight tuple: dimension of its eigenspace}.  Raises ValueError
+    when some map is not diagonal on this basis.
     """
     for D in torus:
         off = [(i, j) for j, col in enumerate(D.columns()) for i in col if i != j]
         if off:
             i, j = min(off)
             raise ValueError(f"map has off-diagonal entry at ({i},{j})")
-    groups: Dict[tuple, list] = {}
+    dims: Dict[tuple, int] = {}
     for k in range(L.dim):
         weight = tuple(D.entry(k, k) for D in torus)
-        groups.setdefault(weight, []).append(k)
-    return {w: Matrix.from_columns([{k: 1} for k in idxs], L.dim) for w, idxs in groups.items()}
+        dims[weight] = dims.get(weight, 0) + 1
+    return dims

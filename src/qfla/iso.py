@@ -27,8 +27,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .automorphisms import extend_endomorphism, make_scaling_automorphism
 from .builder import QuasiQnSpec, build_quasi, copy_cells, proportional_classes, related_matrix
-from .liecore import bracket_preserving
-from .linalg import Matrix, Scalar, _insert, _reduce, inverse, rank, sparse_nullspace
+from .liecore import is_isomorphism
+from .linalg import Matrix, Scalar, _insert, _reduce, inverse, sparse_nullspace
 
 DEFAULT_MAX_COPIES = 12
 
@@ -164,8 +164,9 @@ def monomial_equivalence(
     g1: Sequence[tuple], g2: Sequence[tuple]
 ) -> Union[EquivalenceWitness, NotEquivalent]:
     """Find E and the monomial K, as its (perm, scale), with E M1 K = M2,
-    M_i = related_matrix(g_i), from the m columns g_i of two betas in Q^r,
-    or explain why none exists.
+    M_i = related_matrix(g_i), from the m columns g_i of two betas in Q^r
+    (the same m and r: ``iso_decide`` compares (n, m, r) first), or explain
+    why none exists.
 
     K is monomial, so E exists for a given K exactly when K maps ker(M2)
     onto ker(M1), whose bases have the columns of beta as rows; that is
@@ -177,8 +178,6 @@ def monomial_equivalence(
     permutations in lexicographic order returns.
     """
     m, r = len(g1), len(g1[0])
-    if (len(g2), len(g2[0])) != (m, r):
-        raise ValueError("the betas must share (m, r)")
     cap = _max_copies()
     if m > cap:
         raise SearchTooLarge(f"m: {m} exceeds the permutation search cap {cap}")
@@ -229,14 +228,13 @@ def _prime_valuations(k: int) -> dict:
 
 
 def split_scale(k: Scalar, n: int) -> Tuple[Fraction, Fraction]:
-    """Rational (alpha, beta) with alpha^{n-2} beta^2 = k, k nonzero, n odd.
+    """Rational (alpha, beta) with alpha^{n-2} beta^2 = k, for n odd and k
+    nonzero, as are the scales of ``_generic_nonzero_point``.
 
     Solved base by base: (n-2) a_p + 2 b_p = v_p(k) with a_p = v_p mod 2,
     where a base p need not be prime.  The sign of k goes into alpha, which
     is safe because n - 2 is odd.
     """
-    if k == 0:
-        raise ValueError("scale must be nonzero")
     vals: dict = {}
     for p, v in _prime_valuations(abs(k.numerator)).items():
         vals[p] = vals.get(p, 0) + v
@@ -301,7 +299,6 @@ def iso_decide(spec1: QuasiQnSpec, spec2: QuasiQnSpec) -> IsoVerdict:
     if isinstance(outcome, NotEquivalent):
         return IsoVerdict(False, reason=outcome.reason)
     witness = build_algebra_witness(spec1, spec2, outcome)
-    L1, L2 = build_quasi(spec1), build_quasi(spec2)
-    if rank(witness) != L1.dim or not bracket_preserving(L1, L2, witness):
+    if not is_isomorphism(build_quasi(spec1), build_quasi(spec2), witness):
         raise AssertionError("certificate construction produced a non-isomorphism")
     return IsoVerdict(True, equivalence=outcome, map=witness)

@@ -124,15 +124,6 @@ def matrix_from_json(data, field: str = "matrix") -> Matrix:
         raise BadInput(f"{field}: {exc}") from exc
 
 
-def vector_from_json(data, length: int, field: str) -> tuple:
-    if not isinstance(data, list) or len(data) != length:
-        raise BadInput(f"{field}: expected an array of {length} scalars")
-    try:
-        return tuple(scalar(x) for x in data)
-    except (ValueError, TypeError) as exc:
-        raise BadInput(f"{field}: {exc}") from exc
-
-
 # -- gluing parameters --------------------------------------------------------------
 
 
@@ -178,12 +169,16 @@ def algebra_to_json(L: LieAlgebra, spec: QuasiQnSpec) -> dict:
 
 
 def algebra_from_json(data) -> Tuple[LieAlgebra, Optional[QuasiQnSpec]]:
-    """The algebra of a parsed algebra file, and its spec or None.  Every
-    check of the table runs here, the ``labels`` count before anything of
-    size ``dim`` is made; zero coefficients and empty brackets are dropped
-    once no index or pair has turned out repeated."""
+    """The algebra of a parsed algebra file, and its spec or None.  The file
+    holds dim, labels, brackets and spec alone.  Every check of the table
+    runs here, the ``labels`` count before anything of size ``dim`` is made;
+    zero coefficients and empty brackets are dropped once no index or pair
+    has turned out repeated."""
     if not isinstance(data, dict):
         raise BadInput("algebra: expected an object")
+    for key in data:
+        if key not in ("dim", "labels", "brackets", "spec"):
+            raise BadInput(f"{key}: not an algebra field (expected dim, labels, brackets and spec)")
     dim = data.get("dim")
     if not _is_int(dim) or dim < 0:
         raise BadInput("dim: expected a nonnegative integer")
@@ -240,17 +235,32 @@ def algebra_from_json(data) -> Tuple[LieAlgebra, Optional[QuasiQnSpec]]:
 
 
 def candidate_from_json(data, spec: QuasiQnSpec) -> GeneratorImages:
+    """The generator images of a parsed candidate file, one sparse vector per
+    image array: an entry "0" is skipped unparsed and every other entry
+    passes ``scalar`` once.  The file holds ``images`` alone, keyed e_{s}{t} for the
+    spec's copies s and t in {0, 1}; any other key is refused."""
     if not isinstance(data, dict) or not isinstance(data.get("images"), dict):
         raise BadInput("images: expected an object keyed by generator")
+    for key in data:
+        if key != "images":
+            raise BadInput(f"{key}: not a candidate field (expected images)")
     images = data["images"]
-    e0, e1 = [], []
-    for s in range(1, spec.m + 1):
-        for t, dest in ((0, e0), (1, e1)):
-            key = f"e_{s}{t}"
-            if key not in images:
-                raise BadInput(f"images: missing key {key}")
-            dest.append(vector_from_json(images[key], spec.dim, f"images.{key}"))
-    return GeneratorImages.from_vectors(e0, e1)
+    keys = [f"e_{s}{t}" for s in range(1, spec.m + 1) for t in (0, 1)]
+    for key in images:
+        if key not in keys:
+            raise BadInput(f"images.{key}: not e_s0 or e_s1 for a copy s in 1..{spec.m}")
+    vectors = []
+    for key in keys:
+        if key not in images:
+            raise BadInput(f"images: missing key {key}")
+        vec = images[key]
+        if not isinstance(vec, list) or len(vec) != spec.dim:
+            raise BadInput(f"images.{key}: expected an array of {spec.dim} scalars")
+        try:
+            vectors.append({k: x for k, c in enumerate(vec) if c != "0" and (x := scalar(c))})
+        except (ValueError, TypeError) as exc:
+            raise BadInput(f"images.{key}: {exc}") from exc
+    return GeneratorImages(tuple(vectors[0::2]), tuple(vectors[1::2]))
 
 
 def candidate_to_json(spec: QuasiQnSpec, e0, e1) -> dict:

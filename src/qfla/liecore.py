@@ -30,7 +30,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Dict, Sequence, Tuple
 
-from .linalg import Matrix, Scalar, _combine, _subtract, _transpose, column_span
+from .linalg import Matrix, Scalar, _combine, _subtract, _transpose, column_span, rank
 
 
 class JacobiViolation(ValueError):
@@ -205,6 +205,13 @@ def quasi_cyclic_split(L: LieAlgebra, U: Matrix) -> tuple:
     if r < L.dim:
         raise NotQuasiCyclic(f"chain spans only {r} of {L.dim} dimensions")
     return tuple(chain)
+
+
+def is_isomorphism(L1: LieAlgebra, L2: LieAlgebra, M: Matrix) -> bool:
+    """Brute force: M, a square map from L1 to L2 of their common dimension,
+    is invertible and multiplicative on all basis brackets.  The one check
+    of both an automorphism (L2 = L1) and an iso witness."""
+    return rank(M) == L1.dim and bracket_preserving(L1, L2, M)
 
 
 def bracket_preserving(L1: LieAlgebra, L2: LieAlgebra, M: Matrix) -> bool:

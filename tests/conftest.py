@@ -9,6 +9,7 @@ import pytest
 
 from qfla.builder import make_spec, proportional_classes
 from qfla.derivations import GeneratorImages
+from qfla.linalg import scalar
 
 # The standard battery: every (n, m, r, B) the suites run against.
 TEST_MATRIX = [
@@ -37,9 +38,19 @@ def sparse(v) -> dict:
     return {i: x for i, x in enumerate(v) if x}
 
 
+def from_dense(e0, e1) -> GeneratorImages:
+    """Generator images from dense coordinate lists, each entry made exact by
+    ``scalar`` and the zeros dropped."""
+
+    def exact(v):
+        return {k: x for k, x in enumerate(map(scalar, v)) if x}
+
+    return GeneratorImages(tuple(map(exact, e0)), tuple(map(exact, e1)))
+
+
 def dense(images, dim: int) -> tuple:
     """Generator images as dense coordinate lists (e0, e1) of length dim, to
-    be edited and passed back through ``GeneratorImages.from_vectors``."""
+    be edited and passed back through ``from_dense``."""
 
     def listed(vectors):
         return [[v.get(k, Fraction(0)) for k in range(dim)] for v in vectors]
@@ -73,7 +84,7 @@ def random_images(spec, rng: random.Random) -> GeneratorImages:
     """Unconstrained random generator images (usually not a derivation)."""
     e0 = [random_vector(rng, spec.dim) for _ in range(spec.m)]
     e1 = [random_vector(rng, spec.dim) for _ in range(spec.m)]
-    return GeneratorImages.from_vectors(e0, e1)
+    return from_dense(e0, e1)
 
 
 def random_supported_images(spec, rng: random.Random) -> GeneratorImages:
@@ -93,7 +104,7 @@ def random_supported_images(spec, rng: random.Random) -> GeneratorImages:
         for t in range(1, r + 1):
             e0[s - 1][spec.top_index(t)] = Fraction(rng.choice(SMALL_VALUES))
             e1[s - 1][spec.top_index(t)] = Fraction(rng.choice(SMALL_VALUES))
-    return GeneratorImages.from_vectors(e0, e1)
+    return from_dense(e0, e1)
 
 
 def random_passing_images(spec, rng: random.Random) -> GeneratorImages:
@@ -114,7 +125,7 @@ def random_passing_images(spec, rng: random.Random) -> GeneratorImages:
         for t in range(1, r + 1):
             e0[s - 1][spec.top_index(t)] = Fraction(rng.choice(SMALL_VALUES))
             e1[s - 1][spec.top_index(t)] = Fraction(rng.choice(SMALL_VALUES))
-    return GeneratorImages.from_vectors(e0, e1)
+    return from_dense(e0, e1)
 
 
 def random_aut_candidate(spec, rng: random.Random, same_copy: bool = False) -> GeneratorImages:
@@ -141,7 +152,7 @@ def random_aut_candidate(spec, rng: random.Random, same_copy: bool = False) -> G
         for t in range(1, r + 1):
             e0[s - 1][spec.top_index(t)] = Fraction(rng.choice(SMALL_VALUES))
             e1[s - 1][spec.top_index(t)] = Fraction(rng.choice(SMALL_VALUES))
-    return GeneratorImages.from_vectors(e0, e1)
+    return from_dense(e0, e1)
 
 
 def passing_aut_candidate(spec, rng: random.Random) -> GeneratorImages:
@@ -177,7 +188,7 @@ def passing_aut_candidate(spec, rng: random.Random) -> GeneratorImages:
         for t in range(1, r + 1):
             e0[s - 1][spec.top_index(t)] = Fraction(rng.choice(SMALL_VALUES))
             e1[s - 1][spec.top_index(t)] = Fraction(rng.choice(SMALL_VALUES))
-    return GeneratorImages.from_vectors(e0, e1)
+    return from_dense(e0, e1)
 
 
 def zero_copy_variants(images, rng: random.Random) -> list:

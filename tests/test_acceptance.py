@@ -23,6 +23,7 @@ from conftest import (
     TEST_MATRIX,
     dense,
     flatten,
+    from_dense,
     passing_aut_candidate,
     random_aut_candidate,
     random_images,
@@ -33,13 +34,11 @@ from conftest import (
 from qfla.automorphisms import (
     automorphism_conditions,
     extend_endomorphism,
-    is_automorphism,
     make_scaling_automorphism,
 )
 from qfla.builder import build_quasi, make_spec
 from qfla.cli import main
 from qfla.derivations import (
-    GeneratorImages,
     der_dimension,
     derivation_conditions,
     derivation_oracle,
@@ -53,6 +52,7 @@ from qfla.iso import iso_decide
 from qfla.jsonio import candidate_to_json, dumps, spec_to_json
 from qfla.liecore import (
     bracket_preserving,
+    is_isomorphism,
     is_minimal_generating_set,
     lower_central_series,
     minimal_generator_count,
@@ -137,7 +137,7 @@ def _images_with(spec, assignments):
     e1 = [[Fraction(0)] * spec.dim for _ in range(spec.m)]
     for which, s, k, v in assignments:
         (e0 if which == 0 else e1)[s - 1][k] = Fraction(v)
-    return GeneratorImages.from_vectors(e0, e1)
+    return from_dense(e0, e1)
 
 
 MUTANT_VALUES = [1, 2, 3, -1, Fraction(1, 2)]
@@ -238,7 +238,7 @@ def _aut_mutants(spec):
             e0[s - 1][k] = Fraction(v)
         for s, k, v in e1_edits:
             e1[s - 1][k] = Fraction(v)
-        return GeneratorImages.from_vectors(e0, e1)
+        return from_dense(e0, e1)
 
     out["single-target-copy"] = [
         tweak(e0_edits=[(1, spec.gen_index(2, 0), v)]) for v in MUTANT_VALUES
@@ -272,7 +272,7 @@ def test_automorphism_condition_equivalence(rng):
             for _ in range(100):
                 cand = draw(spec, rng)
                 predicted = automorphism_conditions(spec, cand).ok
-                actual = is_automorphism(L, extend_endomorphism(spec, L, cand))
+                actual = is_isomorphism(L, L, extend_endomorphism(spec, L, cand))
                 agreeing.append(predicted == actual)
         ok = ok and len(agreeing) >= 200 and all(agreeing)
     spec = make_spec(5, 2, 1, [["1"]])
@@ -281,11 +281,11 @@ def test_automorphism_condition_equivalence(rng):
         for cand in mutants:
             v = automorphism_conditions(spec, cand)
             ok = ok and (v.ok, v.failed) == (False, label)
-            ok = ok and not is_automorphism(L, extend_endomorphism(spec, L, cand))
+            ok = ok and not is_isomorphism(L, L, extend_endomorphism(spec, L, cand))
     # equal copy scales verify; unequal ones fail exactly at the gluing check
     equal = make_scaling_automorphism(spec, [2, 2], [3, 3])
     ok = ok and automorphism_conditions(spec, equal).ok
-    ok = ok and is_automorphism(L, extend_endomorphism(spec, L, equal))
+    ok = ok and is_isomorphism(L, L, extend_endomorphism(spec, L, equal))
     verdict("automorphism conditions == brute force (200/gluing + 25 mutants)", ok)
 
 

@@ -189,6 +189,27 @@ class TestAutCheck:
         assert code == 2
         assert "images" in err
 
+    @pytest.mark.parametrize(
+        "where, key, field",
+        [
+            (None, "note", "note: not a candidate field (expected images)"),
+            ("images", "e_31", "images.e_31: not e_s0 or e_s1 for a copy s in 1..2"),
+            ("images", "e_01", "images.e_01: not e_s0 or e_s1 for a copy s in 1..2"),
+            ("images", "e_12", "images.e_12: not e_s0 or e_s1 for a copy s in 1..2"),
+        ],
+        ids=["top", "copy_3", "copy_0", "level_2"],
+    )
+    def test_candidate_key_that_nothing_reads_exit_2(
+        self, run, tmp_path, algebra521_file, where, key, field
+    ):
+        # a key beside the 2m images would be skipped unread, so it is refused
+        path = self._write_candidate(tmp_path, [2, 2])
+        data = json.loads(Path(path).read_text())
+        (data[where] if where else data)[key] = data["images"]["e_21"]
+        Path(path).write_text(json.dumps(data))
+        code, out, err = run("aut-check", algebra521_file, path)
+        assert (code, out, err) == (2, "", f"error: {field}\n")
+
 
 class TestIso:
     def _spec_file(self, tmp_path, name, *args):
@@ -487,6 +508,25 @@ class TestInputContract:
         code, out, err = run(verb, str(path), *second)
         assert (code, out) == (2, "")
         assert err == "error: labels: not a gluing parameter (expected n, m, r and B)\n"
+
+    @pytest.mark.parametrize("verb", ["check", "der", "aut-check", "iso", "related", "weights"])
+    def test_algebra_file_with_other_keys_exit_2(self, run, tmp_path, algebra521_file, verb):
+        data = json.loads(open(algebra521_file).read())
+        data["note"] = "copied by hand"
+        path = tmp_path / "noted.json"
+        path.write_text(dumps(data))
+        second = [algebra521_file] if verb in ("aut-check", "iso") else []
+        code, out, err = run(verb, str(path), *second)
+        assert (code, out) == (2, "")
+        assert err == "error: note: not an algebra field (expected dim, labels, brackets and spec)\n"
+
+    def test_misspelt_brackets_exit_2(self, run, tmp_path):
+        # "bracket" for "brackets" would read as an abelian table and pass
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"dim": 3, "bracket": [{"i": 0, "j": 1, "value": [[2, "1"]]}]}))
+        code, out, err = run("check", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: bracket: not an algebra field (expected dim, labels, brackets and spec)\n"
 
     @pytest.mark.parametrize("verb", ["check", "der", "aut-check", "iso", "related", "weights"])
     def test_embedded_spec_with_other_keys_exit_2(self, run, tmp_path, algebra521_file, verb):

@@ -11,6 +11,7 @@ from conftest import (
     TEST_MATRIX,
     ZERO_COPY_SPECS,
     flatten,
+    from_dense,
     random_images,
     random_passing_images,
     random_supported_images,
@@ -21,7 +22,6 @@ from qfla import derivations
 from qfla.builder import build_quasi, make_spec
 from qfla.derivations import (
     ConditionVerdict,
-    GeneratorImages,
     closed_form_extension,
     der_dimension,
     derivation_conditions,
@@ -47,7 +47,7 @@ def images_with(spec, assignments):
     e1 = [[Fraction(0)] * spec.dim for _ in range(spec.m)]
     for which, s, k, v in assignments:
         (e0 if which == 0 else e1)[s - 1][k] = Fraction(v)
-    return GeneratorImages.from_vectors(e0, e1)
+    return from_dense(e0, e1)
 
 
 def reference_conditions(spec, images):
@@ -449,15 +449,15 @@ class TestEigenvalueBookkeeping:
         L = build_quasi(spec)
         torus = torus_basis(spec)
         spaces = weight_decomposition(L, torus)
-        assert sum(space.cols for space in spaces.values()) == L.dim
+        assert sum(spaces.values()) == L.dim
         # the full torus separates every basis vector
-        assert all(space.cols == 1 for space in spaces.values())
+        assert all(dim == 1 for dim in spaces.values())
         assert len(spaces) == L.dim
 
     def test_empty_torus_single_space(self):
         L = build_quasi(SPEC521)
         spaces = weight_decomposition(L, [])
-        assert list(spaces.values())[0].cols == L.dim
+        assert spaces == {(): L.dim}
 
     def test_rejects_non_diagonal(self):
         L = build_quasi(SPEC521)

@@ -102,16 +102,6 @@ class TestMonomialEquivalence:
         w = monomial_equivalence(g, g)
         assert isinstance(w, EquivalenceWitness)
 
-    @pytest.mark.parametrize(
-        "other", [make_spec(5, 3, 1, [["1", "1"]]), make_spec(5, 4, 2, [["1", "1"], ["1", "2"]])],
-        ids=["r", "m"],
-    )
-    def test_refuses_betas_of_different_shape(self, other):
-        g = make_spec(5, 3, 2, [["1"], ["1"]]).beta
-        for pair in ((g, other.beta), (other.beta, g)):
-            with pytest.raises(ValueError, match=r"\(m, r\)"):
-                monomial_equivalence(*pair)
-
     def test_search_cap(self, monkeypatch):
         monkeypatch.setenv("QFLA_MAX_M", "2")
         g = make_spec(5, 3, 2, [["1"], ["1"]]).beta
@@ -135,10 +125,6 @@ class TestSplitScale:
                 alpha, beta = split_scale(k, n)
                 assert alpha ** (n - 2) * beta ** 2 == k
 
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            split_scale(Fraction(0), 5)
-
     @pytest.mark.parametrize("k", [65537 * 65539, 65537**2, Fraction(3 * 65539**2, 65537 * 4)])
     def test_primes_above_the_trial_bound(self, k):
         # 65537 and 65539 are primes past 2^16, so they stay in one cofactor
@@ -155,8 +141,17 @@ class TestIsoDecide:
         assert v.map is not None
 
     def test_parameter_mismatch(self):
-        v = iso_decide(make_spec(5, 1, 1), make_spec(7, 1, 1))
-        assert not v.isomorphic and "parameters differ" in v.reason
+        # n, r or m differ; monomial_equivalence, which takes betas of one
+        # (m, r), is never reached
+        g = make_spec(5, 3, 2, [["1"], ["1"]])
+        pairs = [
+            (make_spec(5, 1, 1), make_spec(7, 1, 1)),
+            (g, make_spec(5, 3, 1, [["1", "1"]])),
+            (g, make_spec(5, 4, 2, [["1", "1"], ["1", "2"]])),
+        ]
+        for s1, s2 in pairs:
+            for v in (iso_decide(s1, s2), iso_decide(s2, s1)):
+                assert not v.isomorphic and "parameters differ" in v.reason
 
     def test_rescaled_pair_isomorphic_with_verified_map(self):
         s1 = make_spec(5, 3, 2, [["1"], ["1"]])

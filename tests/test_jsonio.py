@@ -2,7 +2,8 @@
 two-space indented output, which the golden digests of the CLI pin, with
 each Fraction and Matrix read as the "p/q" strings and string grids that the
 verbs used to build for it.  And the algebra reader, which checks a table
-before a ``LieAlgebra`` holds it."""
+before a ``LieAlgebra`` holds it, and the candidate reader, which makes each
+image array one sparse vector."""
 import json
 from fractions import Fraction
 
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfla.jsonio import BadInput, algebra_from_json, dumps, pieces
+from qfla import jsonio
+from qfla.builder import make_spec
+from qfla.jsonio import BadInput, algebra_from_json, candidate_from_json, dumps, pieces
 from qfla.linalg import Matrix
 
 
@@ -148,3 +151,33 @@ class TestAlgebraFromJson:
         L, _ = algebra_from_json({"dim": 3, "brackets": brackets})
         assert L.sc == {(0, 2): {1: Fraction(-1, 2)}}
         assert L.structure(0, 1) == {}
+
+
+class TestCandidateFromJson:
+    SPEC = make_spec(5, 2, 1, [["1"]])  # dim 11
+
+    def candidate(self, entries: dict) -> dict:
+        """A candidate file of "0" arrays with {(key, index): entry} written in."""
+        images = {f"e_{s}{t}": ["0"] * self.SPEC.dim for s in (1, 2) for t in (0, 1)}
+        for (key, k), entry in entries.items():
+            images[key][k] = entry
+        return {"images": images}
+
+    def test_one_scalar_call_per_entry_that_is_not_the_string_0(self, monkeypatch):
+        calls = []
+        scalar = jsonio.scalar
+        monkeypatch.setattr(jsonio, "scalar", lambda x: calls.append(x) or scalar(x))
+        entries = {("e_10", 0): "1", ("e_11", 1): "-0", ("e_20", 5): 0, ("e_21", 10): "2/4"}
+        images = candidate_from_json(self.candidate(entries), self.SPEC)
+        assert calls == ["1", "-0", 0, "2/4"]
+        assert (images.e0, images.e1) == (({0: 1}, {}), ({}, {10: Fraction(1, 2)}))
+
+    def test_zeros_in_any_spelling_are_absent_and_fractions_exact(self):
+        entries = {
+            ("e_10", 0): "-0", ("e_10", 1): "0/7", ("e_10", 2): 0, ("e_10", 3): "-6/4",
+            ("e_21", 4): "4/2", ("e_21", 5): 1,
+        }
+        images = candidate_from_json(self.candidate(entries), self.SPEC)
+        assert images.e0 == ({3: Fraction(-3, 2)}, {})
+        assert images.e1 == ({}, {4: 2, 5: 1})
+        assert type(images.e0[0][3]) is Fraction and type(images.e1[1][4]) is int

@@ -32,12 +32,13 @@ from qfla.liecore import (
     bracket_preserving,
     check_jacobi,
     is_filiform,
+    is_isomorphism,
     is_minimal_generating_set,
     lower_central_series,
     minimal_generator_count,
     quasi_cyclic_split,
 )
-from qfla.linalg import Matrix, _combine, _subtract, column_span, inverse
+from qfla.linalg import Matrix, _combine, _subtract, column_span, inverse, rank
 from test_linalg import reference_rref
 
 
@@ -586,3 +587,21 @@ class TestBracketPreserving:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="map shape"):
             bracket_preserving(so3(), heisenberg(), Matrix.identity(4))
+
+
+class TestIsIsomorphism:
+    def test_the_zero_map_is_a_homomorphism_but_not_bijective(self):
+        L = build_quasi(make_spec(5, 2, 1, [["1"]]))
+        zero = Matrix.from_columns([{}] * L.dim, L.dim)
+        assert bracket_preserving(L, L, zero)
+        assert not is_isomorphism(L, L, zero)
+
+    def test_an_iso_witness_and_a_one_entry_spoil(self):
+        s1, s2 = ISO_PAIRS[2:4]  # two (5,3,2) gluings
+        L1, L2 = build_quasi(s1), build_quasi(s2)
+        M = iso_decide(s1, s2).map
+        assert is_isomorphism(L1, L2, M)
+        j = s1.gen_index(1, 1)
+        bad = spoiled(M, j, j, Fraction(-2, 3))
+        assert rank(bad) == L1.dim  # still bijective: the bracket check refutes it
+        assert not is_isomorphism(L1, L2, bad)

@@ -1,5 +1,6 @@
 """Smoke tests of the scripts in scripts/: each runs to the end and reports
 what it promises."""
+import importlib
 import runpy
 from pathlib import Path
 
@@ -26,3 +27,15 @@ def test_iso_demo_reaches_both_verdicts(capsys):
     assert '"isomorphic": true' in out
     assert '"isomorphic": false' in out
     assert "# verified: bijective, bracket-preserving" in out
+
+
+def test_every_ladder_phase_binds_in_this_tree():
+    # the ladder's child patches a timed name only where a module binds it,
+    # so a phase that binds nowhere would read null on every rung
+    ladder = runpy.run_path(str(SCRIPTS / "bench_ladder.py"))
+    bound = {
+        phase
+        for module, name, phase in ladder["TIMED"]
+        if hasattr(importlib.import_module(module), name)
+    }
+    assert bound == set(ladder["PHASES"])
