@@ -102,6 +102,21 @@ class TestMonomialEquivalence:
         w = monomial_equivalence(g, g)
         assert isinstance(w, EquivalenceWitness)
 
+    @pytest.mark.parametrize(
+        "other", [make_spec(5, 3, 1, [["1", "1"]]), make_spec(5, 4, 2, [["1", "1"], ["1", "2"]])],
+        ids=["r", "m"],
+    )
+    def test_refuses_betas_of_different_shape(self, other, monkeypatch):
+        # monomial_equivalence takes betas of one (m, r): iso_decide refuses
+        # the pair on its parameters before the betas reach it
+        def unreachable(g1, g2):
+            raise AssertionError("monomial_equivalence reached with betas of different shape")
+
+        monkeypatch.setattr(iso, "monomial_equivalence", unreachable)
+        g = make_spec(5, 3, 2, [["1"], ["1"]])
+        for v in (iso_decide(g, other), iso_decide(other, g)):
+            assert not v.isomorphic and "parameters differ" in v.reason
+
     def test_search_cap(self, monkeypatch):
         monkeypatch.setenv("QFLA_MAX_M", "2")
         g = make_spec(5, 3, 2, [["1"], ["1"]]).beta
@@ -141,17 +156,8 @@ class TestIsoDecide:
         assert v.map is not None
 
     def test_parameter_mismatch(self):
-        # n, r or m differ; monomial_equivalence, which takes betas of one
-        # (m, r), is never reached
-        g = make_spec(5, 3, 2, [["1"], ["1"]])
-        pairs = [
-            (make_spec(5, 1, 1), make_spec(7, 1, 1)),
-            (g, make_spec(5, 3, 1, [["1", "1"]])),
-            (g, make_spec(5, 4, 2, [["1", "1"], ["1", "2"]])),
-        ]
-        for s1, s2 in pairs:
-            for v in (iso_decide(s1, s2), iso_decide(s2, s1)):
-                assert not v.isomorphic and "parameters differ" in v.reason
+        v = iso_decide(make_spec(5, 1, 1), make_spec(7, 1, 1))
+        assert not v.isomorphic and "parameters differ" in v.reason
 
     def test_rescaled_pair_isomorphic_with_verified_map(self):
         s1 = make_spec(5, 3, 2, [["1"], ["1"]])
