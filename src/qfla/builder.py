@@ -18,13 +18,19 @@ from .linalg import Matrix, Scalar, _combine, inverse
 from .liecore import LieAlgebra, check_jacobi
 
 
-class BadSpec(ValueError):
-    pass
+class BadInput(ValueError):
+    """Malformed, inconsistent or oversized input: the one refusal, exit 2
+    in the CLI.  The message leads with the field at fault."""
+
+
+# The largest dim an algebra file or a spec may have: 40 times the largest
+# any test or workload builds, and far below what exhausts memory.
+MAX_DIM = 10_000
 
 
 def _check_n(n: int) -> None:
     if n < 5 or n % 2 == 0:
-        raise BadSpec(f"n: must be odd and >= 5, got {n}")
+        raise BadInput(f"n: must be odd and >= 5, got {n}")
 
 
 @dataclass(frozen=True)
@@ -33,8 +39,8 @@ class QuasiQnSpec:
 
     ``B`` is the r x (m-r) gluing matrix: column s-r-1 holds the coefficients
     expressing e_{sn} (s > r) over the independent tops e_{1n}..e_{rn}.
-    Every refusal is a ``BadSpec`` whose message leads with the field at
-    fault: ``n``, ``m``, ``r`` or ``B``.
+    Every refusal is a ``BadInput`` whose message leads with the field at
+    fault: ``n``, ``m``, ``r``, ``dim`` or ``B``.
     """
 
     n: int
@@ -45,16 +51,20 @@ class QuasiQnSpec:
     def __post_init__(self):
         _check_n(self.n)
         if self.m < 1:
-            raise BadSpec(f"m: must be >= 1, got {self.m}")
+            raise BadInput(f"m: must be >= 1, got {self.m}")
         if not 1 <= self.r <= self.m:
-            raise BadSpec(f"r: must satisfy 1 <= r <= m, got r={self.r}, m={self.m}")
+            raise BadInput(f"r: must satisfy 1 <= r <= m, got r={self.r}, m={self.m}")
+        if self.dim > MAX_DIM:
+            raise BadInput(
+                f"dim: m*n + r = {self.dim} exceeds {MAX_DIM} (n={self.n}, m={self.m}, r={self.r})"
+            )
         if self.B.rows != self.r or self.B.cols != self.m - self.r:
-            raise BadSpec(
+            raise BadInput(
                 f"B: must be {self.r}x{self.m - self.r}, got {self.B.rows}x{self.B.cols}"
             )
         for j, column in enumerate(self.B.columns()):
             if not column:
-                raise BadSpec(f"B: column {j} is zero: top vector {self.r + j + 1} would vanish")
+                raise BadInput(f"B: column {j} is zero: top vector {self.r + j + 1} would vanish")
 
     @cached_property
     def beta(self) -> tuple:

@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .builder import BadSpec, QuasiQnSpec, build_quasi, make_spec, related_matrix
+from .builder import BadInput, QuasiQnSpec, build_quasi, make_spec, related_matrix
 from .derivations import (
     der_dimension,
     derivation_oracle,
@@ -30,9 +30,8 @@ from .derivations import (
     weight_decomposition,
 )
 from .automorphisms import automorphism_conditions, extend_endomorphism
-from .iso import SearchTooLarge, iso_decide
+from .iso import iso_decide
 from .jsonio import (
-    BadInput,
     algebra_from_json,
     algebra_to_json,
     candidate_from_json,
@@ -291,7 +290,7 @@ def main(argv: list | None = None) -> int:
     try:
         handler, args = _parse(sys.argv[1:] if argv is None else argv)
         return handler(args)
-    except (BadInput, BadSpec, SearchTooLarge) as exc:
+    except BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,24 +20,20 @@ certified by an explicit algebra isomorphism.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .automorphisms import extend_endomorphism, make_scaling_automorphism
-from .builder import QuasiQnSpec, build_quasi, copy_cells, proportional_classes, related_matrix
+from .builder import (
+    BadInput, QuasiQnSpec, build_quasi, copy_cells, proportional_classes, related_matrix
+)
 from .liecore import is_isomorphism
 from .linalg import Matrix, Scalar, _insert, _reduce, inverse, sparse_nullspace
 
-DEFAULT_MAX_COPIES = 12
-
-
-class SearchTooLarge(RuntimeError):
-    """The copy-permutation search was refused because m exceeds the cap, or
-    because the cap, the QFLA_MAX_M environment variable, is not an integer.
-    A search that never pins A can still visit on the order of m! nodes;
-    raise the cap to force it."""
+# The largest m the copy-permutation search takes: a search that never pins
+# A can still visit on the order of m! nodes.
+MAX_COPIES = 12
 
 
 @dataclass(frozen=True)
@@ -54,16 +50,6 @@ class EquivalenceWitness:
 @dataclass(frozen=True)
 class NotEquivalent:
     reason: str
-
-
-def _max_copies() -> int:
-    raw = os.environ.get("QFLA_MAX_M")
-    if not raw:
-        return DEFAULT_MAX_COPIES
-    try:
-        return int(raw)
-    except ValueError:
-        raise SearchTooLarge(f"QFLA_MAX_M: expected an integer, got {raw!r}") from None
 
 
 def _generic_nonzero_point(basis: List[dict], m: int) -> Optional[tuple]:
@@ -178,9 +164,8 @@ def monomial_equivalence(
     permutations in lexicographic order returns.
     """
     m, r = len(g1), len(g1[0])
-    cap = _max_copies()
-    if m > cap:
-        raise SearchTooLarge(f"m: {m} exceeds the permutation search cap {cap}")
+    if m > MAX_COPIES:
+        raise BadInput(f"m: {m} exceeds the permutation search cap {MAX_COPIES}")
     M1, M2 = related_matrix(g1), related_matrix(g2)
     h1, h2 = g1, g2
     if m - r < r:  # M's columns admit the same permutations, with inverted scales

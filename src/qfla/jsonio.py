@@ -16,14 +16,10 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Tuple
 
-from .builder import QuasiQnSpec, build_quasi, make_spec
+from .builder import MAX_DIM, BadInput, QuasiQnSpec, build_quasi, make_spec
 from .derivations import GeneratorImages
 from .liecore import LieAlgebra, check_jacobi
 from .linalg import Matrix, _transpose, scalar
-
-
-class BadInput(ValueError):
-    """Malformed or inconsistent JSON input; the message names the field."""
 
 
 def _is_int(x) -> bool:
@@ -115,7 +111,7 @@ def _encode_matrix(M: Matrix, newline: str) -> str:
 # -- scalars and matrices -----------------------------------------------------------
 
 
-def matrix_from_json(data, field: str = "matrix") -> Matrix:
+def matrix_from_json(data, field: str) -> Matrix:
     if not isinstance(data, list) or any(not isinstance(row, list) for row in data):
         raise BadInput(f"{field}: expected an array of arrays")
     try:
@@ -171,7 +167,8 @@ def algebra_to_json(L: LieAlgebra, spec: QuasiQnSpec) -> dict:
 def algebra_from_json(data) -> Tuple[LieAlgebra, Optional[QuasiQnSpec]]:
     """The algebra of a parsed algebra file, and its spec or None.  The file
     holds dim, labels, brackets and spec alone.  Every check of the table
-    runs here, the ``labels`` count before anything of size ``dim`` is made;
+    runs here, ``dim`` against ``MAX_DIM`` and the ``labels`` count before
+    anything of size ``dim`` is made;
     zero coefficients and empty brackets are dropped once no index or pair
     has turned out repeated."""
     if not isinstance(data, dict):
@@ -182,6 +179,8 @@ def algebra_from_json(data) -> Tuple[LieAlgebra, Optional[QuasiQnSpec]]:
     dim = data.get("dim")
     if not _is_int(dim) or dim < 0:
         raise BadInput("dim: expected a nonnegative integer")
+    if dim > MAX_DIM:
+        raise BadInput(f"dim: {dim} exceeds {MAX_DIM}")
     labels = data.get("labels")
     if "labels" in data and not (
         isinstance(labels, list)

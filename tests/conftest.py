@@ -20,13 +20,16 @@ TEST_MATRIX = [
     make_spec(5, 3, 2, [["1"], ["1"]]),  # mixes both tops: no block form
     make_spec(7, 1, 1),
     make_spec(7, 2, 1, [["1"]]),
+    make_spec(5, 3, 1, [["1/2", "-2/3"]]),  # fractional B
+    make_spec(7, 4, 2, [["1", "2"], ["3", "-1"]]),  # generic: min(r, m - r) = 2
+    make_spec(5, 5, 3, [["1", "0"], ["1", "0"], ["0", "1"]]),  # mixing, two components
+    make_spec(9, 4, 1, [["1", "3", "-1"]]),
+    make_spec(5, 4, 4),  # r = m: no glued copy
+    make_spec(5, 5, 2, [["1", "1", "2"], ["0", "0", "0"]]),  # a zero row: copy 2 is free
 ]
 
 # Block form: beta's r unit columns are its only proportional classes.
 BLOCK_SPECS = [s for s in TEST_MATRIX if len(proportional_classes(s.beta)) == s.r]
-
-# The battery and a gluing with fractional B, for draws with zero copies.
-ZERO_COPY_SPECS = TEST_MATRIX + [make_spec(5, 3, 1, [["1/2", "-2/3"]])]
 
 # Gluings whose copies all share one top vector, so every derivation has one
 # top eigenvalue across the copies.

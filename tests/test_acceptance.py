@@ -1,9 +1,9 @@
 """Release gate: every shipped guarantee, checked exactly (tolerance zero).
 
 Each check prints one ``[acceptance] ...: PASS/FAIL`` line, and every check
-is expected to pass.  The battery holds one block-form gluing with two
-blocks, (n,m,r,B) = (5,3,2,(1,0)^t): copy 3 glues onto copy 1 and copy 2 is a
-free summand, so the algebra is N(Q_5,2,1) (+) Q_5.  Its derivation dimension
+is expected to pass.  Among the battery's block-form gluings with more than
+one block is (n,m,r,B) = (5,3,2,(1,0)^t): copy 3 glues onto copy 1 and copy 2
+is a free summand, so the algebra is N(Q_5,2,1) (+) Q_5.  Its derivation dimension
 is 33 = 18 + 9 + 4 + 2: the two summands' derivations plus the maps sending
 each summand's generators into the other's centre (Der(A (+) B) =
 Der A (+) Der B (+) Hom(A/[A,A], Z(B)) (+) Hom(B/[B,B], Z(A))).  The
@@ -87,7 +87,7 @@ def test_construction_suite():
         assert chain[0].cols == 2 * spec.m
         assert sum(space.cols for space in chain) == L.dim
     elapsed = time.perf_counter() - start
-    verdict("construction suite (7 gluings, < 5 s)", elapsed < 5.0, f"{elapsed:.2f}s")
+    verdict("construction suite (13 gluings, < 5 s)", elapsed < 5.0, f"{elapsed:.2f}s")
 
 
 # ----------------------------------------------- gate derivation dimensions
@@ -99,6 +99,16 @@ EXPECTED_DER_DIM = {
     spec_id(make_spec(5, 3, 2, [["1"], ["0"]])): 33,  # N(Q_5,2,1) (+) Q_5: see module docstring
     spec_id(make_spec(7, 1, 1)): 12,
     spec_id(make_spec(7, 2, 1, [["1"]])): 24,
+    # by the paper's count m + r + sum_l ((2r + n + d - 2) m_l + m_l (m_l - 1) / 2)
+    # over the blocks of m_l copies, d = (n - 1) / 2:
+    # one block of 3, 2r + n + d - 2 = 2 + 5 + 2 - 2 = 7: 3 + 1 + (21 + 3) = 28
+    spec_id(make_spec(5, 3, 1, [["1/2", "-2/3"]])): 28,
+    # one block of 4, 2 + 9 + 4 - 2 = 13: 4 + 1 + (52 + 6) = 63
+    spec_id(make_spec(9, 4, 1, [["1", "3", "-1"]])): 63,
+    # four blocks of 1, 8 + 5 + 2 - 2 = 13: 4 + 4 + 4 * 13 = 60
+    spec_id(make_spec(5, 4, 4)): 60,
+    # blocks of 4 and 1, 4 + 5 + 2 - 2 = 9: 5 + 2 + (36 + 6) + 9 = 58
+    spec_id(make_spec(5, 5, 2, [["1", "1", "2"], ["0", "0", "0"]])): 58,
 }
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from conftest import (
     TEST_MATRIX,
-    ZERO_COPY_SPECS,
     dense,
     from_dense,
     passing_aut_candidate,
@@ -65,7 +64,7 @@ class TestExtension:
                 spec, spec, cand
             )
 
-    @pytest.mark.parametrize("spec", ZERO_COPY_SPECS, ids=spec_id)
+    @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
     def test_matches_closed_form_with_zero_copies(self, spec, rng):
         # the extension skips a copy whose images are zero, and a top whose
         # source columns are; the candidate draws fill every copy

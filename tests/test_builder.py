@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfla.builder import (
-    BadSpec,
+    MAX_DIM,
+    BadInput,
     QuasiQnSpec,
     build_qn,
     build_quasi,
@@ -24,22 +25,28 @@ from qfla.linalg import Matrix, inverse
 class TestSpecValidation:
     def test_rejects_even_or_small_n(self):
         for bad in (4, 6, 3, 1):
-            with pytest.raises(BadSpec, match="^n:"):
+            with pytest.raises(BadInput, match="^n:"):
                 make_spec(bad, 1, 1)
 
     def test_rejects_bad_r(self):
-        with pytest.raises(BadSpec):
+        with pytest.raises(BadInput):
             make_spec(5, 2, 0, [[]])
-        with pytest.raises(BadSpec):
+        with pytest.raises(BadInput):
             make_spec(5, 2, 3)
 
     def test_rejects_zero_column(self):
-        with pytest.raises(BadSpec):
+        with pytest.raises(BadInput):
             make_spec(5, 3, 2, [["1", "0"], ["1", "0"]])
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(BadSpec):
+        with pytest.raises(BadInput):
             make_spec(5, 3, 2, Matrix([["1"]]))
+
+    def test_rejects_dim_over_cap(self):
+        m = MAX_DIM // 6  # r = m: the spec needs no B
+        assert make_spec(5, m, m).dim == 6 * m <= MAX_DIM
+        with pytest.raises(BadInput, match=rf"^dim: .*\(n=5, m={m + 1}, r={m + 1}\)$"):
+            make_spec(5, m + 1, m + 1)
 
     def test_dim_and_indexing(self):
         s = make_spec(5, 3, 2, [["1"], ["0"]])
@@ -74,7 +81,7 @@ class TestBuildQn:
         assert all(L.bracket(e(5), e(i)) == {} for i in range(6))
 
     def test_bad_n(self):
-        with pytest.raises(BadSpec, match="^n:"):
+        with pytest.raises(BadInput, match="^n:"):
             build_qn(6)
 
     def test_x_basis_conjugates_to_standard(self):

@@ -454,12 +454,6 @@ class TestInputContract:
         assert (code, out) == (2, "")
         assert err == f"error: {where}: exponent notation in '{text}' is not accepted\n"
 
-    def test_non_integer_search_cap_exit_2(self, run, monkeypatch, spec521_file):
-        monkeypatch.setenv("QFLA_MAX_M", "abc")
-        code, out, err = run("iso", spec521_file, spec521_file)
-        assert (code, out) == (2, "")
-        assert "QFLA_MAX_M" in err
-
     def test_brackets_contradicting_spec_exit_2(self, run, tmp_path, algebra521_file):
         data = json.loads(open(algebra521_file).read())
         data["brackets"] = []  # an abelian table tagged as N(Q_5, 2, 1)
@@ -558,7 +552,7 @@ class TestInputContract:
         path.write_text(json.dumps({"dim": 10**30, "labels": ["a", "b", "c", "d"]}))
         code, out, err = run(verb, str(path))
         assert (code, out) == (2, "")
-        field = "labels" if verb == "check" else path
+        field = "dim" if verb == "check" else path
         assert err.startswith(f"error: {field}: ")
 
     def test_zero_entries_of_a_table_without_spec_change_nothing(self, run, tmp_path):
@@ -587,8 +581,7 @@ class TestInputContract:
         assert code == 0
         assert out == run("check", algebra521_file)[1]
 
-    def test_search_cap_refusal_names_m(self, run, tmp_path, monkeypatch):
-        monkeypatch.delenv("QFLA_MAX_M", raising=False)
+    def test_search_cap_refusal_names_m(self, run, tmp_path):
         path = tmp_path / "n5131.json"
         path.write_text(dumps(spec_to_json(make_spec(5, 13, 1, [["1"] * 12]))))
         code, out, err = run("iso", str(path), str(path))
@@ -809,6 +802,35 @@ def _python(cwd, *args, timeout=120):
     return subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, timeout=timeout
     )
+
+
+# Runs qfla.cli.main on its argv under a 1 GiB address-space limit, so an
+# input that allocates by its size fails with MemoryError, not by swapping.
+CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from qfla.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestSizeCap:
+    """Sizes that exhaust memory are refused by ``builder.MAX_DIM``."""
+
+    def test_check_of_a_huge_bare_table(self, tmp_path):
+        # 17 bytes: an honest abelian algebra of dim 10^8
+        (tmp_path / "huge.json").write_text(json.dumps({"dim": 10**8}))
+        proc = _python(tmp_path, "-c", CAPPED, "check", "huge.json", timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"error: dim: 100000000 exceeds 10000\n"
+
+    def test_build_of_a_huge_gluing(self, tmp_path):
+        argv = ["build", "--n", "5", "--m", "50000", "--r", "50000"]
+        proc = _python(tmp_path, "-c", CAPPED, *argv, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == (
+            b"error: dim: m*n + r = 300000 exceeds 10000 (n=5, m=50000, r=50000)\n"
+        )
 
 
 class TestEntryPoint:

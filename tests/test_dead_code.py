@@ -13,7 +13,10 @@ binds only ``build_quasi``, which the benchmark harness reads off it.
 Knobs count too: every parameter with a default, in a function or method of
 ``src/``, is passed by some call in ``src/``, by keyword or by position, or
 is listed in ``UNPASSED_DEFAULTS`` with its reason.  A default that no call
-overrides is a switch that only tests turn.
+overrides is a switch that only tests turn.  And some call in ``src/``,
+``tests/`` or ``scripts/`` leaves it out: a default that every call passes
+is a parameter that only looks optional.  Nor does ``src/`` read the
+environment, a knob no call shows.
 
 Leftovers count too: every name a module imports is used in that module, and
 every private top-level function or module constant has a use somewhere in
@@ -26,8 +29,11 @@ from pathlib import Path
 from types import ModuleType
 
 import qfla
+import qfla.builder
+import qfla.cli
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qfla"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qfla"
 
 # Public names allowed to go without a caller in src/, each with its reason.
 ALLOWED = {
@@ -115,19 +121,21 @@ def _defaulted(function: ast.FunctionDef, method: bool):
             yield arg.arg, None
 
 
-def unpassed_defaults() -> set:
-    """``name(parameter)`` for each parameter with a default that no call in
-    ``src/`` passes; a method is called by its name, ``__init__`` by its
-    class's."""
-    trees = _modules().values()
+def _calls(trees) -> dict:
+    """{called name: [ast.Call, ...]} over ``trees``."""
     calls: dict = {}
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 calls.setdefault(name, []).append(node)
-    out = set()
-    for tree in trees:
+    return calls
+
+
+def _defaults():
+    """(name, parameter, position) for each parameter with a default in
+    ``src/``; a method is called by its name, ``__init__`` by its class's."""
+    for tree in _modules().values():
         classes = [top for top in tree.body if isinstance(top, ast.ClassDef)]
         owners = {id(member): top for top in classes for member in top.body}
         for function in ast.walk(tree):
@@ -136,14 +144,40 @@ def unpassed_defaults() -> set:
             owner = owners.get(id(function))
             name = owner.name if owner and function.name == "__init__" else function.name
             for param, position in _defaulted(function, owner is not None):
-                if not any(
-                    any(k.arg in (param, None) for k in call.keywords)
-                    or (position is not None and len(call.args) > position)
-                    or any(isinstance(a, ast.Starred) for a in call.args)
-                    for call in calls.get(name, [])
-                ):
-                    out.add(f"{name}({param})")
-    return out
+                yield name, param, position
+
+
+def _passes(call: ast.Call, param: str, position) -> bool:
+    """Whether ``call`` may pass ``param``: by keyword, by position, or
+    through a ``*`` or ``**`` argument."""
+    return (
+        any(k.arg in (param, None) for k in call.keywords)
+        or (position is not None and len(call.args) > position)
+        or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+
+
+def unpassed_defaults() -> set:
+    """``name(parameter)`` for each parameter with a default that no call in
+    ``src/`` passes."""
+    calls = _calls(_modules().values())
+    return {
+        f"{name}({param})"
+        for name, param, position in _defaults()
+        if not any(_passes(call, param, position) for call in calls.get(name, []))
+    }
+
+
+def unrelied_defaults() -> set:
+    """``name(parameter)`` for each parameter with a default that every call
+    in ``src/``, ``tests/`` and ``scripts/`` passes."""
+    paths = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    calls = _calls(ast.parse(p.read_text()) for p in paths)
+    return {
+        f"{name}({param})"
+        for name, param, position in _defaults()
+        if all(_passes(call, param, position) for call in calls.get(name, []))
+    }
 
 
 def test_every_default_is_passed_by_a_caller_or_has_a_reason():
@@ -152,6 +186,29 @@ def test_every_default_is_passed_by_a_caller_or_has_a_reason():
     assert not knobs, f"defaults no call in src/ overrides, and not listed: {knobs}"
     stale = sorted(set(UNPASSED_DEFAULTS) - unpassed)
     assert not stale, f"stale UNPASSED_DEFAULTS entries: {stale}"
+
+
+def test_every_default_is_relied_on_by_a_caller():
+    unrelied = sorted(unrelied_defaults())
+    assert not unrelied, f"defaults every call in src/, tests/ and scripts/ passes: {unrelied}"
+
+
+def test_no_module_reads_the_environment():
+    readers = sorted(
+        module
+        for module, tree in _modules().items()
+        if {"environ", "getenv"} & set(_uses(tree))
+    )
+    assert not readers, f"modules reading os.environ or os.getenv: {readers}"
+
+
+def test_main_catches_exactly_bad_input():
+    # one class carries every exit-2 refusal: builder.BadInput
+    tree = _modules()["cli.py"]
+    main = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "main")
+    handlers = [ast.unparse(h.type) for h in ast.walk(main) if isinstance(h, ast.ExceptHandler)]
+    assert handlers == ["BadInput"]
+    assert qfla.cli.BadInput is qfla.builder.BadInput
 
 
 def defined_dunders() -> dict:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import (
     BLOCK_SPECS,
     TEST_MATRIX,
-    ZERO_COPY_SPECS,
     flatten,
     from_dense,
     random_images,
@@ -135,7 +134,7 @@ class TestExtension:
             gi = random_images(spec, rng)
             assert extend_derivation_candidate(spec, gi) == closed_form_extension(spec, gi)
 
-    @pytest.mark.parametrize("spec", ZERO_COPY_SPECS, ids=spec_id)
+    @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
     def test_top_with_one_zero_source_column(self, spec):
         # weights a = 1, b = 2 - n kill every e_{s,n-1} but not the tops, so
         # each top's column comes from e_{t1}'s image alone
@@ -148,7 +147,7 @@ class TestExtension:
         assert [D.entry(k, k) for k in range(spec.m * n, spec.dim)] == [2 - n] * spec.r
         assert D == closed_form_extension(spec, gi)
 
-    @pytest.mark.parametrize("spec", ZERO_COPY_SPECS, ids=spec_id)
+    @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
     def test_matches_closed_form_with_zero_copies(self, spec, rng):
         # the extension skips a copy whose images are zero, and a top whose
         # source columns are; random_images fills every copy

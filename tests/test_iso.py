@@ -11,11 +11,10 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from conftest import TEST_MATRIX, sparse, spec_id
 from test_linalg import dense_rows, reference_kernel, reference_rref
 from qfla import iso
-from qfla.builder import build_quasi, copy_cells, make_spec, related_matrix
+from qfla.builder import BadInput, build_quasi, copy_cells, make_spec, related_matrix
 from qfla.iso import (
     EquivalenceWitness,
     NotEquivalent,
-    SearchTooLarge,
     _generic_nonzero_point,
     build_algebra_witness,
     iso_decide,
@@ -118,11 +117,11 @@ class TestMonomialEquivalence:
             assert not v.isomorphic and "parameters differ" in v.reason
 
     def test_search_cap(self, monkeypatch):
-        monkeypatch.setenv("QFLA_MAX_M", "2")
+        monkeypatch.setattr(iso, "MAX_COPIES", 2)
         g = make_spec(5, 3, 2, [["1"], ["1"]]).beta
-        with pytest.raises(SearchTooLarge):
+        with pytest.raises(BadInput, match="^m:"):
             monomial_equivalence(g, g)
-        monkeypatch.setenv("QFLA_MAX_M", "3")
+        monkeypatch.setattr(iso, "MAX_COPIES", 3)
         assert isinstance(monomial_equivalence(g, g), EquivalenceWitness)
 
 
@@ -621,8 +620,7 @@ class TestScaleGuard:
     # both sides (r = 6, about 3 s, is a ladder rung only).
     @pytest.mark.parametrize("r", [4, 8])
     @pytest.mark.parametrize("isomorphic", [False, True], ids=["no", "yes"])
-    def test_generic_m12_within_five_seconds(self, monkeypatch, r, isomorphic):
-        monkeypatch.delenv("QFLA_MAX_M", raising=False)
+    def test_generic_m12_within_five_seconds(self, r, isomorphic):
         rng = random.Random(1200 + r)
         B1 = generic_C(rng, r, 12)
         B2 = relabel(rng, r, B1) if isomorphic else generic_C(rng, r, 12)
@@ -644,7 +642,7 @@ def _class_gluing(k: int, c: int):
 def test_equal_copies_are_tried_once_per_class(monkeypatch, c2, isomorphic):
     # Every ordering of the four copies in each class used to be refuted
     # separately: about 50 s for the negative at m = 16.
-    monkeypatch.setenv("QFLA_MAX_M", "16")
+    monkeypatch.setattr(iso, "MAX_COPIES", 16)
     spec1, spec2 = _class_gluing(4, 2), _class_gluing(4, c2)
     start = time.perf_counter()
     v = iso_decide(spec1, spec2)

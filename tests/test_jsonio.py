@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfla import jsonio
-from qfla.builder import make_spec
-from qfla.jsonio import BadInput, algebra_from_json, candidate_from_json, dumps, pieces
+from qfla.builder import MAX_DIM, BadInput, make_spec
+from qfla.jsonio import algebra_from_json, candidate_from_json, dumps, pieces
 from qfla.linalg import Matrix
 
 
@@ -138,6 +138,11 @@ class TestAlgebraFromJson:
     def test_rejects_out_of_range_target(self):
         with pytest.raises(BadInput, match="^value: target index 5"):
             algebra_from_json({"dim": 3, "brackets": [{"i": 0, "j": 1, "value": [[5, "1"]]}]})
+
+    def test_dim_cap(self):
+        assert algebra_from_json({"dim": MAX_DIM})[0].dim == MAX_DIM
+        with pytest.raises(BadInput, match=f"^dim: {MAX_DIM + 1} exceeds {MAX_DIM}$"):
+            algebra_from_json({"dim": MAX_DIM + 1, "labels": ["a"]})
 
     def test_drops_zero_coefficients(self):
         L, spec = algebra_from_json({"dim": 3, "brackets": [{"i": 0, "j": 1, "value": [[2, 0]]}]})
