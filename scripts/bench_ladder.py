@@ -15,7 +15,9 @@ decomposes under its first m + 1 members) and ``qfla.cli.nilpotent_basis`` (by
 ``der`` and ``der --compare``), the emission (``qfla.cli._emit``) and the
 phases of ``iso``: the copy cells (``qfla.iso.copy_cells``), the copy search
 (``qfla.iso._first_admissible_perm``, cells included) and the witness
-(``qfla.iso.build_algebra_witness``), and the brute-force bracket check of
+(``qfla.iso.build_algebra_witness``), the extension of ``aut-check``'s
+candidate (``qfla.cli.extend_endomorphism``, or ``extend_through_grading``
+where the tree binds that instead), and the brute-force bracket check of
 ``aut-check`` and ``iso`` (``bracket_preserving``, patched in each of
 ``qfla.liecore``, ``qfla.automorphisms`` and ``qfla.iso`` that binds it, so a
 tree from before ``liecore.is_isomorphism`` and one after it both report it;
@@ -37,7 +39,7 @@ per tree by that tree's own ``exp_ad`` and ``candidate_to_json``.  The output ho
 time-out), the median time of each phase the rung reaches (``oracle_median_s``,
 ``closed_median_s`` for the two closed forms together, ``emit_median_s``,
 ``cells_median_s``, ``search_median_s``, ``witness_median_s``,
-``verify_median_s``), all calibrated,
+``extend_median_s``, ``verify_median_s``), all calibrated,
 the same raw (``raw_median_s``, ``raw_runs_s``, ``raw_<phase>_median_s``), each
 run's scale factor (``scales``), the median peak RSS and the exit code
 ("timeout" when some run timed out), next to the Python version, the machine
@@ -188,6 +190,8 @@ TIMED = [
     ("qfla.iso", "copy_cells", "cells"),
     ("qfla.iso", "_first_admissible_perm", "search"),
     ("qfla.iso", "build_algebra_witness", "witness"),
+    ("qfla.cli", "extend_endomorphism", "extend"),
+    ("qfla.cli", "extend_through_grading", "extend"),
     ("qfla.liecore", "bracket_preserving", "verify"),
     ("qfla.automorphisms", "bracket_preserving", "verify"),
     ("qfla.iso", "bracket_preserving", "verify"),
@@ -199,7 +203,8 @@ PHASES = tuple(dict.fromkeys(phase for _, _, phase in TIMED))
 # and within it each phase (null when the verb does not reach it): the
 # derivation oracle, the closed-form torus and nilpotent bases (summed), the
 # emission (``_emit``, which makes the text and writes it), iso's cells,
-# search and witness, and the brute-force bracket check; report these raw
+# search and witness, aut-check's extension, and the brute-force bracket
+# check; report these raw
 # times, the scale factor from perfbench's speed probe taken just before and
 # just after cli.main, the exit code and peak RSS as one JSON line.
 CHILD = """

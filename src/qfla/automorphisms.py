@@ -5,19 +5,22 @@ pinned down by the generator images e_{s0}, e_{s1}; the rest extends via
 rho(e_{st}) = [rho(e_{s0}), rho(e_{s,t-1})].  This module provides the
 extension, the closed-form condition battery deciding when a candidate is an
 automorphism, and a few automorphism factories; the brute-force check is
-``liecore.is_isomorphism``.
+``liecore.is_isomorphism``, which decides bijectivity modulo [L, L].
+``aut-check`` hands it the extension through the grading automorphism
+delta_D (``extend_through_grading``), built from integral images, which is
+an isomorphism exactly when the candidate's own extension is.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import List, Optional, Sequence
 
 from .builder import QuasiQnSpec, build_quasi
 from .derivations import ConditionVerdict, GeneratorImages, extend_images
 from .liecore import LieAlgebra
-from .linalg import Matrix, Scalar, _subtract, scalar
+from .linalg import Matrix, Scalar, _scaled, _subtract, scalar
 
 
 def extend_endomorphism(
@@ -29,9 +32,30 @@ def extend_endomorphism(
     the same algebra for automorphism checking or a second one with equal
     (n, m, r) when testing maps between two gluings, so in either case of
     dimension ``shape.dim``.  Columns follow
-    rho([x, y]) = [rho(x), rho(y)] along ``extend_images``.
+    rho([x, y]) = [rho(x), rho(y)] along ``extend_images``, in the images'
+    own scalars: iso's witness, whose map is printed, is built here, and
+    ``extend_through_grading`` runs it on integral images.
     """
     return extend_images(shape, candidate, lambda i, j, x, y: target.bracket(x, y))
+
+
+def extend_through_grading(
+    shape: QuasiQnSpec, target: LieAlgebra, candidate: GeneratorImages
+) -> Matrix:
+    """N = phi o delta_D, for phi the candidate's ``extend_endomorphism``.
+
+    D is the lcm of the denominators of the 2m images' entries, and
+    delta_D: e_k -> D^{deg k} e_k, where deg e_{s0} = deg e_{s1} = 1,
+    deg e_{st} = t and every top has degree n.  Every bracket of a gluing
+    adds degrees (the gluing relates tops only), so delta_D is an
+    automorphism of each: the torus element with a_s = b_s = D.  The images
+    scaled by D are integral, and their extension is N, whose column k is
+    D^{deg k} times column k of phi, in ``int`` when the target's table is.
+    N is an isomorphism exactly when phi is; nothing is divided back.
+    """
+    D = lcm(*(x.denominator for v in candidate.e0 + candidate.e1 for x in v.values()))
+    e0, e1 = (tuple(_scaled(v, D) for v in vs) for vs in (candidate.e0, candidate.e1))
+    return extend_endomorphism(shape, target, GeneratorImages(e0, e1))
 
 
 def closed_form_endomorphism(
@@ -44,7 +68,9 @@ def closed_form_endomorphism(
     (b0_{i0})^{t-2} (b0_{i0} b1_{ij} - b0_{ij} b1_{i0}) on e_{i,j+t-1} and the
     central part collects (-1)^j b0_{ij} (...) on the top of copy i; valid for
     arbitrary candidates.  ``target_spec`` shares the (n, m, r) of
-    ``shape``, and so its dimension.
+    ``shape``, and so its dimension.  Column e_{st} is homogeneous of degree
+    t in the image coefficients, and a top column of degree n, so images
+    scaled by D give ``extend_through_grading``'s phi o delta_D here too.
     """
     target = build_quasi(target_spec)
     n, dim = shape.n, target.dim

@@ -29,7 +29,7 @@ from .derivations import (
     torus_basis,
     weight_decomposition,
 )
-from .automorphisms import automorphism_conditions, extend_endomorphism
+from .automorphisms import automorphism_conditions, extend_through_grading
 from .iso import iso_decide
 from .jsonio import (
     algebra_from_json,
@@ -181,7 +181,7 @@ def _cmd_aut_check(args) -> int:
     L = build_quasi(spec)
     candidate = candidate_from_json(_read_json(args.candidate), spec)
     verdict = automorphism_conditions(spec, candidate)
-    brute = is_isomorphism(L, L, extend_endomorphism(spec, L, candidate))
+    brute = is_isomorphism(L, L, extend_through_grading(spec, L, candidate))
     _emit(
         args,
         {

@@ -30,7 +30,9 @@ from __future__ import annotations
 from math import lcm
 from typing import Dict, Sequence, Tuple
 
-from .linalg import Matrix, Scalar, _combine, _subtract, _transpose, column_span, rank
+from .linalg import (
+    Matrix, Scalar, _combine, _rref_rows, _scaled, _subtract, _transpose, column_span
+)
 
 
 class JacobiViolation(ValueError):
@@ -208,10 +210,26 @@ def quasi_cyclic_split(L: LieAlgebra, U: Matrix) -> tuple:
 
 
 def is_isomorphism(L1: LieAlgebra, L2: LieAlgebra, M: Matrix) -> bool:
-    """Brute force: M, a square map from L1 to L2 of their common dimension,
-    is invertible and multiplicative on all basis brackets.  The one check
-    of both an automorphism (L2 = L1) and an iso witness."""
-    return rank(M) == L1.dim and bracket_preserving(L1, L2, M)
+    """Brute force: M, a map from L1 to L2, is multiplicative on all basis
+    brackets and bijective.  The one check of both an automorphism (L2 = L1)
+    and an iso witness.
+
+    Bijectivity is decided modulo [L2, L2], after the bracket check.  The
+    theorem: in a nilpotent Lie algebra L, a subalgebra S with
+    S + [L, L] = L is L itself.  A homomorphism's image is a subalgebra, so
+    for dim L1 = dim L2 and L2 nilpotent, M is bijective iff its columns and
+    the table's bracket values, which span [L2, L2], together span L2.  Most
+    bracket values of a gluing are one-entry rows, which ``_rref_rows`` peels
+    with no arithmetic, and they strike M's columns down to their generator
+    coordinates: no full rank is needed.  The precondition holds for every
+    N(Q_n, m, r), which is nilpotent because its grading has positive
+    degrees; on a non-nilpotent L2 the span test proves nothing.
+    """
+    if L1.dim != L2.dim or not bracket_preserving(L1, L2, M):
+        return False
+    # the one-entry bracket values go first, so they strike M's columns at once
+    rows = [dict(v) for v in L2.sc.values()] + [dict(c) for c in M.columns()]
+    return len(_rref_rows(rows)) == L2.dim
 
 
 def bracket_preserving(L1: LieAlgebra, L2: LieAlgebra, M: Matrix) -> bool:
@@ -243,8 +261,3 @@ def bracket_preserving(L1: LieAlgebra, L2: LieAlgebra, M: Matrix) -> bool:
             if left != target.bracket(col, N[j]):
                 return False
     return True
-
-
-def _scaled(v: dict, f: int) -> dict:
-    """f v in ``int``, for a sparse vector v whose denominators divide f."""
-    return {k: x.numerator * (f // x.denominator) for k, x in v.items()}

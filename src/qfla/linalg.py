@@ -157,6 +157,11 @@ def _subtract(row: dict, f: Scalar, pivot: dict) -> None:
             del row[c]
 
 
+def _scaled(v: dict, f: int) -> dict:
+    """f v in ``int``, for a sparse vector v whose denominators divide f."""
+    return {k: x.numerator * (f // x.denominator) for k, x in v.items()}
+
+
 def _combine(coeffs: dict, vectors: Sequence[dict]) -> dict:
     """sum_k coeffs[k] * vectors[k] for sparse coefficients and vectors."""
     out: dict = {}

@@ -26,6 +26,8 @@ TEST_MATRIX = [
     make_spec(9, 4, 1, [["1", "3", "-1"]]),
     make_spec(5, 4, 4),  # r = m: no glued copy
     make_spec(5, 5, 2, [["1", "1", "2"], ["0", "0", "0"]]),  # a zero row: copy 2 is free
+    make_spec(11, 3, 1, [["1", "-2"]]),  # n = 11: extension columns reach degree 11
+    make_spec(5, 6, 3, [["1", "2", "-1"], ["1", "-1", "3"], ["2", "1", "1"]]),  # generic, k = 3
 ]
 
 # Block form: beta's r unit columns are its only proportional classes.

@@ -87,7 +87,7 @@ def test_construction_suite():
         assert chain[0].cols == 2 * spec.m
         assert sum(space.cols for space in chain) == L.dim
     elapsed = time.perf_counter() - start
-    verdict("construction suite (13 gluings, < 5 s)", elapsed < 5.0, f"{elapsed:.2f}s")
+    verdict("construction suite (15 gluings, < 5 s)", elapsed < 5.0, f"{elapsed:.2f}s")
 
 
 # ----------------------------------------------- gate derivation dimensions
@@ -109,6 +109,8 @@ EXPECTED_DER_DIM = {
     spec_id(make_spec(5, 4, 4)): 60,
     # blocks of 4 and 1, 4 + 5 + 2 - 2 = 9: 5 + 2 + (36 + 6) + 9 = 58
     spec_id(make_spec(5, 5, 2, [["1", "1", "2"], ["0", "0", "0"]])): 58,
+    # n = 11, d = 5; one block of 3, 2 + 11 + 5 - 2 = 16: 3 + 1 + (48 + 3) = 55
+    spec_id(make_spec(11, 3, 1, [["1", "-2"]])): 55,
 }
 
 

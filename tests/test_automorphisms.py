@@ -1,6 +1,7 @@
 """Automorphism machinery: extension, condition battery, brute-force check."""
 import random
 from fractions import Fraction
+from math import factorial, lcm
 
 import pytest
 
@@ -18,6 +19,7 @@ from qfla.automorphisms import (
     closed_form_endomorphism,
     exp_ad,
     extend_endomorphism,
+    extend_through_grading,
     make_scaling_automorphism,
 )
 from qfla.builder import build_quasi, make_spec
@@ -29,6 +31,12 @@ SPEC521 = make_spec(5, 2, 1, [["1"]])
 
 def identity_candidate(spec):
     return make_scaling_automorphism(spec, [1] * spec.m, [1] * spec.m)
+
+
+def degree(spec, k: int) -> int:
+    """deg e_k in the grading: 1 on e_{s0} and e_{s1}, t on e_{st}, n on
+    every top."""
+    return spec.n if k >= spec.m * spec.n else max(k % spec.n, 1)
 
 
 class TestExtension:
@@ -74,6 +82,39 @@ class TestExtension:
                 for cand in zero_copy_variants(draw(spec, rng), rng):
                     M = extend_endomorphism(spec, L, cand)
                     assert M == closed_form_endomorphism(spec, spec, cand)
+
+
+class TestThroughGrading:
+    @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
+    def test_column_k_is_D_to_its_degree_times_phi(self, spec, rng):
+        L = build_quasi(spec)
+        integral_table = all(type(c) is int for v in L.sc.values() for c in v.values())
+        denominators = set()
+        for draw in (random_aut_candidate, passing_aut_candidate):
+            for _ in range(5):
+                for cand in zero_copy_variants(draw(spec, rng), rng):
+                    D = lcm(*(x.denominator for v in cand.e0 + cand.e1 for x in v.values()))
+                    phi = extend_endomorphism(spec, L, cand).columns()
+                    N = extend_through_grading(spec, L, cand).columns()
+                    assert N == [
+                        {i: D ** degree(spec, k) * x for i, x in col.items()}
+                        for k, col in enumerate(phi)
+                    ]
+                    if integral_table:
+                        assert all(type(x) is int for col in N for x in col.values())
+                    denominators.add(D)
+        assert max(denominators) > 1  # fractional images among the draws
+
+    @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
+    def test_the_grading_automorphism(self, spec):
+        L = build_quasi(spec)
+        for D in (2, factorial(20), Fraction(-3, 7)):
+            cand = make_scaling_automorphism(spec, [D] * spec.m, [D] * spec.m)
+            delta = extend_endomorphism(spec, L, cand)
+            assert delta == Matrix.from_columns(
+                [{k: D ** degree(spec, k)} for k in range(L.dim)], L.dim
+            )
+            assert is_isomorphism(L, L, delta)
 
 
 class TestConditions:

@@ -45,6 +45,7 @@ ALLOWED = {
     "closed_form_endomorphism": "paper formula: the explicit endomorphism columns",
     "is_derivation": "reference check: the Leibniz rule on all basis pairs",
     "is_minimal_generating_set": "reference check: residues mod c^1 L form a basis",
+    "rank": "reference check: full rank, which tests compare `is_isomorphism` against",
     "exp_ad": "public factory: inner automorphisms exp(ad x)",
     "candidate_to_json": "public factory: candidate files for aut-check",
     "dumps": "public factory: the whole text of jsonio.pieces, for input files",

@@ -19,7 +19,12 @@ from conftest import (
     spec_id,
     zero_copy_variants,
 )
-from qfla.automorphisms import exp_ad, extend_endomorphism, make_scaling_automorphism
+from qfla.automorphisms import (
+    exp_ad,
+    extend_endomorphism,
+    extend_through_grading,
+    make_scaling_automorphism,
+)
 from qfla.builder import build_qn, build_quasi, change_of_basis, make_spec, qn_x_basis
 from qfla.derivations import GeneratorImages
 from qfla.iso import iso_decide
@@ -37,6 +42,7 @@ from qfla.liecore import (
     minimal_generator_count,
     quasi_cyclic_split,
 )
+from qfla import linalg
 from qfla.linalg import Matrix, _combine, _subtract, column_span, inverse, rank
 from test_linalg import reference_rref
 
@@ -601,6 +607,71 @@ class TestIsIsomorphism:
         zero = Matrix.from_columns([{}] * L.dim, L.dim)
         assert bracket_preserving(L, L, zero)
         assert not is_isomorphism(L, L, zero)
+
+    @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
+    def test_a_nonzero_homomorphism_that_is_not_onto(self, spec):
+        # e_{s0} -> 0, e_{s1} -> e_{s1}: every bracket goes to zero, and the
+        # image is the span of the e_{s1}, inside no [L, L] but short of L
+        L = build_quasi(spec)
+        e1 = tuple({spec.gen_index(s, 1): 1} for s in range(1, spec.m + 1))
+        M = extend_endomorphism(spec, L, GeneratorImages(({},) * spec.m, e1))
+        assert rank(M) == spec.m
+        assert bracket_preserving(L, L, M)
+        assert not is_isomorphism(L, L, M)
+
+    def test_a_homomorphism_onto_a_smaller_algebra(self):
+        # N(Q_5,2,1) (+) Q_5 onto its free summand, copy 2 with top 2: onto,
+        # and a homomorphism, but of unequal dimensions
+        spec = make_spec(5, 3, 2, [["1"], ["0"]])
+        L1, L2 = build_quasi(spec), build_quasi(make_spec(5, 1, 1))
+        cols = [{}] * L1.dim
+        for t in range(5):
+            cols[spec.gen_index(2, t)] = {t: 1}
+        cols[spec.top_index(2)] = {5: 1}
+        M = Matrix.from_columns(cols, L2.dim)
+        assert bracket_preserving(L1, L2, M)
+        assert not is_isomorphism(L1, L2, M)
+
+    def test_only_generator_coordinates_are_pivoted_on(self, monkeypatch, rng):
+        # P = lower * upper, both unitriangular, maps the gluing in P's basis
+        # onto the gluing.  Its dense columns peel no units of their own, but
+        # the bracket values strike them down to the 2m generator
+        # coordinates: only those reach the elimination.
+        spec = make_spec(7, 2, 1, [["1"]])
+        L = build_quasi(spec)
+        low, up = (
+            [[rng.choice((1, -1, 2)) if keep(i, j) else int(i == j) for j in range(L.dim)]
+             for i in range(L.dim)]
+            for keep in (lambda i, j: j < i, lambda i, j: j > i)
+        )
+        P = Matrix(low) * Matrix(up)
+        L1 = change_of_basis(L, P)
+        pivoted = []
+        insert = linalg._insert
+        monkeypatch.setattr(
+            linalg, "_insert", lambda echelon, rows: pivoted.extend(rows) or insert(echelon, rows)
+        )
+        assert is_isomorphism(L1, L, P)
+        generators = {spec.gen_index(s, t) for s in range(1, spec.m + 1) for t in (0, 1)}
+        assert pivoted and all(set(row) <= generators for row in pivoted)
+
+    @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
+    def test_matches_the_full_rank_reference(self, spec, rng):
+        # phi and phi o delta_D on the aut-stream draws, the zero-copy
+        # variants being homomorphisms that are not onto
+        L = build_quasi(spec)
+        verdicts = set()
+        for kind in AUT_KINDS:
+            if kind == "gluing-compatibility" and spec.r == spec.m:
+                continue  # no glued copy to spoil
+            cand = aut_stream_candidate(spec, L, kind, rng)
+            for images in zero_copy_variants(cand, rng):
+                for extend in (extend_endomorphism, extend_through_grading):
+                    M = extend(spec, L, images)
+                    expected = rank(M) == L.dim and bracket_preserving(L, L, M)
+                    assert is_isomorphism(L, L, M) is expected
+                    verdicts.add(expected)
+        assert verdicts == {True, False}
 
     def test_an_iso_witness_and_a_one_entry_spoil(self):
         s1, s2 = ISO_PAIRS[2:4]  # two (5,3,2) gluings
