@@ -12,7 +12,9 @@ turns going first.  A run times ``qfla.cli.main`` alone, after the import, and
 within it the calls to ``qfla.cli.derivation_oracle`` and to the closed forms
 ``qfla.cli.torus_basis`` (by ``der``, ``der --compare`` and ``weights``, which
 decomposes under its first m + 1 members) and ``qfla.cli.nilpotent_basis`` (by
-``der`` and ``der --compare``), the emission (``qfla.cli._emit``) and the
+``der`` and ``der --compare``), the span comparison of ``der --compare``
+(``qfla.cli.spans_kernel``, or ``column_span`` where the tree binds that
+instead), the emission (``qfla.cli._emit``) and the
 phases of ``iso``: the copy cells (``qfla.iso.copy_cells``), the copy search
 (``qfla.iso._first_admissible_perm``, cells included) and the witness
 (``qfla.iso.build_algebra_witness``), the extension of ``aut-check``'s
@@ -37,7 +39,8 @@ per tree by that tree's own ``exp_ad`` and ``candidate_to_json``.  The output ho
 ("-dirty" when tracked files differ from it), a sha256 of the timed
 ``src/qfla/*.py`` files, and per rung the median and all run times (null for a
 time-out), the median time of each phase the rung reaches (``oracle_median_s``,
-``closed_median_s`` for the two closed forms together, ``emit_median_s``,
+``closed_median_s`` for the two closed forms together, ``compare_median_s``,
+``emit_median_s``,
 ``cells_median_s``, ``search_median_s``, ``witness_median_s``,
 ``extend_median_s``, ``verify_median_s``), all calibrated,
 the same raw (``raw_median_s``, ``raw_runs_s``, ``raw_<phase>_median_s``), each
@@ -186,6 +189,8 @@ TIMED = [
     ("qfla.cli", "derivation_oracle", "oracle"),
     ("qfla.cli", "torus_basis", "closed"),
     ("qfla.cli", "nilpotent_basis", "closed"),
+    ("qfla.cli", "spans_kernel", "compare"),
+    ("qfla.cli", "column_span", "compare"),
     ("qfla.cli", "_emit", "emit"),
     ("qfla.iso", "copy_cells", "cells"),
     ("qfla.iso", "_first_admissible_perm", "search"),
@@ -202,11 +207,11 @@ PHASES = tuple(dict.fromkeys(phase for _, _, phase in TIMED))
 # device, so the peak RSS counts no output text that the verb did not hold),
 # and within it each phase (null when the verb does not reach it): the
 # derivation oracle, the closed-form torus and nilpotent bases (summed), the
-# emission (``_emit``, which makes the text and writes it), iso's cells,
-# search and witness, aut-check's extension, and the brute-force bracket
-# check; report these raw
-# times, the scale factor from perfbench's speed probe taken just before and
-# just after cli.main, the exit code and peak RSS as one JSON line.
+# span comparison of der --compare, the emission (``_emit``, which makes the
+# text and writes it), iso's cells, search and witness, aut-check's
+# extension, and the brute-force bracket check; report these raw times, the
+# scale factor from perfbench's speed probe taken just before and just after
+# cli.main, the exit code and peak RSS as one JSON line.
 CHILD = """
 import contextlib, importlib, importlib.util, json, os, resource, sys, time
 probe = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])

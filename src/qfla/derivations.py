@@ -214,9 +214,11 @@ def is_derivation(L: LieAlgebra, D: Matrix) -> bool:
     return True
 
 
-def derivation_oracle(L: LieAlgebra) -> List[Matrix]:
+def derivation_oracle(L: LieAlgebra) -> List[dict]:
     """Canonical basis of the full derivation algebra, found by solving the
-    Leibniz rule as a sparse linear system in the dim^2 matrix entries.
+    Leibniz rule as a sparse linear system in the dim^2 matrix entries, as
+    the flat kernel vectors {a * dim + b: D[a, b]} that ``sparse_nullspace``
+    makes, one per free column.
 
     Basis pair (i, j) gives one equation per output index `out` that some
     term touches: the e_out coefficient of D[e_i, e_j] - [D e_i, e_j] -
@@ -258,13 +260,7 @@ def derivation_oracle(L: LieAlgebra) -> List[Matrix]:
                         add(eq, out, k * dim + j, c)
                 yield from eq.values()
 
-    out = []
-    for vec in sparse_nullspace(leibniz_rows(), dim * dim):
-        cols: List[dict] = [{} for _ in range(dim)]
-        for key, x in vec.items():  # key a * dim + b is entry (a, b)
-            cols[key % dim][key // dim] = x
-        out.append(Matrix.from_columns(cols, dim))
-    return out
+    return sparse_nullspace(leibniz_rows(), dim * dim)
 
 
 # -- explicit bases ---------------------------------------------------------------
@@ -369,12 +365,15 @@ def der_dimension(spec: QuasiQnSpec) -> Optional[int]:
 # -- eigenvalue bookkeeping -------------------------------------------------------
 
 
-def top_weights(spec: QuasiQnSpec, D: Matrix) -> tuple:
+def top_weights(spec: QuasiQnSpec, D: dict) -> tuple:
     """Per copy s, the e_{sn} eigenvalue (n-2) a_s + 2 b_s of a derivation
-    whose diagonal has a_s at e_{s0} and b_s at e_{s1}."""
+    whose diagonal has a_s at e_{s0} and b_s at e_{s1}.  D is given by its
+    flat entries {a * dim + b: D[a, b]}, as ``derivation_oracle`` returns
+    it, so diagonal entry k sits at index k (dim + 1)."""
+    step = spec.dim + 1
     return tuple(
-        (spec.n - 2) * D.entry(spec.gen_index(s, 0), spec.gen_index(s, 0))
-        + 2 * D.entry(spec.gen_index(s, 1), spec.gen_index(s, 1))
+        (spec.n - 2) * D.get(spec.gen_index(s, 0) * step, 0)
+        + 2 * D.get(spec.gen_index(s, 1) * step, 0)
         for s in range(1, spec.m + 1)
     )
 

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 from .builder import MAX_DIM, BadInput, QuasiQnSpec, build_quasi, make_spec
 from .derivations import GeneratorImages
 from .liecore import LieAlgebra, check_jacobi
-from .linalg import Matrix, _transpose, scalar
+from .linalg import Matrix, scalar
 
 
 def _is_int(x) -> bool:
@@ -94,17 +94,20 @@ def _encode(obj, newline: str) -> str:
 
 def _encode_matrix(M: Matrix, newline: str) -> str:
     """M as its list of rows of "p/q" strings, read off the sparse columns:
-    the rows without a nonzero entry share one text."""
+    only the rows that some nonzero entry touches are made, and the others
+    share one text."""
     inner = newline + "  "
     head, sep, tail = "[" + inner + '  "', '",' + inner + '  "', '"' + inner + "]"
     zeros = ["0"] * M.cols
+    touched: dict = {}  # row -> its cells
+    for j, col in enumerate(M.columns()):
+        for i, x in col.items():
+            if i not in touched:
+                touched[i] = zeros.copy()
+            touched[i][j] = str(x)
     rows = [f"{head}{sep.join(zeros)}{tail}" if M.cols else "[]"] * M.rows
-    for i, entries in enumerate(_transpose(M.columns(), M.rows)):
-        if entries:
-            cells = zeros.copy()
-            for j, x in entries.items():
-                cells[j] = str(x)
-            rows[i] = f"{head}{sep.join(cells)}{tail}"
+    for i, cells in touched.items():
+        rows[i] = f"{head}{sep.join(cells)}{tail}"
     return f"[{inner}{(',' + inner).join(rows)}{newline}]" if rows else "[]"
 
 

@@ -251,7 +251,9 @@ def bracket_preserving(L1: LieAlgebra, L2: LieAlgebra, M: Matrix) -> bool:
     D = lcm(*(x.denominator for col in cols for x in col.values()))
     d1, d2 = (lcm(*(c.denominator for v in L.sc.values() for c in v.values())) for L in (L1, L2))
     N = [_scaled(col, D) for col in cols]
-    target = LieAlgebra(L2.dim, {p: _scaled(v, d1 * d2) for p, v in L2.sc.items()})
+    target = L2  # integral tables, as aut-check's always are, serve as they are
+    if d1 * d2 != 1:
+        target = LieAlgebra(L2.dim, {p: _scaled(v, d1 * d2) for p, v in L2.sc.items()})
     rows = _transpose(N, L2.dim)
     for i, col in enumerate(N):
         dom = set().union(*(L2.partners[a] for a in col))

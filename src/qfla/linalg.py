@@ -8,8 +8,8 @@ without zero entries, and matrices are immutable tuples of such sparse
 columns, so every operation costs per nonzero, not per cell.  Everything is
 exact, so results can be compared by literal equality and elimination needs no
 pivoting heuristics.  One sparse elimination engine serves every solve:
-`rank`, `inverse`, `column_span` and `sparse_nullspace` all read their results
-off it.
+`rank`, `inverse`, `column_span`, `sparse_nullspace` and `spans_kernel` all
+read their results off it.
 """
 from __future__ import annotations
 
@@ -57,7 +57,7 @@ class Matrix:
     """Immutable matrix of exact scalars, stored as a tuple of sparse columns
     {row: entry} without zero entries, so it costs space and time per nonzero."""
 
-    __slots__ = ("rows", "cols", "_c")
+    __slots__ = ("rows", "cols", "_c", "_hash")
 
     def __init__(self, entries: Iterable[Iterable[ScalarLike]], cols: int | None = None):
         grid = [tuple(row) for row in entries]
@@ -72,7 +72,7 @@ class Matrix:
                 x = scalar(x)
                 if x:
                     columns[j][i] = x
-        self.rows, self.cols, self._c = len(grid), width, tuple(columns)
+        self.rows, self.cols, self._c, self._hash = len(grid), width, tuple(columns), None
 
     # -- construction helpers -------------------------------------------------
 
@@ -85,7 +85,7 @@ class Matrix:
         """The dim-row matrix whose columns are the given sparse vectors
         {row: scalar}; zero entries are dropped."""
         M = Matrix.__new__(Matrix)
-        M.rows, M.cols = dim, len(columns)
+        M.rows, M.cols, M._hash = dim, len(columns), None
         M._c = tuple({i: x for i, x in col.items() if x} for col in columns)
         return M
 
@@ -107,7 +107,9 @@ class Matrix:
         return self.rows == other.rows and self.cols == other.cols and self._c == other._c
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, tuple(frozenset(c.items()) for c in self._c)))
+        if self._hash is None:  # made once: build_quasi's cache hashes B per lookup
+            self._hash = hash((self.rows, self.cols, tuple(frozenset(c.items()) for c in self._c)))
+        return self._hash
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -296,3 +298,26 @@ def sparse_nullspace(rows: Iterable[dict], ncols: int) -> list:
     by ascending free column (see ``_kernel``).
     """
     return _kernel(_rref_rows(rows), ncols)
+
+
+def spans_kernel(vectors: Iterable[dict], kernel: Sequence[dict]) -> bool:
+    """``column_span(vectors, n) == column_span(kernel, n)`` for a canonical
+    kernel basis as ``sparse_nullspace`` returns it, decided in dim ker
+    coordinates instead of n.
+
+    The theorem: K_c, the vector of free column c, is 1 at c and 0 at every
+    other free column, and c is its largest index (see ``_kernel``).  So v
+    lies in the span iff v - sum_c v[c] K_c = 0, and the vectors span it iff
+    their free coordinates (v[c])_c have rank dim ker.
+    """
+    free = {max(K): k for k, K in enumerate(kernel)}  # free column c -> K_c's place
+    coords = []
+    for v in vectors:
+        at = {free[c]: x for c, x in v.items() if c in free}
+        rest = dict(v)
+        for k, x in at.items():
+            _subtract(rest, x, kernel[k])
+        if rest:
+            return False
+        coords.append(at)
+    return len(_insert({}, coords)) == len(kernel)

@@ -9,7 +9,7 @@ import pytest
 
 from qfla.builder import make_spec, proportional_classes
 from qfla.derivations import GeneratorImages
-from qfla.linalg import scalar
+from qfla.linalg import Matrix, scalar
 
 # The standard battery: every (n, m, r, B) the suites run against.
 TEST_MATRIX = [
@@ -67,6 +67,15 @@ def flatten(M) -> dict:
     """The dim^2 entries of a matrix as one sparse vector, indexed row-major."""
     entries = ((i, j, M.entry(i, j)) for i in range(M.rows) for j in range(M.cols))
     return {i * M.cols + j: x for i, j, x in entries if x}
+
+
+def reshape(vec: dict, dim: int):
+    """The dim x dim matrix of a flat vector {a * dim + b: entry (a, b)}, as
+    ``derivation_oracle`` returns its members; ``flatten`` undoes it."""
+    cols = [{} for _ in range(dim)]
+    for key, x in vec.items():
+        cols[key % dim][key // dim] = x
+    return Matrix.from_columns(cols, dim)
 
 
 def spec_id(spec) -> str:

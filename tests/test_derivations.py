@@ -14,6 +14,7 @@ from conftest import (
     random_images,
     random_passing_images,
     random_supported_images,
+    reshape,
     spec_id,
     zero_copy_variants,
 )
@@ -33,7 +34,7 @@ from qfla.derivations import (
     weight_decomposition,
 )
 from qfla.liecore import LieAlgebra, lower_central_series
-from qfla.linalg import Matrix, column_span, sparse_nullspace
+from qfla.linalg import Matrix, column_span, sparse_nullspace, spans_kernel
 from test_iso import NONZERO, WITH_ZEROS, relabelled
 from test_liecore import dense_tables
 
@@ -261,7 +262,7 @@ class TestOracle:
     def test_every_member_is_a_derivation(self):
         L = build_quasi(SPEC521)
         for D in derivation_oracle(L):
-            assert is_derivation(L, D)
+            assert is_derivation(L, reshape(D, L.dim))
 
     def test_abelian_algebra_has_full_matrix_space(self):
         from qfla.liecore import LieAlgebra
@@ -289,7 +290,7 @@ def oracle_torus_dimension(spec) -> int:
     L = build_quasi(spec)
     oracle = derivation_oracle(L)
     rows = [
-        {k: x for k, D in enumerate(oracle) if (x := D.entry(i, j))}
+        {k: x for k, D in enumerate(oracle) if (x := D.get(i * L.dim + j))}
         for i in range(L.dim)
         for j in range(L.dim)
         if i != j
@@ -331,7 +332,7 @@ class TestExplicitBases:
                 assert A * B == B * A
         assert len(torus) + len(nilp) == der_dimension(spec) == len(oracle)
         combined = column_span([flatten(D) for D in torus + nilp], L.dim**2)
-        assert combined == column_span([flatten(D) for D in oracle], L.dim**2)
+        assert combined == column_span(oracle, L.dim**2)
 
     @pytest.mark.parametrize(
         "spec,expected", MULTI_BLOCK_DER_DIM, ids=[spec_id(s) for s in MULTI_BLOCK_SPECS]
@@ -347,9 +348,11 @@ class TestExplicitBases:
             torus = torus_basis(spec)
             assert len(torus) == spec.m + c
             grading, *copy_weights = torus[: spec.m + 1]
-            assert top_weights(spec, grading) == (2,) * spec.m
-            assert [top_weights(spec, D) for D in copy_weights] == [(0,) * spec.m] * spec.m
-            assert [top_weights(spec, D) for D in torus[spec.m + 1 :]] == [(0, 2)] * (c - 1)
+            assert top_weights(spec, flatten(grading)) == (2,) * spec.m
+            weights = [top_weights(spec, flatten(D)) for D in copy_weights]
+            assert weights == [(0,) * spec.m] * spec.m
+            weights = [top_weights(spec, flatten(D)) for D in torus[spec.m + 1 :]]
+            assert weights == [(0, 2)] * (c - 1)
 
     def test_mixing_torus_is_maximal(self):
         # Copy 4 glues onto the tops of copies 1 and 2 while copy 3 stays
@@ -430,7 +433,7 @@ class TestEigenvalueBookkeeping:
     def test_top_weights_of_torus_members(self):
         spec = SPEC521
         grading, *copy_weights = torus_basis(spec)
-        assert top_weights(spec, grading) == (Fraction(2), Fraction(2))
+        assert top_weights(spec, flatten(grading)) == (Fraction(2), Fraction(2))
         # Grading kills each e_{s0}, fixes e_{s1}..e_{s,n-1} and doubles the top
         assert [grading.entry(k, k) for k in range(spec.dim)] == [0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 2]
         assert len(copy_weights) == spec.m
@@ -441,7 +444,7 @@ class TestEigenvalueBookkeeping:
             for t in range(1, spec.n):
                 expected[spec.gen_index(s, t)] = spec.n - 2 * t
             assert [D.entry(k, k) for k in range(spec.dim)] == expected
-            assert top_weights(spec, D) == (0, 0)
+            assert top_weights(spec, flatten(D)) == (0, 0)
 
     def test_weight_decomposition_separates_levels(self):
         spec = SPEC521
@@ -506,7 +509,7 @@ class TestDerProperties:
         assert len(oracle) == der_dimension(spec)
         explicit = torus_basis(spec) + nilpotent_basis(spec)
         assert column_span([flatten(D) for D in explicit], L.dim**2) == column_span(
-            [flatten(D) for D in oracle], L.dim**2
+            oracle, L.dim**2
         )
 
     @given(relabelled_pairs())
@@ -517,6 +520,46 @@ class TestDerProperties:
         assert [c.cols for c in lower_central_series(L1)] == [
             c.cols for c in lower_central_series(L2)
         ]
+
+
+# -- der --compare's span test against the column spans it replaced ------------------
+
+
+def spoils(members, rng):
+    """The explicit basis (flat vectors) and seeded spoils of it: a member
+    dropped, one duplicated, one scaled, and a non-derivation added."""
+    k = rng.randrange(len(members))
+    scaled = {i: Fraction(-2, 3) * x for i, x in members[k].items()}
+    unit = {0: 1}  # e_0 -> e_0 alone: [e_0, e_j] != 0 for some j, so no derivation
+    return {
+        "as is": members,
+        "dropped": members[:k] + members[k + 1 :],
+        "duplicated": members + [members[k]],
+        "scaled": members[:k] + [scaled] + members[k + 1 :],
+        "non-derivation": members[:k] + [unit] + members[k:],
+    }
+
+
+class TestCompare:
+    @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
+    def test_spans_kernel_matches_column_spans(self, spec, rng):
+        L = build_quasi(spec)
+        oracle = derivation_oracle(L)
+        explicit = [flatten(D) for D in torus_basis(spec) + (nilpotent_basis(spec) or [])]
+        assert not is_derivation(L, reshape({0: 1}, L.dim))
+        answers = {}
+        for name, members in spoils(explicit, rng).items():
+            expected = column_span(members, L.dim**2) == column_span(oracle, L.dim**2)
+            assert spans_kernel(members, oracle) is expected, name
+            answers[name] = expected
+        block_form = spec in BLOCK_SPECS
+        assert answers == {
+            "as is": block_form,
+            "dropped": False,
+            "duplicated": block_form,
+            "scaled": block_form,
+            "non-derivation": False,
+        }
 
 
 # -- the oracle's assembly against the per-pair reference ----------------------------
@@ -549,13 +592,7 @@ def reference_leibniz_rows(L):
 
 
 def reference_oracle(L):
-    out = []
-    for vec in sparse_nullspace(reference_leibniz_rows(L), L.dim**2):
-        cols = [{} for _ in range(L.dim)]
-        for key, x in vec.items():  # key a * dim + b is entry (a, b)
-            cols[key % L.dim][key // L.dim] = x
-        out.append(Matrix.from_columns(cols, L.dim))
-    return out
+    return sparse_nullspace(reference_leibniz_rows(L), L.dim**2)
 
 
 class TestOracleAssembly:

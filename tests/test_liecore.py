@@ -601,6 +601,39 @@ class TestBracketPreserving:
             bracket_preserving(so3(), heisenberg(), Matrix.identity(4))
 
 
+class TestTargetTable:
+    """``bracket_preserving`` scales L2's table only when a denominator asks
+    for it: aut-check's tables, integral and L1 = L2, serve as they are."""
+
+    @staticmethod
+    def count_constructions(monkeypatch) -> list:
+        built, init = [], LieAlgebra.__init__
+
+        def counted(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(LieAlgebra, "__init__", counted)
+        return built
+
+    @pytest.mark.parametrize("spec", INTEGRAL_SPECS, ids=spec_id)
+    def test_integral_tables_build_no_algebra(self, spec, rng, monkeypatch):
+        L = build_quasi(spec)
+        M = extend_through_grading(spec, L, aut_stream_candidate(spec, L, None, rng))
+        spoil = spoiled(M, spec.gen_index(1, 2), spec.gen_index(1, 1), 1)
+        built = self.count_constructions(monkeypatch)
+        assert (bracket_preserving(L, L, M), bracket_preserving(L, L, spoil)) == (True, False)
+        assert built == []
+
+    def test_a_fractional_table_is_scaled_once(self, monkeypatch):
+        s1, s2 = ISO_PAIRS[:2]  # B = (1/2) and B = (-1/3)
+        v = iso_decide(s1, s2)
+        L1, L2 = build_quasi(s1), build_quasi(s2)
+        built = self.count_constructions(monkeypatch)
+        assert bracket_preserving(L1, L2, v.map)
+        assert len(built) == 1
+
+
 class TestIsIsomorphism:
     def test_the_zero_map_is_a_homomorphism_but_not_bijective(self):
         L = build_quasi(make_spec(5, 2, 1, [["1"]]))

@@ -1,10 +1,13 @@
 """Smoke tests of the scripts in scripts/: each runs to the end and reports
 what it promises."""
 import importlib
+import re
 import runpy
+import shutil
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def run_main(name: str, capsys) -> str:
@@ -39,3 +42,23 @@ def test_every_ladder_phase_binds_in_this_tree():
         if hasattr(importlib.import_module(module), name)
     }
     assert bound == set(ladder["PHASES"])
+
+
+def test_replay_lists_exactly_the_calls_that_differ(capsys, tmp_path):
+    replay = runpy.run_path(str(SCRIPTS / "replay_pools.py"))["main"]
+    tiny = ["--seeds", "1", "--tiny"]
+    assert replay(["--tree", f"one={ROOT}", "--tree", f"two={ROOT}", *tiny]) == 0
+    same = capsys.readouterr().out
+    assert re.fullmatch(r"two against one: [1-9]\d* calls, 0 differ\n", same)
+    # a mutant whose der writes one more byte to stdout, and nothing else changed
+    shutil.copytree(ROOT / "src" / "qfla", tmp_path / "src" / "qfla")
+    with open(tmp_path / "src" / "qfla" / "cli.py", "a", encoding="utf-8") as fh:
+        fh.write(
+            "\n_main = main\n\n\ndef main(argv=None):\n    rc = _main(argv)\n"
+            "    if argv[:1] == ['der']:\n        sys.stdout.write(' ')\n    return rc\n"
+        )
+    assert replay(["--tree", f"one={ROOT}", "--tree", f"mutant={tmp_path}", *tiny]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"mutant against one: {same.split()[3]} calls, {len(lines) - 1} differ"
+    assert len(lines) > 1
+    assert all(line.endswith("call 2 (der): stdout differ") for line in lines[:-1])
