@@ -13,17 +13,13 @@ within it the calls to ``qfla.cli.derivation_oracle`` and to the closed forms
 ``qfla.cli.torus_basis`` (by ``der``, ``der --compare`` and ``weights``, which
 decomposes under its first m + 1 members) and ``qfla.cli.nilpotent_basis`` (by
 ``der`` and ``der --compare``), the span comparison of ``der --compare``
-(``qfla.cli.spans_kernel``, or ``column_span`` where the tree binds that
-instead), the emission (``qfla.cli._emit``) and the
+(``qfla.cli.spans_kernel``), the emission (``qfla.cli._emit``) and the
 phases of ``iso``: the copy cells (``qfla.iso.copy_cells``), the copy search
 (``qfla.iso._first_admissible_perm``, cells included) and the witness
 (``qfla.iso.build_algebra_witness``), the extension of ``aut-check``'s
-candidate (``qfla.cli.extend_endomorphism``, or ``extend_through_grading``
-where the tree binds that instead), and the brute-force bracket check of
-``aut-check`` and ``iso`` (``bracket_preserving``, patched in each of
-``qfla.liecore``, ``qfla.automorphisms`` and ``qfla.iso`` that binds it, so a
-tree from before ``liecore.is_isomorphism`` and one after it both report it;
-see ``TIMED``), and reads the child's peak RSS, with
+candidate (``qfla.cli.extend_through_grading``), and the brute-force bracket
+check of ``aut-check`` and ``iso`` (``qfla.liecore.bracket_preserving``; see
+``TIMED``), and reads the child's peak RSS, with
 stdout sent to the null device; a run still going after ``TIME_LIMIT_S``
 seconds is stopped and recorded as a time-out.
 
@@ -181,25 +177,18 @@ ISO_PAIRS = [
 TIME_LIMIT_S = 120
 # The functions a run times, as (module, name, phase); the child reports each
 # phase as "<phase>_s", summed over its functions.  The child patches a name
-# only in the listed modules that bind it, so a call is timed through
-# whichever binding it goes: a tree may bind ``bracket_preserving`` in
-# ``automorphisms`` and ``iso``, or in ``liecore`` alone behind
-# ``liecore.is_isomorphism``.
+# only in a listed module that binds it, and every entry binds in this tree.
 TIMED = [
     ("qfla.cli", "derivation_oracle", "oracle"),
     ("qfla.cli", "torus_basis", "closed"),
     ("qfla.cli", "nilpotent_basis", "closed"),
     ("qfla.cli", "spans_kernel", "compare"),
-    ("qfla.cli", "column_span", "compare"),
     ("qfla.cli", "_emit", "emit"),
     ("qfla.iso", "copy_cells", "cells"),
     ("qfla.iso", "_first_admissible_perm", "search"),
     ("qfla.iso", "build_algebra_witness", "witness"),
-    ("qfla.cli", "extend_endomorphism", "extend"),
     ("qfla.cli", "extend_through_grading", "extend"),
     ("qfla.liecore", "bracket_preserving", "verify"),
-    ("qfla.automorphisms", "bracket_preserving", "verify"),
-    ("qfla.iso", "bracket_preserving", "verify"),
 ]
 PHASES = tuple(dict.fromkeys(phase for _, _, phase in TIMED))
 

@@ -124,7 +124,7 @@ def closed_form_endomorphism(
             )
             add_top(v, i, b(candidate.e1, t, i, 1) * b00 ** (n - 3) * c)
         cols[shape.top_index(t)] = v
-    return Matrix.from_columns(cols, dim)
+    return Matrix.from_columns([{k: x for k, x in v.items() if x} for v in cols], dim)
 
 
 def _target_copies(spec: QuasiQnSpec, candidate: GeneratorImages) -> tuple:

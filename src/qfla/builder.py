@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from typing import Dict, Sequence, Tuple
@@ -35,45 +35,24 @@ def _check_n(n: int) -> None:
 
 @dataclass(frozen=True)
 class QuasiQnSpec:
-    """Parameters (n, m, r, B) of N(Q_n, m, r).
+    """Parameters (n, m, r, beta) of N(Q_n, m, r), taken as given: ``make_spec``
+    checks plain data.
 
-    ``B`` is the r x (m-r) gluing matrix: column s-r-1 holds the coefficients
-    expressing e_{sn} (s > r) over the independent tops e_{1n}..e_{rn}.
-    Every refusal is a ``BadInput`` whose message leads with the field at
-    fault: ``n``, ``m``, ``r``, ``dim`` or ``B``.
+    ``beta`` holds the m columns of beta = (I | B) as r-tuples: column s-1
+    expands e_{sn} over e_{1n}..e_{rn}.
     """
 
     n: int
     m: int
     r: int
-    B: Matrix
+    beta: tuple
 
-    def __post_init__(self):
-        _check_n(self.n)
-        if self.m < 1:
-            raise BadInput(f"m: must be >= 1, got {self.m}")
-        if not 1 <= self.r <= self.m:
-            raise BadInput(f"r: must satisfy 1 <= r <= m, got r={self.r}, m={self.m}")
-        if self.dim > MAX_DIM:
-            raise BadInput(
-                f"dim: m*n + r = {self.dim} exceeds {MAX_DIM} (n={self.n}, m={self.m}, r={self.r})"
-            )
-        if self.B.rows != self.r or self.B.cols != self.m - self.r:
-            raise BadInput(
-                f"B: must be {self.r}x{self.m - self.r}, got {self.B.rows}x{self.B.cols}"
-            )
-        for j, column in enumerate(self.B.columns()):
-            if not column:
-                raise BadInput(f"B: column {j} is zero: top vector {self.r + j + 1} would vanish")
-
-    @cached_property
-    def beta(self) -> tuple:
-        """The m columns of beta = (I | B) as r-tuples: column s-1 expands
-        e_{sn} over e_{1n}..e_{rn}."""
-        units = tuple(tuple(1 if t == s else 0 for t in range(self.r)) for s in range(self.r))
-        return units + tuple(
-            tuple(self.B.entry(t, k) for t in range(self.r)) for k in range(self.B.cols)
-        )
+    @property
+    def B(self) -> Matrix:
+        """The r x (m-r) gluing matrix: beta's last m - r columns, column
+        s-r-1 expressing e_{sn} (s > r) over the independent tops."""
+        columns = [{t: c for t, c in enumerate(v) if c} for v in self.beta[self.r :]]
+        return Matrix.from_columns(columns, self.r)
 
     @property
     def d(self) -> int:
@@ -101,13 +80,28 @@ class QuasiQnSpec:
 
 
 def make_spec(n: int, m: int, r: int, B=None) -> QuasiQnSpec:
-    """Spec from plain data; B may be a Matrix, nested lists of scalars, or
-    None for no glued copies (an r x 0 matrix)."""
+    """The spec of plain data, checked once: B may be a Matrix, nested lists
+    of scalars, or None for no glued copies (an r x 0 matrix).  Every refusal
+    is a ``BadInput`` whose message leads with the field at fault: ``n``,
+    ``m``, ``r``, ``dim`` or ``B``."""
     if B is None:
         B = Matrix.from_columns([], r)
     elif not isinstance(B, Matrix):
         B = Matrix(B)
-    return QuasiQnSpec(n, m, r, B)
+    _check_n(n)
+    if m < 1:
+        raise BadInput(f"m: must be >= 1, got {m}")
+    if not 1 <= r <= m:
+        raise BadInput(f"r: must satisfy 1 <= r <= m, got r={r}, m={m}")
+    if m * n + r > MAX_DIM:
+        raise BadInput(f"dim: m*n + r = {m * n + r} exceeds {MAX_DIM} (n={n}, m={m}, r={r})")
+    if B.rows != r or B.cols != m - r:
+        raise BadInput(f"B: must be {r}x{m - r}, got {B.rows}x{B.cols}")
+    columns = [{s: 1} for s in range(r)] + B.columns()  # beta = (I | B)
+    for j, column in enumerate(columns[r:]):
+        if not column:
+            raise BadInput(f"B: column {j} is zero: top vector {r + j + 1} would vanish")
+    return QuasiQnSpec(n, m, r, tuple(tuple(v.get(t, 0) for t in range(r)) for v in columns))
 
 
 @lru_cache(maxsize=None)
@@ -170,8 +164,8 @@ def related_matrix(beta: Sequence[tuple]) -> Matrix:
     """(-B^t | I) from the m columns of beta = (I | B) in Q^r: row s - r - 1
     encodes e_{sn} - sum_t beta_{t,s} e_{tn} = 0 for each s > r."""
     m, r = len(beta), len(beta[0])
-    units = [[1 if t == s else 0 for t in range(r, m)] for s in range(r, m)]
-    return Matrix([[-c for c in beta[s]] + units[s - r] for s in range(r, m)], cols=m)
+    left = [{i: -v[t] for i, v in enumerate(beta[r:]) if v[t]} for t in range(r)]
+    return Matrix.from_columns(left + [{i: 1} for i in range(m - r)], m - r)
 
 
 def _normalised(v: tuple) -> tuple:

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from .builder import QuasiQnSpec, build_quasi, proportional_classes, support_components
 from .liecore import LieAlgebra
-from .linalg import Matrix, _combine, _subtract, scalar, sparse_nullspace
+from .linalg import Matrix, _combine, _subtract, sparse_nullspace
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def closed_form_extension(spec: QuasiQnSpec, images: GeneratorImages) -> Matrix:
         a = images.e0[t - 1].get(spec.gen_index(t, 0), 0)
         b = images.e1[t - 1].get(spec.gen_index(t, 1), 0)
         cols[spec.top_index(t)] = {spec.top_index(t): (n - 2) * a + 2 * b}
-    return Matrix.from_columns(cols, spec.dim)
+    return Matrix.from_columns([{k: x for k, x in v.items() if x} for v in cols], spec.dim)
 
 
 @dataclass(frozen=True)
@@ -276,7 +276,7 @@ def _element(spec: QuasiQnSpec, kind: str, indices: tuple, entries) -> Matrix:
     e0: List[dict] = [{} for _ in range(spec.m)]
     e1: List[dict] = [{} for _ in range(spec.m)]
     for which, s, k, value in entries:
-        (e1 if which else e0)[s - 1][k] = scalar(value)
+        (e1 if which else e0)[s - 1][k] = value
     images = GeneratorImages(tuple(e0), tuple(e1))
     verdict = derivation_conditions(spec, images)
     if not verdict.ok:

@@ -132,7 +132,7 @@ def spec_to_json(spec: QuasiQnSpec) -> dict:
 
 def spec_from_json(data) -> QuasiQnSpec:
     """The spec of a parsed parameter object.  Only the keys and the JSON
-    types are checked here; ``QuasiQnSpec`` refuses bad values, naming the
+    types are checked here; ``make_spec`` refuses bad values, naming the
     field."""
     if not isinstance(data, dict):
         raise BadInput("spec: expected an object")

@@ -57,7 +57,7 @@ class Matrix:
     """Immutable matrix of exact scalars, stored as a tuple of sparse columns
     {row: entry} without zero entries, so it costs space and time per nonzero."""
 
-    __slots__ = ("rows", "cols", "_c", "_hash")
+    __slots__ = ("rows", "cols", "_c")
 
     def __init__(self, entries: Iterable[Iterable[ScalarLike]], cols: int | None = None):
         grid = [tuple(row) for row in entries]
@@ -72,7 +72,7 @@ class Matrix:
                 x = scalar(x)
                 if x:
                     columns[j][i] = x
-        self.rows, self.cols, self._c, self._hash = len(grid), width, tuple(columns), None
+        self.rows, self.cols, self._c = len(grid), width, tuple(columns)
 
     # -- construction helpers -------------------------------------------------
 
@@ -83,10 +83,10 @@ class Matrix:
     @staticmethod
     def from_columns(columns: Sequence[dict], dim: int) -> "Matrix":
         """The dim-row matrix whose columns are the given sparse vectors
-        {row: scalar}; zero entries are dropped."""
+        {row: scalar}, taken as given: without zero entries, and the
+        matrix's own from then on."""
         M = Matrix.__new__(Matrix)
-        M.rows, M.cols, M._hash = dim, len(columns), None
-        M._c = tuple({i: x for i, x in col.items() if x} for col in columns)
+        M.rows, M.cols, M._c = dim, len(columns), tuple(columns)
         return M
 
     # -- accessors ------------------------------------------------------------
@@ -105,11 +105,6 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         return self.rows == other.rows and self.cols == other.cols and self._c == other._c
-
-    def __hash__(self) -> int:
-        if self._hash is None:  # made once: build_quasi's cache hashes B per lookup
-            self._hash = hash((self.rows, self.cols, tuple(frozenset(c.items()) for c in self._c)))
-        return self._hash
 
     def __repr__(self) -> str:
         body = "; ".join(

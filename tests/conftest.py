@@ -11,24 +11,26 @@ from qfla.builder import make_spec, proportional_classes
 from qfla.derivations import GeneratorImages
 from qfla.linalg import Matrix, scalar
 
-# The standard battery: every (n, m, r, B) the suites run against.
-TEST_MATRIX = [
-    make_spec(5, 1, 1),
-    make_spec(5, 2, 1, [["1"]]),
-    make_spec(5, 3, 1, [["1", "1"]]),
-    make_spec(5, 3, 2, [["1"], ["0"]]),
-    make_spec(5, 3, 2, [["1"], ["1"]]),  # mixes both tops: no block form
-    make_spec(7, 1, 1),
-    make_spec(7, 2, 1, [["1"]]),
-    make_spec(5, 3, 1, [["1/2", "-2/3"]]),  # fractional B
-    make_spec(7, 4, 2, [["1", "2"], ["3", "-1"]]),  # generic: min(r, m - r) = 2
-    make_spec(5, 5, 3, [["1", "0"], ["1", "0"], ["0", "1"]]),  # mixing, two components
-    make_spec(9, 4, 1, [["1", "3", "-1"]]),
-    make_spec(5, 4, 4),  # r = m: no glued copy
-    make_spec(5, 5, 2, [["1", "1", "2"], ["0", "0", "0"]]),  # a zero row: copy 2 is free
-    make_spec(11, 3, 1, [["1", "-2"]]),  # n = 11: extension columns reach degree 11
-    make_spec(5, 6, 3, [["1", "2", "-1"], ["1", "-1", "3"], ["2", "1", "1"]]),  # generic, k = 3
+# The standard battery: every (n, m, r, B) the suites run against, as the
+# plain data ``make_spec`` checks, and as specs.
+BATTERY = [
+    (5, 1, 1, None),
+    (5, 2, 1, [["1"]]),
+    (5, 3, 1, [["1", "1"]]),
+    (5, 3, 2, [["1"], ["0"]]),
+    (5, 3, 2, [["1"], ["1"]]),  # mixes both tops: no block form
+    (7, 1, 1, None),
+    (7, 2, 1, [["1"]]),
+    (5, 3, 1, [["1/2", "-2/3"]]),  # fractional B
+    (7, 4, 2, [["1", "2"], ["3", "-1"]]),  # generic: min(r, m - r) = 2
+    (5, 5, 3, [["1", "0"], ["1", "0"], ["0", "1"]]),  # mixing, two components
+    (9, 4, 1, [["1", "3", "-1"]]),
+    (5, 4, 4, None),  # r = m: no glued copy
+    (5, 5, 2, [["1", "1", "2"], ["0", "0", "0"]]),  # a zero row: copy 2 is free
+    (11, 3, 1, [["1", "-2"]]),  # n = 11: extension columns reach degree 11
+    (5, 6, 3, [["1", "2", "-1"], ["1", "-1", "3"], ["2", "1", "1"]]),  # generic, k = 3
 ]
+TEST_MATRIX = [make_spec(*params) for params in BATTERY]
 
 # Block form: beta's r unit columns are its only proportional classes.
 BLOCK_SPECS = [s for s in TEST_MATRIX if len(proportional_classes(s.beta)) == s.r]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import BATTERY, spec_id
 from qfla.builder import (
     MAX_DIM,
     BadInput,
@@ -19,6 +20,7 @@ from qfla.builder import (
     support_components,
 )
 from qfla.derivations import der_dimension, nilpotent_basis
+from qfla.jsonio import spec_from_json
 from qfla.linalg import Matrix, inverse
 
 
@@ -62,7 +64,54 @@ class TestSpecValidation:
     def test_beta_columns(self):
         s = make_spec(5, 3, 2, [["1"], ["0"]])
         assert s.beta == ((1, 0), (0, 1), (1, 0))
-        assert s.beta is s.beta  # computed once per spec
+        assert s.beta is s.beta  # held by the record, not computed
+
+    def test_spec_is_the_record_of_beta(self):
+        # the record takes its data as given: make_spec is where it is checked
+        assert make_spec(5, 3, 2, [["1"], ["0"]]) == QuasiQnSpec(5, 3, 2, ((1, 0), (0, 1), (1, 0)))
+        assert QuasiQnSpec(4, 0, 0, ()).dim == 0
+
+    @pytest.mark.parametrize("params", BATTERY, ids=lambda p: spec_id(make_spec(*p)))
+    def test_B_is_the_gluing_matrix_given(self, params):
+        n, m, r, B = params
+        given = Matrix.from_columns([], r) if B is None else Matrix(B)
+        spec = make_spec(n, m, r, B)
+        assert spec.B == given and (spec.B.rows, spec.B.cols) == (r, m - r)
+        assert make_spec(n, m, r, given) == spec and make_spec(n, m, r, given).B == given
+        units = tuple(tuple(int(t == s) for t in range(r)) for s in range(r))
+        dense = tuple(tuple(given.entry(t, j) for t in range(r)) for j in range(m - r))
+        assert spec.beta == units + dense
+
+    # each row is bad in its field and in every field checked after it, so
+    # the text pins which refusal comes first
+    REFUSALS = [
+        ((4, 0, 3, [["0"]]), "n: must be odd and >= 5, got 4"),
+        ((5, 0, 3, [["0"]]), "m: must be >= 1, got 0"),
+        ((5, 2, 3, [["0"]]), "r: must satisfy 1 <= r <= m, got r=3, m=2"),
+        ((5, 2, 0, [["0"]]), "r: must satisfy 1 <= r <= m, got r=0, m=2"),
+        (
+            (5, 2001, 2001, [["0"]]),
+            "dim: m*n + r = 12006 exceeds 10000 (n=5, m=2001, r=2001)",
+        ),
+        ((5, 3, 2, [["0"]]), "B: must be 2x1, got 1x1"),
+        ((5, 3, 1, None), "B: must be 1x2, got 1x0"),
+        ((5, 4, 1, [["1", "0", "0"]]), "B: column 1 is zero: top vector 3 would vanish"),
+        ((5, 3, 2, [["0"], ["0"]]), "B: column 0 is zero: top vector 3 would vanish"),
+    ]
+
+    @pytest.mark.parametrize("params, message", REFUSALS)
+    def test_first_refusal_and_its_text(self, params, message):
+        with pytest.raises(BadInput) as refusal:
+            make_spec(*params)
+        assert str(refusal.value) == message
+
+    def test_ragged_B_is_refused_before_a_bad_n(self):
+        # B becomes a Matrix before any field is checked
+        with pytest.raises(ValueError) as refusal:
+            make_spec(4, 0, 0, [["1"], ["1", "2"]])
+        assert type(refusal.value) is ValueError and str(refusal.value) == "ragged rows"
+        with pytest.raises(BadInput, match="^B: ragged rows$"):
+            spec_from_json({"n": 4, "m": 0, "r": 0, "B": [["1"], ["1", "2"]]})
 
 
 class TestBuildQn:

@@ -54,10 +54,8 @@ ALLOWED = {
 # Dunder methods allowed on classes in src/, each with its reason.
 DUNDERS = {
     "__init__": "protocol: construction",
-    "__post_init__": "protocol: dataclass validation",
     "__eq__": "protocol: equality",
     "__repr__": "protocol: printing",
-    "__hash__": "build_quasi's cache hashes the spec, and so its B",
     "__mul__": "E * prod in iso",
 }
 

@@ -9,9 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sparse
+from conftest import TEST_MATRIX, random_aut_candidate, random_images, sparse, spec_id
 from qfla import linalg
-from qfla.builder import build_quasi, make_spec
+from qfla.automorphisms import (
+    closed_form_endomorphism,
+    exp_ad,
+    extend_endomorphism,
+    extend_through_grading,
+)
+from qfla.builder import build_quasi, make_spec, related_matrix
+from qfla.derivations import (
+    GeneratorImages,
+    closed_form_extension,
+    nilpotent_basis,
+    torus_basis,
+)
+from qfla.iso import iso_decide
+from qfla.liecore import lower_central_series
 from qfla.linalg import (
     Matrix,
     column_span,
@@ -304,7 +318,7 @@ class TestSparseMatrixAgainstDense:
         assert dense_rows(A * B) == reference_product(a, b, inner)
         assert Matrix.from_columns(A.columns(), rows) == A
         assert A.columns() == [sparse(col) for col in zip(*a)]
-        assert (A == Matrix(a)) and hash(A) == hash(Matrix(a))
+        assert A == Matrix(a)
 
     def test_shape_mismatches_raise(self):
         A = Matrix([[1, 2]])
@@ -423,6 +437,49 @@ class TestNormalForm:
         assert build_quasi(b) is build_quasi(a)
         after = build_quasi.cache_info()
         assert after.misses - before.misses <= 1 and after.hits - before.hits >= 1
+
+
+def holds_zero(M) -> bool:
+    return any(0 in col.values() for col in M.columns())
+
+
+class TestZeroFreeColumns:
+    """``Matrix.from_columns`` takes its columns as given, so every matrix
+    the package builds must come with columns that hold no zero entry."""
+
+    @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
+    def test_no_column_the_package_builds_holds_a_zero(self, spec, rng):
+        L = build_quasi(spec)
+        X = exp_ad(L, {k: Fraction(1 + k % 3, 2) for k in range(spec.dim)})
+        cols = X.columns()
+        e0, e1 = (tuple(cols[spec.gen_index(s, t)] for s in range(1, spec.m + 1)) for t in (0, 1))
+        candidate = GeneratorImages(e0, e1)
+        # scaling B's rows and columns gives an isomorphic gluing
+        r, glued = spec.r, spec.m - spec.r
+        twin = [
+            [Fraction(t + 1, j + 2) * spec.B.entry(t, j) for j in range(glued)] for t in range(r)
+        ]
+        iso = iso_decide(spec, make_spec(spec.n, spec.m, r, twin if glued else None))
+        assert iso.isomorphic
+        made = {
+            "torus_basis": torus_basis(spec),
+            "nilpotent_basis": nilpotent_basis(spec) or [],
+            "exp_ad": [X],
+            "extend_endomorphism": [extend_endomorphism(spec, L, candidate)],
+            "extend_through_grading": [extend_through_grading(spec, L, candidate)],
+            "column_span": [column_span(cols[: spec.n], spec.dim)],
+            "lower_central_series": lower_central_series(L),
+            "inverse": [inverse(X)],
+            "related_matrix": [related_matrix(spec.beta)],
+            "iso E": [iso.equivalence.E],
+            "iso map": [iso.map],
+            "closed_form_extension": [closed_form_extension(spec, random_images(spec, rng))],
+            "closed_form_endomorphism": [
+                closed_form_endomorphism(spec, spec, random_aut_candidate(spec, rng))
+            ],
+        }
+        zeros = [name for name, Ms in made.items() if any(map(holds_zero, Ms))]
+        assert not zeros
 
 
 class TestMatrix:
