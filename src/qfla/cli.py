@@ -64,13 +64,16 @@ def _loads(text: str, field: str):
 
 
 def _read_json(path: str):
+    """The parsed file: its bytes decoded as UTF-8 once, with the universal
+    newlines of a text-mode read ("\r\n" and "\r" become "\n")."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return _loads(fh.read(), path)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except OSError as exc:
         raise BadInput(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise BadInput(f"{path}: not UTF-8 ({exc})") from exc
+    return _loads(text.replace("\r\n", "\n").replace("\r", "\n"), path)
 
 
 def _load_spec(data, path: str) -> QuasiQnSpec:
@@ -94,19 +97,19 @@ def _load_algebra(path: str):
 
 
 def _emit(args, payload: dict) -> None:
-    """Write payload's JSON text to --out and to stdout piece by piece (see
-    ``jsonio.pieces``), so no whole text is held.  --out is opened before
-    anything is written, so a path that cannot be opened leaves stdout
-    empty; a write that fails later, as on a full disk, exits 2 too, and
-    stdout may then hold a partial text."""
+    """Write payload's JSON text to --out, as bytes, and to stdout piece by
+    piece (see ``jsonio.pieces``), so no whole text is held.  --out is
+    opened before anything is written, so a path that cannot be opened
+    leaves stdout empty; a write that fails later, as on a full disk, exits
+    2 too, and stdout may then hold a partial text."""
     if not args.out:
         for piece in pieces(payload):
             sys.stdout.write(piece)
         return
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open(args.out, "wb") as fh:
             for piece in pieces(payload):
-                fh.write(piece)
+                fh.write(piece.encode())
                 sys.stdout.write(piece)
     except OSError as exc:
         raise BadInput(f"--out: {exc}") from exc

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from .builder import QuasiQnSpec, build_quasi, proportional_classes, support_components
 from .liecore import LieAlgebra
-from .linalg import Matrix, _combine, _subtract, sparse_nullspace
+from .linalg import Matrix, _combine, _rref_rows, _subtract, sparse_nullspace
 
 
 @dataclass(frozen=True)
@@ -214,6 +214,21 @@ def is_derivation(L: LieAlgebra, D: Matrix) -> bool:
     return True
 
 
+def _generator_indices(L: LieAlgebra) -> List[int]:
+    """Basis indices whose vectors generate L, read off its table: the
+    indices outside the pivots of the bracket values, which span [L, L],
+    when every target k of a stored [e_i, e_j] (i < j) has k > j, and every
+    index otherwise.  The first case makes L nilpotent, as each ad e_i
+    raises the index, and in a nilpotent L a subalgebra S with
+    S + [L, L] = L is L itself.  A gluing's bracket values are mostly
+    one-entry rows, which ``_rref_rows`` peels with no arithmetic, and its
+    generators are the 2m indices of the e_{s0}, e_{s1}."""
+    if all(k > j for (_, j), value in L.sc.items() for k in value):
+        pivots = _rref_rows([dict(value) for value in L.sc.values()])
+        return [g for g in range(L.dim) if g not in pivots]
+    return list(range(L.dim))
+
+
 def derivation_oracle(L: LieAlgebra) -> List[dict]:
     """Canonical basis of the full derivation algebra, found by solving the
     Leibniz rule as a sparse linear system in the dim^2 matrix entries, as
@@ -222,13 +237,25 @@ def derivation_oracle(L: LieAlgebra) -> List[dict]:
 
     Basis pair (i, j) gives one equation per output index `out` that some
     term touches: the e_out coefficient of D[e_i, e_j] - [D e_i, e_j] -
-    [e_i, D e_j], in the unknown D[a, b] at column a * dim + b.  The rows are
-    made pair by pair as the solver reads them, and a term that cancels an
-    entry deletes it, so no row carries a zero entry.  The solver peels each
-    row as it comes (see ``linalg._rref_rows``) and keeps only the coupled
-    ones, so the system is never held whole: at (21,8,3), 103,296 of its
-    110,808 rows arrive with one entry and 2,479 are kept."""
+    [e_i, D e_j], in the unknown D[a, b] at column a * dim + b.  Only the
+    pairs where e_i or e_j is one of the generators G of
+    ``_generator_indices`` are written.  The theorem: for fixed D, the x
+    with D[x, y] = [Dx, y] + [x, Dy] for every y form a subalgebra, by
+    Jacobi, so the rule on G x L is the rule on L x L once G generates L.
+    On a table whose indices do not rise, G is every index, and the system
+    is the all-pairs one.  The kernel is the same space either way, and its
+    reduced basis is unique.
+
+    The rows are made pair by pair as the solver reads them, and a term
+    that cancels an entry deletes it, so no row carries a zero entry.  The
+    solver peels each row as it comes (see ``linalg._rref_rows``) and keeps
+    only the coupled ones, so the system is never held whole.  At (9,4,1)
+    the oracle makes 2,518 rows where all pairs make 4,004.  At (21,8,3) it
+    makes 57,023 where all pairs make 110,808; 53,550 of them arrive with
+    one entry and 1,831 are kept."""
     dim, partners = L.dim, L.partners
+    gens = _generator_indices(L)
+    gen_set = set(gens)
     # per j, the k whose bracket with e_j is nonzero, with [e_j, e_k] and [e_k, e_j]
     hits = [[(k, partners[k][j], kj) for k, kj in partners[j].items()] for j in range(dim)]
 
@@ -247,7 +274,7 @@ def derivation_oracle(L: LieAlgebra) -> List[dict]:
 
     def leibniz_rows():
         for i in range(dim):
-            for j in range(i + 1, dim):
+            for j in range(i + 1, dim) if i in gen_set else [g for g in gens if g > i]:
                 base = L.structure(i, j)  # D[e_i, e_j]
                 eq = {}
                 if base:

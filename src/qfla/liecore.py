@@ -16,10 +16,10 @@ orders.  The sign is folded in for ``bracket``, which accumulates
 out -= x_i y_j [e_j, e_i] through ``_subtract`` and so negates nothing per hit.
 It walks each x_i against the smaller of ``partners[i]`` and supp(y), so it
 pays per nonzero bracket, not per index pair.  ``structure``, the Jacobi
-check, the lower central series (which brackets each basis vector of c^i only
-with the partners of its support) and the derivation oracle read the same
-table.  ``structure`` returns the table's own dicts, which callers must not
-change.
+check, the lower central series and the quasi-cyclic split (which bracket
+each level vector only with the partners of its support) and the derivation
+oracle read the same table.  ``structure`` returns the table's own dicts,
+which callers must not change.
 
 Each way a check can fail raises one class, caught by one handler:
 ``JacobiViolation``, ``NotNilpotent``, and ``NotQuasiCyclic`` for a chain
@@ -188,13 +188,25 @@ def quasi_cyclic_split(L: LieAlgebra, U: Matrix) -> tuple:
     """Chain U, [U,U], [U,[U,U]], ... when the sum is direct and spans L.
 
     Raises NotQuasiCyclic if the partial sums overlap or the total falls
-    short of L.
+    short of L.  Each level vector v is bracketed only with the basis
+    vectors u of U whose support meets the partners of supp(v); [u, v]
+    vanishes for every other u.  So the split pays per nonzero bracket, not
+    per pair: copies commute, so a gluing's e_{st} is bracketed with at
+    most the two generators of its own copy.
     """
     chain = [column_span(U.columns(), L.dim)]
     first = cols = chain[0].columns()
+    meets: Dict[int, list] = {}  # basis index a -> the places t with a in supp(first[t])
+    for t, u in enumerate(first):
+        for a in u:
+            meets.setdefault(a, []).append(t)
     all_cols = list(first)
     while True:
-        nxt = column_span([L.bracket(u, v) for u in first for v in cols], L.dim)
+        brackets = []
+        for v in cols:
+            near = {t for j in v for a in L.partners[j] for t in meets.get(a, ())}
+            brackets += [L.bracket(first[t], v) for t in sorted(near)]
+        nxt = column_span(brackets, L.dim)
         if nxt.cols == 0:
             break
         chain.append(nxt)

@@ -588,6 +588,21 @@ class TestInputContract:
         assert (code, out) == (2, "")
         assert err.startswith("error: m:")
 
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_file_newlines_read_as_lf(self, run, tmp_path, newline):
+        """A file's "\\r\\n" and "\\r" read as "\\n", so a well-formed file
+        parses alike and a malformed one is refused at the same position."""
+        good = b'{\n  "n": 5,\n  "m": 2,\n  "r": 1,\n  "B": [["1"]]\n}\n'
+        bad = b'{\n  "n": 5,\n  "m": 2\n  "r": 1\n}\n'
+        for name, content in (("good", good), ("bad", bad)):
+            lf, other = tmp_path / f"{name}-lf.json", tmp_path / f"{name}-other.json"
+            lf.write_bytes(content)
+            other.write_bytes(content.replace(b"\n", newline))
+            code, out, err = run("related", str(other))
+            assert (code, out, err.replace(str(other), str(lf))) == run("related", str(lf))
+            assert code == (0 if name == "good" else 2)
+        assert "line 4 column 3 (char 23)" in err
+
     def test_unwritable_out_exit_2(self, run, tmp_path):
         out_path = tmp_path / "missing" / "x.json"
         code, out, err = run(

@@ -565,15 +565,18 @@ class TestCompare:
 # -- the oracle's assembly against the per-pair reference ----------------------------
 
 
-def reference_leibniz_rows(L):
+def reference_leibniz_rows(L, pairs=None):
     """The Leibniz system assembled pair by pair with dim fresh rows each,
     every coefficient added to 0: the oracle's assembly before it built
-    rows only for the outputs some term touches."""
+    rows only for the outputs some term touches, on every pair i < j, or on
+    those of ``pairs``."""
     dim = L.dim
     hits = [[(k, b) for k in range(dim) if (b := L.structure(k, j))] for j in range(dim)]
     rows = []
     for i in range(dim):
         for j in range(i + 1, dim):
+            if pairs is not None and (i, j) not in pairs:
+                continue
             eq = [dict() for _ in range(dim)]
             for k, c in L.structure(i, j).items():  # D[e_i, e_j]
                 for out in range(dim):
@@ -611,4 +614,76 @@ class TestOracleAssembly:
     @settings(max_examples=5, deadline=None)
     def test_q5_in_a_random_basis(self, L):
         # non-integer structure constants, and brackets dense in the basis
+        assert derivation_oracle(L) == reference_oracle(L)
+
+
+def sl2():
+    """sl2 on (h, e, f): [h, e] = 2e, [h, f] = -2f, [e, f] = h.  It equals
+    its own derived algebra, so no basis vector lies outside [L, L]."""
+    return LieAlgebra(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+
+
+def reversed_basis(L):
+    """L on the basis e'_k = e_{dim-1-k}: still nilpotent, but every bracket
+    now lands below both of its indices."""
+    last = L.dim - 1
+    return LieAlgebra(
+        L.dim,
+        {
+            (last - j, last - i): {last - k: -c for k, c in value.items()}
+            for (i, j), value in L.sc.items()
+        },
+    )
+
+
+def oracle_rows(monkeypatch, L) -> list:
+    """The rows the oracle hands its solver, which is not run."""
+    rows = []
+    monkeypatch.setattr(derivations, "sparse_nullspace", lambda it, ncols: rows.extend(it) or [])
+    derivations.derivation_oracle(L)
+    return rows
+
+
+def canonical(rows) -> list:
+    return sorted(sorted(row.items()) for row in rows)
+
+
+# The ladder's (9,4,1) and (21,8,3): rows made against the all-pairs count.
+LADDER_ROWS = [
+    (make_spec(9, 4, 1, [["1", "2", "-1"]]), 2518, 4004),
+    (make_spec(21, 8, 3, [["1", "2", "0", "0", "0"], ["0", "0", "1", "-1", "0"],
+                          ["0", "0", "0", "0", "3"]]), 57023, 110808),
+]
+
+
+class TestGeneratorPairs:
+    @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
+    def test_generators_are_the_copy_heads(self, spec):
+        heads = [spec.gen_index(s, t) for s in range(1, spec.m + 1) for t in (0, 1)]
+        assert derivations._generator_indices(build_quasi(spec)) == heads
+
+    @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
+    def test_rows_are_those_of_pairs_holding_a_generator(self, spec, monkeypatch):
+        L = build_quasi(spec)
+        gens = set(derivations._generator_indices(L))
+        pairs = {(i, j) for i in range(L.dim) for j in range(i + 1, L.dim) if {i, j} & gens}
+        assert canonical(oracle_rows(monkeypatch, L)) == canonical(reference_leibniz_rows(L, pairs))
+
+    @pytest.mark.parametrize("spec, made, all_pairs", LADDER_ROWS, ids=["n9m4r1", "n21m8r3"])
+    def test_row_counts_on_the_ladder(self, spec, made, all_pairs, monkeypatch):
+        L = build_quasi(spec)
+        assert len(oracle_rows(monkeypatch, L)) == made
+        assert len(oracle_rows(monkeypatch, reversed_basis(L))) == all_pairs
+
+    def test_sl2_makes_every_index_a_generator(self):
+        L = sl2()
+        assert derivations._generator_indices(L) == [0, 1, 2]
+        oracle = derivation_oracle(L)
+        assert len(oracle) == 3  # every derivation of sl2 is inner
+        assert oracle == reference_oracle(L)
+
+    @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
+    def test_reversed_basis(self, spec):
+        L = reversed_basis(build_quasi(spec))
+        assert derivations._generator_indices(L) == list(range(L.dim))
         assert derivation_oracle(L) == reference_oracle(L)

@@ -5,6 +5,7 @@ checked against a textbook dense bracket and lower central series kept here,
 on the e-basis tables of the gluings and on dense tables of Q_n in random
 bases.
 """
+import random
 import re
 from fractions import Fraction
 
@@ -139,6 +140,55 @@ class TestGenerators:
         assert not is_minimal_generating_set(L, [{0: 1}])
 
 
+def reference_split_loop(L, U):
+    """The split's all-pairs loop: every basis vector of U bracketed with
+    every basis vector of the current level, zero brackets included."""
+    chain = [column_span(U.columns(), L.dim)]
+    first = cols = chain[0].columns()
+    all_cols = list(first)
+    while True:
+        nxt = column_span([L.bracket(u, v) for u in first for v in cols], L.dim)
+        if nxt.cols == 0:
+            break
+        chain.append(nxt)
+        cols = nxt.columns()
+        all_cols += cols
+    total = len(all_cols)
+    r = column_span(all_cols, L.dim).cols
+    if r < total:
+        raise NotQuasiCyclic(f"sum of chain spaces has rank {r} < {total}")
+    if r < L.dim:
+        raise NotQuasiCyclic(f"chain spans only {r} of {L.dim} dimensions")
+    return tuple(chain)
+
+
+def split_outcome(split, L, U):
+    try:
+        return split(L, U)
+    except NotQuasiCyclic as exc:
+        return str(exc)
+
+
+def wide_gluing(seed, n, m, r):
+    """A seeded random gluing with many copies: B's entries from {0, 1, 2,
+    -1, 1/2}, every column nonzero on the first top."""
+    rng = random.Random(seed)
+    B = [[rng.choice(["0", "1", "2", "-1", "1/2"]) for _ in range(m - r)] for _ in range(r)]
+    B[0] = [rng.choice(["1", "2", "-1", "1/2"]) for _ in range(m - r)]
+    return make_spec(n, m, r, B)
+
+
+WIDE_GLUINGS = [
+    pytest.param(wide_gluing(seed, n, m, r), id=f"wide-n{n}m{m}r{r}-seed{seed}")
+    for seed, (n, m, r) in enumerate([(5, 20, 10), (7, 12, 5), (9, 9, 2), (5, 30, 29)])
+]
+
+
+def generator_span(spec):
+    gens = [{spec.gen_index(s, t): 1} for s in range(1, spec.m + 1) for t in (0, 1)]
+    return Matrix.from_columns(gens, spec.dim)
+
+
 class TestQuasiCyclicSplit:
     def test_q5_generator_span(self):
         L = build_qn(5)
@@ -151,6 +201,34 @@ class TestQuasiCyclicSplit:
         U = column_span([{0: 1}, {2: 1}], 6)
         with pytest.raises(NotQuasiCyclic, match=r"^chain spans only 5 of 6 dimensions$"):
             quasi_cyclic_split(L, U)
+
+    @pytest.mark.parametrize("spec", TEST_MATRIX + WIDE_GLUINGS, ids=spec_id)
+    def test_matches_the_all_pairs_loop(self, spec, monkeypatch):
+        """The same chain, and at most two bracket calls per stored bracket
+        that holds a generator (the level U itself meets each such pair in
+        both orders), where the all-pairs loop makes 2m per level vector."""
+        L = build_quasi(spec)
+        U = generator_span(spec)
+        expected = reference_split_loop(L, U)
+        calls = []
+        bracket = LieAlgebra.bracket
+        monkeypatch.setattr(LieAlgebra, "bracket", lambda *a: calls.append(1) or bracket(*a))
+        assert quasi_cyclic_split(L, U) == expected
+        gens = {a for u in U.columns() for a in u}
+        assert len(calls) <= 2 * sum(1 for i, j in L.sc if i in gens or j in gens)
+
+    @pytest.mark.parametrize("spec", TEST_MATRIX + WIDE_GLUINGS, ids=spec_id)
+    def test_refusals_match_the_all_pairs_loop(self, spec):
+        """Drop a generator, or add a bracket of two: the chain falls short or
+        overlaps, and both loops refuse with the same text."""
+        L = build_quasi(spec)
+        gens = generator_span(spec).columns()
+        short = Matrix.from_columns(gens[1:], L.dim)
+        extra = Matrix.from_columns(gens + [L.bracket(gens[0], gens[1])], L.dim)
+        for U in (short, extra):
+            outcome = split_outcome(quasi_cyclic_split, L, U)
+            assert isinstance(outcome, str)
+            assert outcome == split_outcome(reference_split_loop, L, U)
 
 
 # -- the dense reference ----------------------------------------------------------
