@@ -14,7 +14,8 @@ within it the calls to ``qfla.cli.derivation_oracle`` and to the closed forms
 decomposes under its first m + 1 members) and ``qfla.cli.nilpotent_basis`` (by
 ``der`` and ``der --compare``), the span comparison of ``der --compare``
 (``qfla.cli.spans_kernel``), the emission (``qfla.cli._emit``), the
-quasi-cyclic split of ``check`` (``qfla.cli.quasi_cyclic_split``) and the
+lower central series and the quasi-cyclic split of ``check``
+(``qfla.cli.lower_central_series``, ``qfla.cli.quasi_cyclic_split``) and the
 phases of ``iso``: the copy cells (``qfla.iso.copy_cells``), the copy search
 (``qfla.iso._first_admissible_perm``, cells included) and the witness
 (``qfla.iso.build_algebra_witness``), the extension of ``aut-check``'s
@@ -37,7 +38,7 @@ per tree by that tree's own ``exp_ad`` and ``candidate_to_json``.  The output ho
 ``src/qfla/*.py`` files, and per rung the median and all run times (null for a
 time-out), the median time of each phase the rung reaches (``oracle_median_s``,
 ``closed_median_s`` for the two closed forms together, ``compare_median_s``,
-``emit_median_s``, ``split_median_s``,
+``emit_median_s``, ``lcs_median_s``, ``split_median_s``,
 ``cells_median_s``, ``search_median_s``, ``witness_median_s``,
 ``extend_median_s``, ``verify_median_s``), all calibrated,
 the same raw (``raw_median_s``, ``raw_runs_s``, ``raw_<phase>_median_s``), each
@@ -185,6 +186,7 @@ TIMED = [
     ("qfla.cli", "nilpotent_basis", "closed"),
     ("qfla.cli", "spans_kernel", "compare"),
     ("qfla.cli", "_emit", "emit"),
+    ("qfla.cli", "lower_central_series", "lcs"),
     ("qfla.cli", "quasi_cyclic_split", "split"),
     ("qfla.iso", "copy_cells", "cells"),
     ("qfla.iso", "_first_admissible_perm", "search"),
@@ -199,10 +201,10 @@ PHASES = tuple(dict.fromkeys(phase for _, _, phase in TIMED))
 # and within it each phase (null when the verb does not reach it): the
 # derivation oracle, the closed-form torus and nilpotent bases (summed), the
 # span comparison of der --compare, the emission (``_emit``, which makes the
-# text and writes it), check's split, iso's cells, search and witness, aut-check's
-# extension, and the brute-force bracket check; report these raw times, the
-# scale factor from perfbench's speed probe taken just before and just after
-# cli.main, the exit code and peak RSS as one JSON line.
+# text and writes it), check's series and split, iso's cells, search and
+# witness, aut-check's extension, and the brute-force bracket check; report
+# these raw times, the scale factor from perfbench's speed probe taken just
+# before and just after cli.main, the exit code and peak RSS as one JSON line.
 CHILD = """
 import contextlib, importlib, importlib.util, json, os, resource, sys, time
 probe = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])

@@ -57,7 +57,7 @@ from .linalg import Matrix, spans_kernel
 def _loads(text: str, field: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise BadInput(f"{field}: malformed JSON ({exc})") from exc
     except RecursionError:
         raise BadInput(f"{field}: JSON nested too deeply") from None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .builder import QuasiQnSpec, build_quasi, proportional_classes, support_components
-from .liecore import LieAlgebra
+from .liecore import LieAlgebra, _derived_rows
 from .linalg import Matrix, _combine, _rref_rows, _subtract, sparse_nullspace
 
 
@@ -216,17 +216,11 @@ def is_derivation(L: LieAlgebra, D: Matrix) -> bool:
 
 def _generator_indices(L: LieAlgebra) -> List[int]:
     """Basis indices whose vectors generate L, read off its table: the
-    indices outside the pivots of the bracket values, which span [L, L],
-    when every target k of a stored [e_i, e_j] (i < j) has k > j, and every
-    index otherwise.  The first case makes L nilpotent, as each ad e_i
-    raises the index, and in a nilpotent L a subalgebra S with
-    S + [L, L] = L is L itself.  A gluing's bracket values are mostly
-    one-entry rows, which ``_rref_rows`` peels with no arithmetic, and its
-    generators are the 2m indices of the e_{s0}, e_{s1}."""
-    if all(k > j for (_, j), value in L.sc.items() for k in value):
-        pivots = _rref_rows([dict(value) for value in L.sc.values()])
-        return [g for g in range(L.dim) if g not in pivots]
-    return list(range(L.dim))
+    indices outside the pivots of ``liecore._derived_rows``, which are every
+    index when that gives no rows.  A gluing's generators are the 2m indices
+    of the e_{s0}, e_{s1}."""
+    pivots = _rref_rows(_derived_rows(L))
+    return [g for g in range(L.dim) if g not in pivots]
 
 
 def derivation_oracle(L: LieAlgebra) -> List[dict]:

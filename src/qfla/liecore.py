@@ -16,10 +16,9 @@ orders.  The sign is folded in for ``bracket``, which accumulates
 out -= x_i y_j [e_j, e_i] through ``_subtract`` and so negates nothing per hit.
 It walks each x_i against the smaller of ``partners[i]`` and supp(y), so it
 pays per nonzero bracket, not per index pair.  ``structure``, the Jacobi
-check, the lower central series and the quasi-cyclic split (which bracket
-each level vector only with the partners of its support) and the derivation
-oracle read the same table.  ``structure`` returns the table's own dicts,
-which callers must not change.
+check, ``_walk`` (the lower central series and the quasi-cyclic split) and
+the derivation oracle read the same table.  ``structure`` returns the
+table's own dicts, which callers must not change.
 
 Each way a check can fail raises one class, caught by one handler:
 ``JacobiViolation``, ``NotNilpotent``, and ``NotQuasiCyclic`` for a chain
@@ -27,6 +26,7 @@ that overlaps or falls short, the message telling which.
 """
 from __future__ import annotations
 
+from itertools import islice
 from math import lcm
 from typing import Dict, Sequence, Tuple
 
@@ -135,27 +135,41 @@ def check_jacobi(L: LieAlgebra) -> LieAlgebra:
     return L
 
 
+def _walk(L: LieAlgebra, vectors: Sequence[dict]):
+    """S_0 = span(vectors), then S_{i+1} = [S_0, S_i] while it is nonzero,
+    as canonical column-span matrices.
+
+    [u, v] vanishes unless supp(u) meets the partners of supp(v).  So each
+    basis vector v of S_i is bracketed only with the basis vectors u of S_0
+    that do, and the walk pays per nonzero bracket, not per pair: copies
+    commute, so a gluing's e_{st} meets at most the two generators of its
+    own copy."""
+    space = column_span(vectors, L.dim)
+    first = cols = space.columns()
+    meets: Dict[int, list] = {}  # basis index a -> the places t with a in supp(first[t])
+    for t, u in enumerate(first):
+        for a in u:
+            meets.setdefault(a, []).append(t)
+    while space.cols:
+        yield space
+        brackets = []
+        for v in cols:
+            near = {t for j in v for a in L.partners[j] for t in meets.get(a, ())}
+            brackets += [L.bracket(first[t], v) for t in sorted(near)]
+        space = column_span(brackets, L.dim)
+        cols = space.columns()
+
+
 def lower_central_series(L: LieAlgebra) -> tuple:
     """c^0 = L, c^{i+1} = [L, c^i] as canonical column-span matrices, ending
-    with the zero space; raises NotNilpotent if it stabilizes nonzero.
-
-    [L, c^i] is spanned by the [e_k, v] for v in c^i's basis, and [e_k, v]
-    vanishes unless e_k brackets with some e_j, j in supp(v): only those k
-    are bracketed."""
-    spaces = [Matrix.identity(L.dim)]
-    current = spaces[0].columns()
-    while current:
-        brackets = [
-            L.bracket({k: 1}, v)
-            for v in current
-            for k in set().union(*(L.partners[j] for j in v))
-        ]
-        nxt = column_span(brackets, L.dim)
-        if nxt.cols == len(current):
-            raise NotNilpotent(f"series stabilizes at dimension {nxt.cols}")
-        spaces.append(nxt)
-        current = nxt.columns()
-    return tuple(spaces)
+    with the zero space; raises NotNilpotent if it stabilizes nonzero.  It is
+    the walk of the whole basis."""
+    spaces = []
+    for space in _walk(L, Matrix.identity(L.dim).columns()):
+        if spaces and space.cols == spaces[-1].cols:
+            raise NotNilpotent(f"series stabilizes at dimension {space.cols}")
+        spaces.append(space)
+    return (*spaces, column_span([], L.dim))
 
 
 def is_filiform(chain: tuple) -> bool:
@@ -188,37 +202,31 @@ def quasi_cyclic_split(L: LieAlgebra, U: Matrix) -> tuple:
     """Chain U, [U,U], [U,[U,U]], ... when the sum is direct and spans L.
 
     Raises NotQuasiCyclic if the partial sums overlap or the total falls
-    short of L.  Each level vector v is bracketed only with the basis
-    vectors u of U whose support meets the partners of supp(v); [u, v]
-    vanishes for every other u.  So the split pays per nonzero bracket, not
-    per pair: copies commute, so a gluing's e_{st} is bracketed with at
-    most the two generators of its own copy.
-    """
-    chain = [column_span(U.columns(), L.dim)]
-    first = cols = chain[0].columns()
-    meets: Dict[int, list] = {}  # basis index a -> the places t with a in supp(first[t])
-    for t, u in enumerate(first):
-        for a in u:
-            meets.setdefault(a, []).append(t)
-    all_cols = list(first)
-    while True:
-        brackets = []
-        for v in cols:
-            near = {t for j in v for a in L.partners[j] for t in meets.get(a, ())}
-            brackets += [L.bracket(first[t], v) for t in sorted(near)]
-        nxt = column_span(brackets, L.dim)
-        if nxt.cols == 0:
-            break
-        chain.append(nxt)
-        cols = nxt.columns()
-        all_cols += cols
+    short of L.  The chain is the walk of U, cut after level dim L: level i
+    lies in c^i L, so a nilpotent L never reaches the cut, and a cut walk has
+    over dim L columns ([U, U] = 0 if dim U < 2), so its sum overlaps."""
+    chain = tuple(islice(_walk(L, U.columns()), L.dim + 1))
+    all_cols = [col for space in chain for col in space.columns()]
     total = len(all_cols)
     r = column_span(all_cols, L.dim).cols
     if r < total:
         raise NotQuasiCyclic(f"sum of chain spaces has rank {r} < {total}")
     if r < L.dim:
         raise NotQuasiCyclic(f"chain spans only {r} of {L.dim} dimensions")
-    return tuple(chain)
+    return chain
+
+
+def _derived_rows(L: LieAlgebra) -> list:
+    """Fresh copies of the table's bracket values, which span [L, L], when
+    every target k of a stored [e_i, e_j] (i < j) has k > j; no rows
+    otherwise.  The first case makes L nilpotent, as each ad e_i raises the
+    index, and in a nilpotent L a subalgebra S with S + [L, L] = L is L
+    itself: these rows may join any spanning set of a subalgebra that is to
+    be shown to be L.  A gluing's are mostly one-entry rows, which
+    ``_rref_rows`` peels with no arithmetic."""
+    if all(k > j for (_, j), value in L.sc.items() for k in value):
+        return [dict(value) for value in L.sc.values()]
+    return []
 
 
 def is_isomorphism(L1: LieAlgebra, L2: LieAlgebra, M: Matrix) -> bool:
@@ -226,21 +234,15 @@ def is_isomorphism(L1: LieAlgebra, L2: LieAlgebra, M: Matrix) -> bool:
     brackets and bijective.  The one check of both an automorphism (L2 = L1)
     and an iso witness.
 
-    Bijectivity is decided modulo [L2, L2], after the bracket check.  The
-    theorem: in a nilpotent Lie algebra L, a subalgebra S with
-    S + [L, L] = L is L itself.  A homomorphism's image is a subalgebra, so
-    for dim L1 = dim L2 and L2 nilpotent, M is bijective iff its columns and
-    the table's bracket values, which span [L2, L2], together span L2.  Most
-    bracket values of a gluing are one-entry rows, which ``_rref_rows`` peels
-    with no arithmetic, and they strike M's columns down to their generator
-    coordinates: no full rank is needed.  The precondition holds for every
-    N(Q_n, m, r), which is nilpotent because its grading has positive
-    degrees; on a non-nilpotent L2 the span test proves nothing.
+    Bijectivity is decided after the bracket check: a homomorphism's image
+    is a subalgebra, so M is bijective iff its columns and
+    ``_derived_rows(L2)`` span L2.  On a gluing the one-entry rows strike
+    M's columns down to their generator coordinates: no full rank is needed.
     """
     if L1.dim != L2.dim or not bracket_preserving(L1, L2, M):
         return False
     # the one-entry bracket values go first, so they strike M's columns at once
-    rows = [dict(v) for v in L2.sc.values()] + [dict(c) for c in M.columns()]
+    rows = _derived_rows(L2) + [dict(c) for c in M.columns()]
     return len(_rref_rows(rows)) == L2.dim
 
 

@@ -408,6 +408,27 @@ class TestInputContract:
         assert (code, out) == (2, "")
         assert err.startswith("error: B:")
 
+    @pytest.mark.parametrize("where", ["B", "parameters", "algebra", "candidate"])
+    def test_integer_past_the_digit_limit_exit_2(self, run, tmp_path, algebra521_file, where):
+        # json.loads refuses an integer literal of over 4,300 digits with a
+        # plain ValueError, not a JSONDecodeError
+        huge = "7" * 5000
+        path = str(tmp_path / "huge.json")
+        if where == "B":
+            argv, field = ["build", "--n", "5", "--m", "2", "--r", "1", "--B", f"[[{huge}]]"], "B"
+        elif where == "parameters":
+            argv, field = ["related", path], path
+            Path(path).write_text(f'{{"n": {huge}, "m": 2, "r": 1, "B": [["1"]]}}')
+        elif where == "algebra":
+            argv, field = ["check", path], path
+            Path(path).write_text(f'{{"dim": {huge}}}')
+        else:
+            argv, field = ["aut-check", algebra521_file, path], path
+            Path(path).write_text(f'{{"images": {{"e_10": [[0, {huge}]]}}}}')
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("where", ["B", "images.e_10", "value"])
     def test_zero_denominator_names_the_field(self, run, tmp_path, algebra521_file, where):
         # "p/0" is a malformed scalar wherever a scalar is read
@@ -846,6 +867,17 @@ class TestSizeCap:
         assert proc.stderr == (
             b"error: dim: m*n + r = 300000 exceeds 10000 (n=5, m=50000, r=50000)\n"
         )
+
+    def test_check_of_a_wide_gluing(self, tmp_path):
+        # 31 bytes: dim 9,996, under the cap.  The series and the split
+        # bracket per nonzero bracket, not per pair, so this is answered.
+        n, m, r = 5, 1666, 1666
+        (tmp_path / "wide.json").write_text(json.dumps({"n": n, "m": m, "r": r}))
+        proc = _python(tmp_path, "-c", CAPPED, "check", "wide.json", timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
+        data = json.loads(proc.stdout)
+        assert data["quasi_cyclic"]["dims"] == [2 * m] + [m] * (n - 2) + [r]
+        assert data["lcs_dims"][:4] == [9996, 6664, 4998, 3332]
 
 
 class TestEntryPoint:

@@ -793,3 +793,53 @@ class TestIsIsomorphism:
         bad = spoiled(M, j, j, Fraction(-2, 3))
         assert rank(bad) == L1.dim  # still bijective: the bracket check refutes it
         assert not is_isomorphism(L1, L2, bad)
+
+
+# -- tables that are not nilpotent ------------------------------------------------
+
+
+def affine_line():
+    # [e_0, e_1] = e_1: solvable, and [L, L] = [L, [L, L]] = span(e_1)
+    return LieAlgebra(2, {(0, 1): {1: 1}})
+
+
+class TestTablesThatAreNotNilpotent:
+    """On tables that are not nilpotent, the structure layer refuses and the
+    checks built on [L, L] answer right."""
+
+    @pytest.fixture(params=["so3", "sl2", "aff1"])
+    def L(self, request):
+        from test_derivations import sl2  # test_derivations imports this module
+
+        return {"so3": so3, "sl2": sl2, "aff1": affine_line}[request.param]()
+
+    def test_lower_central_series_refuses(self, L):
+        with pytest.raises(NotNilpotent, match=r"^series stabilizes at dimension \d+$"):
+            lower_central_series(L)
+
+    def test_the_split_refuses_within_a_budget_of_brackets(self, L, monkeypatch):
+        calls = []
+        bracket = LieAlgebra.bracket
+
+        def budgeted(*args):
+            calls.append(1)
+            if len(calls) > 10_000:
+                raise RuntimeError("bracket budget spent")
+            return bracket(*args)
+
+        monkeypatch.setattr(LieAlgebra, "bracket", budgeted)
+        with pytest.raises(NotQuasiCyclic, match=r"^sum of chain spaces has rank"):
+            quasi_cyclic_split(L, Matrix.identity(L.dim))
+
+    def test_is_isomorphism_asks_for_full_rank(self, L):
+        zero = Matrix.from_columns([{}] * L.dim, L.dim)
+        assert bracket_preserving(L, L, zero)
+        assert is_isomorphism(L, L, zero) is False
+        assert is_isomorphism(L, L, Matrix.identity(L.dim)) is True
+
+    def test_every_index_is_a_generator(self, L):
+        from qfla import derivations
+        from test_derivations import reference_oracle
+
+        assert derivations._generator_indices(L) == list(range(L.dim))
+        assert derivations.derivation_oracle(L) == reference_oracle(L)
