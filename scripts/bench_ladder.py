@@ -8,43 +8,48 @@ PATH defaults to this checkout when no ``--tree`` is given.  Every rung (a verb
 on one gluing's algebra file, ``build`` of that gluing, ``aut-check --strict``
 of a passing candidate against it, or ``iso --strict`` on a pair of parameter
 files) runs ``--runs`` times per tree in a fresh interpreter; the trees take
-turns going first.  A run times ``qfla.cli.main`` alone, after the import, and
-within it the calls to ``qfla.cli.derivation_oracle`` and to the closed forms
-``qfla.cli.torus_basis`` (by ``der``, ``der --compare`` and ``weights``, which
-decomposes under its first m + 1 members) and ``qfla.cli.nilpotent_basis`` (by
-``der`` and ``der --compare``), the span comparison of ``der --compare``
-(``qfla.cli.spans_kernel``), the emission (``qfla.cli._emit``), the
-lower central series and the quasi-cyclic split of ``check``
+turns going first.  A run times ``import qfla.cli`` after loading perfbench's
+``run.py``, as perfbench's parent has it loaded when it imports ``qfla``: that
+import is the part of perfbench's ``setup_s`` that no forked ``qfla build``
+widens.  The child runs with ``-B``, so it writes no bytecode and compiles
+every module that has none in the tree, as in a fresh checkout.  It then times
+``qfla.cli.main`` alone, and within it the calls to
+``qfla.cli.derivation_oracle`` and to the closed forms ``qfla.cli.torus_basis``
+(by ``der``, ``der --compare`` and ``weights``, which decomposes under its
+first m + 1 members) and ``qfla.cli.nilpotent_basis`` (by ``der`` and
+``der --compare``), the span comparison of ``der --compare``
+(``qfla.cli.spans_kernel``), the emission (``qfla.cli._emit``), the lower
+central series and the quasi-cyclic split of ``check``
 (``qfla.cli.lower_central_series``, ``qfla.cli.quasi_cyclic_split``) and the
 phases of ``iso``: the copy cells (``qfla.iso.copy_cells``), the copy search
 (``qfla.iso._first_admissible_perm``, cells included) and the witness
 (``qfla.iso.build_algebra_witness``), the extension of ``aut-check``'s
 candidate (``qfla.cli.extend_through_grading``), and the brute-force bracket
 check of ``aut-check`` and ``iso`` (``qfla.liecore.bracket_preserving``; see
-``TIMED``), and reads the child's peak RSS, with
-stdout sent to the null device; a run still going after ``TIME_LIMIT_S``
-seconds is stopped and recorded as a time-out.
+``TIMED``), and reads the child's peak RSS, with stdout sent to the null
+device; a run still going after ``TIME_LIMIT_S`` seconds is stopped and
+recorded as a time-out.
 
 Times are calibrated for machine speed as perfbench calibrates them: the child
 runs ``speed_probe`` from ``perfbench/run.py`` (of this checkout, so one
 yardstick for every tree) just before and just after ``cli.main``, and every
-time of the run, phases included, is scaled by PROBE_NOMINAL_S / (mean of the
-two probes), so it reads in seconds at the speed where the probe takes
-PROBE_NOMINAL_S.  The raw wall times are kept next to the calibrated ones.
-Algebra files are built once
-per tree by that tree's own ``qfla build``, and candidate files written once
-per tree by that tree's own ``exp_ad`` and ``candidate_to_json``.  The output holds, per tree, the git hash
-("-dirty" when tracked files differ from it), a sha256 of the timed
+time of the run, the import and the phases included, is scaled by
+PROBE_NOMINAL_S / (mean of the two probes), so it reads in seconds at the
+speed where the probe takes PROBE_NOMINAL_S.  The raw wall times are kept next
+to the calibrated ones.  Algebra files are built once per tree by that tree's
+own ``qfla build``, and candidate files written once per tree by that tree's
+own ``exp_ad`` and ``candidate_to_json``.  The output holds, per tree, the git
+hash ("-dirty" when tracked files differ from it), a sha256 of the timed
 ``src/qfla/*.py`` files, and per rung the median and all run times (null for a
-time-out), the median time of each phase the rung reaches (``oracle_median_s``,
-``closed_median_s`` for the two closed forms together, ``compare_median_s``,
-``emit_median_s``, ``lcs_median_s``, ``split_median_s``,
-``cells_median_s``, ``search_median_s``, ``witness_median_s``,
-``extend_median_s``, ``verify_median_s``), all calibrated,
-the same raw (``raw_median_s``, ``raw_runs_s``, ``raw_<phase>_median_s``), each
-run's scale factor (``scales``), the median peak RSS and the exit code
-("timeout" when some run timed out), next to the Python version, the machine
-and PROBE_NOMINAL_S.
+time-out), the median import time (``import_median_s``), the median time of
+each phase the rung reaches (``oracle_median_s``, ``closed_median_s`` for the
+two closed forms together, ``compare_median_s``, ``emit_median_s``,
+``lcs_median_s``, ``split_median_s``, ``cells_median_s``, ``search_median_s``,
+``witness_median_s``, ``extend_median_s``, ``verify_median_s``), all
+calibrated, the same raw (``raw_median_s``, ``raw_runs_s``,
+``raw_import_median_s``, ``raw_<phase>_median_s``), each run's scale factor
+(``scales``), the median peak RSS and the exit code ("timeout" when some run
+timed out), next to the Python version, the machine and PROBE_NOMINAL_S.
 """
 from __future__ import annotations
 
@@ -196,22 +201,26 @@ TIMED = [
 ]
 PHASES = tuple(dict.fromkeys(phase for _, _, phase in TIMED))
 
-# Runs in the child: time cli.main on argv (stdout written to the null
-# device, so the peak RSS counts no output text that the verb did not hold),
-# and within it each phase (null when the verb does not reach it): the
-# derivation oracle, the closed-form torus and nilpotent bases (summed), the
-# span comparison of der --compare, the emission (``_emit``, which makes the
-# text and writes it), check's series and split, iso's cells, search and
-# witness, aut-check's extension, and the brute-force bracket check; report
-# these raw times, the scale factor from perfbench's speed probe taken just
-# before and just after cli.main, the exit code and peak RSS as one JSON line.
+# Runs in the child: time the import of qfla.cli after perfbench's run.py,
+# then cli.main on argv (stdout written to the null device, so the peak RSS
+# counts no output text that the verb did not hold), and within it each phase
+# (null when the verb does not reach it): the derivation oracle, the
+# closed-form torus and nilpotent bases (summed), the span comparison of
+# der --compare, the emission (``_emit``, which makes the text and writes it),
+# check's series and split, iso's cells, search and witness, aut-check's
+# extension, and the brute-force bracket check; report these raw times and
+# the import's, the scale factor from perfbench's speed probe taken just
+# before and just after cli.main, the exit code and peak RSS as one JSON
+# line.
 CHILD = """
 import contextlib, importlib, importlib.util, json, os, resource, sys, time
 probe = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])
 perfbench_run = importlib.util.module_from_spec(probe)
 probe.loader.exec_module(perfbench_run)
 sys.path.insert(0, sys.argv[2])
+t0 = time.perf_counter()
 import qfla.cli
+imported = time.perf_counter() - t0
 TIMED = json.loads(sys.argv[3])
 argv = sys.argv[4:]
 spent = {phase + "_s": [] for _, _, phase in TIMED}
@@ -237,7 +246,8 @@ with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
     scale = perfbench_run.PROBE_NOMINAL_S * 2 / (before + perfbench_run.speed_probe())
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 result = {key: sum(times) if times else None for key, times in spent.items()}
-print(json.dumps({"s": elapsed, **result, "scale": scale, "rc": rc, "rss_mb": rss_mb}))
+print(json.dumps({"s": elapsed, "import_s": imported, **result, "scale": scale, "rc": rc,
+                  "rss_mb": rss_mb}))
 """
 
 
@@ -337,6 +347,8 @@ def main(argv=None) -> int:
                 "median_s": _median(r["s"] * r["scale"] for r in done),
                 "runs_s": [_rounded(r["s"] and r["s"] * r["scale"]) for r in runs],
                 "raw_median_s": _median(r["s"] for r in done),
+                "import_median_s": _median(r["import_s"] * r["scale"] for r in done),
+                "raw_import_median_s": _median(r["import_s"] for r in done),
                 "raw_runs_s": [_rounded(r["s"]) for r in runs],
                 "scales": [_rounded(r.get("scale")) for r in runs],
                 "peak_rss_mb": (
@@ -345,6 +357,8 @@ def main(argv=None) -> int:
                 "exit": "timeout" if len(done) < len(runs) else runs[0]["rc"],
             }
             shown = "timeout" if not done else f"{entry['median_s']:.4f} s"
+            if done:
+                shown += f" (import {entry['import_median_s']:.4f} s)"
             for phase in PHASES:
                 key = f"{phase}_s"
                 reached = [r for r in done if r[key] is not None]

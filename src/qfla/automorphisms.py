@@ -168,11 +168,9 @@ def automorphism_conditions(spec: QuasiQnSpec, candidate: GeneratorImages) -> Co
 
     targets, why = _target_copies(spec, candidate)
     if targets is None:
-        return ConditionVerdict(False, "single-target-copy", why)
+        return ConditionVerdict("single-target-copy", why)
     if sorted(targets) != list(range(1, m + 1)):
-        return ConditionVerdict(
-            False, "copy-permutation", f"copy map {targets} is not a bijection"
-        )
+        return ConditionVerdict("copy-permutation", f"copy map {targets} is not a bijection")
 
     def c0(s: int, q: int, j: int) -> Scalar:  # e_{qj} coefficient of the e_{s0} image
         return candidate.e0[s - 1].get(spec.gen_index(q, j), 0)
@@ -186,9 +184,7 @@ def automorphism_conditions(spec: QuasiQnSpec, candidate: GeneratorImages) -> Co
     for s in range(1, m + 1):
         q = targets[s - 1]
         if c0(s, q, 0) * c1(s, q, 1) == 0:
-            return ConditionVerdict(
-                False, "leading-coefficients", f"copy {s} has a zero leading product"
-            )
+            return ConditionVerdict("leading-coefficients", f"copy {s} has a zero leading product")
     for s in range(1, m + 1):
         for p in range(s + 1, m + 1):
             qs, qp = targets[s - 1], targets[p - 1]
@@ -196,7 +192,6 @@ def automorphism_conditions(spec: QuasiQnSpec, candidate: GeneratorImages) -> Co
             rhs = top_vec(qp, c1(s, qp, n - 1) * c1(p, qp, 1))
             if lhs != rhs:
                 return ConditionVerdict(
-                    False,
                     "leading-coefficients",
                     f"copies ({s},{p}) have mismatched e_{{*,n-1}} cross terms",
                 )
@@ -208,7 +203,6 @@ def automorphism_conditions(spec: QuasiQnSpec, candidate: GeneratorImages) -> Co
                 total += (-1) ** j * c1(s, q, j) * c1(s, q, p - j + 1)
             if total != 0:
                 return ConditionVerdict(
-                    False,
                     "odd-convolution",
                     f"copy {s} convolution at order {p} is {total}",
                 )
@@ -224,9 +218,9 @@ def automorphism_conditions(spec: QuasiQnSpec, candidate: GeneratorImages) -> Co
         for s in range(r, m)
     ):
         return ConditionVerdict(
-            False, "gluing-compatibility", "permutation and scales do not preserve the gluing"
+            "gluing-compatibility", "permutation and scales do not preserve the gluing"
         )
-    return ConditionVerdict(True)
+    return ConditionVerdict()
 
 
 def make_scaling_automorphism(

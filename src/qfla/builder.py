@@ -7,12 +7,11 @@ for s > r.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
-from typing import Dict, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 from .linalg import Matrix, Scalar, _combine, inverse
 from .liecore import LieAlgebra, check_jacobi
@@ -33,8 +32,7 @@ def _check_n(n: int) -> None:
         raise BadInput(f"n: must be odd and >= 5, got {n}")
 
 
-@dataclass(frozen=True)
-class QuasiQnSpec:
+class QuasiQnSpec(NamedTuple):
     """Parameters (n, m, r, beta) of N(Q_n, m, r), taken as given: ``make_spec``
     checks plain data.
 

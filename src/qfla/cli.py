@@ -101,18 +101,25 @@ def _emit(args, payload: dict) -> None:
     piece (see ``jsonio.pieces``), so no whole text is held.  --out is
     opened before anything is written, so a path that cannot be opened
     leaves stdout empty; a write that fails later, as on a full disk, exits
-    2 too, and stdout may then hold a partial text."""
-    if not args.out:
-        for piece in pieces(payload):
-            sys.stdout.write(piece)
-        return
+    2 too, and stdout may then hold a partial text.  Numbers are written
+    past Python's digit limit on int-to-str conversion, which input parsing
+    keeps; the caller's limit is restored on the way out."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        with open(args.out, "wb") as fh:
+        if not args.out:
             for piece in pieces(payload):
-                fh.write(piece.encode())
                 sys.stdout.write(piece)
-    except OSError as exc:
-        raise BadInput(f"--out: {exc}") from exc
+            return
+        try:
+            with open(args.out, "wb") as fh:
+                for piece in pieces(payload):
+                    fh.write(piece.encode())
+                    sys.stdout.write(piece)
+        except OSError as exc:
+            raise BadInput(f"--out: {exc}") from exc
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _cmd_build(args) -> int:

@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from .builder import QuasiQnSpec, build_quasi, proportional_classes, support_components
 from .liecore import LieAlgebra, _derived_rows
 from .linalg import Matrix, _combine, _rref_rows, _subtract, sparse_nullspace
 
 
-@dataclass(frozen=True)
-class GeneratorImages:
+class GeneratorImages(NamedTuple):
     """Proposed images of the generators: e0[s-1] and e1[s-1] are the sparse
     image vectors {index: scalar} of e_{s0} and e_{s1} (copies 1-based),
     under a derivation or an endomorphism alike.  They must come one pair per
@@ -119,14 +117,16 @@ def closed_form_extension(spec: QuasiQnSpec, images: GeneratorImages) -> Matrix:
     return Matrix.from_columns([{k: x for k, x in v.items() if x} for v in cols], spec.dim)
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
+class ConditionVerdict(NamedTuple):
     """Outcome of a condition battery; ``failed`` names the first failing
     condition (None when everything passes)."""
 
-    ok: bool
     failed: Optional[str] = None
     detail: Optional[str] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.failed is None
 
 
 def derivation_conditions(spec: QuasiQnSpec, images: GeneratorImages) -> ConditionVerdict:
@@ -150,7 +150,7 @@ def derivation_conditions(spec: QuasiQnSpec, images: GeneratorImages) -> Conditi
         k = min((k for k in image if k < mn and (k // n != s - 1 or k % n == 1)), default=None)
         if k is not None:
             return ConditionVerdict(
-                False, "e0-support", f"d(e_{{{s},0}}) has a component on basis index {k}"
+                "e0-support", f"d(e_{{{s},0}}) has a component on basis index {k}"
             )
     for s, image in enumerate(images.e1, start=1):
         k = min(
@@ -159,13 +159,13 @@ def derivation_conditions(spec: QuasiQnSpec, images: GeneratorImages) -> Conditi
         )
         if k is not None:
             return ConditionVerdict(
-                False, "e1-support", f"d(e_{{{s},1}}) has a component on basis index {k}"
+                "e1-support", f"d(e_{{{s},1}}) has a component on basis index {k}"
             )
     for s, image in enumerate(images.e1, start=1):
         k = min((k for k in image if k // n == s - 1 and k % n % 2 and k % n > 1), default=None)
         if k is not None:
             why = f"d(e_{{{s},1}}) has a component on e_{{{s},{k % n}}}"
-            return ConditionVerdict(False, "odd-level-vanishing", why)
+            return ConditionVerdict("odd-level-vanishing", why)
     lam = [  # top eigenvalues (n-2) a_s + 2 b_s
         (n - 2) * images.e0[s - 1].get(spec.gen_index(s, 0), 0)
         + 2 * images.e1[s - 1].get(spec.gen_index(s, 1), 0)
@@ -175,7 +175,6 @@ def derivation_conditions(spec: QuasiQnSpec, images: GeneratorImages) -> Conditi
         for j in range(1, r + 1):
             if beta[s - 1][j - 1] != 0 and lam[s - 1] != lam[j - 1]:
                 return ConditionVerdict(
-                    False,
                     "glued-weight-match",
                     f"top eigenvalue of copy {s} is {lam[s - 1]} but copy {j} has {lam[j - 1]}",
                 )
@@ -192,11 +191,10 @@ def derivation_conditions(spec: QuasiQnSpec, images: GeneratorImages) -> Conditi
             residue = -csp * beta[p - 1][j - 1] + cps * beta[s - 1][j - 1]
             if residue != 0:
                 return ConditionVerdict(
-                    False,
                     "cross-pair-balance",
                     f"copies ({s},{p}) leave residue {residue} on top {j}",
                 )
-    return ConditionVerdict(True)
+    return ConditionVerdict()
 
 
 # -- brute force oracle ---------------------------------------------------------

@@ -20,9 +20,8 @@ certified by an explicit algebra isomorphism.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .automorphisms import extend_endomorphism, make_scaling_automorphism
 from .builder import (
@@ -36,8 +35,7 @@ from .linalg import Matrix, Scalar, _insert, _reduce, inverse, sparse_nullspace
 MAX_COPIES = 12
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
+class EquivalenceWitness(NamedTuple):
     """Certificate for E M1 K = M2: the invertible factor E and the monomial
     K, whose column j holds scale[j] in row perm[j] (0-based) and is zero
     elsewhere."""
@@ -45,11 +43,6 @@ class EquivalenceWitness:
     E: Matrix
     perm: tuple
     scale: tuple
-
-
-@dataclass(frozen=True)
-class NotEquivalent:
-    reason: str
 
 
 def _generic_nonzero_point(basis: List[dict], m: int) -> Optional[tuple]:
@@ -123,11 +116,10 @@ def _first_admissible_perm(g1: List[tuple], g2: List[tuple]) -> Optional[tuple]:
 
     perm: List[int] = []
 
-    def search(pivots: dict) -> Optional[tuple]:
-        j = len(perm)
-        if j == m:
-            return tuple(perm)
-        tried = set()
+    def children(pivots: dict):
+        # the pivots of each unpruned child of the node perm, in order; perm
+        # holds the child's assignment while it is searched
+        j, tried = len(perm), set()
         for p in range(m):
             if p in perm or class_of[p] in tried or cells1[p] != cells2[j]:
                 continue
@@ -137,22 +129,26 @@ def _first_admissible_perm(g1: List[tuple], g2: List[tuple]) -> Optional[tuple]:
             # with no new pivot the solutions are the parent's: only d_j can vanish
             checked = enumerate(perm) if len(child) > len(pivots) else [(j, p)]
             if not any(scale_vanishes(child, q, k) for k, q in checked):
-                found = search(child)
-                if found is not None:
-                    return found
+                yield child
             perm.pop()
-        return None
 
-    return search({})
+    # depth first on an explicit stack of the open nodes' child iterators,
+    # so no function refers to itself and the search leaves no cycle
+    stack = [children({})]
+    while stack and len(perm) < m:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(children(child))
+    return tuple(perm) if stack else None
 
 
-def monomial_equivalence(
-    g1: Sequence[tuple], g2: Sequence[tuple]
-) -> Union[EquivalenceWitness, NotEquivalent]:
+def monomial_equivalence(g1: Sequence[tuple], g2: Sequence[tuple]) -> Optional[EquivalenceWitness]:
     """Find E and the monomial K, as its (perm, scale), with E M1 K = M2,
     M_i = related_matrix(g_i), from the m columns g_i of two betas in Q^r
-    (the same m and r: ``iso_decide`` compares (n, m, r) first), or explain
-    why none exists.
+    (the same m and r: ``iso_decide`` compares (n, m, r) first), or None
+    when none exists.
 
     K is monomial, so E exists for a given K exactly when K maps ker(M2)
     onto ker(M1), whose bases have the columns of beta as rows; that is
@@ -172,9 +168,7 @@ def monomial_equivalence(
         h1, h2 = ([tuple(M.entry(i, p) for i in range(m - r)) for p in range(m)] for M in (M1, M2))
     perm = _first_admissible_perm(h1, h2)
     if perm is None:
-        return NotEquivalent(
-            "no copy permutation makes the annihilator kernels match under a monomial map"
-        )
+        return None
     # K's diagonal d must make M1 K annihilate each kernel vector of M2
     eq_rows = [
         {j: x for j in range(m) if (x := M1.entry(k, perm[j]) * g2[j][c])}
@@ -255,35 +249,34 @@ def build_algebra_witness(
     return extend_endomorphism(spec1, build_quasi(spec2), images)
 
 
-@dataclass(frozen=True)
-class IsoVerdict:
-    """Outcome of the isomorphism decision.
-
-    On a positive answer both certificates are present and verified: the
-    matrix pair (E, K) and the algebra map sending the first basis to the
-    second.
+class IsoVerdict(NamedTuple):
+    """Outcome of the isomorphism decision: a ``reason`` for a "no", or both
+    certificates of a "yes", verified: the matrix pair (E, K) and the
+    algebra map sending the first basis to the second.
     """
 
-    isomorphic: bool
     reason: Optional[str] = None
     equivalence: Optional[EquivalenceWitness] = None
     map: Optional[Matrix] = None
+
+    @property
+    def isomorphic(self) -> bool:
+        return self.equivalence is not None
 
 
 def iso_decide(spec1: QuasiQnSpec, spec2: QuasiQnSpec) -> IsoVerdict:
     """Decide whether two gluings give isomorphic algebras."""
     if (spec1.n, spec1.m, spec1.r) != (spec2.n, spec2.m, spec2.r):
         return IsoVerdict(
-            False,
-            reason=(
-                f"parameters differ: ({spec1.n},{spec1.m},{spec1.r}) vs "
-                f"({spec2.n},{spec2.m},{spec2.r})"
-            ),
+            f"parameters differ: ({spec1.n},{spec1.m},{spec1.r}) vs "
+            f"({spec2.n},{spec2.m},{spec2.r})"
         )
     outcome = monomial_equivalence(spec1.beta, spec2.beta)
-    if isinstance(outcome, NotEquivalent):
-        return IsoVerdict(False, reason=outcome.reason)
+    if outcome is None:
+        return IsoVerdict(
+            "no copy permutation makes the annihilator kernels match under a monomial map"
+        )
     witness = build_algebra_witness(spec1, spec2, outcome)
     if not is_isomorphism(build_quasi(spec1), build_quasi(spec2), witness):
         raise AssertionError("certificate construction produced a non-isomorphism")
-    return IsoVerdict(True, equivalence=outcome, map=witness)
+    return IsoVerdict(equivalence=outcome, map=witness)

@@ -9,6 +9,7 @@ each summand's generators into the other's centre (Der(A (+) B) =
 Der A (+) Der B (+) Hom(A/[A,A], Z(B)) (+) Hom(B/[B,B], Z(A))).  The
 closed-form count must reach it with one torus direction per block.
 """
+import gc
 import hashlib
 import json
 import random
@@ -448,3 +449,22 @@ def test_cli_golden_battery(tmp_path, capsys):
             golden[0] == golden[1] and not mismatched,
             f"digest mismatch: {mismatched}",
         )
+
+
+def test_no_verb_leaves_reference_cycles(tmp_path, capsys):
+    # with the collector off, every battery command must free what it made
+    # by reference counting alone: a cycle would hold its objects until the
+    # collector happens to run
+    files = golden_files(tmp_path)
+    capsys.readouterr()
+    gc.collect()
+    gc.disable()
+    try:
+        left = {}
+        for template, code, _ in GOLDEN_BATTERY:
+            assert main([arg.format(**files) for arg in template]) == code
+            capsys.readouterr()
+            left[" ".join(template)] = gc.collect()
+    finally:
+        gc.enable()
+    assert not any(left.values()), {command: n for command, n in left.items() if n}

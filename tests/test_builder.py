@@ -19,7 +19,8 @@ from qfla.builder import (
     related_matrix,
     support_components,
 )
-from qfla.derivations import der_dimension, nilpotent_basis
+from qfla.derivations import ConditionVerdict, GeneratorImages, der_dimension, nilpotent_basis
+from qfla.iso import iso_decide
 from qfla.jsonio import spec_from_json
 from qfla.linalg import Matrix, inverse
 
@@ -65,6 +66,23 @@ class TestSpecValidation:
         s = make_spec(5, 3, 2, [["1"], ["0"]])
         assert s.beta == ((1, 0), (0, 1), (1, 0))
         assert s.beta is s.beta  # held by the record, not computed
+
+    def test_no_record_field_can_be_assigned(self):
+        # the records are named tuples: neither a field nor a derived flag,
+        # nor a new attribute, can be set on one
+        spec = make_spec(5, 3, 2, [["1"], ["1"]])
+        verdict = iso_decide(spec, spec)
+        records = [
+            spec,
+            GeneratorImages(({},) * 3, ({},) * 3),
+            ConditionVerdict("e0-support", "why"),
+            verdict.equivalence,
+            verdict,
+        ]
+        for record in records:
+            for name in (*record._fields, "ok", "isomorphic", "dim", "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
 
     def test_spec_is_the_record_of_beta(self):
         # the record takes its data as given: make_spec is where it is checked

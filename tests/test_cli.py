@@ -14,7 +14,7 @@ from qfla.automorphisms import exp_ad, make_scaling_automorphism
 from qfla.builder import build_quasi, make_spec
 from qfla.cli import VERBS, main
 from qfla.jsonio import algebra_to_json, candidate_to_json, dumps, matrix_from_json, spec_to_json
-from qfla.liecore import bracket_preserving
+from qfla.liecore import bracket_preserving, is_isomorphism
 from qfla.linalg import rank
 
 
@@ -247,6 +247,29 @@ class TestIso:
         witness = matrix_from_json(json.loads(proc.stdout)["witness"]["map"], "map")
         L1, L2 = (build_quasi(make_spec(5, 3, 2, B)) for B in glued)
         assert rank(witness) == L1.dim and bracket_preserving(L1, L2, witness)
+
+    def test_witness_past_the_digit_limit(self, run, tmp_path):
+        # the witness of these 3,000-digit gluings holds numbers of over
+        # 4,300 digits, which str() refuses under Python's default limit:
+        # emission lifts the limit for its own writes and restores it
+        glued = [["7" * 3000, "3" * 3000]], [["1/" + "7" * 3000, "3" * 3000]]
+        a, b = (self._spec_file(tmp_path, f"{k}.json", 5, 3, 1, B) for k, B in zip("ab", glued))
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run("iso", a, b)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            data = json.loads(out)  # one JSON object, nothing after it
+            witness = matrix_from_json(data["witness"]["map"], "map")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert data["isomorphic"] is True
+        L1, L2 = (build_quasi(make_spec(5, 3, 1, B)) for B in glued)
+        assert is_isomorphism(L1, L2, witness)
+        code, out, err = run("iso", a, b, "--out", str(tmp_path / "missing" / "x.json"))
+        assert (code, out) == (2, "") and err.startswith("error: --out:")
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestInputContract:

@@ -21,7 +21,8 @@ environment, a knob no call shows.
 Leftovers count too: every name a module imports is used in that module, and
 every private top-level function or module constant has a use somewhere in
 ``src/``.  Python calls dunder methods itself, so no name refers to them: each
-one a class defines must be listed in ``DUNDERS`` with its reason.
+one a class defines must be listed in ``DUNDERS`` with its reason.  No
+module imports ``dataclasses``: the records are named tuples.
 """
 import ast
 from collections import Counter
@@ -244,6 +245,17 @@ def unused_imports() -> set:
     return out
 
 
+def imported_modules(tree) -> set:
+    """The modules that ``tree`` imports from, by their first name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module.split(".")[0])
+    return out
+
+
 def unreferenced_private_functions() -> set:
     trees = _modules().values()
     total = sum((_uses(tree) for tree in trees), Counter())
@@ -286,6 +298,12 @@ def unreferenced_private_constants() -> set:
 def test_every_imported_name_is_used_in_its_module():
     unused = sorted(unused_imports())
     assert not unused, f"imported but unused: {unused}"
+
+
+def test_no_module_imports_dataclasses():
+    # the records are named tuples, so no method is generated at import
+    importers = sorted(m for m, tree in _modules().items() if "dataclasses" in imported_modules(tree))
+    assert not importers, f"modules importing dataclasses: {importers}"
 
 
 def test_every_private_function_has_a_use():

@@ -1,4 +1,6 @@
 """Derivation machinery: extension, condition battery, oracle, explicit bases."""
+import ast
+import inspect
 import random
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ from conftest import (
     spec_id,
     zero_copy_variants,
 )
-from qfla import derivations
+from qfla import automorphisms, derivations
 from qfla.builder import build_quasi, make_spec
 from qfla.derivations import (
     ConditionVerdict,
@@ -63,7 +65,7 @@ def reference_conditions(spec, images):
         k = min((k for k in images.e0[s - 1] if k not in allowed), default=None)
         if k is not None:
             return ConditionVerdict(
-                False, "e0-support", f"d(e_{{{s},0}}) has a component on basis index {k}"
+                "e0-support", f"d(e_{{{s},0}}) has a component on basis index {k}"
             )
     for s in range(1, m + 1):
         allowed = {spec.gen_index(s, i) for i in range(1, n - 1)}
@@ -72,13 +74,12 @@ def reference_conditions(spec, images):
         k = min((k for k in images.e1[s - 1] if k not in allowed), default=None)
         if k is not None:
             return ConditionVerdict(
-                False, "e1-support", f"d(e_{{{s},1}}) has a component on basis index {k}"
+                "e1-support", f"d(e_{{{s},1}}) has a component on basis index {k}"
             )
     for s in range(1, m + 1):
         for i in range(3, n - 1, 2):
             if spec.gen_index(s, i) in images.e1[s - 1]:
                 return ConditionVerdict(
-                    False,
                     "odd-level-vanishing",
                     f"d(e_{{{s},1}}) has a component on e_{{{s},{i}}}",
                 )
@@ -91,7 +92,6 @@ def reference_conditions(spec, images):
         for j in range(1, r + 1):
             if beta[s - 1][j - 1] != 0 and lam[s - 1] != lam[j - 1]:
                 return ConditionVerdict(
-                    False,
                     "glued-weight-match",
                     f"top eigenvalue of copy {s} is {lam[s - 1]} but copy {j} has {lam[j - 1]}",
                 )
@@ -103,11 +103,10 @@ def reference_conditions(spec, images):
                 residue = -csp * beta[p - 1][j - 1] + cps * beta[s - 1][j - 1]
                 if residue != 0:
                     return ConditionVerdict(
-                        False,
                         "cross-pair-balance",
                         f"copies ({s},{p}) leave residue {residue} on top {j}",
                     )
-    return ConditionVerdict(True)
+    return ConditionVerdict()
 
 
 # One gluing of each kind for the battery against its dense reference: block
@@ -163,6 +162,29 @@ class TestConditions:
     def test_all_pass_on_zero(self):
         gi = images_with(SPEC521, [])
         assert derivation_conditions(SPEC521, gi).ok
+
+    def test_ok_is_derived_from_the_failed_condition(self):
+        # every condition either battery can name reads as a failure, and
+        # only the verdict that names none passes
+        named = {
+            call.args[0].value
+            for module in (derivations, automorphisms)
+            for call in ast.walk(ast.parse(inspect.getsource(module)))
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "ConditionVerdict"
+            and call.args
+        }
+        assert named == {
+            "e0-support", "e1-support", "odd-level-vanishing", "glued-weight-match",
+            "cross-pair-balance", "single-target-copy", "copy-permutation",
+            "leading-coefficients", "odd-convolution", "gluing-compatibility",
+        }
+        for failed in named:
+            assert not ConditionVerdict(failed).ok
+            assert not ConditionVerdict(failed, "detail").ok
+        assert derivation_conditions(SPEC521, images_with(SPEC521, [])) == ConditionVerdict()
+        assert ConditionVerdict().ok
+        assert "ok" not in ConditionVerdict._fields and isinstance(ConditionVerdict.ok, property)
 
     def test_e0_support_violation(self):
         s = SPEC521

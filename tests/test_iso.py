@@ -14,7 +14,7 @@ from qfla import iso
 from qfla.builder import BadInput, build_quasi, copy_cells, make_spec, related_matrix
 from qfla.iso import (
     EquivalenceWitness,
-    NotEquivalent,
+    IsoVerdict,
     _generic_nonzero_point,
     build_algebra_witness,
     iso_decide,
@@ -86,7 +86,7 @@ class TestMonomialEquivalence:
     def test_nonzero_pattern_obstruction(self):
         g1 = make_spec(5, 3, 2, [["1"], ["0"]]).beta
         g2 = make_spec(5, 3, 2, [["1"], ["1"]]).beta
-        assert isinstance(monomial_equivalence(g1, g2), NotEquivalent)
+        assert monomial_equivalence(g1, g2) is None
 
     def test_permutation_needed(self):
         # swapping which top the extra copy glues to is a copy relabeling
@@ -157,6 +157,17 @@ class TestIsoDecide:
     def test_parameter_mismatch(self):
         v = iso_decide(make_spec(5, 1, 1), make_spec(7, 1, 1))
         assert not v.isomorphic and "parameters differ" in v.reason
+
+    def test_isomorphic_exactly_when_both_certificates_are_set(self):
+        a, b, c = (make_spec(5, 3, 2, B) for B in ([["1"], ["1"]], [["2"], ["1"]], [["1"], ["0"]]))
+        pairs = [(a, b), (a, a), (c, a), (a, make_spec(7, 3, 2, [["1"], ["1"]]))]
+        verdicts = [iso_decide(s1, s2) for s1, s2 in pairs]
+        assert [v.isomorphic for v in verdicts] == [True, True, False, False]
+        for v in verdicts:
+            certified = v.equivalence is not None and v.map is not None
+            assert v.isomorphic is certified is (v.reason is None)
+        assert "isomorphic" not in IsoVerdict._fields
+        assert isinstance(IsoVerdict.isomorphic, property)
 
     def test_rescaled_pair_isomorphic_with_verified_map(self):
         s1 = make_spec(5, 3, 2, [["1"], ["1"]])
@@ -257,9 +268,7 @@ def sweep_equivalence(g1, g2):
         E = pick_columns(M2, piv) * inverse(pick_columns(prod, piv))
         assert E * prod == M2
         return EquivalenceWitness(E, tuple(perm), point)
-    return NotEquivalent(
-        "no copy permutation makes the annihilator kernels match under a monomial map"
-    )
+    return None
 
 
 NONZERO = [Fraction(x) for x in ("1", "-1", "2", "-2", "3", "1/2", "-1/3", "3/2")]
@@ -385,7 +394,7 @@ class TestPrunedSearchMatchesSweep:
         outcomes = [monomial_equivalence(g1, g2) for _, g1, g2 in EQUIVALENCE_BATTERY]
         assert len(EQUIVALENCE_BATTERY) >= 100
         assert sum(isinstance(o, EquivalenceWitness) for o in outcomes) >= 40
-        assert sum(isinstance(o, NotEquivalent) for o in outcomes) >= 30
+        assert sum(o is None for o in outcomes) >= 30
 
     @pytest.mark.parametrize(
         "g1,g2", [pair[1:] for pair in EQUIVALENCE_BATTERY], ids=[pair[0] for pair in EQUIVALENCE_BATTERY]

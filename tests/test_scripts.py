@@ -1,6 +1,8 @@
 """Smoke tests of the scripts in scripts/: each runs to the end and reports
 what it promises."""
 import importlib
+import importlib.util
+import json
 import re
 import runpy
 import shutil
@@ -43,6 +45,25 @@ def test_every_ladder_phase_binds_in_this_tree():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not unbound
+
+
+def test_ladder_times_the_import(tmp_path, monkeypatch):
+    # one small gluing, two rungs, one run each, on this checkout
+    spec = importlib.util.spec_from_file_location("bench_ladder", SCRIPTS / "bench_ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    build = ["--n", "5", "--m", "2", "--r", "1", "--B", '[["1"]]']
+    gluing = ("n5m2r1", [["build"], ["check"]], build)
+    monkeypatch.setattr(ladder, "GLUINGS", [gluing])
+    monkeypatch.setattr(ladder, "AUT_GLUINGS", ())
+    monkeypatch.setattr(ladder, "ISO_PAIRS", [])
+    out = tmp_path / "ladder.json"
+    assert ladder.main(["--out", str(out), "--runs", "1"]) == 0
+    rungs = json.loads(out.read_text())["trees"]["this"]["rungs"]
+    assert set(rungs) == {"n5m2r1 build", "n5m2r1 check"}
+    for entry in rungs.values():
+        assert entry["exit"] == 0
+        assert entry["import_median_s"] > 0 and entry["raw_import_median_s"] > 0
 
 
 def test_replay_lists_exactly_the_calls_that_differ(capsys, tmp_path):
