@@ -18,7 +18,7 @@ every module that has none in the tree, as in a fresh checkout.  It then times
 (by ``der``, ``der --compare`` and ``weights``, which decomposes under its
 first m + 1 members) and ``qfla.cli.nilpotent_basis`` (by ``der`` and
 ``der --compare``), the span comparison of ``der --compare``
-(``qfla.cli.spans_kernel``), the emission (``qfla.cli._emit``), the lower
+(``qfla.cli._spans_der``), the emission (``qfla.cli._emit``), the lower
 central series and the quasi-cyclic split of ``check``
 (``qfla.cli.lower_central_series``, ``qfla.cli.quasi_cyclic_split``) and the
 phases of ``iso``: the copy cells (``qfla.iso.copy_cells``), the copy search
@@ -26,8 +26,8 @@ phases of ``iso``: the copy cells (``qfla.iso.copy_cells``), the copy search
 (``qfla.iso.build_algebra_witness``), the extension of ``aut-check``'s
 candidate (``qfla.cli.extend_through_grading``), and the brute-force bracket
 check of ``aut-check`` and ``iso`` (``qfla.liecore.bracket_preserving``; see
-``TIMED``), and reads the child's peak RSS, with stdout sent to the null
-device; a run still going after ``TIME_LIMIT_S`` seconds is stopped and
+``TIMED``), and reads the child's peak RSS, with stdout counted and dropped,
+never held; a run still going after ``TIME_LIMIT_S`` seconds is stopped and
 recorded as a time-out.
 
 Times are calibrated for machine speed as perfbench calibrates them: the child
@@ -48,8 +48,9 @@ two closed forms together, ``compare_median_s``, ``emit_median_s``,
 ``witness_median_s``, ``extend_median_s``, ``verify_median_s``), all
 calibrated, the same raw (``raw_median_s``, ``raw_runs_s``,
 ``raw_import_median_s``, ``raw_<phase>_median_s``), each run's scale factor
-(``scales``), the median peak RSS and the exit code ("timeout" when some run
-timed out), next to the Python version, the machine and PROBE_NOMINAL_S.
+(``scales``), the bytes the verb wrote to stdout (``out_bytes``), the median
+peak RSS and the exit code ("timeout" when some run timed out), next to the
+Python version, the machine and PROBE_NOMINAL_S.
 """
 from __future__ import annotations
 
@@ -189,7 +190,7 @@ TIMED = [
     ("qfla.cli", "derivation_oracle", "oracle"),
     ("qfla.cli", "torus_basis", "closed"),
     ("qfla.cli", "nilpotent_basis", "closed"),
-    ("qfla.cli", "spans_kernel", "compare"),
+    ("qfla.cli", "_spans_der", "compare"),
     ("qfla.cli", "_emit", "emit"),
     ("qfla.cli", "lower_central_series", "lcs"),
     ("qfla.cli", "quasi_cyclic_split", "split"),
@@ -202,7 +203,7 @@ TIMED = [
 PHASES = tuple(dict.fromkeys(phase for _, _, phase in TIMED))
 
 # Runs in the child: time the import of qfla.cli after perfbench's run.py,
-# then cli.main on argv (stdout written to the null device, so the peak RSS
+# then cli.main on argv (stdout counted in bytes and dropped, so the peak RSS
 # counts no output text that the verb did not hold), and within it each phase
 # (null when the verb does not reach it): the derivation oracle, the
 # closed-form torus and nilpotent bases (summed), the span comparison of
@@ -210,10 +211,10 @@ PHASES = tuple(dict.fromkeys(phase for _, _, phase in TIMED))
 # check's series and split, iso's cells, search and witness, aut-check's
 # extension, and the brute-force bracket check; report these raw times and
 # the import's, the scale factor from perfbench's speed probe taken just
-# before and just after cli.main, the exit code and peak RSS as one JSON
-# line.
+# before and just after cli.main, the exit code, the stdout byte count and
+# peak RSS as one JSON line.
 CHILD = """
-import contextlib, importlib, importlib.util, json, os, resource, sys, time
+import contextlib, importlib, importlib.util, json, resource, sys, time
 probe = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])
 perfbench_run = importlib.util.module_from_spec(probe)
 probe.loader.exec_module(perfbench_run)
@@ -238,7 +239,15 @@ for module, name, phase in TIMED:
     module = importlib.import_module(module)
     if hasattr(module, name):
         setattr(module, name, timed(getattr(module, name), phase + "_s"))
-with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+class Counted:
+    bytes = 0
+    def write(self, text):
+        Counted.bytes += len(text.encode())
+        return len(text)
+    def flush(self):
+        pass
+
+with contextlib.redirect_stdout(Counted()):
     before = perfbench_run.speed_probe()
     t0 = time.perf_counter()
     rc = qfla.cli.main(argv)
@@ -247,7 +256,7 @@ with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 result = {key: sum(times) if times else None for key, times in spent.items()}
 print(json.dumps({"s": elapsed, "import_s": imported, **result, "scale": scale, "rc": rc,
-                  "rss_mb": rss_mb}))
+                  "out_bytes": Counted.bytes, "rss_mb": rss_mb}))
 """
 
 
@@ -354,11 +363,12 @@ def main(argv=None) -> int:
                 "peak_rss_mb": (
                     round(statistics.median(r["rss_mb"] for r in done), 1) if done else None
                 ),
+                "out_bytes": done[0]["out_bytes"] if done else None,
                 "exit": "timeout" if len(done) < len(runs) else runs[0]["rc"],
             }
             shown = "timeout" if not done else f"{entry['median_s']:.4f} s"
             if done:
-                shown += f" (import {entry['import_median_s']:.4f} s)"
+                shown += f" (import {entry['import_median_s']:.4f} s, {entry['out_bytes']} B out)"
             for phase in PHASES:
                 key = f"{phase}_s"
                 reached = [r for r in done if r[key] is not None]

@@ -24,6 +24,7 @@ from .builder import BadInput, QuasiQnSpec, build_quasi, make_spec, related_matr
 from .derivations import (
     der_dimension,
     derivation_oracle,
+    extend_derivation_candidate,
     nilpotent_basis,
     top_weights,
     torus_basis,
@@ -51,7 +52,7 @@ from .liecore import (
     minimal_generator_count,
     quasi_cyclic_split,
 )
-from .linalg import Matrix, spans_kernel
+from .linalg import Matrix, column_span
 
 
 def _loads(text: str, field: str):
@@ -103,23 +104,19 @@ def _emit(args, payload: dict) -> None:
     leaves stdout empty; a write that fails later, as on a full disk, exits
     2 too, and stdout may then hold a partial text.  Numbers are written
     past Python's digit limit on int-to-str conversion, which input parsing
-    keeps; the caller's limit is restored on the way out."""
-    limit = sys.get_int_max_str_digits()
+    keeps: the input is read by now, and ``main`` restores the limit."""
     sys.set_int_max_str_digits(0)
+    if not args.out:
+        for piece in pieces(payload):
+            sys.stdout.write(piece)
+        return
     try:
-        if not args.out:
+        with open(args.out, "wb") as fh:
             for piece in pieces(payload):
+                fh.write(piece.encode())
                 sys.stdout.write(piece)
-            return
-        try:
-            with open(args.out, "wb") as fh:
-                for piece in pieces(payload):
-                    fh.write(piece.encode())
-                    sys.stdout.write(piece)
-        except OSError as exc:
-            raise BadInput(f"--out: {exc}") from exc
-    finally:
-        sys.set_int_max_str_digits(limit)
+    except OSError as exc:
+        raise BadInput(f"--out: {exc}") from exc
 
 
 def _cmd_build(args) -> int:
@@ -155,9 +152,36 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _entries(M) -> dict:
-    """The nonzero entries of M as one sparse vector, indexed row-major."""
-    return {i * M.cols + j: x for j, col in enumerate(M.columns()) for i, x in col.items()}
+def _member(images) -> dict:
+    """A Der member by its nonzero generator images, keyed e_{s}{t} as in a
+    candidate file, each a list of [index, scalar] pairs in ascending index."""
+    pairs = ((f"e_{s}{t}", v) for t, vs in enumerate(images) for s, v in enumerate(vs, start=1))
+    return {key: [(k, Fraction(x)) for k, x in sorted(v.items())] for key, v in pairs if v}
+
+
+def _spans_der(spec: QuasiQnSpec, members: list, oracle: list) -> bool:
+    """Do the members (generator images) span Der, the span of
+    ``derivation_oracle``'s flat vectors {a * dim + b: D[a, b]}?  Decided in
+    2m * dim generator coordinates: entry a * dim + b of an oracle vector,
+    b the index of e_{st}, goes to p * dim + a for p = t m + s - 1, and the
+    other entries are cut; a member's image of e_{st} sits there too.
+
+    The theorem: a derivation is fixed by its images of the generators, so
+    the cut is injective on Der, and the cut vectors keep rank dim Der, which
+    is checked.  Images lie in the cut of Der exactly when their Leibniz
+    extension is a derivation.  So equal spans in generator coordinates mean
+    equal spans of derivations."""
+    dim, size = spec.dim, 2 * spec.m * spec.dim
+    place = {spec.gen_index(s, t): t * spec.m + s - 1 for s in range(1, spec.m + 1) for t in (0, 1)}
+    cut = [
+        {place[k % dim] * dim + k // dim: x for k, x in v.items() if k % dim in place}
+        for v in oracle
+    ]
+    images = [
+        {p * dim + a: x for p, v in enumerate(D.e0 + D.e1) for a, x in v.items()} for D in members
+    ]
+    span = column_span(cut, size)
+    return span.cols == len(oracle) and column_span(images, size) == span
 
 
 def _cmd_der(args) -> int:
@@ -167,16 +191,16 @@ def _cmd_der(args) -> int:
     nilpotent = nilpotent_basis(spec)  # None off block form, as is der_dimension
     report = {
         "dim_oracle": len(oracle),
-        "torus": torus,
+        "torus": [_member(D) for D in torus],
         "lambda_table": [tuple(map(Fraction, top_weights(spec, D))) for D in oracle],
         "dim_formula": der_dimension(spec),
-        "nilpotent": nilpotent,
+        "nilpotent": None if nilpotent is None else [_member(D) for D in nilpotent],
     }
     if args.compare:
         report["agree"] = (
             nilpotent is not None
             and report["dim_formula"] == report["dim_oracle"]
-            and spans_kernel([_entries(D) for D in torus + nilpotent], oracle)
+            and _spans_der(spec, torus + nilpotent, oracle)
         )
     _emit(args, report)
     return 1 if args.compare and args.strict and not report["agree"] else 0
@@ -186,6 +210,7 @@ def _cmd_aut_check(args) -> int:
     spec = _load_spec(_read_json(args.algebra), args.algebra)
     L = build_quasi(spec)
     candidate = candidate_from_json(_read_json(args.candidate), spec)
+    sys.set_int_max_str_digits(0)  # as in _emit: a detail may name a number of any length
     verdict = automorphism_conditions(spec, candidate)
     brute = is_isomorphism(L, L, extend_through_grading(spec, L, candidate))
     _emit(
@@ -217,7 +242,7 @@ def _cmd_weights(args) -> int:
     spec = _load_spec(_read_json(args.algebra), args.algebra)
     L = build_quasi(spec)
     torus = torus_basis(spec)[: spec.m + 1]  # Grading and the CopyWeights
-    decomposition = weight_decomposition(L, torus)
+    decomposition = weight_decomposition(L, [extend_derivation_candidate(spec, D) for D in torus])
     table = [
         {"weight": tuple(map(Fraction, w)), "dim": dim}
         for w, dim in sorted(decomposition.items())
@@ -293,12 +318,15 @@ def _parse(argv: list):
 
 
 def main(argv: list | None = None) -> int:
+    limit = sys.get_int_max_str_digits()  # a verb lifts it once its input is read
     try:
         handler, args = _parse(sys.argv[1:] if argv is None else argv)
         return handler(args)
     except BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -4,9 +4,9 @@ A derivation is determined by where it sends the generators e_{s0}, e_{s1} of
 each copy; the remaining columns follow from the Leibniz rule.  This module
 provides that extension, a closed-form test for when generator images extend
 to a derivation, a brute-force kernel oracle for cross-validation, and
-explicit torus / nilpotent bases of the derivation algebra.  Generator
-images are taken as given: the functions here assume one image pair per copy,
-in the shape's dimension, and check neither (see ``GeneratorImages``).
+explicit torus / nilpotent bases of the derivation algebra by their images.
+Generator images are taken as given: the functions here assume one image pair
+per copy, in the shape's dimension, and check neither (see ``GeneratorImages``).
 """
 from __future__ import annotations
 
@@ -285,13 +285,13 @@ def derivation_oracle(L: LieAlgebra) -> List[dict]:
 # -- explicit bases ---------------------------------------------------------------
 
 
-def _element(spec: QuasiQnSpec, kind: str, indices: tuple, entries) -> Matrix:
+def _element(spec: QuasiQnSpec, kind: str, indices: tuple, entries) -> GeneratorImages:
     """The derivation whose generator images vanish except at ``entries``:
-    (0 or 1 for d(e_{s0}) or d(e_{s1}), copy s, basis index, value).
+    (0 or 1 for d(e_{s0}) or d(e_{s1}), copy s, basis index, value), as
+    those images, once ``derivation_conditions`` has passed them.
     ``kind`` and ``indices`` name the basis member in the error message.
-    Beyond the O(m r) weight test and the dim result columns, it pays per
-    entry and per copy touched (``extend_images`` skips zero copies): a member
-    on at most two copies makes at most 4(n-1) bracket calls."""
+    It pays per entry and per copy, and the O(m r) weight test: no column
+    beyond the 2m images is made."""
     e0: List[dict] = [{} for _ in range(spec.m)]
     e1: List[dict] = [{} for _ in range(spec.m)]
     for which, s, k, value in entries:
@@ -300,12 +300,13 @@ def _element(spec: QuasiQnSpec, kind: str, indices: tuple, entries) -> Matrix:
     verdict = derivation_conditions(spec, images)
     if not verdict.ok:
         raise AssertionError(f"basis element {kind}{indices} is not a derivation: {verdict}")
-    return extend_derivation_candidate(spec, images)
+    return images
 
 
-def torus_basis(spec: QuasiQnSpec) -> List[Matrix]:
-    """A maximal torus of diagonal derivations: m+c members, c the number of
-    ``support_components`` of the gluing (c = r on block form).
+def torus_basis(spec: QuasiQnSpec) -> List[GeneratorImages]:
+    """A maximal torus of diagonal derivations, each by its generator images
+    (``extend_derivation_candidate`` makes its matrix): m+c members, c the
+    number of ``support_components`` of the gluing (c = r on block form).
 
     A diagonal derivation is fixed by the weights a_s, b_s of e_{s0}, e_{s1}:
     it scales e_{s0} by a_s, e_{st} by (t-1) a_s + b_s for 1 <= t <= n-1,
@@ -330,8 +331,9 @@ def torus_basis(spec: QuasiQnSpec) -> List[Matrix]:
     return out
 
 
-def nilpotent_basis(spec: QuasiQnSpec) -> Optional[List[Matrix]]:
-    """Explicit basis of the nilpotent complement, for block-form gluings.
+def nilpotent_basis(spec: QuasiQnSpec) -> Optional[List[GeneratorImages]]:
+    """Explicit basis of the nilpotent complement, for block-form gluings,
+    each member by its generator images as in ``torus_basis``.
 
     Per copy s: ``AdGen`` sends e_{s0} to e_{si} (2 <= i <= n-1); ``TopFromE0``
     sends e_{s0} to a top vector; ``Even`` sends e_{s1} to an even level

@@ -38,7 +38,7 @@ def dumps(obj) -> str:
 def pieces(obj):
     """The text of ``dumps(obj)`` in pieces, each made by ``_encode``: one per
     member of a dict ``obj``, and one per member of a list among them (for
-    ``der``, one matrix), so a writer never holds the whole text.  Each
+    ``der``, one derivation), so a writer never holds the whole text.  Each
     separator rides on the piece after it."""
     if not (isinstance(obj, dict) and obj):
         yield _encode(obj, "\n") + "\n"

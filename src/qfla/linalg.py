@@ -8,8 +8,8 @@ without zero entries, and matrices are immutable tuples of such sparse
 columns, so every operation costs per nonzero, not per cell.  Everything is
 exact, so results can be compared by literal equality and elimination needs no
 pivoting heuristics.  One sparse elimination engine serves every solve:
-`rank`, `inverse`, `column_span`, `sparse_nullspace` and `spans_kernel` all
-read their results off it.
+`rank`, `inverse`, `column_span` and `sparse_nullspace` all read their
+results off it.
 """
 from __future__ import annotations
 
@@ -293,26 +293,3 @@ def sparse_nullspace(rows: Iterable[dict], ncols: int) -> list:
     by ascending free column (see ``_kernel``).
     """
     return _kernel(_rref_rows(rows), ncols)
-
-
-def spans_kernel(vectors: Iterable[dict], kernel: Sequence[dict]) -> bool:
-    """``column_span(vectors, n) == column_span(kernel, n)`` for a canonical
-    kernel basis as ``sparse_nullspace`` returns it, decided in dim ker
-    coordinates instead of n.
-
-    The theorem: K_c, the vector of free column c, is 1 at c and 0 at every
-    other free column, and c is its largest index (see ``_kernel``).  So v
-    lies in the span iff v - sum_c v[c] K_c = 0, and the vectors span it iff
-    their free coordinates (v[c])_c have rank dim ker.
-    """
-    free = {max(K): k for k, K in enumerate(kernel)}  # free column c -> K_c's place
-    coords = []
-    for v in vectors:
-        at = {free[c]: x for c, x in v.items() if c in free}
-        rest = dict(v)
-        for k, x in at.items():
-            _subtract(rest, x, kernel[k])
-        if rest:
-            return False
-        coords.append(at)
-    return len(_insert({}, coords)) == len(kernel)

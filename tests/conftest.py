@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qfla.builder import make_spec, proportional_classes
-from qfla.derivations import GeneratorImages
+from qfla.derivations import GeneratorImages, extend_derivation_candidate
 from qfla.linalg import Matrix, scalar
 
 # The standard battery: every (n, m, r, B) the suites run against, as the
@@ -63,6 +63,14 @@ def dense(images, dim: int) -> tuple:
         return [[v.get(k, Fraction(0)) for k in range(dim)] for v in vectors]
 
     return listed(images.e0), listed(images.e1)
+
+
+def extended(spec, members):
+    """Der members as ``torus_basis`` and ``nilpotent_basis`` give them, by
+    their generator images, extended to their matrices; None stays None."""
+    if members is None:
+        return None
+    return [extend_derivation_candidate(spec, images) for images in members]
 
 
 def flatten(M) -> dict:

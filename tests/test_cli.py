@@ -182,6 +182,26 @@ class TestAutCheck:
             assert data["brute_force"] is ok
             assert data["agree"] is True
 
+    def test_detail_past_the_digit_limit(self, run, tmp_path):
+        # the order-3 convolution total of e_11 -> e_11 + 10^4000 e_12 is
+        # 10^8000: the verdict naming it is worked out and written past
+        # Python's digit limit, and the caller's limit is left as it was
+        algebra = tmp_path / "a711.json"
+        assert run("build", "--n", "7", "--m", "1", "--r", "1", "--out", str(algebra))[0] == 0
+        e0, e1 = ["0"] * 8, ["0"] * 8
+        e0[0], e1[1], e1[2] = "1", "1", "1" + "0" * 4000
+        path = tmp_path / "cand.json"
+        path.write_text(json.dumps({"images": {"e_10": e0, "e_11": e1}}))
+        limit = sys.get_int_max_str_digits()
+        for flags, code in (([], 0), (["--strict"], 1)):
+            got, out, err = run("aut-check", str(algebra), str(path), *flags)
+            assert (got, err) == (code, "")
+            assert sys.get_int_max_str_digits() == limit
+            data = json.loads(out)  # one JSON object, nothing after it
+            assert data["conditions"]["failed"] == "odd-convolution"
+            assert data["conditions"]["detail"] == "copy 1 convolution at order 3 is 1" + "0" * 8000
+            assert data["brute_force"] is False and data["agree"] is True
+
     def test_malformed_candidate_exit_2(self, run, tmp_path, algebra521_file):
         path = tmp_path / "broken.json"
         path.write_text('{"images": {"e_10": ["1"]}}')
@@ -713,8 +733,8 @@ class TestInputContract:
 
 
 class TestEmission:
-    """Output is written piece by piece (one matrix at most) to --out and to
-    stdout, never held as one text."""
+    """Output is written piece by piece (one der member at most) to --out and
+    to stdout, never held as one text."""
 
     @pytest.fixture(scope="class")
     def algebra1562_file(self, tmp_path_factory):
@@ -731,17 +751,17 @@ class TestEmission:
         data = json.loads(out)
         assert data["dim_oracle"] == len(data["lambda_table"]) == data["dim_formula"]
 
-    def test_no_write_holds_more_than_one_matrix(self, algebra1562_file, monkeypatch):
+    def test_no_write_holds_more_than_one_member(self, algebra1562_file, monkeypatch):
         writes = []
         monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
         assert main(["der", algebra1562_file]) == 0
         data = json.loads("".join(writes))
-        matrices = data["torus"] + data["nilpotent"]
-        # a matrix two levels down is indented by four more spaces a line,
+        members = data["torus"] + data["nilpotent"]
+        # a member two levels down is indented by four more spaces a line,
         # and its piece carries the separator ",\n    " before it
-        texts = [json.dumps(M, indent=2) for M in matrices]
+        texts = [json.dumps(M, indent=2) for M in members]
         assert max(map(len, writes)) <= max(len(t) + 4 * t.count("\n") for t in texts) + 6
-        assert len(writes) > len(matrices)
+        assert len(writes) > len(members)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
     @pytest.mark.parametrize("verb", ["related", "der"])

@@ -1,6 +1,8 @@
 """Derivation machinery: extension, condition battery, oracle, explicit bases."""
 import ast
+import hashlib
 import inspect
+import json
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     BLOCK_SPECS,
     TEST_MATRIX,
+    extended,
     flatten,
     from_dense,
     random_images,
@@ -22,8 +25,10 @@ from conftest import (
 )
 from qfla import automorphisms, derivations
 from qfla.builder import build_quasi, make_spec
+from qfla.cli import _spans_der, main
 from qfla.derivations import (
     ConditionVerdict,
+    GeneratorImages,
     closed_form_extension,
     der_dimension,
     derivation_conditions,
@@ -36,7 +41,8 @@ from qfla.derivations import (
     weight_decomposition,
 )
 from qfla.liecore import LieAlgebra, lower_central_series
-from qfla.linalg import Matrix, column_span, sparse_nullspace, spans_kernel
+from qfla.jsonio import dumps, spec_to_json
+from qfla.linalg import Matrix, column_span, scalar, sparse_nullspace
 from test_iso import NONZERO, WITH_ZEROS, relabelled
 from test_liecore import dense_tables
 
@@ -345,8 +351,8 @@ class TestExplicitBases:
     @pytest.mark.parametrize("spec", BLOCK_SPECS + MULTI_BLOCK_SPECS, ids=spec_id)
     def test_counts_and_span_match_oracle(self, spec):
         L = build_quasi(spec)
-        torus = torus_basis(spec)
-        nilp = nilpotent_basis(spec)
+        torus = extended(spec, torus_basis(spec))
+        nilp = extended(spec, nilpotent_basis(spec))
         oracle = derivation_oracle(L)
         assert len(torus) == spec.m + spec.r
         for i, A in enumerate(torus):
@@ -367,7 +373,7 @@ class TestExplicitBases:
         # and the CopyWeights: the whole torus on one support component, and
         # all but ComponentGrading 2 (top weight 2 on copy 2 alone) on two
         for spec, c in ((make_spec(5, 3, 2, [["1"], ["1"]]), 1), (make_spec(5, 2, 2), 2)):
-            torus = torus_basis(spec)
+            torus = extended(spec, torus_basis(spec))
             assert len(torus) == spec.m + c
             grading, *copy_weights = torus[: spec.m + 1]
             assert top_weights(spec, flatten(grading)) == (2,) * spec.m
@@ -381,21 +387,23 @@ class TestExplicitBases:
         # apart: two components, so the diagonal derivations form an
         # m + 2 = 6-dimensional space, and torus_basis spans all of it.
         spec = make_spec(5, 4, 3, [["1"], ["1"], ["0"]])
-        assert independent_diagonals(torus_basis(spec)) == oracle_torus_dimension(spec) == 6
+        torus = extended(spec, torus_basis(spec))
+        assert independent_diagonals(torus) == oracle_torus_dimension(spec) == 6
 
     @given(mixing_gluings())
     @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     def test_mixing_torus_is_maximal_on_random_gluings(self, spec):
-        assert independent_diagonals(torus_basis(spec)) == oracle_torus_dimension(spec)
+        torus = extended(spec, torus_basis(spec))
+        assert independent_diagonals(torus) == oracle_torus_dimension(spec)
 
     @pytest.mark.parametrize("spec", BLOCK_SPECS, ids=spec_id)
     def test_every_element_is_a_derivation(self, spec):
         L = build_quasi(spec)
-        for D in torus_basis(spec) + nilpotent_basis(spec):
+        for D in extended(spec, torus_basis(spec) + nilpotent_basis(spec)):
             assert is_derivation(L, D)
 
     def test_torus_is_abelian_and_diagonal(self):
-        torus = torus_basis(SPEC521)
+        torus = extended(SPEC521, torus_basis(SPEC521))
         for A in torus:
             for B in torus:
                 assert A * B == B * A
@@ -403,8 +411,8 @@ class TestExplicitBases:
     def test_nilpotent_ideal_is_closed_under_bracket_with_everything(self):
         spec = SPEC521
         L = build_quasi(spec)
-        nilp = nilpotent_basis(spec)
-        everything = torus_basis(spec) + nilp
+        nilp = extended(spec, nilpotent_basis(spec))
+        everything = extended(spec, torus_basis(spec)) + nilp
         ideal = column_span([flatten(N) for N in nilp], L.dim**2)
         for A in everything:
             for N in nilp:
@@ -423,8 +431,8 @@ class TestExplicitBases:
         ids=spec_id,
     )
     def test_members_bracket_only_their_copies(self, spec, monkeypatch):
-        # a member's images touch at most two copies, each extended in
-        # 2(n-2) + 2 bracket calls at most; a call count, not a timing
+        # a member is its generator images, checked by the condition battery
+        # and never extended; a call count, not a timing
         build_quasi(spec)
         calls, per_member = [0], []
         bracket, element = LieAlgebra.bracket, derivations._element
@@ -443,7 +451,7 @@ class TestExplicitBases:
         monkeypatch.setattr(derivations, "_element", counted_element)
         members = nilpotent_basis(spec)
         assert len(per_member) == len(members) > 0
-        assert max(per_member) <= 4 * (spec.n - 1)
+        assert max(per_member) == 0
 
     def test_non_block_form_refused(self):
         # the closed forms answer None off block form, never a wrong value
@@ -454,7 +462,7 @@ class TestExplicitBases:
 class TestEigenvalueBookkeeping:
     def test_top_weights_of_torus_members(self):
         spec = SPEC521
-        grading, *copy_weights = torus_basis(spec)
+        grading, *copy_weights = extended(spec, torus_basis(spec))
         assert top_weights(spec, flatten(grading)) == (Fraction(2), Fraction(2))
         # Grading kills each e_{s0}, fixes e_{s1}..e_{s,n-1} and doubles the top
         assert [grading.entry(k, k) for k in range(spec.dim)] == [0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 2]
@@ -471,7 +479,7 @@ class TestEigenvalueBookkeeping:
     def test_weight_decomposition_separates_levels(self):
         spec = SPEC521
         L = build_quasi(spec)
-        torus = torus_basis(spec)
+        torus = extended(spec, torus_basis(spec))
         spaces = weight_decomposition(L, torus)
         assert sum(spaces.values()) == L.dim
         # the full torus separates every basis vector
@@ -530,9 +538,9 @@ class TestDerProperties:
         oracle = derivation_oracle(L)
         assert len(oracle) == der_dimension(spec)
         explicit = torus_basis(spec) + nilpotent_basis(spec)
-        assert column_span([flatten(D) for D in explicit], L.dim**2) == column_span(
-            oracle, L.dim**2
-        )
+        dense = [flatten(D) for D in extended(spec, explicit)]
+        assert column_span(dense, L.dim**2) == column_span(oracle, L.dim**2)
+        assert _spans_der(spec, explicit, oracle)
 
     @given(relabelled_pairs())
     @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -544,15 +552,23 @@ class TestDerProperties:
         ]
 
 
-# -- der --compare's span test against the column spans it replaced ------------------
+# -- der --compare's span test against the dense column spans -----------------------
 
 
-def spoils(members, rng):
-    """The explicit basis (flat vectors) and seeded spoils of it: a member
-    dropped, one duplicated, one scaled, and a non-derivation added."""
+def non_derivation(spec):
+    """Generator images whose extension is no derivation: d(e_{1,0}) = e_{1,1}
+    breaks the e0 support."""
+    return GeneratorImages(({spec.gen_index(1, 1): 1},) + ({},) * (spec.m - 1), ({},) * spec.m)
+
+
+def spoils(spec, members, rng):
+    """The explicit basis (generator images) and seeded spoils of it: a
+    member dropped, one duplicated, one scaled, and a non-derivation added."""
     k = rng.randrange(len(members))
-    scaled = {i: Fraction(-2, 3) * x for i, x in members[k].items()}
-    unit = {0: 1}  # e_0 -> e_0 alone: [e_0, e_j] != 0 for some j, so no derivation
+    scaled = GeneratorImages(
+        *(tuple({i: Fraction(-2, 3) * x for i, x in v.items()} for v in vs) for vs in members[k])
+    )
+    unit = non_derivation(spec)
     return {
         "as is": members,
         "dropped": members[:k] + members[k + 1 :],
@@ -565,15 +581,19 @@ def spoils(members, rng):
 class TestCompare:
     @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
     def test_spans_kernel_matches_column_spans(self, spec, rng):
+        # whether the members span the oracle's kernel, Der: der --compare
+        # decides it in generator coordinates, the dense reference by the
+        # column spans of the extended members and of the oracle's vectors
         L = build_quasi(spec)
         oracle = derivation_oracle(L)
-        explicit = [flatten(D) for D in torus_basis(spec) + (nilpotent_basis(spec) or [])]
-        assert not is_derivation(L, reshape({0: 1}, L.dim))
+        explicit = torus_basis(spec) + (nilpotent_basis(spec) or [])
         answers = {}
-        for name, members in spoils(explicit, rng).items():
-            expected = column_span(members, L.dim**2) == column_span(oracle, L.dim**2)
-            assert spans_kernel(members, oracle) is expected, name
+        for name, members in spoils(spec, explicit, rng).items():
+            dense = [flatten(D) for D in extended(spec, members)]
+            expected = column_span(dense, L.dim**2) == column_span(oracle, L.dim**2)
+            assert _spans_der(spec, members, oracle) is expected, name
             answers[name] = expected
+        assert not is_derivation(L, extend_derivation_candidate(spec, non_derivation(spec)))
         block_form = spec in BLOCK_SPECS
         assert answers == {
             "as is": block_form,
@@ -582,6 +602,86 @@ class TestCompare:
             "scaled": block_form,
             "non-derivation": False,
         }
+
+
+# -- der's printed members against the matrices the closed forms used to print ----
+
+
+def seeded_block_gluings(seed: int, count: int) -> list:
+    """Block-form gluings drawn by random.Random(seed): each glued copy on one top."""
+    rng = random.Random(seed)
+    specs = []
+    for _ in range(count):
+        n, m = rng.choice([5, 7, 9]), rng.randint(1, 5)
+        r = rng.randint(1, m)
+        B = [["0"] * (m - r) for _ in range(r)]
+        for k in range(m - r):
+            B[rng.randrange(r)][k] = rng.choice(["1", "-1", "2", "1/2", "-3/2"])
+        specs.append(make_spec(n, m, r, B if m > r else None))
+    return specs
+
+
+def matrices_digest(matrices) -> str:
+    """sha256 of the matrices' nonzero entries [row, column, "p/q"], column by column."""
+    text = json.dumps([
+        [(i, j, str(x)) for j, col in enumerate(M.columns()) for i, x in sorted(col.items())]
+        for M in matrices
+    ])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# matrices_digest of torus_basis(spec) + (nilpotent_basis(spec) or []) from
+# when both returned the dense member matrices that der printed
+MEMBER_DIGESTS = {
+    "n5m1r1": "ca1f6c662f7e335ae08de4816eaebc733b2a1c58d85408b6963ee82f55810e69",  # 9 members
+    "n5m2r1B1": "6e81048cc537292f2cbe97f1b8076ce22748659a1274607975cde668622a021c",  # 18 members
+    "n5m3r1B1x1": "bf0ad0887fc55bf0769e0a926a5c8cd9478be17b739cb0c7d64972d281d83d82",  # 28 members
+    "n5m3r2B1,0": "8ee58f73c2a4e685ad9bf4008d1b710ad333e037a9843e73bcd772900da6d6aa",  # 33 members
+    "n5m3r2B1,1": "d7f6b28f67c4d3885da60703dbe1a8b0815b04d3a7981a53e9ac31208240b1c7",  # 4 members
+    "n7m1r1": "e27375a8ecff0b9e934fcb9ab074044eb2f03b4e49e7f6bc4a2ac41532ec6e03",  # 12 members
+    "n7m2r1B1": "de435f360bc8d2d701c4b3312d9a1789e999fa48d6e82049b7e0a788c20968be",  # 24 members
+    "n5m3r1B1/2x-2/3": "8f6880c8337676ad1c6e17211c73a49a7d4815e9570879df647846c7bc906147",  # 28 members
+    "n7m4r2B1,3x2,-1": "fb437d0ceb776c07b1c11ce79fe77ae0d7eaf8160e995160b3f92ffb415f4138",  # 5 members
+    "n5m5r3B1,1,0x0,0,1": "57fe57a2e200c1e15d9ab0308022b354a2b648e2f7f0bed6d91e85287e5fd64c",  # 7 members
+    "n9m4r1B1x3x-1": "e4fafc9f963456df3d5cfe59e3d4f702bdbc18bbe59ef7a1068f34ced99de9e6",  # 63 members
+    "n5m4r4": "eac7685a13cbd14d4a27cc57ee33c4716dbc7ac5ddff8436be518a64056b0ff2",  # 60 members
+    "n5m5r2B1,0x1,0x2,0": "19987502520923b7ced820159ca931600e62ecfbad58dc9185f64d4da95d983d",  # 58 members
+    "n11m3r1B1x-2": "65cb4dbc24e116585eff2b57527852f8101e76cc1cf30e6695dc18d54cbee951",  # 55 members
+    "n5m6r3B1,1,2x2,-1,1x-1,3,1": "91b9172ca1a2a3dba2026a525f5b394bb549c04b7660a19661035fd02aa06c75",  # 7 members
+    "n5m4r1B2x1x-3/2": "5366f9cce10eab0b8666db01d7fa9f66a3c313f0c3351b7e3b7237b50e619ee7",  # 39 members
+    "n7m3r2B-3/2,0": "91885b05a67e00ee089cec68eada1e14a84f97dd867ae0b12a9bdc92d8a107d6",  # 42 members
+    "n9m3r2B0,2": "a99bae83434cf371f3f1dba00cca53b4619662933c573e458246b95fe2b5aa29",  # 51 members
+    "n9m2r1B2": "6cf2d102418488f553971a60a8a36eb62c91e6368257071a35f1be3c44581e15",  # 30 members
+    "n9m4r2B0,1x1,0": "0c6c2f6104e8b1a47215cb8b95500002f8b651fff6a8df48a2d1af1feba2445d",  # 68 members
+    "n7m2r1B-1": "fb0e34d787fe0acf3dc456c22e6abadc1abec30a9265fb0a4baa9092f058ca49",  # 24 members
+}
+
+
+def printed_images(spec, member) -> GeneratorImages:
+    """A member as der prints it, {"e_st": [[index, "p/q"], ...]}, read back
+    as generator images, after checking its form: keys of the spec's
+    generators, nonempty images, ascending indices and nonzero scalars."""
+    keys = [f"e_{s}{t}" for s in range(1, spec.m + 1) for t in (0, 1)]
+    assert set(member) <= set(keys) and member
+    for pairs in member.values():
+        indices = [k for k, _ in pairs]
+        assert pairs and indices == sorted(set(indices)) and all(scalar(x) for _, x in pairs)
+    vectors = {key: {k: scalar(x) for k, x in pairs} for key, pairs in member.items()}
+    return GeneratorImages(*(tuple(vectors.get(k, {}) for k in keys[t::2]) for t in (0, 1)))
+
+
+class TestPrintedMembers:
+    @pytest.mark.parametrize("spec", TEST_MATRIX + seeded_block_gluings(3619, 6), ids=spec_id)
+    def test_printed_members_extend_to_the_matrices_der_printed(self, spec, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(dumps(spec_to_json(spec)))
+        assert main(["der", str(path)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        members = [printed_images(spec, M) for M in data["torus"] + (data["nilpotent"] or [])]
+        assert members == torus_basis(spec) + (nilpotent_basis(spec) or [])
+        matrices = extended(spec, members)
+        assert matrices == [closed_form_extension(spec, images) for images in members]
+        assert matrices_digest(matrices) == MEMBER_DIGESTS[spec_id(spec)]
 
 
 # -- the oracle's assembly against the per-pair reference ----------------------------

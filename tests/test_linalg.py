@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TEST_MATRIX, random_aut_candidate, random_images, sparse, spec_id
+from conftest import TEST_MATRIX, extended, random_aut_candidate, random_images, sparse, spec_id
 from qfla import linalg
 from qfla.automorphisms import (
     closed_form_endomorphism,
@@ -33,7 +33,6 @@ from qfla.linalg import (
     rank,
     scalar,
     sparse_nullspace,
-    spans_kernel,
 )
 
 scalars = st.fractions(min_value=-30, max_value=30, max_denominator=7)
@@ -462,8 +461,8 @@ class TestZeroFreeColumns:
         iso = iso_decide(spec, make_spec(spec.n, spec.m, r, twin if glued else None))
         assert iso.isomorphic
         made = {
-            "torus_basis": torus_basis(spec),
-            "nilpotent_basis": nilpotent_basis(spec) or [],
+            "torus_basis": extended(spec, torus_basis(spec)),
+            "nilpotent_basis": extended(spec, nilpotent_basis(spec) or []),
             "exp_ad": [X],
             "extend_endomorphism": [extend_endomorphism(spec, L, candidate)],
             "extend_through_grading": [extend_through_grading(spec, L, candidate)],
@@ -559,39 +558,11 @@ class TestSparseNullspace:
     @given(st.one_of(matrices, leibniz_like().map(lambda s: Matrix(as_grid(s[1], s[0])))))
     @settings(max_examples=80, deadline=None)
     def test_each_vector_is_one_at_its_free_column_and_zero_at_the_others(self, M):
-        # what spans_kernel reads: the free columns are those the dense
-        # reference does not pivot on, each vector's largest index is its own
+        # the canonical basis: the free columns are those the dense reference
+        # does not pivot on, each vector's largest index is its own
         _, pivots = reference_rref(dense_rows(M), M.cols)
         free = [c for c in range(M.cols) if c not in pivots]
         kernel = sparse_nullspace(row_vectors(M), M.cols)
         assert [max(v) for v in kernel] == free
         for c, v in zip(free, kernel):
             assert [v.get(f, 0) for f in free] == [int(f == c) for f in free]
-
-
-class TestSpansKernel:
-    """``spans_kernel`` gives the answer of comparing two column spans."""
-
-    @given(leibniz_like(), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_matches_column_span_equality(self, system, data):
-        ncols, rows = system
-        kernel = sparse_nullspace([{c: x for c, x in row.items() if x} for row in rows], ncols)
-        k = len(kernel)
-        coefficients = st.lists(st.sampled_from([0, 0, *LEIBNIZ_ENTRIES]), min_size=k, max_size=k)
-        vectors = [
-            linalg._combine({i: c for i, c in enumerate(cs) if c}, kernel)
-            for cs in data.draw(st.lists(coefficients, max_size=k + 1))
-        ]
-        if data.draw(st.booleans()):  # a stray vector, most often outside the kernel
-            columns = st.integers(0, ncols - 1)
-            stray = data.draw(st.dictionaries(columns, nonzero_scalars, min_size=1, max_size=3))
-            vectors.insert(data.draw(st.integers(0, len(vectors))), stray)
-        expected = column_span(vectors, ncols) == column_span(kernel, ncols)
-        assert spans_kernel(vectors, kernel) is expected
-
-    def test_empty(self):
-        assert spans_kernel([], []) is True
-        assert spans_kernel([{}], []) is True
-        assert spans_kernel([{0: 1}], []) is False
-        assert spans_kernel([], sparse_nullspace([], 2)) is False

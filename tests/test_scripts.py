@@ -64,6 +64,7 @@ def test_ladder_times_the_import(tmp_path, monkeypatch):
     for entry in rungs.values():
         assert entry["exit"] == 0
         assert entry["import_median_s"] > 0 and entry["raw_import_median_s"] > 0
+        assert entry["out_bytes"] > 0
 
 
 def test_replay_lists_exactly_the_calls_that_differ(capsys, tmp_path):
