@@ -49,8 +49,12 @@ two closed forms together, ``compare_median_s``, ``emit_median_s``,
 calibrated, the same raw (``raw_median_s``, ``raw_runs_s``,
 ``raw_import_median_s``, ``raw_<phase>_median_s``), each run's scale factor
 (``scales``), the bytes the verb wrote to stdout (``out_bytes``), the median
-peak RSS and the exit code ("timeout" when some run timed out), next to the
-Python version, the machine and PROBE_NOMINAL_S.
+peak RSS (``peak_rss_mb``), the median peak RSS right after ``import qfla.cli``
+(``base_rss_mb``: mostly the interpreter and perfbench's ``run.py``), the
+median growth of the peak past it over the run (``peak_rss_growth_mb``: the
+verb's own memory, 0 when the verb stays under the peak of the import, which
+compiles every module) and the exit code ("timeout" when some run timed out),
+next to the Python version, the machine and PROBE_NOMINAL_S.
 """
 from __future__ import annotations
 
@@ -211,8 +215,8 @@ PHASES = tuple(dict.fromkeys(phase for _, _, phase in TIMED))
 # check's series and split, iso's cells, search and witness, aut-check's
 # extension, and the brute-force bracket check; report these raw times and
 # the import's, the scale factor from perfbench's speed probe taken just
-# before and just after cli.main, the exit code, the stdout byte count and
-# peak RSS as one JSON line.
+# before and just after cli.main, the exit code, the stdout byte count, peak
+# RSS and the peak RSS right after the import as one JSON line.
 CHILD = """
 import contextlib, importlib, importlib.util, json, resource, sys, time
 probe = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])
@@ -222,6 +226,7 @@ sys.path.insert(0, sys.argv[2])
 t0 = time.perf_counter()
 import qfla.cli
 imported = time.perf_counter() - t0
+base_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 TIMED = json.loads(sys.argv[3])
 argv = sys.argv[4:]
 spent = {phase + "_s": [] for _, _, phase in TIMED}
@@ -256,7 +261,7 @@ with contextlib.redirect_stdout(Counted()):
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 result = {key: sum(times) if times else None for key, times in spent.items()}
 print(json.dumps({"s": elapsed, "import_s": imported, **result, "scale": scale, "rc": rc,
-                  "out_bytes": Counted.bytes, "rss_mb": rss_mb}))
+                  "out_bytes": Counted.bytes, "rss_mb": rss_mb, "base_rss_mb": base_rss_mb}))
 """
 
 
@@ -363,12 +368,20 @@ def main(argv=None) -> int:
                 "peak_rss_mb": (
                     round(statistics.median(r["rss_mb"] for r in done), 1) if done else None
                 ),
+                "base_rss_mb": (
+                    round(statistics.median(r["base_rss_mb"] for r in done), 1) if done else None
+                ),
+                "peak_rss_growth_mb": (
+                    round(statistics.median(r["rss_mb"] - r["base_rss_mb"] for r in done), 2)
+                    if done else None
+                ),
                 "out_bytes": done[0]["out_bytes"] if done else None,
                 "exit": "timeout" if len(done) < len(runs) else runs[0]["rc"],
             }
             shown = "timeout" if not done else f"{entry['median_s']:.4f} s"
             if done:
-                shown += f" (import {entry['import_median_s']:.4f} s, {entry['out_bytes']} B out)"
+                shown += (f" (import {entry['import_median_s']:.4f} s, {entry['out_bytes']} B out,"
+                          f" +{entry['peak_rss_growth_mb']:.2f} MB RSS)")
             for phase in PHASES:
                 key = f"{phase}_s"
                 reached = [r for r in done if r[key] is not None]

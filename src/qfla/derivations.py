@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from .builder import QuasiQnSpec, build_quasi, proportional_classes, support_components
 from .liecore import LieAlgebra, _derived_rows
-from .linalg import Matrix, _combine, _rref_rows, _subtract, sparse_nullspace
+from .linalg import Matrix, _combine, _peel, _subtract, sparse_nullspace
 
 
 class GeneratorImages(NamedTuple):
@@ -217,8 +217,8 @@ def _generator_indices(L: LieAlgebra) -> List[int]:
     indices outside the pivots of ``liecore._derived_rows``, which are every
     index when that gives no rows.  A gluing's generators are the 2m indices
     of the e_{s0}, e_{s1}."""
-    pivots = _rref_rows(_derived_rows(L))
-    return [g for g in range(L.dim) if g not in pivots]
+    units, reduced = _peel(_derived_rows(L), L.dim)
+    return [g for g in range(L.dim) if not units[g] and g not in reduced]
 
 
 def derivation_oracle(L: LieAlgebra) -> List[dict]:
@@ -240,11 +240,12 @@ def derivation_oracle(L: LieAlgebra) -> List[dict]:
 
     The rows are made pair by pair as the solver reads them, and a term
     that cancels an entry deletes it, so no row carries a zero entry.  The
-    solver peels each row as it comes (see ``linalg._rref_rows``) and keeps
-    only the coupled ones, so the system is never held whole.  At (9,4,1)
-    the oracle makes 2,518 rows where all pairs make 4,004.  At (21,8,3) it
-    makes 57,023 where all pairs make 110,808; 53,550 of them arrive with
-    one entry and 1,831 are kept."""
+    solver peels each row as it comes (see ``linalg._peel``): a unit is a
+    column flag, not a row, and only the coupled rows are kept, so the
+    system is never held whole.  At (9,4,1) the oracle makes 2,518 rows
+    where all pairs make 4,004.  At (21,8,3) it makes 57,023 where all
+    pairs make 110,808; 53,550 of them arrive with one entry, 27,184
+    columns are flagged and 1,759 coupled rows are left reduced."""
     dim, partners = L.dim, L.partners
     gens = _generator_indices(L)
     gen_set = set(gens)

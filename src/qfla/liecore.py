@@ -31,7 +31,7 @@ from math import lcm
 from typing import Dict, Sequence, Tuple
 
 from .linalg import (
-    Matrix, Scalar, _combine, _rref_rows, _scaled, _subtract, _transpose, column_span
+    Matrix, Scalar, _combine, _peel, _scaled, _subtract, _transpose, column_span
 )
 
 
@@ -223,7 +223,7 @@ def _derived_rows(L: LieAlgebra) -> list:
     index, and in a nilpotent L a subalgebra S with S + [L, L] = L is L
     itself: these rows may join any spanning set of a subalgebra that is to
     be shown to be L.  A gluing's are mostly one-entry rows, which
-    ``_rref_rows`` peels with no arithmetic."""
+    ``_peel`` flags with no arithmetic."""
     if all(k > j for (_, j), value in L.sc.items() for k in value):
         return [dict(value) for value in L.sc.values()]
     return []
@@ -243,7 +243,8 @@ def is_isomorphism(L1: LieAlgebra, L2: LieAlgebra, M: Matrix) -> bool:
         return False
     # the one-entry bracket values go first, so they strike M's columns at once
     rows = _derived_rows(L2) + [dict(c) for c in M.columns()]
-    return len(_rref_rows(rows)) == L2.dim
+    units, reduced = _peel(rows, L2.dim)
+    return units.count(1) + len(reduced) == L2.dim
 
 
 def bracket_preserving(L1: LieAlgebra, L2: LieAlgebra, M: Matrix) -> bool:

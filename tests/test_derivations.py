@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from conftest import (
     spec_id,
     zero_copy_variants,
 )
-from qfla import automorphisms, derivations
+from qfla import automorphisms, derivations, linalg
 from qfla.builder import build_quasi, make_spec
 from qfla.cli import _spans_der, main
 from qfla.derivations import (
@@ -809,3 +810,27 @@ class TestGeneratorPairs:
         L = reversed_basis(build_quasi(spec))
         assert derivations._generator_indices(L) == list(range(L.dim))
         assert derivation_oracle(L) == reference_oracle(L)
+
+
+class TestOracleFootprint:
+    """The solve keeps a one-entry row's column as a flag, so the oracle
+    holds no row for the entries it pins to zero."""
+
+    def test_peak_at_the_ladders_n15m6r2(self):
+        # about 2.9 MB while every unit was kept as a {c: 1} row, 0.65 MB as flags
+        L = build_quasi(make_spec(15, 6, 2, [["1", "1", "0", "0"], ["0", "0", "1", "1"]]))
+        tracemalloc.start()
+        try:
+            derivation_oracle(L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+
+    def test_flags_and_coupled_rows_at_the_ladders_n21m8r3(self, monkeypatch):
+        L = build_quasi(LADDER_ROWS[1][0])
+        peel, seen = linalg._peel, []
+        monkeypatch.setattr(linalg, "_peel", lambda rows, n: seen.append(peel(rows, n)) or seen[-1])
+        derivation_oracle(L)
+        (units, coupled), = seen
+        assert (units.count(1), len(coupled)) == (27184, 1759)

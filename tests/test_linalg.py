@@ -25,7 +25,7 @@ from qfla.derivations import (
     torus_basis,
 )
 from qfla.iso import iso_decide
-from qfla.liecore import lower_central_series
+from qfla.liecore import LieAlgebra, is_isomorphism, lower_central_series
 from qfla.linalg import (
     Matrix,
     column_span,
@@ -288,6 +288,77 @@ class TestUnitRowPeeling:
         reduced, pivots = reference_rref(as_grid(rows, ncols), ncols)
         expected = Matrix.from_columns([sparse(row) for row in reduced[: len(pivots)]], ncols)
         assert column_span((dict(row) for row in rows), ncols) == expected
+
+
+@st.composite
+def peel_systems(draw):
+    """(ncols, rows) that reach every branch of the peel, ncols = 0 included.
+    A chain {c_k, c_(k-1)}, ..., {c_1, c_0} comes before its unit {c_0}, so
+    each unit strikes a row read before it and the peel takes k + 1 passes.
+    Units repeat, rescaled; a row on unit columns only is struck to empty;
+    coupled rows, empty rows and the order are drawn too."""
+    entries = st.sampled_from(LEIBNIZ_ENTRIES)
+    ncols = draw(st.integers(0, 6))
+    if not ncols:
+        return 0, draw(st.lists(st.just({}), max_size=2))
+    cols = st.integers(0, ncols - 1)
+    chain = draw(st.lists(cols, unique=True, max_size=ncols))
+    rows = [{a: draw(entries), b: draw(entries)} for a, b in zip(chain[:0:-1], chain[-2::-1])]
+    units = chain[:1] + draw(st.lists(cols, max_size=3))
+    if units:
+        units += draw(st.lists(st.sampled_from(units), max_size=2))
+    rows += [{c: draw(entries)} for c in units]
+    if len(set(units)) > 1:
+        rows.append({c: draw(entries) for c in units})  # struck to empty, or a unit
+    if ncols > 1:
+        rows += draw(st.lists(st.dictionaries(cols, entries, min_size=2, max_size=4), max_size=3))
+    rows += [{} for _ in range(draw(st.integers(0, 1)))]
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    return ncols, [{c: int(x) if x.denominator == 1 else x for c, x in r.items()} for r in rows]
+
+
+class TestPeelFlags:
+    """The peel keeps units as column flags: every solve still gives the
+    textbook reduced form, and the rank is the flag count plus the coupled
+    rows left over."""
+
+    @given(peel_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_every_solve_matches_the_reference(self, system):
+        ncols, rows = system
+        grid = as_grid(rows, ncols)
+        reduced, pivots = reference_rref(grid, ncols)
+        units, coupled = linalg._peel([dict(row) for row in rows], ncols)
+        assert units.count(1) + len(coupled) == len(pivots)
+        assert sorted([c for c in range(ncols) if units[c]] + list(coupled)) == pivots
+        kernel = sparse_nullspace([dict(row) for row in rows], ncols)
+        M = Matrix(grid, cols=ncols)
+        assert [[v.get(c, 0) for c in range(ncols)] for v in kernel] == reference_kernel(M)
+        expected = Matrix.from_columns([sparse(row) for row in reduced[: len(pivots)]], ncols)
+        assert column_span(iter(rows), ncols) == expected
+        # the first ncols rows as the columns of a map of the abelian algebra:
+        # every map preserves its zero bracket, so only the rank decides
+        square = rows[:ncols] + [{}] * (ncols - len(rows))
+        A = LieAlgebra(ncols, {})
+        X = Matrix.from_columns([dict(row) for row in square], ncols)
+        full = len(reference_rref(as_grid(square, ncols), ncols)[1]) == ncols
+        assert is_isomorphism(A, A, X) == full
+        G = Matrix(as_grid(square, ncols), cols=ncols)  # inverse peels G's rows
+        if full:
+            assert inverse(G) * G == Matrix.identity(ncols)
+        else:
+            with pytest.raises(ValueError):
+                inverse(G)
+
+    def test_a_unit_found_on_a_later_pass_strikes_a_row_read_earlier(self):
+        # {2, 1} is kept, {1, 0} becomes {1} once {0} is read, and {2, 1}
+        # becomes {2} only on the pass after that
+        rows = [{2: 1, 1: 3}, {1: 2, 0: 5}, {0: 7}, {3: 1, 4: 1}]
+        units, coupled = linalg._peel([dict(row) for row in rows], 5)
+        assert list(units) == [1, 1, 1, 0, 0]
+        assert coupled == {3: {3: 1, 4: 1}}
+        assert sparse_nullspace(rows, 5) == [{4: 1, 3: -1}]
 
 
 def grids(rows, cols):

@@ -65,6 +65,9 @@ def test_ladder_times_the_import(tmp_path, monkeypatch):
         assert entry["exit"] == 0
         assert entry["import_median_s"] > 0 and entry["raw_import_median_s"] > 0
         assert entry["out_bytes"] > 0
+        # the verb's own memory: the peak past the one right after the import
+        assert 0 < entry["base_rss_mb"] <= entry["peak_rss_mb"]
+        assert entry["peak_rss_growth_mb"] >= 0
 
 
 def test_replay_lists_exactly_the_calls_that_differ(capsys, tmp_path):
@@ -85,3 +88,20 @@ def test_replay_lists_exactly_the_calls_that_differ(capsys, tmp_path):
     assert lines[-1] == f"mutant against one: {same.split()[3]} calls, {len(lines) - 1} differ"
     assert len(lines) > 1
     assert all(line.endswith("call 2 (der): stdout differ") for line in lines[:-1])
+
+
+def test_pairs_summarise_every_end_to_end_metric(capsys, tmp_path):
+    pairs = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["main"]
+    out = tmp_path / "pairs.json"
+    argv = ["--tree", f"one={ROOT}", "--tree", f"two={ROOT}", "--workload", "iso-mix",
+            "--pairs", "1", "--seconds", "1", "--tiny", "--out", str(out)]
+    assert pairs(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("pair 1/1 seed 1 one: failed 0/")
+    assert lines[1].startswith("pair 1/1 seed 1 two: failed 0/")
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert [line.split()[0] for line in lines[2:]] == names
+    summary = json.loads(out.read_text())["summary"]
+    assert set(summary) == set(names)
+    for entry in summary.values():
+        assert entry["pairs"] == 1 and entry["won"] in (0, 1) and entry["one_iqr"] == 0
