@@ -20,7 +20,10 @@ first m + 1 members) and ``qfla.cli.nilpotent_basis`` (by ``der`` and
 ``der --compare``), the span comparison of ``der --compare``
 (``qfla.cli._spans_der``), the emission (``qfla.cli._emit``), the lower
 central series and the quasi-cyclic split of ``check``
-(``qfla.cli.lower_central_series``, ``qfla.cli.quasi_cyclic_split``) and the
+(``qfla.cli.lower_central_series``, ``qfla.cli.quasi_cyclic_split``; on a
+table whose indices rise, as every built gluing's do, ``check`` reads the
+series off the split, so its one walk shows in ``split`` and ``lcs`` reads
+null) and the
 phases of ``iso``: the copy cells (``qfla.iso.copy_cells``), the copy search
 (``qfla.iso._first_admissible_perm``, cells included) and the witness
 (``qfla.iso.build_algebra_witness``), the extension of ``aut-check``'s
@@ -49,11 +52,12 @@ two closed forms together, ``compare_median_s``, ``emit_median_s``,
 calibrated, the same raw (``raw_median_s``, ``raw_runs_s``,
 ``raw_import_median_s``, ``raw_<phase>_median_s``), each run's scale factor
 (``scales``), the bytes the verb wrote to stdout (``out_bytes``), the median
-peak RSS (``peak_rss_mb``), the median peak RSS right after ``import qfla.cli``
-(``base_rss_mb``: mostly the interpreter and perfbench's ``run.py``), the
-median growth of the peak past it over the run (``peak_rss_growth_mb``: the
-verb's own memory, 0 when the verb stays under the peak of the import, which
-compiles every module) and the exit code ("timeout" when some run timed out),
+peak RSS (``peak_rss_mb``), the median resident set right after ``import
+qfla.cli`` (``base_rss_mb``, read from ``/proc/self/statm``: the interpreter,
+perfbench's ``run.py`` and the modules), the median growth of the peak past
+it over the run (``peak_rss_growth_mb``: the verb's own memory, or the
+transient of the import, which compiles every module, when the verb stays
+under that) and the exit code ("timeout" when some run timed out),
 next to the Python version, the machine and PROBE_NOMINAL_S.
 """
 from __future__ import annotations
@@ -87,7 +91,8 @@ PROBE_NOMINAL_S = _perfbench_run().PROBE_NOMINAL_S
 VERBS = [["build"], ["check"], ["der"], ["der", "--compare"], ["weights"]]
 # (name, verbs, build arguments): one-block gluings of dim 19 (the survey
 # workload's median shape) and 37, two-block ones of dim 92 and 106, a
-# three-block one of dim 171, and a three-block one of dim 253 for `der` alone.
+# three-block one of dim 171, and a three-block one of dim 253 for `check`
+# and `der` alone.
 GLUINGS = [
     ("n9m2r1", VERBS, ["--n", "9", "--m", "2", "--r", "1", "--B", '[["2"]]']),
     ("n9m4r1", VERBS, ["--n", "9", "--m", "4", "--r", "1", "--B", '[["1","2","-1"]]']),
@@ -97,7 +102,7 @@ GLUINGS = [
                         "--B", '[["1","2","-1","0","0","0"],["0","0","0","1","3","1"]]']),
     ("n21m8r3", VERBS, ["--n", "21", "--m", "8", "--r", "3",
                         "--B", '[["1","2","0","0","0"],["0","0","1","-1","0"],["0","0","0","0","3"]]']),
-    ("n25m10r3", [["der"]], ["--n", "25", "--m", "10", "--r", "3",
+    ("n25m10r3", [["check"], ["der"]], ["--n", "25", "--m", "10", "--r", "3",
                              "--B", '[["1","2","0","0","0","0","0"],["0","0","1","-1","0","0","0"],'
                                     '["0","0","0","0","3","1","2"]]']),
 ]
@@ -216,7 +221,7 @@ PHASES = tuple(dict.fromkeys(phase for _, _, phase in TIMED))
 # extension, and the brute-force bracket check; report these raw times and
 # the import's, the scale factor from perfbench's speed probe taken just
 # before and just after cli.main, the exit code, the stdout byte count, peak
-# RSS and the peak RSS right after the import as one JSON line.
+# RSS and the resident set right after the import as one JSON line.
 CHILD = """
 import contextlib, importlib, importlib.util, json, resource, sys, time
 probe = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])
@@ -226,7 +231,8 @@ sys.path.insert(0, sys.argv[2])
 t0 = time.perf_counter()
 import qfla.cli
 imported = time.perf_counter() - t0
-base_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+with open("/proc/self/statm") as statm:
+    base_rss_mb = int(statm.read().split()[1]) * resource.getpagesize() / 2**20
 TIMED = json.loads(sys.argv[3])
 argv = sys.argv[4:]
 spent = {phase + "_s": [] for _, _, phase in TIMED}

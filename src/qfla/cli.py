@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .builder import BadInput, QuasiQnSpec, build_quasi, make_spec, related_matrix
@@ -46,6 +45,7 @@ from .liecore import (
     JacobiViolation,
     NotNilpotent,
     NotQuasiCyclic,
+    _generator_indices,
     is_filiform,
     is_isomorphism,
     lower_central_series,
@@ -104,7 +104,8 @@ def _emit(args, payload: dict) -> None:
     leaves stdout empty; a write that fails later, as on a full disk, exits
     2 too, and stdout may then hold a partial text.  Numbers are written
     past Python's digit limit on int-to-str conversion, which input parsing
-    keeps: the input is read by now, and ``main`` restores the limit."""
+    keeps: the input is read by now, and ``main`` restores the limit.  iso
+    and aut-check make numbers' text before this, so they lift it sooner."""
     sys.set_int_max_str_digits(0)
     if not args.out:
         for piece in pieces(payload):
@@ -127,6 +128,10 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    """On a table whose indices rise, L is nilpotent and generated by U, so
+    c^i is the sum of the split's levels i, i+1, ... (c^{i+1} = [U, c^i]): a
+    direct split's one walk gives the series' dims as suffix sums.  Otherwise
+    the series is the walk of the whole basis."""
     report = dict.fromkeys(("lcs_dims", "filiform", "min_generators", "quasi_cyclic"))
     try:
         L, spec = _load_algebra(args.algebra)
@@ -134,20 +139,27 @@ def _cmd_check(args) -> int:
         _emit(args, {**report, "jacobi": False, "detail": str(exc)})
         return 1 if args.strict else 0
     report["jacobi"] = True  # loading ran the Jacobi check and raised on failure
+    if spec is not None:
+        U = [{spec.gen_index(s, t): 1} for s in range(1, spec.m + 1) for t in (0, 1)]
+    else:
+        U = [{g: 1} for g in _generator_indices(L)]  # every index when they do not rise
+    split = dims = None
+    if len(U) < L.dim:
+        try:
+            levels = [space.cols for space in quasi_cyclic_split(L, Matrix.from_columns(U, L.dim))]
+            split, dims = {"dims": levels}, [sum(levels[i:]) for i in range(len(levels))] + [0]
+        except NotQuasiCyclic as exc:
+            split = {"dims": None, "detail": str(exc)}
     try:
-        chain = lower_central_series(L)
-        report["lcs_dims"] = [space.cols for space in chain]
-        report["filiform"] = is_filiform(chain)
-        report["min_generators"] = minimal_generator_count(chain)
+        if dims is None:
+            dims = [space.cols for space in lower_central_series(L)]
+        report["lcs_dims"] = dims
+        report["filiform"] = is_filiform(dims)
+        report["min_generators"] = minimal_generator_count(dims)
     except NotNilpotent as exc:
         report["detail"] = str(exc)
-    if spec is not None and report["lcs_dims"] is not None:
-        gens = [{spec.gen_index(s, t): 1} for s in range(1, spec.m + 1) for t in (0, 1)]
-        try:
-            chain = quasi_cyclic_split(L, Matrix.from_columns(gens, L.dim))
-            report["quasi_cyclic"] = {"dims": [space.cols for space in chain]}
-        except NotQuasiCyclic as exc:
-            report["quasi_cyclic"] = {"dims": None, "detail": str(exc)}
+    if spec is not None:
+        report["quasi_cyclic"] = split
     _emit(args, report)
     return 0
 
@@ -156,7 +168,7 @@ def _member(images) -> dict:
     """A Der member by its nonzero generator images, keyed e_{s}{t} as in a
     candidate file, each a list of [index, scalar] pairs in ascending index."""
     pairs = ((f"e_{s}{t}", v) for t, vs in enumerate(images) for s, v in enumerate(vs, start=1))
-    return {key: [(k, Fraction(x)) for k, x in sorted(v.items())] for key, v in pairs if v}
+    return {key: [(k, str(x)) for k, x in sorted(v.items())] for key, v in pairs if v}
 
 
 def _spans_der(spec: QuasiQnSpec, members: list, oracle: list) -> bool:
@@ -192,7 +204,7 @@ def _cmd_der(args) -> int:
     report = {
         "dim_oracle": len(oracle),
         "torus": [_member(D) for D in torus],
-        "lambda_table": [tuple(map(Fraction, top_weights(spec, D))) for D in oracle],
+        "lambda_table": [tuple(map(str, top_weights(spec, D))) for D in oracle],
         "dim_formula": der_dimension(spec),
         "nilpotent": None if nilpotent is None else [_member(D) for D in nilpotent],
     }
@@ -227,6 +239,7 @@ def _cmd_aut_check(args) -> int:
 def _cmd_iso(args) -> int:
     spec1 = _load_spec(_read_json(args.first), args.first)
     spec2 = _load_spec(_read_json(args.second), args.second)
+    sys.set_int_max_str_digits(0)  # as in _emit: the scale's text may be of any length
     verdict = iso_decide(spec1, spec2)
     _emit(args, iso_verdict_to_json(verdict))
     return 1 if args.strict and not verdict.isomorphic else 0
@@ -244,7 +257,7 @@ def _cmd_weights(args) -> int:
     torus = torus_basis(spec)[: spec.m + 1]  # Grading and the CopyWeights
     decomposition = weight_decomposition(L, [extend_derivation_candidate(spec, D) for D in torus])
     table = [
-        {"weight": tuple(map(Fraction, w)), "dim": dim}
+        {"weight": tuple(map(str, w)), "dim": dim}
         for w, dim in sorted(decomposition.items())
     ]
     _emit(args, {"torus_size": len(torus), "weights": table})

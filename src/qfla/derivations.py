@@ -15,8 +15,8 @@ import itertools
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from .builder import QuasiQnSpec, build_quasi, proportional_classes, support_components
-from .liecore import LieAlgebra, _derived_rows
-from .linalg import Matrix, _combine, _peel, _subtract, sparse_nullspace
+from .liecore import LieAlgebra, _generator_indices
+from .linalg import Matrix, _combine, _subtract, sparse_nullspace
 
 
 class GeneratorImages(NamedTuple):
@@ -138,21 +138,25 @@ def derivation_conditions(spec: QuasiQnSpec, images: GeneratorImages) -> Conditi
       odd-level-vanishing   d(e_{s1}) has no e_{si} component for odd 3<=i<=n-2
       glued-weight-match    top eigenvalues agree across glued copies
       cross-pair-balance    e_{*,n-1} cross terms cancel against the gluing
-    Equivalent to the Leibniz rule holding for the extended map.  Supports and
-    odd levels cost one test per image entry, the weights O(m r), the balance
-    O(r) per copy pair that an e_{s1} image links at level n-1 (no link, no
-    cross term).  A failure names the smallest offending index or pair.
+    Equivalent to the Leibniz rule holding for the extended map.  A failure
+    names the smallest offending index or pair.  It pays per copy the images
+    touch: supports and odd levels cost one test per image entry, the
+    balance O(r) per copy pair that an e_{s1} image links at level n-1, and
+    the weights read beta's column of each copy s > r, and row of each copy
+    s <= r, whose top weight (n-2) a + 2 b is nonzero (zero weights agree).
     """
     n, m, r = spec.n, spec.m, spec.r
     beta, mn = spec.beta, m * n  # index k < mn is level k % n of copy k // n + 1
+    e0 = [(s, image) for s, image in enumerate(images.e0, start=1) if image]
+    e1 = [(s, image) for s, image in enumerate(images.e1, start=1) if image]
 
-    for s, image in enumerate(images.e0, start=1):
+    for s, image in e0:
         k = min((k for k in image if k < mn and (k // n != s - 1 or k % n == 1)), default=None)
         if k is not None:
             return ConditionVerdict(
                 "e0-support", f"d(e_{{{s},0}}) has a component on basis index {k}"
             )
-    for s, image in enumerate(images.e1, start=1):
+    for s, image in e1:
         k = min(
             (k for k in image if k < mn and k % n != n - 1 and (k // n != s - 1 or k % n == 0)),
             default=None,
@@ -161,26 +165,29 @@ def derivation_conditions(spec: QuasiQnSpec, images: GeneratorImages) -> Conditi
             return ConditionVerdict(
                 "e1-support", f"d(e_{{{s},1}}) has a component on basis index {k}"
             )
-    for s, image in enumerate(images.e1, start=1):
+    for s, image in e1:
         k = min((k for k in image if k // n == s - 1 and k % n % 2 and k % n > 1), default=None)
         if k is not None:
             why = f"d(e_{{{s},1}}) has a component on e_{{{s},{k % n}}}"
             return ConditionVerdict("odd-level-vanishing", why)
-    lam = [  # top eigenvalues (n-2) a_s + 2 b_s
-        (n - 2) * images.e0[s - 1].get(spec.gen_index(s, 0), 0)
-        + 2 * images.e1[s - 1].get(spec.gen_index(s, 1), 0)
-        for s in range(1, m + 1)
-    ]
-    for s in range(r + 1, m + 1):
-        for j in range(1, r + 1):
-            if beta[s - 1][j - 1] != 0 and lam[s - 1] != lam[j - 1]:
-                return ConditionVerdict(
-                    "glued-weight-match",
-                    f"top eigenvalue of copy {s} is {lam[s - 1]} but copy {j} has {lam[j - 1]}",
-                )
+    lam = {}  # the nonzero top weights (n-2) a_s + 2 b_s; every other copy's is 0
+    for s, _ in e0 + e1:
+        head = spec.gen_index(s, 0)
+        x = (n - 2) * images.e0[s - 1].get(head, 0) + 2 * images.e1[s - 1].get(head + 1, 0)
+        if x:
+            lam[s] = x
+    glued = [(s, j) for s in lam if s > r for j, c in enumerate(beta[s - 1], start=1) if c]
+    glued += [(s, j) for j in lam if j <= r for s in range(r + 1, m + 1) if beta[s - 1][j - 1]]
+    failing = min(((s, j) for s, j in glued if lam.get(s, 0) != lam.get(j, 0)), default=None)
+    if failing:
+        s, j = failing
+        return ConditionVerdict(
+            "glued-weight-match",
+            f"top eigenvalue of copy {s} is {lam.get(s, 0)} but copy {j} has {lam.get(j, 0)}",
+        )
     linked = {
         (min(s, k // n + 1), max(s, k // n + 1))
-        for s, image in enumerate(images.e1, start=1)
+        for s, image in e1
         for k in image
         if k < mn and k % n == n - 1 and k // n != s - 1
     }
@@ -212,15 +219,6 @@ def is_derivation(L: LieAlgebra, D: Matrix) -> bool:
     return True
 
 
-def _generator_indices(L: LieAlgebra) -> List[int]:
-    """Basis indices whose vectors generate L, read off its table: the
-    indices outside the pivots of ``liecore._derived_rows``, which are every
-    index when that gives no rows.  A gluing's generators are the 2m indices
-    of the e_{s0}, e_{s1}."""
-    units, reduced = _peel(_derived_rows(L), L.dim)
-    return [g for g in range(L.dim) if not units[g] and g not in reduced]
-
-
 def derivation_oracle(L: LieAlgebra) -> List[dict]:
     """Canonical basis of the full derivation algebra, found by solving the
     Leibniz rule as a sparse linear system in the dim^2 matrix entries, as
@@ -231,7 +229,7 @@ def derivation_oracle(L: LieAlgebra) -> List[dict]:
     term touches: the e_out coefficient of D[e_i, e_j] - [D e_i, e_j] -
     [e_i, D e_j], in the unknown D[a, b] at column a * dim + b.  Only the
     pairs where e_i or e_j is one of the generators G of
-    ``_generator_indices`` are written.  The theorem: for fixed D, the x
+    ``liecore._generator_indices`` are written.  The theorem: for fixed D, the x
     with D[x, y] = [Dx, y] + [x, Dy] for every y form a subalgebra, by
     Jacobi, so the rule on G x L is the rule on L x L once G generates L.
     On a table whose indices do not rise, G is every index, and the system
@@ -291,8 +289,8 @@ def _element(spec: QuasiQnSpec, kind: str, indices: tuple, entries) -> Generator
     (0 or 1 for d(e_{s0}) or d(e_{s1}), copy s, basis index, value), as
     those images, once ``derivation_conditions`` has passed them.
     ``kind`` and ``indices`` name the basis member in the error message.
-    It pays per entry and per copy, and the O(m r) weight test: no column
-    beyond the 2m images is made."""
+    It pays per entry and per copy, and the battery per copy the entries
+    touch: no column beyond the 2m images is made."""
     e0: List[dict] = [{} for _ in range(spec.m)]
     e1: List[dict] = [{} for _ in range(spec.m)]
     for which, s, k, value in entries:

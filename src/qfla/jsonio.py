@@ -1,18 +1,16 @@
 """JSON serialization for algebras, gluing data, and verdicts.
 
-Payloads carry the package's own values: ``pieces`` writes a ``Fraction`` as
-an exact "p/q" string ("p" when integral; never a float) and a ``Matrix`` as
-rows of such strings, each row straight from the sparse columns.  It yields
-the text a member at a time, so the CLI writes it without holding it whole;
-``dumps`` is the joined text.  Scalars are ``int`` when integral and
-``Fraction`` otherwise, but ``pieces`` writes an ``int`` bare, as a count: a
-payload hands each scalar over as a ``Fraction``.
+A payload hands each scalar over as its exact text, ``str`` of the ``int``
+or ``Fraction`` ("p", or "p/q"; never a float), since ``pieces`` writes an
+``int`` bare, as a count.  It writes a ``Matrix`` as rows of such strings,
+each row straight from the sparse columns.  It yields the text a member at a
+time, so the CLI writes it without holding it whole; ``dumps`` is the joined
+text.
 Keys are sorted and every encoder is deterministic, so serialized output is
 byte-stable and suitable for golden-file comparison.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Tuple
 
@@ -30,8 +28,7 @@ def _is_int(x) -> bool:
 def dumps(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, byte for
     byte, from dicts, lists, tuples, strings, ints, bools and None, with each
-    ``Fraction`` written as its "p/q" string and each ``Matrix`` as its list
-    of rows of such strings."""
+    ``Matrix`` written as its list of rows of "p/q" strings."""
     return "".join(pieces(obj))
 
 
@@ -71,8 +68,6 @@ def _encode(obj, newline: str) -> str:
         return "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    if isinstance(obj, Fraction):
-        return f'"{obj}"'  # digits, "-" and "/" need no escaping
     if isinstance(obj, Matrix):
         return _encode_matrix(obj, newline)
     # each text is made by one join or f-string: a chain of "+" would copy
@@ -159,7 +154,7 @@ def algebra_to_json(L: LieAlgebra, spec: QuasiQnSpec) -> dict:
             {
                 "i": i,
                 "j": j,
-                "value": [(k, Fraction(c)) for k, c in sorted(L.sc[(i, j)].items())],
+                "value": [(k, str(c)) for k, c in sorted(L.sc[(i, j)].items())],
             }
             for (i, j) in sorted(L.sc)
         ],
@@ -167,13 +162,16 @@ def algebra_to_json(L: LieAlgebra, spec: QuasiQnSpec) -> dict:
     }
 
 
+_ENTRY_KEYS = frozenset(("i", "j", "value"))
+
+
 def algebra_from_json(data) -> Tuple[LieAlgebra, Optional[QuasiQnSpec]]:
     """The algebra of a parsed algebra file, and its spec or None.  The file
     holds dim, labels, brackets and spec alone.  Every check of the table
     runs here, ``dim`` against ``MAX_DIM`` and the ``labels`` count before
-    anything of size ``dim`` is made;
-    zero coefficients and empty brackets are dropped once no index or pair
-    has turned out repeated."""
+    anything of size ``dim`` is made.  Zero coefficients are dropped once a
+    bracket's indices have turned out distinct, and empty brackets once the
+    pairs have; a table with neither is kept as read."""
     if not isinstance(data, dict):
         raise BadInput("algebra: expected an object")
     for key in data:
@@ -197,7 +195,7 @@ def algebra_from_json(data) -> Tuple[LieAlgebra, Optional[QuasiQnSpec]]:
         raise BadInput("brackets: expected an array of {i, j, value} entries")
     sc = {}
     for entry in brackets:
-        if not isinstance(entry, dict) or not {"i", "j", "value"} <= set(entry):
+        if not isinstance(entry, dict) or not entry.keys() >= _ENTRY_KEYS:
             raise BadInput("brackets: each entry needs i, j, value")
         i, j = entry["i"], entry["j"]
         if not (_is_int(i) and _is_int(j) and 0 <= i < j < dim):
@@ -219,8 +217,9 @@ def algebra_from_json(data) -> Tuple[LieAlgebra, Optional[QuasiQnSpec]]:
                 value[k] = scalar(c)
             except (ValueError, TypeError) as exc:
                 raise BadInput(f"value: {exc}") from exc
-        sc[(i, j)] = value
-    sc = {ij: nonzero for ij, v in sc.items() if (nonzero := {k: c for k, c in v.items() if c})}
+        sc[(i, j)] = value if all(value.values()) else {k: c for k, c in value.items() if c}
+    if not all(sc.values()):
+        sc = {ij: value for ij, value in sc.items() if value}
     if "spec" not in data:
         return check_jacobi(LieAlgebra(dim, sc)), None
     spec = spec_from_json(data["spec"])
@@ -283,7 +282,7 @@ def iso_verdict_to_json(verdict) -> dict:
         w = verdict.equivalence
         out["witness"] = {
             "E": w.E,
-            "K": {"perm": [p + 1 for p in w.perm], "scale": [Fraction(x) for x in w.scale]},
+            "K": {"perm": [p + 1 for p in w.perm], "scale": [str(x) for x in w.scale]},
             "map": verdict.map,
         }
     return out

@@ -172,10 +172,9 @@ def lower_central_series(L: LieAlgebra) -> tuple:
     return (*spaces, column_span([], L.dim))
 
 
-def is_filiform(chain: tuple) -> bool:
-    """Maximal nilpotency class, read off the lower central series of L:
-    dim c^i = dim L - i - 1 for 1 <= i <= dim L - 1."""
-    dims = [space.cols for space in chain]
+def is_filiform(dims: Sequence[int]) -> bool:
+    """Maximal nilpotency class, read off the dims of the lower central series
+    of L: dim c^i = dim L - i - 1 for 1 <= i <= dim L - 1."""
     for i in range(1, dims[0]):
         actual = dims[i] if i < len(dims) else 0
         if actual != dims[0] - i - 1:
@@ -183,10 +182,10 @@ def is_filiform(chain: tuple) -> bool:
     return True
 
 
-def minimal_generator_count(chain: tuple) -> int:
-    """dim L - dim c^1 L from the lower central series of L (c^1 of the zero
-    algebra is 0): the size of any minimal system of generators."""
-    return chain[0].cols - (chain[1].cols if len(chain) > 1 else 0)
+def minimal_generator_count(dims: Sequence[int]) -> int:
+    """dim L - dim c^1 L from the dims of the lower central series of L (c^1
+    of the zero algebra is 0): the size of any minimal system of generators."""
+    return dims[0] - (dims[1] if len(dims) > 1 else 0)
 
 
 def is_minimal_generating_set(L: LieAlgebra, vectors: Sequence[dict]) -> bool:
@@ -227,6 +226,15 @@ def _derived_rows(L: LieAlgebra) -> list:
     if all(k > j for (_, j), value in L.sc.items() for k in value):
         return [dict(value) for value in L.sc.values()]
     return []
+
+
+def _generator_indices(L: LieAlgebra) -> list:
+    """Basis indices whose vectors generate L, read off its table: the
+    indices outside the pivots of ``_derived_rows``, which are every index
+    when that gives no rows.  A gluing's generators are the 2m indices of
+    the e_{s0}, e_{s1}."""
+    units, reduced = _peel(_derived_rows(L), L.dim)
+    return [g for g in range(L.dim) if not units[g] and g not in reduced]
 
 
 def is_isomorphism(L1: LieAlgebra, L2: LieAlgebra, M: Matrix) -> bool:

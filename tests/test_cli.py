@@ -1,6 +1,7 @@
 """Command-line front end: verbs, JSON round trips, exit codes, determinism."""
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,12 +11,23 @@ from types import SimpleNamespace
 import pytest
 
 import qfla
+from conftest import TEST_MATRIX, spec_id
+from qfla import cli
 from qfla.automorphisms import exp_ad, make_scaling_automorphism
-from qfla.builder import build_quasi, make_spec
+from qfla.builder import build_quasi, change_of_basis, make_spec
 from qfla.cli import VERBS, main
 from qfla.jsonio import algebra_to_json, candidate_to_json, dumps, matrix_from_json, spec_to_json
-from qfla.liecore import bracket_preserving, is_isomorphism
-from qfla.linalg import rank
+from qfla.liecore import (
+    LieAlgebra,
+    NotQuasiCyclic,
+    bracket_preserving,
+    is_filiform,
+    is_isomorphism,
+    lower_central_series,
+    minimal_generator_count,
+    quasi_cyclic_split,
+)
+from qfla.linalg import Matrix, rank
 
 
 @pytest.fixture
@@ -95,6 +107,117 @@ class TestCheck:
         assert json.loads(out)["jacobi"] is False
         code, _, _ = run("check", str(path), "--strict")
         assert code == 1
+
+
+def two_walk_report(L, spec) -> dict:
+    """The reference for check's structure fields, from two walks: the lower
+    central series as the walk of the whole basis and, given a spec, the
+    split by its e_{s0}, e_{s1}."""
+    dims = [space.cols for space in lower_central_series(L)]
+    report = {
+        "lcs_dims": dims,
+        "filiform": is_filiform(dims),
+        "min_generators": minimal_generator_count(dims),
+        "quasi_cyclic": None,
+    }
+    if spec is not None:
+        gens = [{spec.gen_index(s, t): 1} for s in range(1, spec.m + 1) for t in (0, 1)]
+        try:
+            chain = quasi_cyclic_split(L, Matrix.from_columns(gens, L.dim))
+            report["quasi_cyclic"] = {"dims": [space.cols for space in chain]}
+        except NotQuasiCyclic as exc:
+            report["quasi_cyclic"] = {"dims": None, "detail": str(exc)}
+    return report
+
+
+def mixing_specs(seed: int, count: int) -> list:
+    """Gluings drawn by random.Random(seed) whose B has no zero entry, so
+    every glued copy mixes every top."""
+    rng = random.Random(seed)
+    specs = []
+    for _ in range(count):
+        n, m = rng.choice([5, 7, 9]), rng.randint(2, 6)
+        r = rng.randint(1, m - 1)
+        B = [[rng.choice(["1", "-1", "2", "1/2", "-3/2", "3"]) for _ in range(m - r)] for _ in range(r)]
+        specs.append(make_spec(n, m, r, B))
+    return specs
+
+
+def table_json(L) -> dict:
+    """A bare algebra file of L: its table, with no spec."""
+    brackets = [
+        {"i": i, "j": j, "value": [[k, str(c)] for k, c in sorted(L.sc[(i, j)].items())]}
+        for i, j in sorted(L.sc)
+    ]
+    return {"dim": L.dim, "brackets": brackets}
+
+
+class TestCheckInOneWalk:
+    """On a table whose indices rise, check reads the series off the split by
+    the generators, one walk; on other tables, and when the split overlaps or
+    falls short, off the walk of the whole basis, as it used to."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The calls check makes to the series and to the split, by name."""
+        calls = []
+        for name in ("lower_central_series", "quasi_cyclic_split"):
+
+            def spy(*args, _fn=getattr(cli, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(cli, name, spy)
+        return calls
+
+    def check(self, run, path) -> dict:
+        code, out, err = run("check", str(path))
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert (data.pop("jacobi"), data.pop("detail", None)) == (True, None)
+        return data
+
+    @pytest.mark.parametrize("spec", TEST_MATRIX + mixing_specs(38, 8), ids=spec_id)
+    def test_one_walk_matches_the_two_walks(self, run, tmp_path, walks, spec):
+        L = build_quasi(spec)
+        tagged, bare = tmp_path / "tagged.json", tmp_path / "bare.json"
+        tagged.write_text(dumps(algebra_to_json(L, spec)))
+        bare.write_text(json.dumps(table_json(L)))
+        assert self.check(run, tagged) == two_walk_report(L, spec)
+        assert self.check(run, bare) == two_walk_report(L, None)
+        assert walks == ["quasi_cyclic_split"] * 2
+
+    def test_a_table_in_reversed_basis_order_takes_the_whole_basis_walk(
+        self, run, tmp_path, walks
+    ):
+        L = build_quasi(make_spec(5, 3, 1, [["1", "1/2"]]))
+        flip = Matrix.from_columns([{L.dim - 1 - k: 1} for k in range(L.dim)], L.dim)
+        reversed_table = change_of_basis(L, flip)  # each bracket lands below its pair
+        path = tmp_path / "reversed.json"
+        path.write_text(json.dumps(table_json(reversed_table)))
+        assert self.check(run, path) == two_walk_report(L, None)
+        assert walks == ["lower_central_series"]
+
+    def test_overlapping_generator_levels_take_the_whole_basis_walk(
+        self, run, tmp_path, walks
+    ):
+        # [e0, e1] = e3, [e0, e3] = e4, [e1, e2] = e4: the indices rise, and
+        # e0, e1, e2 generate, but e4 lies in both [U, U] and [U, [U, U]]
+        L = LieAlgebra(5, {(0, 1): {3: 1}, (0, 3): {4: 1}, (1, 2): {4: 1}})
+        path = tmp_path / "overlap.json"
+        path.write_text(json.dumps(table_json(L)))
+        U = Matrix.from_columns([{0: 1}, {1: 1}, {2: 1}], 5)
+        with pytest.raises(NotQuasiCyclic, match=r"^sum of chain spaces has rank 5 < 6$"):
+            quasi_cyclic_split(L, U)
+        walks.clear()
+        assert self.check(run, path) == {
+            "lcs_dims": [5, 2, 1, 0],
+            "filiform": False,
+            "min_generators": 3,
+            "quasi_cyclic": None,
+        }
+        assert self.check(run, path) == two_walk_report(L, None)
+        assert walks == ["quasi_cyclic_split", "lower_central_series"] * 2
 
 
 class TestDer:
@@ -921,6 +1044,16 @@ class TestSizeCap:
         data = json.loads(proc.stdout)
         assert data["quasi_cyclic"]["dims"] == [2 * m] + [m] * (n - 2) + [r]
         assert data["lcs_dims"][:4] == [9996, 6664, 4998, 3332]
+
+    def test_check_of_a_wide_glued_gluing_matches_the_two_walks(self, tmp_path):
+        n, m, r = 5, 400, 200  # glued copy r + k on top k
+        B = [["1" if k == t else "0" for k in range(m - r)] for t in range(r)]
+        (tmp_path / "wide.json").write_text(json.dumps({"n": n, "m": m, "r": r, "B": B}))
+        proc = _python(tmp_path, "-c", CAPPED, "check", "wide.json", timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
+        data = json.loads(proc.stdout)
+        spec = make_spec(n, m, r, B)
+        assert data == {"jacobi": True, **two_walk_report(build_quasi(spec), spec)}
 
 
 class TestEntryPoint:

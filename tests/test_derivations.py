@@ -274,6 +274,68 @@ class TestConditions:
             "cross-pair-balance",
         } | glued
 
+    @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
+    def test_verdicts_match_dense_reference_on_spoils(self, spec, rng):
+        explicit = torus_basis(spec) + (nilpotent_basis(spec) or [])
+        for name, members in spoils(spec, explicit, rng).items():
+            for gi in members:
+                assert derivation_conditions(spec, gi) == reference_conditions(spec, gi), name
+
+    @pytest.mark.parametrize("spec", [s for s in TEST_MATRIX if s.r < s.m], ids=spec_id)
+    def test_glued_weight_spoils_fail_on_an_untouched_copy(self, spec):
+        # a top weight on one copy of a glued pair (s, j), or on both, fails
+        # at the smallest glued pair whose weights differ, which may hold a
+        # copy the images leave untouched: reached through beta's entries
+        for s in range(spec.r + 1, spec.m + 1):
+            for j in (j for j, c in enumerate(spec.beta[s - 1], start=1) if c):
+                for entries in (
+                    [(1, j, spec.gen_index(j, 1), 1)],  # copy s untouched
+                    [(0, s, spec.gen_index(s, 0), 1)],  # copy j untouched
+                    [(1, j, spec.gen_index(j, 1), 1), (1, s, spec.gen_index(s, 1), 1)],
+                ):
+                    gi = images_with(spec, entries)
+                    v = derivation_conditions(spec, gi)
+                    assert v == reference_conditions(spec, gi)
+                    if len(entries) == 1:
+                        assert v.failed == "glued-weight-match"
+
+
+class CountedColumn(tuple):
+    """A column of beta that counts the entries read from it, in ``reads``."""
+
+    reads = 0
+
+    def __getitem__(self, t):
+        CountedColumn.reads += 1
+        return tuple.__getitem__(self, t)
+
+    def __iter__(self):
+        for x in tuple.__iter__(self):
+            CountedColumn.reads += 1
+            yield x
+
+
+def test_each_nilpotent_member_reads_beta_per_touched_copy(monkeypatch):
+    # glued copy r + k on top k: a scan of beta's glued columns would read
+    # (m - r) r = 400 entries per member, where a member touches one or two copies
+    m, r = 40, 20
+    spec = make_spec(5, m, r, [[int(k == t) for k in range(m - r)] for t in range(r)])
+    spec = spec._replace(beta=tuple(CountedColumn(v) for v in spec.beta))
+    battery, reads = derivations.derivation_conditions, []
+
+    def counted(spec, images):
+        before = CountedColumn.reads
+        verdict = battery(spec, images)
+        touched = sum(1 for e0, e1 in zip(images.e0, images.e1) if e0 or e1)
+        reads.append((CountedColumn.reads - before, touched))
+        return verdict
+
+    monkeypatch.setattr(derivations, "derivation_conditions", counted)
+    members = nilpotent_basis(spec)
+    assert len(reads) == len(members) == der_dimension(spec) - m - r
+    assert all(read <= r * touched for read, touched in reads)
+    assert sum(read for read, _ in reads) == 2 * r * r  # the r OffDiag pairs, 2r each
+
 
 class TestOracle:
     @pytest.mark.parametrize(

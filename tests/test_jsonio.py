@@ -1,7 +1,7 @@
 """The JSON emitter: byte-identical to the standard library's sorted,
 two-space indented output, which the golden digests of the CLI pin, with
-each Fraction and Matrix read as the "p/q" strings and string grids that the
-verbs used to build for it.  And the algebra reader, which checks a table
+each Matrix read as the string grid of "p/q" strings that the verbs used to
+build for it; a payload hands each scalar over as that text.  And the algebra reader, which checks a table
 before a ``LieAlgebra`` holds it, and the candidate reader, which makes each
 image array one sparse vector."""
 import json
@@ -27,11 +27,9 @@ def matrix_to_json(M: Matrix) -> list:
 
 
 def plain(obj):
-    """obj with every Matrix as its string grid and every Fraction as its string."""
+    """obj with every Matrix as its string grid."""
     if isinstance(obj, Matrix):
         return matrix_to_json(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
     if isinstance(obj, dict):
         return {k: plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -68,7 +66,7 @@ leaves = st.one_of(
     st.integers(-(10**20), 10**20),
     st.text(max_size=6),  # control characters and non-ASCII included
     scalar_strings,
-    fractions,
+    fractions.map(str),  # a payload's scalar, as the verbs hand it over
     matrices,
 )
 
@@ -108,8 +106,16 @@ def test_one_piece_per_member_of_a_listed_member(obj):
 def test_matrices_at_every_depth(ms, depth):
     obj = ms
     for level in range(depth):
-        obj = {"k": obj, "f": Fraction(-level, 3)} if level % 2 else [obj, Fraction(level)]
+        obj = {"k": obj, "f": str(Fraction(-level, 3))} if level % 2 else [obj, str(level)]
     assert dumps(obj) == "".join(pieces(obj)) == reference(obj)
+
+
+def test_a_scalar_is_handed_over_as_its_text():
+    assert dumps({"x": [str(Fraction(-3, 4)), str(Fraction(6, 3))]}) == reference(
+        {"x": ["-3/4", "2"]}
+    )
+    with pytest.raises(TypeError, match="^Object of type Fraction is not JSON serializable$"):
+        dumps({"x": [Fraction(-3, 4)]})
 
 
 def test_empty_and_one_by_one_matrices():

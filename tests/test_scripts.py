@@ -68,6 +68,9 @@ def test_ladder_times_the_import(tmp_path, monkeypatch):
         # the verb's own memory: the peak past the one right after the import
         assert 0 < entry["base_rss_mb"] <= entry["peak_rss_mb"]
         assert entry["peak_rss_growth_mb"] >= 0
+    # check's one walk is the split: the built gluing's indices rise
+    check = rungs["n5m2r1 check"]
+    assert check["split_median_s"] > 0 and "lcs_median_s" not in check
 
 
 def test_replay_lists_exactly_the_calls_that_differ(capsys, tmp_path):
