@@ -11,8 +11,11 @@ files) runs ``--runs`` times per tree in a fresh interpreter; the trees take
 turns going first.  A run times ``import qfla.cli`` after loading perfbench's
 ``run.py``, as perfbench's parent has it loaded when it imports ``qfla``: that
 import is the part of perfbench's ``setup_s`` that no forked ``qfla build``
-widens.  The child runs with ``-B``, so it writes no bytecode and compiles
-every module that has none in the tree, as in a fresh checkout.  It then times
+widens, less the compile: each tree is compiled once, by one untimed child
+that writes its bytecode, and that of every module it imports, into a
+private temporary ``PYTHONPYCACHEPREFIX``.  Every other child runs with
+``-B`` and imports from that bytecode, so no tree is written and no timed run
+holds a compile's memory.  It then times
 ``qfla.cli.main`` alone, and within it the calls to
 ``qfla.cli.derivation_oracle`` and to the closed forms ``qfla.cli.torus_basis``
 (by ``der``, ``der --compare`` and ``weights``, which decomposes under its
@@ -29,8 +32,11 @@ phases of ``iso``: the copy cells (``qfla.iso.copy_cells``), the copy search
 (``qfla.iso.build_algebra_witness``), the extension of ``aut-check``'s
 candidate (``qfla.cli.extend_through_grading``), and the brute-force bracket
 check of ``aut-check`` and ``iso`` (``qfla.liecore.bracket_preserving``; see
-``TIMED``), and reads the child's peak RSS, with stdout counted and dropped,
-never held; a run still going after ``TIME_LIMIT_S`` seconds is stopped and
+``TIMED``), and reads the child's peak RSS (``VmHWM`` of
+``/proc/self/status``, the high-water mark of the child's own memory: its
+``ru_maxrss`` would start at the resident set of the process that spawned it,
+which Linux carries across the exec), with stdout counted and dropped, never
+held; a run still going after ``TIME_LIMIT_S`` seconds is stopped and
 recorded as a time-out.
 
 Times are calibrated for machine speed as perfbench calibrates them: the child
@@ -53,11 +59,10 @@ calibrated, the same raw (``raw_median_s``, ``raw_runs_s``,
 ``raw_import_median_s``, ``raw_<phase>_median_s``), each run's scale factor
 (``scales``), the bytes the verb wrote to stdout (``out_bytes``), the median
 peak RSS (``peak_rss_mb``), the median resident set right after ``import
-qfla.cli`` (``base_rss_mb``, read from ``/proc/self/statm``: the interpreter,
+qfla.cli`` (``base_rss_mb``, ``VmRSS`` of ``/proc/self/status``: the interpreter,
 perfbench's ``run.py`` and the modules), the median growth of the peak past
-it over the run (``peak_rss_growth_mb``: the verb's own memory, or the
-transient of the import, which compiles every module, when the verb stays
-under that) and the exit code ("timeout" when some run timed out),
+it over the run (``peak_rss_growth_mb``: the verb's own memory) and the exit
+code ("timeout" when some run timed out),
 next to the Python version, the machine and PROBE_NOMINAL_S.
 """
 from __future__ import annotations
@@ -66,6 +71,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -223,7 +229,12 @@ PHASES = tuple(dict.fromkeys(phase for _, _, phase in TIMED))
 # before and just after cli.main, the exit code, the stdout byte count, peak
 # RSS and the resident set right after the import as one JSON line.
 CHILD = """
-import contextlib, importlib, importlib.util, json, resource, sys, time
+import contextlib, importlib, importlib.util, json, sys, time
+
+def status_mb(field):
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) / 1024 for line in status if line.startswith(field))
+
 probe = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])
 perfbench_run = importlib.util.module_from_spec(probe)
 probe.loader.exec_module(perfbench_run)
@@ -231,8 +242,7 @@ sys.path.insert(0, sys.argv[2])
 t0 = time.perf_counter()
 import qfla.cli
 imported = time.perf_counter() - t0
-with open("/proc/self/statm") as statm:
-    base_rss_mb = int(statm.read().split()[1]) * resource.getpagesize() / 2**20
+base_rss_mb = status_mb("VmRSS:")
 TIMED = json.loads(sys.argv[3])
 argv = sys.argv[4:]
 spent = {phase + "_s": [] for _, _, phase in TIMED}
@@ -264,7 +274,7 @@ with contextlib.redirect_stdout(Counted()):
     rc = qfla.cli.main(argv)
     elapsed = time.perf_counter() - t0
     scale = perfbench_run.PROBE_NOMINAL_S * 2 / (before + perfbench_run.speed_probe())
-rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+rss_mb = status_mb("VmHWM:")
 result = {key: sum(times) if times else None for key, times in spent.items()}
 print(json.dumps({"s": elapsed, "import_s": imported, **result, "scale": scale, "rc": rc,
                   "out_bytes": Counted.bytes, "rss_mb": rss_mb, "base_rss_mb": base_rss_mb}))
@@ -286,11 +296,17 @@ with open(sys.argv[3], "w") as f:
 """
 
 
-def _child(src: Path, argv: list) -> dict:
+def _child(src: Path, pycache: Path, argv: list, compile_first: bool = False) -> dict:
+    """Run CHILD on argv with the bytecode under ``pycache``: reading it under
+    ``-B``, or, with ``compile_first``, writing what is missing there."""
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    flags = [] if compile_first else ["-B"]
     try:
         out = subprocess.run(
-            [sys.executable, "-B", "-c", CHILD, str(PERFBENCH_RUN), str(src), json.dumps(TIMED)]
+            [sys.executable, *flags, "-c", CHILD, str(PERFBENCH_RUN), str(src), json.dumps(TIMED)]
             + argv,
+            env=env,
             check=True,
             capture_output=True,
             text=True,
@@ -359,7 +375,7 @@ def main(argv=None) -> int:
         times = {label: [] for label in labels}
         for k in range(args.runs):
             for label in labels[k % len(labels):] + labels[: k % len(labels)]:
-                times[label].append(_child(trees[label] / "src", argv_of(label)))
+                times[label].append(_child(trees[label] / "src", pycache, argv_of(label)))
         for label in labels:
             runs = times[label]
             done = [r for r in runs if r["rc"] != "timeout"]
@@ -398,11 +414,14 @@ def main(argv=None) -> int:
             print(f"{label:>8}  {name:<24} {shown}")
 
     with tempfile.TemporaryDirectory() as tmp:
+        pycache = Path(tmp) / "pycache"
+        for label in labels:
+            _child(trees[label] / "src", pycache, ["-h"], compile_first=True)
         for name, verbs, build in GLUINGS:
             files = {}
             for label in labels:
                 files[label] = str(Path(tmp) / f"{label}-{name}.json")
-                _child(trees[label] / "src", ["build", *build, "--out", files[label]])
+                _child(trees[label] / "src", pycache, ["build", *build, "--out", files[label]])
             for verb in verbs:
                 if verb == ["build"]:
                     argv_of = lambda label: ["build", *build]  # noqa: E731

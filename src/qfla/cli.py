@@ -36,9 +36,9 @@ from .jsonio import (
     algebra_to_json,
     candidate_from_json,
     condition_verdict_to_json,
+    dumps,
     iso_verdict_to_json,
     matrix_from_json,
-    pieces,
     spec_from_json,
 )
 from .liecore import (
@@ -98,26 +98,21 @@ def _load_algebra(path: str):
 
 
 def _emit(args, payload: dict) -> None:
-    """Write payload's JSON text to --out, as bytes, and to stdout piece by
-    piece (see ``jsonio.pieces``), so no whole text is held.  --out is
-    opened before anything is written, so a path that cannot be opened
-    leaves stdout empty; a write that fails later, as on a full disk, exits
-    2 too, and stdout may then hold a partial text.  Numbers are written
-    past Python's digit limit on int-to-str conversion, which input parsing
-    keeps: the input is read by now, and ``main`` restores the limit.  iso
-    and aut-check make numbers' text before this, so they lift it sooner."""
+    """Write payload's JSON text (``jsonio.dumps``) to --out, as bytes, and
+    then to stdout, so a --out that cannot be opened or written, as on a full
+    disk, exits 2 with stdout empty.  Numbers are written past Python's digit
+    limit on int-to-str conversion, which input parsing keeps: the input is
+    read by now, and ``main`` restores the limit.  iso and aut-check make
+    numbers' text before this, so they lift it sooner."""
     sys.set_int_max_str_digits(0)
-    if not args.out:
-        for piece in pieces(payload):
-            sys.stdout.write(piece)
-        return
-    try:
-        with open(args.out, "wb") as fh:
-            for piece in pieces(payload):
-                fh.write(piece.encode())
-                sys.stdout.write(piece)
-    except OSError as exc:
-        raise BadInput(f"--out: {exc}") from exc
+    text = dumps(payload)
+    if args.out:
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(text.encode())
+        except OSError as exc:
+            raise BadInput(f"--out: {exc}") from exc
+    sys.stdout.write(text)
 
 
 def _cmd_build(args) -> int:
@@ -128,7 +123,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    """On a table whose indices rise, L is nilpotent and generated by U, so
+    """On a table whose indices rise, L is nilpotent and generated by U, the
+    generators read off the table (``_generator_indices``), so
     c^i is the sum of the split's levels i, i+1, ... (c^{i+1} = [U, c^i]): a
     direct split's one walk gives the series' dims as suffix sums.  Otherwise
     the series is the walk of the whole basis."""
@@ -139,10 +135,8 @@ def _cmd_check(args) -> int:
         _emit(args, {**report, "jacobi": False, "detail": str(exc)})
         return 1 if args.strict else 0
     report["jacobi"] = True  # loading ran the Jacobi check and raised on failure
-    if spec is not None:
-        U = [{spec.gen_index(s, t): 1} for s in range(1, spec.m + 1) for t in (0, 1)]
-    else:
-        U = [{g: 1} for g in _generator_indices(L)]  # every index when they do not rise
+    # a gluing's e_{s0}, e_{s1}; every index when the indices do not rise
+    U = [{g: 1} for g in _generator_indices(L)]
     split = dims = None
     if len(U) < L.dim:
         try:

@@ -290,11 +290,15 @@ def _element(spec: QuasiQnSpec, kind: str, indices: tuple, entries) -> Generator
     those images, once ``derivation_conditions`` has passed them.
     ``kind`` and ``indices`` name the basis member in the error message.
     It pays per entry and per copy, and the battery per copy the entries
-    touch: no column beyond the 2m images is made."""
-    e0: List[dict] = [{} for _ in range(spec.m)]
-    e1: List[dict] = [{} for _ in range(spec.m)]
+    touch: no column beyond the 2m images is made.  The untouched copies
+    share one empty image, as in ``extend_images``; a touched copy gets a new
+    dict, so the shared one is never changed."""
+    empty: dict = {}
+    e0: List[dict] = [empty] * spec.m
+    e1: List[dict] = [empty] * spec.m
     for which, s, k, value in entries:
-        (e1 if which else e0)[s - 1][k] = value
+        copies = e1 if which else e0
+        copies[s - 1] = {**copies[s - 1], k: value}
     images = GeneratorImages(tuple(e0), tuple(e1))
     verdict = derivation_conditions(spec, images)
     if not verdict.ok:

@@ -1,11 +1,9 @@
 """JSON serialization for algebras, gluing data, and verdicts.
 
 A payload hands each scalar over as its exact text, ``str`` of the ``int``
-or ``Fraction`` ("p", or "p/q"; never a float), since ``pieces`` writes an
+or ``Fraction`` ("p", or "p/q"; never a float), since ``dumps`` writes an
 ``int`` bare, as a count.  It writes a ``Matrix`` as rows of such strings,
-each row straight from the sparse columns.  It yields the text a member at a
-time, so the CLI writes it without holding it whole; ``dumps`` is the joined
-text.
+read off the sparse columns.  The CLI writes the one text ``dumps`` makes.
 Keys are sorted and every encoder is deterministic, so serialized output is
 byte-stable and suitable for golden-file comparison.
 """
@@ -29,32 +27,7 @@ def dumps(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, byte for
     byte, from dicts, lists, tuples, strings, ints, bools and None, with each
     ``Matrix`` written as its list of rows of "p/q" strings."""
-    return "".join(pieces(obj))
-
-
-def pieces(obj):
-    """The text of ``dumps(obj)`` in pieces, each made by ``_encode``: one per
-    member of a dict ``obj``, and one per member of a list among them (for
-    ``der``, one derivation), so a writer never holds the whole text.  Each
-    separator rides on the piece after it."""
-    if not (isinstance(obj, dict) and obj):
-        yield _encode(obj, "\n") + "\n"
-        return
-    yield "{"
-    sep = "\n  "
-    for k, v in sorted(obj.items()):
-        key = f"{sep}{encode_basestring_ascii(k)}: "
-        if isinstance(v, (list, tuple)) and v:
-            yield key + "["
-            inner = "\n    "
-            for x in v:
-                yield inner + _encode(x, "\n    ")
-                inner = ",\n    "
-            yield "\n  ]"
-        else:
-            yield key + _encode(v, "\n  ")
-        sep = ",\n  "
-    yield "\n}\n"
+    return _encode(obj, "\n") + "\n"
 
 
 def _encode(obj, newline: str) -> str:
@@ -88,21 +61,15 @@ def _encode(obj, newline: str) -> str:
 
 
 def _encode_matrix(M: Matrix, newline: str) -> str:
-    """M as its list of rows of "p/q" strings, read off the sparse columns:
-    only the rows that some nonzero entry touches are made, and the others
-    share one text."""
+    """M as its list of rows of "p/q" strings: a grid of "0" with the
+    nonzero entries of the sparse columns written in."""
     inner = newline + "  "
     head, sep, tail = "[" + inner + '  "', '",' + inner + '  "', '"' + inner + "]"
-    zeros = ["0"] * M.cols
-    touched: dict = {}  # row -> its cells
+    grid = [["0"] * M.cols for _ in range(M.rows)]
     for j, col in enumerate(M.columns()):
         for i, x in col.items():
-            if i not in touched:
-                touched[i] = zeros.copy()
-            touched[i][j] = str(x)
-    rows = [f"{head}{sep.join(zeros)}{tail}" if M.cols else "[]"] * M.rows
-    for i, cells in touched.items():
-        rows[i] = f"{head}{sep.join(cells)}{tail}"
+            grid[i][j] = str(x)
+    rows = [f"{head}{sep.join(cells)}{tail}" if cells else "[]" for cells in grid]
     return f"[{inner}{(',' + inner).join(rows)}{newline}]" if rows else "[]"
 
 

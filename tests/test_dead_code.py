@@ -49,7 +49,6 @@ ALLOWED = {
     "rank": "reference check: full rank, which tests compare `is_isomorphism` against",
     "exp_ad": "public factory: inner automorphisms exp(ad x)",
     "candidate_to_json": "public factory: candidate files for aut-check",
-    "dumps": "public factory: the whole text of jsonio.pieces, for input files",
 }
 
 # Dunder methods allowed on classes in src/, each with its reason.

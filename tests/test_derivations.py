@@ -453,6 +453,30 @@ class TestExplicitBases:
         torus = extended(spec, torus_basis(spec))
         assert independent_diagonals(torus) == oracle_torus_dimension(spec) == 6
 
+    @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
+    def test_building_a_member_changes_no_earlier_member(self, spec, monkeypatch):
+        # a member's untouched copies share one empty image, and a touched
+        # copy gets its own dict: building, checking and extending later
+        # members moves no image of an earlier one
+        def frozen(images):
+            return [sorted(v.items()) for v in images.e0 + images.e1]
+
+        built = []
+        element = derivations._element
+
+        def spy(*args):
+            images = element(*args)
+            assert len({id(v) for v in images.e0 + images.e1 if not v}) <= 1
+            assert all(frozen(M) == before for M, before in built)
+            built.append((images, frozen(images)))
+            return images
+
+        monkeypatch.setattr(derivations, "_element", spy)
+        members = torus_basis(spec) + (nilpotent_basis(spec) or [])
+        extended(spec, members)
+        assert len(built) == len(members)
+        assert all(frozen(M) == before for M, before in built)
+
     @given(mixing_gluings())
     @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     def test_mixing_torus_is_maximal_on_random_gluings(self, spec):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from qfla import jsonio
 from qfla.builder import MAX_DIM, BadInput, make_spec
-from qfla.jsonio import algebra_from_json, candidate_from_json, dumps, pieces
+from qfla.jsonio import algebra_from_json, candidate_from_json, dumps
 from qfla.linalg import Matrix
 
 
@@ -87,18 +87,7 @@ payloads = st.recursive(leaves, containers, max_leaves=40)
 @given(payloads)
 @settings(max_examples=300, deadline=None)
 def test_matches_the_standard_library(obj):
-    assert dumps(obj) == "".join(pieces(obj)) == reference(obj)
-
-
-@given(st.dictionaries(st.text(max_size=4), st.lists(payloads, max_size=3), max_size=3))
-@settings(max_examples=100, deadline=None)
-def test_one_piece_per_member_of_a_listed_member(obj):
-    # the verbs' shape: a dict whose large members are lists (of matrices)
-    parts = list(pieces(obj))
-    assert "".join(parts) == reference(obj)
-    if obj:
-        lists = [v for v in obj.values() if v]
-        assert len(parts) == 2 + len(obj) + sum(len(v) + 1 for v in lists)
+    assert dumps(obj) == reference(obj)
 
 
 @given(st.lists(matrices, max_size=3), st.integers(0, 3))
@@ -107,7 +96,7 @@ def test_matrices_at_every_depth(ms, depth):
     obj = ms
     for level in range(depth):
         obj = {"k": obj, "f": str(Fraction(-level, 3))} if level % 2 else [obj, str(level)]
-    assert dumps(obj) == "".join(pieces(obj)) == reference(obj)
+    assert dumps(obj) == reference(obj)
 
 
 def test_a_scalar_is_handed_over_as_its_text():
