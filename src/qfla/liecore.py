@@ -27,12 +27,9 @@ that overlaps or falls short, the message telling which.
 from __future__ import annotations
 
 from itertools import islice
-from math import lcm
 from typing import Dict, Sequence, Tuple
 
-from .linalg import (
-    Matrix, Scalar, _combine, _peel, _scaled, _subtract, _transpose, column_span
-)
+from .linalg import Matrix, Scalar, _combine, _peel, _subtract, _transpose, column_span
 
 
 class JacobiViolation(ValueError):
@@ -256,33 +253,23 @@ def is_isomorphism(L1: LieAlgebra, L2: LieAlgebra, M: Matrix) -> bool:
 
 
 def bracket_preserving(L1: LieAlgebra, L2: LieAlgebra, M: Matrix) -> bool:
-    """True iff M[e_i, e_j]_1 = [M e_i, M e_j]_2 on all basis pairs of L1.
+    """True iff M[e_i, e_j]_1 = [M e_i, M e_j]_2 on all basis pairs of L1,
+    compared in the scalars that M and the two tables hold.
 
-    With D the lcm of the denominators of M's entries and d1, d2 those of the
-    two tables, N = D M is integral, and the identity times D^2 d1 d2 reads
-    sum_k (D d1 d2 c1^k_ij) N_k = [N_i, N_j] under d1 d2 c2 (still a Lie
-    algebra): one common denominator makes the check exact in ``int``.  Only
-    the pairs i < j where [e_i, e_j]_1 != 0, or N_j meets the partners in L2
-    of supp(N_i), are evaluated, in ascending order; at every other pair both
-    sides are zero by support.  The ladder's dense exp(ad x) map leaves 92 of
-    666 pairs at (9,4,1) and 952 of 14,535 at (21,8,3); the (5,7,4) iso
-    witness leaves 35 of 741.
+    Only the pairs i < j where [e_i, e_j]_1 != 0, or M e_j meets the partners
+    in L2 of supp(M e_i), are evaluated, in ascending order; at every other
+    pair both sides are zero by support.  The ladder's dense exp(ad x) map
+    leaves 92 of 666 pairs at (9,4,1) and 952 of 14,535 at (21,8,3); the
+    (5,7,4) iso witness leaves 35 of 741.
     """
     if M.rows != L2.dim or M.cols != L1.dim:
         raise ValueError("map shape does not match the two algebras")
     cols = M.columns()
-    D = lcm(*(x.denominator for col in cols for x in col.values()))
-    d1, d2 = (lcm(*(c.denominator for v in L.sc.values() for c in v.values())) for L in (L1, L2))
-    N = [_scaled(col, D) for col in cols]
-    target = L2  # integral tables, as aut-check's always are, serve as they are
-    if d1 * d2 != 1:
-        target = LieAlgebra(L2.dim, {p: _scaled(v, d1 * d2) for p, v in L2.sc.items()})
-    rows = _transpose(N, L2.dim)
-    for i, col in enumerate(N):
+    rows = _transpose(cols, L2.dim)
+    for i, col in enumerate(cols):
         dom = set().union(*(L2.partners[a] for a in col))
         reach = set(L1.partners[i]).union(*(rows[b] for b in dom))
         for j in sorted(j for j in reach if j > i):
-            left = _combine(_scaled(L1.structure(i, j), D * d1 * d2), N)
-            if left != target.bracket(col, N[j]):
+            if _combine(L1.structure(i, j), cols) != L2.bracket(col, cols[j]):
                 return False
     return True

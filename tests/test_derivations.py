@@ -24,7 +24,7 @@ from conftest import (
     spec_id,
     zero_copy_variants,
 )
-from qfla import automorphisms, derivations, linalg
+from qfla import automorphisms, derivations, liecore, linalg
 from qfla.builder import build_quasi, make_spec
 from qfla.cli import _spans_der, main
 from qfla.derivations import (
@@ -869,12 +869,12 @@ class TestGeneratorPairs:
     @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
     def test_generators_are_the_copy_heads(self, spec):
         heads = [spec.gen_index(s, t) for s in range(1, spec.m + 1) for t in (0, 1)]
-        assert derivations._generator_indices(build_quasi(spec)) == heads
+        assert liecore._generator_indices(build_quasi(spec)) == heads
 
     @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
     def test_rows_are_those_of_pairs_holding_a_generator(self, spec, monkeypatch):
         L = build_quasi(spec)
-        gens = set(derivations._generator_indices(L))
+        gens = set(liecore._generator_indices(L))
         pairs = {(i, j) for i in range(L.dim) for j in range(i + 1, L.dim) if {i, j} & gens}
         assert canonical(oracle_rows(monkeypatch, L)) == canonical(reference_leibniz_rows(L, pairs))
 
@@ -886,7 +886,7 @@ class TestGeneratorPairs:
 
     def test_sl2_makes_every_index_a_generator(self):
         L = sl2()
-        assert derivations._generator_indices(L) == [0, 1, 2]
+        assert liecore._generator_indices(L) == [0, 1, 2]
         oracle = derivation_oracle(L)
         assert len(oracle) == 3  # every derivation of sl2 is inner
         assert oracle == reference_oracle(L)
@@ -894,7 +894,7 @@ class TestGeneratorPairs:
     @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
     def test_reversed_basis(self, spec):
         L = reversed_basis(build_quasi(spec))
-        assert derivations._generator_indices(L) == list(range(L.dim))
+        assert liecore._generator_indices(L) == list(range(L.dim))
         assert derivation_oracle(L) == reference_oracle(L)
 
 

@@ -43,7 +43,7 @@ from qfla.liecore import (
     minimal_generator_count,
     quasi_cyclic_split,
 )
-from qfla import linalg
+from qfla import liecore, linalg
 from qfla.linalg import Matrix, _combine, _subtract, column_span, inverse, rank
 from test_linalg import reference_rref
 
@@ -674,42 +674,43 @@ class TestBracketPreserving:
         v = iso_decide(s1, s2)
         assert pairs_evaluated(monkeypatch, build_quasi(s1), build_quasi(s2), v.map) == 35  # of 741
 
+    def test_the_identity_between_tables_of_one_dimension(self):
+        # the pairs come from L1's table and from L2's partners of the image:
+        # abelian -> Heisenberg fails on a pair that only L2 makes nonzero
+        abelian, I = LieAlgebra(3, {}), Matrix.identity(3)
+        assert not assert_same_verdict(abelian, heisenberg(), I)
+        assert not assert_same_verdict(heisenberg(), abelian, I)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="map shape"):
             bracket_preserving(so3(), heisenberg(), Matrix.identity(4))
 
 
 class TestTargetTable:
-    """``bracket_preserving`` scales L2's table only when a denominator asks
-    for it: aut-check's tables, integral and L1 = L2, serve as they are."""
+    """``bracket_preserving`` compares in the scalars the map and the tables
+    hold, so it builds no algebra: neither on aut-check's integral tables
+    nor on the iso witnesses between tables with denominators, listed after
+    the integral specs."""
 
-    @staticmethod
-    def count_constructions(monkeypatch) -> list:
-        built, init = [], LieAlgebra.__init__
+    CASES = [pytest.param(s, None, id=spec_id(s)) for s in INTEGRAL_SPECS] + [
+        pytest.param(s1, s2, id=f"{spec_id(s1)}-{spec_id(s2)}")
+        for s1, s2 in zip(ISO_PAIRS[::2], ISO_PAIRS[1::2])
+    ]
 
-        def counted(self, *args):
-            built.append(1)
-            init(self, *args)
-
-        monkeypatch.setattr(LieAlgebra, "__init__", counted)
-        return built
-
-    @pytest.mark.parametrize("spec", INTEGRAL_SPECS, ids=spec_id)
-    def test_integral_tables_build_no_algebra(self, spec, rng, monkeypatch):
-        L = build_quasi(spec)
-        M = extend_through_grading(spec, L, aut_stream_candidate(spec, L, None, rng))
+    @pytest.mark.parametrize("spec, target", CASES)
+    def test_integral_tables_build_no_algebra(self, spec, target, rng, monkeypatch):
+        L1 = build_quasi(spec)
+        if target is None:
+            L2, M = L1, extend_through_grading(spec, L1, aut_stream_candidate(spec, L1, None, rng))
+        else:
+            L2, M = build_quasi(target), iso_decide(spec, target).map
         spoil = spoiled(M, spec.gen_index(1, 2), spec.gen_index(1, 1), 1)
-        built = self.count_constructions(monkeypatch)
-        assert (bracket_preserving(L, L, M), bracket_preserving(L, L, spoil)) == (True, False)
+        built, init = [], LieAlgebra.__init__
+        monkeypatch.setattr(
+            LieAlgebra, "__init__", lambda self, *args: built.append(1) or init(self, *args)
+        )
+        assert (bracket_preserving(L1, L2, M), bracket_preserving(L1, L2, spoil)) == (True, False)
         assert built == []
-
-    def test_a_fractional_table_is_scaled_once(self, monkeypatch):
-        s1, s2 = ISO_PAIRS[:2]  # B = (1/2) and B = (-1/3)
-        v = iso_decide(s1, s2)
-        L1, L2 = build_quasi(s1), build_quasi(s2)
-        built = self.count_constructions(monkeypatch)
-        assert bracket_preserving(L1, L2, v.map)
-        assert len(built) == 1
 
 
 class TestIsIsomorphism:
@@ -841,5 +842,5 @@ class TestTablesThatAreNotNilpotent:
         from qfla import derivations
         from test_derivations import reference_oracle
 
-        assert derivations._generator_indices(L) == list(range(L.dim))
+        assert liecore._generator_indices(L) == list(range(L.dim))
         assert derivations.derivation_oracle(L) == reference_oracle(L)

@@ -48,19 +48,20 @@ def test_every_ladder_phase_binds_in_this_tree():
 
 
 def test_ladder_times_the_import(tmp_path, monkeypatch):
-    # one small gluing, two rungs, one run each, on this checkout
+    # one small gluing, its two rungs and its aut-check rung, one run each,
+    # on this checkout
     spec = importlib.util.spec_from_file_location("bench_ladder", SCRIPTS / "bench_ladder.py")
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
     build = ["--n", "5", "--m", "2", "--r", "1", "--B", '[["1"]]']
     gluing = ("n5m2r1", [["build"], ["check"]], build)
     monkeypatch.setattr(ladder, "GLUINGS", [gluing])
-    monkeypatch.setattr(ladder, "AUT_GLUINGS", ())
+    monkeypatch.setattr(ladder, "AUT_GLUINGS", ("n5m2r1",))
     monkeypatch.setattr(ladder, "ISO_PAIRS", [])
     out = tmp_path / "ladder.json"
     assert ladder.main(["--out", str(out), "--runs", "1"]) == 0
     rungs = json.loads(out.read_text())["trees"]["this"]["rungs"]
-    assert set(rungs) == {"n5m2r1 build", "n5m2r1 check"}
+    assert set(rungs) == {"n5m2r1 build", "n5m2r1 check", "n5m2r1 aut-check --strict"}
     for entry in rungs.values():
         assert entry["exit"] == 0
         assert entry["import_median_s"] > 0 and entry["raw_import_median_s"] > 0
@@ -71,6 +72,9 @@ def test_ladder_times_the_import(tmp_path, monkeypatch):
     # check's one walk is the split: the built gluing's indices rise
     check = rungs["n5m2r1 check"]
     assert check["split_median_s"] > 0 and "lcs_median_s" not in check
+    # aut-check extends its candidate and brute-forces the bracket check
+    aut = rungs["n5m2r1 aut-check --strict"]
+    assert aut["extend_median_s"] > 0 and aut["verify_median_s"] > 0
 
 
 def test_replay_lists_exactly_the_calls_that_differ(capsys, tmp_path):
