@@ -15,8 +15,10 @@ len(seeds)]``.  The trees themselves are only read: no file of theirs, and
 so neither ``perfbench/`` nor ``BENCHMARK.json``, is written.
 
 Per end-to-end metric of this checkout's ``BENCHMARK.json``, it prints both
-medians, the reference's interquartile range, and in how many pairs the
-change was better in the metric's direction (ties count as not better).
+medians, the relative change of the medians (change / reference - 1, "n/a"
+when the reference's median is 0), the reference's interquartile range, and
+in how many pairs the change was better in the metric's direction (ties
+count as not better).
 ``--out`` also writes every run's metrics as JSON.  The exit status is 1
 when some run fails, reports ``correct: false`` or a failed request, and 0
 otherwise.  ``--tiny`` runs perfbench's small pools.
@@ -110,10 +112,12 @@ def main(argv=None) -> int:
             a = [r["metrics"][name]["value"] for r in runs[ref]]
             b = [r["metrics"][name]["value"] for r in runs[change]]
             won = sum((y < x) if direction == "lower" else (y > x) for x, y in zip(a, b))
-            summary[name] = {ref: statistics.median(a), change: statistics.median(b),
+            ma, mb = statistics.median(a), statistics.median(b)
+            relative = mb / ma - 1 if ma else None
+            summary[name] = {ref: ma, change: mb, "relative": relative,
                              f"{ref}_iqr": _iqr(a), "won": won, "pairs": len(a)}
-            print(f"{name:<16} {ref} {statistics.median(a):.5g}  {change} "
-                  f"{statistics.median(b):.5g}  {ref} IQR {_iqr(a):.3g}  "
+            print(f"{name:<16} {ref} {ma:.5g}  {change} {mb:.5g}  "
+                  + (f"{relative:+.2%}" if ma else "n/a") + f"  {ref} IQR {_iqr(a):.3g}  "
                   f"{change} better in {won}/{len(a)} ({direction} is better)")
     if args.out:
         Path(args.out).write_text(json.dumps(

@@ -7,7 +7,6 @@ for s > r.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
@@ -167,9 +166,15 @@ def related_matrix(beta: Sequence[tuple]) -> Matrix:
 
 
 def _normalised(v: tuple) -> tuple:
-    """v scaled to leading entry 1; () for the zero vector."""
-    lead = next((x for x in v if x != 0), None)
-    return () if lead is None else tuple(Fraction(x) / lead for x in v)
+    """v's primitive integer multiple with a positive leading entry: its
+    denominators cleared and its gcd divided out, so that proportional
+    vectors, and only they, share it.  The zero vector stays zero."""
+    d = lcm(*(x.denominator for x in v))
+    w = [x.numerator * (d // x.denominator) for x in v]
+    g = gcd(*w) or 1
+    if next((x for x in w if x), 0) < 0:
+        g = -g
+    return tuple(x // g for x in w)
 
 
 def proportional_classes(columns: Sequence[tuple]) -> tuple:
@@ -204,13 +209,10 @@ def copy_cells(columns: Sequence[tuple]) -> tuple:
     points' scales, so x, y and z share one factor, and j, of degree 0 in
     every point and symmetric in the four, stays.  A record is j as a reduced
     pair, or (-vanishing brackets, 0); a cell sorts a column's (in C, record).
-    Nor do records see a column's scale: its denominators are cleared once.
+    Nor do records see a column's scale: each column is made primitive once.
     """
     m, k = len(columns), len(columns[0]) if columns else 0
-    vectors = []
-    for v in columns:
-        d = lcm(*(x.denominator for x in v))
-        vectors.append([x.numerator * (d // x.denominator) for x in v])
+    vectors = [_normalised(v) for v in columns]
     cells: list = [[] for _ in columns]
     for centre in combinations(range(m), k - 2) if k >= 2 else ():
         rows: dict = {}

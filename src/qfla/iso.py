@@ -25,7 +25,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .automorphisms import extend_endomorphism, make_scaling_automorphism
 from .builder import (
-    BadInput, QuasiQnSpec, build_quasi, copy_cells, proportional_classes, related_matrix
+    BadInput, QuasiQnSpec, _normalised, build_quasi, copy_cells, proportional_classes,
+    related_matrix,
 )
 from .liecore import is_isomorphism
 from .linalg import Matrix, Scalar, _insert, _reduce, inverse, sparse_nullspace
@@ -85,7 +86,8 @@ def _first_admissible_perm(g1: List[tuple], g2: List[tuple]) -> Optional[tuple]:
     pruning is a necessary condition, so no admissible permutation that
     precedes the answer is skipped.  Only the smallest unused copy of each
     proportional class of g1 is tried: swapping two copies of one class
-    keeps a permutation admissible.
+    keeps a permutation admissible.  Rescaling a column changes none of
+    these conditions, so a column and its multiples give the same pi.
     """
     m, r = len(g1), len(g1[0])
     classes1, cells1, cells2 = proportional_classes(g1), copy_cells(g1), copy_cells(g2)
@@ -155,8 +157,12 @@ def monomial_equivalence(g1: Sequence[tuple], g2: Sequence[tuple]) -> Optional[E
     linear in the diagonal of K once its permutation is fixed.  The first
     admissible permutation is found by a pruned search on beta's columns or,
     when m - r < r, on M's columns in Q^(m-r): a code and its dual admit the
-    same permutations.  The exact solve for the diagonal runs on that
-    permutation alone, so the witness is the one a sweep over all m!
+    same permutations.  The search reads them as primitive integer vectors
+    (builder._normalised): rescaling a column changes the d_j it needs but
+    not whether a nonzero one exists, nor any cell or class, so the
+    permutation is the same and the search's solves stay in ``int``.  The
+    exact solve for the diagonal runs on that permutation alone, with the
+    original columns, so the witness is the one a sweep over all m!
     permutations in lexicographic order returns.
     """
     m, r = len(g1), len(g1[0])
@@ -166,7 +172,7 @@ def monomial_equivalence(g1: Sequence[tuple], g2: Sequence[tuple]) -> Optional[E
     h1, h2 = g1, g2
     if m - r < r:  # M's columns admit the same permutations, with inverted scales
         h1, h2 = ([tuple(M.entry(i, p) for i in range(m - r)) for p in range(m)] for M in (M1, M2))
-    perm = _first_admissible_perm(h1, h2)
+    perm = _first_admissible_perm(*([_normalised(v) for v in h] for h in (h1, h2)))
     if perm is None:
         return None
     # K's diagonal d must make M1 K annihilate each kernel vector of M2

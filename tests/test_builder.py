@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import BATTERY, spec_id
+from conftest import BATTERY, TEST_MATRIX, spec_id
 from qfla.builder import (
     MAX_DIM,
     BadInput,
@@ -277,6 +277,45 @@ class TestBlockStructure:
         # both closed forms refuse exactly off block form
         assert (der_dimension(spec) is None) == (grouping is None)
         assert (nilpotent_basis(spec) is None) == (grouping is None)
+
+
+def fraction_classes(columns) -> tuple:
+    """proportional_classes as it grouped before its columns were made
+    primitive integers: by each column divided by its leading entry in
+    Fraction, () for a zero column."""
+    classes: dict = {}
+    for p, v in enumerate(columns):
+        lead = next((x for x in v if x != 0), None)
+        key = () if lead is None else tuple(Fraction(x) / lead for x in v)
+        classes.setdefault(key, []).append(p)
+    return tuple(tuple(members) for members in classes.values())
+
+
+class TestProportionalClasses:
+    """Grouping by primitive integer column groups as division by the lead did."""
+
+    @given(st.data(), st.integers(1, 4), st.integers(1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_fraction_grouping(self, data, k, m):
+        entries = st.sampled_from([0, 0, 1, -1, 2, -6, Fraction(1, 2), Fraction(-2, 3),
+                                   Fraction(2), Fraction(-4, 2), Fraction(0)])
+        factors = st.sampled_from([1, -1, 3, Fraction(-1, 3), Fraction(5, 7), Fraction(2)])
+        columns = []
+        for _ in range(m):  # fresh columns, zero ones among them, and rescaled copies
+            if columns and data.draw(st.booleans()):
+                f, v = data.draw(factors), data.draw(st.sampled_from(columns))
+                columns.append(tuple(f * x for x in v))
+            else:
+                columns.append(tuple(data.draw(entries) for _ in range(k)))
+        assert proportional_classes(columns) == fraction_classes(columns)
+
+    @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
+    def test_battery_and_its_annihilator_columns(self, spec):
+        # M's columns are C's rows: a zero row of C is a zero column there
+        M = related_matrix(spec.beta)
+        columns = [tuple(M.entry(i, p) for i in range(M.rows)) for p in range(M.cols)]
+        for g in (spec.beta, columns):
+            assert proportional_classes(g) == fraction_classes(g)
 
 
 def linked_grouping(spec):

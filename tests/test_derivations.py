@@ -25,7 +25,7 @@ from conftest import (
     zero_copy_variants,
 )
 from qfla import automorphisms, derivations, liecore, linalg
-from qfla.builder import build_quasi, make_spec
+from qfla.builder import build_quasi, change_of_basis, make_spec
 from qfla.cli import _spans_der, main
 from qfla.derivations import (
     ConditionVerdict,
@@ -43,7 +43,7 @@ from qfla.derivations import (
 )
 from qfla.liecore import LieAlgebra, lower_central_series
 from qfla.jsonio import dumps, spec_to_json
-from qfla.linalg import Matrix, column_span, scalar, sparse_nullspace
+from qfla.linalg import Matrix, column_span, inverse, rank, scalar, sparse_nullspace
 from test_iso import NONZERO, WITH_ZEROS, relabelled
 from test_liecore import dense_tables
 
@@ -360,6 +360,25 @@ class TestOracle:
 
         L = LieAlgebra(3, {})
         assert len(derivation_oracle(L)) == 9
+
+    def test_a_dense_basis(self):
+        # (5,2,1) with B = [[3]] in the basis of a seeded invertible P with
+        # 20% fill: 46 dense brackets with 14-bit rational entries, 605 rows
+        # on 121 columns, where the engine cross-multiplies integer rows
+        L0 = build_quasi(make_spec(5, 2, 1, [[3]]))
+        rng = random.Random(20)
+        while True:
+            P = Matrix([[rng.choice([-3, -2, -1, 1, 2, 3]) if rng.random() < 0.2 else 0
+                         for _ in range(11)] for _ in range(11)])
+            if rank(P) == 11:
+                break
+        L = change_of_basis(L0, P)
+        oracle = derivation_oracle(L)
+        assert len(oracle) == len(derivation_oracle(L0)) == 18
+        assert all(is_derivation(L, reshape(D, L.dim)) for D in oracle)
+        # Der L = P^-1 (Der L0) P, the same space
+        moved = [flatten(inverse(P) * reshape(D, 11) * P) for D in derivation_oracle(L0)]
+        assert column_span(moved, 121) == column_span(oracle, 121)
 
 
 # Block-form gluings with r >= 2 beyond the standard battery, with the oracle's

@@ -403,6 +403,34 @@ class TestPrunedSearchMatchesSweep:
         assert monomial_equivalence(g1, g2) == sweep_equivalence(g1, g2)
 
 
+def rescaled(rng: random.Random, columns) -> list:
+    """Each column times its own nonzero rational, drawn from rng."""
+    def factor():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(1, 45))
+
+    return [tuple(f * x for x in v) for v, f in zip(columns, (factor() for _ in columns))]
+
+
+@pytest.mark.parametrize(
+    "label,g1,g2", EQUIVALENCE_BATTERY, ids=[pair[0] for pair in EQUIVALENCE_BATTERY]
+)
+def test_rescaled_columns_give_the_same_permutation(label, g1, g2):
+    # A column's scale changes no admissible permutation, no cell and no
+    # class, so the search may run on primitive integer columns; on beta's
+    # columns and on M's, where the zero rows of C give zero columns
+    rng = random.Random(label)
+    m, r = len(g1), len(g1[0])
+    sides = [(g1, g2)]
+    if m > r:
+        sides.append(tuple(
+            [tuple(M.entry(i, p) for i in range(m - r)) for p in range(m)]
+            for M in (related_matrix(g1), related_matrix(g2))
+        ))
+    for h1, h2 in sides:
+        perm = iso._first_admissible_perm(h1, h2)
+        assert iso._first_admissible_perm(rescaled(rng, h1), rescaled(rng, h2)) == perm
+
+
 @st.composite
 def relabelled_gluings(draw):
     """A random gluing and a copy of it under a random copy permutation and

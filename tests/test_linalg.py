@@ -3,6 +3,7 @@
 The package has one elimination engine, so it is checked against the
 textbook dense Gauss-Jordan elimination kept here as an independent reference.
 """
+import copy
 from fractions import Fraction
 
 import pytest
@@ -404,6 +405,38 @@ class TestSparseMatrixAgainstDense:
         assert (Matrix([], cols=3).rows, Matrix([], cols=3).cols) == (0, 3)
 
 
+def parse_outcome(text):
+    """(value, its type) of ``scalar(text)``, or (error type, message)."""
+    try:
+        x = scalar(text)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return x, type(x)
+
+
+def reference_parse_outcome(text):
+    """parse_outcome of the plain ``scalar(Fraction(text))``."""
+    if "e" in text or "E" in text:
+        return ValueError, f"exponent notation in {text!r} is not accepted"
+    try:
+        x = scalar(Fraction(text))
+    except ZeroDivisionError:
+        return ValueError, f"zero denominator in {text!r}"
+    except ValueError as exc:
+        return ValueError, str(exc)
+    return x, type(x)
+
+
+SCALAR_TEXTS = st.one_of(
+    st.text(alphabet="0123456789-+/_. ", max_size=8),
+    st.text(alphabet="0127-/²١٣\u00a0", max_size=5),  # non-ASCII digits and space
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-999, 999), st.integers(-9, 99)),
+    st.integers(-(10**30), 10**30).map(str),
+    st.sampled_from(["-0", "-0/7", "3/-4", "/0", "5/0", "-3/0", "0/0", "+3", " 3", "3\n",
+                     "1_000", "1/2_0", "0.5", "-.5", "²", "١", "-١/٢", "007/010", "-", "/"]),
+)
+
+
 class TestScalar:
     def test_parses_fraction_strings(self):
         assert scalar("3/4") == Fraction(3, 4)
@@ -438,6 +471,18 @@ class TestScalar:
             assert scalar("0.25") == Fraction(1, 4)
             with pytest.raises(ValueError, match="zero denominator"):
                 scalar("5/0")
+
+    def test_a_long_integer_text_is_refused_as_fraction_refuses_it(self):
+        for text in ["1" * 5000, "-" + "7" * 5000, "1/" + "3" * 5000]:
+            assert parse_outcome(text) == reference_parse_outcome(text)
+            assert parse_outcome(text)[0] is ValueError
+
+    @given(SCALAR_TEXTS)
+    @settings(max_examples=300, deadline=None)
+    def test_text_parses_as_fraction_parses_it(self, text):
+        # ASCII "-?digits" and "-?digits/digits" are read with int; the
+        # rest go to Fraction, and every outcome is Fraction's
+        assert parse_outcome(text) == reference_parse_outcome(text)
 
 
 def in_normal_form(values) -> bool:
@@ -507,6 +552,92 @@ class TestNormalForm:
         assert build_quasi(b) is build_quasi(a)
         after = build_quasi.cache_info()
         assert after.misses - before.misses <= 1 and after.hits - before.hits >= 1
+
+
+@st.composite
+def dense_rational_grids(draw):
+    """A grid with every entry a nonzero rational of up to three digits over
+    up to two, plus rows that are rational combinations of those, so that
+    the rank falls short: fill and cancellation, not unit rows."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    entry = st.fractions(min_value=-999, max_value=999, max_denominator=97).filter(bool)
+    grid = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows,
+                         max_size=rows))
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = draw(st.lists(entry, min_size=rows, max_size=rows))
+        grid.append([sum((c * row[j] for c, row in zip(coeffs, grid[:rows])), Fraction(0))
+                     for j in range(cols)])
+    return draw(st.permutations(grid))
+
+
+class TestDenseRationalSystems:
+    """Dense rational systems, where the primitive integer rows do all the
+    work, against the textbook reference."""
+
+    @given(dense_rational_grids())
+    @settings(max_examples=120, deadline=None)
+    def test_every_solve_matches_the_reference(self, grid):
+        ncols = len(grid[0])
+        M = Matrix(grid, cols=ncols)
+        reduced, pivots = reference_rref(grid, ncols)
+        expected = Matrix.from_columns([sparse(row) for row in reduced[: len(pivots)]], ncols)
+        span = column_span(row_vectors(M), ncols)
+        assert span == expected and rank(M) == len(pivots)
+        kernel = sparse_nullspace(row_vectors(M), ncols)
+        assert [[v.get(c, 0) for c in range(ncols)] for v in kernel] == reference_kernel(M)
+        values = [x for v in span.columns() + kernel for x in v.values()]
+        assert in_normal_form(values)
+        square = Matrix(grid[:ncols] + [[0] * ncols] * (ncols - len(grid)), cols=ncols)
+        if rank(square) == ncols:
+            assert inverse(square) * square == Matrix.identity(ncols)
+        else:
+            with pytest.raises(ValueError):
+                inverse(square)
+
+
+class TestCallersDataStays:
+    """The engine works on copies: after each call its arguments equal deep
+    copies taken before it.  An engine helper that handed back the row it
+    was given let ``rank`` rewrite the columns of an iso witness."""
+
+    @given(matrices)
+    @settings(max_examples=80, deadline=None)
+    def test_solves_leave_their_arguments(self, M):
+        vectors = row_vectors(M)
+        before = copy.deepcopy((M, vectors))
+        rank(M)
+        column_span(vectors, M.cols)
+        if M.rows == M.cols:
+            try:
+                inverse(M)
+            except ValueError:
+                pass
+        assert (M, vectors) == before
+
+    @given(matrices, st.integers(0, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_insert_and_reduce_leave_their_arguments(self, M, split):
+        rows = M.columns()  # the package's own zero-free vectors, ints among them
+        echelon = linalg._insert({}, rows[:split])
+        before = copy.deepcopy((rows, echelon))
+        grown = linalg._insert(echelon, rows[split:])
+        assert (rows, echelon) == before
+        assert not any(stored is row for stored in grown.values() for row in rows)
+        grown_before = copy.deepcopy(grown)
+        for row in rows:
+            assert not linalg._reduce(grown, row)
+            remainder = linalg._reduce(echelon, row)
+            assert remainder is not row
+            remainder[-1] = 1  # the remainder is the caller's own to change
+        assert (rows, echelon) == before and grown == grown_before
+
+    def test_rank_keeps_an_iso_witness(self):
+        spec1 = make_spec(5, 3, 2, [["1"], ["1"]])
+        spec2 = make_spec(5, 3, 2, [["2"], ["1"]])
+        v = iso_decide(spec1, spec2)
+        before = copy.deepcopy(v.map)
+        assert rank(v.map) == v.map.rows and v.map == before
+        assert is_isomorphism(build_quasi(spec1), build_quasi(spec2), v.map)
 
 
 def holds_zero(M) -> bool:

@@ -112,3 +112,8 @@ def test_pairs_summarise_every_end_to_end_metric(capsys, tmp_path):
     assert set(summary) == set(names)
     for entry in summary.values():
         assert entry["pairs"] == 1 and entry["won"] in (0, 1) and entry["one_iqr"] == 0
+    # the relative change of the medians, change / reference - 1, after them
+    for name, line in zip(names, lines[2:]):
+        entry = summary[name]
+        assert entry["relative"] == entry["two"] / entry["one"] - 1
+        assert line.split()[5] == f"{entry['relative']:+.2%}"
