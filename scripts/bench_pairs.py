@@ -18,8 +18,10 @@ Per end-to-end metric of this checkout's ``BENCHMARK.json``, it prints both
 medians, the relative change of the medians (change / reference - 1, "n/a"
 when the reference's median is 0), the reference's interquartile range, and
 in how many pairs the change was better in the metric's direction (ties
-count as not better).
-``--out`` also writes every run's metrics as JSON.  The exit status is 1
+count as not better), and the verdict of the rule for claiming a gain and
+for a regression (see ``_verdict``).
+``--out`` also writes every run's metrics and the summary, verdicts
+included, as JSON.  The exit status is 1
 when some run fails, reports ``correct: false`` or a failed request, and 0
 otherwise.  ``--tiny`` runs perfbench's small pools.
 """
@@ -63,6 +65,34 @@ def _iqr(values: list) -> float:
     return q3 - q1
 
 
+def _verdict(a: list, b: list, won: int, direction: str, bound: float) -> str:
+    """The verdict on the change's runs b against the reference's runs a,
+    taken in pairs of which the change was better in ``won``, for a metric
+    whose ``better`` direction and relative ``bound`` are those of
+    ``BENCHMARK.json``:
+
+    - "gain shown": at least ten pairs ran, the change is better in at least
+      nine tenths of them, and its median is better by more than the
+      reference's interquartile range;
+    - "worse than bound": the change's median is worse than the reference's
+      by more than bound times the reference's median;
+    - "unresolved": neither, and the reference's interquartile range is
+      wider than that bound, unless every run of the change is better than
+      every run of the reference;
+    - "within bound": otherwise.
+    """
+    sign = 1 if direction == "higher" else -1  # sign * value grows as it gets better
+    gain = sign * (statistics.median(b) - statistics.median(a))
+    allowed = bound * abs(statistics.median(a))
+    if len(a) >= 10 and 10 * won >= 9 * len(a) and gain > _iqr(a):
+        return "gain shown"
+    if -gain > allowed:
+        return "worse than bound"
+    if _iqr(a) > allowed and min(sign * y for y in b) <= max(sign * x for x in a):
+        return "unresolved"
+    return "within bound"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", action="append", required=True, help="LABEL=PATH, twice")
@@ -85,7 +115,7 @@ def main(argv=None) -> int:
         parser.error("the two trees need different labels")
     labels = list(trees)
     spec = json.loads((HERE / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
 
     runs = {label: [] for label in labels}
     with tempfile.TemporaryDirectory() as tmp:
@@ -108,17 +138,19 @@ def main(argv=None) -> int:
     ref, change = labels
     summary = {}
     if not any("error" in r for rs in runs.values() for r in rs):
-        for name, direction in better.items():
+        for name, metric in metrics.items():
+            direction = metric["better"]
             a = [r["metrics"][name]["value"] for r in runs[ref]]
             b = [r["metrics"][name]["value"] for r in runs[change]]
             won = sum((y < x) if direction == "lower" else (y > x) for x, y in zip(a, b))
             ma, mb = statistics.median(a), statistics.median(b)
             relative = mb / ma - 1 if ma else None
-            summary[name] = {ref: ma, change: mb, "relative": relative,
-                             f"{ref}_iqr": _iqr(a), "won": won, "pairs": len(a)}
+            verdict = _verdict(a, b, won, direction, metric["bound"])
+            summary[name] = {ref: ma, change: mb, "relative": relative, f"{ref}_iqr": _iqr(a),
+                             "won": won, "pairs": len(a), "verdict": verdict}
             print(f"{name:<16} {ref} {ma:.5g}  {change} {mb:.5g}  "
                   + (f"{relative:+.2%}" if ma else "n/a") + f"  {ref} IQR {_iqr(a):.3g}  "
-                  f"{change} better in {won}/{len(a)} ({direction} is better)")
+                  f"{change} better in {won}/{len(a)} ({direction} is better): {verdict}")
     if args.out:
         Path(args.out).write_text(json.dumps(
             {"workload": args.workload, "seconds": args.seconds, "tiny": args.tiny,

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, NamedTuple, Sequence, Tuple
 
-from .linalg import Matrix, Scalar, _combine, inverse
+from .linalg import Matrix, Scalar, _clear, _combine, _insert, _reduce, inverse
 from .liecore import LieAlgebra, check_jacobi
 
 
@@ -166,15 +166,12 @@ def related_matrix(beta: Sequence[tuple]) -> Matrix:
 
 
 def _normalised(v: tuple) -> tuple:
-    """v's primitive integer multiple with a positive leading entry: its
-    denominators cleared and its gcd divided out, so that proportional
-    vectors, and only they, share it.  The zero vector stays zero."""
-    d = lcm(*(x.denominator for x in v))
-    w = [x.numerator * (d // x.denominator) for x in v]
-    g = gcd(*w) or 1
-    if next((x for x in w if x), 0) < 0:
-        g = -g
-    return tuple(x // g for x in w)
+    """v's primitive integer multiple with a positive leading entry, as the
+    engine makes a row (``linalg._reduce``): its denominators cleared and its
+    gcd divided out, so that proportional vectors, and only they, share it.
+    The zero vector stays zero."""
+    row = _reduce({}, {i: x for i, x in enumerate(v) if x})
+    return tuple(row.get(i, 0) for i in range(len(v)))
 
 
 def proportional_classes(columns: Sequence[tuple]) -> tuple:
@@ -184,17 +181,6 @@ def proportional_classes(columns: Sequence[tuple]) -> tuple:
     for p, v in enumerate(columns):
         classes.setdefault(_normalised(v), []).append(p)
     return tuple(tuple(members) for members in classes.values())
-
-
-def _eliminate(rows: dict, w: list) -> list:
-    """A nonzero multiple of w's projection along integer echelon rows {lead:
-    row}, fraction-free: w <- row[lead] w - w[lead] row, lead by lead."""
-    for lead in sorted(rows):
-        row, y = rows[lead], w[lead]
-        if y:
-            x0 = row[lead]
-            w = [x0 * a - y * b for a, b in zip(w, row)]
-    return w
 
 
 def copy_cells(columns: Sequence[tuple]) -> tuple:
@@ -209,25 +195,30 @@ def copy_cells(columns: Sequence[tuple]) -> tuple:
     points' scales, so x, y and z share one factor, and j, of degree 0 in
     every point and symmetric in the four, stays.  A record is j as a reduced
     pair, or (-vanishing brackets, 0); a cell sorts a column's (in C, record).
-    Nor do records see a column's scale: each column is made primitive once.
+
+    The projection is the engine's: C's echelon comes from ``linalg._insert``,
+    and each other column, made primitive once, is cleared at its k - 2 leads
+    in ascending order (``linalg._clear``).  That leaves a nonzero multiple
+    of the projection onto the two free coordinates, and no record sees it.
     """
     m, k = len(columns), len(columns[0]) if columns else 0
-    vectors = [_normalised(v) for v in columns]
+    vectors = [{i: x for i, x in enumerate(_normalised(v)) if x} for v in columns]
     cells: list = [[] for _ in columns]
     for centre in combinations(range(m), k - 2) if k >= 2 else ():
-        rows: dict = {}
-        for c in centre:
-            w = _eliminate(rows, vectors[c])
-            if any(w):
-                rows[next(i for i, x in enumerate(w) if x)] = w
-        if len(rows) < k - 2:
+        echelon = _insert({}, [vectors[c] for c in centre])
+        if len(echelon) < k - 2:
             continue
-        f, g = (i for i in range(k) if i not in rows)
+        f, g = (i for i in range(k) if i not in echelon)
+        pivots = sorted(echelon.items())
         rest, points = [p for p in range(m) if p not in centre], {}
         for p in rest:
-            w = _eliminate(rows, vectors[p])
-            h = gcd(w[f], w[g]) or 1
-            points[p] = (w[f] // h, w[g] // h)  # primitive integers
+            w = dict(vectors[p])
+            for lead, pivot in pivots:
+                if lead in w:
+                    _clear(w, lead, pivot)
+            x, y = w.get(f, 0), w.get(g, 0)
+            h = gcd(x, y) or 1
+            points[p] = (x // h, y // h)  # primitive integers
         for four in combinations(rest, 4):
             pairs = combinations([points[q] for q in four], 2)
             brackets = [s[0] * t[1] - s[1] * t[0] for s, t in pairs]

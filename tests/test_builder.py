@@ -1,4 +1,5 @@
 """Construction of Q_n, the glued sums, and their annihilator matrices."""
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from qfla.builder import (
     build_qn,
     build_quasi,
     change_of_basis,
+    copy_cells,
     make_spec,
     proportional_classes,
     qn_x_basis,
@@ -316,6 +318,101 @@ class TestProportionalClasses:
         columns = [tuple(M.entry(i, p) for i in range(M.rows)) for p in range(M.cols)]
         for g in (spec.beta, columns):
             assert proportional_classes(g) == fraction_classes(g)
+
+
+def dense_projection(centre, k):
+    """The map sending a vector of Q^k to its projection from the span of
+    the independent columns `centre` onto the two free coordinates of their
+    reduced rows, by textbook Gauss-Jordan in Fraction; None when the
+    columns are dependent."""
+    rows, leads = [], []
+    for v in centre:
+        w = [Fraction(x) for x in v]
+        for row, lead in zip(rows, leads):
+            w = [a - w[lead] * b for a, b in zip(w, row)]
+        lead = next((i for i, x in enumerate(w) if x), None)
+        if lead is None:
+            return None
+        w = [x / w[lead] for x in w]
+        rows = [[a - row[lead] * b for a, b in zip(row, w)] for row in rows] + [w]
+        leads.append(lead)
+    f, g = (i for i in range(k) if i not in leads)
+
+    def project(v):
+        w = [Fraction(x) for x in v]
+        for row, lead in zip(rows, leads):
+            w = [a - w[lead] * b for a, b in zip(w, row)]
+        return w[f], w[g]
+
+    return project
+
+
+def reference_cells(columns) -> tuple:
+    """copy_cells as its docstring states it, in Fraction throughout: for
+    every independent centre C of k - 2 columns, each other column projected
+    onto the two free coordinates of C's reduced rows, and every four of them
+    giving j of their cross-ratio, or the count of vanishing brackets."""
+    m, k = len(columns), len(columns[0]) if columns else 0
+    cells = [[] for _ in columns]
+    for centre in itertools.combinations(range(m), k - 2) if k >= 2 else ():
+        project = dense_projection([columns[c] for c in centre], k)
+        if project is None:
+            continue
+        rest = [p for p in range(m) if p not in centre]
+        points = {p: project(columns[p]) for p in rest}
+        for four in itertools.combinations(rest, 4):
+            pairs = itertools.combinations([points[q] for q in four], 2)
+            brackets = [s[0] * t[1] - s[1] * t[0] for s, t in pairs]
+            _, pb, pc, ab, ac, _ = brackets
+            x, y, zeros = pb * ac, pc * ab, brackets.count(0)
+            value = (-zeros, 0)
+            if not zeros:
+                value = ((x * x - x * y + y * y) ** 3 / (x * y * (x - y)) ** 2).as_integer_ratio()
+            for q in centre + four:
+                cells[q].append((q in centre, value))
+    return tuple(tuple(sorted(cell)) for cell in cells)
+
+
+@st.composite
+def cell_columns(draw):
+    """k - 1 <= m <= 8 columns of Q^k, 2 <= k <= 5: fresh integer and
+    rational ones, zero ones, and combinations of two earlier ones (a
+    multiple when the second factor is 0), so that some centres are
+    dependent."""
+    k = draw(st.integers(2, 5))
+    m = draw(st.integers(k - 1, 8))
+    entries = st.sampled_from([0, 0, 1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3),
+                               Fraction(7, 4), Fraction(6, 3)])
+    factors = st.sampled_from([1, -1, 2, Fraction(-1, 3), Fraction(5, 2)])
+    columns = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["fresh", "fresh", "fresh", "zero", "combination"]))
+        if kind == "zero":
+            columns.append((0,) * k)
+        elif kind == "combination" and columns:
+            u, v = draw(st.sampled_from(columns)), draw(st.sampled_from(columns))
+            f, g = draw(factors), draw(st.sampled_from([0, 1, Fraction(-3, 2)]))
+            columns.append(tuple(f * a + g * b for a, b in zip(u, v)))
+        else:
+            columns.append(tuple(draw(entries) for _ in range(k)))
+    return columns
+
+
+class TestCopyCells:
+    """copy_cells against a dense Fraction reference that shares none of the
+    engine's code."""
+
+    @given(cell_columns())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_dense_reference(self, columns):
+        assert copy_cells(columns) == reference_cells(columns)
+
+    @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
+    def test_battery_and_its_annihilator_columns(self, spec):
+        M = related_matrix(spec.beta)
+        columns = [tuple(M.entry(i, p) for i in range(M.rows)) for p in range(M.cols)]
+        for g in (spec.beta, columns):
+            assert copy_cells(g) == reference_cells(g)
 
 
 def linked_grouping(spec):

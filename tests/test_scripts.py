@@ -97,7 +97,7 @@ def test_replay_lists_exactly_the_calls_that_differ(capsys, tmp_path):
     assert all(line.endswith("call 2 (der): stdout differ") for line in lines[:-1])
 
 
-def test_pairs_summarise_every_end_to_end_metric(capsys, tmp_path):
+def test_pairs_summarise_every_end_to_end_metric(capsys, tmp_path, monkeypatch):
     pairs = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["main"]
     out = tmp_path / "pairs.json"
     argv = ["--tree", f"one={ROOT}", "--tree", f"two={ROOT}", "--workload", "iso-mix",
@@ -117,3 +117,34 @@ def test_pairs_summarise_every_end_to_end_metric(capsys, tmp_path):
         entry = summary[name]
         assert entry["relative"] == entry["two"] / entry["one"] - 1
         assert line.split()[5] == f"{entry['relative']:+.2%}"
+        assert entry["verdict"] != "gain shown"  # one pair shows no gain
+        assert line.endswith(f"is better): {entry['verdict']}")
+
+    # ten canned pairs, (reference runs, change runs) per metric, give each verdict
+    canned = {
+        "request_p50_s": ([10, 11, 10, 12, 11, 10, 11, 12, 10, 11], [9] * 10),
+        "request_tail_s": ([10] * 10, [13] * 10),  # 30% worse, the bound is 20%
+        "requests_per_s": ([100, 101, 99, 100, 102, 98, 100, 101, 99, 100],
+                           [99, 100, 101, 100, 98, 102, 99, 100, 100, 101]),
+        "peak_rss_mb": ([10, 20] * 5, [15] * 10),  # IQR 10, wider than 10% of 15
+        # as wide, but every change run is better than every reference run
+        "setup_s": ([1.0, 2.0] * 5, [0.9] * 10),
+    }
+    expected = {"request_p50_s": "gain shown", "request_tail_s": "worse than bound",
+                "requests_per_s": "within bound", "peak_rss_mb": "unresolved",
+                "setup_s": "within bound"}
+    assert set(canned) == set(names)
+    done = {"t0": 0, "t1": 0}  # runs so far of the reference's copy and the change's
+
+    def canned_run(command, copy, workload, seed, seconds, tiny):
+        k, done[copy.name] = done[copy.name], done[copy.name] + 1
+        metrics = {name: {"value": runs[copy.name == "t1"][k]} for name, runs in canned.items()}
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setitem(pairs.__globals__, "_run", canned_run)
+    assert pairs(argv[:6] + ["--pairs", "10", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()[20:]
+    summary = json.loads(out.read_text())["summary"]
+    for name, line in zip(names, lines):
+        assert summary[name]["verdict"] == expected[name]
+        assert line.endswith(f"is better): {expected[name]}")
