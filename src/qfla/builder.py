@@ -103,18 +103,16 @@ def make_spec(n: int, m: int, r: int, B=None) -> QuasiQnSpec:
 
 @lru_cache(maxsize=None)
 def build_quasi(spec: QuasiQnSpec) -> LieAlgebra:
-    """Construct N(Q_n, m, r); Jacobi is verified on construction."""
-    n, m, r = spec.n, spec.m, spec.r
-    sc: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-    for s in range(1, m + 1):
-        top = {spec.top_index(t): c for t, c in enumerate(spec.beta[s - 1], start=1) if c}
+    """Construct N(Q_n, m, r), copy s from its column beta[s - 1]; Jacobi is verified."""
+    n, sc = spec.n, {}
+    for s, column in enumerate(spec.beta, start=1):
+        head = spec.gen_index(s, 0)
+        top = {spec.top_index(t): c for t, c in enumerate(column, start=1) if c}
+        signed = (top, {k: -c for k, c in top.items()})  # (-1)^i e_n for even, odd i
         for i in range(1, n - 1):
-            sc[(spec.gen_index(s, 0), spec.gen_index(s, i))] = {spec.gen_index(s, i + 1): 1}
+            sc[(head, head + i)] = {head + i + 1: 1}
         for i in range(1, spec.d + 1):  # [e_i, e_{n-i}] = (-1)^i e_n, stored once
-            sign = 1 if i % 2 == 0 else -1
-            sc[(spec.gen_index(s, i), spec.gen_index(s, n - i))] = {
-                k: sign * c for k, c in top.items()
-            }
+            sc[(head + i, head + n - i)] = dict(signed[i % 2])
     return check_jacobi(LieAlgebra(spec.dim, sc))
 
 

@@ -236,19 +236,17 @@ def derivation_oracle(L: LieAlgebra) -> List[dict]:
     is the all-pairs one.  The kernel is the same space either way, and its
     reduced basis is unique.
 
-    The rows are made pair by pair as the solver reads them, and a term
-    that cancels an entry deletes it, so no row carries a zero entry.  The
-    solver peels each row as it comes (see ``linalg._peel``): a unit is a
-    column flag, not a row, and only the coupled rows are kept, so the
-    system is never held whole.  At (9,4,1) the oracle makes 2,518 rows
-    where all pairs make 4,004.  At (21,8,3) it makes 57,023 where all
-    pairs make 110,808; 53,550 of them arrive with one entry, 27,184
-    columns are flagged and 1,759 coupled rows are left reduced."""
+    The rows are made pair by pair, off ``L.partners`` in both orientations,
+    as the solver reads them, and a term that cancels an entry deletes it, so
+    no row carries a zero entry.  The solver peels each row as it comes (see
+    ``linalg._peel``): a unit is a column flag, not a row, and only the
+    coupled rows are kept, so the system is never held whole.  At (9,4,1) the
+    oracle makes 2,518 rows where all pairs make 4,004.  At (21,8,3) it makes
+    57,023 where all pairs make 110,808; 53,550 of them arrive with one entry,
+    27,184 columns are flagged and 1,759 coupled rows are left reduced."""
     dim, partners = L.dim, L.partners
     gens = _generator_indices(L)
     gen_set = set(gens)
-    # per j, the k whose bracket with e_j is nonzero, with [e_j, e_k] and [e_k, e_j]
-    hits = [[(k, partners[k][j], kj) for k, kj in partners[j].items()] for j in range(dim)]
 
     def add(eq: dict, out: int, col: int, c) -> None:
         row = eq.get(out)
@@ -270,10 +268,10 @@ def derivation_oracle(L: LieAlgebra) -> List[dict]:
                 eq = {}
                 if base:
                     eq = {out: {out * dim + k: c for k, c in base.items()} for out in range(dim)}
-                for k, jk, _ in hits[j]:  # -[D e_i, e_j] = [e_j, D e_i]
-                    for out, c in jk.items():
+                for k in partners[j]:  # -[D e_i, e_j] = [e_j, D e_i]
+                    for out, c in partners[k][j].items():
                         add(eq, out, k * dim + i, c)
-                for k, _, ki in hits[i]:  # -[e_i, D e_j] = [D e_j, e_i]
+                for k, ki in partners[i].items():  # -[e_i, D e_j] = [D e_j, e_i]
                     for out, c in ki.items():
                         add(eq, out, k * dim + j, c)
                 yield from eq.values()

@@ -90,9 +90,11 @@ def _first_admissible_perm(g1: List[tuple], g2: List[tuple]) -> Optional[tuple]:
     these conditions, so a column and its multiples give the same pi.
     """
     m, r = len(g1), len(g1[0])
-    classes1, cells1, cells2 = proportional_classes(g1), copy_cells(g1), copy_cells(g2)
-    sizes = [sorted(map(len, classes)) for classes in (classes1, proportional_classes(g2))]
-    if sizes[0] != sizes[1] or sorted(cells1) != sorted(cells2):
+    classes1 = proportional_classes(g1)
+    if sorted(map(len, classes1)) != sorted(map(len, proportional_classes(g2))):
+        return None  # before any cell is made
+    cells1, cells2 = copy_cells(g1), copy_cells(g2)
+    if sorted(cells1) != sorted(cells2):
         return None
     class_of = {p: k for k, members in enumerate(classes1) for p in members}
     leads = [next((i for i, x in enumerate(v) if x != 0), None) for v in g2]

@@ -204,7 +204,7 @@ def _reduce(echelon: dict, row: dict) -> dict:
     """A nonzero multiple of the remainder of a row without zero entries
     after eliminating its leading entries by echelon, as a new primitive
     integer row with a positive lead, or {} iff the row lies in their span."""
-    if type(sum(row.values())) is int:  # as it is exactly when every entry is
+    if all(type(x) is int for x in row.values()):  # read off the types: no arithmetic
         row = dict(row)
     else:
         row = _scaled(row, lcm(*[x.denominator for x in row.values()]))

@@ -167,6 +167,48 @@ class TestBuildQn:
         assert L.bracket({0: 1}, {6: 1}) == {7: 1}
 
 
+def literal_table(spec):
+    """The table of N(Q_n, m, r) as the module docstring writes it, copy by
+    copy: [e_0, e_i] = e_{i+1} for 1 <= i <= n-2, then [e_i, e_{n-i}] =
+    (-1)^i e_n for 1 <= i <= d, copy s's e_n being sum_t beta_{t,s} e_{tn}."""
+    sc = {}
+    for s in range(1, spec.m + 1):
+        for i in range(1, spec.n - 1):
+            sc[(spec.gen_index(s, 0), spec.gen_index(s, i))] = {spec.gen_index(s, i + 1): 1}
+        for i in range(1, spec.d + 1):
+            top = enumerate(spec.beta[s - 1], start=1)
+            sc[(spec.gen_index(s, i), spec.gen_index(s, spec.n - i))] = {
+                spec.top_index(t): (-1) ** i * c for t, c in top if c
+            }
+    return sc
+
+
+def assert_literal_table(spec):
+    """build_quasi's table is the literal one: the same keys in the same
+    order, each bracket's entries in the same order and of the same types,
+    and every bracket a dict of its own."""
+    sc, expected = build_quasi(spec).sc, literal_table(spec)
+    assert list(sc) == list(expected)
+    for key, value in expected.items():
+        assert list(sc[key].items()) == list(value.items())
+        assert [type(c) for c in sc[key].values()] == [type(c) for c in value.values()]
+    assert len({id(value) for value in sc.values()}) == len(sc)
+
+
+LITERAL_ENTRIES = [Fraction(x) for x in ("0", "1", "-1", "2", "1/3", "-3/2")]
+
+
+@st.composite
+def literal_gluings(draw):
+    """A gluing with n in {5, 7} and B's entries in LITERAL_ENTRIES, zeros
+    among them in every column that is not zero."""
+    n, m = draw(st.sampled_from([5, 7])), draw(st.integers(1, 5))
+    r = draw(st.integers(1, m))
+    column = st.lists(st.sampled_from(LITERAL_ENTRIES), min_size=r, max_size=r).filter(any)
+    columns = draw(st.lists(column, min_size=m - r, max_size=m - r))
+    return make_spec(n, m, r, [[v[t] for v in columns] for t in range(r)] if columns else None)
+
+
 class TestBuildQuasi:
     def test_cross_copy_brackets_vanish(self):
         s = make_spec(5, 2, 1, [["1"]])
@@ -204,6 +246,15 @@ class TestBuildQuasi:
             ((7, 2, 1, [["1"]]), 15),
         ]:
             assert build_quasi(make_spec(*args)).dim == dim
+
+    @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
+    def test_battery_table_is_the_literal_one(self, spec):
+        assert_literal_table(spec)
+
+    @given(literal_gluings())
+    @settings(max_examples=40, deadline=None)
+    def test_random_table_is_the_literal_one(self, spec):
+        assert_literal_table(spec)
 
 
 class TestRelatedMatrix:

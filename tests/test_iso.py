@@ -182,6 +182,18 @@ class TestIsoDecide:
         v = iso_decide(make_spec(5, 3, 2, [["1"], ["0"]]), make_spec(5, 3, 2, [["1"], ["1"]]))
         assert not v.isomorphic
 
+    def test_class_sizes_refute_before_any_cell_is_made(self, monkeypatch):
+        # beta columns (1,0), (0,1), (2,0), (1,1) against (1,0), (0,1), (1,1),
+        # (1,2): class sizes 2,1,1 against 1,1,1,1
+        def no_cells(columns):
+            raise AssertionError("copy_cells called on a class negative")
+
+        monkeypatch.setattr(iso, "copy_cells", no_cells)
+        s1 = make_spec(5, 4, 2, [["2", "1"], ["0", "1"]])
+        s2 = make_spec(5, 4, 2, [["1", "1"], ["1", "2"]])
+        assert not iso_decide(s1, s2).isomorphic
+        assert not iso_decide(s2, s1).isomorphic
+
     def test_symmetry(self):
         pairs = [
             (make_spec(5, 3, 2, [["1"], ["1"]]), make_spec(5, 3, 2, [["2"], ["1"]])),

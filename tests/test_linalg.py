@@ -594,6 +594,20 @@ class TestDenseRationalSystems:
             with pytest.raises(ValueError):
                 inverse(square)
 
+    def test_a_rational_row_is_told_by_its_entries_types(self, monkeypatch):
+        # the engine reads a row as int or rational without adding its
+        # entries: a sum ran one Fraction addition per entry of a rational row
+        def no_addition(self, other):
+            raise AssertionError("a Fraction was added")
+
+        echelon = {0: {0: 1, 1: 2}}
+        rows = [{0: Fraction(1, 2), 2: Fraction(-2, 3), 5: 3}, {1: Fraction(3, 4)}]
+        expected = [{0: 3, 2: -4, 5: 18}, {1: 1}, {1: 3, 2: 2, 5: -9}, {1: 1}]
+        monkeypatch.setattr(Fraction, "__add__", no_addition)
+        monkeypatch.setattr(Fraction, "__radd__", no_addition)
+        reduced = [linalg._reduce(pivots, row) for pivots in ({}, echelon) for row in rows]
+        assert reduced == expected
+
 
 class TestCallersDataStays:
     """The engine works on copies: after each call its arguments equal deep

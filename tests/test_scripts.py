@@ -104,47 +104,66 @@ def test_pairs_summarise_every_end_to_end_metric(capsys, tmp_path, monkeypatch):
             "--pairs", "1", "--seconds", "1", "--tiny", "--out", str(out)]
     assert pairs(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("pair 1/1 seed 1 one: failed 0/")
-    assert lines[1].startswith("pair 1/1 seed 1 two: failed 0/")
+    assert lines[0].startswith("iso-mix pair 1/1 seed 1 one: failed 0/")
+    assert lines[1].startswith("iso-mix pair 1/1 seed 1 two: failed 0/")
+    assert lines[2] == "iso-mix:"
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
-    assert [line.split()[0] for line in lines[2:]] == names
-    summary = json.loads(out.read_text())["summary"]
+    assert [line.split()[0] for line in lines[3:]] == names
+    written = json.loads(out.read_text())
+    assert written["workloads"] == ["iso-mix"] and set(written["runs"]) == {"iso-mix"}
+    summary = written["summary"]["iso-mix"]
     assert set(summary) == set(names)
     for entry in summary.values():
         assert entry["pairs"] == 1 and entry["won"] in (0, 1) and entry["one_iqr"] == 0
     # the relative change of the medians, change / reference - 1, after them
-    for name, line in zip(names, lines[2:]):
+    for name, line in zip(names, lines[3:]):
         entry = summary[name]
         assert entry["relative"] == entry["two"] / entry["one"] - 1
         assert line.split()[5] == f"{entry['relative']:+.2%}"
         assert entry["verdict"] != "gain shown"  # one pair shows no gain
         assert line.endswith(f"is better): {entry['verdict']}")
 
-    # ten canned pairs, (reference runs, change runs) per metric, give each verdict
+    # ten canned pairs on each of two workloads, (reference runs, change runs)
+    # per metric, give each verdict; survey swaps the p50 and tail runs
+    gain, worse = ([10, 11, 10, 12, 11, 10, 11, 12, 10, 11], [9] * 10), ([10] * 10, [13] * 10)
     canned = {
-        "request_p50_s": ([10, 11, 10, 12, 11, 10, 11, 12, 10, 11], [9] * 10),
-        "request_tail_s": ([10] * 10, [13] * 10),  # 30% worse, the bound is 20%
+        "request_p50_s": gain,
+        "request_tail_s": worse,  # 30% worse, the bound is 20%
         "requests_per_s": ([100, 101, 99, 100, 102, 98, 100, 101, 99, 100],
                            [99, 100, 101, 100, 98, 102, 99, 100, 100, 101]),
         "peak_rss_mb": ([10, 20] * 5, [15] * 10),  # IQR 10, wider than 10% of 15
         # as wide, but every change run is better than every reference run
         "setup_s": ([1.0, 2.0] * 5, [0.9] * 10),
     }
+    canned = {"iso-mix": canned, "survey": dict(canned, request_p50_s=worse, request_tail_s=gain)}
     expected = {"request_p50_s": "gain shown", "request_tail_s": "worse than bound",
                 "requests_per_s": "within bound", "peak_rss_mb": "unresolved",
                 "setup_s": "within bound"}
-    assert set(canned) == set(names)
-    done = {"t0": 0, "t1": 0}  # runs so far of the reference's copy and the change's
+    expected = {"iso-mix": expected, "survey": dict(
+        expected, request_p50_s="worse than bound", request_tail_s="gain shown")}
+    assert set(canned["survey"]) == set(names)
+    done = {}  # runs so far per workload of the reference's copy t0 and the change's t1
 
     def canned_run(command, copy, workload, seed, seconds, tiny):
-        k, done[copy.name] = done[copy.name], done[copy.name] + 1
-        metrics = {name: {"value": runs[copy.name == "t1"][k]} for name, runs in canned.items()}
+        key = (workload, copy.name)
+        k = done[key] = done.get(key, -1) + 1
+        runs = canned[workload]
+        metrics = {name: {"value": runs[name][copy.name == "t1"][k]} for name in runs}
         return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
 
     monkeypatch.setitem(pairs.__globals__, "_run", canned_run)
-    assert pairs(argv[:6] + ["--pairs", "10", "--out", str(out)]) == 0
-    lines = capsys.readouterr().out.splitlines()[20:]
-    summary = json.loads(out.read_text())["summary"]
-    for name, line in zip(names, lines):
-        assert summary[name]["verdict"] == expected[name]
-        assert line.endswith(f"is better): {expected[name]}")
+    argv = argv[:6] + ["--workload", "survey", "--pairs", "10", "--out", str(out)]
+    assert pairs(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    written = json.loads(out.read_text())
+    assert written["workloads"] == ["iso-mix", "survey"]
+    for block, workload in enumerate(["iso-mix", "survey"]):
+        head = 26 * block + 20  # each block follows its workload's 20 runs
+        assert all(line.startswith(f"{workload} pair ") for line in lines[head - 20 : head])
+        assert lines[head] == f"{workload}:"
+        summary = written["summary"][workload]
+        assert all(len(runs) == 10 for runs in written["runs"][workload].values())
+        for name, line in zip(names, lines[head + 1 : head + 6], strict=True):
+            assert summary[name]["verdict"] == expected[workload][name]
+            assert line.endswith(f"is better): {expected[workload][name]}")
+    assert len(lines) == 52
