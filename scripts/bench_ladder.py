@@ -21,7 +21,7 @@ holds a compile's memory.  It then times
 (by ``der``, ``der --compare`` and ``weights``, which decomposes under its
 first m + 1 members) and ``qfla.cli.nilpotent_basis`` (by ``der`` and
 ``der --compare``), the span comparison of ``der --compare``
-(``qfla.cli._spans_der``), the emission (``qfla.cli._emit``), the lower
+(``qfla.cli._is_der_basis``), the emission (``qfla.cli._emit``), the lower
 central series and the quasi-cyclic split of ``check``
 (``qfla.cli.lower_central_series``, ``qfla.cli.quasi_cyclic_split``; on a
 table whose indices rise, as every built gluing's do, ``check`` reads the
@@ -205,7 +205,7 @@ TIMED = [
     ("qfla.cli", "derivation_oracle", "oracle"),
     ("qfla.cli", "torus_basis", "closed"),
     ("qfla.cli", "nilpotent_basis", "closed"),
-    ("qfla.cli", "_spans_der", "compare"),
+    ("qfla.cli", "_is_der_basis", "compare"),
     ("qfla.cli", "_emit", "emit"),
     ("qfla.cli", "lower_central_series", "lcs"),
     ("qfla.cli", "quasi_cyclic_split", "split"),

@@ -165,8 +165,8 @@ def _member(images) -> dict:
     return {key: [(k, str(x)) for k, x in sorted(v.items())] for key, v in pairs if v}
 
 
-def _spans_der(spec: QuasiQnSpec, members: list, oracle: list) -> bool:
-    """Do the members (generator images) span Der, the span of
+def _is_der_basis(spec: QuasiQnSpec, members: list, oracle: list) -> bool:
+    """Are the members (generator images) a basis of Der, the span of
     ``derivation_oracle``'s flat vectors {a * dim + b: D[a, b]}?  Decided in
     2m * dim generator coordinates: entry a * dim + b of an oracle vector,
     b the index of e_{st}, goes to p * dim + a for p = t m + s - 1, and the
@@ -175,8 +175,8 @@ def _spans_der(spec: QuasiQnSpec, members: list, oracle: list) -> bool:
     The theorem: a derivation is fixed by its images of the generators, so
     the cut is injective on Der, and the cut vectors keep rank dim Der, which
     is checked.  Images lie in the cut of Der exactly when their Leibniz
-    extension is a derivation.  So equal spans in generator coordinates mean
-    equal spans of derivations."""
+    extension is a derivation.  So equal cut spans mean equal spans of
+    derivations, and members that span Der and number dim Der form a basis."""
     dim, size = spec.dim, 2 * spec.m * spec.dim
     place = {spec.gen_index(s, t): t * spec.m + s - 1 for s in range(1, spec.m + 1) for t in (0, 1)}
     cut = [
@@ -187,7 +187,7 @@ def _spans_der(spec: QuasiQnSpec, members: list, oracle: list) -> bool:
         {p * dim + a: x for p, v in enumerate(D.e0 + D.e1) for a, x in v.items()} for D in members
     ]
     span = column_span(cut, size)
-    return span.cols == len(oracle) and column_span(images, size) == span
+    return span.cols == len(oracle) == len(members) and column_span(images, size) == span
 
 
 def _cmd_der(args) -> int:
@@ -206,7 +206,7 @@ def _cmd_der(args) -> int:
         report["agree"] = (
             nilpotent is not None
             and report["dim_formula"] == report["dim_oracle"]
-            and _spans_der(spec, torus + nilpotent, oracle)
+            and _is_der_basis(spec, torus + nilpotent, oracle)
         )
     _emit(args, report)
     return 1 if args.compare and args.strict and not report["agree"] else 0

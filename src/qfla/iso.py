@@ -46,30 +46,6 @@ class EquivalenceWitness(NamedTuple):
     scale: tuple
 
 
-def _generic_nonzero_point(basis: List[dict], m: int) -> Optional[tuple]:
-    """A point of the span of sparse vectors with every coordinate nonzero,
-    or None.
-
-    Coordinate j vanishes on the whole span iff it vanishes on every basis
-    vector; otherwise sum_k t^k v_k has coordinate j given by a nonzero
-    polynomial in t, so scanning small integers t finds an all-nonzero point.
-    """
-    if not basis:
-        return None
-    for j in range(m):
-        if all(j not in v for v in basis):
-            return None
-    t = 1
-    while True:
-        point = tuple(
-            sum(t**k * v.get(j, 0) for k, v in enumerate(basis))
-            for j in range(m)
-        )
-        if all(x != 0 for x in point):
-            return point
-        t += 1
-
-
 def _first_admissible_perm(g1: List[tuple], g2: List[tuple]) -> Optional[tuple]:
     """The lexicographically first pi with A g1_{pi(j)} = d_j g2_j for some A
     in GL_r and nonzero d_j, or None.
@@ -166,6 +142,19 @@ def monomial_equivalence(g1: Sequence[tuple], g2: Sequence[tuple]) -> Optional[E
     exact solve for the diagonal runs on that permutation alone, with the
     original columns, so the witness is the one a sweep over all m!
     permutations in lexicographic order returns.
+
+    K's diagonal is the sum of the solve's canonical kernel basis.  Its
+    solutions are the d with A g1_{perm(j)} = d_j g2_j for an r x r map A.
+    Let d* be one with no zero coordinate, as the permutation is admissible;
+    its A* is invertible, because the vectors d*_j g2_j span Q^r.  For any
+    solution (d, A), each d*_j g2_j is an eigenvector of A A*^-1 with
+    eigenvalue d_j / d*_j.  On a connected component of the matroid of the
+    g2_j these are all equal: two different ones would split the component's
+    span into a direct sum.  The components' spans form a direct sum, so the
+    kernel is one line per component (a zero column is one, its d_j free).
+    ``linalg._kernel``'s vector is 1 at its free column and 0 at the others,
+    so it gives one vector per component, holding that component's scales:
+    the supports are disjoint and cover every copy.
     """
     m, r = len(g1), len(g1[0])
     if m > MAX_COPIES:
@@ -183,17 +172,18 @@ def monomial_equivalence(g1: Sequence[tuple], g2: Sequence[tuple]) -> Optional[E
         for c in range(r)
         for k in range(m - r)
     ]
-    point = _generic_nonzero_point(sparse_nullspace(eq_rows, m), m)
-    if point is None:
+    basis = sparse_nullspace(eq_rows, m)
+    scale = tuple(sum(v.get(j, 0) for v in basis) for j in range(m))
+    if 0 in scale:  # as is every coordinate when the basis is empty
         raise AssertionError("the pruned search returned a permutation the exact solve rejects")
     # column j of M1 K is scale[j] times column perm[j] of M1
     M1_columns = M1.columns()
-    columns = [{i: x * d for i, x in M1_columns[p].items()} for p, d in zip(perm, point)]
+    columns = [{i: x * d for i, x in M1_columns[p].items()} for p, d in zip(perm, scale)]
     # E M1 K = M2 = (A2 | I), so E inverts the last m - r columns of M1 K
     E = inverse(Matrix.from_columns(columns[r:], m - r))
     if E * Matrix.from_columns(columns, m - r) != M2:
         raise AssertionError("kernel match did not yield a row-space match")
-    return EquivalenceWitness(E, perm, point)
+    return EquivalenceWitness(E, perm, scale)
 
 
 # -- algebra-level certificates ----------------------------------------------------
@@ -216,17 +206,15 @@ def _prime_valuations(k: int) -> dict:
 
 def split_scale(k: Scalar, n: int) -> Tuple[Fraction, Fraction]:
     """Rational (alpha, beta) with alpha^{n-2} beta^2 = k, for n odd and k
-    nonzero, as are the scales of ``_generic_nonzero_point``.
+    nonzero, as are a witness's scales.
 
     Solved base by base: (n-2) a_p + 2 b_p = v_p(k) with a_p = v_p mod 2,
-    where a base p need not be prime.  The sign of k goes into alpha, which
-    is safe because n - 2 is odd.
+    where a base p need not be prime.  The numerator and the denominator
+    are coprime, so they share no base.  The sign of k goes into alpha,
+    which is safe because n - 2 is odd.
     """
-    vals: dict = {}
-    for p, v in _prime_valuations(abs(k.numerator)).items():
-        vals[p] = vals.get(p, 0) + v
-    for p, v in _prime_valuations(k.denominator).items():
-        vals[p] = vals.get(p, 0) - v
+    vals = _prime_valuations(abs(k.numerator))
+    vals.update((p, -v) for p, v in _prime_valuations(k.denominator).items())
     alpha = 1 if k > 0 else -1
     beta = 1
     for p, v in vals.items():

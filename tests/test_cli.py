@@ -14,6 +14,7 @@ from conftest import TEST_MATRIX, spec_id
 from qfla import cli
 from qfla.automorphisms import exp_ad, make_scaling_automorphism
 from qfla.builder import build_quasi, change_of_basis, make_spec
+from qfla.derivations import nilpotent_basis
 from qfla.cli import VERBS, main
 from qfla.jsonio import algebra_to_json, candidate_to_json, dumps, matrix_from_json, spec_to_json
 from qfla.liecore import (
@@ -106,6 +107,38 @@ class TestCheck:
         assert json.loads(out)["jacobi"] is False
         code, _, _ = run("check", str(path), "--strict")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "dim, brackets, stable",
+        [
+            # sl2 in the basis h, e, f: [h, e] = 2e, [h, f] = -2f, [e, f] = h
+            (3, [(0, 1, [[1, "2"]]), (0, 2, [[2, "-2"]]), (1, 2, [[0, "1"]])], 3),
+            # the affine algebra of the line: [x, y] = y
+            (2, [(0, 1, [[1, "1"]])], 1),
+        ],
+        ids=["sl2", "affine"],
+    )
+    def test_non_nilpotent_bare_table(self, run, tmp_path, dim, brackets, stable):
+        path = tmp_path / "table.json"
+        path.write_text(
+            json.dumps({"dim": dim, "brackets": [{"i": i, "j": j, "value": v} for i, j, v in brackets]})
+        )
+        for flags in ([], ["--strict"]):
+            code, out, _ = run("check", str(path), *flags)
+            assert code == 0
+            assert json.loads(out) == {
+                "lcs_dims": None,
+                "filiform": None,
+                "min_generators": None,
+                "quasi_cyclic": None,
+                "jacobi": True,
+                "detail": f"series stabilizes at dimension {stable}",
+            }
+
+    def test_bare_parameter_file_reads_as_its_algebra_file(self, run, spec521_file, algebra521_file):
+        code, out, err = run("check", spec521_file)
+        assert (code, err) == (0, "")
+        assert out == run("check", algebra521_file)[1]
 
 
 def two_walk_report(L, spec) -> dict:
@@ -256,6 +289,20 @@ class TestDer:
         assert code == 0
         assert json.loads(out)["dim_oracle"] == 18
 
+    def test_a_duplicated_member_disagrees(self, run, algebra521_file, monkeypatch):
+        # the members still span Der, but 19 of them are no basis of the 18-dim Der
+        def duplicated(spec):
+            members = nilpotent_basis(spec)
+            return members + members[-1:]
+
+        monkeypatch.setattr(cli, "nilpotent_basis", duplicated)
+        for flags, exit_code in (([], 0), (["--strict"], 1)):
+            code, out, _ = run("der", algebra521_file, "--compare", *flags)
+            data = json.loads(out)
+            assert code == exit_code
+            assert (data["dim_oracle"], data["dim_formula"], len(data["nilpotent"])) == (18, 18, 16)
+            assert data["agree"] is False
+
 
 class TestAutCheck:
     def _write_candidate(self, tmp_path, betas):
@@ -281,6 +328,32 @@ class TestAutCheck:
         data = json.loads(out)
         assert data["conditions"]["failed"] == "gluing-compatibility"
         assert data["agree"] is True
+
+    @pytest.mark.parametrize(
+        "image, slot, detail",
+        [
+            ("e0", (1, 1), "image of e_{1,0} has a component on e_{1,1}"),
+            ("e1", (2, 0), "image of e_{1,1} has a component on e_{2,0}"),
+        ],
+        ids=["e0_on_own_e1", "e1_on_other_e0"],
+    )
+    def test_generator_slot_fails_single_target_copy(
+        self, run, tmp_path, algebra521_file, image, slot, detail
+    ):
+        # the identity with one generator slot added to copy 1's image: the
+        # images still touch copy 1 alone, so the slot is what fails
+        spec = make_spec(5, 2, 1, [["1"]])
+        cand = make_scaling_automorphism(spec, [1, 1], [1, 1])
+        images = {"e0": list(cand.e0), "e1": list(cand.e1)}
+        images[image][0] = {**images[image][0], spec.gen_index(*slot): 1}
+        path = tmp_path / "cand.json"
+        path.write_text(dumps(candidate_to_json(spec, images["e0"], images["e1"])))
+        code, out, _ = run("aut-check", algebra521_file, str(path), "--strict")
+        data = json.loads(out)
+        assert code == 1
+        assert data["conditions"]["failed"] == "single-target-copy"
+        assert data["conditions"]["detail"] == detail
+        assert (data["brute_force"], data["agree"]) == (False, True)
 
     def test_fractions_in_the_table_and_the_candidate(self, run, tmp_path):
         # B holds 1/2 and -1/3 and the candidate is exp(ad x) for a fractional
@@ -730,6 +803,24 @@ class TestInputContract:
         code, out, err = run("check", str(path))
         assert (code, out) == (2, "")
         assert err == "error: labels: expected an array of 17 distinct strings\n"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # labels of 16 names would be refused first, so the file has none
+            (lambda data: [data.pop("labels"), data.update(dim=17)], "implies dim 16, but dim is 17"),
+            (lambda data: data.update(spec=5), "expected an object"),
+        ],
+        ids=["dim", "not_an_object"],
+    )
+    def test_embedded_spec_refusal_exit_2(self, run, tmp_path, edit, message):
+        spec = make_spec(5, 3, 1, [["1", "2"]])
+        data = json.loads(dumps(algebra_to_json(build_quasi(spec), spec)))
+        edit(data)
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run("check", str(path))
+        assert (code, out, err) == (2, "", f"error: spec: {message}\n")
 
     @pytest.mark.parametrize("verb", ["check", "related"])
     def test_huge_dim_is_refused_before_it_is_allocated(self, run, tmp_path, verb):

@@ -26,7 +26,7 @@ from conftest import (
 )
 from qfla import automorphisms, derivations, liecore, linalg
 from qfla.builder import build_quasi, change_of_basis, make_spec
-from qfla.cli import _spans_der, main
+from qfla.cli import _is_der_basis, main
 from qfla.derivations import (
     ConditionVerdict,
     GeneratorImages,
@@ -646,7 +646,7 @@ class TestDerProperties:
         explicit = torus_basis(spec) + nilpotent_basis(spec)
         dense = [flatten(D) for D in extended(spec, explicit)]
         assert column_span(dense, L.dim**2) == column_span(oracle, L.dim**2)
-        assert _spans_der(spec, explicit, oracle)
+        assert _is_der_basis(spec, explicit, oracle)
 
     @given(relabelled_pairs())
     @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -687,24 +687,26 @@ def spoils(spec, members, rng):
 class TestCompare:
     @pytest.mark.parametrize("spec", TEST_MATRIX, ids=spec_id)
     def test_spans_kernel_matches_column_spans(self, spec, rng):
-        # whether the members span the oracle's kernel, Der: der --compare
-        # decides it in generator coordinates, the dense reference by the
-        # column spans of the extended members and of the oracle's vectors
+        # whether the members are a basis of the oracle's kernel, Der: der
+        # --compare decides the span in generator coordinates, the dense
+        # reference by the column spans of the extended members and of the
+        # oracle's vectors; both count the members against dim Der
         L = build_quasi(spec)
         oracle = derivation_oracle(L)
         explicit = torus_basis(spec) + (nilpotent_basis(spec) or [])
         answers = {}
         for name, members in spoils(spec, explicit, rng).items():
             dense = [flatten(D) for D in extended(spec, members)]
-            expected = column_span(dense, L.dim**2) == column_span(oracle, L.dim**2)
-            assert _spans_der(spec, members, oracle) is expected, name
+            spans = column_span(dense, L.dim**2) == column_span(oracle, L.dim**2)
+            expected = spans and len(members) == len(oracle)
+            assert _is_der_basis(spec, members, oracle) is expected, name
             answers[name] = expected
         assert not is_derivation(L, extend_derivation_candidate(spec, non_derivation(spec)))
         block_form = spec in BLOCK_SPECS
         assert answers == {
             "as is": block_form,
             "dropped": False,
-            "duplicated": block_form,
+            "duplicated": False,
             "scaled": block_form,
             "non-derivation": False,
         }

@@ -15,14 +15,13 @@ from qfla.builder import BadInput, build_quasi, copy_cells, make_spec, related_m
 from qfla.iso import (
     EquivalenceWitness,
     IsoVerdict,
-    _generic_nonzero_point,
     build_algebra_witness,
     iso_decide,
     monomial_equivalence,
     split_scale,
 )
 from qfla.liecore import bracket_preserving
-from qfla.linalg import Matrix, column_span, inverse, rank, scalar
+from qfla.linalg import Matrix, column_span, inverse, rank, scalar, sparse_nullspace
 
 
 class TestKernel:
@@ -256,23 +255,45 @@ def reference_annihilator(g) -> Matrix:
     return Matrix(rows, cols=m)
 
 
+def scan_point(basis: list, m: int):
+    """The sweep's own point picker: a point of the span of the sparse
+    vectors ``basis`` with every coordinate nonzero, or None.
+
+    Coordinate j vanishes on the whole span iff it vanishes on every basis
+    vector; otherwise sum_k t^k v_k has coordinate j given by a nonzero
+    polynomial in t, so scanning t = 1, 2, ... finds an all-nonzero point.
+    """
+    if not basis or any(all(j not in v for v in basis) for j in range(m)):
+        return None
+    for t in itertools.count(1):
+        point = tuple(sum(t**k * v.get(j, 0) for k, v in enumerate(basis)) for j in range(m))
+        if 0 not in point:
+            return point
+
+
+def sweep_solutions(M1: Matrix, ker2: list, perm) -> list:
+    """The diagonals d, as sparse vectors, with M1 K annihilating every
+    vector of ker2, K the monomial of perm and d, by the dense reference."""
+    m = M1.cols
+    eq_rows = [
+        [M1.entry(row, perm[j]) * v[j] for j in range(m)] for v in ker2 for row in range(M1.rows)
+    ]
+    return [sparse(v) for v in reference_kernel(Matrix(eq_rows, cols=m))]
+
+
 def sweep_equivalence(g1, g2):
     """Reference: try all m! copy permutations in lexicographic order, each
     with its own exact solve for the diagonal, and return the first hit.  The
     kernel, the diagonal solve and the pivots come from the textbook dense
-    elimination, so the reference shares no solve with the search."""
+    elimination, and the diagonal from ``scan_point``, so the reference shares
+    no solve with the search."""
     m, r = len(g1), len(g1[0])
     if m == r:
         return EquivalenceWitness(Matrix([], cols=0), tuple(range(m)), (1,) * m)
     M1, M2 = reference_annihilator(g1), reference_annihilator(g2)
     ker2 = reference_kernel(M2)
     for perm in itertools.permutations(range(m)):
-        eq_rows = []
-        for v in ker2:
-            for row in range(m - r):
-                eq_rows.append([M1.entry(row, perm[j]) * v[j] for j in range(m)])
-        solutions = reference_kernel(Matrix(eq_rows, cols=m))
-        point = _generic_nonzero_point([sparse(v) for v in solutions], m)
+        point = scan_point(sweep_solutions(M1, ker2, perm), m)
         if point is None:
             continue
         prod = M1 * monomial(perm, point)
@@ -413,6 +434,38 @@ class TestPrunedSearchMatchesSweep:
     )
     def test_same_outcome_as_sweep(self, g1, g2):
         assert monomial_equivalence(g1, g2) == sweep_equivalence(g1, g2)
+
+
+def test_the_diagonal_is_the_sum_of_one_vector_per_component(monkeypatch):
+    # every permutation of the small battery pairs, admissible or not, is
+    # handed to the diagonal solve: the sum of the kernel basis has no zero
+    # coordinate exactly when the sweep's scan finds a point, and then equals
+    # it, and on a positive the basis vectors' supports split range(m)
+    bases = []
+
+    def spy(rows, ncols):
+        bases.append(sparse_nullspace(rows, ncols))
+        return bases[-1]
+
+    monkeypatch.setattr(iso, "sparse_nullspace", spy)
+    counts = {"positive": 0, "negative": 0, "components": 0}
+    for _, g1, g2 in (pair for pair in EQUIVALENCE_BATTERY if len(pair[1]) <= 5):
+        m = len(g1)
+        M1, ker2 = reference_annihilator(g1), reference_kernel(reference_annihilator(g2))
+        for perm in itertools.permutations(range(m)):
+            monkeypatch.setattr(iso, "_first_admissible_perm", lambda h1, h2, perm=perm: perm)
+            point = scan_point(sweep_solutions(M1, ker2, perm), m)
+            if point is None:
+                with pytest.raises(AssertionError, match="exact solve rejects"):
+                    monomial_equivalence(g1, g2)
+                counts["negative"] += 1
+                continue
+            assert monomial_equivalence(g1, g2).scale == point
+            assert sorted(j for v in bases[-1] for j in v) == list(range(m))
+            counts["positive"] += 1
+            counts["components"] += len(bases[-1]) > 1
+    assert counts["positive"] >= 1000 and counts["negative"] >= 1000
+    assert counts["components"] >= 100  # zero entries of C make several components
 
 
 def rescaled(rng: random.Random, columns) -> list:
