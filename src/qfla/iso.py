@@ -189,40 +189,34 @@ def monomial_equivalence(g1: Sequence[tuple], g2: Sequence[tuple]) -> Optional[E
 # -- algebra-level certificates ----------------------------------------------------
 
 
-def _prime_valuations(k: int) -> dict:
-    """{base: exponent} with product k > 0: the primes below 2^16 by trial
-    division, then what is left of k, prime or not, as one base."""
-    out = {}
+def _square_split(k: int) -> Tuple[int, int]:
+    """(s, t) with s t^2 = k > 0: t collects p^(v_p // 2) for the primes p
+    below 2^16 by trial division, and s the rest, times whatever is left of
+    k above that bound, prime or not."""
+    s = t = 1
     p = 2
     while p * p <= k and p < 1 << 16:
         while k % p == 0:
-            out[p] = out.get(p, 0) + 1
             k //= p
+            if k % p:
+                s *= p
+                break
+            k //= p
+            t *= p
         p += 1 if p == 2 else 2
-    if k > 1:
-        out[k] = out.get(k, 0) + 1
-    return out
+    return s * k, t
 
 
-def split_scale(k: Scalar, n: int) -> Tuple[Fraction, Fraction]:
+def split_scale(k: Scalar, n: int) -> Tuple[int, Fraction]:
     """Rational (alpha, beta) with alpha^{n-2} beta^2 = k, for n odd and k
-    nonzero, as are a witness's scales.
-
-    Solved base by base: (n-2) a_p + 2 b_p = v_p(k) with a_p = v_p mod 2,
-    where a base p need not be prime.  The numerator and the denominator
-    are coprime, so they share no base.  The sign of k goes into alpha,
-    which is safe because n - 2 is odd.
-    """
-    vals = _prime_valuations(abs(k.numerator))
-    vals.update((p, -v) for p, v in _prime_valuations(k.denominator).items())
-    alpha = 1 if k > 0 else -1
-    beta = 1
-    for p, v in vals.items():
-        a = v % 2
-        b = (v - (n - 2) * a) // 2
-        alpha *= Fraction(p) ** a
-        beta *= Fraction(p) ** b
-    return alpha, beta
+    nonzero, as are a witness's scales.  With k = +-s t^2, s a positive
+    integer and t rational, alpha = +-s and beta = t s^{-(n-3)/2} give
+    alpha^{n-2} beta^2 = s^{n-2} t^2 / s^{n-3} = k: the sign of k goes into
+    alpha, which is safe because n - 2 is odd."""
+    s1, t1 = _square_split(abs(k.numerator))
+    s2, t2 = _square_split(k.denominator)
+    s = s1 * s2  # k = +-s (t1 / (s2 t2))^2
+    return (s if k > 0 else -s), Fraction(t1, s2 * t2 * s ** ((n - 3) // 2))
 
 
 def build_algebra_witness(

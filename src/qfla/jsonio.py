@@ -139,8 +139,6 @@ def algebra_from_json(data) -> Tuple[LieAlgebra, Optional[QuasiQnSpec]]:
     anything of size ``dim`` is made.  Zero coefficients are dropped once a
     bracket's indices have turned out distinct, and empty brackets once the
     pairs have; a table with neither is kept as read."""
-    if not isinstance(data, dict):
-        raise BadInput("algebra: expected an object")
     for key in data:
         if key not in ("dim", "labels", "brackets", "spec"):
             raise BadInput(f"{key}: not an algebra field (expected dim, labels, brackets and spec)")

@@ -25,6 +25,7 @@ from qfla.automorphisms import (
 from qfla.builder import build_quasi, make_spec
 from qfla.liecore import is_isomorphism
 from qfla.linalg import Matrix
+from test_derivations import sl2
 
 SPEC521 = make_spec(5, 2, 1, [["1"]])
 
@@ -231,6 +232,12 @@ class TestFactories:
         for idx in (s.gen_index(1, 0), s.gen_index(1, 1), s.gen_index(2, 2)):
             M = exp_ad(L, {idx: 1})
             assert is_isomorphism(L, L, M)
+
+    def test_exp_ad_refuses_a_non_nilpotent_ad(self):
+        L = sl2()
+        with pytest.raises(ValueError, match="^ad x is not nilpotent$"):
+            exp_ad(L, {0: 1})  # ad h has eigenvalues 0, 2, -2
+        assert isinstance(exp_ad(L, {1: 1}), Matrix)  # ad e is nilpotent
 
     def test_composition_closure(self, rng):
         s = SPEC521

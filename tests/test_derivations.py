@@ -25,7 +25,7 @@ from conftest import (
     zero_copy_variants,
 )
 from qfla import automorphisms, derivations, liecore, linalg
-from qfla.builder import build_quasi, change_of_basis, make_spec
+from qfla.builder import build_qn, build_quasi, change_of_basis, make_spec
 from qfla.cli import _is_der_basis, main
 from qfla.derivations import (
     ConditionVerdict,
@@ -354,6 +354,9 @@ class TestOracle:
         L = build_quasi(SPEC521)
         for D in derivation_oracle(L):
             assert is_derivation(L, reshape(D, L.dim))
+
+    def test_a_matrix_of_the_wrong_size_is_no_derivation(self):
+        assert not is_derivation(build_qn(5), Matrix([[1, 0], [0, 1]]))
 
     def test_abelian_algebra_has_full_matrix_space(self):
         from qfla.liecore import LieAlgebra

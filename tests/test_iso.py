@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from conftest import TEST_MATRIX, sparse, spec_id
 from test_linalg import dense_rows, reference_kernel, reference_rref
@@ -124,6 +124,58 @@ class TestMonomialEquivalence:
         assert isinstance(monomial_equivalence(g, g), EquivalenceWitness)
 
 
+def reference_split(k: Fraction, n: int):
+    """The split by valuations that ``split_scale`` had before its square
+    split, kept as its reference: (n-2) a_p + 2 b_p = v_p(k) with a_p = v_p
+    mod 2, base by base.  The bases are the primes below 2^16, by trial
+    division, and what is left of the numerator or the denominator, prime
+    or not; the numerator and the denominator are coprime, so they share no
+    base.  The sign of k goes into alpha."""
+
+    def valuations(k: int) -> dict:
+        out = {}
+        p = 2
+        while p * p <= k and p < 1 << 16:
+            while k % p == 0:
+                out[p] = out.get(p, 0) + 1
+                k //= p
+            p += 1 if p == 2 else 2
+        if k > 1:
+            out[k] = out.get(k, 0) + 1
+        return out
+
+    vals = valuations(abs(k.numerator))
+    vals.update((p, -v) for p, v in valuations(k.denominator).items())
+    alpha = 1 if k > 0 else -1
+    beta = 1
+    for p, v in vals.items():
+        a = v % 2
+        b = (v - (n - 2) * a) // 2
+        alpha *= Fraction(p) ** a
+        beta *= Fraction(p) ** b
+    return alpha, beta
+
+
+# Bases of the drawn scales: primes below the trial bound 2^16 (65521 is the
+# largest), and primes above it, which stay in the cofactor.  A scale with a
+# large cofactor costs a full trial division, about 7 ms at 40 digits, so few
+# draws take one.
+SMALL_BASES = (2, 3, 5, 7, 11, 13, 97, 65521)
+LARGE_BASES = (65537, 65539, 1_000_003, 2**61 - 1)
+
+
+@st.composite
+def witness_scales(draw) -> Fraction:
+    """A signed product of small bases to exponents -4..4, times one large
+    base to such an exponent in about one draw of four."""
+    k = Fraction(draw(st.sampled_from((1, -1))))
+    for p in draw(st.lists(st.sampled_from(SMALL_BASES), max_size=4)):
+        k *= Fraction(p) ** draw(st.integers(-4, 4))
+    if draw(st.integers(0, 3)) == 0:
+        k *= Fraction(draw(st.sampled_from(LARGE_BASES))) ** draw(st.integers(-4, 4))
+    return k
+
+
 class TestSplitScale:
     def test_cube_scale(self):
         assert split_scale(Fraction(8), 5) == (Fraction(2), Fraction(1))
@@ -144,6 +196,21 @@ class TestSplitScale:
         for n in (5, 7):
             alpha, beta = split_scale(Fraction(k), n)
             assert alpha ** (n - 2) * beta ** 2 == k
+
+    @settings(max_examples=300, deadline=None)
+    @given(witness_scales(), st.sampled_from((5, 7, 9, 11, 13)))
+    @example(Fraction(8), 5)
+    @example(Fraction(6, 35), 9)
+    @example(Fraction(-1, 4), 7)
+    @example(Fraction(12), 13)
+    @example(Fraction((2**61 - 1) ** 2), 5)
+    @example(Fraction(1, 65537**2), 9)
+    @example(Fraction(65537 * 65539), 7)  # a composite cofactor above the bound
+    @example(Fraction(3 * 65539**2, 65537 * 4), 11)
+    def test_values_match_the_valuation_split(self, k, n):
+        # the same rationals, not only the same equation: every witness map,
+        # and so every iso byte, is read from these values
+        assert split_scale(k, n) == reference_split(k, n)
 
 
 class TestIsoDecide:

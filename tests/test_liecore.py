@@ -76,6 +76,13 @@ class TestBracket:
         assert L.bracket({1: 1}, {4: 1}) == {5: -1}
         assert L.bracket({2: 1}, {3: 1}) == {5: 1}
 
+    def test_equality_with_a_non_algebra_is_false(self):
+        assert LieAlgebra.__eq__(build_qn(5), 3) is NotImplemented
+        assert (build_qn(5) == 3) is False
+
+    def test_repr_counts_the_brackets(self):
+        assert repr(build_qn(5)) == "LieAlgebra(dim=6, brackets=5)"
+
 
 class TestJacobi:
     def test_valid_algebras(self):

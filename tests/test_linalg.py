@@ -711,6 +711,18 @@ class TestMatrix:
         with pytest.raises(ValueError):
             inverse(Matrix([[1, 2], [2, 4]]))
 
+    def test_non_square_inverse_raises(self):
+        # change_of_basis passes its caller's P to inverse unchecked
+        with pytest.raises(ValueError, match="^not square$"):
+            inverse(Matrix([[1, 2]]))
+
+    def test_equality_with_a_non_matrix_is_false(self):
+        assert Matrix.__eq__(Matrix([[1]]), 3) is NotImplemented
+        assert (Matrix([[1]]) == 3) is False
+
+    def test_repr_lists_the_rows(self):
+        assert repr(Matrix([[1, 2], [3, "1/2"]])) == "Matrix(2x2: 1 2; 3 1/2)"
+
     def test_from_columns_round_trip(self):
         A = Matrix([[1, 2, 3], [4, 5, 6]])
         assert A.columns() == [{0: 1, 1: 4}, {0: 2, 1: 5}, {0: 3, 1: 6}]

@@ -6,7 +6,11 @@ import json
 import re
 import runpy
 import shutil
+import sys
 from pathlib import Path
+
+from qfla.builder import related_matrix
+from qfla.iso import split_scale
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -167,3 +171,25 @@ def test_pairs_summarise_every_end_to_end_metric(capsys, tmp_path, monkeypatch):
             assert summary[name]["verdict"] == expected[workload][name]
             assert line.endswith(f"is better): {expected[workload][name]}")
     assert len(lines) == 52
+
+
+def test_unreached_lines_lists_what_one_call_skips(capfd, tmp_path):
+    # one in-process related call: related_matrix runs, split_scale does not
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 5, "m": 3, "r": 1, "B": [["1", "2"]]}))
+    call = f"import sys; from qfla.cli import main; sys.exit(main(['related', {str(spec)!r}]))"
+    unreached = runpy.run_path(str(SCRIPTS / "unreached_lines.py"))["main"]
+    assert unreached(["--", sys.executable, "-c", call]) == 0
+    out = capfd.readouterr().out.splitlines()
+    rows = [row.split(":", 2) for row in out if row.startswith("src/qfla/")]
+    listed = {(name, int(line)) for name, line, _ in rows}
+    assert out[-1] == f"{len(rows)} unreached lines in src/qfla" and len(listed) == len(rows)
+
+    def body(fn) -> set:
+        code = fn.__code__
+        return {line for _, _, line in code.co_lines() if line and line != code.co_firstlineno}
+
+    assert not {("src/qfla/builder.py", line) for line in body(related_matrix)} & listed
+    assert {("src/qfla/iso.py", line) for line in body(split_scale)} <= listed
+    # the command's exit status is the script's
+    assert unreached(["--", sys.executable, "-c", "raise SystemExit(3)"]) == 3
